@@ -30,7 +30,7 @@ from .fluid import (
     simulate_fluid,
 )
 from .network import Network, classify, flows_through
-from .stability import Target, analyze, critical_utilization, objective_for
+from .stability import Target, analyze, critical_utilization
 from .topologies import GENERATORS
 
 EXIT_VALIDATION = 2
@@ -66,15 +66,26 @@ def _family(args):
     return family
 
 
+def _index(what: str, one_based: int, count: int) -> int:
+    """The 0-based id of a 1-indexed server or flow, checked against the network."""
+    if not 1 <= one_based <= count:
+        raise NetcalcError("%s %d does not exist (ids run from 1 to %d)" % (what, one_based, count))
+    return one_based - 1
+
+
+def _server(args, net: Network) -> int:
+    """``--server`` as a 0-based id, the last server by default."""
+    return _index("server", net.num_servers if args.server is None else args.server, net.num_servers)
+
+
+def _flow_ids(text: str, net: Network) -> List[int]:
+    return [_index("flow", int(x), net.num_flows) for x in text.split(",") if x.strip()]
+
+
 def _parse_target(args, net: Network) -> Target:
-    if getattr(args, "flow", None) is not None:
-        return Target.delay(args.flow - 1)
-    if getattr(args, "flows", None):
-        flows = [int(x) - 1 for x in args.flows.split(",") if x.strip()]
-    else:
-        flows = [0]
-    server = args.server - 1 if getattr(args, "server", None) else net.num_servers - 1
-    return Target.backlog(server, flows)
+    if args.flow is not None:
+        return Target.delay(_index("flow", args.flow, net.num_flows))
+    return Target.backlog(_server(args, net), _flow_ids(args.flows or "1", net))
 
 
 def _open_output(path: Optional[str]):
@@ -95,9 +106,7 @@ def cmd_analyze(args) -> int:
     target = _parse_target(args, net)
     report = analyze(net, args.method, target=target, removed=None)
     bound_value = None if report.bound is None else report.bound.value
-    objective = None
-    if args.method != "2s" and not math.isinf(report.rho):
-        objective = objective_for(net, target, args.method)
+    objective = report.objective
     if args.json:
         doc = {
             "method": report.method,
@@ -187,6 +196,8 @@ def cmd_simulate(args) -> int:
     net = fileio.load_network(args.network)
     if classify(net).value == "cyclic":
         raise NetcalcError("simulation requires a feed-forward network")
+    server = _server(args, net)
+    flows = _flow_ids(args.flows, net) if args.flows else None
     dt = args.dt if args.dt else default_dt(net)
     horizon = args.horizon
     if horizon is None:
@@ -197,10 +208,6 @@ def cmd_simulate(args) -> int:
         horizon = 1.5 * horizon if math.isfinite(horizon) and horizon > 0 else 10.0
     scenario = random_scenario(net, horizon, args.seed)
     traj = simulate_fluid(net, scenario, dt=dt)
-    server = args.server - 1 if args.server else net.num_servers - 1
-    flows = None
-    if args.flows:
-        flows = [int(x) - 1 for x in args.flows.split(",") if x.strip()]
     print("observed max backlog at server %d: %.9g" % (server + 1, traj.max_backlog(server, flows)))
     print("arrival curves respected: %s" % check_arrival_curves(traj))
     print("strict service respected: %s" % check_strict_service(traj))

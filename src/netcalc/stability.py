@@ -105,7 +105,11 @@ class Target:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Outcome of one analysis method on one network."""
+    """
+    Outcome of one analysis method on one network.  ``objective`` is the
+    linear form ``bound`` evaluates at the fixed point (``None`` for ``2s``,
+    without a target and on local instability).
+    """
 
     method: str
     rho: float
@@ -113,6 +117,7 @@ class StabilityReport:
     fixed_point: Optional[np.ndarray]
     bound: Optional[Bound]
     labels: Tuple = ()
+    objective: Optional[ObjectiveForm] = None
 
     @property
     def verdict(self) -> str:
@@ -193,13 +198,6 @@ def rho_below(
     return float(max(abs(np.linalg.eigvals(M)))) < threshold
 
 
-def _solve_stable(lr: LinearRecursion) -> np.ndarray:
-    solution = np.linalg.solve(np.eye(lr.size) - lr.M, lr.N)
-    if solution.min() < -1e-9 * max(1.0, float(np.abs(solution).max())):
-        raise ValidationError("fixed point came out negative; ill-conditioned system")
-    return np.maximum(solution, 0.0)
-
-
 def solve_recursion(lr: LinearRecursion) -> Optional[np.ndarray]:
     """
     Greatest fixed point of ``b <= M b + N``: the solution of
@@ -214,7 +212,10 @@ def solve_recursion(lr: LinearRecursion) -> Optional[np.ndarray]:
         return np.zeros(0)
     if not rho_below(lr.M, 1.0 - STABILITY_EPS):
         return None
-    return _solve_stable(lr)
+    solution = np.linalg.solve(np.eye(lr.size) - lr.M, lr.N)
+    if solution.min() < -1e-9 * max(1.0, float(np.abs(solution).max())):
+        raise ValidationError("fixed point came out negative; ill-conditioned system")
+    return np.maximum(solution, 0.0)
 
 
 def _require_local_stability(net: Network) -> None:
@@ -417,8 +418,7 @@ def build_ag(net: Network, removed) -> LinearRecursion:
     arc is the largest burst weight among that arc's continuations.
     """
     _require_local_stability(net)
-    ctx = _context(net, removed)
-    return _build_ag(ctx)
+    return _build_ag(_context(net, removed))
 
 
 def _build_ag(ctx: DecompositionContext) -> LinearRecursion:
@@ -522,12 +522,7 @@ def _objective_tree(ctx: DecompositionContext, target: Target, arcs: bool) -> Ob
     return ObjectiveForm(coeffs * scale, (constant + extra) * scale, description)
 
 
-def objective_for(net: Network, target: Target, method: str, removed=None) -> ObjectiveForm:
-    """
-    The requested performance expressed as ``Q . b + C`` over the variables
-    of the given method's recursion.
-    """
-    method = method.lower()
+def _objective(net: Network, ctx, target: Target, method: str) -> ObjectiveForm:
     if target.kind == "backlog":
         if target.server is None or not target.flows:
             raise UnsupportedTargetError("backlog target needs a server and flows")
@@ -535,20 +530,32 @@ def objective_for(net: Network, target: Target, method: str, removed=None) -> Ob
         raise UnsupportedTargetError("unknown target kind %r" % target.kind)
     if method == "sd":
         return _objective_sd(net, target)
-    if method in ("td", "ag", "2s"):
-        if removed is None:
-            removed = removal_tree(net)
-        ctx = _context(net, removed)
-        return _objective_tree(ctx, target, arcs=(method == "ag"))
-    raise ValidationError("unknown method %r" % method)
+    return _objective_tree(ctx, target, arcs=(method == "ag"))
+
+
+def objective_for(net: Network, target: Target, method: str, removed=None) -> ObjectiveForm:
+    """
+    The requested performance expressed as ``Q . b + C`` over the variables
+    of the given method's recursion.
+    """
+    method = method.lower()
+    if method not in ("sd", "td", "ag", "2s"):
+        raise ValidationError("unknown method %r" % method)
+    ctx = None
+    if method != "sd":
+        ctx = _context(net, removal_tree(net) if removed is None else removed)
+    return _objective(net, ctx, target, method)
+
+
+def _bound_at(obj: ObjectiveForm, fixed: Optional[np.ndarray]) -> Bound:
+    if fixed is None:
+        return UNBOUNDED
+    return Bound(float(obj.Q @ fixed) + float(obj.C))
 
 
 def one_stage_bound(lr: LinearRecursion, obj: ObjectiveForm) -> Bound:
     """Evaluate ``Q . b* + C`` at the greatest fixed point, if it exists."""
-    fixed = solve_recursion(lr)
-    if fixed is None:
-        return UNBOUNDED
-    return Bound(float(obj.Q @ fixed) + float(obj.C))
+    return _bound_at(obj, solve_recursion(lr))
 
 
 def two_stage_bound(net: Network, removed, target: Target) -> Bound:
@@ -556,41 +563,33 @@ def two_stage_bound(net: Network, removed, target: Target) -> Bound:
     Combine the tree and arc-grouping recursions: maximize the objective
     over burst vectors below the tree fixed point whose per-arc group sums
     stay below the arc fixed point.
+    """
+    ctx, recursions = _method_recursions(net, "2s", removed)
+    obj = _objective_tree(ctx, target, arcs=False)
+    return _two_stage(ctx, obj, *(solve_recursion(lr) for lr in recursions))
+
+
+def _two_stage(ctx: DecompositionContext, obj: ObjectiveForm, b_star, big_b) -> Bound:
+    """
+    The two-stage bound from the tree objective ``obj`` and the tree and
+    arc fixed points (``None`` where that recursion diverges).
 
     The groups are disjoint and each is constrained by a box and a single
     sum, so a per-group greedy allocation in decreasing coefficient order
     is exact.  When only one recursion is stable its constraints alone
     apply; when neither is, the bound is unbounded.
     """
-    _require_local_stability(net)
-    ctx = _context(net, removed)
-    lr_td = _build_td(ctx)
-    lr_ag = _build_ag(ctx)
-    obj = _objective_tree(ctx, target, arcs=False)
-    b_star = solve_recursion(lr_td)
-    big_b = solve_recursion(lr_ag)
     if b_star is None and big_b is None:
         return UNBOUNDED
     index = {lab: pos for pos, lab in enumerate(td_labels(ctx.ff))}
-    arc_of = {}
-    for arc in ag_labels(ctx.ff.removed):
-        for s in ctx.groups.continuations[arc]:
-            arc_of[index[ctx.ff.split_flows[s].label]] = arc
-    arc_pos = {arc: pos for pos, arc in enumerate(ag_labels(ctx.ff.removed))}
     value = obj.C
-    by_arc: Dict[Arc, List[int]] = {}
-    for var in range(lr_td.size):
-        by_arc.setdefault(arc_of[var], []).append(var)
-    for arc, members in by_arc.items():
-        budget = math.inf if big_b is None else float(big_b[arc_pos[arc]])
-        members = sorted(members, key=lambda v: -obj.Q[v])
-        for var in members:
+    for pos, arc in enumerate(ag_labels(ctx.ff.removed)):
+        budget = math.inf if big_b is None else float(big_b[pos])
+        members = [index[ctx.ff.split_flows[s].label] for s in ctx.groups.continuations[arc]]
+        for var in sorted(members, key=lambda v: (-obj.Q[v], v)):
             if budget <= 0 or obj.Q[var] <= 0:
                 break
-            cap = math.inf if b_star is None else float(b_star[var])
-            take = min(cap, budget)
-            if not math.isfinite(take):
-                return UNBOUNDED
+            take = min(budget, math.inf if b_star is None else float(b_star[var]))
             value += float(obj.Q[var]) * take
             budget -= take
     return Bound(float(value))
@@ -603,62 +602,54 @@ def analyze(
     removed=None,
 ) -> StabilityReport:
     """
-    Run one method end to end: build its recursion(s), decide stability by
-    the spectral radius, solve the fixed point and evaluate the requested
-    bound.  Local instability short-circuits to an unstable report.
+    Run one method end to end on one decomposition: build its recursion(s),
+    solve each fixed point once and evaluate the requested bound, reporting
+    its linear form as ``objective``.  ``stable`` holds when some recursion
+    has a finite fixed point (the tree one is reported for ``2s`` when both
+    do), so one test decides the verdict, the fixed point and whether the
+    bound is finite; ``rho``, the exact spectral radius (the smaller one for
+    ``2s``), is a diagnostic.  Local instability short-circuits to an
+    unstable report with ``rho = inf``.
     """
     method = method.lower()
-    if method not in ("sd", "td", "ag", "2s"):
-        raise ValidationError("unknown method %r" % method)
-    if removed is None and method != "sd":
-        removed = removal_tree(net)
     try:
-        recursions = _method_recursions(net, method, removed)
+        ctx, recursions = _method_recursions(net, method, removed)
     except LocallyUnstableError:
         return StabilityReport(
             method, math.inf, False, None,
             UNBOUNDED if target is not None else None,
         )
+    fixed_points = [solve_recursion(lr) for lr in recursions]
+    fixed = next((fp for fp in fixed_points if fp is not None), None)
     rho = min(spectral_radius(lr.M) for lr in recursions)
-    stable = rho < 1.0 - STABILITY_EPS
-    fixed = None
-    for lr in recursions:
-        if lr.size == 0:
-            fixed = np.zeros(0)
-            break
-        if rho_below(lr.M, 1.0 - STABILITY_EPS):
-            fixed = _solve_stable(lr)
-            break
-    bound = None
+    bound = objective = None
     if target is not None:
+        obj = _objective(net, ctx, target, method)
         if method == "2s":
-            bound = two_stage_bound(net, removed, target)
+            bound = _two_stage(ctx, obj, *fixed_points)
         else:
-            bound = one_stage_bound(recursions[0], objective_for(net, target, method, removed))
-    return StabilityReport(method, rho, stable, fixed, bound, recursions[0].labels)
+            bound, objective = _bound_at(obj, fixed), obj
+    return StabilityReport(
+        method, rho, fixed is not None, fixed, bound, recursions[0].labels, objective
+    )
 
 
-def _method_recursions(net: Network, method: str, removed) -> List[LinearRecursion]:
+def _method_recursions(net: Network, method: str, removed):
+    """The method's recursions and the decomposition they share (``None`` for sd)."""
     if method == "sd":
-        return [build_sd(net)]
-    if method == "td":
-        return [build_td(net, removed)]
-    if method == "ag":
-        return [build_ag(net, removed)]
-    if method == "2s":
-        ctx = _context(net, removed)
-        _require_local_stability(net)
-        return [_build_td(ctx), _build_ag(ctx)]
-    raise ValidationError("unknown method %r" % method)
+        return None, [build_sd(net)]
+    builders = {"td": (_build_td,), "ag": (_build_ag,), "2s": (_build_td, _build_ag)}
+    if method not in builders:
+        raise ValidationError("unknown method %r" % method)
+    _require_local_stability(net)
+    ctx = _context(net, removal_tree(net) if removed is None else removed)
+    return ctx, [build(ctx) for build in builders[method]]
 
 
 def is_stable(net: Network, method: str, removed=None) -> bool:
     """Stability verdict of one method (unstable on local instability)."""
-    method = method.lower()
-    if removed is None and method != "sd":
-        removed = removal_tree(net)
     try:
-        recursions = _method_recursions(net, method, removed)
+        _, recursions = _method_recursions(net, method.lower(), removed)
     except LocallyUnstableError:
         return False
     return any(rho_below(lr.M, 1.0 - STABILITY_EPS) for lr in recursions)

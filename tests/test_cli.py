@@ -82,6 +82,21 @@ def test_analyze_validation_exit_code(tmp_path, capsys):
     assert main(["analyze", "--network", str(tmp_path / "missing.json"), "--method", "td"]) == 2
 
 
+@pytest.mark.parametrize("ids, message", [
+    (["--server", "0"], "server 0 does not exist"),
+    (["--server", "7"], "server 7 does not exist"),
+    (["--flows", "0"], "flow 0 does not exist"),
+    (["--flows", "1,7"], "flow 7 does not exist"),
+    (["--flow", "0"], "flow 0 does not exist"),
+])
+def test_analyze_rejects_out_of_range_ids(tmp_path, capsys, ids, message):
+    # ids are 1-indexed: 0 is never a server or flow, not a default
+    path = str(tmp_path / "ring.json")
+    save_network(uni_ring(6, 0.3), path)
+    assert main(["analyze", "--network", path, "--method", "td"] + ids) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_sweep_format_and_consistency(capsys):
     assert main([
         "sweep", "--kind", "uni_ring", "--n", "5", "--methods", "sd,td,ag",
@@ -159,6 +174,15 @@ def test_simulate_command(tmp_path, capsys):
     assert "strict service respected: True" in out
     first = open(dump).readline().strip()
     assert first == "t,flow,server,A,B"
+
+
+def test_simulate_rejects_out_of_range_ids(tmp_path, capsys):
+    src = str(tmp_path / "two_server_sink_tree.json")
+    save_network(two_server_sink_tree(), src)
+    assert main(["simulate", "--network", src, "--server", "0"]) == 2
+    assert "server 0 does not exist" in capsys.readouterr().err
+    assert main(["simulate", "--network", src, "--flows", "0"]) == 2
+    assert "flow 0 does not exist" in capsys.readouterr().err
 
 
 def test_simulate_rejects_cyclic(tmp_path, capsys):

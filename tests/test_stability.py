@@ -18,6 +18,7 @@ from netcalc import (
     build_sd,
     build_td,
     critical_utilization,
+    local_stability,
     objective_for,
     one_stage_bound,
     solve_recursion,
@@ -205,6 +206,44 @@ def test_local_instability_means_every_method_unstable():
         assert not report.stable
         assert math.isinf(report.rho)
         assert not report.bound.is_finite
+
+
+def _check_report_consistency(net, method):
+    """One analysis agrees with itself and with the standalone entry points."""
+    target = Target.backlog(net.flows[0].path[-1], [0])
+    report = analyze(net, method, target=target)
+    assert report.stable == (report.fixed_point is not None) == report.bound.is_finite
+    assert report.stable == is_stable(net, method)
+    if not local_stability(net).stable:
+        assert report.objective is None
+        return
+    removed = removal_tree(net)
+    if method == "2s":
+        assert report.objective is None
+        assert report.bound == two_stage_bound(net, removed, target)
+        return
+    obj = objective_for(net, target, method)
+    assert np.array_equal(report.objective.Q, obj.Q) and report.objective.C == obj.C
+    lr = build_sd(net) if method == "sd" else (build_td if method == "td" else build_ag)(net, removed)
+    assert report.bound == one_stage_bound(lr, obj)
+
+
+def test_analyze_consistent_on_random_rings(rng):
+    for _ in range(6):
+        net = random_uni_ring(rng)
+        for method in ("sd", "td", "ag", "2s"):
+            _check_report_consistency(net, method)
+
+
+@pytest.mark.parametrize("method", ["sd", "td", "ag", "2s"])
+@pytest.mark.parametrize("family", [lambda u: uni_ring(10, u), lambda u: bi_ring(10, u)],
+                         ids=["uni_ring", "bi_ring"])
+def test_analyze_consistent_at_critical_utilization(family, method):
+    # both sides of the threshold, clipped to the family's range: uni_ring's
+    # ag and 2s thresholds sit just below U = 1, where local stability ends
+    u_star = critical_utilization(family, method)
+    for u in {max(u_star - 1e-3, 1e-3), min(u_star + 1e-3, 1.0)}:
+        _check_report_consistency(family(u), method)
 
 
 def test_objective_sd_single_server_group_bound():
