@@ -78,8 +78,15 @@ def _server(args, net: Network) -> int:
     return _index("server", net.num_servers if args.server is None else args.server, net.num_servers)
 
 
+def _flow_id(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise NetcalcError("flow id %r is not an integer" % token.strip()) from None
+
+
 def _flow_ids(text: str, net: Network) -> List[int]:
-    return [_index("flow", int(x), net.num_flows) for x in text.split(",") if x.strip()]
+    return [_index("flow", _flow_id(x), net.num_flows) for x in text.split(",") if x.strip()]
 
 
 def _parse_target(args, net: Network) -> Target:

@@ -10,6 +10,11 @@ coefficients; a spectral radius of ``M`` strictly below one certifies
 global stability and yields the greatest fixed point, from which backlog
 and delay bounds are read as linear forms.
 
+Every stability decision (``rho_below``) runs at most ``L`` steps of a
+Collatz-Wielandt bracket, ``L`` being the number of variables, then one
+exact M-matrix test: ``(theta I - M) x = 1`` solved once, with a positive
+``x`` and a positive residual ``theta x - M x`` as the certificate.
+
 Three constructions of ``(M, N)`` are provided: per-server decomposition
 (``sd``), tree decomposition (``td``) and grouping of the flows crossing
 each removed arc (``ag``), plus the two-stage combination (``2s``).
@@ -130,7 +135,7 @@ def spectral_radius(
     M: np.ndarray,
     tol: float = 1e-9,
     shift: float = 1e-6,
-    max_iter: int = 2000,
+    max_iter: Optional[int] = None,
 ) -> float:
     """
     Spectral radius of a nonnegative matrix, via power iteration on the
@@ -139,10 +144,11 @@ def spectral_radius(
     The iterate stays positive thanks to the shift, so the min/max ratios
     of consecutive iterates bracket the radius (Collatz-Wielandt);
     iteration stops when the bracket closes to ``tol``.  Near-periodic
-    matrices (a cycle of equal coefficients) close their bracket only at a
-    ``1/shift`` pace, so if it is still open after ``max_iter`` steps the
-    exact eigenvalue routine takes over; either way the result carries the
-    requested absolute accuracy.
+    matrices (a cycle of coefficients) close their bracket only at a
+    ``1/shift`` pace, so the bracket gets at most ``max_iter`` steps
+    (default: the matrix size ``L``, as much work as one dense routine)
+    and then the exact eigenvalue routine takes over; either way the
+    result carries the requested absolute accuracy.
 
     >>> spectral_radius(np.array([[0.0, 0.5], [0.5, 0.0]]))
     0.5
@@ -156,15 +162,31 @@ def spectral_radius(
         raise ValidationError("matrix entries must be finite")
     if M.min() < 0:
         raise ValidationError("matrix entries must be nonnegative")
+    for lo, hi in _brackets(M, shift, max_iter):
+        if hi - lo <= tol:
+            return 0.5 * (lo + hi)
+    return float(max(abs(np.linalg.eigvals(M))))
+
+
+def _brackets(M: np.ndarray, shift: float, max_iter: Optional[int]):
+    """
+    Collatz-Wielandt brackets ``(lo, hi)`` of ``rho(M)``, from power
+    iteration on ``M + shift I`` started from the all-ones vector: at most
+    ``max_iter`` of them, the matrix size ``L`` by default.
+    """
     x = np.ones(M.shape[0])
-    for _ in range(max_iter):
+    for _ in range(M.shape[0] if max_iter is None else max_iter):
         y = M @ x + shift * x
         ratios = y / x
-        lo, hi = float(ratios.min()), float(ratios.max())
-        if hi - lo <= tol:
-            return 0.5 * (lo + hi) - shift
+        yield float(ratios.min()) - shift, float(ratios.max()) - shift
         x = np.maximum(y / y.max(), 1e-250)  # floor out underflow to keep x > 0
-    return float(max(abs(np.linalg.eigvals(M))))
+
+
+def _shifted(M: np.ndarray, theta: float) -> np.ndarray:
+    """``theta I - M`` in one allocation: a negated copy, then the diagonal."""
+    A = np.negative(M)
+    A.flat[:: A.shape[0] + 1] += theta
+    return A
 
 
 def rho_below(
@@ -174,28 +196,29 @@ def rho_below(
     max_iter: Optional[int] = None,
 ) -> bool:
     """
-    Decide ``spectral_radius(M) < threshold`` cheaply: the Collatz-Wielandt
-    bracket usually separates from the threshold long before it closes.
-    The iteration budget shrinks with the matrix size so that an undecided
-    bracket hands over to the exact eigenvalue routine at comparable cost.
+    Decide ``spectral_radius(M) < threshold``.  The Collatz-Wielandt
+    bracket usually separates from the threshold long before it closes,
+    so it runs first, for at most ``max_iter`` steps (default: the matrix
+    size ``L``).  If it is still undecided, one exact M-matrix test settles
+    it: ``rho(M) < threshold`` exactly when ``threshold I - M`` is a
+    nonsingular M-matrix, i.e. when ``(threshold I - M) x = 1`` has a
+    positive solution.  The answer is yes only if the solved ``x`` is
+    positive and the residual ``threshold x - M x``, recomputed directly,
+    is positive too: ``x`` is then a certificate ``M x < threshold x``.
     """
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         return threshold > 0
-    L = M.shape[0]
-    if max_iter is None:
-        max_iter = max(60, min(3000, int(3e8 / (L * L))))
-    x = np.ones(L)
-    for _ in range(max_iter):
-        y = M @ x + shift * x
-        ratios = y / x
-        lo, hi = float(ratios.min()) - shift, float(ratios.max()) - shift
+    for lo, hi in _brackets(M, shift, max_iter):
         if lo >= threshold:
             return False
         if hi < threshold:
             return True
-        x = np.maximum(y / y.max(), 1e-250)  # floor out underflow to keep x > 0
-    return float(max(abs(np.linalg.eigvals(M)))) < threshold
+    try:
+        x = np.linalg.solve(_shifted(M, threshold), np.ones(M.shape[0]))
+    except np.linalg.LinAlgError:  # singular: threshold is an eigenvalue
+        return False
+    return bool(x.min() > 0 and (threshold * x - M @ x).min() > 0)
 
 
 def solve_recursion(lr: LinearRecursion) -> Optional[np.ndarray]:
@@ -212,7 +235,7 @@ def solve_recursion(lr: LinearRecursion) -> Optional[np.ndarray]:
         return np.zeros(0)
     if not rho_below(lr.M, 1.0 - STABILITY_EPS):
         return None
-    solution = np.linalg.solve(np.eye(lr.size) - lr.M, lr.N)
+    solution = np.linalg.solve(_shifted(lr.M, 1.0), lr.N)
     if solution.min() < -1e-9 * max(1.0, float(np.abs(solution).max())):
         raise ValidationError("fixed point came out negative; ill-conditioned system")
     return np.maximum(solution, 0.0)

@@ -88,6 +88,7 @@ def test_analyze_validation_exit_code(tmp_path, capsys):
     (["--flows", "0"], "flow 0 does not exist"),
     (["--flows", "1,7"], "flow 7 does not exist"),
     (["--flow", "0"], "flow 0 does not exist"),
+    (["--flows", "x"], "flow id 'x' is not an integer"),
 ])
 def test_analyze_rejects_out_of_range_ids(tmp_path, capsys, ids, message):
     # ids are 1-indexed: 0 is never a server or flow, not a default
@@ -183,6 +184,8 @@ def test_simulate_rejects_out_of_range_ids(tmp_path, capsys):
     assert "server 0 does not exist" in capsys.readouterr().err
     assert main(["simulate", "--network", src, "--flows", "0"]) == 2
     assert "flow 0 does not exist" in capsys.readouterr().err
+    assert main(["simulate", "--network", src, "--flows", "1,a"]) == 2
+    assert "flow id 'a' is not an integer" in capsys.readouterr().err
 
 
 def test_simulate_rejects_cyclic(tmp_path, capsys):

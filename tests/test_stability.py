@@ -115,13 +115,57 @@ def test_spectral_radius_examples():
         spectral_radius(np.ones((2, 3)))
 
 
-def test_spectral_radius_matches_eigvals(rng):
+def _weighted_cycle(weights):
+    """The cycle ``0 -> 1 -> ... -> 0`` with the given coefficients."""
+    L = len(weights)
+    M = np.zeros((L, L))
+    M[np.arange(L), (np.arange(L) + 1) % L] = weights
+    return M
+
+
+def _decision_inputs(rng):
+    """
+    Random sparse matrices; weighted cycles with unequal weights, periodic
+    like the ring recursions; block upper-triangular (reducible) matrices;
+    and the cycles and block matrices rescaled to ``rho = 1 -+ 1e-6``.
+    """
+    cases = []
     for _ in range(40):
         L = int(rng.integers(1, 9))
-        M = rng.uniform(0, 1, (L, L)) * (rng.random((L, L)) < 0.6)
+        cases.append(rng.uniform(0, 1, (L, L)) * (rng.random((L, L)) < 0.6))
+    structured = [_weighted_cycle(rng.uniform(0.5, 1.5, n)) for n in (2, 3, 5, 12, 30)]
+    for _ in range(10):
+        a, c = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        M = rng.uniform(0, 1, (a + c, a + c)) * (rng.random((a + c, a + c)) < 0.7)
+        M[a:, :a] = 0.0
+        M[:a, :a] += np.diag(rng.uniform(0.1, 1.0, a))  # keep rho > 0
+        structured.append(M)
+    for M in structured:
+        rho = float(max(abs(np.linalg.eigvals(M))))
+        cases += [M, M * ((1 - 1e-6) / rho), M * ((1 + 1e-6) / rho)]
+    return cases
+
+
+def test_spectral_radius_matches_eigvals(rng):
+    for M in _decision_inputs(rng):
         expected = float(max(abs(np.linalg.eigvals(M))))
-        assert spectral_radius(M) == pytest.approx(expected, abs=1e-7)
-        assert rho_below(M, 1.0) == (expected < 1.0)
+        for max_iter in (None, 0):  # the bracket first, or the exact stage alone
+            assert spectral_radius(M, max_iter=max_iter) == pytest.approx(expected, abs=1e-7)
+            assert rho_below(M, 1.0, max_iter=max_iter) == (expected < 1.0)
+
+
+def test_rho_below_decides_periodic_cycles_without_eigvals(monkeypatch):
+    # unequal weights keep the bracket open for far more than L steps
+    weights = np.random.default_rng(0).uniform(0.5, 1.5, 12)
+    M = _weighted_cycle(weights)
+    rho = float(np.prod(weights)) ** (1 / 12)
+
+    def no_eigvals(*args, **kwargs):
+        raise AssertionError("eigvals called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+    assert rho_below(M * (0.9 / rho), 1 - 1e-9)
+    assert not rho_below(M * (1.1 / rho), 1 - 1e-9)
 
 
 def test_solve_recursion_examples():
