@@ -14,6 +14,7 @@ bound was requested on an unstable network.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -173,6 +174,8 @@ def cmd_sweep(args) -> int:
             raise NetcalcError("unknown method %r" % m)
     if not (0 < args.u_min < args.u_max < 1):
         raise NetcalcError("need 0 < u-min < u-max < 1")
+    if not (math.isfinite(args.step) and args.step > 0):
+        raise NetcalcError("need a finite step > 0, got %r" % args.step)
     family = _family(args)
     columns = ["U"] + [METHOD_COLUMNS[m] for m in methods]
     rows: List[List[Optional[float]]] = []
@@ -290,9 +293,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except NetcalcError as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .curves import TokenBucket
@@ -60,12 +61,18 @@ class FFNetwork:
         """Arrival rate of split flow ``s`` (inherited from its origin)."""
         return self.base.flows[self.split_flows[s].origin].arrival.rate
 
+    @cached_property
+    def _positions(self) -> Dict[Tuple[int, int], int]:
+        """``(origin, segment)`` label -> split flow position, built once."""
+        return {sf.label: s for s, sf in enumerate(self.split_flows)}
+
     def index_of(self, label: Tuple[int, int]) -> int:
-        """Position of the split flow with the given ``(origin, segment)``."""
-        for s, sf in enumerate(self.split_flows):
-            if sf.label == label:
-                return s
-        raise KeyError(label)
+        """
+        Position of the split flow with the given ``(origin, segment)``.
+
+        :raises KeyError: if no split flow carries that label
+        """
+        return self._positions[label]
 
     def as_network(self) -> Network:
         """
@@ -203,9 +210,8 @@ def group_by_arc(ff: FFNetwork) -> ArcGroups:
     """
     feeding: Dict[Arc, set] = {a: set() for a in ff.removed}
     continuations: Dict[Arc, set] = {a: set() for a in ff.removed}
-    by_label = {sf.label: s for s, sf in enumerate(ff.split_flows)}
     for s, sf in enumerate(ff.split_flows):
-        nxt = by_label.get((sf.origin, sf.segment + 1))
+        nxt = ff._positions.get((sf.origin, sf.segment + 1))
         if nxt is None:
             continue
         arc = (sf.path[-1], ff.split_flows[nxt].path[0])

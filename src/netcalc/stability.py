@@ -43,7 +43,7 @@ from .errors import (
     ValidationError,
 )
 from .network import Arc, Network, induced_graph, local_stability
-from .tree_analysis import BacklogResult, upstream_view
+from .tree_analysis import upstream_view
 
 #: Margin below 1 required of the spectral radius to declare stability.
 STABILITY_EPS = 1e-9
@@ -352,71 +352,76 @@ def ag_labels(removed) -> Tuple[Arc, ...]:
 class _Columns:
     """
     Column layout of a mixed recursion: one column per continuation of an
-    ungrouped arc, then one per grouped arc.  Continuation labels and arc
-    labels are both integer pairs, so they are kept in separate maps.
+    ungrouped arc, then one per grouped arc.  :meth:`assemble` turns
+    backlog linear forms into rows over these columns.
     """
 
     def __init__(self, ctx: DecompositionContext, grouped):
-        self.grouped = frozenset(grouped)
+        ff = ctx.ff
+        grouped = frozenset(grouped)
         self.singles = tuple(
-            lab for lab in td_labels(ctx.ff)
-            if ctx.arc_of[ctx.ff.index_of(lab)] not in self.grouped
+            lab for lab in td_labels(ff) if ctx.arc_of[ff.index_of(lab)] not in grouped
         )
-        self.arcs = tuple(sorted(self.grouped))
-        self.of_single = {lab: i for i, lab in enumerate(self.singles)}
-        self.of_arc = {a: len(self.singles) + i for i, a in enumerate(self.arcs)}
+        self.arcs = tuple(sorted(grouped))
         self.labels = self.singles + self.arcs
+        self.single_src = np.array([ff.index_of(lab) for lab in self.singles], dtype=np.intp)
+        conts = [(len(self.singles) + c, sorted(ctx.groups.continuations[arc]))
+                 for c, arc in enumerate(self.arcs) if ctx.groups.continuations[arc]]
+        self.arc_cols = np.array([col for col, _ in conts], dtype=np.intp)
+        self.arc_src = np.array([s for _, members in conts for s in members], dtype=np.intp)
+        self.arc_starts = np.cumsum([0] + [len(members) for _, members in conts[:-1]])
+        known = [s for s, sf in enumerate(ff.split_flows) if sf.burst_known]
+        self.known = np.array(known, dtype=np.intp)
+        self.known_burst = np.array(
+            [ff.base.flows[ff.split_flows[s].origin].arrival.burst for s in known]
+        )
+        self.latency = np.array([beta.latency for beta in ff.base.servers])
 
     def __len__(self):
         return len(self.labels)
 
-
-def _split_form(ctx: DecompositionContext, result: BacklogResult, cols: _Columns):
-    """
-    Turn a backlog linear form into (variable coefficients, constant):
-    known bursts and latency terms fold into the constant, continuations of
-    ungrouped arcs keep their own weight, and each grouped arc contributes
-    through the largest weight among its continuations.
-    """
-    ff = ctx.ff
-    coeffs = np.zeros(len(cols))
-    constant = 0.0
-    phis = result.burst_coefficients
-    for arc in cols.arcs:
-        conts = ctx.groups.continuations[arc]
-        if conts:
-            coeffs[cols.of_arc[arc]] = max(phis.get(s, 0.0) for s in conts)
-    for s, phi in phis.items():
-        if phi == 0.0:
-            continue
-        sf = ff.split_flows[s]
-        if sf.burst_known:
-            constant += phi * ff.base.flows[sf.origin].arrival.burst
-        elif ctx.arc_of[s] not in cols.grouped:
-            coeffs[cols.of_single[sf.label]] += phi
-    for j, rho in result.latency_coefficients.items():
-        constant += rho * ff.base.servers[j].latency
-    return coeffs, constant
+    def assemble(self, phi: np.ndarray, rho: np.ndarray):
+        """
+        Rows ``(coefficients, constants)`` from burst weights ``phi`` over
+        split flows and latency weights ``rho`` over servers, one row per
+        backlog form: continuations of ungrouped arcs keep their own weight,
+        each grouped arc takes the largest weight among its continuations,
+        and the constant adds the known bursts in flow order, then the
+        latency terms in server order.
+        """
+        coeffs = np.zeros((len(phi), len(self)))
+        coeffs[:, : len(self.singles)] = phi[:, self.single_src]
+        if len(self.arc_cols):
+            coeffs[:, self.arc_cols] = np.maximum.reduceat(
+                phi[:, self.arc_src], self.arc_starts, axis=1
+            )
+        terms = np.concatenate((phi[:, self.known] * self.known_burst, rho * self.latency), axis=1)
+        return coeffs, np.cumsum(terms, axis=1)[:, -1]
 
 
 def _build_grouped(ctx: DecompositionContext, grouped) -> LinearRecursion:
+    """
+    Each row is one backlog form: a continuation's parent segment at its
+    end, or a grouped arc's feeding segments at its tail.  The rows of one
+    upstream view come from one array pass.
+    """
     ff = ctx.ff
     cols = _Columns(ctx, grouped)
+    requests = []
+    for i, k in cols.singles:
+        prev = ff.index_of((i, k - 1))
+        requests.append((ff.split_flows[prev].path[-1], [prev]))
+    requests += [(arc[0], ctx.groups.feeding[arc]) for arc in cols.arcs]
+    by_view: Dict[int, List[int]] = {}
+    for row, (j1, interest) in enumerate(requests):
+        if interest:  # an arc nothing feeds keeps a zero row
+            by_view.setdefault(j1, []).append(row)
     L = len(cols)
     M = np.zeros((L, L))
     N = np.zeros(L)
-    for row, (i, k) in enumerate(cols.singles):
-        prev = ff.index_of((i, k - 1))
-        j1 = ff.split_flows[prev].path[-1]
-        result: BacklogResult = ctx.view(j1).backlog([prev])
-        M[row], N[row] = _split_form(ctx, result, cols)
-    for arc in cols.arcs:
-        row = cols.of_arc[arc]
-        feeding = ctx.groups.feeding[arc]
-        if not feeding:
-            continue
-        result = ctx.view(arc[0]).backlog(feeding)
-        M[row], N[row] = _split_form(ctx, result, cols)
+    for j1, rows in by_view.items():
+        phi, rho, _ = ctx.view(j1).coefficient_rows([requests[r][1] for r in rows])
+        M[rows], N[rows] = cols.assemble(phi, rho)
     return LinearRecursion(cols.labels, M, N)
 
 
@@ -515,7 +520,7 @@ def _objective_tree(ctx: DecompositionContext, target: Target, arcs: bool) -> Ob
     if target.kind == "backlog":
         j = target.server
         interest = [_segments_containing(ff, i, j) for i in sorted(target.flows)]
-        result = ctx.view(j).backlog(interest)
+        phi, rho, _ = ctx.view(j).coefficient_rows([interest])
         description = "backlog of flows %s at server %d" % (sorted(target.flows), j)
         scale, extra = 1.0, 0.0
     else:
@@ -529,20 +534,15 @@ def _objective_tree(ctx: DecompositionContext, target: Target, arcs: bool) -> Ob
                 "flow %d is split by the decomposition; its end-to-end delay "
                 "is not a single tree analysis" % i
             )
-        j = flow.path[-1]
-        result = ctx.view(j).backlog([seg])
-        if result.table is None:
-            raise LocallyUnstableError(result.diagnostic or "unstable")
-        xi_entry = result.table.xi[(flow.path[0], j)]
+        phi, rho, xi_root = ctx.view(flow.path[-1]).coefficient_rows([[seg]])
+        xi_entry = xi_root[0, flow.path[0]]
         # delay transform: (B - b)/r + xi b / r
         scale = 1.0 / flow.arrival.rate
         extra = (xi_entry - 1.0) * flow.arrival.burst
         description = "delay of flow %d" % i
-    if result.table is None:
-        raise LocallyUnstableError(result.diagnostic or "unstable")
     cols = _Columns(ctx, frozenset(ff.removed) if arcs else frozenset())
-    coeffs, constant = _split_form(ctx, result, cols)
-    return ObjectiveForm(coeffs * scale, (constant + extra) * scale, description)
+    coeffs, constant = cols.assemble(phi, rho)
+    return ObjectiveForm(coeffs[0] * scale, float((constant[0] + extra) * scale), description)
 
 
 def _objective(net: Network, ctx, target: Target, method: str) -> ObjectiveForm:

@@ -14,13 +14,27 @@ The computation produces, for every server ``j`` and every destination
 
 whose weights ``rho`` (latencies) and ``phi`` (bursts) depend only on the
 arrival and service rates.
+
+Two passes compute the coefficients.  ``_xi_general`` (with its sink-tree
+specialization ``_xi_sink_tree``) is the scalar reference: one interest
+set, dict-keyed tables, used by :func:`compute_xi`, :func:`tree_backlog`
+and :meth:`UpstreamView.backlog`.  ``_xi_rows`` is the array pass: a batch
+of interest sets on one prepared tree in one root-to-leaves sweep, one
+array step per server for all of them.  The recursion builders take every
+row of one upstream view from one array pass
+(:meth:`UpstreamView.coefficient_rows`).  Both passes add in the same
+order, so they agree to the last bit (to rounding from Python 3.12 on,
+whose ``sum`` compensates).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .curves import Bound, UNBOUNDED, TokenBucket
 from .errors import (
@@ -118,6 +132,11 @@ class _PreparedTree:
     new_to_old: Tuple[int, ...]
     sink_tree: bool
     unstable_servers: Tuple[int, ...]  # original ids; empty when locally stable
+
+    @cached_property
+    def arrays(self) -> "_TreeArrays":
+        """Index arrays of the array pass, built on its first use."""
+        return _tree_arrays(self)
 
 
 def _prepare_tree(tree: Network) -> _PreparedTree:
@@ -276,6 +295,118 @@ def _xi_sink_tree(net: Network, interest: FrozenSet[int], succ, preds, root):
     return XiTable(xi, rho, phi, interest)
 
 
+@dataclass(frozen=True)
+class _TreeArrays:
+    """
+    A prepared tree laid out for the array pass.  Coefficients live in a
+    ``(server, position)`` grid of ``width`` columns: position ``p`` of
+    server ``j`` is the ``p``-th server on the path from ``j`` to the root
+    (``p = 0`` is ``j`` itself, ``p = depth[j]`` the root).
+    """
+
+    width: int  # longest path to the root, in servers
+    steps: Tuple[Tuple[int, int, int], ...]  # (server, successor, depth), root first
+    depth: np.ndarray  # per server
+    flow_at: np.ndarray  # (flow, server) crossings, in flow order: the flow
+    server_at: np.ndarray  # ... the server
+    slot_at: np.ndarray  # ... its grid cell toward the flow's destination
+    rate_at: np.ndarray  # ... the flow's rate
+    entry_slot: np.ndarray  # per flow: grid cell (entry server, destination)
+    service_rate: np.ndarray  # per server
+
+
+def _tree_arrays(prep: _PreparedTree) -> _TreeArrays:
+    net = prep.net
+    n = net.num_servers
+    depth = [0] * n
+    for j in reversed(range(n)):  # successors carry larger ids
+        if j != prep.root:
+            depth[j] = depth[prep.succ[j]] + 1
+    width = max(depth) + 1
+    flow_at, server_at, slot_at, rate_at, entry_slot = [], [], [], [], []
+    for i, f in enumerate(net.flows):
+        end = depth[f.path[-1]]
+        for j in f.path:
+            flow_at.append(i)
+            server_at.append(j)
+            slot_at.append(j * width + depth[j] - end)
+            rate_at.append(f.arrival.rate)
+        entry_slot.append(f.path[0] * width + depth[f.path[0]] - end)
+    steps = tuple(
+        (j, j if j == prep.root else prep.succ[j], depth[j]) for j in reversed(range(n))
+    )
+    depth, flow_at, server_at, slot_at, entry_slot = (
+        np.array(v, dtype=np.intp) for v in (depth, flow_at, server_at, slot_at, entry_slot)
+    )
+    return _TreeArrays(
+        width,
+        steps,
+        depth,
+        flow_at,
+        server_at,
+        slot_at,
+        np.array(rate_at, dtype=float),
+        entry_slot,
+        np.array([s.rate for s in net.servers], dtype=float),
+    )
+
+
+def _xi_rows(prep: _PreparedTree, interests: Sequence[Iterable[int]]):
+    """
+    The array pass: ``_xi_general`` for a batch of ``B`` interest sets at
+    once, in ``prep``'s renumbered ids.  Returns ``(phi, rho, xi_root)``:
+    burst weights ``(B, flows)``, latency weights ``(B, servers)`` and each
+    server's coefficient toward the root ``(B, servers)``.
+
+    Every sum runs in the scalar pass's order (``bincount`` in flow order,
+    ``cumsum`` along paths), so each row equals the scalar table.  Each
+    server takes one array step for all rows: candidates for every split
+    position, then the split where the successor's coefficient stops
+    dominating.
+    """
+    a = prep.arrays
+    n, m, width = prep.net.num_servers, prep.net.num_flows, a.width
+    B = len(interests)
+    mask = np.zeros((B, m), dtype=bool)
+    for b, interest in enumerate(interests):
+        mask[b, list(interest)] = True
+    own = mask[:, a.flow_at]
+    batch = np.arange(B)
+    rows = batch[:, None]
+    r_star = np.bincount(
+        (rows * n + a.server_at).ravel(), np.where(own, a.rate_at, 0.0).ravel(), B * n
+    ).reshape(B, n)
+    cross = np.bincount(
+        (rows * (n * width) + a.slot_at).ravel(),
+        np.where(own, 0.0, a.rate_at).ravel(),
+        B * n * width,
+    ).reshape(B, n, width)
+    # den[b, j, p]: rate margin of j left by cross traffic ending up to position p
+    den = a.service_rate[:, None] - np.cumsum(cross, axis=2)
+    servers = np.arange(n)
+    stuck = np.flatnonzero((den[:, servers, a.depth] <= 0).any(axis=0))
+    if len(stuck):  # cross traffic alone fills the server
+        raise LocallyUnstableError("server %d cannot drain its local traffic" % stuck[-1])
+    xi = np.zeros((B, n, width))
+    positions = np.arange(width)
+    for j, js, last in a.steps:
+        after = xi[:, js, :last]  # successor's coefficients, positions 1..last
+        # tail[p]: successor-weighted cross rates strictly beyond p
+        tail = np.zeros((B, last + 1))
+        tail[:, :last] = np.cumsum((after * cross[:, j, 1 : last + 1])[:, ::-1], axis=1)[:, ::-1]
+        cand = (r_star[:, j, None] + tail) / den[:, j, : last + 1]
+        # the split is the largest position whose successor coefficient
+        # does not exceed its candidate (position 0 always qualifies)
+        split = np.where(after > cand[:, 1:], 0, positions[1 : last + 1]).max(axis=1, initial=0)
+        row = xi[:, j, : last + 1]
+        row[:, 1:] = after
+        np.copyto(row, cand[batch, split][:, None], where=positions[: last + 1] <= split[:, None])
+    rho = r_star + np.cumsum(xi * cross, axis=2)[:, :, -1]
+    phi = np.where(mask, 1.0, xi.reshape(B, -1)[:, a.entry_slot])
+    xi_root = xi[:, servers, a.depth]
+    return phi, rho, xi_root
+
+
 def compute_xi(tree: Network, interest: Iterable[int]) -> XiTable:
     """
     Coefficient table for the worst-case backlog at the root of ``tree``
@@ -398,6 +529,55 @@ class UpstreamView:
         for s, v in result.table.phi.items():
             phi[self.origin_flow[s]] = v
         return BacklogResult(result.value, XiTable(xi, rho, phi, interest))
+
+    @cached_property
+    def _at_root(self) -> Dict[int, int]:
+        """Sub flow id of every full flow that crosses the local root."""
+        return {
+            i: s for s, i in enumerate(self.origin_flow)
+            if self.root in self.full.flows[i].path
+        }
+
+    @cached_property
+    def _full_server(self) -> np.ndarray:
+        """Full server id of each renumbered server of the prepared tree."""
+        return np.array([self.origin_server[j] for j in self.prepared.new_to_old])
+
+    def coefficient_rows(self, interests: Sequence[Iterable[int]]):
+        """
+        The array pass for a batch of interest sets (full-network flow ids):
+        ``(phi, rho, xi_root)``, one row per set, with the burst weight of
+        every flow, the latency weight of every server and every server's
+        coefficient toward the local root, over the full network's ids
+        (0 outside the view).
+
+        :raises InterestNotAtRootError: if some flow misses the local root
+        :raises LocallyUnstableError: if the view is not locally stable
+        """
+        batch = []
+        for interest in interests:
+            sub = []
+            for i in interest:
+                if i not in self._at_root:
+                    raise InterestNotAtRootError(
+                        "flow %d does not cross server %d" % (i, self.root)
+                    )
+                sub.append(self._at_root[i])
+            batch.append(sub)
+        if self.prepared.unstable_servers:
+            raise LocallyUnstableError(
+                "servers %r are not strictly stable"
+                % list(self.prepared.unstable_servers)
+            )
+        phi, rho, xi_root = _xi_rows(self.prepared, batch)
+        B = len(batch)
+        full_phi = np.zeros((B, self.full.num_flows))
+        full_phi[:, list(self.origin_flow)] = phi
+        full_rho = np.zeros((B, self.full.num_servers))
+        full_rho[:, self._full_server] = rho
+        full_xi = np.zeros((B, self.full.num_servers))
+        full_xi[:, self._full_server] = xi_root
+        return full_phi, full_rho, full_xi
 
 
 def upstream_view(net: Network, j1: int) -> UpstreamView:

@@ -98,6 +98,32 @@ def test_analyze_rejects_out_of_range_ids(tmp_path, capsys, ids, message):
     assert message in capsys.readouterr().err
 
 
+def test_analyze_options_do_not_carry_over_between_calls(tmp_path, capsys):
+    # main reuses one parser per process: a second call without --server and
+    # --flows must fall back to the default target, flow 1 at the last server
+    path = str(tmp_path / "ring.json")
+    save_network(uni_ring(6, 0.3), path)
+    assert main(["analyze", "--network", path, "--method", "td",
+                 "--server", "2", "--flows", "1,2", "--json"]) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert first["target"] == "backlog of flows {1,2} at server 2"
+    assert main(["analyze", "--network", path, "--method", "td", "--json"]) == 0
+    second = json.loads(capsys.readouterr().out)
+    assert second["target"] == "backlog of flows {1} at server 6"
+    fresh = analyze(load_network(path), "td", target=Target.backlog(5, [0]))
+    assert second["bound"] == pytest.approx(fresh.bound.value, rel=1e-12)
+
+
+@pytest.mark.parametrize("step", ["0", "-0.05", "nan"])
+def test_sweep_rejects_bad_step_before_any_analysis(monkeypatch, capsys, step):
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("sweep analyzed a row before checking --step")
+
+    monkeypatch.setattr("netcalc.cli.analyze", no_analysis)
+    assert main(["sweep", "--kind", "uni_ring", "--n", "4", "--step", step]) == 2
+    assert "step" in capsys.readouterr().err
+
+
 def test_sweep_format_and_consistency(capsys):
     assert main([
         "sweep", "--kind", "uni_ring", "--n", "5", "--methods", "sd,td,ag",

@@ -74,6 +74,12 @@ def test_decompose_round_trip(rng):
             assert rebuilt == flow.path
             for a, b in zip(parts, parts[1:]):
                 assert (a.path[-1], b.path[0]) in removed
+        for s, sf in enumerate(ff.split_flows):
+            assert ff.index_of(sf.label) == s
+        with pytest.raises(KeyError):
+            ff.index_of((net.num_flows, 0))
+        with pytest.raises(KeyError):
+            ff.index_of((0, len(net.flows[0].path)))
 
 
 def test_split_graph_acyclic(rng):

@@ -15,6 +15,7 @@ from netcalc import (
     ValidationError,
     analyze,
     build_ag,
+    build_grouped,
     build_sd,
     build_td,
     critical_utilization,
@@ -29,7 +30,8 @@ from netcalc import (
 )
 from netcalc.decomposition import decompose, group_by_arc, removal_tree
 from netcalc.stability import is_stable, rho_below, td_labels
-from netcalc.topologies import bi_ring, two_server_sink_tree, toy, uni_ring
+from netcalc.topologies import bi_ring, three_ring, two_server_sink_tree, toy, uni_ring
+from netcalc.tree_analysis import tree_backlog_at
 
 from conftest import random_uni_ring
 
@@ -102,6 +104,56 @@ def test_build_ag_toy_structure():
     result = tree_backlog_at(ff.as_network(), 3, groups.feeding[a_main])
     expected = max(result.burst_coefficients[s] for s in groups.continuations[a_main])
     assert lr.M[idx[a_main], idx[a_main]] == pytest.approx(expected, abs=1e-15)
+
+
+def _recursion_row_by_row(net, removed, grouped):
+    """
+    The mixed recursion rebuilt one row at a time from the scalar tree pass
+    (``tree_backlog_at``): ungrouped continuations keep their own burst
+    weight, a grouped arc takes the largest weight of its continuations,
+    and known bursts and latencies fold into the constant.
+    """
+    ff = decompose(net, removed)
+    forest, groups = ff.as_network(), group_by_arc(ff)
+    arc_of = {s: arc for arc, conts in groups.continuations.items() for s in conts}
+    singles = [lab for lab in td_labels(ff) if arc_of[ff.index_of(lab)] not in grouped]
+    arcs = sorted(grouped)
+    L = len(singles) + len(arcs)
+
+    def row(result):
+        phi, rho = result.burst_coefficients, result.latency_coefficients
+        coeffs = [phi[ff.index_of(lab)] for lab in singles]
+        coeffs += [max((phi[s] for s in groups.continuations[arc]), default=0.0) for arc in arcs]
+        constant = sum(phi[s] * net.flows[sf.origin].arrival.burst
+                       for s, sf in enumerate(ff.split_flows) if sf.burst_known)
+        constant += sum(rho[j] * beta.latency for j, beta in enumerate(net.servers))
+        return coeffs, constant
+
+    M, N = np.zeros((L, L)), np.zeros(L)
+    for r, (i, k) in enumerate(singles):
+        prev = ff.index_of((i, k - 1))
+        M[r], N[r] = row(tree_backlog_at(forest, ff.split_flows[prev].path[-1], [prev]))
+    for r, arc in enumerate(arcs, start=len(singles)):
+        if groups.feeding[arc]:
+            M[r], N[r] = row(tree_backlog_at(forest, arc[0], groups.feeding[arc]))
+    return tuple(singles) + tuple(arcs), M, N
+
+
+def test_recursions_match_row_by_row_tree_backlog(rng):
+    nets = [random_uni_ring(rng) for _ in range(6)]
+    nets += [bi_ring(6, 0.05), three_ring(0.3, ring_size=5, short_len=3), toy(0.4)]
+    for net in nets:
+        removed = removal_tree(net)
+        cases = [
+            (build_td(net, removed), frozenset()),
+            (build_ag(net, removed), removed),
+            (build_grouped(net, removed, {min(removed)}), frozenset({min(removed)})),
+        ]
+        for lr, grouped in cases:
+            labels, M, N = _recursion_row_by_row(net, removed, grouped)
+            assert lr.labels == labels
+            np.testing.assert_allclose(lr.M, M, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(lr.N, N, rtol=1e-12, atol=0)
 
 
 def test_spectral_radius_examples():

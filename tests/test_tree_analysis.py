@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from netcalc import (
@@ -20,7 +21,13 @@ from netcalc import (
 )
 from netcalc.decomposition import decompose, removal_tree
 from netcalc.topologies import two_server_sink_tree, toy, uni_ring
-from netcalc.tree_analysis import _prepare_tree, _xi_general, _xi_sink_tree
+from netcalc.tree_analysis import (
+    _prepare_tree,
+    _xi_general,
+    _xi_rows,
+    _xi_sink_tree,
+    upstream_view,
+)
 
 from conftest import random_tandem, random_tree
 
@@ -262,6 +269,85 @@ def _tail_to_root(net, path):
         j = succ[j]
         tail.append(j)
     return tuple(tail)
+
+
+def _interest_batch(rng, flows):
+    # single flows, random groups, all of them and none
+    batch = [[i] for i in flows]
+    for _ in range(4):
+        size = int(rng.integers(1, len(flows) + 1))
+        batch.append(sorted(int(i) for i in rng.choice(flows, size=size, replace=False)))
+    return batch + [list(flows), []]
+
+
+def test_array_pass_matches_scalar_pass(rng):
+    for make in (random_tree, random_tandem):
+        for _ in range(30):
+            prep = _prepare_tree(make(rng))
+            net, root = prep.net, prep.root
+            at_root = [i for i, f in enumerate(net.flows) if f.path[-1] == root]
+            batch = _interest_batch(rng, at_root)
+            phi, rho, xi_root = _xi_rows(prep, batch)
+            assert phi.shape == (len(batch), net.num_flows)
+            assert rho.shape == xi_root.shape == (len(batch), net.num_servers)
+            for b, interest in enumerate(batch):
+                table = _xi_general(net, frozenset(interest), prep.succ, prep.preds, root)
+                np.testing.assert_allclose(
+                    phi[b], [table.phi[i] for i in range(net.num_flows)], rtol=1e-12, atol=0)
+                np.testing.assert_allclose(
+                    rho[b], [table.rho[j] for j in range(net.num_servers)], rtol=1e-12, atol=0)
+                np.testing.assert_allclose(
+                    xi_root[b], [table.xi[(j, root)] for j in range(net.num_servers)],
+                    rtol=1e-12, atol=0)
+
+
+def _shuffled_servers(net, rng):
+    # the same tree under random server ids, so that preparing it renumbers
+    perm = [int(j) for j in rng.permutation(net.num_servers)]
+    servers = [None] * net.num_servers
+    for old, new in enumerate(perm):
+        servers[new] = net.servers[old]
+    flows = [Flow(f.arrival, tuple(perm[j] for j in f.path)) for f in net.flows]
+    return Network(tuple(servers), tuple(flows))
+
+
+def test_view_rows_match_view_backlog(rng):
+    # the batched rows of an upstream view, over the full network's ids,
+    # equal the scalar backlog tables of the same view one set at a time
+    for _ in range(20):
+        net = _shuffled_servers(random_tree(rng), rng)
+        j1 = int(rng.integers(0, net.num_servers))
+        view = upstream_view(net, j1)
+        crossing = [i for i, f in enumerate(net.flows) if j1 in f.path]
+        batch = _interest_batch(rng, crossing)
+        phi, rho, xi_root = view.coefficient_rows(batch)
+        for b, interest in enumerate(batch):
+            table = view.backlog(interest).table
+            np.testing.assert_allclose(
+                phi[b], [table.phi[i] for i in range(net.num_flows)], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(
+                rho[b], [table.rho[j] for j in range(net.num_servers)], rtol=1e-12, atol=0)
+            for j in view.origin_server:
+                assert xi_root[b, j] == pytest.approx(table.xi[(j, j1)], rel=1e-12, abs=0)
+        outside = next((i for i, f in enumerate(net.flows) if j1 not in f.path), None)
+        if outside is not None:
+            with pytest.raises(InterestNotAtRootError):
+                view.coefficient_rows([[outside]])
+
+
+def test_array_pass_rejects_local_instability():
+    # the cross flow alone exceeds server 0's rate: both passes refuse it
+    net = Network(
+        (RateLatency(2.0, 0.1), RateLatency(6.0, 0.1)),
+        (Flow(TokenBucket(1, 1), (0, 1)), Flow(TokenBucket(1, 3), (0,))),
+    )
+    prep = _prepare_tree(net)
+    with pytest.raises(LocallyUnstableError):
+        _xi_general(prep.net, frozenset([0]), prep.succ, prep.preds, prep.root)
+    with pytest.raises(LocallyUnstableError):
+        _xi_rows(prep, [[0]])
+    with pytest.raises(LocallyUnstableError):
+        upstream_view(net, 1).coefficient_rows([[0]])
 
 
 def test_tree_backlog_at_toy_depends_on_server_1_only():
