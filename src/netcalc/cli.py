@@ -39,6 +39,9 @@ EXIT_UNSTABLE = 3
 
 METHOD_COLUMNS = {"sd": "SD", "td": "TD", "ag": "AG", "2s": "TWO_STAGE"}
 
+#: Most rows one ``sweep`` may ask for.
+MAX_SWEEP_ROWS = 100_000
+
 
 def _build_network(args) -> Network:
     kind = args.kind
@@ -176,6 +179,12 @@ def cmd_sweep(args) -> int:
         raise NetcalcError("need 0 < u-min < u-max < 1")
     if not (math.isfinite(args.step) and args.step > 0):
         raise NetcalcError("need a finite step > 0, got %r" % args.step)
+    if args.u_min + args.step == args.u_min:
+        raise NetcalcError("step %r is too small to move u from %r" % (args.step, args.u_min))
+    if (args.u_max + 1e-12 - args.u_min) / args.step >= MAX_SWEEP_ROWS:
+        raise NetcalcError(
+            "step %r asks for more than %d rows" % (args.step, MAX_SWEEP_ROWS)
+        )
     family = _family(args)
     columns = ["U"] + [METHOD_COLUMNS[m] for m in methods]
     rows: List[List[Optional[float]]] = []

@@ -42,8 +42,8 @@ from .errors import (
     UnsupportedTargetError,
     ValidationError,
 )
-from .network import Arc, Network, induced_graph, local_stability
-from .tree_analysis import upstream_view
+from .network import Arc, LocalStability, Network, induced_graph, local_stability
+from .tree_analysis import _Forest, _prepare_forest
 
 #: Margin below 1 required of the spectral radius to declare stability.
 STABILITY_EPS = 1e-9
@@ -241,12 +241,13 @@ def solve_recursion(lr: LinearRecursion) -> Optional[np.ndarray]:
     return np.maximum(solution, 0.0)
 
 
-def _require_local_stability(net: Network) -> None:
+def _require_local_stability(net: Network) -> LocalStability:
     report = local_stability(net)
     if not report.stable:
         raise LocallyUnstableError(
             "servers %r are not strictly stable" % report.unstable_servers()
         )
+    return report
 
 
 def sd_labels(net: Network) -> Tuple[Tuple[int, int], ...]:
@@ -310,21 +311,36 @@ def build_sd(net: Network) -> LinearRecursion:
 
 @dataclass(frozen=True)
 class DecompositionContext:
-    """A feed-forward decomposition with the pieces the builders share."""
+    """
+    A feed-forward decomposition with the pieces the builders share.  Its
+    forest is checked and prepared once; each upstream view is sliced from
+    it on first use.
+    """
 
     ff: FFNetwork
     forest: Network
     groups: ArcGroups
     arc_of: Dict[int, Arc]  # continuation split id -> its boundary arc
+    prepared: _Forest
     views: Dict[int, object] = field(default_factory=dict, compare=False)
 
     def view(self, j1: int):
         if j1 not in self.views:
-            self.views[j1] = upstream_view(self.forest, j1)
+            self.views[j1] = self.prepared.view(j1)
         return self.views[j1]
 
 
-def _context(net: Network, removed) -> DecompositionContext:
+def _context(
+    net: Network, removed, stability: Optional[LocalStability] = None
+) -> DecompositionContext:
+    """
+    Decompose ``net`` and prepare its forest.  The forest's classes are
+    ``net``'s (``stability``, when the caller has it already): it has the
+    same servers and, server by server, the same rates added in the same
+    order.
+    """
+    if stability is None:
+        stability = local_stability(net)
     ff = decompose(net, removed)
     forest = ff.as_network()
     out_degree: Dict[int, int] = {}
@@ -336,7 +352,9 @@ def _context(net: Network, removed) -> DecompositionContext:
             )
     groups = group_by_arc(ff)
     arc_of = {s: arc for arc, conts in groups.continuations.items() for s in conts}
-    return DecompositionContext(ff, forest, groups, arc_of)
+    return DecompositionContext(
+        ff, forest, groups, arc_of, _prepare_forest(forest, stability.per_server)
+    )
 
 
 def td_labels(ff: FFNetwork) -> Tuple[Tuple[int, int], ...]:
@@ -431,8 +449,7 @@ def build_td(net: Network, removed) -> LinearRecursion:
     worst-case backlog of its parent segment at the removed arc's tail,
     expressed as a linear form over all segment bursts.
     """
-    _require_local_stability(net)
-    return _build_td(_context(net, removed))
+    return _build_td(_context(net, removed, _require_local_stability(net)))
 
 
 def _build_td(ctx: DecompositionContext) -> LinearRecursion:
@@ -445,8 +462,7 @@ def build_ag(net: Network, removed) -> LinearRecursion:
     backlog of all the segments feeding it; the coefficient toward another
     arc is the largest burst weight among that arc's continuations.
     """
-    _require_local_stability(net)
-    return _build_ag(_context(net, removed))
+    return _build_ag(_context(net, removed, _require_local_stability(net)))
 
 
 def _build_ag(ctx: DecompositionContext) -> LinearRecursion:
@@ -460,8 +476,7 @@ def build_grouped(net: Network, removed, grouped_arcs) -> LinearRecursion:
     Specializes to the tree recursion with no grouped arcs and to the
     arc-grouping recursion with all of them.
     """
-    _require_local_stability(net)
-    ctx = _context(net, removed)
+    ctx = _context(net, removed, _require_local_stability(net))
     grouped = frozenset(grouped_arcs)
     extra = grouped - ctx.ff.removed
     if extra:
@@ -664,8 +679,8 @@ def _method_recursions(net: Network, method: str, removed):
     builders = {"td": (_build_td,), "ag": (_build_ag,), "2s": (_build_td, _build_ag)}
     if method not in builders:
         raise ValidationError("unknown method %r" % method)
-    _require_local_stability(net)
-    ctx = _context(net, removal_tree(net) if removed is None else removed)
+    report = _require_local_stability(net)
+    ctx = _context(net, removal_tree(net) if removed is None else removed, report)
     return ctx, [build(ctx) for build in builders[method]]
 
 

@@ -25,6 +25,14 @@ row of one upstream view from one array pass
 (:meth:`UpstreamView.coefficient_rows`).  Both passes add in the same
 order, so they agree to the last bit (to rounding from Python 3.12 on,
 whose ``sum`` compensates).
+
+A decomposition's forest is checked once and prepared once
+(``_prepare_forest``: predecessor lists, one topological order and the
+servers' stability classes); every upstream view of it is sliced from that
+preparation (``_Forest.view``) with no check repeated.  The public
+:func:`upstream_view`, :func:`compute_xi` and :func:`tree_backlog` accept
+any network, so they check the extracted tree first, then slice it the
+same way.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .curves import Bound, UNBOUNDED, TokenBucket
+from .curves import Bound, ServerClass, UNBOUNDED, TokenBucket
 from .errors import (
     InterestNotAtRootError,
     LocallyUnstableError,
@@ -50,7 +58,7 @@ from .network import (
     classify,
     induced_graph,
     local_stability,
-    renumber,
+    topological_order,
 )
 
 
@@ -105,22 +113,6 @@ class BacklogResult:
         return total
 
 
-def _tree_structure(net: Network) -> Tuple[List[int], List[List[int]], int]:
-    """Successor array, predecessor lists and root of a conforming tree."""
-    n = net.num_servers
-    succ = [-1] * n
-    preds: List[List[int]] = [[] for _ in range(n)]
-    for u, v in induced_graph(net):
-        if succ[u] != -1:
-            raise NotATreeError("server %d has two successors" % u)
-        succ[u] = v
-        preds[v].append(u)
-    roots = [j for j in range(n) if succ[j] == -1]
-    if len(roots) != 1:
-        raise NotATreeError("expected a unique sink, found %r" % roots)
-    return succ, preds, roots[0]
-
-
 @dataclass(frozen=True)
 class _PreparedTree:
     """A validated, renumbered tree ready for repeated coefficient runs."""
@@ -143,21 +135,8 @@ def _prepare_tree(tree: Network) -> _PreparedTree:
     topology = classify(tree)
     if topology not in (Topology.TANDEM, Topology.TREE):
         raise NotATreeError("topology is %s, need a tandem or tree" % topology.value)
-    report = local_stability(tree)
-    net2, old_to_new = renumber(tree)
-    succ, preds, root = _tree_structure(net2)
-    new_to_old = [0] * len(old_to_new)
-    for old, new in enumerate(old_to_new):
-        new_to_old[new] = old
-    return _PreparedTree(
-        net2,
-        tuple(succ),
-        tuple(tuple(sorted(p)) for p in preds),
-        root,
-        tuple(new_to_old),
-        _is_sink_tree(net2, root),
-        tuple(report.unstable_servers()),
-    )
+    forest = _prepare_forest(tree, local_stability(tree).per_server)
+    return forest.view(forest.succ.index(-1)).prepared
 
 
 def _xi_prepared(prep: _PreparedTree, interest: FrozenSet[int]) -> XiTable:
@@ -177,10 +156,6 @@ def _xi_prepared(prep: _PreparedTree, interest: FrozenSet[int]) -> XiTable:
     xi = {(back[j], back[k]): v for (j, k), v in table.xi.items()}
     rho = {back[j]: v for j, v in table.rho.items()}
     return XiTable(xi, rho, table.phi, interest)
-
-
-def _is_sink_tree(net: Network, root: int) -> bool:
-    return all(f.path[-1] == root for f in net.flows)
 
 
 def _rate_tables(net: Network, interest: FrozenSet[int]):
@@ -462,22 +437,6 @@ def tree_backlog(tree: Network, interest: Iterable[int]) -> BacklogResult:
     return _backlog_from_table(tree, _xi_prepared(prep, interest))
 
 
-def _ancestors(net: Network, j1: int) -> List[int]:
-    """Servers with a directed path to ``j1`` (including ``j1``)."""
-    preds: Dict[int, List[int]] = {j: [] for j in range(net.num_servers)}
-    for u, v in induced_graph(net):
-        preds[v].append(u)
-    seen = {j1}
-    queue = deque([j1])
-    while queue:
-        v = queue.popleft()
-        for u in preds[v]:
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return sorted(seen)
-
-
 @dataclass(frozen=True)
 class UpstreamView:
     """
@@ -490,7 +449,6 @@ class UpstreamView:
     """
 
     full: Network
-    sub: Network
     origin_flow: Tuple[int, ...]  # sub flow id -> full flow id
     origin_server: Tuple[int, ...]  # sub server id -> full server id
     root: int  # analysed server, full ids
@@ -515,20 +473,19 @@ class UpstreamView:
         sub_interest = frozenset(
             s for s, i in enumerate(self.origin_flow) if i in wanted
         )
-        result = _backlog_from_table(
-            self.sub, _xi_prepared(self.prepared, sub_interest)
-        )
+        table = _xi_prepared(self.prepared, sub_interest)
         xi = {
             (self.origin_server[j], self.origin_server[k]): v
-            for (j, k), v in result.table.xi.items()
+            for (j, k), v in table.xi.items()
         }
         rho = {j: 0.0 for j in range(self.full.num_servers)}
-        for j, v in result.table.rho.items():
+        for j, v in table.rho.items():
             rho[self.origin_server[j]] = v
         phi = {i: 0.0 for i in range(self.full.num_flows)}
-        for s, v in result.table.phi.items():
+        for s, v in table.phi.items():
             phi[self.origin_flow[s]] = v
-        return BacklogResult(result.value, XiTable(xi, rho, phi, interest))
+        # the zero weights outside the view add exact zeros to the value
+        return _backlog_from_table(self.full, XiTable(xi, rho, phi, interest))
 
     @cached_property
     def _at_root(self) -> Dict[int, int]:
@@ -580,25 +537,111 @@ class UpstreamView:
         return full_phi, full_rho, full_xi
 
 
+@dataclass(frozen=True)
+class _Forest:
+    """
+    A network already checked to be a forest (no cycle, at most one
+    successor per server), prepared once: every upstream view is then
+    sliced from it with no check repeated.
+    """
+
+    net: Network
+    succ: Tuple[int, ...]  # -1 at a sink
+    preds: Tuple[Tuple[int, ...], ...]  # sorted
+    rank: Tuple[int, ...]  # position in renumber's topological order
+    unstable: Tuple[bool, ...]  # per server: not strictly stable
+
+    def view(self, j1: int) -> UpstreamView:
+        """
+        The view upstream of ``j1``.  Its renumbering is the forest's
+        topological order restricted to the ancestors of ``j1``, which is
+        :func:`renumber` of the view itself: the ancestors are closed under
+        predecessors, so the restriction takes the smallest ready server
+        next just as the view's own order does.
+        """
+        keep = _upstream(self.preds, j1)
+        order = sorted(keep, key=self.rank.__getitem__)
+        new_id = {j: new for new, j in enumerate(order)}
+        flows, origin_flow = _clip(self.net, new_id)
+        sub_id = {j: s for s, j in enumerate(keep)}
+        root = new_id[j1]
+        prepared = _PreparedTree(
+            Network(tuple(self.net.servers[j] for j in order), flows),
+            tuple(-1 if j == j1 else new_id[self.succ[j]] for j in order),
+            tuple(tuple(sorted(new_id[u] for u in self.preds[j])) for j in order),
+            root,
+            tuple(sub_id[j] for j in order),
+            all(f.path[-1] == root for f in flows),
+            tuple(s for s, j in enumerate(keep) if self.unstable[j]),
+        )
+        return UpstreamView(self.net, origin_flow, tuple(keep), j1, prepared)
+
+
+def _prepare_forest(net: Network, classes: Sequence[ServerClass]) -> _Forest:
+    """
+    Prepare a network the caller has checked to be a forest, given its
+    servers' local stability classes.
+    """
+    n = net.num_servers
+    arcs = induced_graph(net)
+    succ = [-1] * n
+    preds: List[List[int]] = [[] for _ in range(n)]
+    for u, v in arcs:
+        succ[u] = v
+        preds[v].append(u)
+    rank = [0] * n
+    for position, j in enumerate(topological_order(arcs, n)):
+        rank[j] = position
+    return _Forest(
+        net,
+        tuple(succ),
+        tuple(tuple(sorted(p)) for p in preds),
+        tuple(rank),
+        tuple(c is not ServerClass.STABLE for c in classes),
+    )
+
+
+def _upstream(preds: Sequence[Sequence[int]], j1: int) -> List[int]:
+    """Servers with a directed path to ``j1`` (including ``j1``), sorted."""
+    seen = {j1}
+    stack = [j1]
+    while stack:
+        for u in preds[stack.pop()]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return sorted(seen)
+
+
+def _clip(net: Network, new_id: Dict[int, int]) -> Tuple[Tuple[Flow, ...], Tuple[int, ...]]:
+    """
+    The flows of ``net`` that cross the servers of ``new_id``, cut to those
+    servers and relabelled by it, with their ids in ``net``.  The servers
+    are closed under predecessors, so a flow that crosses them starts there.
+    """
+    flows, origin = [], []
+    for i, f in enumerate(net.flows):
+        if f.path[0] in new_id:
+            flows.append(Flow(f.arrival, tuple(new_id[j] for j in f.path if j in new_id)))
+            origin.append(i)
+    return tuple(flows), tuple(origin)
+
+
 def upstream_view(net: Network, j1: int) -> UpstreamView:
-    """Extract the servers upstream of ``j1`` and clip the flows to them."""
+    """
+    Extract the servers upstream of ``j1`` and clip the flows to them.
+    ``net`` may be any network: the extracted part is checked to be a tree
+    before it is prepared.
+    """
     if not (0 <= j1 < net.num_servers):
         raise InterestNotAtRootError("unknown server %d" % j1)
-    keep = _ancestors(net, j1)
-    keep_set = set(keep)
-    new_server = {old: new for new, old in enumerate(keep)}
-    sub_flows: List[Flow] = []
-    origin_of: List[int] = []
-    for i, flow in enumerate(net.flows):
-        clipped = [new_server[j] for j in flow.path if j in keep_set]
-        if not clipped:
-            continue
-        sub_flows.append(Flow(flow.arrival, tuple(clipped)))
-        origin_of.append(i)
-    sub_net = Network(tuple(net.servers[j] for j in keep), tuple(sub_flows))
-    return UpstreamView(
-        net, sub_net, tuple(origin_of), tuple(keep), j1, _prepare_tree(sub_net)
-    )
+    preds: List[List[int]] = [[] for _ in range(net.num_servers)]
+    for u, v in induced_graph(net):
+        preds[v].append(u)
+    keep = _upstream(preds, j1)
+    flows, origin_flow = _clip(net, {j: s for s, j in enumerate(keep)})
+    sub = Network(tuple(net.servers[j] for j in keep), flows)
+    return UpstreamView(net, origin_flow, tuple(keep), j1, _prepare_tree(sub))
 
 
 def tree_backlog_at(net: Network, j1: int, interest: Iterable[int]) -> BacklogResult:

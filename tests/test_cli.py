@@ -124,6 +124,18 @@ def test_sweep_rejects_bad_step_before_any_analysis(monkeypatch, capsys, step):
     assert "step" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("step, reason", [("1e-300", "too small"), ("1e-15", "rows")])
+def test_sweep_rejects_step_without_end_before_any_analysis(monkeypatch, capsys, step, reason):
+    # 1e-300 never moves u (an endless loop); 1e-15 asks for about 1e15 rows
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("sweep analyzed a row before checking --step")
+
+    monkeypatch.setattr("netcalc.cli.analyze", no_analysis)
+    assert main(["sweep", "--kind", "uni_ring", "--n", "4", "--step", step]) == 2
+    err = capsys.readouterr().err
+    assert "step" in err and reason in err
+
+
 def test_sweep_format_and_consistency(capsys):
     assert main([
         "sweep", "--kind", "uni_ring", "--n", "5", "--methods", "sd,td,ag",

@@ -1,3 +1,7 @@
+import importlib.util
+import os
+import sys
+
 import pytest
 
 from netcalc import (
@@ -15,9 +19,10 @@ from netcalc import (
     renumber,
     tree_backlog,
 )
-from netcalc.topologies import two_server_sink_tree, toy, uni_ring
+from netcalc.curves import aggregate, classify_server
+from netcalc.topologies import bi_ring, two_server_sink_tree, toy, uni_ring
 
-from conftest import random_tree
+from conftest import random_tandem, random_tree, random_uni_ring
 
 
 def _chain(n, extra_flows=()):
@@ -153,3 +158,39 @@ def test_local_stability_ring():
 def test_local_stability_single_server():
     net = Network((RateLatency(2, 0),), (Flow(TokenBucket(1, 1), (0,)),))
     assert local_stability(net).stable
+
+
+def _classes_by_server_aggregate(net):
+    # the formula local_stability used before it summed rates in flow order
+    return tuple(
+        classify_server(aggregate(net.flows[i].arrival for i in flows_through(net, j)), beta)
+        for j, beta in enumerate(net.servers)
+    )
+
+
+def _benchmark_pool(monkeypatch):
+    # the networks of the benchmark's analyze_many pool
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up there
+    spec.loader.exec_module(workloads)
+    workloads.load_netcalc()
+    return list(workloads.pool_networks().values())
+
+
+def test_local_stability_classes_match_per_server_aggregate(rng, monkeypatch):
+    # summing rates in flow order may move the last bit of a load (17 of the
+    # pool's 6980 servers), but no class
+    nets = [make(rng) for make in (random_tandem, random_tree, random_uni_ring) for _ in range(30)]
+    nets += [ring(n, u) for ring in (uni_ring, bi_ring) for n in (3, 10) for u in (0.5, 0.999, 1.0)]
+    nets += _benchmark_pool(monkeypatch)
+    exact = Network(
+        (RateLatency(3.0, 0.1), RateLatency(4.0, 0.1)),
+        (Flow(TokenBucket(1, 1.0), (0, 1)), Flow(TokenBucket(1, 2.0), (0,)),
+         Flow(TokenBucket(1, 1.0), (1,))),
+    )
+    nets.append(exact)
+    for net in nets:
+        assert local_stability(net).per_server == _classes_by_server_aggregate(net)
+    assert local_stability(exact).per_server == (ServerClass.CRITICAL, ServerClass.STABLE)

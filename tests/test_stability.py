@@ -1,7 +1,11 @@
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
+
+import netcalc.network
 
 from netcalc import (
     Flow,
@@ -29,9 +33,10 @@ from netcalc import (
     two_stage_bound,
 )
 from netcalc.decomposition import decompose, group_by_arc, removal_tree
-from netcalc.stability import is_stable, rho_below, td_labels
+from netcalc.network import induced_graph, renumber
+from netcalc.stability import _context, is_stable, rho_below, td_labels
 from netcalc.topologies import bi_ring, three_ring, two_server_sink_tree, toy, uni_ring
-from netcalc.tree_analysis import tree_backlog_at
+from netcalc.tree_analysis import _Forest, tree_backlog_at, upstream_view
 
 from conftest import random_uni_ring
 
@@ -557,6 +562,92 @@ def test_build_td_rejects_non_forest_removal():
     # removing only the big back arc leaves server 2 with two successors
     with pytest.raises(NotAForestError):
         build_td(net, frozenset({(3, 1)}))
+
+
+def _overloaded(net, j):
+    # net with server j too slow for the flows crossing it
+    load = sum(f.arrival.rate for f in net.flows if j in f.path)
+    servers = list(net.servers)
+    servers[j] = RateLatency(0.5 * load, servers[j].latency)
+    return Network(tuple(servers), net.flows)
+
+
+def _view_fields(view):
+    p = view.prepared
+    return (p.net, p.succ, p.preds, p.root, p.new_to_old, p.sink_tree,
+            p.unstable_servers, view.origin_flow, view.origin_server)
+
+
+def _renumbered_clip(net, j1):
+    # reference view: the servers with a path to j1, the flows cut to them,
+    # then renumber() of that sub-network
+    arcs = induced_graph(net)
+    keep = {j1}
+    while True:
+        more = {u for u, v in arcs if v in keep} - keep
+        if not more:
+            break
+        keep |= more
+    sub_id = {j: s for s, j in enumerate(sorted(keep))}
+    flows = [Flow(f.arrival, tuple(sub_id[j] for j in f.path if j in sub_id))
+             for f in net.flows if keep.intersection(f.path)]
+    return renumber(Network(tuple(net.servers[j] for j in sorted(keep)), tuple(flows)))
+
+
+def test_context_views_equal_public_upstream_views(rng):
+    # a context slices its views from the forest checked once; they must be
+    # the views the public upstream_view builds and checks on its own
+    nets = [uni_ring(6, 0.5), bi_ring(5, 0.4), three_ring(0.3), toy()]
+    nets += [random_uni_ring(rng) for _ in range(30)]
+    # server 3's views in bi_ring(5) hold servers (2, 3): view ids are not forest ids
+    nets += [_overloaded(uni_ring(5, 0.4), 4), _overloaded(bi_ring(5, 0.4), 3)]
+    unstable_views = 0
+    for net in nets:
+        ctx = _context(net, removal_tree(net))
+        for j1 in range(ctx.forest.num_servers):
+            view = ctx.view(j1)
+            assert _view_fields(view) == _view_fields(upstream_view(ctx.forest, j1))
+            renamed, old_to_new = _renumbered_clip(ctx.forest, j1)
+            assert view.prepared.net == renamed
+            assert [view.prepared.new_to_old[new] for new in old_to_new] == list(range(len(old_to_new)))
+            unstable_views += bool(view.prepared.unstable_servers)
+    assert unstable_views > 0
+
+
+def test_objective_for_raises_only_when_the_target_view_is_unstable():
+    # objective_for runs no whole-network check: on a locally unstable
+    # network it fails exactly when the target's view holds an unstable server
+    net = _overloaded(uni_ring(5, 0.4), 4)
+    assert removal_tree(net) == {(4, 0)}  # the view at server j holds servers 0..j
+    for method in ("td", "ag", "2s"):
+        for j in range(4):
+            assert np.isfinite(objective_for(net, Target.backlog(j, [j]), method).C)
+        with pytest.raises(LocallyUnstableError, match=r"servers \[4\] are not strictly stable"):
+            objective_for(net, Target.backlog(4, [4]), method)
+
+
+def test_td_verdict_checks_the_network_once_whatever_the_number_of_views(monkeypatch):
+    # views are sliced from the forest checked once: no view may classify,
+    # renumber or check local stability again
+    counts = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    checks = ("classify", "renumber", "local_stability")
+    for name in checks:
+        original = getattr(netcalc.network, name)
+        wrapper = counted(name, original)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "netcalc" and vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    monkeypatch.setattr(_Forest, "view", counted("view", _Forest.view))
+    is_stable(bi_ring(10, 0.5), "td")
+    assert counts["view"] > 1
+    assert all(counts[name] <= 1 for name in checks), counts
 
 
 def test_critical_utilization_edge_cases():
