@@ -14,6 +14,11 @@ Every stability decision (``rho_below``) runs at most ``L`` steps of a
 Collatz-Wielandt bracket, ``L`` being the number of variables, then one
 exact M-matrix test: ``(theta I - M) x = 1`` solved once, with a positive
 ``x`` and a positive residual ``theta x - M x`` as the certificate.
+``analyze`` takes its verdict from these decisions alone: the fixed-point
+test at ``1 - 1e-9``, and for a diverging recursion one more test at
+``1 + 1e-9`` that tells ``critical`` from ``unstable``.  The exact
+spectral radius (``spectral_radius``) is computed only when a report's
+``rho`` is read, and cached.
 
 Three constructions of ``(M, N)`` are provided: per-server decomposition
 (``sd``), tree decomposition (``td``) and grouping of the flows crossing
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -113,22 +119,36 @@ class StabilityReport:
     """
     Outcome of one analysis method on one network.  ``objective`` is the
     linear form ``bound`` evaluates at the fixed point (``None`` for ``2s``,
-    without a target and on local instability).
+    without a target and on local instability).  ``recursions`` are the
+    method's recursions, empty on local instability.
+
+    ``verdict`` comes from the stability decisions alone: ``stable`` when
+    a fixed point exists, else ``critical`` when some recursion's spectral
+    radius lies below ``1 + 1e-9`` (one more ``rho_below`` test), else
+    ``unstable``.  ``rho``, the exact spectral radius (the smallest over
+    the recursions, ``inf`` on local instability), is computed on first
+    read and cached; it decides nothing.
     """
 
     method: str
-    rho: float
     stable: bool
     fixed_point: Optional[np.ndarray]
     bound: Optional[Bound]
     labels: Tuple = ()
     objective: Optional[ObjectiveForm] = None
+    recursions: Tuple[LinearRecursion, ...] = field(default=(), compare=False, repr=False)
 
-    @property
+    @cached_property
+    def rho(self) -> float:
+        return min((spectral_radius(lr.M) for lr in self.recursions), default=math.inf)
+
+    @cached_property
     def verdict(self) -> str:
-        if abs(self.rho - 1.0) <= STABILITY_EPS:
+        if self.stable:
+            return "stable"
+        if any(rho_below(lr.M, 1.0 + STABILITY_EPS) for lr in self.recursions):
             return "critical"
-        return "stable" if self.stable else "unstable"
+        return "unstable"
 
 
 def spectral_radius(
@@ -644,22 +664,22 @@ def analyze(
     solve each fixed point once and evaluate the requested bound, reporting
     its linear form as ``objective``.  ``stable`` holds when some recursion
     has a finite fixed point (the tree one is reported for ``2s`` when both
-    do), so one test decides the verdict, the fixed point and whether the
-    bound is finite; ``rho``, the exact spectral radius (the smaller one for
-    ``2s``), is a diagnostic.  Local instability short-circuits to an
-    unstable report with ``rho = inf``.
+    do), so one test decides ``stable``, the fixed point and whether the
+    bound is finite; reading ``verdict`` tells a diverging analysis
+    ``critical`` from ``unstable`` by one more test at ``1 + 1e-9``.
+    ``rho``, the exact spectral radius (the smaller one for ``2s``), is a
+    diagnostic computed on first read.  Local instability short-circuits
+    to an unstable report with ``rho = inf``.
     """
     method = method.lower()
     try:
         ctx, recursions = _method_recursions(net, method, removed)
     except LocallyUnstableError:
         return StabilityReport(
-            method, math.inf, False, None,
-            UNBOUNDED if target is not None else None,
+            method, False, None, UNBOUNDED if target is not None else None
         )
     fixed_points = [solve_recursion(lr) for lr in recursions]
     fixed = next((fp for fp in fixed_points if fp is not None), None)
-    rho = min(spectral_radius(lr.M) for lr in recursions)
     bound = objective = None
     if target is not None:
         obj = _objective(net, ctx, target, method)
@@ -668,7 +688,8 @@ def analyze(
         else:
             bound, objective = _bound_at(obj, fixed), obj
     return StabilityReport(
-        method, rho, fixed is not None, fixed, bound, recursions[0].labels, objective
+        method, fixed is not None, fixed, bound, recursions[0].labels, objective,
+        tuple(recursions),
     )
 
 
@@ -706,10 +727,13 @@ def critical_utilization(
     ``1/U``, so stability is monotone in ``U``).
 
     Returns ``u_max`` when stable on the whole range and ``0.0`` when
-    already unstable at ``u_min``.
+    already unstable at ``u_min``.  The bracket stops at width ``tol``
+    (finite and > 0), or earlier when its ends are adjacent floats.
     """
     if not (0 < u_min < u_max <= 1.0):
         raise ValidationError("need 0 < u_min < u_max <= 1")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValidationError("need a finite tol > 0, got %r" % tol)
     if is_stable(family(u_max), method):
         return u_max
     if not is_stable(family(u_min), method):
@@ -717,6 +741,8 @@ def critical_utilization(
     lo, hi = u_min, u_max
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent floats: the bracket cannot shrink
+            break
         if is_stable(family(mid), method):
             lo = mid
         else:

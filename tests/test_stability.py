@@ -4,15 +4,19 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import netcalc.network
+import netcalc.stability
 
 from netcalc import (
     Flow,
     LinearRecursion,
     LocallyUnstableError,
     Network,
+    ObjectiveForm,
     RateLatency,
+    StabilityReport,
     Target,
     TokenBucket,
     UnsupportedTargetError,
@@ -32,6 +36,7 @@ from netcalc import (
     tree_delay,
     two_stage_bound,
 )
+from netcalc.cli import main as cli_main
 from netcalc.decomposition import decompose, group_by_arc, removal_tree
 from netcalc.network import induced_graph, renumber
 from netcalc.stability import _context, is_stable, rho_below, td_labels
@@ -225,6 +230,89 @@ def test_rho_below_decides_periodic_cycles_without_eigvals(monkeypatch):
     assert not rho_below(M * (1.1 / rho), 1 - 1e-9)
 
 
+def _report_of(lr):
+    """A one-recursion report, assembled from the fixed point as ``analyze`` does."""
+    fixed = solve_recursion(lr)
+    obj = ObjectiveForm(np.ones(lr.size), 1.0)
+    return StabilityReport("td", fixed is not None, fixed, one_stage_bound(lr, obj),
+                           lr.labels, obj, (lr,))
+
+
+def _near_one_matrices():
+    """A periodic 12-cycle and a positive 8x8 matrix, each with rho = 1."""
+    rng = np.random.default_rng(7)
+    weights = rng.uniform(0.5, 1.5, 12)
+    cycle = _weighted_cycle(weights) / float(np.prod(weights)) ** (1 / 12)
+    positive = rng.uniform(0.1, 1.0, (8, 8))
+    positive /= float(max(abs(np.linalg.eigvals(positive))))
+    return cycle, positive
+
+
+def _assert_verdict_near_one(delta):
+    expected = "stable" if delta < -1e-9 else "unstable" if delta > 1e-9 else "critical"
+    for M in _near_one_matrices():
+        lr = LinearRecursion(tuple(range(len(M))), M * (1.0 + delta), np.ones(len(M)))
+        report = _report_of(lr)
+        assert report.verdict == expected, (delta, len(M))
+        assert (report.stable == (solve_recursion(lr) is not None)
+                == report.bound.is_finite == (report.verdict == "stable"))
+        assert report.rho == pytest.approx(1.0 + delta, abs=1e-7)
+
+
+@pytest.mark.parametrize("delta", [0.0, 5e-10, -5e-10, 1e-6, -1e-6])
+def test_verdict_near_rho_one(delta):
+    _assert_verdict_near_one(delta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(1e-12, 1e-3).filter(lambda d: abs(d - 1e-9) > 1e-11),
+    st.sampled_from([1.0, -1.0]),
+)
+def test_verdict_fixed_point_and_bound_agree_near_rho_one(magnitude, sign):
+    _assert_verdict_near_one(sign * magnitude)
+
+
+def test_rho_is_computed_only_when_read(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the spectral radius was computed")
+
+    monkeypatch.setattr(netcalc.stability, "spectral_radius", refuse)
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    reports = []
+    for u in (0.05, 0.15, 0.2, 0.5):
+        net = bi_ring(12, u)
+        for method in ("sd", "td", "ag", "2s"):
+            report = analyze(net, method, target=Target.backlog(net.num_servers - 1, [0]))
+            assert report.verdict in ("stable", "critical", "unstable")
+            assert report.bound is not None
+            reports.append((net, method, report))
+    out = tmp_path / "sweep.csv"
+    assert cli_main(["sweep", "--kind", "bi_ring", "--n", "6", "--methods", "sd,td,ag,2s",
+                     "--output", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 20  # header and 19 rows
+    monkeypatch.undo()
+
+    calls = Counter()
+
+    def counted(M, *args, **kwargs):
+        calls["spectral_radius"] += 1
+        return spectral_radius(M, *args, **kwargs)
+
+    monkeypatch.setattr(netcalc.stability, "spectral_radius", counted)
+    for net, method, report in reports:
+        removed = removal_tree(net)
+        recursions = {"sd": lambda: [build_sd(net)],
+                      "td": lambda: [build_td(net, removed)],
+                      "ag": lambda: [build_ag(net, removed)],
+                      "2s": lambda: [build_td(net, removed), build_ag(net, removed)]}[method]()
+        expected = min(spectral_radius(lr.M) for lr in recursions)
+        calls.clear()
+        assert report.rho == expected
+        assert report.rho == expected
+        assert calls["spectral_radius"] == len(recursions)
+
+
 def test_solve_recursion_examples():
     lr = LinearRecursion(("x",), np.array([[0.5]]), np.array([1.0]))
     assert solve_recursion(lr) == pytest.approx([2.0])
@@ -315,6 +403,10 @@ def _check_report_consistency(net, method):
     report = analyze(net, method, target=target)
     assert report.stable == (report.fixed_point is not None) == report.bound.is_finite
     assert report.stable == is_stable(net, method)
+    # the verdict's decision route agrees with the rule read off the exact rho
+    rho_rule = "critical" if abs(report.rho - 1.0) <= 1e-9 else (
+        "stable" if report.stable else "unstable")
+    assert report.verdict == rho_rule
     if not local_stability(net).stable:
         assert report.objective is None
         return
@@ -648,6 +740,29 @@ def test_td_verdict_checks_the_network_once_whatever_the_number_of_views(monkeyp
     is_stable(bi_ring(10, 0.5), "td")
     assert counts["view"] > 1
     assert all(counts[name] <= 1 for name in checks), counts
+
+
+@pytest.mark.parametrize("tol", [0.0, math.nan, math.inf])
+def test_critical_utilization_rejects_bad_tol(tol):
+    def family(u):
+        raise AssertionError("the family was called before tol was checked")
+
+    with pytest.raises(ValidationError):
+        critical_utilization(family, "sd", tol=tol)
+
+
+def test_critical_utilization_stops_at_adjacent_floats():
+    # a tol below the float spacing ends where the midpoint stops moving
+    calls = Counter()
+
+    def fam(u):
+        calls["family"] += 1
+        if calls["family"] > 200:  # about 60 halvings reach adjacent floats
+            raise AssertionError("the bisection does not stop")
+        return uni_ring(3, u)
+
+    u_star = critical_utilization(fam, "sd", tol=1e-300)
+    assert u_star == pytest.approx(critical_utilization(fam, "sd"), abs=1e-4)
 
 
 def test_critical_utilization_edge_cases():
