@@ -44,11 +44,10 @@ from .decomposition import (
 )
 from .errors import (
     LocallyUnstableError,
-    NotAForestError,
     UnsupportedTargetError,
     ValidationError,
 )
-from .network import Arc, LocalStability, Network, induced_graph, local_stability
+from .network import Arc, LocalStability, Network, local_stability
 from .tree_analysis import _Forest, _prepare_forest
 
 #: Margin below 1 required of the spectral radius to declare stability.
@@ -354,7 +353,8 @@ def _context(
     net: Network, removed, stability: Optional[LocalStability] = None
 ) -> DecompositionContext:
     """
-    Decompose ``net`` and prepare its forest.  The forest's classes are
+    Decompose ``net`` and prepare its forest, which checks that the
+    removal leaves each server one successor.  The forest's classes are
     ``net``'s (``stability``, when the caller has it already): it has the
     same servers and, server by server, the same rates added in the same
     order.
@@ -363,18 +363,10 @@ def _context(
         stability = local_stability(net)
     ff = decompose(net, removed)
     forest = ff.as_network()
-    out_degree: Dict[int, int] = {}
-    for u, _ in induced_graph(forest):
-        out_degree[u] = out_degree.get(u, 0) + 1
-        if out_degree[u] > 1:
-            raise NotAForestError(
-                "removal leaves server %d with several successors" % u
-            )
+    prepared = _prepare_forest(forest, stability.per_server)
     groups = group_by_arc(ff)
     arc_of = {s: arc for arc, conts in groups.continuations.items() for s in conts}
-    return DecompositionContext(
-        ff, forest, groups, arc_of, _prepare_forest(forest, stability.per_server)
-    )
+    return DecompositionContext(ff, forest, groups, arc_of, prepared)
 
 
 def td_labels(ff: FFNetwork) -> Tuple[Tuple[int, int], ...]:

@@ -15,29 +15,30 @@ The computation produces, for every server ``j`` and every destination
 whose weights ``rho`` (latencies) and ``phi`` (bursts) depend only on the
 arrival and service rates.
 
-Two passes compute the coefficients.  ``_xi_general`` (with its sink-tree
-specialization ``_xi_sink_tree``) is the scalar reference: one interest
-set, dict-keyed tables, used by :func:`compute_xi`, :func:`tree_backlog`
-and :meth:`UpstreamView.backlog`.  ``_xi_rows`` is the array pass: a batch
-of interest sets on one prepared tree in one root-to-leaves sweep, one
-array step per server for all of them.  The recursion builders take every
-row of one upstream view from one array pass
-(:meth:`UpstreamView.coefficient_rows`).  Both passes add in the same
-order, so they agree to the last bit (to rounding from Python 3.12 on,
-whose ``sum`` compensates).
+One pass computes the coefficients.  ``_xi_rows`` is the array pass: a
+batch of interest sets on one prepared tree in one root-to-leaves sweep,
+one array step per server for all of them, filling the whole grid of
+``xi[j, k]``.  The recursion builders take every row of one upstream view
+from one pass (:meth:`UpstreamView.coefficient_rows`); the public analyses
+(:func:`compute_xi`, :func:`tree_backlog`, :meth:`UpstreamView.backlog`
+and the delay and departure results built on them) read one row's grid as
+a dict-keyed :class:`XiTable`.  The scalar pass it was derived from, one
+interest set and one server at a time, lives in the tests
+(``tests/xi_reference.py``) as the independent reference it is held to;
+both add in the same order, so they agree to the last bit (to rounding
+from Python 3.12 on, whose ``sum`` compensates).
 
 A decomposition's forest is checked once and prepared once
-(``_prepare_forest``: predecessor lists, one topological order and the
-servers' stability classes); every upstream view of it is sliced from that
-preparation (``_Forest.view``) with no check repeated.  The public
-:func:`upstream_view`, :func:`compute_xi` and :func:`tree_backlog` accept
-any network, so they check the extracted tree first, then slice it the
-same way.
+(``_prepare_forest``: one successor per server, predecessor lists, one
+topological order and the servers' stability classes); every upstream
+view of it is sliced from that preparation (``_Forest.view``) with no
+check repeated.  The public :func:`upstream_view`, :func:`compute_xi` and
+:func:`tree_backlog` accept any network, so they check the extracted tree
+first, then slice it the same way.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -48,6 +49,7 @@ from .curves import Bound, ServerClass, UNBOUNDED, TokenBucket
 from .errors import (
     InterestNotAtRootError,
     LocallyUnstableError,
+    NotAForestError,
     NotATreeError,
     ZeroRateFlowError,
 )
@@ -119,155 +121,14 @@ class _PreparedTree:
 
     net: Network  # renumbered: every successor has a larger id, sink last
     succ: Tuple[int, ...]
-    preds: Tuple[Tuple[int, ...], ...]
     root: int
     new_to_old: Tuple[int, ...]
-    sink_tree: bool
     unstable_servers: Tuple[int, ...]  # original ids; empty when locally stable
 
     @cached_property
     def arrays(self) -> "_TreeArrays":
         """Index arrays of the array pass, built on its first use."""
         return _tree_arrays(self)
-
-
-def _prepare_tree(tree: Network) -> _PreparedTree:
-    topology = classify(tree)
-    if topology not in (Topology.TANDEM, Topology.TREE):
-        raise NotATreeError("topology is %s, need a tandem or tree" % topology.value)
-    forest = _prepare_forest(tree, local_stability(tree).per_server)
-    return forest.view(forest.succ.index(-1)).prepared
-
-
-def _xi_prepared(prep: _PreparedTree, interest: FrozenSet[int]) -> XiTable:
-    """Run the coefficient pass and translate back to the caller's ids."""
-    if prep.unstable_servers:
-        raise LocallyUnstableError(
-            "servers %r are not strictly stable" % list(prep.unstable_servers)
-        )
-    for i in interest:
-        if prep.net.flows[i].path[-1] != prep.root:
-            raise InterestNotAtRootError("flow %d does not cross the root" % i)
-    if prep.sink_tree:
-        table = _xi_sink_tree(prep.net, interest, prep.succ, prep.preds, prep.root)
-    else:
-        table = _xi_general(prep.net, interest, prep.succ, prep.preds, prep.root)
-    back = prep.new_to_old
-    xi = {(back[j], back[k]): v for (j, k), v in table.xi.items()}
-    rho = {back[j]: v for j, v in table.rho.items()}
-    return XiTable(xi, rho, table.phi, interest)
-
-
-def _rate_tables(net: Network, interest: FrozenSet[int]):
-    """Interest rate and per-destination cross rate at every server."""
-    n = net.num_servers
-    r_star = [0.0] * n
-    r_jk = [dict() for _ in range(n)]  # type: List[Dict[int, float]]
-    for i, flow in enumerate(net.flows):
-        r = flow.arrival.rate
-        for j in flow.path:
-            if i in interest:
-                r_star[j] += r
-            else:
-                dest = flow.path[-1]
-                r_jk[j][dest] = r_jk[j].get(dest, 0.0) + r
-    return r_star, r_jk
-
-
-def _xi_general(net: Network, interest: FrozenSet[int], succ, preds, root):
-    """Root-to-leaves computation of the full xi table."""
-    n = net.num_servers
-    r_star, r_jk = _rate_tables(net, interest)
-    xi: Dict[Tuple[int, int], float] = {}
-
-    den0 = net.servers[root].rate - r_jk[root].get(root, 0.0)
-    if den0 <= 0:
-        raise LocallyUnstableError("server %d cannot drain its local traffic" % root)
-    xi[(root, root)] = r_star[root] / den0
-
-    queue = deque(sorted(preds[root]))
-    while queue:
-        j = queue.popleft()
-        js = succ[j]
-        path = [j]
-        while path[-1] != root:
-            path.append(succ[path[-1]])
-        last = len(path) - 1
-        rates = [r_jk[j].get(k, 0.0) for k in path]
-        # den_sum[p]: cross rate bound for destinations up to position p;
-        # num_tail[p]: successor-weighted cross rates strictly beyond p.
-        den_sum = [0.0] * (last + 1)
-        acc = 0.0
-        for p in range(last + 1):
-            acc += rates[p]
-            den_sum[p] = acc
-        num_tail = [0.0] * (last + 1)
-        acc = 0.0
-        for p in range(last, 0, -1):
-            num_tail[p - 1] = acc + xi[(js, path[p])] * rates[p]
-            acc = num_tail[p - 1]
-
-        def cand(p: int) -> float:
-            den = net.servers[j].rate - den_sum[p]
-            if den <= 0:
-                raise LocallyUnstableError(
-                    "server %d cannot drain its local traffic" % j
-                )
-            return (r_star[j] + num_tail[p]) / den
-
-        p = last
-        while p >= 1 and xi[(js, path[p])] > cand(p):
-            xi[(j, path[p])] = xi[(js, path[p])]
-            p -= 1
-        value = cand(p)
-        for q in range(p + 1):
-            xi[(j, path[q])] = value
-        for u in sorted(preds[j]):
-            queue.append(u)
-
-    rho = {}
-    for j in range(n):
-        path = [j]
-        while path[-1] != root:
-            path.append(succ[path[-1]])
-        rho[j] = r_star[j] + sum(
-            xi[(j, k)] * r_jk[j].get(k, 0.0) for k in path
-        )
-    phi = {
-        i: 1.0 if i in interest else xi[(f.path[0], f.path[-1])]
-        for i, f in enumerate(net.flows)
-    }
-    return XiTable(xi, rho, phi, interest)
-
-
-def _xi_sink_tree(net: Network, interest: FrozenSet[int], succ, preds, root):
-    """
-    Linear-time specialization when every flow ends at the root: only the
-    root-destination coefficients matter and each server needs one test.
-    """
-    n = net.num_servers
-    r_star, r_jk = _rate_tables(net, interest)
-    xi: Dict[Tuple[int, int], float] = {}
-
-    den0 = net.servers[root].rate - r_jk[root].get(root, 0.0)
-    if den0 <= 0:
-        raise LocallyUnstableError("server %d cannot drain its local traffic" % root)
-    xi[(root, root)] = r_star[root] / den0
-    queue = deque(sorted(preds[root]))
-    while queue:
-        j = queue.popleft()
-        den = net.servers[j].rate - r_jk[j].get(root, 0.0)
-        if den <= 0:
-            raise LocallyUnstableError("server %d cannot drain its local traffic" % j)
-        xi[(j, root)] = max(xi[(succ[j], root)], r_star[j] / den)
-        for u in sorted(preds[j]):
-            queue.append(u)
-    rho = {j: r_star[j] + xi[(j, root)] * r_jk[j].get(root, 0.0) for j in range(n)}
-    phi = {
-        i: 1.0 if i in interest else xi[(f.path[0], root)]
-        for i, f in enumerate(net.flows)
-    }
-    return XiTable(xi, rho, phi, interest)
 
 
 @dataclass(frozen=True)
@@ -328,13 +189,14 @@ def _tree_arrays(prep: _PreparedTree) -> _TreeArrays:
 
 def _xi_rows(prep: _PreparedTree, interests: Sequence[Iterable[int]]):
     """
-    The array pass: ``_xi_general`` for a batch of ``B`` interest sets at
-    once, in ``prep``'s renumbered ids.  Returns ``(phi, rho, xi_root)``:
-    burst weights ``(B, flows)``, latency weights ``(B, servers)`` and each
-    server's coefficient toward the root ``(B, servers)``.
+    The coefficient pass for a batch of ``B`` interest sets at once, in
+    ``prep``'s renumbered ids.  Returns ``(phi, rho, xi)``: burst weights
+    ``(B, flows)``, latency weights ``(B, servers)`` and the coefficient
+    grid ``(B, servers, width)`` of :class:`_TreeArrays`, ``xi[b, j, p]``
+    from server ``j`` toward the ``p``-th server on its path to the root.
 
-    Every sum runs in the scalar pass's order (``bincount`` in flow order,
-    ``cumsum`` along paths), so each row equals the scalar table.  Each
+    Every sum runs in the scalar reference's order (``bincount`` in flow
+    order, ``cumsum`` along paths), so each row equals its table.  Each
     server takes one array step for all rows: candidates for every split
     position, then the split where the successor's coefficient stops
     dominating.
@@ -378,8 +240,16 @@ def _xi_rows(prep: _PreparedTree, interests: Sequence[Iterable[int]]):
         np.copyto(row, cand[batch, split][:, None], where=positions[: last + 1] <= split[:, None])
     rho = r_star + np.cumsum(xi * cross, axis=2)[:, :, -1]
     phi = np.where(mask, 1.0, xi.reshape(B, -1)[:, a.entry_slot])
-    xi_root = xi[:, servers, a.depth]
-    return phi, rho, xi_root
+    return phi, rho, xi
+
+
+def _root_view(tree: Network) -> UpstreamView:
+    """The whole of ``tree``, checked to be a tandem or tree, as the view at its root."""
+    topology = classify(tree)
+    if topology not in (Topology.TANDEM, Topology.TREE):
+        raise NotATreeError("topology is %s, need a tandem or tree" % topology.value)
+    forest = _prepare_forest(tree, local_stability(tree).per_server)
+    return forest.view(forest.succ.index(-1))
 
 
 def compute_xi(tree: Network, interest: Iterable[int]) -> XiTable:
@@ -389,10 +259,12 @@ def compute_xi(tree: Network, interest: Iterable[int]) -> XiTable:
 
     The network may carry any server numbering (it is renumbered
     internally; results are keyed by the caller's ids).  Runs in
-    ``O(n^2 + m)``, and in ``O(n + m)`` on sink trees.
+    ``O(n w + h)`` for ``n`` servers, ``w`` servers on the longest path to
+    the root and ``h`` flow hops: one array step per server over its path.
 
     :raises NotATreeError: if the topology is not a tandem or tree
-    :raises InterestNotAtRootError: if some interest flow misses the root
+    :raises InterestNotAtRootError: if some interest flow is unknown or
+        misses the root
     :raises LocallyUnstableError: if some server lacks a strict rate margin
 
     >>> from .curves import RateLatency
@@ -403,19 +275,10 @@ def compute_xi(tree: Network, interest: Iterable[int]) -> XiTable:
     >>> round(table.xi[(1, 1)], 12), round(table.xi[(0, 1)], 12)
     (0.333333333333, 0.5)
     """
-    interest = frozenset(interest)
-    for i in interest:
-        if not (0 <= i < tree.num_flows):
-            raise InterestNotAtRootError("unknown flow id %d" % i)
-    return _xi_prepared(_prepare_tree(tree), interest)
-
-
-def _backlog_from_table(tree: Network, table: XiTable) -> BacklogResult:
-    value = sum(table.rho[j] * tree.servers[j].latency for j in range(tree.num_servers))
-    value += sum(
-        table.phi[i] * tree.flows[i].arrival.burst for i in range(tree.num_flows)
-    )
-    return BacklogResult(Bound(value), table)
+    result = tree_backlog(tree, interest)
+    if result.table is None:
+        raise LocallyUnstableError(result.diagnostic)
+    return result.table
 
 
 def tree_backlog(tree: Network, interest: Iterable[int]) -> BacklogResult:
@@ -424,17 +287,17 @@ def tree_backlog(tree: Network, interest: Iterable[int]) -> BacklogResult:
     ``interest``; the bound is tight for tandem and tree topologies.
 
     A network that is not locally stable yields an unbounded value with a
-    diagnostic instead of an error.
+    diagnostic instead of an error, whatever the interest.
     """
-    interest = frozenset(interest)
-    prep = _prepare_tree(tree)
-    if prep.unstable_servers:
-        return BacklogResult(
-            UNBOUNDED,
-            None,
-            "servers %r are not strictly stable" % list(prep.unstable_servers),
-        )
-    return _backlog_from_table(tree, _xi_prepared(prep, interest))
+    view = _root_view(tree)
+    if view.prepared.unstable_servers:
+        return view.backlog(())
+    return view.backlog(interest)
+
+
+def _check_flow_id(net: Network, i: int) -> None:
+    if not 0 <= i < net.num_flows:
+        raise InterestNotAtRootError("unknown flow id %d" % i)
 
 
 @dataclass(frozen=True)
@@ -455,13 +318,15 @@ class UpstreamView:
     prepared: _PreparedTree
 
     def backlog(self, interest: Iterable[int]) -> BacklogResult:
-        """Worst-case backlog at the local root for full-network flow ids."""
+        """
+        Worst-case backlog at the local root for full-network flow ids,
+        with its table read off one row of the array pass.
+
+        :raises InterestNotAtRootError: if some flow is unknown or misses
+            the local root
+        """
         interest = frozenset(interest)
-        for i in interest:
-            if self.root not in self.full.flows[i].path:
-                raise InterestNotAtRootError(
-                    "flow %d does not cross server %d" % (i, self.root)
-                )
+        sub = self._sub_flows(interest)
         if self.prepared.unstable_servers:
             return BacklogResult(
                 UNBOUNDED,
@@ -469,23 +334,35 @@ class UpstreamView:
                 "servers %r are not strictly stable"
                 % list(self.prepared.unstable_servers),
             )
-        wanted = set(interest)
-        sub_interest = frozenset(
-            s for s, i in enumerate(self.origin_flow) if i in wanted
-        )
-        table = _xi_prepared(self.prepared, sub_interest)
-        xi = {
-            (self.origin_server[j], self.origin_server[k]): v
-            for (j, k), v in table.xi.items()
-        }
-        rho = {j: 0.0 for j in range(self.full.num_servers)}
-        for j, v in table.rho.items():
-            rho[self.origin_server[j]] = v
-        phi = {i: 0.0 for i in range(self.full.num_flows)}
-        for s, v in table.phi.items():
-            phi[self.origin_flow[s]] = v
+        phi, rho, grid = (v[0].tolist() for v in _xi_rows(self.prepared, [sub]))
+        full = self._full_server.tolist()
+        succ, depth = self.prepared.succ, self.prepared.arrays.depth.tolist()
+        xi = {}
+        for j, row in enumerate(grid):
+            k = j
+            for v in row[: depth[j] + 1]:
+                xi[(full[j], full[k])] = v
+                k = succ[k]
+        full_rho = dict.fromkeys(range(self.full.num_servers), 0.0)
+        full_rho.update(zip(full, rho))
+        full_phi = dict.fromkeys(range(self.full.num_flows), 0.0)
+        full_phi.update(zip(self.origin_flow, phi))
         # the zero weights outside the view add exact zeros to the value
-        return _backlog_from_table(self.full, XiTable(xi, rho, phi, interest))
+        value = sum(full_rho[j] * s.latency for j, s in enumerate(self.full.servers))
+        value += sum(full_phi[i] * f.arrival.burst for i, f in enumerate(self.full.flows))
+        return BacklogResult(Bound(value), XiTable(xi, full_rho, full_phi, interest))
+
+    def _sub_flows(self, interest: Iterable[int]) -> List[int]:
+        """Sub flow ids of full-network flow ids, each checked to cross the local root."""
+        sub = []
+        for i in interest:
+            if i not in self._at_root:
+                _check_flow_id(self.full, i)
+                raise InterestNotAtRootError(
+                    "flow %d does not cross server %d" % (i, self.root)
+                )
+            sub.append(self._at_root[i])
+        return sub
 
     @cached_property
     def _at_root(self) -> Dict[int, int]:
@@ -511,29 +388,21 @@ class UpstreamView:
         :raises InterestNotAtRootError: if some flow misses the local root
         :raises LocallyUnstableError: if the view is not locally stable
         """
-        batch = []
-        for interest in interests:
-            sub = []
-            for i in interest:
-                if i not in self._at_root:
-                    raise InterestNotAtRootError(
-                        "flow %d does not cross server %d" % (i, self.root)
-                    )
-                sub.append(self._at_root[i])
-            batch.append(sub)
+        batch = [self._sub_flows(interest) for interest in interests]
         if self.prepared.unstable_servers:
             raise LocallyUnstableError(
                 "servers %r are not strictly stable"
                 % list(self.prepared.unstable_servers)
             )
-        phi, rho, xi_root = _xi_rows(self.prepared, batch)
+        phi, rho, xi = _xi_rows(self.prepared, batch)
         B = len(batch)
         full_phi = np.zeros((B, self.full.num_flows))
         full_phi[:, list(self.origin_flow)] = phi
         full_rho = np.zeros((B, self.full.num_servers))
         full_rho[:, self._full_server] = rho
         full_xi = np.zeros((B, self.full.num_servers))
-        full_xi[:, self._full_server] = xi_root
+        depth = self.prepared.arrays.depth
+        full_xi[:, self._full_server] = xi[:, np.arange(len(depth)), depth]
         return full_phi, full_rho, full_xi
 
 
@@ -564,14 +433,11 @@ class _Forest:
         new_id = {j: new for new, j in enumerate(order)}
         flows, origin_flow = _clip(self.net, new_id)
         sub_id = {j: s for s, j in enumerate(keep)}
-        root = new_id[j1]
         prepared = _PreparedTree(
             Network(tuple(self.net.servers[j] for j in order), flows),
             tuple(-1 if j == j1 else new_id[self.succ[j]] for j in order),
-            tuple(tuple(sorted(new_id[u] for u in self.preds[j])) for j in order),
-            root,
+            new_id[j1],
             tuple(sub_id[j] for j in order),
-            all(f.path[-1] == root for f in flows),
             tuple(s for s, j in enumerate(keep) if self.unstable[j]),
         )
         return UpstreamView(self.net, origin_flow, tuple(keep), j1, prepared)
@@ -579,14 +445,18 @@ class _Forest:
 
 def _prepare_forest(net: Network, classes: Sequence[ServerClass]) -> _Forest:
     """
-    Prepare a network the caller has checked to be a forest, given its
-    servers' local stability classes.
+    Prepare an acyclic network, given its servers' local stability
+    classes.
+
+    :raises NotAForestError: if some server has several successors
     """
     n = net.num_servers
     arcs = induced_graph(net)
     succ = [-1] * n
     preds: List[List[int]] = [[] for _ in range(n)]
     for u, v in arcs:
+        if succ[u] != -1:
+            raise NotAForestError("removal leaves server %d with several successors" % u)
         succ[u] = v
         preds[v].append(u)
     rank = [0] * n
@@ -641,7 +511,7 @@ def upstream_view(net: Network, j1: int) -> UpstreamView:
     keep = _upstream(preds, j1)
     flows, origin_flow = _clip(net, {j: s for s, j in enumerate(keep)})
     sub = Network(tuple(net.servers[j] for j in keep), flows)
-    return UpstreamView(net, origin_flow, tuple(keep), j1, _prepare_tree(sub))
+    return UpstreamView(net, origin_flow, tuple(keep), j1, _root_view(sub).prepared)
 
 
 def tree_backlog_at(net: Network, j1: int, interest: Iterable[int]) -> BacklogResult:
@@ -671,6 +541,7 @@ def tree_delay(tree: Network, flow: int) -> Bound:
     >>> round(float(tree_delay(net, 0)), 12)
     3.166666666667
     """
+    _check_flow_id(tree, flow)
     f = tree.flows[flow]
     if f.arrival.rate == 0:
         raise ZeroRateFlowError("delay of a zero-rate flow is undefined")

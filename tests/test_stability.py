@@ -651,8 +651,8 @@ def test_build_td_rejects_non_forest_removal():
     from netcalc import NotAForestError
 
     net = toy()
-    # removing only the big back arc leaves server 2 with two successors
-    with pytest.raises(NotAForestError):
+    # removing only the big back arc leaves server 1 with two successors (0 and 2)
+    with pytest.raises(NotAForestError, match="removal leaves server 1 with several successors"):
         build_td(net, frozenset({(3, 1)}))
 
 
@@ -666,7 +666,7 @@ def _overloaded(net, j):
 
 def _view_fields(view):
     p = view.prepared
-    return (p.net, p.succ, p.preds, p.root, p.new_to_old, p.sink_tree,
+    return (p.net, p.succ, p.root, p.new_to_old,
             p.unstable_servers, view.origin_flow, view.origin_server)
 
 

@@ -21,15 +21,10 @@ from netcalc import (
 )
 from netcalc.decomposition import decompose, removal_tree
 from netcalc.topologies import two_server_sink_tree, toy, uni_ring
-from netcalc.tree_analysis import (
-    _prepare_tree,
-    _xi_general,
-    _xi_rows,
-    _xi_sink_tree,
-    upstream_view,
-)
+from netcalc.tree_analysis import XiTable, _root_view, _xi_rows, upstream_view
 
 from conftest import random_tandem, random_tree
+from xi_reference import _xi_general, _xi_sink_tree, predecessors
 
 # Two-server tandem fixture, second server twice as fast; the flow of
 # interest crosses both.  Value frozen from the case-enumeration oracle.
@@ -98,8 +93,8 @@ def test_linear_form_reconstruction(rng):
 def _full_table(net, interest):
     # the general pass fills every (server, destination) pair; the sink-tree
     # shortcut keeps only the root column, so force the general one here
-    prep = _prepare_tree(net)
-    return _xi_general(prep.net, frozenset(interest), prep.succ, prep.preds, prep.root)
+    prep = _root_view(net).prepared
+    return _xi_general(prep.net, frozenset(interest), prep.succ, predecessors(prep.succ), prep.root)
 
 
 def test_destination_monotonicity(rng):
@@ -245,15 +240,29 @@ def test_sink_tree_fast_path_matches_general(rng):
         interest = frozenset(
             int(i) for i in rng.choice(sink.num_flows, size=max(1, sink.num_flows // 2), replace=False)
         )
-        prep = _prepare_tree(sink)
-        fast = _xi_sink_tree(prep.net, interest, prep.succ, prep.preds, prep.root)
-        slow = _xi_general(prep.net, interest, prep.succ, prep.preds, prep.root)
-        for key, v in fast.xi.items():
-            assert slow.xi[key] == pytest.approx(v, abs=1e-12)
-        for j, v in fast.rho.items():
-            assert slow.rho[j] == pytest.approx(v, abs=1e-12)
-        for i, v in fast.phi.items():
-            assert slow.phi[i] == pytest.approx(v, abs=1e-12)
+        prep = _root_view(sink).prepared
+        fast = _xi_sink_tree(prep.net, interest, prep.succ, predecessors(prep.succ), prep.root)
+        slow = _xi_general(prep.net, interest, prep.succ, predecessors(prep.succ), prep.root)
+        # the public table, keyed by the sink tree's own ids, has exactly the
+        # general pass's keys; compare it in the renumbered ids
+        own = compute_xi(sink, interest)
+        back = prep.new_to_old
+        assert {(back[j], back[k]) for j, k in slow.xi} == set(own.xi)
+        public = XiTable(
+            {(j, k): own.xi[(back[j], back[k])] for j, k in slow.xi},
+            {j: own.rho[back[j]] for j in slow.rho},
+            own.phi,
+            interest,
+        )
+        for table in (slow, public):
+            for key, v in fast.xi.items():
+                assert table.xi[key] == pytest.approx(v, abs=1e-12)
+            for j, v in fast.rho.items():
+                assert table.rho[j] == pytest.approx(v, abs=1e-12)
+            for i, v in fast.phi.items():
+                assert table.phi[i] == pytest.approx(v, abs=1e-12)
+        for key, v in slow.xi.items():
+            assert public.xi[key] == pytest.approx(v, abs=1e-12)
 
 
 def _tail_to_root(net, path):
@@ -283,21 +292,27 @@ def _interest_batch(rng, flows):
 def test_array_pass_matches_scalar_pass(rng):
     for make in (random_tree, random_tandem):
         for _ in range(30):
-            prep = _prepare_tree(make(rng))
+            prep = _root_view(make(rng)).prepared
             net, root = prep.net, prep.root
             at_root = [i for i, f in enumerate(net.flows) if f.path[-1] == root]
             batch = _interest_batch(rng, at_root)
-            phi, rho, xi_root = _xi_rows(prep, batch)
+            phi, rho, xi = _xi_rows(prep, batch)
+            depth = prep.arrays.depth
             assert phi.shape == (len(batch), net.num_flows)
-            assert rho.shape == xi_root.shape == (len(batch), net.num_servers)
+            assert rho.shape == (len(batch), net.num_servers)
+            assert xi.shape == (len(batch), net.num_servers, depth.max() + 1)
             for b, interest in enumerate(batch):
-                table = _xi_general(net, frozenset(interest), prep.succ, prep.preds, root)
+                table = _xi_general(net, frozenset(interest), prep.succ, predecessors(prep.succ), root)
                 np.testing.assert_allclose(
                     phi[b], [table.phi[i] for i in range(net.num_flows)], rtol=1e-12, atol=0)
                 np.testing.assert_allclose(
                     rho[b], [table.rho[j] for j in range(net.num_servers)], rtol=1e-12, atol=0)
+                # the whole grid: key (j, k) sits depth[j] - depth[k] steps along j's path
+                assert len(table.xi) == depth.sum() + net.num_servers
+                keys = list(table.xi)
                 np.testing.assert_allclose(
-                    xi_root[b], [table.xi[(j, root)] for j in range(net.num_servers)],
+                    [xi[b, j, depth[j] - depth[k]] for j, k in keys],
+                    [table.xi[key] for key in keys],
                     rtol=1e-12, atol=0)
 
 
@@ -341,9 +356,9 @@ def test_array_pass_rejects_local_instability():
         (RateLatency(2.0, 0.1), RateLatency(6.0, 0.1)),
         (Flow(TokenBucket(1, 1), (0, 1)), Flow(TokenBucket(1, 3), (0,))),
     )
-    prep = _prepare_tree(net)
+    prep = _root_view(net).prepared
     with pytest.raises(LocallyUnstableError):
-        _xi_general(prep.net, frozenset([0]), prep.succ, prep.preds, prep.root)
+        _xi_general(prep.net, frozenset([0]), prep.succ, predecessors(prep.succ), prep.root)
     with pytest.raises(LocallyUnstableError):
         _xi_rows(prep, [[0]])
     with pytest.raises(LocallyUnstableError):
@@ -434,6 +449,25 @@ def test_zero_rate_cross_flow_contributes_burst_only():
     expected = 1 + 1 * 0.5 + xi * 3
     assert result.value.value == pytest.approx(expected, abs=1e-12)
     assert bruteforce_backlog(net, [0]) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [-1, 2])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda net, i: compute_xi(net, [i]),
+        lambda net, i: tree_backlog(net, [i]),
+        lambda net, i: tree_backlog_at(net, 1, [i]),
+        lambda net, i: tree_output_curve(net, [i]),
+        lambda net, i: tree_delay(net, i),
+    ],
+    ids=["compute_xi", "tree_backlog", "tree_backlog_at", "tree_output_curve", "tree_delay"],
+)
+def test_unknown_flow_ids_are_rejected(call, bad):
+    net = two_server_sink_tree()
+    assert net.num_flows == 2
+    with pytest.raises(InterestNotAtRootError, match="unknown flow id %d" % bad):
+        call(net, bad)
 
 
 def test_errors():
