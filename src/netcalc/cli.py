@@ -217,7 +217,7 @@ def cmd_simulate(args) -> int:
         raise NetcalcError("simulation requires a feed-forward network")
     server = _server(args, net)
     flows = _flow_ids(args.flows, net) if args.flows else None
-    dt = args.dt if args.dt else default_dt(net)
+    dt = default_dt(net) if args.dt is None else args.dt
     horizon = args.horizon
     if horizon is None:
         horizon = 0.0

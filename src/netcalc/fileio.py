@@ -18,7 +18,7 @@ Round-trips are lossless.
 from __future__ import annotations
 
 import json
-from typing import IO, Optional, Sequence, Union
+from typing import IO, Optional, Sequence, Tuple, Union
 
 from .curves import RateLatency, TokenBucket
 from .errors import ValidationError
@@ -42,8 +42,26 @@ def network_to_dict(net: Network) -> dict:
     }
 
 
+def _path(ids, flow: int, n: int) -> Tuple[int, ...]:
+    """0-based path of ``flow`` from a JSON list of 1-based server ids."""
+    if not isinstance(ids, list) or not set(map(type, ids)) <= {int}:  # bool is not int
+        raise ValidationError(
+            "flow %d: path must be a list of integer server ids, got %r" % (flow + 1, ids)
+        )
+    outside = [j for j in ids if not 1 <= j <= n]
+    if outside:
+        raise ValidationError(
+            "flow %d crosses server %d, which does not exist (ids run from 1 to %d)"
+            % (flow + 1, outside[0], n)
+        )
+    return tuple([j - 1 for j in ids])
+
+
 def network_from_dict(doc: dict) -> Network:
-    """Parse and validate the JSON document shape."""
+    """
+    Parse and validate the JSON document shape.  Paths must be lists of
+    integers (not bools) naming servers ``1..n``.
+    """
     if not isinstance(doc, dict):
         raise ValidationError("network file must hold a JSON object")
     try:
@@ -54,9 +72,9 @@ def network_from_dict(doc: dict) -> Network:
         flows = tuple(
             Flow(
                 TokenBucket(float(f["burst"]), float(f["rate"])),
-                tuple(int(j) - 1 for j in f["path"]),
+                _path(f["path"], i, len(servers)),
             )
-            for f in doc["flows"]
+            for i, f in enumerate(doc["flows"])
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError("malformed network file: %s" % exc) from exc

@@ -73,6 +73,12 @@ class ServerSpec:
             raise ScenarioError("window mode needs a (start, end) window")
 
 
+def _require_positive(name: str, value: float) -> float:
+    if not (math.isfinite(value) and value > 0):
+        raise ScenarioError("%s must be finite and positive, got %r" % (name, value))
+    return value
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Arrival and service behaviour for a whole network."""
@@ -82,8 +88,7 @@ class Scenario:
     horizon: float
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ScenarioError("horizon must be positive")
+        _require_positive("horizon", self.horizon)
 
 
 def greedy_scenario(net: Network, horizon: float) -> Scenario:
@@ -193,11 +198,8 @@ def simulate_fluid(
         raise ScenarioError("fluid simulation needs a feed-forward network")
     if len(scenario.arrivals) != net.num_flows or len(scenario.servers) != net.num_servers:
         raise ScenarioError("scenario does not match the network size")
-    if dt is None:
-        dt = default_dt(net)
-    if dt <= 0:
-        raise ScenarioError("dt must be positive")
-    horizon = scenario.horizon if horizon is None else horizon
+    dt = _require_positive("dt", default_dt(net) if dt is None else dt)
+    horizon = scenario.horizon if horizon is None else _require_positive("horizon", horizon)
     steps = int(math.ceil(horizon / dt)) + 1
     times = np.arange(steps + 1) * dt
 

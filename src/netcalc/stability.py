@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -276,6 +277,24 @@ def sd_labels(net: Network) -> Tuple[Tuple[int, int], ...]:
     )
 
 
+def _sd_hops(net: Network) -> Tuple[np.ndarray, ...]:
+    """
+    Every hop of every flow, in flow order, as arrays ``(flow, pos, server,
+    var)``: hop ``pos`` of ``flow`` crosses ``server``, and the burst
+    entering it is the sd variable ``var = offset[flow] + pos - 1`` (from
+    ``pos = 1`` on).  ``offset[i]``, the number of variables of the flows
+    before ``i``, is ``first[i] - i`` for the index ``first[i]`` of flow
+    ``i``'s first hop, so ``var`` is the hop's index less ``flow + 1``.
+    """
+    paths = [f.path for f in net.flows]
+    length = np.fromiter(map(len, paths), np.intp, len(paths))
+    server = np.fromiter(chain.from_iterable(paths), np.intp, int(length.sum()))
+    flow = np.repeat(np.arange(len(paths)), length)
+    hop = np.arange(len(server))
+    first = np.cumsum(length) - length
+    return flow, hop - first[flow], server, hop - flow - 1
+
+
 def build_sd(net: Network) -> LinearRecursion:
     """
     Per-server burst recursion: the burst of flow ``i`` entering its hop
@@ -287,45 +306,66 @@ def build_sd(net: Network) -> LinearRecursion:
 
     over all other hops ``s`` present at server ``j``.  First-hop bursts
     are known and folded into the constant vector.
+
+    Built from hop arrays with no per-pair Python work.  Server loads are a
+    ``bincount`` in flow order.  Every pair (row, hop at the row's server)
+    is enumerated at once, weighted ``1`` for the row's own hop ``k`` and
+    the gain for the others.  ``M`` takes one scatter: paths never revisit
+    a server, so each cell is written at most once.  ``N`` is a sequential
+    sum over a zero-padded term row: the row's own first-hop burst, then
+    ``gain * b`` of every other first hop at the server in flow order,
+    then ``gain * R_j * T_j``.  That is the order of the pairwise loop this
+    replaces (``tests/sd_reference.py``), so ``(M, N)`` equal it bit for bit.
     """
     _require_local_stability(net)
-    labels = sd_labels(net)
-    index = {lab: pos for pos, lab in enumerate(labels)}
-    L = len(labels)
+    return LinearRecursion(sd_labels(net), *_sd_coefficients(net))
+
+
+def _sd_coefficients(net: Network) -> Tuple[np.ndarray, np.ndarray]:
+    """
+    ``(M, N)`` of :func:`build_sd`, in a function of its own so that the
+    pair arrays are freed before :class:`LinearRecursion` checks ``M``.
+    """
+    flow, pos, server, var = _sd_hops(net)
+    n = net.num_servers
+    rate = np.array([f.arrival.rate for f in net.flows], dtype=float)
+    burst = np.array([f.arrival.burst for f in net.flows], dtype=float)
+    R = np.array([s.rate for s in net.servers], dtype=float)
+    T = np.array([s.latency for s in net.servers], dtype=float)
+    load = np.bincount(server, rate[flow], n)
+    # row r, the variable (i, k), is fed by hop (i, k - 1): every hop but the last
+    feed = np.flatnonzero(flow[1:] == flow[:-1])
+    L = len(feed)
+    i, j = flow[feed], server[feed]
+    margin = R[j] - (load[j] - rate[i])
+    bad = margin <= 0
+    if bad.any():  # the first failing row, as the pairwise loop reports it
+        r = bad.argmax()
+        raise LocallyUnstableError("server %d has no residual rate for flow %d" % (j[r], i[r]))
+    gain = rate[i] / margin
+    # pairs (row, peer), peer running over the hops at the row's server in flow order
+    by_server = np.argsort(server, kind="stable")
+    count = np.bincount(server, minlength=n)
+    start = np.cumsum(count) - count  # each server's first hop in by_server
+    size = count[j]
+    block = np.cumsum(size) - size  # each row's first pair
+    row = np.repeat(np.arange(L), size)
+    peer = by_server[np.arange(len(row)) - np.repeat(block - start[j], size)]
+    own = peer == feed[row]
+    weight = np.where(own, 1.0, gain[row])
+    later = pos[peer] >= 1
     M = np.zeros((L, L))
-    N = np.zeros(L)
-    hops_at: List[List[Tuple[int, int]]] = [[] for _ in range(net.num_servers)]
-    rate_at = [0.0] * net.num_servers
-    for i, f in enumerate(net.flows):
-        for k, j in enumerate(f.path):
-            hops_at[j].append((i, k))
-            rate_at[j] += f.arrival.rate
-    for i, f in enumerate(net.flows):
-        r_i = f.arrival.rate
-        for k in range(1, len(f.path)):
-            row = index[(i, k)]
-            j = f.path[k - 1]
-            beta = net.servers[j]
-            margin = beta.rate - (rate_at[j] - r_i)
-            if margin <= 0:
-                raise LocallyUnstableError(
-                    "server %d has no residual rate for flow %d" % (j, i)
-                )
-            gain = r_i / margin
-            # burst entering hop k equals the backlog bound of hop k-1 at j
-            if k - 1 >= 1:
-                M[row, index[(i, k - 1)]] += 1.0
-            else:
-                N[row] += f.arrival.burst
-            for p, q in hops_at[j]:
-                if (p, q) == (i, k - 1):
-                    continue
-                if q >= 1:
-                    M[row, index[(p, q)]] += gain
-                else:
-                    N[row] += gain * net.flows[p].arrival.burst
-            N[row] += gain * beta.rate * beta.latency
-    return LinearRecursion(labels, M, N)
+    M[row[later], var[peer[later]]] = weight[later]
+    # first-hop pairs: the row's own in column 0, the others from column 1 in flow order
+    entry = ~later
+    known = np.flatnonzero(entry)
+    before = np.cumsum(entry) - entry  # first-hop pairs ahead of each pair
+    known_row = row[known]
+    column = np.where(own[known], 0, 1 + before[known] - before[block[known_row]])
+    terms = np.zeros((L, column.max(initial=0) + 2))
+    terms[known_row, column] = weight[known] * burst[flow[peer[known]]]
+    terms[:, -1] = gain * R[j] * T[j]
+    return M, np.cumsum(terms, axis=1)[:, -1]
 
 
 @dataclass(frozen=True)
@@ -511,32 +551,29 @@ def _objective_sd(net: Network, target: Target) -> ObjectiveForm:
             "delay targets are not supported by the per-server decomposition"
         )
     j = target.server
-    labels = sd_labels(net)
-    index = {lab: pos for pos, lab in enumerate(labels)}
-    Q = np.zeros(len(labels))
+    flow, pos, server, var = _sd_hops(net)
+    Q = np.zeros(len(server) - net.num_flows)  # one variable per hop past the first
     beta = net.servers[j]
-    hops = []
-    for i, f in enumerate(net.flows):
-        if j in f.path:
-            hops.append((i, f.path.index(j)))
-    interest = [(i, k) for (i, k) in hops if i in target.flows]
+    at = np.flatnonzero(server == j)  # one hop per flow crossing j, in flow order
+    hops = list(zip(flow[at].tolist(), pos[at].tolist(), var[at].tolist()))
+    interest = [hop for hop in hops if hop[0] in target.flows]
     if len(interest) != len(target.flows):
         raise UnsupportedTargetError("some target flows do not cross the server")
-    cross = [(i, k) for (i, k) in hops if i not in target.flows]
-    r_int = sum(net.flows[i].arrival.rate for i, _ in interest)
-    r_cross = sum(net.flows[i].arrival.rate for i, _ in cross)
+    cross = [hop for hop in hops if hop[0] not in target.flows]
+    r_int = sum(net.flows[i].arrival.rate for i, _, _ in interest)
+    r_cross = sum(net.flows[i].arrival.rate for i, _, _ in cross)
     if r_int + r_cross >= beta.rate:
         raise LocallyUnstableError("server %d has no strict rate margin" % j)
     gain = r_int / (beta.rate - r_cross)
     C = gain * r_cross * beta.latency + r_int * beta.latency
-    for i, k in interest:
+    for i, k, v in interest:
         if k >= 1:
-            Q[index[(i, k)]] += 1.0
+            Q[v] += 1.0
         else:
             C += net.flows[i].arrival.burst
-    for i, k in cross:
+    for i, k, v in cross:
         if k >= 1:
-            Q[index[(i, k)]] += gain
+            Q[v] += gain
         else:
             C += gain * net.flows[i].arrival.burst
     return ObjectiveForm(Q, C, "backlog of flows %s at server %d" % (sorted(target.flows), j))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -36,6 +37,26 @@ def test_network_file_rejects_garbage():
         network_from_dict({"servers": [], "flows": "nope"})
     with pytest.raises(ValidationError):
         network_from_dict([1, 2, 3])
+
+
+@pytest.mark.parametrize("path, message", [
+    ([1.7, 2], "path must be a list of integer server ids"),
+    ([2.0], "path must be a list of integer server ids"),
+    ([True, 2], "path must be a list of integer server ids"),
+    ("12", "path must be a list of integer server ids"),
+    ([0, 1], "flow 1 crosses server 0, which does not exist (ids run from 1 to 2)"),
+    ([1, 3], "flow 1 crosses server 3, which does not exist (ids run from 1 to 2)"),
+])
+def test_network_file_rejects_bad_path_ids(tmp_path, capsys, path, message):
+    doc = network_to_dict(two_server_sink_tree())
+    doc["flows"][0]["path"] = path
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        network_from_dict(doc)
+    src = tmp_path / "net.json"
+    src.write_text(json.dumps(doc))
+    assert main(["analyze", "--network", str(src), "--method", "sd"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
 def test_format_value():
@@ -213,6 +234,19 @@ def test_simulate_command(tmp_path, capsys):
     assert "strict service respected: True" in out
     first = open(dump).readline().strip()
     assert first == "t,flow,server,A,B"
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--dt", "nan"), ("--dt", "0"), ("--dt", "-0.01"), ("--dt", "inf"),
+    ("--horizon", "inf"), ("--horizon", "nan"), ("--horizon", "0"),
+])
+def test_simulate_rejects_bad_dt_and_horizon(tmp_path, capsys, option, value):
+    src = str(tmp_path / "two_server_sink_tree.json")
+    save_network(two_server_sink_tree(), src)
+    assert main(["simulate", "--network", src, "--seed", "1", option, value]) == 2
+    name = option.lstrip("-")
+    assert capsys.readouterr().err == "error: %s must be finite and positive, got %r\n" % (
+        name, float(value))
 
 
 def test_simulate_rejects_out_of_range_ids(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -91,6 +92,17 @@ def test_simulate_validates_scenario():
         ArrivalSpec("burst")
     with pytest.raises(ScenarioError):
         ServerSpec("window")
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_simulate_rejects_non_finite_or_non_positive_dt_and_horizon(bad):
+    net = two_server_sink_tree()
+    with pytest.raises(ScenarioError, match="horizon must be finite and positive"):
+        greedy_scenario(net, bad)
+    with pytest.raises(ScenarioError, match="horizon must be finite and positive"):
+        simulate_fluid(net, greedy_scenario(net, 1.0), dt=0.01, horizon=bad)
+    with pytest.raises(ScenarioError, match="dt must be finite and positive"):
+        simulate_fluid(net, greedy_scenario(net, 1.0), dt=bad)
 
 
 def test_random_scenarios_sound_on_trees(rng):
