@@ -46,6 +46,8 @@ class ArrivalSpec:
     def __post_init__(self):
         if self.kind not in ("greedy", "random", "none"):
             raise ScenarioError("unknown arrival kind %r" % self.kind)
+        if not math.isfinite(self.start):
+            raise ScenarioError("arrival start must be finite, got %r" % self.start)
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,10 @@ class ServerSpec:
       minimal envelope inside it, and an instantaneous flush at the end.
 
     ``priority`` orders the flows for service (first drained first);
-    flows missing from it are appended in id order.
+    flows missing from it are appended in id order.  ``simulate_fluid``
+    rejects a priority that repeats a flow or names one the network lacks.
+    A window starts at a finite time no later than its end; the end may be
+    infinite.
     """
 
     mode: str = "exact"
@@ -71,6 +76,12 @@ class ServerSpec:
             raise ScenarioError("unknown service mode %r" % self.mode)
         if self.mode == "window" and self.window is None:
             raise ScenarioError("window mode needs a (start, end) window")
+        if self.window is not None:
+            start, end = self.window
+            if not (math.isfinite(start) and start <= end):
+                raise ScenarioError(
+                    "window start must be finite and at most its end, got %r" % (self.window,)
+                )
 
 
 def _require_positive(name: str, value: float) -> float:
@@ -132,7 +143,9 @@ class Trajectory:
 
     ``cum_in[i, p]`` and ``cum_out[i, p]`` give, per grid point, the data of
     flow ``i`` that entered/left its ``p``-th path server; backlogs are
-    their differences at the grid points.
+    their differences at the grid points.  The keys come in flow order,
+    then path order (the simulator's flat positions), and each value is a
+    row view of one ``(positions, grid points)`` array per side.
     """
 
     net: Network
@@ -187,6 +200,14 @@ def simulate_fluid(
     order within each step, so instantaneous service cascades downstream in
     the same step.
 
+    The state is flat: one position per ``(flow, path position)`` in flow
+    order, each with its queue, its running cumulative totals and the index
+    of the next position on its path; every server serves a fixed list of
+    its positions.  At the end of a step the running totals fill one column
+    of a ``(positions, steps + 1)`` array per side, whose rows are the
+    trajectory's ``cum_in`` / ``cum_out`` entries.  A random flow draws its
+    whole uniform stream up front and reads it in order.
+
     >>> from .curves import RateLatency, TokenBucket
     >>> from .network import Flow
     >>> net = Network([RateLatency(2.0, 0.01)], [Flow(TokenBucket(1, 1), (0,))])
@@ -198,45 +219,64 @@ def simulate_fluid(
         raise ScenarioError("fluid simulation needs a feed-forward network")
     if len(scenario.arrivals) != net.num_flows or len(scenario.servers) != net.num_servers:
         raise ScenarioError("scenario does not match the network size")
+    for j, spec in enumerate(scenario.servers):
+        if len(set(spec.priority)) != len(spec.priority) or not all(
+            0 <= i < net.num_flows for i in spec.priority
+        ):
+            raise ScenarioError(
+                "server %d priority %r must list distinct flows of 0..%d"
+                % (j, spec.priority, net.num_flows - 1)
+            )
     dt = _require_positive("dt", default_dt(net) if dt is None else dt)
     horizon = scenario.horizon if horizon is None else _require_positive("horizon", horizon)
     steps = int(math.ceil(horizon / dt)) + 1
     times = np.arange(steps + 1) * dt
+    grid = times.tolist()
 
     _, old_to_new = renumber(net)
     topo_order = sorted(range(net.num_servers), key=lambda j: old_to_new[j])
 
-    positions: Dict[Tuple[int, int], int] = {}
-    at_server: List[List[Tuple[int, int]]] = [[] for _ in range(net.num_servers)]
+    keys: List[Tuple[int, int]] = []  # (flow, path position) of each flat position
+    entry: List[int] = []  # flat position of each flow's first hop
+    successor: List[int] = []  # flat position of the next hop, -1 after the last
+    at_server: List[List[int]] = [[] for _ in range(net.num_servers)]
     for i, f in enumerate(net.flows):
+        entry.append(len(keys))
         for p, j in enumerate(f.path):
-            positions[(i, p)] = j
-            at_server[j].append((i, p))
+            at_server[j].append(len(keys))
+            successor.append(len(keys) + 1 if p + 1 < len(f.path) else -1)
+            keys.append((i, p))
 
-    cum_in = {key: np.zeros(steps + 1) for key in positions}
-    cum_out = {key: np.zeros(steps + 1) for key in positions}
-    queues = {key: 0.0 for key in positions}
+    cum_in = np.zeros((len(keys), steps + 1))
+    cum_out = np.zeros((len(keys), steps + 1))
+    run_in = [0.0] * len(keys)
+    run_out = [0.0] * len(keys)
+    queues = [0.0] * len(keys)
     injected = [0.0] * net.num_flows
     tokens = [f.arrival.burst for f in net.flows]
-    rngs = [
-        np.random.default_rng(spec.seed) if spec.kind == "random" else None
+    # one uniform per step decides whether to send, a second (when sending)
+    # scales the tokens: at most 2 * steps of them, read in order as floats
+    # straight off the array (a list of them would hold 4x the memory)
+    uniforms = [
+        iter(memoryview(np.random.default_rng(spec.seed).random(2 * steps)))
+        if spec.kind == "random" else None
         for spec in scenario.arrivals
     ]
     period_start: List[Optional[float]] = [None] * net.num_servers
     served_in_period = [0.0] * net.num_servers
     flushed = [False] * net.num_servers
 
-    def service_priority(j: int) -> List[Tuple[int, int]]:
-        spec = scenario.servers[j]
-        rank = {i: p for p, i in enumerate(spec.priority)}
+    def service_order(j: int) -> List[int]:
+        rank = {i: p for p, i in enumerate(scenario.servers[j].priority)}
         return sorted(
-            at_server[j], key=lambda key: (rank.get(key[0], len(rank) + key[0]), key[1])
+            at_server[j],
+            key=lambda pos: (rank.get(keys[pos][0], len(rank) + keys[pos][0]), keys[pos][1]),
         )
 
-    order_at = [service_priority(j) for j in range(net.num_servers)]
+    order_at = [service_order(j) for j in range(net.num_servers)]
 
     for step in range(steps):
-        t, t_next = times[step], times[step + 1]
+        t, t_next = grid[step], grid[step + 1]
         # injections at the network entry
         for i, spec in enumerate(scenario.arrivals):
             flow = net.flows[i]
@@ -247,21 +287,21 @@ def simulate_fluid(
                 amount = max(0.0, target - injected[i])
             elif spec.kind == "random":
                 tokens[i] = min(flow.arrival.burst, tokens[i] + flow.arrival.rate * dt)
-                rng = rngs[i]
-                amount = float(rng.uniform(0.0, tokens[i])) if rng.random() < 0.5 else 0.0
+                u = uniforms[i]
+                amount = tokens[i] * next(u) if next(u) < 0.5 else 0.0
                 tokens[i] -= amount
             else:
                 amount = 0.0
             if amount > 0:
                 injected[i] += amount
-                queues[(i, 0)] += amount
-                cum_in[(i, 0)][step + 1] += amount
+                queues[entry[i]] += amount
+                run_in[entry[i]] += amount
 
         # service, upstream first so instant service cascades within the step
         for j in topo_order:
             spec = scenario.servers[j]
-            keys = order_at[j]
-            queued = sum(queues[key] for key in keys)
+            order = order_at[j]
+            queued = sum(queues[pos] for pos in order)
             if spec.mode == "infinite":
                 capacity = queued
             elif spec.mode == "exact":
@@ -292,18 +332,19 @@ def simulate_fluid(
 
             remaining = min(capacity, queued)
             total_served = remaining
-            for i, p in keys:
+            for pos in order:
                 if remaining <= 0:
                     break
-                amount = min(queues[(i, p)], remaining)
+                amount = min(queues[pos], remaining)
                 if amount <= 0:
                     continue
-                queues[(i, p)] -= amount
+                queues[pos] -= amount
                 remaining -= amount
-                cum_out[(i, p)][step + 1] += amount
-                if p + 1 < len(net.flows[i].path):
-                    queues[(i, p + 1)] += amount
-                    cum_in[(i, p + 1)][step + 1] += amount
+                run_out[pos] += amount
+                nxt = successor[pos]
+                if nxt >= 0:
+                    queues[nxt] += amount
+                    run_in[nxt] += amount
             if spec.mode == "exact" and period_start[j] is not None:
                 served_in_period[j] += total_served
                 if queued - total_served <= QUEUE_EPS:
@@ -312,11 +353,16 @@ def simulate_fluid(
             elif spec.mode == "window" and in_window:
                 served_in_period[j] += total_served
 
-        for key in positions:
-            cum_in[key][step + 1] += cum_in[key][step]
-            cum_out[key][step + 1] += cum_out[key][step]
+        cum_in[:, step + 1] = run_in
+        cum_out[:, step + 1] = run_out
 
-    return Trajectory(net, times, cum_in, cum_out, dt)
+    return Trajectory(
+        net,
+        times,
+        {key: cum_in[row] for row, key in enumerate(keys)},
+        {key: cum_out[row] for row, key in enumerate(keys)},
+        dt,
+    )
 
 
 def check_arrival_curves(traj: Trajectory, tol: float = 1e-9) -> bool:

@@ -11,17 +11,25 @@ is forwarded as a burst when the period closes.  Evaluating the closed
 form for every choice vector and maximizing reproduces the worst-case
 backlog from first principles, with no shared code with the coefficient
 algorithm.
+
+All choice vectors are evaluated at once, breadth-first: at server ``j``
+one array holds the state of every vector's prefix, and each prefix gets
+one child per threshold ``k``.  The first maximizing vector is then
+evaluated again, alone and with scalar arithmetic, for its value and its
+period lengths.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, FrozenSet, Iterable, List, Tuple
+
+import numpy as np
 
 from .errors import LocallyUnstableError, NotATreeError, OracleSizeError
 from .network import Network, Topology, classify, local_stability
 
-#: Enumeration limit: n! case vectors stay below ~1e5 for n <= 8.
+#: Enumeration limit: the last server's array holds n! case vectors, 40320
+#: for n = 8; the maximizing vector is then re-evaluated on its own.
 MAX_ORACLE_SERVERS = 8
 
 
@@ -86,12 +94,49 @@ def _bruteforce(net: Network, interest: FrozenSet[int]):
             "servers %r are not strictly stable" % report.unstable_servers()
         )
     tables = _case_tables(net, interest)
-    best = None
-    for case in itertools.product(*(range(j, n) for j in range(n))):
-        value, deltas = _evaluate_case(net, case, *tables)
-        if best is None or value > best[0]:
-            best = (value, case, deltas)
-    return best
+    burst_jk, burst_star, rate_jk, rate_star = tables
+    bursts = np.array([[burst_jk[j].get(ell, 0.0) for ell in range(n)] for j in range(n)])
+    rates = np.array([[rate_jk[j].get(ell, 0.0) for ell in range(n)] for j in range(n)])
+    # margins[j][k - j]: service rate left at server j when it serves k
+    margins = [net.servers[j].rate - np.cumsum(rates[j, j:]) for j in range(n)]
+    _require_margins(margins)
+    # Breadth-first over case prefixes: at server j, row p of ``x`` holds
+    # prefix p's bursts entering servers j..n-1 and ``x_star[p]`` its
+    # interest backlog; prefix p's child for threshold k is row
+    # p * (n - j) + k - j, so the leaves come in itertools.product order.
+    x = np.zeros((1, n))
+    x_star = np.zeros(1)
+    for j in range(n):
+        latency = net.servers[j].latency
+        q = (bursts[j, j:] + x) + rates[j, j:] * latency
+        stretch = np.cumsum(q, axis=1) / margins[j]
+        x_star = ((burst_star[j] + x_star)[:, None] + rate_star[j] * (latency + stretch)).ravel()
+        carried = q[:, None, 1:] + rates[j, j + 1:] * stretch[:, :, None]
+        beyond = np.arange(j + 1, n) > np.arange(j, n)[:, None]  # server ell > threshold k
+        x = np.where(beyond, carried, 0.0).reshape(len(x_star), n - j - 1)
+    leaf = int(np.argmax(x_star))  # the first maximum, as the strict > of a scan
+    thresholds = []
+    for j in reversed(range(n)):  # mixed radix: server j has n - j thresholds
+        leaf, digit = divmod(leaf, n - j)
+        thresholds.append(j + digit)
+    case = tuple(reversed(thresholds))
+    value, deltas = _evaluate_case(net, case, *tables)
+    return value, case, deltas
+
+
+def _require_margins(margins) -> None:
+    """
+    Raise what the case-by-case scan raised first when some threshold
+    leaves a server no service rate: a margin only shrinks with ``k``, so
+    the first case in ``itertools.product`` order that fails keeps every
+    threshold minimal but one, at the first server failing at its minimal
+    threshold, or else at the last server failing at all.
+    """
+    failing = [j for j, m in enumerate(margins) if m[-1] <= 0]
+    if failing:
+        at_minimal = [j for j in failing if margins[j][0] <= 0]
+        j = at_minimal[0] if at_minimal else failing[-1]
+        raise LocallyUnstableError("server %d cannot drain its local traffic" % j)
 
 
 def bruteforce_backlog(tandem: Network, interest: Iterable[int]) -> float:

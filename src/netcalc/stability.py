@@ -75,10 +75,13 @@ class LinearRecursion:
         L = len(self.labels)
         if m.shape != (L, L) or n.shape != (L,):
             raise ValidationError("inconsistent recursion dimensions")
-        if L and (not np.isfinite(m).all() or not np.isfinite(n).all()):
-            raise ValidationError("recursion entries must be finite")
-        if L and (m.min() < 0 or n.min() < 0):
-            raise ValidationError("recursion entries must be nonnegative")
+        if L:
+            # NaN propagates through min and max, so the extremes decide both
+            extremes = (m.min(), m.max(), n.min(), n.max())
+            if not all(math.isfinite(v) for v in extremes):
+                raise ValidationError("recursion entries must be finite")
+            if min(extremes) < 0:
+                raise ValidationError("recursion entries must be nonnegative")
         object.__setattr__(self, "M", m)
         object.__setattr__(self, "N", n)
 

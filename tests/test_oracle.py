@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from netcalc import (
     Flow,
+    LocallyUnstableError,
     Network,
     NotATreeError,
     OracleSizeError,
@@ -25,8 +27,11 @@ from netcalc import (
     worst_case_scenario,
 )
 from netcalc.fluid import ArrivalSpec, Scenario, ServerSpec, default_dt
+from netcalc.oracle import MAX_ORACLE_SERVERS, _bruteforce, _require_margins
 from netcalc.topologies import two_server_sink_tree, uni_ring
 
+import fluid_reference
+import oracle_reference
 from conftest import random_tandem, random_tree
 
 
@@ -51,6 +56,16 @@ def test_oracle_rejects_large_and_non_tandem():
         bruteforce_backlog(big, [0])
     with pytest.raises(NotATreeError):
         bruteforce_backlog(uni_ring(3, 0.5), [0])
+    # shape, then size, then local stability
+    def slow(net):
+        return Network(tuple(RateLatency(0.01, 1.0) for _ in net.servers), net.flows)
+
+    with pytest.raises(NotATreeError):
+        bruteforce_backlog(slow(uni_ring(3, 0.5)), [0])
+    with pytest.raises(OracleSizeError):
+        bruteforce_backlog(slow(big), [0])
+    with pytest.raises(LocallyUnstableError, match="not strictly stable"):
+        bruteforce_backlog(slow(random_tandem(np.random.default_rng(0), n=3, m=3)), [0])
 
 
 def test_worst_case_periods_cover_busy_periods(rng):
@@ -158,3 +173,167 @@ def test_trajectory_csv_dump():
     assert len(lines) == 1 + len(traj.times)
     cells = lines[1].split(",")
     assert len(cells) == 5
+
+
+# ---------------------------------------------------------------- references
+
+
+def _mixed_scenario(rng, net, horizon):
+    """Every arrival kind and server mode, with partial shuffled priorities."""
+    arrivals = []
+    for _ in net.flows:
+        kind = ("greedy", "random", "none")[int(rng.integers(3))]
+        start = float(rng.uniform(0, horizon / 2)) if kind == "greedy" else 0.0
+        arrivals.append(ArrivalSpec(kind, start=start, seed=int(rng.integers(2**31))))
+    servers = []
+    for _ in net.servers:
+        mode = ("exact", "infinite", "window")[int(rng.integers(3))]
+        start = float(rng.uniform(0, horizon / 2))
+        end = math.inf if rng.random() < 0.25 else start + float(rng.uniform(0, horizon / 2))
+        ranked = rng.permutation(net.num_flows)[: int(rng.integers(net.num_flows + 1))]
+        servers.append(ServerSpec(mode, window=(start, end) if mode == "window" else None,
+                                  priority=tuple(int(i) for i in ranked)))
+    return Scenario(tuple(arrivals), tuple(servers), horizon)
+
+
+def _same_trajectory(a, b):
+    return (
+        np.array_equal(a.times, b.times)
+        and a.dt == b.dt
+        and list(a.cum_in) == list(b.cum_in)
+        and list(a.cum_out) == list(b.cum_out)
+        and all(np.array_equal(a.cum_in[key], b.cum_in[key]) for key in a.cum_in)
+        and all(np.array_equal(a.cum_out[key], b.cum_out[key]) for key in a.cum_out)
+    )
+
+
+SCENARIO_KINDS = ("greedy", "random", "none", "mixed", "worst_case")
+
+
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+def test_simulate_fluid_matches_reference(kind):
+    rng = np.random.default_rng(SCENARIO_KINDS.index(kind))
+    horizon = 2.0
+    for trial in range(12):
+        net = random_tree(rng) if trial % 2 else random_tandem(rng)
+        if kind == "greedy":
+            scenario = greedy_scenario(net, horizon)
+        elif kind == "random":
+            scenario = random_scenario(net, horizon, trial)
+        elif kind == "none":
+            base = random_scenario(net, horizon, trial)  # exact servers, shuffled priorities
+            scenario = Scenario(tuple(ArrivalSpec("none") for _ in net.flows), base.servers, horizon)
+        elif kind == "mixed":
+            scenario = _mixed_scenario(rng, net, horizon)
+        else:
+            if trial % 2:
+                continue  # the extremal scenario is built on tandems
+            scenario = worst_case_scenario(net, [0])
+        dt = scenario.horizon / 300
+        expected = fluid_reference.simulate_fluid(net, scenario, dt=dt)
+        assert _same_trajectory(simulate_fluid(net, scenario, dt=dt), expected), trial
+
+
+def test_simulate_fluid_cumulative_rows_are_views_of_one_array():
+    net = random_tree(np.random.default_rng(5), n=4, m=3)
+    traj = simulate_fluid(net, random_scenario(net, 1.0, 5), dt=1e-2)
+    rows = list(traj.cum_in.values())
+    assert all(row.base is rows[0].base for row in rows)
+    assert rows[0].base.shape == (len(rows), len(traj.times))
+
+
+def _zero_cross_tandem(n):
+    """One spanning interest flow and zero-burst, zero-rate cross flows: every case ties."""
+    servers = tuple(RateLatency(2.0 + j, 0.5) for j in range(n))
+    flows = [Flow(TokenBucket(1.0, 1.0), tuple(range(n)))]
+    flows += [Flow(TokenBucket(0.0, 0.0), tuple(range(j, n))) for j in range(n)]
+    return Network(servers, tuple(flows))
+
+
+@pytest.mark.parametrize("n", range(1, MAX_ORACLE_SERVERS + 1))
+def test_bruteforce_matches_reference(n):
+    rng = np.random.default_rng(100 + n)
+    cases = [_zero_cross_tandem(n)]
+    cases += [random_tandem(rng, n=n, m=int(rng.integers(2, 6))) for _ in range(3 if n < 8 else 1)]
+    for net in cases:
+        root = net.num_servers - 1
+        ending = [i for i, f in enumerate(net.flows) if f.path[-1] == root]
+        interests = [frozenset([0]), frozenset(ending[: max(1, len(ending) // 2)])]
+        for interest in interests[: 1 if n == 8 else 2]:  # 8! scalar cases take a while
+            value, case, deltas = _bruteforce(net, interest)
+            assert (value, case, deltas) == oracle_reference._bruteforce(net, interest)
+            assert isinstance(case, tuple)
+    # on a full tie the first case vector in enumeration order wins
+    assert _bruteforce(_zero_cross_tandem(n), frozenset([0]))[1] == tuple(range(n))
+
+
+def _drain_tandem():
+    """
+    Server 0 carries cross rates 0.3, 0.2, 0.1 listed toward servers 2, 1,
+    0: summed in flow order they stay below its rate, summed in destination
+    order (the case scan's order) they reach it.
+    """
+    flows = (
+        Flow(TokenBucket(1, 1e-20), (0, 1, 2)),
+        Flow(TokenBucket(1, 0.3), (0, 1, 2)),
+        Flow(TokenBucket(1, 0.2), (0, 1)),
+        Flow(TokenBucket(1, 0.1), (0,)),
+    )
+    servers = (RateLatency(0.6000000000000001, 1), RateLatency(5, 1), RateLatency(5, 1))
+    return Network(servers, flows)
+
+
+def test_bruteforce_raises_as_reference_when_a_threshold_leaves_no_rate():
+    net = _drain_tandem()
+    for bruteforce in (oracle_reference._bruteforce, _bruteforce):
+        with pytest.raises(LocallyUnstableError, match="^server 0 cannot drain its local traffic$"):
+            bruteforce(net, frozenset([0]))
+    # with the 0.3 flow of interest the cross rates never reach server 0's
+    assert _bruteforce(net, frozenset([1])) == oracle_reference._bruteforce(net, frozenset([1]))
+
+
+def test_margin_check_names_the_server_of_the_first_failing_case(rng):
+    for _ in range(300):
+        n = int(rng.integers(1, 6))
+        # nonincreasing margins per server; about one threshold in four fails
+        margins = [np.sort(rng.uniform(-1, 3, n - j))[::-1] for j in range(n)]
+        expected = None
+        for case in itertools.product(*(range(j, n) for j in range(n))):
+            failing = [j for j in range(n) if margins[j][case[j] - j] <= 0]
+            if failing:
+                expected = "server %d cannot drain its local traffic" % failing[0]
+                break
+        if expected is None:
+            _require_margins(margins)
+        else:
+            with pytest.raises(LocallyUnstableError, match="^%s$" % expected):
+                _require_margins(margins)
+
+
+# ------------------------------------------------------- scenario validation
+
+
+@pytest.mark.parametrize("window", [(0.2, 0.1), (math.nan, 1.0), (0.1, math.nan),
+                                    (-math.inf, 1.0), (math.inf, math.inf), (0.0, -math.inf)])
+def test_server_spec_rejects_malformed_window(window):
+    with pytest.raises(ScenarioError, match="window start must be finite and at most its end"):
+        ServerSpec("window", window=window)
+
+
+def test_server_spec_accepts_empty_and_open_ended_windows():
+    assert ServerSpec("window", window=(0.3, 0.3)).window == (0.3, 0.3)
+    assert ServerSpec("window", window=(0.3, math.inf)).window == (0.3, math.inf)
+
+
+@pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf])
+def test_arrival_spec_rejects_non_finite_start(start):
+    with pytest.raises(ScenarioError, match="arrival start must be finite"):
+        ArrivalSpec("greedy", start=start)
+
+
+@pytest.mark.parametrize("priority", [(5, 0, 0), (0, 0), (1,), (-1,), (0, 1)])
+def test_simulate_rejects_unknown_or_repeated_priority(priority):
+    net = Network((RateLatency(2, 0.1),), (Flow(TokenBucket(1, 1), (0,)),))
+    scenario = Scenario((ArrivalSpec(),), (ServerSpec(priority=priority),), 1.0)
+    with pytest.raises(ScenarioError, match="server 0 priority"):
+        simulate_fluid(net, scenario, dt=0.01)

@@ -400,6 +400,40 @@ def test_solve_recursion_examples():
     assert solve_recursion(lr) is None
 
 
+@pytest.mark.parametrize("field", ["M", "N"])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ([math.nan], "finite"),
+        ([math.inf], "finite"),
+        ([-math.inf], "finite"),
+        ([-1.0], "nonnegative"),
+        ([-1.0, math.inf], "finite"),
+        ([-1.0, math.nan], "finite"),
+        ([math.nan, -1.0], "finite"),
+        ([-math.inf, math.inf], "finite"),
+    ],
+)
+def test_linear_recursion_rejects_non_finite_or_negative_entries(field, bad, message):
+    M, N = np.full((3, 3), 0.1), np.ones(3)
+    target = M.reshape(-1) if field == "M" else N
+    target[: len(bad)] = bad
+    with pytest.raises(ValidationError, match="recursion entries must be %s" % message):
+        LinearRecursion(("a", "b", "c"), M, N)
+
+
+def test_linear_recursion_finite_check_spans_both_arrays():
+    # the finite check covers M and N before the sign check looks at either
+    M, N = np.full((2, 2), 0.1), np.ones(2)
+    M[0, 1], N[1] = -1.0, math.nan
+    with pytest.raises(ValidationError, match="finite"):
+        LinearRecursion(("a", "b"), M, N)
+    M[0, 1], N[1] = math.inf, -1.0
+    with pytest.raises(ValidationError, match="finite"):
+        LinearRecursion(("a", "b"), M, N)
+    assert LinearRecursion((), np.zeros((0, 0)), np.zeros(0)).size == 0
+
+
 def test_solve_recursion_monotone_iteration(rng):
     for _ in range(20):
         L = int(rng.integers(1, 7))
