@@ -34,12 +34,9 @@ from .curves import (
 from .decomposition import (
     ArcGroups,
     FFNetwork,
-    Grouping,
     SplitFlow,
     decompose,
     group_by_arc,
-    group_singletons,
-    removal_all,
     removal_tree,
 )
 from .errors import (

@@ -86,13 +86,10 @@ class Bound:
     A worst-case bound: either a finite nonnegative value or unbounded.
 
     ``value is None`` encodes the unbounded case, so that infinity never
-    leaks into stored numeric results.  Addition and nonnegative scaling
-    absorb unboundedness.
+    leaks into stored numeric results; ``float`` reads it as ``inf``.
 
-    >>> Bound(3.0) + Bound(1.5)
-    Bound(value=4.5)
-    >>> (Bound(3.0) + UNBOUNDED).is_finite
-    False
+    >>> Bound(4.5).is_finite, UNBOUNDED.is_finite, float(UNBOUNDED)
+    (True, False, inf)
     """
 
     value: Optional[float] = None
@@ -107,25 +104,6 @@ class Bound:
 
     def __float__(self) -> float:
         return math.inf if self.value is None else self.value
-
-    def __add__(self, other) -> "Bound":
-        if isinstance(other, Bound):
-            if self.value is None or other.value is None:
-                return UNBOUNDED
-            return Bound(self.value + other.value)
-        if self.value is None:
-            return UNBOUNDED
-        return Bound(self.value + float(other))
-
-    __radd__ = __add__
-
-    def scaled(self, factor: float) -> "Bound":
-        """Multiply by a nonnegative factor (unbounded stays unbounded)."""
-        if factor < 0:
-            raise ValueError("factor must be >= 0")
-        if self.value is None:
-            return UNBOUNDED
-        return Bound(self.value * factor)
 
     def __str__(self) -> str:
         return "inf" if self.value is None else repr(self.value)

@@ -57,10 +57,6 @@ class FFNetwork:
     removed: FrozenSet[Arc]
     split_flows: Tuple[SplitFlow, ...]
 
-    def rate(self, s: int) -> float:
-        """Arrival rate of split flow ``s`` (inherited from its origin)."""
-        return self.base.flows[self.split_flows[s].origin].arrival.rate
-
     @cached_property
     def _positions(self) -> Dict[Tuple[int, int], int]:
         """``(origin, segment)`` label -> split flow position, built once."""
@@ -125,11 +121,6 @@ def decompose(net: Network, removed) -> FFNetwork:
     return FFNetwork(net, removed, tuple(split))
 
 
-def removal_all(net: Network) -> FrozenSet[Arc]:
-    """Remove every arc: each server is then analysed in isolation."""
-    return induced_graph(net)
-
-
 def removal_tree(net: Network, root: Optional[int] = None) -> FrozenSet[Arc]:
     """
     Heuristic arc removal leaving an in-forest: keep a BFS in-tree of the
@@ -163,37 +154,18 @@ def removal_tree(net: Network, root: Optional[int] = None) -> FrozenSet[Arc]:
 
 
 @dataclass(frozen=True)
-class Grouping:
-    """A partition of the split-flow index set into disjoint blocks."""
-
-    blocks: Tuple[FrozenSet[int], ...]
-
-    def __post_init__(self):
-        seen: set = set()
-        for block in self.blocks:
-            if block & seen:
-                raise ValidationError("grouping blocks overlap")
-            seen |= block
-
-
-def group_singletons(ff: FFNetwork) -> Grouping:
-    """One block per split flow."""
-    return Grouping(tuple(frozenset([s]) for s in range(len(ff.split_flows))))
-
-
-@dataclass(frozen=True)
 class ArcGroups:
     """
     Grouping of the split flows by removed arc.
 
     ``feeding[a]`` holds the segments ending at the tail of ``a`` whose
     continuation starts at its head; ``continuations[a]`` holds those
-    continuations.  First segments stay in singleton blocks.
+    continuations, and ``arc_of`` maps each continuation back to ``a``.
     """
 
-    grouping: Grouping
     feeding: Dict[Arc, FrozenSet[int]]
     continuations: Dict[Arc, FrozenSet[int]]
+    arc_of: Dict[int, Arc]
 
 
 def group_by_arc(ff: FFNetwork) -> ArcGroups:
@@ -207,9 +179,12 @@ def group_by_arc(ff: FFNetwork) -> ArcGroups:
     >>> groups = group_by_arc(decompose(net, {(1, 0)}))
     >>> sorted(groups.continuations[(1, 0)])
     [2]
+    >>> groups.arc_of
+    {2: (1, 0)}
     """
     feeding: Dict[Arc, set] = {a: set() for a in ff.removed}
     continuations: Dict[Arc, set] = {a: set() for a in ff.removed}
+    arc_of: Dict[int, Arc] = {}
     for s, sf in enumerate(ff.split_flows):
         nxt = ff._positions.get((sf.origin, sf.segment + 1))
         if nxt is None:
@@ -217,17 +192,9 @@ def group_by_arc(ff: FFNetwork) -> ArcGroups:
         arc = (sf.path[-1], ff.split_flows[nxt].path[0])
         feeding[arc].add(s)
         continuations[arc].add(nxt)
-    blocks: List[FrozenSet[int]] = []
-    grouped: set = set()
-    for arc in sorted(ff.removed):
-        if continuations[arc]:
-            blocks.append(frozenset(continuations[arc]))
-            grouped |= continuations[arc]
-    for s, sf in enumerate(ff.split_flows):
-        if s not in grouped:
-            blocks.append(frozenset([s]))
+        arc_of[nxt] = arc
     return ArcGroups(
-        Grouping(tuple(blocks)),
         {a: frozenset(v) for a, v in feeding.items()},
         {a: frozenset(v) for a, v in continuations.items()},
+        arc_of,
     )

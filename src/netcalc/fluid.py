@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from .errors import ScenarioError
-from .network import Network, Topology, classify, renumber
+from .network import Network, Topology, classify, induced_graph, topological_order
 from .oracle import worst_case_periods
 
 QUEUE_EPS = 1e-12
@@ -233,8 +233,7 @@ def simulate_fluid(
     times = np.arange(steps + 1) * dt
     grid = times.tolist()
 
-    _, old_to_new = renumber(net)
-    topo_order = sorted(range(net.num_servers), key=lambda j: old_to_new[j])
+    topo_order = topological_order(induced_graph(net), net.num_servers)
 
     keys: List[Tuple[int, int]] = []  # (flow, path position) of each flat position
     entry: List[int] = []  # flat position of each flow's first hop

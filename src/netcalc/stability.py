@@ -54,6 +54,12 @@ from .tree_analysis import _Forest, _prepare_forest
 #: Margin below 1 required of the spectral radius to declare stability.
 STABILITY_EPS = 1e-9
 
+#: Absolute accuracy of :func:`spectral_radius`.
+RHO_TOL = 1e-9
+
+#: Diagonal shift of the power iteration, which keeps its iterate positive.
+POWER_SHIFT = 1e-6
+
 
 @dataclass(frozen=True)
 class LinearRecursion:
@@ -154,24 +160,21 @@ class StabilityReport:
         return "unstable"
 
 
-def spectral_radius(
-    M: np.ndarray,
-    tol: float = 1e-9,
-    shift: float = 1e-6,
-    max_iter: Optional[int] = None,
-) -> float:
+def spectral_radius(M: np.ndarray, max_iter: Optional[int] = None) -> float:
     """
     Spectral radius of a nonnegative matrix, via power iteration on the
-    shifted matrix ``M + shift I`` started from the all-ones vector.
+    shifted matrix ``M + 1e-6 I`` (``POWER_SHIFT``) started from the
+    all-ones vector.
 
     The iterate stays positive thanks to the shift, so the min/max ratios
     of consecutive iterates bracket the radius (Collatz-Wielandt);
-    iteration stops when the bracket closes to ``tol``.  Near-periodic
-    matrices (a cycle of coefficients) close their bracket only at a
-    ``1/shift`` pace, so the bracket gets at most ``max_iter`` steps
-    (default: the matrix size ``L``, as much work as one dense routine)
-    and then the exact eigenvalue routine takes over; either way the
-    result carries the requested absolute accuracy.
+    iteration stops when the bracket closes to the fixed absolute
+    tolerance ``1e-9`` (``RHO_TOL``).  Near-periodic matrices (a cycle of
+    coefficients) close their bracket only at a ``1/POWER_SHIFT`` pace, so
+    the bracket gets at most ``max_iter`` steps (default: the matrix size
+    ``L``, as much work as one dense routine) and then the exact
+    eigenvalue routine takes over; either way the result is accurate to
+    ``1e-9``.
 
     >>> spectral_radius(np.array([[0.0, 0.5], [0.5, 0.0]]))
     0.5
@@ -185,23 +188,23 @@ def spectral_radius(
         raise ValidationError("matrix entries must be finite")
     if M.min() < 0:
         raise ValidationError("matrix entries must be nonnegative")
-    for lo, hi in _brackets(M, shift, max_iter):
-        if hi - lo <= tol:
+    for lo, hi in _brackets(M, max_iter):
+        if hi - lo <= RHO_TOL:
             return 0.5 * (lo + hi)
     return float(max(abs(np.linalg.eigvals(M))))
 
 
-def _brackets(M: np.ndarray, shift: float, max_iter: Optional[int]):
+def _brackets(M: np.ndarray, max_iter: Optional[int]):
     """
     Collatz-Wielandt brackets ``(lo, hi)`` of ``rho(M)``, from power
-    iteration on ``M + shift I`` started from the all-ones vector: at most
-    ``max_iter`` of them, the matrix size ``L`` by default.
+    iteration on ``M + POWER_SHIFT I`` started from the all-ones vector: at
+    most ``max_iter`` of them, the matrix size ``L`` by default.
     """
     x = np.ones(M.shape[0])
     for _ in range(M.shape[0] if max_iter is None else max_iter):
-        y = M @ x + shift * x
+        y = M @ x + POWER_SHIFT * x
         ratios = y / x
-        yield float(ratios.min()) - shift, float(ratios.max()) - shift
+        yield float(ratios.min()) - POWER_SHIFT, float(ratios.max()) - POWER_SHIFT
         x = np.maximum(y / y.max(), 1e-250)  # floor out underflow to keep x > 0
 
 
@@ -212,12 +215,7 @@ def _shifted(M: np.ndarray, theta: float) -> np.ndarray:
     return A
 
 
-def rho_below(
-    M: np.ndarray,
-    threshold: float,
-    shift: float = 1e-6,
-    max_iter: Optional[int] = None,
-) -> bool:
+def rho_below(M: np.ndarray, threshold: float, max_iter: Optional[int] = None) -> bool:
     """
     Decide ``spectral_radius(M) < threshold``.  The Collatz-Wielandt
     bracket usually separates from the threshold long before it closes,
@@ -232,7 +230,7 @@ def rho_below(
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         return threshold > 0
-    for lo, hi in _brackets(M, shift, max_iter):
+    for lo, hi in _brackets(M, max_iter):
         if lo >= threshold:
             return False
         if hi < threshold:
@@ -380,9 +378,7 @@ class DecompositionContext:
     """
 
     ff: FFNetwork
-    forest: Network
     groups: ArcGroups
-    arc_of: Dict[int, Arc]  # continuation split id -> its boundary arc
     prepared: _Forest
     views: Dict[int, object] = field(default_factory=dict, compare=False)
 
@@ -405,11 +401,8 @@ def _context(
     if stability is None:
         stability = local_stability(net)
     ff = decompose(net, removed)
-    forest = ff.as_network()
-    prepared = _prepare_forest(forest, stability.per_server)
-    groups = group_by_arc(ff)
-    arc_of = {s: arc for arc, conts in groups.continuations.items() for s in conts}
-    return DecompositionContext(ff, forest, groups, arc_of, prepared)
+    prepared = _prepare_forest(ff.as_network(), stability.per_server)
+    return DecompositionContext(ff, group_by_arc(ff), prepared)
 
 
 def td_labels(ff: FFNetwork) -> Tuple[Tuple[int, int], ...]:
@@ -433,7 +426,7 @@ class _Columns:
         ff = ctx.ff
         grouped = frozenset(grouped)
         self.singles = tuple(
-            lab for lab in td_labels(ff) if ctx.arc_of[ff.index_of(lab)] not in grouped
+            lab for lab in td_labels(ff) if ctx.groups.arc_of[ff.index_of(lab)] not in grouped
         )
         self.arcs = tuple(sorted(grouped))
         self.labels = self.singles + self.arcs
@@ -504,11 +497,7 @@ def build_td(net: Network, removed) -> LinearRecursion:
     worst-case backlog of its parent segment at the removed arc's tail,
     expressed as a linear form over all segment bursts.
     """
-    return _build_td(_context(net, removed, _require_local_stability(net)))
-
-
-def _build_td(ctx: DecompositionContext) -> LinearRecursion:
-    return _build_grouped(ctx, frozenset())
+    return _build_grouped(_context(net, removed, _require_local_stability(net)), ())
 
 
 def build_ag(net: Network, removed) -> LinearRecursion:
@@ -517,11 +506,8 @@ def build_ag(net: Network, removed) -> LinearRecursion:
     backlog of all the segments feeding it; the coefficient toward another
     arc is the largest burst weight among that arc's continuations.
     """
-    return _build_ag(_context(net, removed, _require_local_stability(net)))
-
-
-def _build_ag(ctx: DecompositionContext) -> LinearRecursion:
-    return _build_grouped(ctx, frozenset(ctx.ff.removed))
+    ctx = _context(net, removed, _require_local_stability(net))
+    return _build_grouped(ctx, ctx.ff.removed)
 
 
 def build_grouped(net: Network, removed, grouped_arcs) -> LinearRecursion:
@@ -652,11 +638,11 @@ def two_stage_bound(net: Network, removed, target: Target) -> Bound:
     """
     Combine the tree and arc-grouping recursions: maximize the objective
     over burst vectors below the tree fixed point whose per-arc group sums
-    stay below the arc fixed point.
+    stay below the arc fixed point.  The bound of ``analyze(net, "2s",
+    target, removed)``: ``UNBOUNDED`` on a locally unstable network, as
+    ``analyze`` and ``netcalc sweep`` report it.
     """
-    ctx, recursions = _method_recursions(net, "2s", removed)
-    obj = _objective_tree(ctx, target, arcs=False)
-    return _two_stage(ctx, obj, *(solve_recursion(lr) for lr in recursions))
+    return analyze(net, "2s", target, removed).bound
 
 
 def _two_stage(ctx: DecompositionContext, obj: ObjectiveForm, b_star, big_b) -> Bound:
@@ -729,12 +715,12 @@ def _method_recursions(net: Network, method: str, removed):
     """The method's recursions and the decomposition they share (``None`` for sd)."""
     if method == "sd":
         return None, [build_sd(net)]
-    builders = {"td": (_build_td,), "ag": (_build_ag,), "2s": (_build_td, _build_ag)}
-    if method not in builders:
+    if method not in ("td", "ag", "2s"):
         raise ValidationError("unknown method %r" % method)
     report = _require_local_stability(net)
     ctx = _context(net, removal_tree(net) if removed is None else removed, report)
-    return ctx, [build(ctx) for build in builders[method]]
+    groupings = {"td": [()], "ag": [ctx.ff.removed], "2s": [(), ctx.ff.removed]}[method]
+    return ctx, [_build_grouped(ctx, grouped) for grouped in groupings]
 
 
 def is_stable(net: Network, method: str, removed=None) -> bool:

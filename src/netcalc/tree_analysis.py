@@ -106,14 +106,6 @@ class BacklogResult:
         """Coefficient of each server latency in the bound (rho)."""
         return self.table.rho if self.table is not None else {}
 
-    def evaluate(self, bursts: Sequence[float], latencies: Sequence[float]) -> float:
-        """Re-evaluate the linear form on explicit bursts and latencies."""
-        if self.table is None:
-            raise ValueError("no linear form available (unstable instance)")
-        total = sum(self.table.rho.get(j, 0.0) * t for j, t in enumerate(latencies))
-        total += sum(self.table.phi.get(i, 0.0) * b for i, b in enumerate(bursts))
-        return total
-
 
 @dataclass(frozen=True)
 class _PreparedTree:

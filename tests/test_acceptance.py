@@ -38,8 +38,7 @@ from netcalc import (
 )
 from netcalc.decomposition import removal_tree
 from netcalc.stability import (
-    _build_ag,
-    _build_td,
+    _build_grouped,
     _context,
     _objective_tree,
     ag_labels,
@@ -276,7 +275,7 @@ def test_criterion_9_dominance():
         net = instance()
         removed = removal_tree(net)
         ctx = _context(net, removed)
-        lr_td, lr_ag = _build_td(ctx), _build_ag(ctx)
+        lr_td, lr_ag = _build_grouped(ctx, ()), _build_grouped(ctx, ctx.ff.removed)
         b_star, big_b = solve_recursion(lr_td), solve_recursion(lr_ag)
         if b_star is None or big_b is None or lr_td.size == 0:
             continue

@@ -114,9 +114,6 @@ def test_output_curve():
 
 
 def test_bound_arithmetic_absorbs_unbounded():
-    assert (Bound(1.0) + Bound(2.0)).value == 3.0
-    assert not (Bound(1.0) + UNBOUNDED).is_finite
-    assert not UNBOUNDED.scaled(0.5).is_finite
     assert float(UNBOUNDED) == math.inf
     assert str(UNBOUNDED) == "inf"
     with pytest.raises(ValueError):

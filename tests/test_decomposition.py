@@ -8,9 +8,7 @@ from netcalc import (
     ValidationError,
     decompose,
     group_by_arc,
-    group_singletons,
     induced_graph,
-    removal_all,
     removal_tree,
 )
 from netcalc.network import is_acyclic
@@ -45,7 +43,7 @@ def test_decompose_empty_removal_is_identity():
 
 def test_decompose_full_removal_gives_unit_segments():
     net = uni_ring(3, 0.5)
-    ff = decompose(net, removal_all(net))
+    ff = decompose(net, induced_graph(net))
     assert all(len(sf.path) == 1 for sf in ff.split_flows)
     assert len(ff.split_flows) == sum(len(f.path) for f in net.flows)
 
@@ -90,11 +88,6 @@ def test_split_graph_acyclic(rng):
         assert is_acyclic(arcs, net.num_servers)
 
 
-def test_removal_all():
-    assert removal_all(uni_ring(3, 0.5)) == frozenset({(0, 1), (1, 2), (2, 0)})
-    assert len(removal_all(toy())) == 5
-
-
 def test_removal_tree_ring_removes_closing_arc():
     assert removal_tree(uni_ring(10, 0.5)) == frozenset({(9, 0)})
     assert removal_tree(uni_ring(10, 0.5), root=3) == frozenset({(3, 4)})
@@ -123,16 +116,16 @@ def test_removal_tree_leaves_in_forest(rng):
         assert len(removed) == 1  # a simple ring loses exactly one arc
 
 
-def test_group_singletons():
-    ff = decompose(toy(), TOY_REMOVAL)
-    grouping = group_singletons(ff)
-    assert len(grouping.blocks) == 7
-    assert all(len(b) == 1 for b in grouping.blocks)
-    empty = decompose(
-        Network((RateLatency(1, 0),), (Flow(TokenBucket(1, 1), (0,)),)),
-        frozenset(),
-    )
-    assert len(group_singletons(empty).blocks) == 1
+def _assert_arc_of_inverts_continuations(groups):
+    # every continuation maps to the one arc whose continuations hold it
+    expected = {s: arc for arc, conts in groups.continuations.items() for s in conts}
+    assert groups.arc_of == expected
+    assert sum(len(conts) for conts in groups.continuations.values()) == len(expected)
+
+
+def _rate(ff, s):
+    """Arrival rate of split flow ``s``, inherited from its origin in ``ff.base``."""
+    return ff.base.flows[ff.split_flows[s].origin].arrival.rate
 
 
 def test_group_by_arc_toy():
@@ -142,21 +135,9 @@ def test_group_by_arc_toy():
     assert groups.continuations[(3, 1)] == {by_label[(0, 1)], by_label[(1, 1)]}
     assert groups.continuations[(1, 0)] == {by_label[(2, 1)]}
     assert groups.feeding[(3, 1)] == {by_label[(0, 0)], by_label[(1, 0)]}
-    # grouped blocks + singleton first segments cover everything exactly once
-    covered = set()
-    for block in groups.grouping.blocks:
-        assert not (covered & block)
-        covered |= block
-    assert covered == set(range(len(ff.split_flows)))
-
-
-def test_group_by_arc_empty_removal_all_singletons():
-    net = Network(
-        tuple(RateLatency(10, 0) for _ in range(2)),
-        (Flow(TokenBucket(1, 1), (0, 1)),),
-    )
-    groups = group_by_arc(decompose(net, frozenset()))
-    assert all(len(b) == 1 for b in groups.grouping.blocks)
+    _assert_arc_of_inverts_continuations(groups)
+    assert groups.arc_of == {by_label[(0, 1)]: (3, 1), by_label[(1, 1)]: (3, 1),
+                             by_label[(2, 1)]: (1, 0)}
 
 
 def test_group_by_arc_ring_second_segments():
@@ -165,6 +146,7 @@ def test_group_by_arc_ring_second_segments():
     groups = group_by_arc(ff)
     conts = groups.continuations[(3, 0)]
     assert {ff.split_flows[s].label for s in conts} == {(1, 1), (2, 1), (3, 1)}
+    _assert_arc_of_inverts_continuations(groups)
 
 
 def test_rates_conserved_across_removed_arcs(rng):
@@ -173,6 +155,6 @@ def test_rates_conserved_across_removed_arcs(rng):
         ff = decompose(net, removal_tree(net))
         groups = group_by_arc(ff)
         for arc in ff.removed:
-            fed = sum(ff.rate(s) for s in groups.feeding[arc])
-            cont = sum(ff.rate(s) for s in groups.continuations[arc])
+            fed = sum(_rate(ff, s) for s in groups.feeding[arc])
+            cont = sum(_rate(ff, s) for s in groups.continuations[arc])
             assert fed == pytest.approx(cont, abs=1e-12)

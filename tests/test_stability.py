@@ -19,6 +19,7 @@ from netcalc import (
     StabilityReport,
     Target,
     TokenBucket,
+    UNBOUNDED,
     UnsupportedTargetError,
     ValidationError,
     analyze,
@@ -687,14 +688,14 @@ def test_two_stage_below_components(rng):
 
 
 def test_two_stage_greedy_dominates_random_feasible(rng):
-    from netcalc.stability import _build_ag, _build_td, _context, _objective_tree, ag_labels
+    from netcalc.stability import _build_grouped, _context, _objective_tree, ag_labels
 
     checked = 0
     while checked < 8:
         net = _random_cyclic_instance(rng)
         removed = removal_tree(net)
         ctx = _context(net, removed)
-        lr_td, lr_ag = _build_td(ctx), _build_ag(ctx)
+        lr_td, lr_ag = _build_grouped(ctx, ()), _build_grouped(ctx, ctx.ff.removed)
         b_star = solve_recursion(lr_td)
         big_b = solve_recursion(lr_ag)
         if b_star is None or big_b is None or lr_td.size == 0:
@@ -731,6 +732,14 @@ def test_two_stage_unbounded_only_when_both_diverge():
     assert ag_ok  # the one-ring grouping stays stable up to local stability
     assert not td_ok
     assert ts.is_finite
+
+
+def test_two_stage_unbounded_on_local_instability():
+    # as analyze(..., "2s") and netcalc sweep report it, not an exception
+    net = uni_ring(5, 1.0)  # critical utilization: no strict margin anywhere
+    target = Target.backlog(4, [0])
+    assert two_stage_bound(net, removal_tree(net), target) is UNBOUNDED
+    assert analyze(net, "2s", target=target).bound is UNBOUNDED
 
 
 def test_two_stage_matches_ag_when_td_diverges():
@@ -830,10 +839,10 @@ def test_context_views_equal_public_upstream_views(rng):
     unstable_views = 0
     for net in nets:
         ctx = _context(net, removal_tree(net))
-        for j1 in range(ctx.forest.num_servers):
+        for j1 in range(ctx.prepared.net.num_servers):
             view = ctx.view(j1)
-            assert _view_fields(view) == _view_fields(upstream_view(ctx.forest, j1))
-            renamed, old_to_new = _renumbered_clip(ctx.forest, j1)
+            assert _view_fields(view) == _view_fields(upstream_view(ctx.prepared.net, j1))
+            renamed, old_to_new = _renumbered_clip(ctx.prepared.net, j1)
             assert view.prepared.net == renamed
             assert [view.prepared.new_to_old[new] for new in old_to_new] == list(range(len(old_to_new)))
             unstable_views += bool(view.prepared.unstable_servers)

@@ -83,10 +83,10 @@ def test_linear_form_reconstruction(rng):
         net = random_tree(rng)
         interest = [i for i, f in enumerate(net.flows) if f.path[-1] == net.num_servers - 1]
         result = tree_backlog(net, interest)
-        rebuilt = result.evaluate(
-            [f.arrival.burst for f in net.flows],
-            [s.latency for s in net.servers],
-        )
+        rebuilt = sum(result.latency_coefficients.get(j, 0.0) * s.latency
+                      for j, s in enumerate(net.servers))
+        rebuilt += sum(result.burst_coefficients.get(i, 0.0) * f.arrival.burst
+                       for i, f in enumerate(net.flows))
         assert rebuilt == pytest.approx(result.value.value, abs=1e-12)
 
 
