@@ -240,6 +240,6 @@ def local_stability(net: Network) -> LocalStability:
         for j in f.path:
             load[j] += f.arrival.rate
     classes = tuple(
-        classify_server(TokenBucket(0.0, r), beta) for r, beta in zip(load, net.servers)
+        [classify_server(TokenBucket(0.0, r), beta) for r, beta in zip(load, net.servers)]
     )
     return LocalStability(classes, all(c is ServerClass.STABLE for c in classes))

@@ -23,6 +23,20 @@ spectral radius (``spectral_radius``) is computed only when a report's
 Three constructions of ``(M, N)`` are provided: per-server decomposition
 (``sd``), tree decomposition (``td``) and grouping of the flows crossing
 each removed arc (``ag``), plus the two-stage combination (``2s``).
+
+Each construction is split in two.  A rate-free structure depends only on
+the server count and the flow paths: for ``sd`` the hop arrays and the
+pair layout (``_SdLayout``); for the others the removal, the split flows
+and their grouping, the forest, each upstream view and each grouping's
+column and row layout (``_Decomposition``).  A numeric pass gathers the
+rates, bursts, latencies and stability classes of one network into that
+structure and computes ``(M, N)`` with the same operations in the same
+order as a structure built from the network itself.  ``analyze``,
+``is_stable``, ``objective_for`` and the ``build_*`` functions prepare a
+structure and bind it once per call.  Only ``critical_utilization`` holds
+one across calls: it prepares the structure of ``family(u_max)`` and binds
+it at every bisection step whose ``family(U)`` has the same server count
+and flow paths, checked at every step, and prepares a new one otherwise.
 """
 
 from __future__ import annotations
@@ -37,7 +51,6 @@ import numpy as np
 
 from .curves import Bound, UNBOUNDED
 from .decomposition import (
-    ArcGroups,
     FFNetwork,
     decompose,
     group_by_arc,
@@ -49,7 +62,18 @@ from .errors import (
     ValidationError,
 )
 from .network import Arc, LocalStability, Network, local_stability
-from .tree_analysis import _Forest, _prepare_forest
+from .tree_analysis import (
+    UpstreamView,
+    _Numbers,
+    _ViewShape,
+    _numbers,
+    _paths,
+    _prepare_forest,
+    _unstable,
+)
+
+#: The analysis methods.
+METHODS = ("sd", "td", "ag", "2s")
 
 #: Margin below 1 required of the spectral radius to declare stability.
 STABILITY_EPS = 1e-9
@@ -274,7 +298,7 @@ def _require_local_stability(net: Network) -> LocalStability:
 def sd_labels(net: Network) -> Tuple[Tuple[int, int], ...]:
     """Variables of the per-server recursion: each flow's hops past the first."""
     return tuple(
-        (i, k) for i, f in enumerate(net.flows) for k in range(1, len(f.path))
+        [(i, k) for i, f in enumerate(net.flows) for k in range(1, len(f.path))]
     )
 
 
@@ -296,6 +320,74 @@ def _sd_hops(net: Network) -> Tuple[np.ndarray, ...]:
     return flow, hop - first[flow], server, hop - flow - 1
 
 
+class _SdLayout:
+    """
+    The rate-free half of :func:`build_sd` on one network's flow paths: the
+    hop arrays, each row's feeding hop and every pair (row, hop at the
+    row's server), laid out once.  A pair with a later hop is a cell of
+    ``M``; a pair with a first hop is a cell of the row's constant terms.
+    """
+
+    def __init__(self, net: Network):
+        self.num_servers, self.paths, self.labels = net.num_servers, _paths(net), sd_labels(net)
+        self.flow, self.pos, self.server, self.var = flow, pos, server, var = _sd_hops(net)
+        # row r, the variable (i, k), is fed by hop (i, k - 1): every hop but the last
+        feed = np.flatnonzero(flow[1:] == flow[:-1])
+        self.row_flow, self.row_server = flow[feed], server[feed]
+        j = self.row_server
+        # pairs (row, peer), peer running over the hops at the row's server in flow order
+        by_server = np.argsort(server, kind="stable")
+        count = np.bincount(server, minlength=self.num_servers)
+        start = np.cumsum(count) - count  # each server's first hop in by_server
+        size = count[j]
+        block = np.cumsum(size) - size  # each row's first pair
+        row = np.repeat(np.arange(len(feed)), size)
+        peer = by_server[np.arange(len(row)) - np.repeat(block - start[j], size)]
+        own = peer == feed[row]
+        later = pos[peer] >= 1
+        # later-hop pairs: cells of M
+        self.cell_row, self.cell_col, self.cell_own = row[later], var[peer[later]], own[later]
+        # first-hop pairs: the row's own in column 0, the others from column 1 in flow order
+        entry = ~later
+        known = np.flatnonzero(entry)
+        before = np.cumsum(entry) - entry  # first-hop pairs ahead of each pair
+        self.term_row = row[known]
+        self.term_col = np.where(own[known], 0, 1 + before[known] - before[block[self.term_row]])
+        self.term_own, self.term_flow = own[known], flow[peer[known]]
+        self.width = self.term_col.max(initial=0) + 2  # first-hop terms, then latency
+
+
+def _sd_recursion(sd: _SdLayout, net: Network) -> LinearRecursion:
+    """
+    The per-server recursion from its layout and ``net``'s numbers.  Each
+    pair weighs ``1`` for the row's own hop and the server's gain for the
+    others.  ``M`` takes one scatter: paths never revisit a server, so each
+    cell is written at most once.  ``N`` is a sequential sum over a
+    zero-padded term row: the row's own first-hop burst, then ``gain * b``
+    of every other first hop at the server in flow order, then
+    ``gain * R_j * T_j``.
+    """
+    num = _numbers(net)
+    rate, R, T = num.rate, num.service_rate, num.latency
+    load = np.bincount(sd.server, rate[sd.flow], sd.num_servers)
+    i, j = sd.row_flow, sd.row_server
+    margin = R[j] - (load[j] - rate[i])
+    bad = margin <= 0
+    if bad.any():  # the first failing row, as the pairwise loop reports it
+        r = bad.argmax()
+        raise LocallyUnstableError("server %d has no residual rate for flow %d" % (j[r], i[r]))
+    gain = rate[i] / margin
+    L = len(sd.labels)
+    M = np.zeros((L, L))
+    M[sd.cell_row, sd.cell_col] = np.where(sd.cell_own, 1.0, gain[sd.cell_row])
+    terms = np.zeros((L, sd.width))
+    terms[sd.term_row, sd.term_col] = (
+        np.where(sd.term_own, 1.0, gain[sd.term_row]) * num.burst[sd.term_flow]
+    )
+    terms[:, -1] = gain * R[j] * T[j]
+    return LinearRecursion(sd.labels, M, np.cumsum(terms, axis=1)[:, -1])
+
+
 def build_sd(net: Network) -> LinearRecursion:
     """
     Per-server burst recursion: the burst of flow ``i`` entering its hop
@@ -308,106 +400,103 @@ def build_sd(net: Network) -> LinearRecursion:
     over all other hops ``s`` present at server ``j``.  First-hop bursts
     are known and folded into the constant vector.
 
-    Built from hop arrays with no per-pair Python work.  Server loads are a
-    ``bincount`` in flow order.  Every pair (row, hop at the row's server)
-    is enumerated at once, weighted ``1`` for the row's own hop ``k`` and
-    the gain for the others.  ``M`` takes one scatter: paths never revisit
-    a server, so each cell is written at most once.  ``N`` is a sequential
-    sum over a zero-padded term row: the row's own first-hop burst, then
-    ``gain * b`` of every other first hop at the server in flow order,
-    then ``gain * R_j * T_j``.  That is the order of the pairwise loop this
-    replaces (``tests/sd_reference.py``), so ``(M, N)`` equal it bit for bit.
+    Built from hop arrays with no per-pair Python work: every pair (row,
+    hop at the row's server) is laid out at once from the flow paths
+    alone, then weighed with the rates.  Server loads are a ``bincount`` in
+    flow order, and ``N`` adds its terms in the order of the pairwise loop
+    this replaces (``tests/sd_reference.py``), so ``(M, N)`` equal it bit
+    for bit.
     """
     _require_local_stability(net)
-    return LinearRecursion(sd_labels(net), *_sd_coefficients(net))
+    return _sd_recursion(_SdLayout(net), net)
 
 
-def _sd_coefficients(net: Network) -> Tuple[np.ndarray, np.ndarray]:
+class _Decomposition:
     """
-    ``(M, N)`` of :func:`build_sd`, in a function of its own so that the
-    pair arrays are freed before :class:`LinearRecursion` checks ``M``.
+    A feed-forward decomposition of one network's flow paths, without
+    rates: the removed arcs, the split flows, their grouping by arc and the
+    forest they form, checked once (a removal that leaves some server
+    several successors raises :class:`NotAForestError`).  Each upstream
+    view and each grouping's column layout is laid out on first use and
+    kept for every network the decomposition is bound to.
     """
-    flow, pos, server, var = _sd_hops(net)
-    n = net.num_servers
-    rate = np.array([f.arrival.rate for f in net.flows], dtype=float)
-    burst = np.array([f.arrival.burst for f in net.flows], dtype=float)
-    R = np.array([s.rate for s in net.servers], dtype=float)
-    T = np.array([s.latency for s in net.servers], dtype=float)
-    load = np.bincount(server, rate[flow], n)
-    # row r, the variable (i, k), is fed by hop (i, k - 1): every hop but the last
-    feed = np.flatnonzero(flow[1:] == flow[:-1])
-    L = len(feed)
-    i, j = flow[feed], server[feed]
-    margin = R[j] - (load[j] - rate[i])
-    bad = margin <= 0
-    if bad.any():  # the first failing row, as the pairwise loop reports it
-        r = bad.argmax()
-        raise LocallyUnstableError("server %d has no residual rate for flow %d" % (j[r], i[r]))
-    gain = rate[i] / margin
-    # pairs (row, peer), peer running over the hops at the row's server in flow order
-    by_server = np.argsort(server, kind="stable")
-    count = np.bincount(server, minlength=n)
-    start = np.cumsum(count) - count  # each server's first hop in by_server
-    size = count[j]
-    block = np.cumsum(size) - size  # each row's first pair
-    row = np.repeat(np.arange(L), size)
-    peer = by_server[np.arange(len(row)) - np.repeat(block - start[j], size)]
-    own = peer == feed[row]
-    weight = np.where(own, 1.0, gain[row])
-    later = pos[peer] >= 1
-    M = np.zeros((L, L))
-    M[row[later], var[peer[later]]] = weight[later]
-    # first-hop pairs: the row's own in column 0, the others from column 1 in flow order
-    entry = ~later
-    known = np.flatnonzero(entry)
-    before = np.cumsum(entry) - entry  # first-hop pairs ahead of each pair
-    known_row = row[known]
-    column = np.where(own[known], 0, 1 + before[known] - before[block[known_row]])
-    terms = np.zeros((L, column.max(initial=0) + 2))
-    terms[known_row, column] = weight[known] * burst[flow[peer[known]]]
-    terms[:, -1] = gain * R[j] * T[j]
-    return M, np.cumsum(terms, axis=1)[:, -1]
+
+    def __init__(self, net: Network, removed):
+        ff = decompose(net, removed)
+        self.num_servers, self.paths = net.num_servers, _paths(net)
+        self.removed, self.split_flows = ff.removed, ff.split_flows
+        self.groups = group_by_arc(ff)
+        self.forest = _prepare_forest(tuple([sf.path for sf in ff.split_flows]), net.num_servers)
+        self.index = {sf.label: s for s, sf in enumerate(ff.split_flows)}
+        self.origin = np.array([sf.origin for sf in ff.split_flows], dtype=np.intp)
+        self.known = np.array([sf.burst_known for sf in ff.split_flows], dtype=bool)
+        self.views: Dict[int, _ViewShape] = {}
+        self.layouts: Dict[FrozenSet[Arc], _Columns] = {}
+
+    def view(self, j1: int) -> _ViewShape:
+        if j1 not in self.views:
+            self.views[j1] = self.forest.view(j1)
+        return self.views[j1]
+
+    def columns(self, grouped) -> "_Columns":
+        grouped = frozenset(grouped)
+        if grouped not in self.layouts:
+            self.layouts[grouped] = _Columns(self, grouped)
+        return self.layouts[grouped]
 
 
 @dataclass(frozen=True)
 class DecompositionContext:
     """
-    A feed-forward decomposition with the pieces the builders share.  Its
-    forest is checked and prepared once; each upstream view is sliced from
-    it on first use.
+    A :class:`_Decomposition` bound to one network: the decomposed network
+    ``ff``, the numbers of its split flows (a continuation's burst is 0, as
+    in :meth:`FFNetwork.as_network`) and of its servers, and which servers
+    are not strictly stable.  Each upstream view is bound on request.
     """
 
+    structure: _Decomposition
     ff: FFNetwork
-    groups: ArcGroups
-    prepared: _Forest
-    views: Dict[int, object] = field(default_factory=dict, compare=False)
+    numbers: _Numbers
+    unstable: Tuple[bool, ...]  # per server
 
-    def view(self, j1: int):
-        if j1 not in self.views:
-            self.views[j1] = self.prepared.view(j1)
-        return self.views[j1]
+    def view(self, j1: int) -> UpstreamView:
+        return UpstreamView(self.structure.view(j1), self.numbers, self.unstable)
+
+
+def _bind(dec: _Decomposition, net: Network, classes) -> DecompositionContext:
+    """
+    ``dec`` bound to ``net``, a network with the flow paths ``dec`` was
+    prepared from.  The servers' classes are ``net``'s: the decomposition
+    has the same servers and, server by server, the same rates added in
+    the same order.
+    """
+    base = _numbers(net)
+    numbers = _Numbers(
+        base.rate[dec.origin],
+        np.where(dec.known, base.burst[dec.origin], 0.0),
+        base.service_rate,
+        base.latency,
+    )
+    return DecompositionContext(
+        dec, FFNetwork(net, dec.removed, dec.split_flows), numbers, _unstable(classes)
+    )
 
 
 def _context(
     net: Network, removed, stability: Optional[LocalStability] = None
 ) -> DecompositionContext:
     """
-    Decompose ``net`` and prepare its forest, which checks that the
-    removal leaves each server one successor.  The forest's classes are
-    ``net``'s (``stability``, when the caller has it already): it has the
-    same servers and, server by server, the same rates added in the same
-    order.
+    The decomposition of ``net`` by ``removed``, bound to ``net``, with
+    ``net``'s classes (``stability``, when the caller has it already).
     """
     if stability is None:
         stability = local_stability(net)
-    ff = decompose(net, removed)
-    prepared = _prepare_forest(ff.as_network(), stability.per_server)
-    return DecompositionContext(ff, group_by_arc(ff), prepared)
+    return _bind(_Decomposition(net, removed), net, stability.per_server)
 
 
 def td_labels(ff: FFNetwork) -> Tuple[Tuple[int, int], ...]:
     """Variables of the tree recursion: the continuation segments."""
-    return tuple(sf.label for sf in ff.split_flows if sf.segment >= 1)
+    return tuple([sf.label for sf in ff.split_flows if sf.segment >= 1])
 
 
 def ag_labels(removed) -> Tuple[Arc, ...]:
@@ -417,36 +506,49 @@ def ag_labels(removed) -> Tuple[Arc, ...]:
 
 class _Columns:
     """
-    Column layout of a mixed recursion: one column per continuation of an
-    ungrouped arc, then one per grouped arc.  :meth:`assemble` turns
-    backlog linear forms into rows over these columns.
+    Column layout of a mixed recursion, rate-free: one column per
+    continuation of an ungrouped arc, then one per grouped arc.  Its rows
+    are laid out per upstream view (:attr:`batches`), and :meth:`assemble`
+    turns backlog linear forms into rows over these columns.
     """
 
-    def __init__(self, ctx: DecompositionContext, grouped):
-        ff = ctx.ff
-        grouped = frozenset(grouped)
-        self.singles = tuple(
-            lab for lab in td_labels(ff) if ctx.groups.arc_of[ff.index_of(lab)] not in grouped
-        )
+    def __init__(self, dec: _Decomposition, grouped: FrozenSet[Arc]):
+        singles = [
+            (s, sf.label) for s, sf in enumerate(dec.split_flows)
+            if sf.segment >= 1 and dec.groups.arc_of[s] not in grouped
+        ]
+        self.singles = tuple([lab for _, lab in singles])
         self.arcs = tuple(sorted(grouped))
         self.labels = self.singles + self.arcs
-        self.single_src = np.array([ff.index_of(lab) for lab in self.singles], dtype=np.intp)
-        conts = [(len(self.singles) + c, sorted(ctx.groups.continuations[arc]))
-                 for c, arc in enumerate(self.arcs) if ctx.groups.continuations[arc]]
+        self.single_src = np.array([s for s, _ in singles], dtype=np.intp)
+        conts = [(len(self.singles) + c, sorted(dec.groups.continuations[arc]))
+                 for c, arc in enumerate(self.arcs) if dec.groups.continuations[arc]]
         self.arc_cols = np.array([col for col, _ in conts], dtype=np.intp)
         self.arc_src = np.array([s for _, members in conts for s in members], dtype=np.intp)
         self.arc_starts = np.cumsum([0] + [len(members) for _, members in conts[:-1]])
-        known = [s for s, sf in enumerate(ff.split_flows) if sf.burst_known]
-        self.known = np.array(known, dtype=np.intp)
-        self.known_burst = np.array(
-            [ff.base.flows[ff.split_flows[s].origin].arrival.burst for s in known]
-        )
-        self.latency = np.array([beta.latency for beta in ff.base.servers])
+        self.known = np.flatnonzero(dec.known)
+        # one row per backlog form: a continuation's parent segment at its
+        # end, a grouped arc's feeding segments at its tail
+        requests = []
+        for i, k in self.singles:
+            prev = dec.index[(i, k - 1)]
+            requests.append((dec.split_flows[prev].path[-1], [prev]))
+        requests += [(arc[0], dec.groups.feeding[arc]) for arc in self.arcs]
+        by_view: Dict[int, List[int]] = {}
+        for row, (j1, interest) in enumerate(requests):
+            if interest:  # an arc nothing feeds keeps a zero row
+                by_view.setdefault(j1, []).append(row)
+        #: ``(j1, rows, laid out)``: each upstream view, the rows it computes
+        #: and their interest sets laid out on it
+        self.batches = tuple([
+            (j1, rows, dec.view(j1).rows([requests[r][1] for r in rows]))
+            for j1, rows in by_view.items()
+        ])
 
     def __len__(self):
         return len(self.labels)
 
-    def assemble(self, phi: np.ndarray, rho: np.ndarray):
+    def assemble(self, phi: np.ndarray, rho: np.ndarray, numbers: _Numbers):
         """
         Rows ``(coefficients, constants)`` from burst weights ``phi`` over
         split flows and latency weights ``rho`` over servers, one row per
@@ -461,7 +563,9 @@ class _Columns:
             coeffs[:, self.arc_cols] = np.maximum.reduceat(
                 phi[:, self.arc_src], self.arc_starts, axis=1
             )
-        terms = np.concatenate((phi[:, self.known] * self.known_burst, rho * self.latency), axis=1)
+        terms = np.concatenate(
+            (phi[:, self.known] * numbers.burst[self.known], rho * numbers.latency), axis=1
+        )
         return coeffs, np.cumsum(terms, axis=1)[:, -1]
 
 
@@ -469,25 +573,16 @@ def _build_grouped(ctx: DecompositionContext, grouped) -> LinearRecursion:
     """
     Each row is one backlog form: a continuation's parent segment at its
     end, or a grouped arc's feeding segments at its tail.  The rows of one
-    upstream view come from one array pass.
+    upstream view come from one array pass, on the layout the decomposition
+    keeps and the numbers ``ctx`` binds.
     """
-    ff = ctx.ff
-    cols = _Columns(ctx, grouped)
-    requests = []
-    for i, k in cols.singles:
-        prev = ff.index_of((i, k - 1))
-        requests.append((ff.split_flows[prev].path[-1], [prev]))
-    requests += [(arc[0], ctx.groups.feeding[arc]) for arc in cols.arcs]
-    by_view: Dict[int, List[int]] = {}
-    for row, (j1, interest) in enumerate(requests):
-        if interest:  # an arc nothing feeds keeps a zero row
-            by_view.setdefault(j1, []).append(row)
+    cols = ctx.structure.columns(grouped)
     L = len(cols)
     M = np.zeros((L, L))
     N = np.zeros(L)
-    for j1, rows in by_view.items():
-        phi, rho, _ = ctx.view(j1).coefficient_rows([requests[r][1] for r in rows])
-        M[rows], N[rows] = cols.assemble(phi, rho)
+    for j1, rows, batch in cols.batches:
+        phi, rho, _ = ctx.view(j1).coefficient_rows(batch)
+        M[rows], N[rows] = cols.assemble(phi, rho, ctx.numbers)
     return LinearRecursion(cols.labels, M, N)
 
 
@@ -534,17 +629,16 @@ def _segments_containing(ff: FFNetwork, flow: int, server: int) -> int:
     )
 
 
-def _objective_sd(net: Network, target: Target) -> ObjectiveForm:
+def _objective_sd(sd: _SdLayout, net: Network, target: Target) -> ObjectiveForm:
     if target.kind != "backlog":
         raise UnsupportedTargetError(
             "delay targets are not supported by the per-server decomposition"
         )
     j = target.server
-    flow, pos, server, var = _sd_hops(net)
-    Q = np.zeros(len(server) - net.num_flows)  # one variable per hop past the first
+    Q = np.zeros(len(sd.labels))
     beta = net.servers[j]
-    at = np.flatnonzero(server == j)  # one hop per flow crossing j, in flow order
-    hops = list(zip(flow[at].tolist(), pos[at].tolist(), var[at].tolist()))
+    at = np.flatnonzero(sd.server == j)  # one hop per flow crossing j, in flow order
+    hops = list(zip(sd.flow[at].tolist(), sd.pos[at].tolist(), sd.var[at].tolist()))
     interest = [hop for hop in hops if hop[0] in target.flows]
     if len(interest) != len(target.flows):
         raise UnsupportedTargetError("some target flows do not cross the server")
@@ -573,7 +667,8 @@ def _objective_tree(ctx: DecompositionContext, target: Target, arcs: bool) -> Ob
     if target.kind == "backlog":
         j = target.server
         interest = [_segments_containing(ff, i, j) for i in sorted(target.flows)]
-        phi, rho, _ = ctx.view(j).coefficient_rows([interest])
+        view = ctx.view(j)
+        phi, rho, _ = view.coefficient_rows(view.shape.rows([interest]))
         description = "backlog of flows %s at server %d" % (sorted(target.flows), j)
         scale, extra = 1.0, 0.0
     else:
@@ -587,26 +682,28 @@ def _objective_tree(ctx: DecompositionContext, target: Target, arcs: bool) -> Ob
                 "flow %d is split by the decomposition; its end-to-end delay "
                 "is not a single tree analysis" % i
             )
-        phi, rho, xi_root = ctx.view(flow.path[-1]).coefficient_rows([[seg]])
+        view = ctx.view(flow.path[-1])
+        phi, rho, xi_root = view.coefficient_rows(view.shape.rows([[seg]]))
         xi_entry = xi_root[0, flow.path[0]]
         # delay transform: (B - b)/r + xi b / r
         scale = 1.0 / flow.arrival.rate
         extra = (xi_entry - 1.0) * flow.arrival.burst
         description = "delay of flow %d" % i
-    cols = _Columns(ctx, frozenset(ff.removed) if arcs else frozenset())
-    coeffs, constant = cols.assemble(phi, rho)
+    cols = ctx.structure.columns(ff.removed if arcs else ())
+    coeffs, constant = cols.assemble(phi, rho, ctx.numbers)
     return ObjectiveForm(coeffs[0] * scale, float((constant[0] + extra) * scale), description)
 
 
-def _objective(net: Network, ctx, target: Target, method: str) -> ObjectiveForm:
+def _objective(net: Network, handle, target: Target, method: str) -> ObjectiveForm:
+    """The objective over ``handle``: the sd layout, or the bound decomposition."""
     if target.kind == "backlog":
         if target.server is None or not target.flows:
             raise UnsupportedTargetError("backlog target needs a server and flows")
     elif target.kind != "delay":
         raise UnsupportedTargetError("unknown target kind %r" % target.kind)
     if method == "sd":
-        return _objective_sd(net, target)
-    return _objective_tree(ctx, target, arcs=(method == "ag"))
+        return _objective_sd(handle, net, target)
+    return _objective_tree(handle, target, arcs=(method == "ag"))
 
 
 def objective_for(net: Network, target: Target, method: str, removed=None) -> ObjectiveForm:
@@ -615,12 +712,13 @@ def objective_for(net: Network, target: Target, method: str, removed=None) -> Ob
     of the given method's recursion.
     """
     method = method.lower()
-    if method not in ("sd", "td", "ag", "2s"):
+    if method not in METHODS:
         raise ValidationError("unknown method %r" % method)
-    ctx = None
-    if method != "sd":
-        ctx = _context(net, removal_tree(net) if removed is None else removed)
-    return _objective(net, ctx, target, method)
+    if method == "sd":
+        handle = _SdLayout(net)
+    else:
+        handle = _context(net, removal_tree(net) if removed is None else removed)
+    return _objective(net, handle, target, method)
 
 
 def _bound_at(obj: ObjectiveForm, fixed: Optional[np.ndarray]) -> Bound:
@@ -661,7 +759,9 @@ def _two_stage(ctx: DecompositionContext, obj: ObjectiveForm, b_star, big_b) -> 
     value = obj.C
     for pos, arc in enumerate(ag_labels(ctx.ff.removed)):
         budget = math.inf if big_b is None else float(big_b[pos])
-        members = [index[ctx.ff.split_flows[s].label] for s in ctx.groups.continuations[arc]]
+        members = [
+            index[ctx.ff.split_flows[s].label] for s in ctx.structure.groups.continuations[arc]
+        ]
         for var in sorted(members, key=lambda v: (-obj.Q[v], v)):
             if budget <= 0 or obj.Q[var] <= 0:
                 break
@@ -691,7 +791,7 @@ def analyze(
     """
     method = method.lower()
     try:
-        ctx, recursions = _method_recursions(net, method, removed)
+        handle, recursions = _method_recursions(net, method, removed)
     except LocallyUnstableError:
         return StabilityReport(
             method, False, None, UNBOUNDED if target is not None else None
@@ -700,9 +800,9 @@ def analyze(
     fixed = next((fp for fp in fixed_points if fp is not None), None)
     bound = objective = None
     if target is not None:
-        obj = _objective(net, ctx, target, method)
+        obj = _objective(net, handle, target, method)
         if method == "2s":
-            bound = _two_stage(ctx, obj, *fixed_points)
+            bound = _two_stage(handle, obj, *fixed_points)
         else:
             bound, objective = _bound_at(obj, fixed), obj
     return StabilityReport(
@@ -711,22 +811,44 @@ def analyze(
     )
 
 
-def _method_recursions(net: Network, method: str, removed):
-    """The method's recursions and the decomposition they share (``None`` for sd)."""
+def _prepare(net: Network, method: str, removed=None):
+    """
+    The rate-free structure of ``method``'s recursions on ``net``'s flow
+    paths: the sd pair layout, or the decomposition by ``removed``
+    (default: :func:`removal_tree`).
+    """
     if method == "sd":
-        return None, [build_sd(net)]
-    if method not in ("td", "ag", "2s"):
+        return _SdLayout(net)
+    return _Decomposition(net, removal_tree(net) if removed is None else removed)
+
+
+def _method_recursions(net: Network, method: str, removed=None, structure=None):
+    """
+    The method's recursions, and what its objective reads: the sd layout
+    or the decomposition bound to ``net``.  ``structure`` is a structure
+    prepared from ``net``'s flow paths when the caller holds one
+    (:func:`critical_utilization`); otherwise it is prepared here.
+    """
+    if method not in METHODS:
         raise ValidationError("unknown method %r" % method)
-    report = _require_local_stability(net)
-    ctx = _context(net, removal_tree(net) if removed is None else removed, report)
+    stability = _require_local_stability(net)
+    if structure is None:
+        structure = _prepare(net, method, removed)
+    if method == "sd":
+        return structure, [_sd_recursion(structure, net)]
+    ctx = _bind(structure, net, stability.per_server)
     groupings = {"td": [()], "ag": [ctx.ff.removed], "2s": [(), ctx.ff.removed]}[method]
     return ctx, [_build_grouped(ctx, grouped) for grouped in groupings]
 
 
 def is_stable(net: Network, method: str, removed=None) -> bool:
     """Stability verdict of one method (unstable on local instability)."""
+    return _stable(net, method.lower(), removed)
+
+
+def _stable(net: Network, method: str, removed=None, structure=None) -> bool:
     try:
-        _, recursions = _method_recursions(net, method.lower(), removed)
+        _, recursions = _method_recursions(net, method, removed, structure)
     except LocallyUnstableError:
         return False
     return any(rho_below(lr.M, 1.0 - STABILITY_EPS) for lr in recursions)
@@ -747,21 +869,40 @@ def critical_utilization(
     Returns ``u_max`` when stable on the whole range and ``0.0`` when
     already unstable at ``u_min``.  The bracket stops at width ``tol``
     (finite and > 0), or earlier when its ends are adjacent floats.
+
+    The rate-free structure of the recursions (the sd pair layout, or the
+    decomposition with its forest, views and column layouts) is prepared
+    from ``family(u_max)`` and bound to every ``family(U)`` the bisection
+    visits.  ``family`` is arbitrary code, so each step first checks that
+    ``family(U)`` has the held structure's server count and flow paths, and
+    prepares a new structure when it does not.
     """
     if not (0 < u_min < u_max <= 1.0):
         raise ValidationError("need 0 < u_min < u_max <= 1")
     if not (math.isfinite(tol) and tol > 0):
         raise ValidationError("need a finite tol > 0, got %r" % tol)
-    if is_stable(family(u_max), method):
+    method = method.lower()
+    if method not in METHODS:
+        raise ValidationError("unknown method %r" % method)
+    held = None
+
+    def stable(u: float) -> bool:
+        nonlocal held
+        net = family(u)
+        if held is None or (held.num_servers, held.paths) != (net.num_servers, _paths(net)):
+            held = _prepare(net, method)
+        return _stable(net, method, structure=held)
+
+    if stable(u_max):
         return u_max
-    if not is_stable(family(u_min), method):
+    if not stable(u_min):
         return 0.0
     lo, hi = u_min, u_max
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # adjacent floats: the bracket cannot shrink
             break
-        if is_stable(family(mid), method):
+        if stable(mid):
             lo = mid
         else:
             hi = mid

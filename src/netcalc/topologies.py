@@ -45,13 +45,17 @@ def _uniform_network(
         if rate_overrides and j in rate_overrides:
             base = rate_overrides[j]
         servers.append(RateLatency(base / utilization, latency))
-    flows = tuple(Flow(TokenBucket(burst, rate), path) for path in paths)
+    flows = tuple([Flow(TokenBucket(burst, rate), path) for path in paths])
     return Network(tuple(servers), flows)
 
 
 def _loop(start: int, length: int, cycle: Sequence[int]) -> Tuple[int, ...]:
     pos = cycle.index(start)
-    return tuple(cycle[(pos + k) % len(cycle)] for k in range(length))
+    # tuple() of a list takes the tuple from the free list of its length; of a
+    # generator, it resizes a length-10 one, which is then freed to the list of
+    # its own length and never taken back: a bisection's family(U) networks
+    # would pile up there until the next full garbage collection
+    return tuple([cycle[(pos + k) % len(cycle)] for k in range(length)])
 
 
 def uni_ring(

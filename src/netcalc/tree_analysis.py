@@ -28,13 +28,21 @@ interest set and one server at a time, lives in the tests
 both add in the same order, so they agree to the last bit (to rounding
 from Python 3.12 on, whose ``sum`` compensates).
 
-A decomposition's forest is checked once and prepared once
-(``_prepare_forest``: one successor per server, predecessor lists, one
-topological order and the servers' stability classes); every upstream
-view of it is sliced from that preparation (``_Forest.view``) with no
-check repeated.  The public :func:`upstream_view`, :func:`compute_xi` and
-:func:`tree_backlog` accept any network, so they check the extracted tree
-first, then slice it the same way.
+A view is a rate-free structure bound to numbers.  A forest of flow
+paths is checked once and prepared once (``_prepare_forest``: one
+successor per server, predecessor lists, one topological order); every
+upstream view of it is sliced from that preparation (``_Forest.view``)
+with no check repeated, as a :class:`_ViewShape`: the clipped paths, the
+renumbered tree with the index arrays of the array pass, and the maps
+back to the network's ids.  :class:`UpstreamView` binds a shape to one
+network's rates, bursts, latencies and stability classes, and the pass
+gathers its rates from them.  A batch of interest sets is laid out on a
+tree once (``_PreparedTree.rows``) and run with any rates.  The public
+:func:`upstream_view`, :func:`compute_xi` and :func:`tree_backlog` accept
+any network, so they check the extracted tree first, then slice and bind
+it the same way, once per call; only :mod:`netcalc.stability`'s
+``critical_utilization`` holds a structure across calls, and it re-checks
+the structure at every bisection step.
 """
 
 from __future__ import annotations
@@ -108,19 +116,55 @@ class BacklogResult:
 
 
 @dataclass(frozen=True)
-class _PreparedTree:
-    """A validated, renumbered tree ready for repeated coefficient runs."""
+class _Numbers:
+    """
+    A network's numbers as arrays in id order: what binds a rate-free
+    structure (a view, a decomposition, a pair layout) to one network.
+    """
 
-    net: Network  # renumbered: every successor has a larger id, sink last
+    rate: np.ndarray  # per flow
+    burst: np.ndarray  # per flow
+    service_rate: np.ndarray  # per server
+    latency: np.ndarray  # per server
+
+
+def _paths(net: Network) -> Tuple[Tuple[int, ...], ...]:
+    return tuple([f.path for f in net.flows])  # a list, as in topologies._loop
+
+
+def _numbers(net: Network) -> _Numbers:
+    return _Numbers(
+        np.array([f.arrival.rate for f in net.flows], dtype=float),
+        np.array([f.arrival.burst for f in net.flows], dtype=float),
+        np.array([s.rate for s in net.servers], dtype=float),
+        np.array([s.latency for s in net.servers], dtype=float),
+    )
+
+
+@dataclass(frozen=True)
+class _PreparedTree:
+    """
+    A checked tree without its rates, renumbered so that every successor
+    has a larger id and the sink is last, ready for repeated coefficient
+    runs on any rates.
+    """
+
+    paths: Tuple[Tuple[int, ...], ...]  # flow paths, renumbered
     succ: Tuple[int, ...]
     root: int
     new_to_old: Tuple[int, ...]
-    unstable_servers: Tuple[int, ...]  # original ids; empty when locally stable
 
     @cached_property
     def arrays(self) -> "_TreeArrays":
-        """Index arrays of the array pass, built on its first use."""
+        """Index arrays of the array pass, built on their first use."""
         return _tree_arrays(self)
+
+    def rows(self, interests: Sequence[Iterable[int]]) -> "_Rows":
+        """A batch of interest sets (flow ids of the tree) laid out for the pass."""
+        mask = np.zeros((len(interests), len(self.paths)), dtype=bool)
+        for b, interest in enumerate(interests):
+            mask[b, list(interest)] = True
+        return _Rows(mask, mask[:, self.arrays.flow_at])
 
 
 @dataclass(frozen=True)
@@ -138,54 +182,54 @@ class _TreeArrays:
     flow_at: np.ndarray  # (flow, server) crossings, in flow order: the flow
     server_at: np.ndarray  # ... the server
     slot_at: np.ndarray  # ... its grid cell toward the flow's destination
-    rate_at: np.ndarray  # ... the flow's rate
     entry_slot: np.ndarray  # per flow: grid cell (entry server, destination)
-    service_rate: np.ndarray  # per server
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """
+    A batch of ``B`` interest sets on a prepared tree: the rate-free half
+    of the array pass, kept for every rate the tree is run with.
+    """
+
+    mask: np.ndarray  # (B, flows): flow of interest
+    own: np.ndarray  # (B, crossings): the crossing's flow is of interest
 
 
 def _tree_arrays(prep: _PreparedTree) -> _TreeArrays:
-    net = prep.net
-    n = net.num_servers
+    n = len(prep.succ)
     depth = [0] * n
     for j in reversed(range(n)):  # successors carry larger ids
         if j != prep.root:
             depth[j] = depth[prep.succ[j]] + 1
     width = max(depth) + 1
-    flow_at, server_at, slot_at, rate_at, entry_slot = [], [], [], [], []
-    for i, f in enumerate(net.flows):
-        end = depth[f.path[-1]]
-        for j in f.path:
+    flow_at, server_at, slot_at, entry_slot = [], [], [], []
+    for i, path in enumerate(prep.paths):
+        end = depth[path[-1]]
+        for j in path:
             flow_at.append(i)
             server_at.append(j)
             slot_at.append(j * width + depth[j] - end)
-            rate_at.append(f.arrival.rate)
-        entry_slot.append(f.path[0] * width + depth[f.path[0]] - end)
+        entry_slot.append(path[0] * width + depth[path[0]] - end)
     steps = tuple(
-        (j, j if j == prep.root else prep.succ[j], depth[j]) for j in reversed(range(n))
-    )
-    depth, flow_at, server_at, slot_at, entry_slot = (
-        np.array(v, dtype=np.intp) for v in (depth, flow_at, server_at, slot_at, entry_slot)
+        [(j, j if j == prep.root else prep.succ[j], depth[j]) for j in reversed(range(n))]
     )
     return _TreeArrays(
         width,
         steps,
-        depth,
-        flow_at,
-        server_at,
-        slot_at,
-        np.array(rate_at, dtype=float),
-        entry_slot,
-        np.array([s.rate for s in net.servers], dtype=float),
+        *(np.array(v, dtype=np.intp) for v in (depth, flow_at, server_at, slot_at, entry_slot)),
     )
 
 
-def _xi_rows(prep: _PreparedTree, interests: Sequence[Iterable[int]]):
+def _xi_rows(prep: _PreparedTree, rows: _Rows, rate_at: np.ndarray, service_rate: np.ndarray):
     """
     The coefficient pass for a batch of ``B`` interest sets at once, in
-    ``prep``'s renumbered ids.  Returns ``(phi, rho, xi)``: burst weights
-    ``(B, flows)``, latency weights ``(B, servers)`` and the coefficient
-    grid ``(B, servers, width)`` of :class:`_TreeArrays`, ``xi[b, j, p]``
-    from server ``j`` toward the ``p``-th server on its path to the root.
+    ``prep``'s renumbered ids, with ``rate_at`` the flow rate of each
+    crossing and ``service_rate`` the rate of each server.  Returns
+    ``(phi, rho, xi)``: burst weights ``(B, flows)``, latency weights
+    ``(B, servers)`` and the coefficient grid ``(B, servers, width)`` of
+    :class:`_TreeArrays`, ``xi[b, j, p]`` from server ``j`` toward the
+    ``p``-th server on its path to the root.
 
     Every sum runs in the scalar reference's order (``bincount`` in flow
     order, ``cumsum`` along paths), so each row equals its table.  Each
@@ -194,24 +238,20 @@ def _xi_rows(prep: _PreparedTree, interests: Sequence[Iterable[int]]):
     dominating.
     """
     a = prep.arrays
-    n, m, width = prep.net.num_servers, prep.net.num_flows, a.width
-    B = len(interests)
-    mask = np.zeros((B, m), dtype=bool)
-    for b, interest in enumerate(interests):
-        mask[b, list(interest)] = True
-    own = mask[:, a.flow_at]
+    n, width = len(prep.succ), a.width
+    B = len(rows.mask)
     batch = np.arange(B)
-    rows = batch[:, None]
+    row = batch[:, None]
     r_star = np.bincount(
-        (rows * n + a.server_at).ravel(), np.where(own, a.rate_at, 0.0).ravel(), B * n
+        (row * n + a.server_at).ravel(), np.where(rows.own, rate_at, 0.0).ravel(), B * n
     ).reshape(B, n)
     cross = np.bincount(
-        (rows * (n * width) + a.slot_at).ravel(),
-        np.where(own, 0.0, a.rate_at).ravel(),
+        (row * (n * width) + a.slot_at).ravel(),
+        np.where(rows.own, 0.0, rate_at).ravel(),
         B * n * width,
     ).reshape(B, n, width)
     # den[b, j, p]: rate margin of j left by cross traffic ending up to position p
-    den = a.service_rate[:, None] - np.cumsum(cross, axis=2)
+    den = service_rate[:, None] - np.cumsum(cross, axis=2)
     servers = np.arange(n)
     stuck = np.flatnonzero((den[:, servers, a.depth] <= 0).any(axis=0))
     if len(stuck):  # cross traffic alone fills the server
@@ -231,17 +271,28 @@ def _xi_rows(prep: _PreparedTree, interests: Sequence[Iterable[int]]):
         row[:, 1:] = after
         np.copyto(row, cand[batch, split][:, None], where=positions[: last + 1] <= split[:, None])
     rho = r_star + np.cumsum(xi * cross, axis=2)[:, :, -1]
-    phi = np.where(mask, 1.0, xi.reshape(B, -1)[:, a.entry_slot])
+    phi = np.where(rows.mask, 1.0, xi.reshape(B, -1)[:, a.entry_slot])
     return phi, rho, xi
 
 
-def _root_view(tree: Network) -> UpstreamView:
-    """The whole of ``tree``, checked to be a tandem or tree, as the view at its root."""
+def _root_shape(tree: Network) -> "_ViewShape":
+    """The whole of ``tree``, checked to be a tandem or tree, as the view shape at its root."""
     topology = classify(tree)
     if topology not in (Topology.TANDEM, Topology.TREE):
         raise NotATreeError("topology is %s, need a tandem or tree" % topology.value)
-    forest = _prepare_forest(tree, local_stability(tree).per_server)
+    forest = _prepare_forest(_paths(tree), tree.num_servers)
     return forest.view(forest.succ.index(-1))
+
+
+def _root_view(tree: Network) -> "UpstreamView":
+    """:func:`_root_shape` bound to ``tree``'s numbers."""
+    return UpstreamView(
+        _root_shape(tree), _numbers(tree), _unstable(local_stability(tree).per_server)
+    )
+
+
+def _unstable(classes: Sequence[ServerClass]) -> Tuple[bool, ...]:
+    return tuple([c is not ServerClass.STABLE for c in classes])
 
 
 def compute_xi(tree: Network, interest: Iterable[int]) -> XiTable:
@@ -282,32 +333,98 @@ def tree_backlog(tree: Network, interest: Iterable[int]) -> BacklogResult:
     diagnostic instead of an error, whatever the interest.
     """
     view = _root_view(tree)
-    if view.prepared.unstable_servers:
+    if view.unstable_servers:
         return view.backlog(())
     return view.backlog(interest)
 
 
-def _check_flow_id(net: Network, i: int) -> None:
-    if not 0 <= i < net.num_flows:
+def _check_flow_id(num_flows: int, i: int) -> None:
+    if not 0 <= i < num_flows:
         raise InterestNotAtRootError("unknown flow id %d" % i)
+
+
+@dataclass(frozen=True)
+class _ViewShape:
+    """
+    The servers upstream of one server of a network, without rates: the
+    flow paths clipped to them (flows leaving through the local root are
+    truncated there), the prepared tree they form, and the maps back to
+    the network's ids.
+    """
+
+    paths: Tuple[Tuple[int, ...], ...]  # the network's flow paths
+    num_servers: int  # the network's
+    origin_flow: Tuple[int, ...]  # sub flow id -> network flow id
+    origin_server: Tuple[int, ...]  # sub server id -> network server id
+    root: int  # analysed server, network ids
+    prepared: _PreparedTree
+
+    def rows(self, interests: Sequence[Iterable[int]]) -> _Rows:
+        """
+        A batch of interest sets (network flow ids) laid out for the pass.
+
+        :raises InterestNotAtRootError: if some flow is unknown or misses
+            the local root
+        """
+        return self.prepared.rows([self._sub_flows(interest) for interest in interests])
+
+    def _sub_flows(self, interest: Iterable[int]) -> List[int]:
+        """Sub flow ids of network flow ids, each checked to cross the local root."""
+        sub = []
+        for i in interest:
+            if i not in self._at_root:
+                _check_flow_id(len(self.paths), i)
+                raise InterestNotAtRootError(
+                    "flow %d does not cross server %d" % (i, self.root)
+                )
+            sub.append(self._at_root[i])
+        return sub
+
+    @cached_property
+    def _at_root(self) -> Dict[int, int]:
+        """Sub flow id of every network flow that crosses the local root."""
+        return {i: s for s, i in enumerate(self.origin_flow) if self.root in self.paths[i]}
+
+    @cached_property
+    def full_server(self) -> np.ndarray:
+        """Network server id of each renumbered server of the prepared tree."""
+        return np.array([self.origin_server[j] for j in self.prepared.new_to_old], dtype=np.intp)
+
+    @cached_property
+    def flow_at(self) -> np.ndarray:
+        """Network flow id of each crossing of the array pass."""
+        return np.array(self.origin_flow, dtype=np.intp)[self.prepared.arrays.flow_at]
 
 
 @dataclass(frozen=True)
 class UpstreamView:
     """
     The sub-network upstream of one server of a forest, prepared for
-    repeated backlog analyses with different interest sets.
+    repeated backlog analyses with different interest sets: a rate-free
+    :class:`_ViewShape` bound to the network's numbers.
 
-    Flow paths are clipped to the extracted servers (flows leaving through
-    the local root are truncated there); coefficient tables are expanded
-    back over the full network's ids, with weight 0 outside.
+    Coefficient tables are expanded back over the full network's ids, with
+    weight 0 outside.
     """
 
-    full: Network
-    origin_flow: Tuple[int, ...]  # sub flow id -> full flow id
-    origin_server: Tuple[int, ...]  # sub server id -> full server id
-    root: int  # analysed server, full ids
-    prepared: _PreparedTree
+    shape: _ViewShape
+    numbers: _Numbers  # of the full network
+    unstable: Tuple[bool, ...]  # per server of the full network: not strictly stable
+
+    @cached_property
+    def unstable_servers(self) -> Tuple[int, ...]:
+        """Sub ids of the view's servers that are not strictly stable."""
+        return tuple([s for s, j in enumerate(self.shape.origin_server) if self.unstable[j]])
+
+    def _pass(self, rows: _Rows):
+        """The array pass over ``rows`` with the view's rates."""
+        shape = self.shape
+        return _xi_rows(
+            shape.prepared,
+            rows,
+            self.numbers.rate[shape.flow_at],
+            self.numbers.service_rate[shape.full_server],
+        )
 
     def backlog(self, interest: Iterable[int]) -> BacklogResult:
         """
@@ -318,101 +435,73 @@ class UpstreamView:
             the local root
         """
         interest = frozenset(interest)
-        sub = self._sub_flows(interest)
-        if self.prepared.unstable_servers:
+        rows = self.shape.rows([interest])
+        if self.unstable_servers:
             return BacklogResult(
                 UNBOUNDED,
                 None,
-                "servers %r are not strictly stable"
-                % list(self.prepared.unstable_servers),
+                "servers %r are not strictly stable" % list(self.unstable_servers),
             )
-        phi, rho, grid = (v[0].tolist() for v in _xi_rows(self.prepared, [sub]))
-        full = self._full_server.tolist()
-        succ, depth = self.prepared.succ, self.prepared.arrays.depth.tolist()
+        shape, prep = self.shape, self.shape.prepared
+        phi, rho, grid = (v[0].tolist() for v in self._pass(rows))
+        full = shape.full_server.tolist()
+        succ, depth = prep.succ, prep.arrays.depth.tolist()
         xi = {}
         for j, row in enumerate(grid):
             k = j
             for v in row[: depth[j] + 1]:
                 xi[(full[j], full[k])] = v
                 k = succ[k]
-        full_rho = dict.fromkeys(range(self.full.num_servers), 0.0)
+        full_rho = dict.fromkeys(range(shape.num_servers), 0.0)
         full_rho.update(zip(full, rho))
-        full_phi = dict.fromkeys(range(self.full.num_flows), 0.0)
-        full_phi.update(zip(self.origin_flow, phi))
+        full_phi = dict.fromkeys(range(len(shape.paths)), 0.0)
+        full_phi.update(zip(shape.origin_flow, phi))
         # the zero weights outside the view add exact zeros to the value
-        value = sum(full_rho[j] * s.latency for j, s in enumerate(self.full.servers))
-        value += sum(full_phi[i] * f.arrival.burst for i, f in enumerate(self.full.flows))
+        value = sum(full_rho[j] * t for j, t in enumerate(self.numbers.latency.tolist()))
+        value += sum(full_phi[i] * b for i, b in enumerate(self.numbers.burst.tolist()))
         return BacklogResult(Bound(value), XiTable(xi, full_rho, full_phi, interest))
 
-    def _sub_flows(self, interest: Iterable[int]) -> List[int]:
-        """Sub flow ids of full-network flow ids, each checked to cross the local root."""
-        sub = []
-        for i in interest:
-            if i not in self._at_root:
-                _check_flow_id(self.full, i)
-                raise InterestNotAtRootError(
-                    "flow %d does not cross server %d" % (i, self.root)
-                )
-            sub.append(self._at_root[i])
-        return sub
-
-    @cached_property
-    def _at_root(self) -> Dict[int, int]:
-        """Sub flow id of every full flow that crosses the local root."""
-        return {
-            i: s for s, i in enumerate(self.origin_flow)
-            if self.root in self.full.flows[i].path
-        }
-
-    @cached_property
-    def _full_server(self) -> np.ndarray:
-        """Full server id of each renumbered server of the prepared tree."""
-        return np.array([self.origin_server[j] for j in self.prepared.new_to_old])
-
-    def coefficient_rows(self, interests: Sequence[Iterable[int]]):
+    def coefficient_rows(self, rows: _Rows):
         """
-        The array pass for a batch of interest sets (full-network flow ids):
-        ``(phi, rho, xi_root)``, one row per set, with the burst weight of
-        every flow, the latency weight of every server and every server's
-        coefficient toward the local root, over the full network's ids
-        (0 outside the view).
+        The array pass for a batch laid out by :meth:`_ViewShape.rows`:
+        ``(phi, rho, xi_root)``, one row per interest set, with the burst
+        weight of every flow, the latency weight of every server and every
+        server's coefficient toward the local root, over the full network's
+        ids (0 outside the view).
 
-        :raises InterestNotAtRootError: if some flow misses the local root
         :raises LocallyUnstableError: if the view is not locally stable
         """
-        batch = [self._sub_flows(interest) for interest in interests]
-        if self.prepared.unstable_servers:
+        if self.unstable_servers:
             raise LocallyUnstableError(
-                "servers %r are not strictly stable"
-                % list(self.prepared.unstable_servers)
+                "servers %r are not strictly stable" % list(self.unstable_servers)
             )
-        phi, rho, xi = _xi_rows(self.prepared, batch)
-        B = len(batch)
-        full_phi = np.zeros((B, self.full.num_flows))
-        full_phi[:, list(self.origin_flow)] = phi
-        full_rho = np.zeros((B, self.full.num_servers))
-        full_rho[:, self._full_server] = rho
-        full_xi = np.zeros((B, self.full.num_servers))
-        depth = self.prepared.arrays.depth
-        full_xi[:, self._full_server] = xi[:, np.arange(len(depth)), depth]
+        phi, rho, xi = self._pass(rows)
+        shape = self.shape
+        B = len(phi)
+        full_phi = np.zeros((B, len(shape.paths)))
+        full_phi[:, list(shape.origin_flow)] = phi
+        full_rho = np.zeros((B, shape.num_servers))
+        full_rho[:, shape.full_server] = rho
+        full_xi = np.zeros((B, shape.num_servers))
+        depth = shape.prepared.arrays.depth
+        full_xi[:, shape.full_server] = xi[:, np.arange(len(depth)), depth]
         return full_phi, full_rho, full_xi
 
 
 @dataclass(frozen=True)
 class _Forest:
     """
-    A network already checked to be a forest (no cycle, at most one
+    Flow paths already checked to form a forest (no cycle, at most one
     successor per server), prepared once: every upstream view is then
-    sliced from it with no check repeated.
+    sliced from it with no check repeated.  Rate-free.
     """
 
-    net: Network
+    paths: Tuple[Tuple[int, ...], ...]
     succ: Tuple[int, ...]  # -1 at a sink
     preds: Tuple[Tuple[int, ...], ...]  # sorted
     rank: Tuple[int, ...]  # position in renumber's topological order
-    unstable: Tuple[bool, ...]  # per server: not strictly stable
 
-    def view(self, j1: int) -> UpstreamView:
+    def view(self, j1: int) -> _ViewShape:
         """
         The view upstream of ``j1``.  Its renumbering is the forest's
         topological order restricted to the ancestors of ``j1``, which is
@@ -423,27 +512,26 @@ class _Forest:
         keep = _upstream(self.preds, j1)
         order = sorted(keep, key=self.rank.__getitem__)
         new_id = {j: new for new, j in enumerate(order)}
-        flows, origin_flow = _clip(self.net, new_id)
+        paths, origin_flow = _clip(self.paths, new_id)
         sub_id = {j: s for s, j in enumerate(keep)}
         prepared = _PreparedTree(
-            Network(tuple(self.net.servers[j] for j in order), flows),
-            tuple(-1 if j == j1 else new_id[self.succ[j]] for j in order),
+            paths,
+            tuple([-1 if j == j1 else new_id[self.succ[j]] for j in order]),
             new_id[j1],
-            tuple(sub_id[j] for j in order),
-            tuple(s for s, j in enumerate(keep) if self.unstable[j]),
+            tuple([sub_id[j] for j in order]),
         )
-        return UpstreamView(self.net, origin_flow, tuple(keep), j1, prepared)
+        return _ViewShape(self.paths, len(self.succ), origin_flow, tuple(keep), j1, prepared)
 
 
-def _prepare_forest(net: Network, classes: Sequence[ServerClass]) -> _Forest:
+def _prepare_forest(paths: Tuple[Tuple[int, ...], ...], n: int) -> _Forest:
     """
-    Prepare an acyclic network, given its servers' local stability
-    classes.
+    Prepare the flow paths of an acyclic network of ``n`` servers.
 
     :raises NotAForestError: if some server has several successors
     """
-    n = net.num_servers
-    arcs = induced_graph(net)
+    arcs = set()
+    for path in paths:
+        arcs.update(zip(path, path[1:]))
     succ = [-1] * n
     preds: List[List[int]] = [[] for _ in range(n)]
     for u, v in arcs:
@@ -454,13 +542,7 @@ def _prepare_forest(net: Network, classes: Sequence[ServerClass]) -> _Forest:
     rank = [0] * n
     for position, j in enumerate(topological_order(arcs, n)):
         rank[j] = position
-    return _Forest(
-        net,
-        tuple(succ),
-        tuple(tuple(sorted(p)) for p in preds),
-        tuple(rank),
-        tuple(c is not ServerClass.STABLE for c in classes),
-    )
+    return _Forest(paths, tuple(succ), tuple([tuple(sorted(p)) for p in preds]), tuple(rank))
 
 
 def _upstream(preds: Sequence[Sequence[int]], j1: int) -> List[int]:
@@ -475,18 +557,18 @@ def _upstream(preds: Sequence[Sequence[int]], j1: int) -> List[int]:
     return sorted(seen)
 
 
-def _clip(net: Network, new_id: Dict[int, int]) -> Tuple[Tuple[Flow, ...], Tuple[int, ...]]:
+def _clip(paths, new_id: Dict[int, int]) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...]]:
     """
-    The flows of ``net`` that cross the servers of ``new_id``, cut to those
-    servers and relabelled by it, with their ids in ``net``.  The servers
-    are closed under predecessors, so a flow that crosses them starts there.
+    The flow paths that cross the servers of ``new_id``, cut to those
+    servers and relabelled by it, with their flow ids.  The servers are
+    closed under predecessors, so a flow that crosses them starts there.
     """
-    flows, origin = [], []
-    for i, f in enumerate(net.flows):
-        if f.path[0] in new_id:
-            flows.append(Flow(f.arrival, tuple(new_id[j] for j in f.path if j in new_id)))
+    clipped, origin = [], []
+    for i, path in enumerate(paths):
+        if path[0] in new_id:
+            clipped.append(tuple([new_id[j] for j in path if j in new_id]))
             origin.append(i)
-    return tuple(flows), tuple(origin)
+    return tuple(clipped), tuple(origin)
 
 
 def upstream_view(net: Network, j1: int) -> UpstreamView:
@@ -501,9 +583,16 @@ def upstream_view(net: Network, j1: int) -> UpstreamView:
     for u, v in induced_graph(net):
         preds[v].append(u)
     keep = _upstream(preds, j1)
-    flows, origin_flow = _clip(net, {j: s for s, j in enumerate(keep)})
-    sub = Network(tuple(net.servers[j] for j in keep), flows)
-    return UpstreamView(net, origin_flow, tuple(keep), j1, _root_view(sub).prepared)
+    paths = _paths(net)
+    clipped, origin_flow = _clip(paths, {j: s for s, j in enumerate(keep)})
+    sub = Network(
+        tuple(net.servers[j] for j in keep),
+        tuple(Flow(net.flows[i].arrival, p) for i, p in zip(origin_flow, clipped)),
+    )
+    shape = _ViewShape(
+        paths, net.num_servers, origin_flow, tuple(keep), j1, _root_shape(sub).prepared
+    )
+    return UpstreamView(shape, _numbers(net), _unstable(local_stability(net).per_server))
 
 
 def tree_backlog_at(net: Network, j1: int, interest: Iterable[int]) -> BacklogResult:
@@ -533,7 +622,7 @@ def tree_delay(tree: Network, flow: int) -> Bound:
     >>> round(float(tree_delay(net, 0)), 12)
     3.166666666667
     """
-    _check_flow_id(tree, flow)
+    _check_flow_id(tree.num_flows, flow)
     f = tree.flows[flow]
     if f.arrival.rate == 0:
         raise ZeroRateFlowError("delay of a zero-rate flow is undefined")

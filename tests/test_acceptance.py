@@ -285,9 +285,9 @@ def test_criterion_9_dominance():
         index = {lab: pos for pos, lab in enumerate(td_labels(ctx.ff))}
         arcs = ag_labels(ctx.ff.removed)
         groups = [
-            (i, [index[ctx.ff.split_flows[s].label] for s in ctx.groups.continuations[a]])
+            (i, [index[ctx.ff.split_flows[s].label] for s in ctx.structure.groups.continuations[a]])
             for i, a in enumerate(arcs)
-            if ctx.groups.continuations[a]
+            if ctx.structure.groups.continuations[a]
         ]
         points = rng.uniform(0, 1, (10**4, lr_td.size)) * b_star
         for a_i, members in groups:

@@ -40,11 +40,20 @@ from netcalc import (
 from netcalc.cli import main as cli_main
 from netcalc.decomposition import decompose, group_by_arc, removal_tree
 from netcalc.network import induced_graph, renumber
-from netcalc.stability import _context, is_stable, rho_below, td_labels
+from netcalc.stability import (
+    _build_grouped,
+    _context,
+    _objective_tree,
+    _two_stage,
+    is_stable,
+    rho_below,
+    td_labels,
+)
 from netcalc.topologies import bi_ring, three_ring, two_server_sink_tree, toy, uni_ring
 from netcalc.tree_analysis import _Forest, tree_backlog_at, upstream_view
 
 import sd_reference
+from xi_reference import tree_network
 from conftest import random_tandem, random_tree, random_uni_ring
 
 
@@ -525,8 +534,11 @@ def _check_report_consistency(net, method):
         return
     removed = removal_tree(net)
     if method == "2s":
+        # the two-stage bound over td and ag fixed points built apart from analyze
         assert report.objective is None
-        assert report.bound == two_stage_bound(net, removed, target)
+        ctx = _context(net, removed)
+        b_star, big_b = (solve_recursion(_build_grouped(ctx, g)) for g in ((), ctx.ff.removed))
+        assert report.bound == _two_stage(ctx, _objective_tree(ctx, target, arcs=False), b_star, big_b)
         return
     obj = objective_for(net, target, method)
     assert np.array_equal(report.objective.Q, obj.Q) and report.objective.C == obj.C
@@ -688,7 +700,7 @@ def test_two_stage_below_components(rng):
 
 
 def test_two_stage_greedy_dominates_random_feasible(rng):
-    from netcalc.stability import _build_grouped, _context, _objective_tree, ag_labels
+    from netcalc.stability import ag_labels
 
     checked = 0
     while checked < 8:
@@ -708,8 +720,8 @@ def test_two_stage_greedy_dominates_random_feasible(rng):
         arcs = ag_labels(ctx.ff.removed)
         arc_pos = {a: i for i, a in enumerate(arcs)}
         groups = [
-            (arc_pos[a], [index[ctx.ff.split_flows[s].label] for s in ctx.groups.continuations[a]])
-            for a in arcs if ctx.groups.continuations[a]
+            (arc_pos[a], [index[ctx.ff.split_flows[s].label] for s in ctx.structure.groups.continuations[a]])
+            for a in arcs if ctx.structure.groups.continuations[a]
         ]
         for _ in range(2000):
             x = rng.uniform(0, 1, lr_td.size) * b_star
@@ -808,9 +820,9 @@ def _overloaded(net, j):
 
 
 def _view_fields(view):
-    p = view.prepared
-    return (p.net, p.succ, p.root, p.new_to_old,
-            p.unstable_servers, view.origin_flow, view.origin_server)
+    s, p = view.shape, view.shape.prepared
+    return (p.paths, p.succ, p.root, p.new_to_old,
+            view.unstable_servers, s.origin_flow, s.origin_server)
 
 
 def _renumbered_clip(net, j1):
@@ -839,13 +851,14 @@ def test_context_views_equal_public_upstream_views(rng):
     unstable_views = 0
     for net in nets:
         ctx = _context(net, removal_tree(net))
-        for j1 in range(ctx.prepared.net.num_servers):
+        forest = ctx.ff.as_network()
+        for j1 in range(forest.num_servers):
             view = ctx.view(j1)
-            assert _view_fields(view) == _view_fields(upstream_view(ctx.prepared.net, j1))
-            renamed, old_to_new = _renumbered_clip(ctx.prepared.net, j1)
-            assert view.prepared.net == renamed
-            assert [view.prepared.new_to_old[new] for new in old_to_new] == list(range(len(old_to_new)))
-            unstable_views += bool(view.prepared.unstable_servers)
+            assert _view_fields(view) == _view_fields(upstream_view(forest, j1))
+            renamed, old_to_new = _renumbered_clip(forest, j1)
+            assert tree_network(view) == renamed
+            assert [view.shape.prepared.new_to_old[new] for new in old_to_new] == list(range(len(old_to_new)))
+            unstable_views += bool(view.unstable_servers)
     assert unstable_views > 0
 
 

@@ -1,0 +1,127 @@
+"""
+The rate-free structure that ``critical_utilization`` prepares once and
+binds to every ``family(U)`` of its bisection.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import netcalc.stability
+from netcalc import Flow, Network, critical_utilization
+from netcalc.errors import LocallyUnstableError
+from netcalc.stability import _method_recursions, _prepare, is_stable
+from netcalc.topologies import bi_ring, three_ring, uni_ring
+
+import sd_reference
+
+# The benchmark's critical bisections: ring families and the methods run on each.
+CRITICAL_CASES = (
+    [(("uni_ring", n), m) for n in tuple(range(3, 21)) + (25, 30) for m in ("sd", "td")]
+    + [(("three_ring", 10), m) for m in ("sd", "td", "ag")]
+    + [(("bi_ring", n), m) for n in (10, 15) for m in ("sd", "td")]
+)
+
+
+def _family(kind, n):
+    if kind == "uni_ring":
+        return lambda u: uni_ring(n, u)
+    if kind == "bi_ring":
+        return lambda u: bi_ring(n, u)
+    return lambda u: three_ring(u, ring_size=n)
+
+
+def _recursions(net, method, structure=None):
+    try:
+        return _method_recursions(net, method, structure=structure)[1]
+    except LocallyUnstableError:
+        return None
+
+
+@pytest.mark.parametrize("family, method", CRITICAL_CASES,
+                         ids=["%s(%d)/%s" % (kind, n, m) for (kind, n), m in CRITICAL_CASES])
+def test_structure_from_u_max_rebinds_bit_for_bit(family, method):
+    # at every U the bisection visits, the structure prepared from
+    # family(u_max) and bound to family(U) gives the recursions of a
+    # structure prepared from family(U) itself
+    fam = _family(*family)
+    visited = []
+
+    def recording(u):
+        visited.append(u)
+        return fam(u)
+
+    critical_utilization(recording, method)
+    held = _prepare(fam(1.0), method)
+    bound = 0
+    for u in visited:
+        net = fam(u)
+        fresh, reused = _recursions(net, method), _recursions(net, method, held)
+        assert (fresh is None) == (reused is None)
+        if fresh is None:
+            continue
+        bound += 1
+        for a, b in zip(fresh, reused, strict=True):
+            assert a.labels == b.labels
+            assert np.array_equal(a.M, b.M) and np.array_equal(a.N, b.N)
+        if method == "sd":
+            expected = sd_reference.build_sd(net)
+            assert np.array_equal(reused[0].M, expected.M)
+            assert np.array_equal(reused[0].N, expected.N)
+    assert bound >= 10
+
+
+def _reference_bisection(family, method, tol=1e-4, u_min=1e-3, u_max=1.0):
+    # the bisection over fresh is_stable calls that critical_utilization replaced
+    if is_stable(family(u_max), method):
+        return u_max
+    if not is_stable(family(u_min), method):
+        return 0.0
+    lo, hi = u_min, u_max
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent floats: the bracket cannot shrink
+            break
+        if is_stable(family(mid), method):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _reversed(net):
+    # the same servers and flow count, every path run backwards
+    return Network(net.servers, tuple(Flow(f.arrival, f.path[::-1]) for f in net.flows))
+
+
+def _count_prepare(monkeypatch):
+    counts = Counter()
+    original = netcalc.stability._prepare
+
+    def counted(*args, **kwargs):
+        counts["prepare"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(netcalc.stability, "_prepare", counted)
+    return counts
+
+
+@pytest.mark.parametrize("method", ["sd", "td"])
+@pytest.mark.parametrize("family", [
+    lambda u: uni_ring(4 if u < 0.5 else 5, u),
+    lambda u: uni_ring(6, u) if u < 0.7 else _reversed(uni_ring(6, u)),
+], ids=["flow_count", "flow_paths"])
+def test_changing_structure_is_prepared_again(monkeypatch, family, method):
+    # family is arbitrary code: a structure that no longer fits is replaced
+    expected = _reference_bisection(family, method)
+    counts = _count_prepare(monkeypatch)
+    assert critical_utilization(family, method) == expected
+    assert counts["prepare"] >= 2
+
+
+@pytest.mark.parametrize("method", ["sd", "td", "ag", "2s"])
+def test_fixed_structure_is_prepared_once(monkeypatch, method):
+    counts = _count_prepare(monkeypatch)
+    critical_utilization(lambda u: bi_ring(6, u), method)
+    assert counts["prepare"] == 1

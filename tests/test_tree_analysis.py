@@ -21,10 +21,10 @@ from netcalc import (
 )
 from netcalc.decomposition import decompose, removal_tree
 from netcalc.topologies import two_server_sink_tree, toy, uni_ring
-from netcalc.tree_analysis import XiTable, _root_view, _xi_rows, upstream_view
+from netcalc.tree_analysis import XiTable, _root_view, upstream_view
 
 from conftest import random_tandem, random_tree
-from xi_reference import _xi_general, _xi_sink_tree, predecessors
+from xi_reference import _xi_general, _xi_sink_tree, predecessors, tree_network
 
 # Two-server tandem fixture, second server twice as fast; the flow of
 # interest crosses both.  Value frozen from the case-enumeration oracle.
@@ -93,8 +93,9 @@ def test_linear_form_reconstruction(rng):
 def _full_table(net, interest):
     # the general pass fills every (server, destination) pair; the sink-tree
     # shortcut keeps only the root column, so force the general one here
-    prep = _root_view(net).prepared
-    return _xi_general(prep.net, frozenset(interest), prep.succ, predecessors(prep.succ), prep.root)
+    view = _root_view(net)
+    prep = view.shape.prepared
+    return _xi_general(tree_network(view), frozenset(interest), prep.succ, predecessors(prep.succ), prep.root)
 
 
 def test_destination_monotonicity(rng):
@@ -240,9 +241,10 @@ def test_sink_tree_fast_path_matches_general(rng):
         interest = frozenset(
             int(i) for i in rng.choice(sink.num_flows, size=max(1, sink.num_flows // 2), replace=False)
         )
-        prep = _root_view(sink).prepared
-        fast = _xi_sink_tree(prep.net, interest, prep.succ, predecessors(prep.succ), prep.root)
-        slow = _xi_general(prep.net, interest, prep.succ, predecessors(prep.succ), prep.root)
+        view = _root_view(sink)
+        prep, tree = view.shape.prepared, tree_network(view)
+        fast = _xi_sink_tree(tree, interest, prep.succ, predecessors(prep.succ), prep.root)
+        slow = _xi_general(tree, interest, prep.succ, predecessors(prep.succ), prep.root)
         # the public table, keyed by the sink tree's own ids, has exactly the
         # general pass's keys; compare it in the renumbered ids
         own = compute_xi(sink, interest)
@@ -292,11 +294,12 @@ def _interest_batch(rng, flows):
 def test_array_pass_matches_scalar_pass(rng):
     for make in (random_tree, random_tandem):
         for _ in range(30):
-            prep = _root_view(make(rng)).prepared
-            net, root = prep.net, prep.root
+            view = _root_view(make(rng))
+            prep = view.shape.prepared
+            net, root = tree_network(view), prep.root
             at_root = [i for i, f in enumerate(net.flows) if f.path[-1] == root]
             batch = _interest_batch(rng, at_root)
-            phi, rho, xi = _xi_rows(prep, batch)
+            phi, rho, xi = view._pass(prep.rows(batch))
             depth = prep.arrays.depth
             assert phi.shape == (len(batch), net.num_flows)
             assert rho.shape == (len(batch), net.num_servers)
@@ -335,19 +338,19 @@ def test_view_rows_match_view_backlog(rng):
         view = upstream_view(net, j1)
         crossing = [i for i, f in enumerate(net.flows) if j1 in f.path]
         batch = _interest_batch(rng, crossing)
-        phi, rho, xi_root = view.coefficient_rows(batch)
+        phi, rho, xi_root = view.coefficient_rows(view.shape.rows(batch))
         for b, interest in enumerate(batch):
             table = view.backlog(interest).table
             np.testing.assert_allclose(
                 phi[b], [table.phi[i] for i in range(net.num_flows)], rtol=1e-12, atol=0)
             np.testing.assert_allclose(
                 rho[b], [table.rho[j] for j in range(net.num_servers)], rtol=1e-12, atol=0)
-            for j in view.origin_server:
+            for j in view.shape.origin_server:
                 assert xi_root[b, j] == pytest.approx(table.xi[(j, j1)], rel=1e-12, abs=0)
         outside = next((i for i, f in enumerate(net.flows) if j1 not in f.path), None)
         if outside is not None:
             with pytest.raises(InterestNotAtRootError):
-                view.coefficient_rows([[outside]])
+                view.shape.rows([[outside]])
 
 
 def test_array_pass_rejects_local_instability():
@@ -356,13 +359,15 @@ def test_array_pass_rejects_local_instability():
         (RateLatency(2.0, 0.1), RateLatency(6.0, 0.1)),
         (Flow(TokenBucket(1, 1), (0, 1)), Flow(TokenBucket(1, 3), (0,))),
     )
-    prep = _root_view(net).prepared
+    view = _root_view(net)
+    prep = view.shape.prepared
     with pytest.raises(LocallyUnstableError):
-        _xi_general(prep.net, frozenset([0]), prep.succ, predecessors(prep.succ), prep.root)
+        _xi_general(tree_network(view), frozenset([0]), prep.succ, predecessors(prep.succ), prep.root)
     with pytest.raises(LocallyUnstableError):
-        _xi_rows(prep, [[0]])
+        view._pass(prep.rows([[0]]))
+    view = upstream_view(net, 1)
     with pytest.raises(LocallyUnstableError):
-        upstream_view(net, 1).coefficient_rows([[0]])
+        view.coefficient_rows(view.shape.rows([[0]]))
 
 
 def test_tree_backlog_at_toy_depends_on_server_1_only():

@@ -13,9 +13,24 @@ test modules import it.
 from collections import deque
 from typing import Dict, FrozenSet, List, Tuple
 
+from netcalc.curves import RateLatency, TokenBucket
 from netcalc.errors import LocallyUnstableError
-from netcalc.network import Network
+from netcalc.network import Flow, Network
 from netcalc.tree_analysis import XiTable
+
+
+def tree_network(view) -> Network:
+    """
+    The renumbered tree an upstream view's array pass runs on, rebuilt from
+    its rate-free shape and its numbers: the input of the scalar pass.
+    """
+    shape, num = view.shape, view.numbers
+    rate, burst = num.rate.tolist(), num.burst.tolist()
+    service_rate, latency = num.service_rate.tolist(), num.latency.tolist()
+    servers = [RateLatency(service_rate[j], latency[j]) for j in shape.full_server.tolist()]
+    flows = [Flow(TokenBucket(burst[i], rate[i]), path)
+             for i, path in zip(shape.origin_flow, shape.prepared.paths)]
+    return Network(tuple(servers), tuple(flows))
 
 
 def predecessors(succ) -> List[List[int]]:
