@@ -72,6 +72,21 @@ class RateLatency:
         return self.rate * max(0.0, t - self.latency)
 
 
+def left_sum(values: Iterable):
+    """
+    ``0 + v0 + v1 + ...``, added left to right.  The builtin ``sum`` did
+    exactly this up to Python 3.11; from 3.12 on it compensates float sums,
+    which moves last bits the reference tests compare.
+
+    >>> left_sum([1e16, 1.0, -1e16])
+    0.0
+    """
+    total = 0
+    for v in values:
+        total = total + v
+    return total
+
+
 def aggregate(curves: Iterable[TokenBucket]) -> TokenBucket:
     """Componentwise sum of token buckets (the curve of the aggregated flow)."""
     total = TokenBucket(0.0, 0.0)

@@ -21,6 +21,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from .curves import left_sum
 from .errors import ScenarioError
 from .network import Network, Topology, classify, induced_graph, topological_order
 from .oracle import worst_case_periods
@@ -300,7 +301,7 @@ def simulate_fluid(
         for j in topo_order:
             spec = scenario.servers[j]
             order = order_at[j]
-            queued = sum(queues[pos] for pos in order)
+            queued = left_sum(queues[pos] for pos in order)
             if spec.mode == "infinite":
                 capacity = queued
             elif spec.mode == "exact":
@@ -383,6 +384,12 @@ def check_strict_service(traj: Trajectory, tol: Optional[float] = None) -> bool:
     Verify the aggregate strict-service guarantee of every server: within
     every backlogged period, departures over any sub-interval dominate the
     rate-latency envelope (up to one grid step of slack).
+
+    With ``h = B - R t`` for the server's aggregate departures ``B``, a
+    grid point ``k`` of a backlogged period that starts at ``s`` needs
+    ``h[i] - (h[k] + R T) <= tol`` for every ``i`` from ``s - 1`` (from
+    ``0`` when ``s = 0``) to ``k - 1``.  Each period is one array test of
+    the largest such ``h[i]``, a running maximum over the period.
     """
     if tol is None:
         tol = max(s.rate for s in traj.net.servers) * traj.dt + 1e-9
@@ -390,21 +397,19 @@ def check_strict_service(traj: Trajectory, tol: Optional[float] = None) -> bool:
         keys = traj._positions_at(j)
         if not keys:
             continue
-        a = sum(traj.cum_in[key] for key in keys)
-        b = sum(traj.cum_out[key] for key in keys)
-        backlog = a - b
+        a = left_sum(traj.cum_in[key] for key in keys)
+        b = left_sum(traj.cum_out[key] for key in keys)
         rate, latency = traj.net.servers[j].rate, traj.net.servers[j].latency
         h = b - rate * traj.times
-        running = -math.inf
-        for k in range(len(traj.times)):
-            if backlog[k] > tol:
-                if running == -math.inf and k > 0:
-                    running = h[k - 1]
-                if running - (h[k] + rate * latency) > tol:
-                    return False
-                running = max(running, h[k])
-            else:
-                running = -math.inf
+        # each backlogged period as [start, end): the busy mask's rising and falling edges
+        edges = np.flatnonzero(np.diff(a - b > tol, prepend=False, append=False))
+        for start, end in zip(edges[::2].tolist(), edges[1::2].tolist()):
+            start = max(start, 1)  # nothing precedes grid point 0
+            if start < end and (
+                np.maximum.accumulate(h[start - 1 : end - 1]) - (h[start:end] + rate * latency)
+                > tol
+            ).any():
+                return False
     return True
 
 

@@ -25,6 +25,7 @@ from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 import numpy as np
 
+from .curves import left_sum
 from .errors import LocallyUnstableError, NotATreeError, OracleSizeError
 from .network import Network, Topology, classify, local_stability
 
@@ -68,11 +69,11 @@ def _evaluate_case(net, case, burst_jk, burst_star, rate_jk, rate_star):
                 + rate_jk[j].get(ell, 0.0) * beta.latency
             )
         k = case[j]
-        served_rate = sum(rate_jk[j].get(ell, 0.0) for ell in range(j, k + 1))
+        served_rate = left_sum(rate_jk[j].get(ell, 0.0) for ell in range(j, k + 1))
         margin = beta.rate - served_rate
         if margin <= 0:
             raise LocallyUnstableError("server %d cannot drain its local traffic" % j)
-        stretch = sum(q[ell] for ell in range(j, k + 1)) / margin
+        stretch = left_sum(q[ell] for ell in range(j, k + 1)) / margin
         deltas.append(beta.latency + stretch)
         new_x = [0.0] * n
         for ell in range(k + 1, n):

@@ -13,7 +13,14 @@ and delay bounds are read as linear forms.
 Every stability decision (``rho_below``) runs at most ``L`` steps of a
 Collatz-Wielandt bracket, ``L`` being the number of variables, then one
 exact M-matrix test: ``(theta I - M) x = 1`` solved once, with a positive
-``x`` and a positive residual ``theta x - M x`` as the certificate.
+``x`` and a positive residual ``theta x - M x`` as the certificate.  The
+bracket may start from any positive vector: ``min(M x / x) <= rho(M) <=
+max(M x / x)`` for every nonnegative ``M`` and positive ``x``.  A
+decision started from the all-ones vector is cold; the decisions of a
+``critical_utilization`` bisection are warm, each started from the final
+vector of the previous step's decision on the same recursion (its last
+bracket iterate, or the exact test's solution), which changes how many
+steps a decision takes, never what it certifies.
 ``analyze`` takes its verdict from these decisions alone: the fixed-point
 test at ``1 - 1e-9``, and for a diverging recursion one more test at
 ``1 + 1e-9`` that tells ``critical`` from ``unstable``.  The exact
@@ -49,7 +56,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .curves import Bound, UNBOUNDED
+from .curves import Bound, UNBOUNDED, left_sum
 from .decomposition import (
     FFNetwork,
     decompose,
@@ -196,9 +203,10 @@ def spectral_radius(M: np.ndarray, max_iter: Optional[int] = None) -> float:
     tolerance ``1e-9`` (``RHO_TOL``).  Near-periodic matrices (a cycle of
     coefficients) close their bracket only at a ``1/POWER_SHIFT`` pace, so
     the bracket gets at most ``max_iter`` steps (default: the matrix size
-    ``L``, as much work as one dense routine) and then the exact
-    eigenvalue routine takes over; either way the result is accurate to
-    ``1e-9``.
+    ``L``) and then the exact eigenvalue routine takes over; either way the
+    result is accurate to ``1e-9``.  ``L`` steps are not a cost balance:
+    one step is a matrix-vector product, far cheaper than a dense routine
+    (see :func:`rho_below`).
 
     >>> spectral_radius(np.array([[0.0, 0.5], [0.5, 0.0]]))
     0.5
@@ -212,23 +220,23 @@ def spectral_radius(M: np.ndarray, max_iter: Optional[int] = None) -> float:
         raise ValidationError("matrix entries must be finite")
     if M.min() < 0:
         raise ValidationError("matrix entries must be nonnegative")
-    for lo, hi in _brackets(M, max_iter):
+    for lo, hi, _ in _brackets(M, np.ones(M.shape[0]), max_iter):
         if hi - lo <= RHO_TOL:
             return 0.5 * (lo + hi)
     return float(max(abs(np.linalg.eigvals(M))))
 
 
-def _brackets(M: np.ndarray, max_iter: Optional[int]):
+def _brackets(M: np.ndarray, x: np.ndarray, max_iter: Optional[int]):
     """
-    Collatz-Wielandt brackets ``(lo, hi)`` of ``rho(M)``, from power
-    iteration on ``M + POWER_SHIFT I`` started from the all-ones vector: at
-    most ``max_iter`` of them, the matrix size ``L`` by default.
+    Collatz-Wielandt brackets of ``rho(M)``, from power iteration on
+    ``M + POWER_SHIFT I`` started from the positive vector ``x``: at most
+    ``max_iter`` of them, the matrix size ``L`` by default.  Each comes as
+    ``(lo, hi, the iterate it was read off)``.
     """
-    x = np.ones(M.shape[0])
     for _ in range(M.shape[0] if max_iter is None else max_iter):
         y = M @ x + POWER_SHIFT * x
         ratios = y / x
-        yield float(ratios.min()) - POWER_SHIFT, float(ratios.max()) - POWER_SHIFT
+        yield float(ratios.min()) - POWER_SHIFT, float(ratios.max()) - POWER_SHIFT, x
         x = np.maximum(y / y.max(), 1e-250)  # floor out underflow to keep x > 0
 
 
@@ -243,27 +251,64 @@ def rho_below(M: np.ndarray, threshold: float, max_iter: Optional[int] = None) -
     """
     Decide ``spectral_radius(M) < threshold``.  The Collatz-Wielandt
     bracket usually separates from the threshold long before it closes,
-    so it runs first, for at most ``max_iter`` steps (default: the matrix
-    size ``L``).  If it is still undecided, one exact M-matrix test settles
-    it: ``rho(M) < threshold`` exactly when ``threshold I - M`` is a
-    nonsingular M-matrix, i.e. when ``(threshold I - M) x = 1`` has a
-    positive solution.  The answer is yes only if the solved ``x`` is
-    positive and the residual ``threshold x - M x``, recomputed directly,
-    is positive too: ``x`` is then a certificate ``M x < threshold x``.
+    so it runs first, from the all-ones vector, for at most ``max_iter``
+    steps (default: the matrix size ``L``).  If it is still undecided, one
+    exact M-matrix test settles it: ``rho(M) < threshold`` exactly when
+    ``threshold I - M`` is a nonsingular M-matrix, i.e. when
+    ``(threshold I - M) x = 1`` has a positive solution.  The answer is
+    yes only if the solved ``x`` is positive and the residual
+    ``threshold x - M x``, recomputed directly, is positive too: ``x`` is
+    then a certificate ``M x < threshold x``.
+
+    The budget of ``L`` steps is not a cost balance.  A step is one
+    matrix-vector product, the exact test one dense solve, and ``L`` steps
+    cost several exact tests: at ``L = 870`` a step takes about 60 us and
+    the exact test 8.5 ms, the price of about 140 steps (about 23 at
+    ``L = 180``; single-threaded BLAS on one AMD EPYC core).
+    """
+    return _decide(M, threshold, None, max_iter)[0]
+
+
+def _decide(
+    M: np.ndarray,
+    threshold: float,
+    start: Optional[np.ndarray] = None,
+    max_iter: Optional[int] = None,
+) -> Tuple[bool, Optional[np.ndarray]]:
+    """
+    :func:`rho_below`'s decision, with its bracket started from the
+    positive vector ``start``, and the vector to start the next decision on
+    a similar matrix from.  That is the exact test's solution when the test
+    ran and the solution has one sign, scaled to a largest entry of 1: near
+    ``threshold = rho`` the Perron vector dominates ``(threshold I -
+    M)^-1 1``, with the sign of ``threshold - rho``.  Otherwise it is the
+    last bracket iterate.  Both are floored at ``1e-250``.  A cold decision
+    (``start`` is ``None``: all ones) skips scaling the solution and hands
+    on the last bracket iterate, so :func:`rho_below` pays nothing for it.
+
+    Any positive start is sound: ``min(M x / x) <= rho(M) <= max(M x / x)``
+    holds for every nonnegative ``M`` and every ``x > 0``, so the start
+    changes how many steps a decision takes, never what it certifies.
     """
     M = np.asarray(M, dtype=float)
     if M.size == 0:
-        return threshold > 0
-    for lo, hi in _brackets(M, max_iter):
+        return threshold > 0, start
+    x = np.ones(M.shape[0]) if start is None else start
+    for lo, hi, x in _brackets(M, x, max_iter):
         if lo >= threshold:
-            return False
+            return False, x
         if hi < threshold:
-            return True
+            return True, x
     try:
-        x = np.linalg.solve(_shifted(M, threshold), np.ones(M.shape[0]))
+        y = np.linalg.solve(_shifted(M, threshold), np.ones(M.shape[0]))
     except np.linalg.LinAlgError:  # singular: threshold is an eigenvalue
-        return False
-    return bool(x.min() > 0 and (threshold * x - M @ x).min() > 0)
+        return False, x
+    positive = y.min() > 0
+    if start is not None:
+        scale = y.max() if positive else y.min() if y.max() < 0 else math.nan
+        if math.isfinite(scale):
+            x = np.maximum(y / scale, 1e-250)
+    return bool(positive and (threshold * y - M @ y).min() > 0), x
 
 
 def solve_recursion(lr: LinearRecursion) -> Optional[np.ndarray]:
@@ -643,8 +688,8 @@ def _objective_sd(sd: _SdLayout, net: Network, target: Target) -> ObjectiveForm:
     if len(interest) != len(target.flows):
         raise UnsupportedTargetError("some target flows do not cross the server")
     cross = [hop for hop in hops if hop[0] not in target.flows]
-    r_int = sum(net.flows[i].arrival.rate for i, _, _ in interest)
-    r_cross = sum(net.flows[i].arrival.rate for i, _, _ in cross)
+    r_int = left_sum(net.flows[i].arrival.rate for i, _, _ in interest)
+    r_cross = left_sum(net.flows[i].arrival.rate for i, _, _ in cross)
     if r_int + r_cross >= beta.rate:
         raise LocallyUnstableError("server %d has no strict rate margin" % j)
     gain = r_int / (beta.rate - r_cross)
@@ -846,12 +891,25 @@ def is_stable(net: Network, method: str, removed=None) -> bool:
     return _stable(net, method.lower(), removed)
 
 
-def _stable(net: Network, method: str, removed=None, structure=None) -> bool:
+def _stable(net: Network, method: str, removed=None, structure=None, starts=None) -> bool:
+    """
+    The verdict of :func:`is_stable`.  ``starts``, when given, holds one
+    start vector per recursion of the method (``None``: all ones): each
+    decision starts its bracket from its recursion's vector and writes back
+    its final one (see :func:`_decide`).
+    """
     try:
         _, recursions = _method_recursions(net, method, removed, structure)
     except LocallyUnstableError:
         return False
-    return any(rho_below(lr.M, 1.0 - STABILITY_EPS) for lr in recursions)
+    if starts is None:  # cold decisions, nothing handed on
+        return any(rho_below(lr.M, 1.0 - STABILITY_EPS) for lr in recursions)
+    for r, lr in enumerate(recursions):  # 2s stops at its first stable recursion
+        start = np.ones(lr.size) if starts[r] is None else starts[r]
+        below, starts[r] = _decide(lr.M, 1.0 - STABILITY_EPS, start)
+        if below:
+            return True
+    return False
 
 
 def critical_utilization(
@@ -876,6 +934,18 @@ def critical_utilization(
     visits.  ``family`` is arbitrary code, so each step first checks that
     ``family(U)`` has the held structure's server count and flow paths, and
     prepares a new structure when it does not.
+
+    The decisions are warm-started.  Next to the structure the bisection
+    holds one positive vector per recursion of the method; each decision
+    starts its Collatz-Wielandt bracket from it and leaves its final
+    vector there (the last bracket iterate, or the exact test's one-signed
+    solution, which near ``rho = 1`` is close to the Perron vector).  The
+    ``M`` of two steps differ only through rescaled service rates, so the
+    previous step's vector is a far better start than the all-ones one.
+    ``min(M x / x) <= rho(M) <= max(M x / x)`` holds for every positive
+    ``x``, so this changes the number of steps, never a verdict's
+    certificate.  The vectors are dropped whenever a new structure is
+    prepared.
     """
     if not (0 < u_min < u_max <= 1.0):
         raise ValidationError("need 0 < u_min < u_max <= 1")
@@ -884,14 +954,14 @@ def critical_utilization(
     method = method.lower()
     if method not in METHODS:
         raise ValidationError("unknown method %r" % method)
-    held = None
+    held = starts = None
 
     def stable(u: float) -> bool:
-        nonlocal held
+        nonlocal held, starts
         net = family(u)
         if held is None or (held.num_servers, held.paths) != (net.num_servers, _paths(net)):
-            held = _prepare(net, method)
-        return _stable(net, method, structure=held)
+            held, starts = _prepare(net, method), [None, None]  # at most two recursions (2s)
+        return _stable(net, method, structure=held, starts=starts)
 
     if stable(u_max):
         return u_max

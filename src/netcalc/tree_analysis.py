@@ -25,8 +25,9 @@ and the delay and departure results built on them) read one row's grid as
 a dict-keyed :class:`XiTable`.  The scalar pass it was derived from, one
 interest set and one server at a time, lives in the tests
 (``tests/xi_reference.py``) as the independent reference it is held to;
-both add in the same order, so they agree to the last bit (to rounding
-from Python 3.12 on, whose ``sum`` compensates).
+both add in the same order, so they agree to the last bit (their float
+sums are explicit left folds, ``curves.left_sum``, because the builtin
+``sum`` compensates from Python 3.12 on).
 
 A view is a rate-free structure bound to numbers.  A forest of flow
 paths is checked once and prepared once (``_prepare_forest``: one
@@ -53,7 +54,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .curves import Bound, ServerClass, UNBOUNDED, TokenBucket
+from .curves import Bound, ServerClass, UNBOUNDED, TokenBucket, left_sum
 from .errors import (
     InterestNotAtRootError,
     LocallyUnstableError,
@@ -457,8 +458,8 @@ class UpstreamView:
         full_phi = dict.fromkeys(range(len(shape.paths)), 0.0)
         full_phi.update(zip(shape.origin_flow, phi))
         # the zero weights outside the view add exact zeros to the value
-        value = sum(full_rho[j] * t for j, t in enumerate(self.numbers.latency.tolist()))
-        value += sum(full_phi[i] * b for i, b in enumerate(self.numbers.burst.tolist()))
+        value = left_sum(full_rho[j] * t for j, t in enumerate(self.numbers.latency.tolist()))
+        value += left_sum(full_phi[i] * b for i, b in enumerate(self.numbers.burst.tolist()))
         return BacklogResult(Bound(value), XiTable(xi, full_rho, full_phi, interest))
 
     def coefficient_rows(self, rows: _Rows):
@@ -647,5 +648,5 @@ def tree_output_curve(tree: Network, interest: Iterable[int]) -> TokenBucket:
         raise LocallyUnstableError(
             "no finite departure curve: %s" % (result.diagnostic or "unbounded")
         )
-    rate = sum(tree.flows[i].arrival.rate for i in interest)
+    rate = left_sum(tree.flows[i].arrival.rate for i in interest)
     return TokenBucket(result.value.value, rate)

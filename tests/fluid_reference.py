@@ -5,8 +5,10 @@ tests hold ``netcalc.fluid.simulate_fluid`` to, bit for bit.
 ``simulate_fluid`` below is the loop the flat-state simulator replaced:
 queues live in a dict, every step adds its moved amounts into per-position
 arrays, and a last pass over every position turns them into cumulative
-totals.  Random flows draw from their generator step by step.  Not
-collected by pytest; the test modules import it.
+totals.  Random flows draw from their generator step by step.
+``check_strict_service`` below is the grid-point loop the array check
+replaced.  Sums are left folds (``left_sum``), the builtin ``sum`` of
+Python 3.11.  Not collected by pytest; the test modules import it.
 """
 
 import math
@@ -14,6 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from netcalc.curves import left_sum
 from netcalc.errors import ScenarioError
 from netcalc.fluid import (
     QUEUE_EPS,
@@ -105,7 +108,7 @@ def simulate_fluid(
         for j in topo_order:
             spec = scenario.servers[j]
             keys = order_at[j]
-            queued = sum(queues[key] for key in keys)
+            queued = left_sum(queues[key] for key in keys)
             if spec.mode == "infinite":
                 capacity = queued
             elif spec.mode == "exact":
@@ -161,3 +164,34 @@ def simulate_fluid(
             cum_out[key][step + 1] += cum_out[key][step]
 
     return Trajectory(net, times, cum_in, cum_out, dt)
+
+
+def check_strict_service(traj: Trajectory, tol: Optional[float] = None) -> bool:
+    """
+    Verify the aggregate strict-service guarantee of every server: within
+    every backlogged period, departures over any sub-interval dominate the
+    rate-latency envelope (up to one grid step of slack).  The grid-point
+    loop that ``netcalc.fluid.check_strict_service`` replaced.
+    """
+    if tol is None:
+        tol = max(s.rate for s in traj.net.servers) * traj.dt + 1e-9
+    for j in range(traj.net.num_servers):
+        keys = traj._positions_at(j)
+        if not keys:
+            continue
+        a = left_sum(traj.cum_in[key] for key in keys)
+        b = left_sum(traj.cum_out[key] for key in keys)
+        backlog = a - b
+        rate, latency = traj.net.servers[j].rate, traj.net.servers[j].latency
+        h = b - rate * traj.times
+        running = -math.inf
+        for k in range(len(traj.times)):
+            if backlog[k] > tol:
+                if running == -math.inf and k > 0:
+                    running = h[k - 1]
+                if running - (h[k] + rate * latency) > tol:
+                    return False
+                running = max(running, h[k])
+            else:
+                running = -math.inf
+    return True

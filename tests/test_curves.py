@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +16,7 @@ from netcalc import (
     group_backlog_bound,
     output_curve,
 )
+from netcalc.curves import left_sum
 
 finite_rates = st.floats(0.0, 50.0, allow_nan=False)
 bursts = st.floats(0.0, 100.0, allow_nan=False)
@@ -120,3 +122,11 @@ def test_bound_arithmetic_absorbs_unbounded():
         Bound(-0.5)
     with pytest.raises(ValueError):
         Bound(math.inf)
+
+
+def test_left_sum_adds_left_to_right_on_every_python_version():
+    # a compensated sum (the builtin from Python 3.12 on) gives 1.0 here
+    assert left_sum([1e16, 1.0, -1e16]) == 0.0
+    assert left_sum([]) == 0
+    rows = [np.array([1e16, 1.0]), np.array([1.0, 1e16]), np.array([-1e16, -1e16])]
+    assert np.array_equal(left_sum(rows), np.array([0.0, 0.0]))

@@ -26,7 +26,7 @@ from netcalc import (
     worst_case_periods,
     worst_case_scenario,
 )
-from netcalc.fluid import ArrivalSpec, Scenario, ServerSpec, default_dt
+from netcalc.fluid import ArrivalSpec, Scenario, ServerSpec, Trajectory, default_dt
 from netcalc.oracle import MAX_ORACLE_SERVERS, _bruteforce, _require_margins
 from netcalc.topologies import two_server_sink_tree, uni_ring
 
@@ -240,6 +240,70 @@ def test_simulate_fluid_cumulative_rows_are_views_of_one_array():
     rows = list(traj.cum_in.values())
     assert all(row.base is rows[0].base for row in rows)
     assert rows[0].base.shape == (len(rows), len(traj.times))
+
+
+def _service_check_inputs(rng):
+    """
+    Simulated trajectories (random, mixed and extremal scenarios), the same
+    with one server's departures held back a few grid steps or its curve
+    made faster than simulated (both break strict service), trajectories
+    of random arrays with many short backlogged periods, and one-server
+    trajectories whose departures drift around the service rate, in
+    backlogged periods often one idle grid point apart.
+    """
+    trajs = []
+    for trial in range(16):
+        net = random_tree(rng) if trial % 2 else random_tandem(rng)
+        if trial % 3 == 0:
+            scenario = random_scenario(net, 2.0, trial)
+        elif trial % 3 == 1:
+            scenario = _mixed_scenario(rng, net, 2.0)
+        else:  # the extremal scenario is built on tandems
+            scenario = worst_case_scenario(net, [0]) if trial % 2 == 0 else greedy_scenario(net, 2.0)
+        traj = simulate_fluid(net, scenario, dt=scenario.horizon / 200)
+        trajs.append(traj)
+        j = int(rng.integers(net.num_servers))
+        lag = int(rng.integers(1, 20))
+        held = dict(traj.cum_out)
+        for i, p in traj._positions_at(j):
+            out = traj.cum_out[(i, p)]
+            held[(i, p)] = np.concatenate((np.zeros(lag), out[:-lag]))
+        trajs.append(Trajectory(net, traj.times, traj.cum_in, held, traj.dt))
+        faster = list(net.servers)
+        faster[j] = RateLatency(2.0 * faster[j].rate, 0.5 * faster[j].latency)
+        trajs.append(Trajectory(Network(faster, net.flows), traj.times, traj.cum_in,
+                                traj.cum_out, traj.dt))
+    for _ in range(16):
+        net = random_tandem(rng, n=int(rng.integers(1, 4)))
+        times = np.arange(301) * 0.01
+        cum_in, cum_out = {}, {}
+        for i, f in enumerate(net.flows):
+            for p in range(len(f.path)):
+                a = np.cumsum(rng.exponential(1.0, len(times)) * (rng.random(len(times)) < 0.3))
+                queue = rng.exponential(1.0, len(times)) * (rng.random(len(times)) < 0.5)
+                cum_in[(i, p)], cum_out[(i, p)] = a, a - queue
+        trajs.append(Trajectory(net, times, cum_in, cum_out, 0.01))
+    net = Network((RateLatency(1.0, 0.05),), (Flow(TokenBucket(1.0, 0.5), (0,)),))
+    for _ in range(24):
+        dt = 0.01
+        times = np.arange(601) * dt
+        runs = rng.random(len(times)) < rng.uniform(0.6, 0.95)
+        busy = np.repeat(runs, rng.integers(1, 4, len(times)))[: len(times)]
+        served = np.where(busy, dt * rng.uniform(0.3, 1.2, len(times)), 0.0)
+        cum_out = np.cumsum(served)
+        queue = np.where(busy, 1.0, 0.0)
+        trajs.append(Trajectory(net, times, {(0, 0): cum_out + queue}, {(0, 0): cum_out}, dt))
+    return trajs
+
+
+def test_check_strict_service_matches_reference_loop():
+    verdicts = []
+    for traj in _service_check_inputs(np.random.default_rng(17)):
+        for tol in (None, 0.0):
+            expected = fluid_reference.check_strict_service(traj, tol)
+            assert check_strict_service(traj, tol) == expected
+            verdicts.append(expected)
+    assert 20 <= sum(verdicts) <= len(verdicts) - 20  # both answers well represented
 
 
 def _zero_cross_tandem(n):

@@ -43,6 +43,7 @@ from netcalc.network import induced_graph, renumber
 from netcalc.stability import (
     _build_grouped,
     _context,
+    _decide,
     _objective_tree,
     _two_stage,
     is_stable,
@@ -316,6 +317,67 @@ def test_rho_below_decides_periodic_cycles_without_eigvals(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
     assert rho_below(M * (0.9 / rho), 1 - 1e-9)
     assert not rho_below(M * (1.1 / rho), 1 - 1e-9)
+
+
+@st.composite
+def _warm_start_inputs(draw):
+    """
+    A nonnegative ``M`` (dense; reducible block upper-triangular; or a
+    cyclic permutation with unequal weights, near-periodic like the ring
+    recursions), a positive start vector with some entries at the
+    ``1e-250`` floor, and a threshold at some relative distance from rho.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["dense", "reducible", "cycle"]))
+    L = draw(st.integers(1, 12))
+    if kind == "dense":
+        M = rng.uniform(0, 1, (L, L))
+    elif kind == "reducible":
+        a = draw(st.integers(0, L - 1)) if L > 1 else 0
+        M = rng.uniform(0, 1, (L, L)) * (rng.random((L, L)) < 0.7)
+        M[a:, :a] = 0.0
+        M[np.diag_indices(L)] += rng.uniform(0.1, 1.0, L)  # no nilpotent block
+    else:
+        cycle = rng.permutation(L)
+        M = np.zeros((L, L))
+        M[cycle, np.roll(cycle, -1)] = rng.uniform(0.5, 1.5, L)
+    M *= draw(st.floats(1e-3, 1e3))
+    start = rng.uniform(0, 1, L)
+    start[rng.random(L) < draw(st.floats(0, 1))] = 1e-250
+    distance = draw(st.one_of(
+        st.floats(-0.9, 0.9),
+        st.integers(3, 9).map(lambda k: 10.0 ** -k) | st.integers(3, 9).map(lambda k: -10.0 ** -k),
+    ))
+    return M, start, distance
+
+
+@settings(max_examples=300, deadline=None)
+@given(_warm_start_inputs())
+def test_warm_started_decision_matches_cold_decision(inputs):
+    M, start, distance = inputs
+    rho = float(max(abs(np.linalg.eigvals(M))))
+    theta = rho * (1.0 + distance)
+    below, vector = _decide(M, theta, start.copy())
+    assert vector.shape == start.shape and vector.min() > 0 and vector.max() <= 1
+    if abs(rho - theta) > 1e-9 * max(1.0, rho):
+        assert below == rho_below(M, theta) == (rho < theta)
+
+
+@pytest.mark.parametrize("distance", [-1e-6, 1e-6])
+def test_exact_test_hands_on_the_perron_vector(distance):
+    # a periodic cycle keeps the bracket open, so the exact test decides;
+    # on either side of rho its solution is the Perron vector up to sign
+    weights = np.random.default_rng(3).uniform(0.5, 1.5, 12)
+    M = _weighted_cycle(weights)
+    values, vectors = np.linalg.eig(M)
+    rho = float(max(abs(values)))
+    perron = np.abs(vectors[:, np.argmax(values.real)].real)
+    perron /= perron.max()
+    start = np.random.default_rng(4).uniform(0.1, 1.0, 12)
+    below, vector = _decide(M, rho * (1 + distance), start)
+    assert below == (distance > 0)
+    assert vector.max() == 1.0
+    assert np.allclose(vector, perron, rtol=1e-4, atol=0)
 
 
 def _report_of(lr):

@@ -1,6 +1,7 @@
 """
 The rate-free structure that ``critical_utilization`` prepares once and
-binds to every ``family(U)`` of its bisection.
+binds to every ``family(U)`` of its bisection, and the start vectors its
+decisions hand on from step to step.
 """
 
 from collections import Counter
@@ -90,6 +91,63 @@ def _reference_bisection(family, method, tol=1e-4, u_min=1e-3, u_max=1.0):
     return 0.5 * (lo + hi)
 
 
+def _size(family, method):
+    # the largest recursion of the method, at a utilization every case keeps stable
+    return max(lr.size for lr in _recursions(_family(*family)(1e-3), method))
+
+
+SMALL_CASES = [(family, m) for family, m in CRITICAL_CASES if _size(family, m) <= 420]
+
+
+@pytest.mark.parametrize("family, method", SMALL_CASES,
+                         ids=["%s(%d)/%s" % (kind, n, m) for (kind, n), m in SMALL_CASES])
+def test_warm_started_bisection_equals_cold_bisection(family, method):
+    # each decision starts from the previous step's vector; the U* must be
+    # the one of the bisection whose decisions all start from ones
+    fam = _family(*family)
+    assert critical_utilization(fam, method) == _reference_bisection(fam, method)
+
+
+def _record_decisions(monkeypatch):
+    # every decision as [start, vector handed on, bracket steps]
+    decisions = []
+    original_decide, original_brackets = netcalc.stability._decide, netcalc.stability._brackets
+
+    def brackets(*args, **kwargs):
+        for bracket in original_brackets(*args, **kwargs):
+            decisions[-1][2] += 1
+            yield bracket
+
+    def decide(M, threshold, start=None, max_iter=None):
+        record = [start, None, 0]
+        decisions.append(record)
+        below, record[1] = original_decide(M, threshold, start, max_iter)
+        return below, record[1]
+
+    monkeypatch.setattr(netcalc.stability, "_brackets", brackets)
+    monkeypatch.setattr(netcalc.stability, "_decide", decide)
+    return decisions
+
+
+def _is_ones(start):
+    return start is not None and np.array_equal(start, np.ones(len(start)))
+
+
+def test_bisection_decisions_start_from_the_previous_vector(monkeypatch):
+    fam = lambda u: uni_ring(12, u)
+    decisions = _record_decisions(monkeypatch)
+    u_star = critical_utilization(fam, "sd")
+    warm = list(decisions)
+    decisions.clear()
+    assert _reference_bisection(fam, "sd") == u_star
+    cold = list(decisions)
+    assert len(warm) == len(cold) >= 10
+    assert _is_ones(warm[0][0])
+    assert all(now[0] is before[1] for before, now in zip(warm, warm[1:]))
+    assert all(start is None for start, _, _ in cold)
+    assert sum(steps for _, _, steps in warm) < sum(steps for _, _, steps in cold)
+
+
 def _reversed(net):
     # the same servers and flow count, every path run backwards
     return Network(net.servers, tuple(Flow(f.arrival, f.path[::-1]) for f in net.flows))
@@ -116,8 +174,28 @@ def test_changing_structure_is_prepared_again(monkeypatch, family, method):
     # family is arbitrary code: a structure that no longer fits is replaced
     expected = _reference_bisection(family, method)
     counts = _count_prepare(monkeypatch)
+    decisions = _record_decisions(monkeypatch)
+    prepare = netcalc.stability._prepare
+
+    def marked(*args, **kwargs):
+        decisions.append(None)
+        return prepare(*args, **kwargs)
+
+    monkeypatch.setattr(netcalc.stability, "_prepare", marked)
     assert critical_utilization(family, method) == expected
     assert counts["prepare"] >= 2
+    # the start vectors go with the structure: the first decision on a new
+    # one starts from ones, every later one from the previous vector
+    before = None
+    for record in decisions:
+        if record is None:  # a structure was prepared
+            before = None
+            continue
+        if before is None:
+            assert _is_ones(record[0])
+        else:
+            assert record[0] is before[1]
+        before = record
 
 
 @pytest.mark.parametrize("method", ["sd", "td", "ag", "2s"])

@@ -13,7 +13,7 @@ test modules import it.
 from collections import deque
 from typing import Dict, FrozenSet, List, Tuple
 
-from netcalc.curves import RateLatency, TokenBucket
+from netcalc.curves import RateLatency, TokenBucket, left_sum
 from netcalc.errors import LocallyUnstableError
 from netcalc.network import Flow, Network
 from netcalc.tree_analysis import XiTable
@@ -114,7 +114,7 @@ def _xi_general(net: Network, interest: FrozenSet[int], succ, preds, root):
         path = [j]
         while path[-1] != root:
             path.append(succ[path[-1]])
-        rho[j] = r_star[j] + sum(
+        rho[j] = r_star[j] + left_sum(
             xi[(j, k)] * r_jk[j].get(k, 0.0) for k in path
         )
     phi = {
