@@ -34,22 +34,26 @@ each removed arc (``ag``), plus the two-stage combination (``2s``).
 Each construction is split in two.  A rate-free structure depends only on
 the server count and the flow paths: for ``sd`` the hop arrays and the
 pair layout (``_SdLayout``); for the others the removal, the split flows
-and their grouping, the forest, each upstream view and each grouping's
-column and row layout (``_Decomposition``).  A numeric pass gathers the
-rates, bursts, latencies and stability classes of one network into that
-structure and computes ``(M, N)`` with the same operations in the same
-order as a structure built from the network itself.  ``analyze``,
-``is_stable``, ``objective_for`` and the ``build_*`` functions prepare a
-structure and bind it once per call.  Only ``critical_utilization`` holds
-one across calls: it prepares the structure of ``family(u_max)`` and binds
-it at every bisection step whose ``family(U)`` has the same server count
-and flow paths, checked at every step, and prepares a new one otherwise.
+and their grouping, the forest with its upstream view shapes, and each
+grouping's column and row layout (``_Decomposition``).  Every structure
+binds to one ``_Numbers``: a network's rates, bursts, latencies, server
+loads and not-strictly-stable mask, gathered once per network.  Local
+stability is read off that mask before any structure is prepared; the sd
+pass reads its loads from it, and a decomposition gathers it over its
+split flows (``_bind``) for its views.  The numeric pass computes ``(M,
+N)`` with the same operations in the same order as a structure built from
+the network itself.  ``analyze``, ``is_stable``, ``objective_for`` and the
+``build_*`` functions prepare a structure (``_prepare``) and bind it once
+per call.  Only ``critical_utilization`` holds one across calls: it
+prepares the structure of ``family(u_max)`` and binds it at every
+bisection step whose ``family(U)`` has the same server count and flow
+paths, checked at every step, and prepares a new one otherwise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
@@ -57,27 +61,14 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 import numpy as np
 
 from .curves import Bound, UNBOUNDED, left_sum
-from .decomposition import (
-    FFNetwork,
-    decompose,
-    group_by_arc,
-    removal_tree,
-)
+from .decomposition import decompose, group_by_arc, removal_tree
 from .errors import (
     LocallyUnstableError,
     UnsupportedTargetError,
     ValidationError,
 )
-from .network import Arc, LocalStability, Network, local_stability
-from .tree_analysis import (
-    UpstreamView,
-    _Numbers,
-    _ViewShape,
-    _numbers,
-    _paths,
-    _prepare_forest,
-    _unstable,
-)
+from .network import Arc, Network
+from .tree_analysis import UpstreamView, _Numbers, _numbers, _paths, _prepare_forest
 
 #: The analysis methods.
 METHODS = ("sd", "td", "ag", "2s")
@@ -331,13 +322,11 @@ def solve_recursion(lr: LinearRecursion) -> Optional[np.ndarray]:
     return np.maximum(solution, 0.0)
 
 
-def _require_local_stability(net: Network) -> LocalStability:
-    report = local_stability(net)
-    if not report.stable:
+def _require_local_stability(num: _Numbers) -> None:
+    if num.unstable.any():
         raise LocallyUnstableError(
-            "servers %r are not strictly stable" % report.unstable_servers()
+            "servers %r are not strictly stable" % np.flatnonzero(num.unstable).tolist()
         )
-    return report
 
 
 def sd_labels(net: Network) -> Tuple[Tuple[int, int], ...]:
@@ -402,9 +391,9 @@ class _SdLayout:
         self.width = self.term_col.max(initial=0) + 2  # first-hop terms, then latency
 
 
-def _sd_recursion(sd: _SdLayout, net: Network) -> LinearRecursion:
+def _sd_recursion(sd: _SdLayout, num: _Numbers) -> LinearRecursion:
     """
-    The per-server recursion from its layout and ``net``'s numbers.  Each
+    The per-server recursion from its layout and a network's numbers.  Each
     pair weighs ``1`` for the row's own hop and the server's gain for the
     others.  ``M`` takes one scatter: paths never revisit a server, so each
     cell is written at most once.  ``N`` is a sequential sum over a
@@ -412,11 +401,9 @@ def _sd_recursion(sd: _SdLayout, net: Network) -> LinearRecursion:
     of every other first hop at the server in flow order, then
     ``gain * R_j * T_j``.
     """
-    num = _numbers(net)
     rate, R, T = num.rate, num.service_rate, num.latency
-    load = np.bincount(sd.server, rate[sd.flow], sd.num_servers)
     i, j = sd.row_flow, sd.row_server
-    margin = R[j] - (load[j] - rate[i])
+    margin = R[j] - (num.load[j] - rate[i])
     bad = margin <= 0
     if bad.any():  # the first failing row, as the pairwise loop reports it
         r = bad.argmax()
@@ -447,13 +434,12 @@ def build_sd(net: Network) -> LinearRecursion:
 
     Built from hop arrays with no per-pair Python work: every pair (row,
     hop at the row's server) is laid out at once from the flow paths
-    alone, then weighed with the rates.  Server loads are a ``bincount`` in
-    flow order, and ``N`` adds its terms in the order of the pairwise loop
-    this replaces (``tests/sd_reference.py``), so ``(M, N)`` equal it bit
-    for bit.
+    alone, then weighed with the rates.  Server loads are added in flow
+    order, and ``N`` adds its terms in the order of the pairwise loop this
+    replaces (``tests/sd_reference.py``), so ``(M, N)`` equal it bit for
+    bit.
     """
-    _require_local_stability(net)
-    return _sd_recursion(_SdLayout(net), net)
+    return _method_recursions(net, "sd")[1][0]
 
 
 class _Decomposition:
@@ -462,8 +448,9 @@ class _Decomposition:
     rates: the removed arcs, the split flows, their grouping by arc and the
     forest they form, checked once (a removal that leaves some server
     several successors raises :class:`NotAForestError`).  Each upstream
-    view and each grouping's column layout is laid out on first use and
-    kept for every network the decomposition is bound to.
+    view (kept by the forest) and each grouping's column layout is laid
+    out on first use and kept for every network the decomposition is bound
+    to.
     """
 
     def __init__(self, net: Network, removed):
@@ -475,13 +462,7 @@ class _Decomposition:
         self.index = {sf.label: s for s, sf in enumerate(ff.split_flows)}
         self.origin = np.array([sf.origin for sf in ff.split_flows], dtype=np.intp)
         self.known = np.array([sf.burst_known for sf in ff.split_flows], dtype=bool)
-        self.views: Dict[int, _ViewShape] = {}
         self.layouts: Dict[FrozenSet[Arc], _Columns] = {}
-
-    def view(self, j1: int) -> _ViewShape:
-        if j1 not in self.views:
-            self.views[j1] = self.forest.view(j1)
-        return self.views[j1]
 
     def columns(self, grouped) -> "_Columns":
         grouped = frozenset(grouped)
@@ -493,60 +474,28 @@ class _Decomposition:
 @dataclass(frozen=True)
 class DecompositionContext:
     """
-    A :class:`_Decomposition` bound to one network: the decomposed network
-    ``ff``, the numbers of its split flows (a continuation's burst is 0, as
-    in :meth:`FFNetwork.as_network`) and of its servers, and which servers
-    are not strictly stable.  Each upstream view is bound on request.
+    A :class:`_Decomposition` bound to one network's numbers, gathered over
+    its split flows: a continuation's burst is 0, as in
+    :meth:`FFNetwork.as_network`.  Each upstream view is bound on request.
     """
 
     structure: _Decomposition
-    ff: FFNetwork
     numbers: _Numbers
-    unstable: Tuple[bool, ...]  # per server
 
     def view(self, j1: int) -> UpstreamView:
-        return UpstreamView(self.structure.view(j1), self.numbers, self.unstable)
+        return UpstreamView(self.structure.forest.view(j1), self.numbers)
 
 
-def _bind(dec: _Decomposition, net: Network, classes) -> DecompositionContext:
+def _bind(dec: _Decomposition, num: _Numbers) -> DecompositionContext:
     """
-    ``dec`` bound to ``net``, a network with the flow paths ``dec`` was
-    prepared from.  The servers' classes are ``net``'s: the decomposition
-    has the same servers and, server by server, the same rates added in
+    ``dec`` bound to the numbers of a network with the flow paths ``dec``
+    was prepared from.  The server loads and classes stay the network's:
+    the split flows cross the same servers with the same rates, added in
     the same order.
     """
-    base = _numbers(net)
-    numbers = _Numbers(
-        base.rate[dec.origin],
-        np.where(dec.known, base.burst[dec.origin], 0.0),
-        base.service_rate,
-        base.latency,
-    )
-    return DecompositionContext(
-        dec, FFNetwork(net, dec.removed, dec.split_flows), numbers, _unstable(classes)
-    )
-
-
-def _context(
-    net: Network, removed, stability: Optional[LocalStability] = None
-) -> DecompositionContext:
-    """
-    The decomposition of ``net`` by ``removed``, bound to ``net``, with
-    ``net``'s classes (``stability``, when the caller has it already).
-    """
-    if stability is None:
-        stability = local_stability(net)
-    return _bind(_Decomposition(net, removed), net, stability.per_server)
-
-
-def td_labels(ff: FFNetwork) -> Tuple[Tuple[int, int], ...]:
-    """Variables of the tree recursion: the continuation segments."""
-    return tuple([sf.label for sf in ff.split_flows if sf.segment >= 1])
-
-
-def ag_labels(removed) -> Tuple[Arc, ...]:
-    """Variables of the arc-grouping recursion: the removed arcs."""
-    return tuple(sorted(removed))
+    return DecompositionContext(dec, replace(
+        num, rate=num.rate[dec.origin], burst=np.where(dec.known, num.burst[dec.origin], 0.0)
+    ))
 
 
 class _Columns:
@@ -586,7 +535,7 @@ class _Columns:
         #: ``(j1, rows, laid out)``: each upstream view, the rows it computes
         #: and their interest sets laid out on it
         self.batches = tuple([
-            (j1, rows, dec.view(j1).rows([requests[r][1] for r in rows]))
+            (j1, rows, dec.forest.view(j1).rows([requests[r][1] for r in rows]))
             for j1, rows in by_view.items()
         ])
 
@@ -637,7 +586,7 @@ def build_td(net: Network, removed) -> LinearRecursion:
     worst-case backlog of its parent segment at the removed arc's tail,
     expressed as a linear form over all segment bursts.
     """
-    return _build_grouped(_context(net, removed, _require_local_stability(net)), ())
+    return _method_recursions(net, "td", removed)[1][0]
 
 
 def build_ag(net: Network, removed) -> LinearRecursion:
@@ -646,8 +595,7 @@ def build_ag(net: Network, removed) -> LinearRecursion:
     backlog of all the segments feeding it; the coefficient toward another
     arc is the largest burst weight among that arc's continuations.
     """
-    ctx = _context(net, removed, _require_local_stability(net))
-    return _build_grouped(ctx, ctx.ff.removed)
+    return _method_recursions(net, "ag", removed)[1][0]
 
 
 def build_grouped(net: Network, removed, grouped_arcs) -> LinearRecursion:
@@ -657,16 +605,18 @@ def build_grouped(net: Network, removed, grouped_arcs) -> LinearRecursion:
     Specializes to the tree recursion with no grouped arcs and to the
     arc-grouping recursion with all of them.
     """
-    ctx = _context(net, removed, _require_local_stability(net))
+    numbers = _numbers(net)
+    _require_local_stability(numbers)
+    dec = _prepare(net, "td", removed)
     grouped = frozenset(grouped_arcs)
-    extra = grouped - ctx.ff.removed
+    extra = grouped - dec.removed
     if extra:
         raise ValidationError("grouped arcs not in the removal: %r" % sorted(extra))
-    return _build_grouped(ctx, grouped)
+    return _build_grouped(_bind(dec, numbers), grouped)
 
 
-def _segments_containing(ff: FFNetwork, flow: int, server: int) -> int:
-    for s, sf in enumerate(ff.split_flows):
+def _segments_containing(dec: _Decomposition, flow: int, server: int) -> int:
+    for s, sf in enumerate(dec.split_flows):
         if sf.origin == flow and server in sf.path:
             return s
     raise UnsupportedTargetError(
@@ -707,22 +657,24 @@ def _objective_sd(sd: _SdLayout, net: Network, target: Target) -> ObjectiveForm:
     return ObjectiveForm(Q, C, "backlog of flows %s at server %d" % (sorted(target.flows), j))
 
 
-def _objective_tree(ctx: DecompositionContext, target: Target, arcs: bool) -> ObjectiveForm:
-    ff = ctx.ff
+def _objective_tree(
+    ctx: DecompositionContext, net: Network, target: Target, arcs: bool
+) -> ObjectiveForm:
+    dec = ctx.structure
     if target.kind == "backlog":
         j = target.server
-        interest = [_segments_containing(ff, i, j) for i in sorted(target.flows)]
+        interest = [_segments_containing(dec, i, j) for i in sorted(target.flows)]
         view = ctx.view(j)
         phi, rho, _ = view.coefficient_rows(view.shape.rows([interest]))
         description = "backlog of flows %s at server %d" % (sorted(target.flows), j)
         scale, extra = 1.0, 0.0
     else:
         i = target.flow
-        flow = ff.base.flows[i]
+        flow = net.flows[i]
         if flow.arrival.rate == 0:
             raise UnsupportedTargetError("delay of a zero-rate flow is undefined")
-        seg = _segments_containing(ff, i, flow.path[0])
-        if ff.split_flows[seg].path != flow.path:
+        seg = _segments_containing(dec, i, flow.path[0])
+        if dec.split_flows[seg].path != flow.path:
             raise UnsupportedTargetError(
                 "flow %d is split by the decomposition; its end-to-end delay "
                 "is not a single tree analysis" % i
@@ -734,21 +686,36 @@ def _objective_tree(ctx: DecompositionContext, target: Target, arcs: bool) -> Ob
         scale = 1.0 / flow.arrival.rate
         extra = (xi_entry - 1.0) * flow.arrival.burst
         description = "delay of flow %d" % i
-    cols = ctx.structure.columns(ff.removed if arcs else ())
+    cols = dec.columns(dec.removed if arcs else ())
     coeffs, constant = cols.assemble(phi, rho, ctx.numbers)
     return ObjectiveForm(coeffs[0] * scale, float((constant[0] + extra) * scale), description)
 
 
 def _objective(net: Network, handle, target: Target, method: str) -> ObjectiveForm:
-    """The objective over ``handle``: the sd layout, or the bound decomposition."""
+    """
+    The objective over ``handle``: the sd layout, or the bound decomposition.
+
+    :raises UnsupportedTargetError: if the target names a server or flow
+        ``net`` does not have
+    """
     if target.kind == "backlog":
         if target.server is None or not target.flows:
             raise UnsupportedTargetError("backlog target needs a server and flows")
-    elif target.kind != "delay":
+        if not 0 <= target.server < net.num_servers:
+            raise UnsupportedTargetError("server %d does not exist" % target.server)
+        unknown = sorted(i for i in target.flows if not 0 <= i < net.num_flows)
+        if unknown:
+            raise UnsupportedTargetError(
+                "some target flows do not cross the server: flow %d does not exist" % unknown[0]
+            )
+    elif target.kind == "delay":
+        if target.flow is None or not 0 <= target.flow < net.num_flows:
+            raise UnsupportedTargetError("flow %r does not exist" % target.flow)
+    else:
         raise UnsupportedTargetError("unknown target kind %r" % target.kind)
     if method == "sd":
         return _objective_sd(handle, net, target)
-    return _objective_tree(handle, target, arcs=(method == "ag"))
+    return _objective_tree(handle, net, target, arcs=(method == "ag"))
 
 
 def objective_for(net: Network, target: Target, method: str, removed=None) -> ObjectiveForm:
@@ -759,10 +726,8 @@ def objective_for(net: Network, target: Target, method: str, removed=None) -> Ob
     method = method.lower()
     if method not in METHODS:
         raise ValidationError("unknown method %r" % method)
-    if method == "sd":
-        handle = _SdLayout(net)
-    else:
-        handle = _context(net, removal_tree(net) if removed is None else removed)
+    structure = _prepare(net, method, removed)
+    handle = structure if method == "sd" else _bind(structure, _numbers(net))
     return _objective(net, handle, target, method)
 
 
@@ -788,7 +753,7 @@ def two_stage_bound(net: Network, removed, target: Target) -> Bound:
     return analyze(net, "2s", target, removed).bound
 
 
-def _two_stage(ctx: DecompositionContext, obj: ObjectiveForm, b_star, big_b) -> Bound:
+def _two_stage(dec: _Decomposition, obj: ObjectiveForm, b_star, big_b) -> Bound:
     """
     The two-stage bound from the tree objective ``obj`` and the tree and
     arc fixed points (``None`` where that recursion diverges).
@@ -800,13 +765,12 @@ def _two_stage(ctx: DecompositionContext, obj: ObjectiveForm, b_star, big_b) -> 
     """
     if b_star is None and big_b is None:
         return UNBOUNDED
-    index = {lab: pos for pos, lab in enumerate(td_labels(ctx.ff))}
+    # the tree variables are the continuations, the arc variables the sorted arcs
+    index = {s: pos for pos, s in enumerate(dec.columns(()).single_src.tolist())}
     value = obj.C
-    for pos, arc in enumerate(ag_labels(ctx.ff.removed)):
+    for pos, arc in enumerate(sorted(dec.removed)):
         budget = math.inf if big_b is None else float(big_b[pos])
-        members = [
-            index[ctx.ff.split_flows[s].label] for s in ctx.structure.groups.continuations[arc]
-        ]
+        members = [index[s] for s in dec.groups.continuations[arc]]
         for var in sorted(members, key=lambda v: (-obj.Q[v], v)):
             if budget <= 0 or obj.Q[var] <= 0:
                 break
@@ -847,7 +811,7 @@ def analyze(
     if target is not None:
         obj = _objective(net, handle, target, method)
         if method == "2s":
-            bound = _two_stage(handle, obj, *fixed_points)
+            bound = _two_stage(handle.structure, obj, *fixed_points)
         else:
             bound, objective = _bound_at(obj, fixed), obj
     return StabilityReport(
@@ -876,13 +840,14 @@ def _method_recursions(net: Network, method: str, removed=None, structure=None):
     """
     if method not in METHODS:
         raise ValidationError("unknown method %r" % method)
-    stability = _require_local_stability(net)
+    numbers = _numbers(net)
+    _require_local_stability(numbers)
     if structure is None:
         structure = _prepare(net, method, removed)
     if method == "sd":
-        return structure, [_sd_recursion(structure, net)]
-    ctx = _bind(structure, net, stability.per_server)
-    groupings = {"td": [()], "ag": [ctx.ff.removed], "2s": [(), ctx.ff.removed]}[method]
+        return structure, [_sd_recursion(structure, numbers)]
+    ctx = _bind(structure, numbers)
+    groupings = {"td": [()], "ag": [structure.removed], "2s": [(), structure.removed]}[method]
     return ctx, [_build_grouped(ctx, grouped) for grouped in groupings]
 
 

@@ -16,7 +16,7 @@ whose weights ``rho`` (latencies) and ``phi`` (bursts) depend only on the
 arrival and service rates.
 
 One pass computes the coefficients.  ``_xi_rows`` is the array pass: a
-batch of interest sets on one prepared tree in one root-to-leaves sweep,
+batch of interest sets on one upstream view in one root-to-leaves sweep,
 one array step per server for all of them, filling the whole grid of
 ``xi[j, k]``.  The recursion builders take every row of one upstream view
 from one pass (:meth:`UpstreamView.coefficient_rows`); the public analyses
@@ -29,18 +29,21 @@ both add in the same order, so they agree to the last bit (their float
 sums are explicit left folds, ``curves.left_sum``, because the builtin
 ``sum`` compensates from Python 3.12 on).
 
-A view is a rate-free structure bound to numbers.  A forest of flow
-paths is checked once and prepared once (``_prepare_forest``: one
-successor per server, predecessor lists, one topological order); every
-upstream view of it is sliced from that preparation (``_Forest.view``)
-with no check repeated, as a :class:`_ViewShape`: the clipped paths, the
-renumbered tree with the index arrays of the array pass, and the maps
-back to the network's ids.  :class:`UpstreamView` binds a shape to one
-network's rates, bursts, latencies and stability classes, and the pass
-gathers its rates from them.  A batch of interest sets is laid out on a
-tree once (``_PreparedTree.rows``) and run with any rates.  The public
-:func:`upstream_view`, :func:`compute_xi` and :func:`tree_backlog` accept
-any network, so they check the extracted tree first, then slice and bind
+A view is a rate-free shape bound to numbers.  A forest of flow paths is
+checked once and prepared once (``_prepare_forest``: one successor per
+server, predecessor lists, one topological order); every upstream view of
+it is sliced from that preparation on first request and kept
+(``_Forest.view``, the one place a :class:`_ViewShape` is built), with no
+check repeated.  A shape is indexed by the view's renumbered servers (every
+successor has a larger id, the root is last) and maps them and its flows
+straight to the network's ids: the clipped paths laid out as the index
+arrays of the array pass.  :class:`UpstreamView` binds a shape to one
+``_Numbers``, the network's rates, bursts, latencies, server loads and
+not-strictly-stable mask, from which the pass gathers its rates.  A batch
+of interest sets is laid out on a shape once (``_ViewShape.rows``) and run
+with any rates.  The public :func:`upstream_view`, :func:`compute_xi` and
+:func:`tree_backlog` accept any network, so they check the extracted tree
+with :func:`~netcalc.network.classify` first, then prepare, slice and bind
 it the same way, once per call; only :mod:`netcalc.stability`'s
 ``critical_utilization`` holds a structure across calls, and it re-checks
 the structure at every bisection step.
@@ -48,13 +51,14 @@ the structure at every bisection step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .curves import Bound, ServerClass, UNBOUNDED, TokenBucket, left_sum
+from .curves import Bound, UNBOUNDED, TokenBucket, left_sum
 from .errors import (
     InterestNotAtRootError,
     LocallyUnstableError,
@@ -68,7 +72,6 @@ from .network import (
     Topology,
     classify,
     induced_graph,
-    local_stability,
     topological_order,
 )
 
@@ -121,12 +124,17 @@ class _Numbers:
     """
     A network's numbers as arrays in id order: what binds a rate-free
     structure (a view, a decomposition, a pair layout) to one network.
+    ``load`` is each server's aggregate rate, added in flow order as
+    :func:`~netcalc.network.local_stability` adds it, so it is the same
+    float, and ``unstable`` marks the servers that are not strictly stable.
     """
 
     rate: np.ndarray  # per flow
     burst: np.ndarray  # per flow
     service_rate: np.ndarray  # per server
     latency: np.ndarray  # per server
+    load: np.ndarray  # per server
+    unstable: np.ndarray  # per server: load >= service rate
 
 
 def _paths(net: Network) -> Tuple[Tuple[int, ...], ...]:
@@ -134,133 +142,129 @@ def _paths(net: Network) -> Tuple[Tuple[int, ...], ...]:
 
 
 def _numbers(net: Network) -> _Numbers:
+    paths = _paths(net)
+    length = np.fromiter(map(len, paths), np.intp, len(paths))
+    server = np.fromiter(chain.from_iterable(paths), np.intp, int(length.sum()))
+    rate = np.array([f.arrival.rate for f in net.flows], dtype=float)
+    service_rate = np.array([s.rate for s in net.servers], dtype=float)
+    # bincount adds its weights in input order: here every hop in flow order
+    load = np.bincount(server, np.repeat(rate, length), net.num_servers)
     return _Numbers(
-        np.array([f.arrival.rate for f in net.flows], dtype=float),
+        rate,
         np.array([f.arrival.burst for f in net.flows], dtype=float),
-        np.array([s.rate for s in net.servers], dtype=float),
+        service_rate,
         np.array([s.latency for s in net.servers], dtype=float),
+        load,
+        ~(load < service_rate),
     )
 
 
-@dataclass(frozen=True)
-class _PreparedTree:
+@dataclass(frozen=True, eq=False)
+class _ViewShape:
     """
-    A checked tree without its rates, renumbered so that every successor
-    has a larger id and the sink is last, ready for repeated coefficient
-    runs on any rates.
+    The servers upstream of one server of a forest, without rates, laid out
+    for the array pass.  The view's servers are renumbered so that every
+    successor has a larger id and the root is last; its flows are the
+    forest's flows that start among them, in flow order, clipped to them.
+    ``server`` and ``flow`` map both straight to the network's ids.
+
+    Coefficients live in a ``(server, position)`` grid of ``width``
+    columns: position ``p`` of server ``j`` is the ``p``-th server on the
+    path from ``j`` to the root (``p = 0`` is ``j`` itself, ``p = depth[j]``
+    the root).  Every crossing of a flow and a server, in flow order,
+    carries the flow, the server and its grid cell toward the flow's
+    destination.
     """
 
-    paths: Tuple[Tuple[int, ...], ...]  # flow paths, renumbered
-    succ: Tuple[int, ...]
-    root: int
-    new_to_old: Tuple[int, ...]
+    server: np.ndarray  # per view server: network server id
+    flow: np.ndarray  # per view flow: network flow id
+    depth: np.ndarray  # per view server
+    flow_at: np.ndarray  # per crossing: network flow id
+    server_at: np.ndarray  # ... view server id
+    slot_at: np.ndarray  # ... grid cell toward the flow's destination
+    entry_slot: np.ndarray  # per view flow: grid cell (entry server, destination)
+    succ: Tuple[int, ...]  # -1 at the root
+    width: int  # longest path to the root, in servers
+    at_root: FrozenSet[int]  # network ids of the flows that cross the root
+    num_flows: int  # the network's
 
-    @cached_property
-    def arrays(self) -> "_TreeArrays":
-        """Index arrays of the array pass, built on their first use."""
-        return _tree_arrays(self)
+    @property
+    def root(self) -> int:
+        """The analysed server, network id."""
+        return int(self.server[-1])
 
     def rows(self, interests: Sequence[Iterable[int]]) -> "_Rows":
-        """A batch of interest sets (flow ids of the tree) laid out for the pass."""
-        mask = np.zeros((len(interests), len(self.paths)), dtype=bool)
+        """
+        A batch of interest sets (network flow ids) laid out for the pass.
+
+        :raises InterestNotAtRootError: if some flow is unknown or misses
+            the local root
+        """
+        mask = np.zeros((len(interests), self.num_flows), dtype=bool)
         for b, interest in enumerate(interests):
-            mask[b, list(interest)] = True
-        return _Rows(mask, mask[:, self.arrays.flow_at])
-
-
-@dataclass(frozen=True)
-class _TreeArrays:
-    """
-    A prepared tree laid out for the array pass.  Coefficients live in a
-    ``(server, position)`` grid of ``width`` columns: position ``p`` of
-    server ``j`` is the ``p``-th server on the path from ``j`` to the root
-    (``p = 0`` is ``j`` itself, ``p = depth[j]`` the root).
-    """
-
-    width: int  # longest path to the root, in servers
-    steps: Tuple[Tuple[int, int, int], ...]  # (server, successor, depth), root first
-    depth: np.ndarray  # per server
-    flow_at: np.ndarray  # (flow, server) crossings, in flow order: the flow
-    server_at: np.ndarray  # ... the server
-    slot_at: np.ndarray  # ... its grid cell toward the flow's destination
-    entry_slot: np.ndarray  # per flow: grid cell (entry server, destination)
+            for i in interest:
+                if i not in self.at_root:
+                    _check_flow_id(self.num_flows, i)
+                    raise InterestNotAtRootError(
+                        "flow %d does not cross server %d" % (i, self.root)
+                    )
+                mask[b, i] = True
+        return _Rows(mask[:, self.flow], mask[:, self.flow_at])
 
 
 @dataclass(frozen=True)
 class _Rows:
     """
-    A batch of ``B`` interest sets on a prepared tree: the rate-free half
-    of the array pass, kept for every rate the tree is run with.
+    A batch of ``B`` interest sets on a view shape: the rate-free half of
+    the array pass, kept for every rate the shape is run with.
     """
 
-    mask: np.ndarray  # (B, flows): flow of interest
+    mask: np.ndarray  # (B, view flows): flow of interest
     own: np.ndarray  # (B, crossings): the crossing's flow is of interest
 
 
-def _tree_arrays(prep: _PreparedTree) -> _TreeArrays:
-    n = len(prep.succ)
-    depth = [0] * n
-    for j in reversed(range(n)):  # successors carry larger ids
-        if j != prep.root:
-            depth[j] = depth[prep.succ[j]] + 1
-    width = max(depth) + 1
-    flow_at, server_at, slot_at, entry_slot = [], [], [], []
-    for i, path in enumerate(prep.paths):
-        end = depth[path[-1]]
-        for j in path:
-            flow_at.append(i)
-            server_at.append(j)
-            slot_at.append(j * width + depth[j] - end)
-        entry_slot.append(path[0] * width + depth[path[0]] - end)
-    steps = tuple(
-        [(j, j if j == prep.root else prep.succ[j], depth[j]) for j in reversed(range(n))]
-    )
-    return _TreeArrays(
-        width,
-        steps,
-        *(np.array(v, dtype=np.intp) for v in (depth, flow_at, server_at, slot_at, entry_slot)),
-    )
-
-
-def _xi_rows(prep: _PreparedTree, rows: _Rows, rate_at: np.ndarray, service_rate: np.ndarray):
+def _xi_rows(shape: _ViewShape, rows: _Rows, rate_at: np.ndarray, service_rate: np.ndarray):
     """
     The coefficient pass for a batch of ``B`` interest sets at once, in
-    ``prep``'s renumbered ids, with ``rate_at`` the flow rate of each
-    crossing and ``service_rate`` the rate of each server.  Returns
-    ``(phi, rho, xi)``: burst weights ``(B, flows)``, latency weights
-    ``(B, servers)`` and the coefficient grid ``(B, servers, width)`` of
-    :class:`_TreeArrays`, ``xi[b, j, p]`` from server ``j`` toward the
-    ``p``-th server on its path to the root.
+    the view's ids, with ``rate_at`` the flow rate of each crossing and
+    ``service_rate`` the rate of each server.  Returns ``(phi, rho, xi)``:
+    burst weights ``(B, flows)``, latency weights ``(B, servers)`` and the
+    coefficient grid ``(B, servers, width)`` of :class:`_ViewShape`,
+    ``xi[b, j, p]`` from server ``j`` toward the ``p``-th server on its
+    path to the root.
 
     Every sum runs in the scalar reference's order (``bincount`` in flow
     order, ``cumsum`` along paths), so each row equals its table.  Each
-    server takes one array step for all rows: candidates for every split
-    position, then the split where the successor's coefficient stops
-    dominating.
+    server takes one array step for all rows, from the root toward the
+    leaves: candidates for every split position, then the split where the
+    successor's coefficient stops dominating.
     """
-    a = prep.arrays
-    n, width = len(prep.succ), a.width
+    n, width = len(shape.succ), shape.width
     B = len(rows.mask)
     batch = np.arange(B)
     row = batch[:, None]
     r_star = np.bincount(
-        (row * n + a.server_at).ravel(), np.where(rows.own, rate_at, 0.0).ravel(), B * n
+        (row * n + shape.server_at).ravel(), np.where(rows.own, rate_at, 0.0).ravel(), B * n
     ).reshape(B, n)
     cross = np.bincount(
-        (row * (n * width) + a.slot_at).ravel(),
+        (row * (n * width) + shape.slot_at).ravel(),
         np.where(rows.own, 0.0, rate_at).ravel(),
         B * n * width,
     ).reshape(B, n, width)
     # den[b, j, p]: rate margin of j left by cross traffic ending up to position p
     den = service_rate[:, None] - np.cumsum(cross, axis=2)
     servers = np.arange(n)
-    stuck = np.flatnonzero((den[:, servers, a.depth] <= 0).any(axis=0))
+    stuck = np.flatnonzero((den[:, servers, shape.depth] <= 0).any(axis=0))
     if len(stuck):  # cross traffic alone fills the server
         raise LocallyUnstableError("server %d cannot drain its local traffic" % stuck[-1])
     xi = np.zeros((B, n, width))
     positions = np.arange(width)
-    for j, js, last in a.steps:
-        after = xi[:, js, :last]  # successor's coefficients, positions 1..last
+    depth = shape.depth.tolist()
+    for j in reversed(range(n)):  # successors carry larger ids
+        last = depth[j]
+        # successor's coefficients, positions 1..last: none at the root,
+        # whose successor -1 names itself
+        after = xi[:, shape.succ[j], :last]
         # tail[p]: successor-weighted cross rates strictly beyond p
         tail = np.zeros((B, last + 1))
         tail[:, :last] = np.cumsum((after * cross[:, j, 1 : last + 1])[:, ::-1], axis=1)[:, ::-1]
@@ -272,28 +276,21 @@ def _xi_rows(prep: _PreparedTree, rows: _Rows, rate_at: np.ndarray, service_rate
         row[:, 1:] = after
         np.copyto(row, cand[batch, split][:, None], where=positions[: last + 1] <= split[:, None])
     rho = r_star + np.cumsum(xi * cross, axis=2)[:, :, -1]
-    phi = np.where(rows.mask, 1.0, xi.reshape(B, -1)[:, a.entry_slot])
+    phi = np.where(rows.mask, 1.0, xi.reshape(B, -1)[:, shape.entry_slot])
     return phi, rho, xi
 
 
-def _root_shape(tree: Network) -> "_ViewShape":
-    """The whole of ``tree``, checked to be a tandem or tree, as the view shape at its root."""
-    topology = classify(tree)
+def _check_tree(net: Network) -> None:
+    topology = classify(net)
     if topology not in (Topology.TANDEM, Topology.TREE):
         raise NotATreeError("topology is %s, need a tandem or tree" % topology.value)
-    forest = _prepare_forest(_paths(tree), tree.num_servers)
-    return forest.view(forest.succ.index(-1))
 
 
 def _root_view(tree: Network) -> "UpstreamView":
-    """:func:`_root_shape` bound to ``tree``'s numbers."""
-    return UpstreamView(
-        _root_shape(tree), _numbers(tree), _unstable(local_stability(tree).per_server)
-    )
-
-
-def _unstable(classes: Sequence[ServerClass]) -> Tuple[bool, ...]:
-    return tuple([c is not ServerClass.STABLE for c in classes])
+    """The whole of ``tree``, checked to be a tandem or tree, as the view at its root."""
+    _check_tree(tree)
+    forest = _prepare_forest(_paths(tree), tree.num_servers)
+    return UpstreamView(forest.view(forest.succ.index(-1)), _numbers(tree))
 
 
 def compute_xi(tree: Network, interest: Iterable[int]) -> XiTable:
@@ -345,59 +342,6 @@ def _check_flow_id(num_flows: int, i: int) -> None:
 
 
 @dataclass(frozen=True)
-class _ViewShape:
-    """
-    The servers upstream of one server of a network, without rates: the
-    flow paths clipped to them (flows leaving through the local root are
-    truncated there), the prepared tree they form, and the maps back to
-    the network's ids.
-    """
-
-    paths: Tuple[Tuple[int, ...], ...]  # the network's flow paths
-    num_servers: int  # the network's
-    origin_flow: Tuple[int, ...]  # sub flow id -> network flow id
-    origin_server: Tuple[int, ...]  # sub server id -> network server id
-    root: int  # analysed server, network ids
-    prepared: _PreparedTree
-
-    def rows(self, interests: Sequence[Iterable[int]]) -> _Rows:
-        """
-        A batch of interest sets (network flow ids) laid out for the pass.
-
-        :raises InterestNotAtRootError: if some flow is unknown or misses
-            the local root
-        """
-        return self.prepared.rows([self._sub_flows(interest) for interest in interests])
-
-    def _sub_flows(self, interest: Iterable[int]) -> List[int]:
-        """Sub flow ids of network flow ids, each checked to cross the local root."""
-        sub = []
-        for i in interest:
-            if i not in self._at_root:
-                _check_flow_id(len(self.paths), i)
-                raise InterestNotAtRootError(
-                    "flow %d does not cross server %d" % (i, self.root)
-                )
-            sub.append(self._at_root[i])
-        return sub
-
-    @cached_property
-    def _at_root(self) -> Dict[int, int]:
-        """Sub flow id of every network flow that crosses the local root."""
-        return {i: s for s, i in enumerate(self.origin_flow) if self.root in self.paths[i]}
-
-    @cached_property
-    def full_server(self) -> np.ndarray:
-        """Network server id of each renumbered server of the prepared tree."""
-        return np.array([self.origin_server[j] for j in self.prepared.new_to_old], dtype=np.intp)
-
-    @cached_property
-    def flow_at(self) -> np.ndarray:
-        """Network flow id of each crossing of the array pass."""
-        return np.array(self.origin_flow, dtype=np.intp)[self.prepared.arrays.flow_at]
-
-
-@dataclass(frozen=True)
 class UpstreamView:
     """
     The sub-network upstream of one server of a forest, prepared for
@@ -410,21 +354,20 @@ class UpstreamView:
 
     shape: _ViewShape
     numbers: _Numbers  # of the full network
-    unstable: Tuple[bool, ...]  # per server of the full network: not strictly stable
 
     @cached_property
-    def unstable_servers(self) -> Tuple[int, ...]:
-        """Sub ids of the view's servers that are not strictly stable."""
-        return tuple([s for s, j in enumerate(self.shape.origin_server) if self.unstable[j]])
+    def unstable_servers(self) -> List[int]:
+        """Network ids of the view's servers that are not strictly stable, sorted."""
+        server = self.shape.server
+        return sorted(server[self.numbers.unstable[server]].tolist())
 
     def _pass(self, rows: _Rows):
         """The array pass over ``rows`` with the view's rates."""
-        shape = self.shape
         return _xi_rows(
-            shape.prepared,
+            self.shape,
             rows,
-            self.numbers.rate[shape.flow_at],
-            self.numbers.service_rate[shape.full_server],
+            self.numbers.rate[self.shape.flow_at],
+            self.numbers.service_rate[self.shape.server],
         )
 
     def backlog(self, interest: Iterable[int]) -> BacklogResult:
@@ -439,27 +382,25 @@ class UpstreamView:
         rows = self.shape.rows([interest])
         if self.unstable_servers:
             return BacklogResult(
-                UNBOUNDED,
-                None,
-                "servers %r are not strictly stable" % list(self.unstable_servers),
+                UNBOUNDED, None, "servers %r are not strictly stable" % self.unstable_servers
             )
-        shape, prep = self.shape, self.shape.prepared
+        shape, num = self.shape, self.numbers
         phi, rho, grid = (v[0].tolist() for v in self._pass(rows))
-        full = shape.full_server.tolist()
-        succ, depth = prep.succ, prep.arrays.depth.tolist()
+        server = shape.server.tolist()
+        succ, depth = shape.succ, shape.depth.tolist()
         xi = {}
         for j, row in enumerate(grid):
             k = j
             for v in row[: depth[j] + 1]:
-                xi[(full[j], full[k])] = v
+                xi[(server[j], server[k])] = v
                 k = succ[k]
-        full_rho = dict.fromkeys(range(shape.num_servers), 0.0)
-        full_rho.update(zip(full, rho))
-        full_phi = dict.fromkeys(range(len(shape.paths)), 0.0)
-        full_phi.update(zip(shape.origin_flow, phi))
+        full_rho = dict.fromkeys(range(len(num.service_rate)), 0.0)
+        full_rho.update(zip(server, rho))
+        full_phi = dict.fromkeys(range(len(num.rate)), 0.0)
+        full_phi.update(zip(shape.flow.tolist(), phi))
         # the zero weights outside the view add exact zeros to the value
-        value = left_sum(full_rho[j] * t for j, t in enumerate(self.numbers.latency.tolist()))
-        value += left_sum(full_phi[i] * b for i, b in enumerate(self.numbers.burst.tolist()))
+        value = left_sum(full_rho[j] * t for j, t in enumerate(num.latency.tolist()))
+        value += left_sum(full_phi[i] * b for i, b in enumerate(num.burst.tolist()))
         return BacklogResult(Bound(value), XiTable(xi, full_rho, full_phi, interest))
 
     def coefficient_rows(self, rows: _Rows):
@@ -474,18 +415,17 @@ class UpstreamView:
         """
         if self.unstable_servers:
             raise LocallyUnstableError(
-                "servers %r are not strictly stable" % list(self.unstable_servers)
+                "servers %r are not strictly stable" % self.unstable_servers
             )
         phi, rho, xi = self._pass(rows)
-        shape = self.shape
+        shape, num = self.shape, self.numbers
         B = len(phi)
-        full_phi = np.zeros((B, len(shape.paths)))
-        full_phi[:, list(shape.origin_flow)] = phi
-        full_rho = np.zeros((B, shape.num_servers))
-        full_rho[:, shape.full_server] = rho
-        full_xi = np.zeros((B, shape.num_servers))
-        depth = shape.prepared.arrays.depth
-        full_xi[:, shape.full_server] = xi[:, np.arange(len(depth)), depth]
+        full_phi = np.zeros((B, len(num.rate)))
+        full_phi[:, shape.flow] = phi
+        full_rho = np.zeros((B, len(num.service_rate)))
+        full_rho[:, shape.server] = rho
+        full_xi = np.zeros((B, len(num.service_rate)))
+        full_xi[:, shape.server] = xi[:, np.arange(len(shape.succ)), shape.depth]
         return full_phi, full_rho, full_xi
 
 
@@ -494,34 +434,53 @@ class _Forest:
     """
     Flow paths already checked to form a forest (no cycle, at most one
     successor per server), prepared once: every upstream view is then
-    sliced from it with no check repeated.  Rate-free.
+    sliced from it with no check repeated, and kept.  Rate-free.
     """
 
     paths: Tuple[Tuple[int, ...], ...]
     succ: Tuple[int, ...]  # -1 at a sink
-    preds: Tuple[Tuple[int, ...], ...]  # sorted
+    preds: Tuple[Tuple[int, ...], ...]
     rank: Tuple[int, ...]  # position in renumber's topological order
+    views: Dict[int, _ViewShape] = field(default_factory=dict, compare=False, repr=False)
 
     def view(self, j1: int) -> _ViewShape:
         """
-        The view upstream of ``j1``.  Its renumbering is the forest's
-        topological order restricted to the ancestors of ``j1``, which is
-        :func:`renumber` of the view itself: the ancestors are closed under
-        predecessors, so the restriction takes the smallest ready server
-        next just as the view's own order does.
+        The view upstream of ``j1``, sliced on its first request.  Its
+        renumbering is the forest's topological order restricted to the
+        ancestors of ``j1``, which is :func:`renumber` of the view itself:
+        the ancestors are closed under predecessors, so the restriction
+        takes the smallest ready server next just as the view's own order
+        does, and a flow that crosses them starts there.
         """
-        keep = _upstream(self.preds, j1)
-        order = sorted(keep, key=self.rank.__getitem__)
+        if j1 in self.views:
+            return self.views[j1]
+        order = sorted(_upstream(self.preds, j1), key=self.rank.__getitem__)
         new_id = {j: new for new, j in enumerate(order)}
-        paths, origin_flow = _clip(self.paths, new_id)
-        sub_id = {j: s for s, j in enumerate(keep)}
-        prepared = _PreparedTree(
-            paths,
-            tuple([-1 if j == j1 else new_id[self.succ[j]] for j in order]),
-            new_id[j1],
-            tuple([sub_id[j] for j in order]),
+        succ = tuple([-1 if j == j1 else new_id[self.succ[j]] for j in order])
+        depth = [0] * len(order)
+        for j in reversed(range(len(order) - 1)):  # the root is last
+            depth[j] = depth[succ[j]] + 1
+        width = max(depth) + 1
+        flow, at_root, flow_at, server_at, slot_at, entry_slot = [], [], [], [], [], []
+        for i, path in enumerate(self.paths):
+            if path[0] not in new_id:
+                continue
+            clipped = [new_id[j] for j in path if j in new_id]
+            end = depth[clipped[-1]]
+            flow.append(i)
+            if end == 0:
+                at_root.append(i)
+            for j in clipped:
+                flow_at.append(i)
+                server_at.append(j)
+                slot_at.append(j * width + depth[j] - end)
+            entry_slot.append(clipped[0] * width + depth[clipped[0]] - end)
+        shape = self.views[j1] = _ViewShape(
+            *(np.array(v, dtype=np.intp)
+              for v in (order, flow, depth, flow_at, server_at, slot_at, entry_slot)),
+            succ, width, frozenset(at_root), len(self.paths),
         )
-        return _ViewShape(self.paths, len(self.succ), origin_flow, tuple(keep), j1, prepared)
+        return shape
 
 
 def _prepare_forest(paths: Tuple[Tuple[int, ...], ...], n: int) -> _Forest:
@@ -543,11 +502,11 @@ def _prepare_forest(paths: Tuple[Tuple[int, ...], ...], n: int) -> _Forest:
     rank = [0] * n
     for position, j in enumerate(topological_order(arcs, n)):
         rank[j] = position
-    return _Forest(paths, tuple(succ), tuple([tuple(sorted(p)) for p in preds]), tuple(rank))
+    return _Forest(paths, tuple(succ), tuple(map(tuple, preds)), tuple(rank))
 
 
-def _upstream(preds: Sequence[Sequence[int]], j1: int) -> List[int]:
-    """Servers with a directed path to ``j1`` (including ``j1``), sorted."""
+def _upstream(preds: Sequence[Sequence[int]], j1: int) -> Set[int]:
+    """Servers with a directed path to ``j1``, including ``j1``."""
     seen = {j1}
     stack = [j1]
     while stack:
@@ -555,21 +514,7 @@ def _upstream(preds: Sequence[Sequence[int]], j1: int) -> List[int]:
             if u not in seen:
                 seen.add(u)
                 stack.append(u)
-    return sorted(seen)
-
-
-def _clip(paths, new_id: Dict[int, int]) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...]]:
-    """
-    The flow paths that cross the servers of ``new_id``, cut to those
-    servers and relabelled by it, with their flow ids.  The servers are
-    closed under predecessors, so a flow that crosses them starts there.
-    """
-    clipped, origin = [], []
-    for i, path in enumerate(paths):
-        if path[0] in new_id:
-            clipped.append(tuple([new_id[j] for j in path if j in new_id]))
-            origin.append(i)
-    return tuple(clipped), tuple(origin)
+    return seen
 
 
 def upstream_view(net: Network, j1: int) -> UpstreamView:
@@ -583,17 +528,16 @@ def upstream_view(net: Network, j1: int) -> UpstreamView:
     preds: List[List[int]] = [[] for _ in range(net.num_servers)]
     for u, v in induced_graph(net):
         preds[v].append(u)
-    keep = _upstream(preds, j1)
-    paths = _paths(net)
-    clipped, origin_flow = _clip(paths, {j: s for s, j in enumerate(keep)})
-    sub = Network(
-        tuple(net.servers[j] for j in keep),
-        tuple(Flow(net.flows[i].arrival, p) for i, p in zip(origin_flow, clipped)),
-    )
-    shape = _ViewShape(
-        paths, net.num_servers, origin_flow, tuple(keep), j1, _root_shape(sub).prepared
-    )
-    return UpstreamView(shape, _numbers(net), _unstable(local_stability(net).per_server))
+    index = {j: s for s, j in enumerate(sorted(_upstream(preds, j1)))}
+    clipped = [[j for j in f.path if j in index] for f in net.flows]
+    # the extracted part as a network of its own, servers numbered in order
+    _check_tree(Network(
+        tuple([net.servers[j] for j in index]),
+        tuple([Flow(f.arrival, [index[j] for j in p]) for f, p in zip(net.flows, clipped) if p]),
+    ))
+    # a flow that misses the extracted servers keeps its first server: no arc
+    paths = tuple([tuple(p) if p else f.path[:1] for f, p in zip(net.flows, clipped)])
+    return UpstreamView(_prepare_forest(paths, net.num_servers).view(j1), _numbers(net))
 
 
 def tree_backlog_at(net: Network, j1: int, interest: Iterable[int]) -> BacklogResult:

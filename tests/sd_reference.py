@@ -15,6 +15,7 @@ import numpy as np
 from netcalc.errors import LocallyUnstableError
 from netcalc.network import Network
 from netcalc.stability import LinearRecursion, _require_local_stability, sd_labels
+from netcalc.tree_analysis import _numbers
 
 
 def build_sd(net: Network) -> LinearRecursion:
@@ -29,7 +30,7 @@ def build_sd(net: Network) -> LinearRecursion:
     over all other hops ``s`` present at server ``j``.  First-hop bursts
     are known and folded into the constant vector.
     """
-    _require_local_stability(net)
+    _require_local_stability(_numbers(net))
     labels = sd_labels(net)
     index = {lab: pos for pos, lab in enumerate(labels)}
     L = len(labels)

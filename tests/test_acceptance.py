@@ -37,14 +37,7 @@ from netcalc import (
     worst_case_scenario,
 )
 from netcalc.decomposition import removal_tree
-from netcalc.stability import (
-    _build_grouped,
-    _context,
-    _objective_tree,
-    ag_labels,
-    is_stable,
-    td_labels,
-)
+from netcalc.stability import _method_recursions, _objective_tree, is_stable
 from netcalc.topologies import bi_ring, two_server_sink_tree, three_ring, toy, uni_ring
 
 from conftest import random_tandem, random_tree, random_uni_ring
@@ -274,20 +267,20 @@ def test_criterion_9_dominance():
     while sampled < 20:
         net = instance()
         removed = removal_tree(net)
-        ctx = _context(net, removed)
-        lr_td, lr_ag = _build_grouped(ctx, ()), _build_grouped(ctx, ctx.ff.removed)
+        ctx, (lr_td, lr_ag) = _method_recursions(net, "2s", removed)
         b_star, big_b = solve_recursion(lr_td), solve_recursion(lr_ag)
         if b_star is None or big_b is None or lr_td.size == 0:
             continue
         target = Target.backlog(net.flows[0].path[-1], [0])
-        obj = _objective_tree(ctx, target, arcs=False)
+        obj = _objective_tree(ctx, net, target, arcs=False)
         greedy = two_stage_bound(net, removed, target).value
-        index = {lab: pos for pos, lab in enumerate(td_labels(ctx.ff))}
-        arcs = ag_labels(ctx.ff.removed)
+        dec = ctx.structure
+        index = {lab: pos for pos, lab in enumerate(lr_td.labels)}
+        arcs = lr_ag.labels
         groups = [
-            (i, [index[ctx.ff.split_flows[s].label] for s in ctx.structure.groups.continuations[a]])
+            (i, [index[dec.split_flows[s].label] for s in dec.groups.continuations[a]])
             for i, a in enumerate(arcs)
-            if ctx.structure.groups.continuations[a]
+            if dec.groups.continuations[a]
         ]
         points = rng.uniform(0, 1, (10**4, lr_td.size)) * b_star
         for a_i, members in groups:

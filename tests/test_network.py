@@ -2,7 +2,9 @@ import importlib.util
 import os
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netcalc import (
     Flow,
@@ -21,6 +23,7 @@ from netcalc import (
 )
 from netcalc.curves import aggregate, classify_server
 from netcalc.topologies import bi_ring, two_server_sink_tree, toy, uni_ring
+from netcalc.tree_analysis import _numbers
 
 from conftest import random_tandem, random_tree, random_uni_ring
 
@@ -194,3 +197,58 @@ def test_local_stability_classes_match_per_server_aggregate(rng, monkeypatch):
     for net in nets:
         assert local_stability(net).per_server == _classes_by_server_aggregate(net)
     assert local_stability(exact).per_server == (ServerClass.CRITICAL, ServerClass.STABLE)
+
+
+@st.composite
+def _networks_with_critical_servers(draw):
+    """Up to 6 servers and up to 8 flows, some of zero rate; each server is
+    critical (its rate is its load, added in flow order), stable, overloaded
+    or drawn at random."""
+    n = draw(st.integers(1, 6))
+    paths = draw(st.lists(
+        st.permutations(range(n)).flatmap(lambda p: st.integers(1, n).map(lambda k: p[:k])),
+        max_size=8,
+    ))
+    rates = [draw(st.sampled_from([0.0, 0.1, 1 / 3]) | st.floats(0.0, 5.0)) for _ in paths]
+    load = [0.0] * n
+    for r, p in zip(rates, paths):
+        for j in p:
+            load[j] += r
+    servers = []
+    for j in range(n):
+        rate = draw(st.sampled_from([load[j], 1.5 * load[j], 0.5 * load[j]]) | st.floats(0.01, 10.0))
+        servers.append(RateLatency(rate if rate > 0 else 0.1, draw(st.floats(0.0, 2.0))))
+    flows = [Flow(TokenBucket(draw(st.floats(0.0, 5.0)), r), tuple(p)) for r, p in zip(rates, paths)]
+    return Network(tuple(servers), tuple(flows))
+
+
+def _flow_order_loads(net):
+    # local_stability's loop: every hop's rate added in flow order
+    load = [0.0] * net.num_servers
+    for f in net.flows:
+        for j in f.path:
+            load[j] += f.arrival.rate
+    return load
+
+
+@settings(max_examples=300, deadline=None)
+@given(_networks_with_critical_servers())
+def test_numbers_loads_and_mask_match_local_stability(net):
+    numbers = _numbers(net)
+    load = _flow_order_loads(net)
+    assert np.array_equal(numbers.load, load)  # bit for bit
+    classes = local_stability(net).per_server
+    assert classes == tuple(
+        classify_server(TokenBucket(0.0, r), beta) for r, beta in zip(load, net.servers))
+    assert numbers.unstable.tolist() == [c is not ServerClass.STABLE for c in classes]
+
+
+def test_numbers_mask_holds_critical_servers():
+    # server 0 carries exactly its rate: critical, hence in the mask
+    net = Network(
+        (RateLatency(3.0, 0.1), RateLatency(4.0, 0.1)),
+        (Flow(TokenBucket(1, 1.0), (0, 1)), Flow(TokenBucket(1, 2.0), (0,)),
+         Flow(TokenBucket(1, 1.0), (1,))),
+    )
+    assert local_stability(net).per_server == (ServerClass.CRITICAL, ServerClass.STABLE)
+    assert _numbers(net).unstable.tolist() == [True, False]

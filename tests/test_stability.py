@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from collections import Counter
 
@@ -41,17 +42,17 @@ from netcalc.cli import main as cli_main
 from netcalc.decomposition import decompose, group_by_arc, removal_tree
 from netcalc.network import induced_graph, renumber
 from netcalc.stability import (
-    _build_grouped,
-    _context,
+    _bind,
     _decide,
+    _method_recursions,
     _objective_tree,
+    _prepare,
     _two_stage,
     is_stable,
     rho_below,
-    td_labels,
 )
 from netcalc.topologies import bi_ring, three_ring, two_server_sink_tree, toy, uni_ring
-from netcalc.tree_analysis import _Forest, tree_backlog_at, upstream_view
+from netcalc.tree_analysis import _Forest, _numbers, tree_backlog_at, upstream_view
 
 import sd_reference
 from xi_reference import tree_network
@@ -168,9 +169,7 @@ def test_build_td_toy_equal_coefficients():
     net = toy()
     removed = removal_tree(net)
     lr = build_td(net, removed)
-    ff = decompose(net, removed)
-    labels = td_labels(ff)
-    index = {lab: pos for pos, lab in enumerate(labels)}
+    index = {lab: pos for pos, lab in enumerate(lr.labels)}
     row = index[(2, 1)]
     phi_12 = lr.M[row, index[(0, 1)]]
     phi_22 = lr.M[row, index[(1, 1)]]
@@ -215,7 +214,8 @@ def _recursion_row_by_row(net, removed, grouped):
     ff = decompose(net, removed)
     forest, groups = ff.as_network(), group_by_arc(ff)
     arc_of = {s: arc for arc, conts in groups.continuations.items() for s in conts}
-    singles = [lab for lab in td_labels(ff) if arc_of[ff.index_of(lab)] not in grouped]
+    singles = [sf.label for s, sf in enumerate(ff.split_flows)
+               if sf.segment >= 1 and arc_of[s] not in grouped]
     arcs = sorted(grouped)
     L = len(singles) + len(arcs)
 
@@ -598,9 +598,10 @@ def _check_report_consistency(net, method):
     if method == "2s":
         # the two-stage bound over td and ag fixed points built apart from analyze
         assert report.objective is None
-        ctx = _context(net, removed)
-        b_star, big_b = (solve_recursion(_build_grouped(ctx, g)) for g in ((), ctx.ff.removed))
-        assert report.bound == _two_stage(ctx, _objective_tree(ctx, target, arcs=False), b_star, big_b)
+        ctx, recursions = _method_recursions(net, "2s", removed)
+        b_star, big_b = (solve_recursion(lr) for lr in recursions)
+        obj = _objective_tree(ctx, net, target, arcs=False)
+        assert report.bound == _two_stage(ctx.structure, obj, b_star, big_b)
         return
     obj = objective_for(net, target, method)
     assert np.array_equal(report.objective.Q, obj.Q) and report.objective.C == obj.C
@@ -762,28 +763,25 @@ def test_two_stage_below_components(rng):
 
 
 def test_two_stage_greedy_dominates_random_feasible(rng):
-    from netcalc.stability import ag_labels
-
     checked = 0
     while checked < 8:
         net = _random_cyclic_instance(rng)
         removed = removal_tree(net)
-        ctx = _context(net, removed)
-        lr_td, lr_ag = _build_grouped(ctx, ()), _build_grouped(ctx, ctx.ff.removed)
+        ctx, (lr_td, lr_ag) = _method_recursions(net, "2s", removed)
         b_star = solve_recursion(lr_td)
         big_b = solve_recursion(lr_ag)
         if b_star is None or big_b is None or lr_td.size == 0:
             continue
         target = Target.backlog(net.flows[0].path[-1], [0])
-        obj = _objective_tree(ctx, target, arcs=False)
+        obj = _objective_tree(ctx, net, target, arcs=False)
         greedy = two_stage_bound(net, removed, target).value
-        labels = td_labels(ctx.ff)
-        index = {lab: pos for pos, lab in enumerate(labels)}
-        arcs = ag_labels(ctx.ff.removed)
+        dec = ctx.structure
+        index = {lab: pos for pos, lab in enumerate(lr_td.labels)}
+        arcs = lr_ag.labels
         arc_pos = {a: i for i, a in enumerate(arcs)}
         groups = [
-            (arc_pos[a], [index[ctx.ff.split_flows[s].label] for s in ctx.structure.groups.continuations[a]])
-            for a in arcs if ctx.structure.groups.continuations[a]
+            (arc_pos[a], [index[dec.split_flows[s].label] for s in dec.groups.continuations[a]])
+            for a in arcs if dec.groups.continuations[a]
         ]
         for _ in range(2000):
             x = rng.uniform(0, 1, lr_td.size) * b_star
@@ -882,9 +880,10 @@ def _overloaded(net, j):
 
 
 def _view_fields(view):
-    s, p = view.shape, view.shape.prepared
-    return (p.paths, p.succ, p.root, p.new_to_old,
-            view.unstable_servers, s.origin_flow, s.origin_server)
+    s = view.shape
+    arrays = (s.server, s.flow, s.depth, s.flow_at, s.server_at, s.slot_at, s.entry_slot)
+    return (s.num_flows, s.at_root, s.succ, s.width, view.unstable_servers,
+            *(a.tolist() for a in arrays))
 
 
 def _renumbered_clip(net, j1):
@@ -900,7 +899,8 @@ def _renumbered_clip(net, j1):
     sub_id = {j: s for s, j in enumerate(sorted(keep))}
     flows = [Flow(f.arrival, tuple(sub_id[j] for j in f.path if j in sub_id))
              for f in net.flows if keep.intersection(f.path)]
-    return renumber(Network(tuple(net.servers[j] for j in sorted(keep)), tuple(flows)))
+    renamed, old_to_new = renumber(Network(tuple(net.servers[j] for j in sorted(keep)), tuple(flows)))
+    return renamed, old_to_new, sorted(keep)
 
 
 def test_context_views_equal_public_upstream_views(rng):
@@ -912,14 +912,14 @@ def test_context_views_equal_public_upstream_views(rng):
     nets += [_overloaded(uni_ring(5, 0.4), 4), _overloaded(bi_ring(5, 0.4), 3)]
     unstable_views = 0
     for net in nets:
-        ctx = _context(net, removal_tree(net))
-        forest = ctx.ff.as_network()
+        ctx = _bind(_prepare(net, "td"), _numbers(net))
+        forest = decompose(net, removal_tree(net)).as_network()
         for j1 in range(forest.num_servers):
             view = ctx.view(j1)
             assert _view_fields(view) == _view_fields(upstream_view(forest, j1))
-            renamed, old_to_new = _renumbered_clip(forest, j1)
+            renamed, old_to_new, kept = _renumbered_clip(forest, j1)
             assert tree_network(view) == renamed
-            assert [view.shape.prepared.new_to_old[new] for new in old_to_new] == list(range(len(old_to_new)))
+            assert [view.shape.server[new] for new in old_to_new] == kept
             unstable_views += bool(view.unstable_servers)
     assert unstable_views > 0
 
@@ -934,6 +934,55 @@ def test_objective_for_raises_only_when_the_target_view_is_unstable():
             assert np.isfinite(objective_for(net, Target.backlog(j, [j]), method).C)
         with pytest.raises(LocallyUnstableError, match=r"servers \[4\] are not strictly stable"):
             objective_for(net, Target.backlog(4, [4]), method)
+
+
+def test_instability_diagnostics_name_network_server_ids():
+    # server 3's view in bi_ring(5) holds servers 2 and 3: the diagnostic
+    # names network id 3, not the view's position of it
+    net = _overloaded(bi_ring(5, 0.4), 3)
+    crossing = [i for i, f in enumerate(net.flows) if 3 in f.path]
+    for method in ("td", "ag"):
+        for i in crossing:
+            with pytest.raises(LocallyUnstableError, match=r"^servers \[3\] are not strictly stable$"):
+                objective_for(net, Target.backlog(3, [i]), method)
+    ff = decompose(net, removal_tree(net))
+    ending = [s for s, sf in enumerate(ff.split_flows) if sf.path[-1] == 3]
+    result = tree_backlog_at(ff.as_network(), 3, ending)
+    assert not result.value.is_finite
+    assert result.diagnostic == "servers [3] are not strictly stable"
+
+
+_BAD_TARGETS = [
+    (Target.backlog(7, [0]), "server 7"),
+    (Target.backlog(-1, [0]), "server -1"),
+    (Target.backlog(4, [0, 5]), "flow 5"),
+    (Target.delay(9), "flow 9"),
+    (Target.delay(-1), "flow -1"),
+]
+
+
+@pytest.mark.parametrize("method", ["sd", "td", "ag", "2s"])
+@pytest.mark.parametrize("target, bad", _BAD_TARGETS, ids=[bad for _, bad in _BAD_TARGETS])
+def test_out_of_range_target_ids_are_rejected(method, target, bad):
+    # uni_ring(5) has servers and flows 0..4: no bare IndexError, no
+    # negative index reaching another flow
+    net = uni_ring(5, 0.5)
+    message = re.escape("%s does not exist" % bad)
+    with pytest.raises(UnsupportedTargetError, match=message):
+        analyze(net, method, target)
+    with pytest.raises(UnsupportedTargetError, match=message):
+        objective_for(net, target, method)
+    # local instability still short-circuits first
+    report = analyze(uni_ring(5, 1.0), method, target)
+    assert not report.stable and report.bound is UNBOUNDED
+
+
+def test_build_grouped_rejects_arcs_outside_the_removal():
+    net = bi_ring(6, 0.05)
+    removed = removal_tree(net)
+    kept = min(induced_graph(net) - removed)
+    with pytest.raises(ValidationError, match=re.escape("grouped arcs not in the removal: [%r]" % (kept,))):
+        build_grouped(net, removed, removed | {kept})
 
 
 def test_td_verdict_checks_the_network_once_whatever_the_number_of_views(monkeypatch):

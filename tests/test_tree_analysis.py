@@ -24,7 +24,7 @@ from netcalc.topologies import two_server_sink_tree, toy, uni_ring
 from netcalc.tree_analysis import XiTable, _root_view, upstream_view
 
 from conftest import random_tandem, random_tree
-from xi_reference import _xi_general, _xi_sink_tree, predecessors, tree_network
+from xi_reference import _xi_general, _xi_sink_tree, scalar_input
 
 # Two-server tandem fixture, second server twice as fast; the flow of
 # interest crosses both.  Value frozen from the case-enumeration oracle.
@@ -93,9 +93,7 @@ def test_linear_form_reconstruction(rng):
 def _full_table(net, interest):
     # the general pass fills every (server, destination) pair; the sink-tree
     # shortcut keeps only the root column, so force the general one here
-    view = _root_view(net)
-    prep = view.shape.prepared
-    return _xi_general(tree_network(view), frozenset(interest), prep.succ, predecessors(prep.succ), prep.root)
+    return _xi_general(*scalar_input(_root_view(net), interest))
 
 
 def test_destination_monotonicity(rng):
@@ -242,13 +240,13 @@ def test_sink_tree_fast_path_matches_general(rng):
             int(i) for i in rng.choice(sink.num_flows, size=max(1, sink.num_flows // 2), replace=False)
         )
         view = _root_view(sink)
-        prep, tree = view.shape.prepared, tree_network(view)
-        fast = _xi_sink_tree(tree, interest, prep.succ, predecessors(prep.succ), prep.root)
-        slow = _xi_general(tree, interest, prep.succ, predecessors(prep.succ), prep.root)
+        scalar = scalar_input(view, interest)
+        fast = _xi_sink_tree(*scalar)
+        slow = _xi_general(*scalar)
         # the public table, keyed by the sink tree's own ids, has exactly the
         # general pass's keys; compare it in the renumbered ids
         own = compute_xi(sink, interest)
-        back = prep.new_to_old
+        back = view.shape.server.tolist()
         assert {(back[j], back[k]) for j, k in slow.xi} == set(own.xi)
         public = XiTable(
             {(j, k): own.xi[(back[j], back[k])] for j, k in slow.xi},
@@ -295,17 +293,17 @@ def test_array_pass_matches_scalar_pass(rng):
     for make in (random_tree, random_tandem):
         for _ in range(30):
             view = _root_view(make(rng))
-            prep = view.shape.prepared
-            net, root = tree_network(view), prep.root
+            net, _, _, _, root = scalar_input(view, ())
             at_root = [i for i, f in enumerate(net.flows) if f.path[-1] == root]
             batch = _interest_batch(rng, at_root)
-            phi, rho, xi = view._pass(prep.rows(batch))
-            depth = prep.arrays.depth
+            # a whole tree's view flows are the network's, in flow order
+            phi, rho, xi = view._pass(view.shape.rows(batch))
+            depth = view.shape.depth
             assert phi.shape == (len(batch), net.num_flows)
             assert rho.shape == (len(batch), net.num_servers)
             assert xi.shape == (len(batch), net.num_servers, depth.max() + 1)
             for b, interest in enumerate(batch):
-                table = _xi_general(net, frozenset(interest), prep.succ, predecessors(prep.succ), root)
+                table = _xi_general(*scalar_input(view, interest))
                 np.testing.assert_allclose(
                     phi[b], [table.phi[i] for i in range(net.num_flows)], rtol=1e-12, atol=0)
                 np.testing.assert_allclose(
@@ -345,7 +343,7 @@ def test_view_rows_match_view_backlog(rng):
                 phi[b], [table.phi[i] for i in range(net.num_flows)], rtol=1e-12, atol=0)
             np.testing.assert_allclose(
                 rho[b], [table.rho[j] for j in range(net.num_servers)], rtol=1e-12, atol=0)
-            for j in view.shape.origin_server:
+            for j in view.shape.server.tolist():
                 assert xi_root[b, j] == pytest.approx(table.xi[(j, j1)], rel=1e-12, abs=0)
         outside = next((i for i, f in enumerate(net.flows) if j1 not in f.path), None)
         if outside is not None:
@@ -360,11 +358,10 @@ def test_array_pass_rejects_local_instability():
         (Flow(TokenBucket(1, 1), (0, 1)), Flow(TokenBucket(1, 3), (0,))),
     )
     view = _root_view(net)
-    prep = view.shape.prepared
     with pytest.raises(LocallyUnstableError):
-        _xi_general(tree_network(view), frozenset([0]), prep.succ, predecessors(prep.succ), prep.root)
+        _xi_general(*scalar_input(view, [0]))
     with pytest.raises(LocallyUnstableError):
-        view._pass(prep.rows([[0]]))
+        view._pass(view.shape.rows([[0]]))
     view = upstream_view(net, 1)
     with pytest.raises(LocallyUnstableError):
         view.coefficient_rows(view.shape.rows([[0]]))

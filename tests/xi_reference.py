@@ -27,10 +27,18 @@ def tree_network(view) -> Network:
     shape, num = view.shape, view.numbers
     rate, burst = num.rate.tolist(), num.burst.tolist()
     service_rate, latency = num.service_rate.tolist(), num.latency.tolist()
-    servers = [RateLatency(service_rate[j], latency[j]) for j in shape.full_server.tolist()]
-    flows = [Flow(TokenBucket(burst[i], rate[i]), path)
-             for i, path in zip(shape.origin_flow, shape.prepared.paths)]
+    servers = [RateLatency(service_rate[j], latency[j]) for j in shape.server.tolist()]
+    paths: Dict[int, List[int]] = {}  # each view flow's crossings, in flow order
+    for i, j in zip(shape.flow_at.tolist(), shape.server_at.tolist()):
+        paths.setdefault(i, []).append(j)
+    flows = [Flow(TokenBucket(burst[i], rate[i]), paths[i]) for i in shape.flow.tolist()]
     return Network(tuple(servers), tuple(flows))
+
+
+def scalar_input(view, interest):
+    """The arguments of the scalar passes for ``interest`` on the view (root last)."""
+    succ = view.shape.succ
+    return tree_network(view), frozenset(interest), succ, predecessors(succ), len(succ) - 1
 
 
 def predecessors(succ) -> List[List[int]]:
