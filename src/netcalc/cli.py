@@ -31,7 +31,7 @@ from .fluid import (
     simulate_fluid,
 )
 from .network import Network, classify, flows_through
-from .stability import Target, analyze, critical_utilization
+from .stability import Target, _method, analyze, critical_utilization
 from .topologies import GENERATORS
 
 EXIT_VALIDATION = 2
@@ -43,31 +43,24 @@ METHOD_COLUMNS = {"sd": "SD", "td": "TD", "ag": "AG", "2s": "TWO_STAGE"}
 MAX_SWEEP_ROWS = 100_000
 
 
-def _build_network(args) -> Network:
+def _build_network(args, u: float) -> Network:
+    """The ``--kind`` topology at utilization ``u``."""
     kind = args.kind
     if kind not in GENERATORS:
         raise NetcalcError("unknown topology kind %r" % kind)
     if kind == "uni_ring":
-        return GENERATORS[kind](args.n, args.utilization, heterogeneous=args.heterogeneous)
+        return GENERATORS[kind](args.n, u, heterogeneous=args.heterogeneous)
     if kind == "bi_ring":
-        return GENERATORS[kind](args.n, args.utilization)
+        return GENERATORS[kind](args.n, u)
     if kind == "three_ring":
-        return GENERATORS[kind](args.utilization, ring_size=args.n, short_len=args.short_len)
+        return GENERATORS[kind](u, ring_size=args.n, short_len=args.short_len)
     if kind == "toy":
-        return GENERATORS[kind](args.utilization)
+        return GENERATORS[kind](u)
     return GENERATORS[kind]()  # the fixed fixture ignores the sweep parameters
 
 
 def _family(args):
-    def family(u: float) -> Network:
-        saved = args.utilization
-        args.utilization = u
-        try:
-            return _build_network(args)
-        finally:
-            args.utilization = saved
-
-    return family
+    return lambda u: _build_network(args, u)
 
 
 def _index(what: str, one_based: int, count: int) -> int:
@@ -104,7 +97,7 @@ def _open_output(path: Optional[str]):
 
 
 def cmd_generate(args) -> int:
-    net = _build_network(args)
+    net = _build_network(args, args.utilization)
     out = _open_output(args.output)
     fileio.save_network(net, out)
     if out is not sys.stdout:
@@ -165,16 +158,11 @@ def _describe_target(target: Target) -> str:
 def _describe_label(lab, method: str) -> str:
     if method == "ag":
         return "arc %d->%d" % (lab[0] + 1, lab[1] + 1)
-    if isinstance(lab, tuple) and len(lab) == 2:
-        return "flow %d segment %d" % (lab[0] + 1, lab[1] + 1)
-    return str(lab)
+    return "flow %d segment %d" % (lab[0] + 1, lab[1] + 1)
 
 
 def cmd_sweep(args) -> int:
-    methods = [m.strip().lower() for m in args.methods.split(",") if m.strip()]
-    for m in methods:
-        if m not in METHOD_COLUMNS:
-            raise NetcalcError("unknown method %r" % m)
+    methods = [_method(m.strip()) for m in args.methods.split(",") if m.strip()]
     if not (0 < args.u_min < args.u_max < 1):
         raise NetcalcError("need 0 < u-min < u-max < 1")
     if not (math.isfinite(args.step) and args.step > 0):

@@ -41,10 +41,6 @@ class TokenBucket:
     def __add__(self, other: "TokenBucket") -> "TokenBucket":
         return TokenBucket(self.burst + other.burst, self.rate + other.rate)
 
-    def evaluate(self, t: float) -> float:
-        """Value of the curve at ``t`` (0 at ``t = 0``)."""
-        return 0.0 if t <= 0 else self.burst + self.rate * t
-
 
 @dataclass(frozen=True)
 class RateLatency:

@@ -43,14 +43,6 @@ class Flow:
         if len(set(self.path)) != len(self.path):
             raise ValidationError("flow path revisits a server: %r" % (self.path,))
 
-    @property
-    def source(self) -> int:
-        return self.path[0]
-
-    @property
-    def destination(self) -> int:
-        return self.path[-1]
-
 
 @dataclass(frozen=True)
 class Network:

@@ -34,20 +34,25 @@ each removed arc (``ag``), plus the two-stage combination (``2s``).
 Each construction is split in two.  A rate-free structure depends only on
 the server count and the flow paths: for ``sd`` the hop arrays and the
 pair layout (``_SdLayout``); for the others the removal, the split flows
-and their grouping, the forest with its upstream view shapes, and each
-grouping's column and row layout (``_Decomposition``).  Every structure
-binds to one ``_Numbers``: a network's rates, bursts, latencies, server
-loads and not-strictly-stable mask, gathered once per network.  Local
-stability is read off that mask before any structure is prepared; the sd
-pass reads its loads from it, and a decomposition gathers it over its
-split flows (``_bind``) for its views.  The numeric pass computes ``(M,
-N)`` with the same operations in the same order as a structure built from
-the network itself.  ``analyze``, ``is_stable``, ``objective_for`` and the
-``build_*`` functions prepare a structure (``_prepare``) and bind it once
-per call.  Only ``critical_utilization`` holds one across calls: it
-prepares the structure of ``family(u_max)`` and binds it at every
-bisection step whose ``family(U)`` has the same server count and flow
-paths, checked at every step, and prepares a new one otherwise.
+and their grouping, the forest with its upstream view shapes, and the
+column and row layout of each grouping of removed arcs the method builds
+a recursion for: none for ``td``, all for ``ag``, none then all for ``2s``
+(``_Decomposition``).  Both answer the same three calls.  ``bind`` gathers
+a network's ``_Numbers`` (rates, bursts, latencies, server loads and the
+not-strictly-stable mask) over what the structure reads; ``recursions``
+computes ``(M, N)`` from them with the same operations in the same order
+as a structure built from the network itself; ``objective`` writes a
+target as a linear form over the first recursion's variables.
+
+The recursions come from one path (``_method_recursions``): local
+stability is read off the mask, the structure is prepared (``_prepare``)
+unless the caller holds one, bound once, and asked for its recursions;
+``analyze`` asks the same bound structure for its objective.  The method
+name is checked once per call (``_method``).  Only
+``critical_utilization`` holds a structure across calls: it prepares the
+one of ``family(u_max)`` and binds it at every bisection step whose
+``family(U)`` has the same server count and flow paths, checked at every
+step, and prepares a new one otherwise.
 """
 
 from __future__ import annotations
@@ -182,6 +187,18 @@ class StabilityReport:
         return "unstable"
 
 
+def _checked(M) -> np.ndarray:
+    """``M`` as a float array, checked square, finite and nonnegative."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValidationError("matrix must be square")
+    if not np.isfinite(M).all():
+        raise ValidationError("matrix entries must be finite")
+    if M.size and M.min() < 0:
+        raise ValidationError("matrix entries must be nonnegative")
+    return M
+
+
 def spectral_radius(M: np.ndarray, max_iter: Optional[int] = None) -> float:
     """
     Spectral radius of a nonnegative matrix, via power iteration on the
@@ -202,28 +219,23 @@ def spectral_radius(M: np.ndarray, max_iter: Optional[int] = None) -> float:
     >>> spectral_radius(np.array([[0.0, 0.5], [0.5, 0.0]]))
     0.5
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValidationError("matrix must be square")
+    M = _checked(M)
     if M.size == 0:
         return 0.0
-    if not np.isfinite(M).all():
-        raise ValidationError("matrix entries must be finite")
-    if M.min() < 0:
-        raise ValidationError("matrix entries must be nonnegative")
-    for lo, hi, _ in _brackets(M, np.ones(M.shape[0]), max_iter):
+    for lo, hi, _ in _brackets(M, None, max_iter):
         if hi - lo <= RHO_TOL:
             return 0.5 * (lo + hi)
     return float(max(abs(np.linalg.eigvals(M))))
 
 
-def _brackets(M: np.ndarray, x: np.ndarray, max_iter: Optional[int]):
+def _brackets(M: np.ndarray, x: Optional[np.ndarray], max_iter: Optional[int]):
     """
     Collatz-Wielandt brackets of ``rho(M)``, from power iteration on
-    ``M + POWER_SHIFT I`` started from the positive vector ``x``: at most
-    ``max_iter`` of them, the matrix size ``L`` by default.  Each comes as
-    ``(lo, hi, the iterate it was read off)``.
+    ``M + POWER_SHIFT I`` started from the positive vector ``x`` (``None``:
+    all ones): at most ``max_iter`` of them, the matrix size ``L`` by
+    default.  Each comes as ``(lo, hi, the iterate it was read off)``.
     """
+    x = np.ones(M.shape[0]) if x is None else x
     for _ in range(M.shape[0] if max_iter is None else max_iter):
         y = M @ x + POWER_SHIFT * x
         ratios = y / x
@@ -256,8 +268,11 @@ def rho_below(M: np.ndarray, threshold: float, max_iter: Optional[int] = None) -
     cost several exact tests: at ``L = 870`` a step takes about 60 us and
     the exact test 8.5 ms, the price of about 140 steps (about 23 at
     ``L = 180``; single-threaded BLAS on one AMD EPYC core).
+
+    :raises ValidationError: if ``M`` is not square, finite and
+        nonnegative, as :func:`spectral_radius` requires
     """
-    return _decide(M, threshold, None, max_iter)[0]
+    return _decide(_checked(M), threshold, None, max_iter)[0]
 
 
 def _decide(
@@ -267,25 +282,23 @@ def _decide(
     max_iter: Optional[int] = None,
 ) -> Tuple[bool, Optional[np.ndarray]]:
     """
-    :func:`rho_below`'s decision, with its bracket started from the
-    positive vector ``start``, and the vector to start the next decision on
-    a similar matrix from.  That is the exact test's solution when the test
-    ran and the solution has one sign, scaled to a largest entry of 1: near
-    ``threshold = rho`` the Perron vector dominates ``(threshold I -
-    M)^-1 1``, with the sign of ``threshold - rho``.  Otherwise it is the
-    last bracket iterate.  Both are floored at ``1e-250``.  A cold decision
-    (``start`` is ``None``: all ones) skips scaling the solution and hands
-    on the last bracket iterate, so :func:`rho_below` pays nothing for it.
+    :func:`rho_below`'s decision on a checked ``M``, with its bracket
+    started from the positive vector ``start`` (``None``: all ones), and
+    the vector to start the next decision on a similar matrix from.  That
+    is the exact test's solution when the test ran and the solution has one
+    sign, scaled to a largest entry of 1: near ``threshold = rho`` the
+    Perron vector dominates ``(threshold I - M)^-1 1``, with the sign of
+    ``threshold - rho``.  Otherwise it is the last bracket iterate.  Both
+    are floored at ``1e-250``.
 
     Any positive start is sound: ``min(M x / x) <= rho(M) <= max(M x / x)``
     holds for every nonnegative ``M`` and every ``x > 0``, so the start
     changes how many steps a decision takes, never what it certifies.
     """
-    M = np.asarray(M, dtype=float)
     if M.size == 0:
         return threshold > 0, start
-    x = np.ones(M.shape[0]) if start is None else start
-    for lo, hi, x in _brackets(M, x, max_iter):
+    x = start
+    for lo, hi, x in _brackets(M, start, max_iter):
         if lo >= threshold:
             return False, x
         if hi < threshold:
@@ -295,10 +308,9 @@ def _decide(
     except np.linalg.LinAlgError:  # singular: threshold is an eigenvalue
         return False, x
     positive = y.min() > 0
-    if start is not None:
-        scale = y.max() if positive else y.min() if y.max() < 0 else math.nan
-        if math.isfinite(scale):
-            x = np.maximum(y / scale, 1e-250)
+    scale = y.max() if positive else y.min() if y.max() < 0 else math.nan
+    if math.isfinite(scale):
+        x = np.maximum(y / scale, 1e-250)
     return bool(positive and (threshold * y - M @ y).min() > 0), x
 
 
@@ -329,29 +341,30 @@ def _require_local_stability(num: _Numbers) -> None:
         )
 
 
+def _check_target(net: Network, target: Target) -> None:
+    """Reject a malformed target, or one naming a server or flow ``net`` lacks."""
+    if target.kind == "backlog":
+        if target.server is None or not target.flows:
+            raise UnsupportedTargetError("backlog target needs a server and flows")
+        if not 0 <= target.server < net.num_servers:
+            raise UnsupportedTargetError("server %d does not exist" % target.server)
+        unknown = sorted(i for i in target.flows if not 0 <= i < net.num_flows)
+        if unknown:
+            raise UnsupportedTargetError(
+                "some target flows do not cross the server: flow %d does not exist" % unknown[0]
+            )
+    elif target.kind == "delay":
+        if target.flow is None or not 0 <= target.flow < net.num_flows:
+            raise UnsupportedTargetError("flow %r does not exist" % target.flow)
+    else:
+        raise UnsupportedTargetError("unknown target kind %r" % target.kind)
+
+
 def sd_labels(net: Network) -> Tuple[Tuple[int, int], ...]:
     """Variables of the per-server recursion: each flow's hops past the first."""
     return tuple(
         [(i, k) for i, f in enumerate(net.flows) for k in range(1, len(f.path))]
     )
-
-
-def _sd_hops(net: Network) -> Tuple[np.ndarray, ...]:
-    """
-    Every hop of every flow, in flow order, as arrays ``(flow, pos, server,
-    var)``: hop ``pos`` of ``flow`` crosses ``server``, and the burst
-    entering it is the sd variable ``var = offset[flow] + pos - 1`` (from
-    ``pos = 1`` on).  ``offset[i]``, the number of variables of the flows
-    before ``i``, is ``first[i] - i`` for the index ``first[i]`` of flow
-    ``i``'s first hop, so ``var`` is the hop's index less ``flow + 1``.
-    """
-    paths = [f.path for f in net.flows]
-    length = np.fromiter(map(len, paths), np.intp, len(paths))
-    server = np.fromiter(chain.from_iterable(paths), np.intp, int(length.sum()))
-    flow = np.repeat(np.arange(len(paths)), length)
-    hop = np.arange(len(server))
-    first = np.cumsum(length) - length
-    return flow, hop - first[flow], server, hop - flow - 1
 
 
 class _SdLayout:
@@ -364,7 +377,17 @@ class _SdLayout:
 
     def __init__(self, net: Network):
         self.num_servers, self.paths, self.labels = net.num_servers, _paths(net), sd_labels(net)
-        self.flow, self.pos, self.server, self.var = flow, pos, server, var = _sd_hops(net)
+        # every hop of every flow, in flow order: hop pos of flow crosses server,
+        # and the burst entering it is the sd variable var = offset[flow] + pos - 1
+        # (from pos = 1 on); offset[i], the variables of the flows before i, is
+        # first[i] - i for flow i's first hop, so var is the hop index less flow + 1
+        length = np.fromiter(map(len, self.paths), np.intp, len(self.paths))
+        server = np.fromiter(chain.from_iterable(self.paths), np.intp, int(length.sum()))
+        flow = np.repeat(np.arange(len(self.paths)), length)
+        hop = np.arange(len(server))
+        first = np.cumsum(length) - length
+        pos, var = hop - first[flow], hop - flow - 1
+        self.flow, self.pos, self.server, self.var = flow, pos, server, var
         # row r, the variable (i, k), is fed by hop (i, k - 1): every hop but the last
         feed = np.flatnonzero(flow[1:] == flow[:-1])
         self.row_flow, self.row_server = flow[feed], server[feed]
@@ -390,34 +413,71 @@ class _SdLayout:
         self.term_own, self.term_flow = own[known], flow[peer[known]]
         self.width = self.term_col.max(initial=0) + 2  # first-hop terms, then latency
 
+    def bind(self, num: _Numbers) -> _Numbers:
+        """The numbers the pass reads: the network's own."""
+        return num
 
-def _sd_recursion(sd: _SdLayout, num: _Numbers) -> LinearRecursion:
-    """
-    The per-server recursion from its layout and a network's numbers.  Each
-    pair weighs ``1`` for the row's own hop and the server's gain for the
-    others.  ``M`` takes one scatter: paths never revisit a server, so each
-    cell is written at most once.  ``N`` is a sequential sum over a
-    zero-padded term row: the row's own first-hop burst, then ``gain * b``
-    of every other first hop at the server in flow order, then
-    ``gain * R_j * T_j``.
-    """
-    rate, R, T = num.rate, num.service_rate, num.latency
-    i, j = sd.row_flow, sd.row_server
-    margin = R[j] - (num.load[j] - rate[i])
-    bad = margin <= 0
-    if bad.any():  # the first failing row, as the pairwise loop reports it
-        r = bad.argmax()
-        raise LocallyUnstableError("server %d has no residual rate for flow %d" % (j[r], i[r]))
-    gain = rate[i] / margin
-    L = len(sd.labels)
-    M = np.zeros((L, L))
-    M[sd.cell_row, sd.cell_col] = np.where(sd.cell_own, 1.0, gain[sd.cell_row])
-    terms = np.zeros((L, sd.width))
-    terms[sd.term_row, sd.term_col] = (
-        np.where(sd.term_own, 1.0, gain[sd.term_row]) * num.burst[sd.term_flow]
-    )
-    terms[:, -1] = gain * R[j] * T[j]
-    return LinearRecursion(sd.labels, M, np.cumsum(terms, axis=1)[:, -1])
+    def recursions(self, num: _Numbers) -> List[LinearRecursion]:
+        """
+        The per-server recursion from the layout and a network's numbers.
+        Each pair weighs ``1`` for the row's own hop and the server's gain
+        for the others.  ``M`` takes one scatter: paths never revisit a
+        server, so each cell is written at most once.  ``N`` is a
+        sequential sum over a zero-padded term row: the row's own first-hop
+        burst, then ``gain * b`` of every other first hop at the server in
+        flow order, then ``gain * R_j * T_j``.
+        """
+        rate, R, T = num.rate, num.service_rate, num.latency
+        i, j = self.row_flow, self.row_server
+        margin = R[j] - (num.load[j] - rate[i])
+        bad = margin <= 0
+        if bad.any():  # the first failing row, as the pairwise loop reports it
+            r = bad.argmax()
+            raise LocallyUnstableError("server %d has no residual rate for flow %d" % (j[r], i[r]))
+        gain = rate[i] / margin
+        L = len(self.labels)
+        M = np.zeros((L, L))
+        M[self.cell_row, self.cell_col] = np.where(self.cell_own, 1.0, gain[self.cell_row])
+        terms = np.zeros((L, self.width))
+        terms[self.term_row, self.term_col] = (
+            np.where(self.term_own, 1.0, gain[self.term_row]) * num.burst[self.term_flow]
+        )
+        terms[:, -1] = gain * R[j] * T[j]
+        return [LinearRecursion(self.labels, M, np.cumsum(terms, axis=1)[:, -1])]
+
+    def objective(self, net: Network, num: _Numbers, target: Target) -> ObjectiveForm:
+        """A backlog at one server over the hops entering it, from ``net``'s curves."""
+        _check_target(net, target)
+        if target.kind != "backlog":
+            raise UnsupportedTargetError(
+                "delay targets are not supported by the per-server decomposition"
+            )
+        j = target.server
+        Q = np.zeros(len(self.labels))
+        beta = net.servers[j]
+        at = np.flatnonzero(self.server == j)  # one hop per flow crossing j, in flow order
+        hops = list(zip(self.flow[at].tolist(), self.pos[at].tolist(), self.var[at].tolist()))
+        interest = [hop for hop in hops if hop[0] in target.flows]
+        if len(interest) != len(target.flows):
+            raise UnsupportedTargetError("some target flows do not cross the server")
+        cross = [hop for hop in hops if hop[0] not in target.flows]
+        r_int = left_sum(net.flows[i].arrival.rate for i, _, _ in interest)
+        r_cross = left_sum(net.flows[i].arrival.rate for i, _, _ in cross)
+        if r_int + r_cross >= beta.rate:
+            raise LocallyUnstableError("server %d has no strict rate margin" % j)
+        gain = r_int / (beta.rate - r_cross)
+        C = gain * r_cross * beta.latency + r_int * beta.latency
+        for i, k, v in interest:
+            if k >= 1:
+                Q[v] += 1.0
+            else:
+                C += net.flows[i].arrival.burst
+        for i, k, v in cross:
+            if k >= 1:
+                Q[v] += gain
+            else:
+                C += gain * net.flows[i].arrival.burst
+        return ObjectiveForm(Q, C, "backlog of flows %s at server %d" % (sorted(target.flows), j))
 
 
 def build_sd(net: Network) -> LinearRecursion:
@@ -439,7 +499,7 @@ def build_sd(net: Network) -> LinearRecursion:
     replaces (``tests/sd_reference.py``), so ``(M, N)`` equal it bit for
     bit.
     """
-    return _method_recursions(net, "sd")[1][0]
+    return _method_recursions(net, "sd")[2][0]
 
 
 class _Decomposition:
@@ -447,13 +507,14 @@ class _Decomposition:
     A feed-forward decomposition of one network's flow paths, without
     rates: the removed arcs, the split flows, their grouping by arc and the
     forest they form, checked once (a removal that leaves some server
-    several successors raises :class:`NotAForestError`).  Each upstream
-    view (kept by the forest) and each grouping's column layout is laid
-    out on first use and kept for every network the decomposition is bound
-    to.
+    several successors raises :class:`NotAForestError`), and the column
+    layout of each grouping of removed arcs that it builds a recursion
+    for, in order.  Each upstream view is kept by the forest, and all of
+    it serves every network the decomposition is bound to.  The first
+    layout also lays out the objective's columns.
     """
 
-    def __init__(self, net: Network, removed):
+    def __init__(self, net: Network, removed, groupings: Iterable[Iterable[Arc]]):
         ff = decompose(net, removed)
         self.num_servers, self.paths = net.num_servers, _paths(net)
         self.removed, self.split_flows = ff.removed, ff.split_flows
@@ -462,40 +523,70 @@ class _Decomposition:
         self.index = {sf.label: s for s, sf in enumerate(ff.split_flows)}
         self.origin = np.array([sf.origin for sf in ff.split_flows], dtype=np.intp)
         self.known = np.array([sf.burst_known for sf in ff.split_flows], dtype=bool)
-        self.layouts: Dict[FrozenSet[Arc], _Columns] = {}
+        self.layouts = tuple([_Columns(self, frozenset(grouped)) for grouped in groupings])
 
-    def columns(self, grouped) -> "_Columns":
-        grouped = frozenset(grouped)
-        if grouped not in self.layouts:
-            self.layouts[grouped] = _Columns(self, grouped)
-        return self.layouts[grouped]
+    def bind(self, num: _Numbers) -> _Numbers:
+        """
+        A network's numbers gathered over the split flows: a continuation's
+        burst is 0, as in :meth:`FFNetwork.as_network`.  The server loads
+        and classes stay the network's: the split flows cross the same
+        servers with the same rates, added in the same order.
+        """
+        return replace(
+            num, rate=num.rate[self.origin], burst=np.where(self.known, num.burst[self.origin], 0.0)
+        )
 
+    def recursions(self, num: _Numbers) -> List[LinearRecursion]:
+        """
+        One recursion per layout.  Each row is one backlog form: a
+        continuation's parent segment at its end, or a grouped arc's feeding
+        segments at its tail.  The rows of one upstream view come from one
+        array pass on the bound numbers ``num``.
+        """
+        recursions = []
+        for cols in self.layouts:
+            L = len(cols)
+            M = np.zeros((L, L))
+            N = np.zeros(L)
+            for j1, rows, batch in cols.batches:
+                phi, rho, _ = UpstreamView(self.forest.view(j1), num).coefficient_rows(batch)
+                M[rows], N[rows] = cols.assemble(phi, rho, num)
+            recursions.append(LinearRecursion(cols.labels, M, N))
+        return recursions
 
-@dataclass(frozen=True)
-class DecompositionContext:
-    """
-    A :class:`_Decomposition` bound to one network's numbers, gathered over
-    its split flows: a continuation's burst is 0, as in
-    :meth:`FFNetwork.as_network`.  Each upstream view is bound on request.
-    """
-
-    structure: _Decomposition
-    numbers: _Numbers
-
-    def view(self, j1: int) -> UpstreamView:
-        return UpstreamView(self.structure.forest.view(j1), self.numbers)
-
-
-def _bind(dec: _Decomposition, num: _Numbers) -> DecompositionContext:
-    """
-    ``dec`` bound to the numbers of a network with the flow paths ``dec``
-    was prepared from.  The server loads and classes stay the network's:
-    the split flows cross the same servers with the same rates, added in
-    the same order.
-    """
-    return DecompositionContext(dec, replace(
-        num, rate=num.rate[dec.origin], burst=np.where(dec.known, num.burst[dec.origin], 0.0)
-    ))
+    def objective(self, net: Network, num: _Numbers, target: Target) -> ObjectiveForm:
+        """
+        The target's tight tree bound at the server it names (for a delay,
+        the flow's last one) as a row over the first layout's columns.
+        """
+        _check_target(net, target)
+        if target.kind == "backlog":
+            j = target.server
+            interest = [_segments_containing(self, i, j) for i in sorted(target.flows)]
+            description = "backlog of flows %s at server %d" % (sorted(target.flows), j)
+            scale = 1.0
+        else:
+            i = target.flow
+            flow = net.flows[i]
+            if flow.arrival.rate == 0:
+                raise UnsupportedTargetError("delay of a zero-rate flow is undefined")
+            seg = _segments_containing(self, i, flow.path[0])
+            if self.split_flows[seg].path != flow.path:
+                raise UnsupportedTargetError(
+                    "flow %d is split by the decomposition; its end-to-end delay "
+                    "is not a single tree analysis" % i
+                )
+            j, interest = flow.path[-1], [seg]
+            # delay transform: (B - b)/r + xi b / r
+            scale = 1.0 / flow.arrival.rate
+            description = "delay of flow %d" % i
+        view = UpstreamView(self.forest.view(j), num)
+        phi, rho, xi_root = view.coefficient_rows(view.shape.rows([interest]))
+        extra = 0.0 if target.kind == "backlog" else (
+            (xi_root[0, flow.path[0]] - 1.0) * flow.arrival.burst
+        )
+        coeffs, constant = self.layouts[0].assemble(phi, rho, num)
+        return ObjectiveForm(coeffs[0] * scale, float((constant[0] + extra) * scale), description)
 
 
 class _Columns:
@@ -507,6 +598,9 @@ class _Columns:
     """
 
     def __init__(self, dec: _Decomposition, grouped: FrozenSet[Arc]):
+        extra = grouped - dec.removed
+        if extra:
+            raise ValidationError("grouped arcs not in the removal: %r" % sorted(extra))
         singles = [
             (s, sf.label) for s, sf in enumerate(dec.split_flows)
             if sf.segment >= 1 and dec.groups.arc_of[s] not in grouped
@@ -563,30 +657,13 @@ class _Columns:
         return coeffs, np.cumsum(terms, axis=1)[:, -1]
 
 
-def _build_grouped(ctx: DecompositionContext, grouped) -> LinearRecursion:
-    """
-    Each row is one backlog form: a continuation's parent segment at its
-    end, or a grouped arc's feeding segments at its tail.  The rows of one
-    upstream view come from one array pass, on the layout the decomposition
-    keeps and the numbers ``ctx`` binds.
-    """
-    cols = ctx.structure.columns(grouped)
-    L = len(cols)
-    M = np.zeros((L, L))
-    N = np.zeros(L)
-    for j1, rows, batch in cols.batches:
-        phi, rho, _ = ctx.view(j1).coefficient_rows(batch)
-        M[rows], N[rows] = cols.assemble(phi, rho, ctx.numbers)
-    return LinearRecursion(cols.labels, M, N)
-
-
 def build_td(net: Network, removed) -> LinearRecursion:
     """
     Tree-decomposition recursion: each continuation burst is the tight
     worst-case backlog of its parent segment at the removed arc's tail,
     expressed as a linear form over all segment bursts.
     """
-    return _method_recursions(net, "td", removed)[1][0]
+    return _method_recursions(net, "td", removed)[2][0]
 
 
 def build_ag(net: Network, removed) -> LinearRecursion:
@@ -595,7 +672,7 @@ def build_ag(net: Network, removed) -> LinearRecursion:
     backlog of all the segments feeding it; the coefficient toward another
     arc is the largest burst weight among that arc's continuations.
     """
-    return _method_recursions(net, "ag", removed)[1][0]
+    return _method_recursions(net, "ag", removed)[2][0]
 
 
 def build_grouped(net: Network, removed, grouped_arcs) -> LinearRecursion:
@@ -605,14 +682,8 @@ def build_grouped(net: Network, removed, grouped_arcs) -> LinearRecursion:
     Specializes to the tree recursion with no grouped arcs and to the
     arc-grouping recursion with all of them.
     """
-    numbers = _numbers(net)
-    _require_local_stability(numbers)
-    dec = _prepare(net, "td", removed)
-    grouped = frozenset(grouped_arcs)
-    extra = grouped - dec.removed
-    if extra:
-        raise ValidationError("grouped arcs not in the removal: %r" % sorted(extra))
-    return _build_grouped(_bind(dec, numbers), grouped)
+    dec = _Decomposition(net, removal_tree(net) if removed is None else removed, [grouped_arcs])
+    return _method_recursions(net, "td", structure=dec)[2][0]
 
 
 def _segments_containing(dec: _Decomposition, flow: int, server: int) -> int:
@@ -624,111 +695,13 @@ def _segments_containing(dec: _Decomposition, flow: int, server: int) -> int:
     )
 
 
-def _objective_sd(sd: _SdLayout, net: Network, target: Target) -> ObjectiveForm:
-    if target.kind != "backlog":
-        raise UnsupportedTargetError(
-            "delay targets are not supported by the per-server decomposition"
-        )
-    j = target.server
-    Q = np.zeros(len(sd.labels))
-    beta = net.servers[j]
-    at = np.flatnonzero(sd.server == j)  # one hop per flow crossing j, in flow order
-    hops = list(zip(sd.flow[at].tolist(), sd.pos[at].tolist(), sd.var[at].tolist()))
-    interest = [hop for hop in hops if hop[0] in target.flows]
-    if len(interest) != len(target.flows):
-        raise UnsupportedTargetError("some target flows do not cross the server")
-    cross = [hop for hop in hops if hop[0] not in target.flows]
-    r_int = left_sum(net.flows[i].arrival.rate for i, _, _ in interest)
-    r_cross = left_sum(net.flows[i].arrival.rate for i, _, _ in cross)
-    if r_int + r_cross >= beta.rate:
-        raise LocallyUnstableError("server %d has no strict rate margin" % j)
-    gain = r_int / (beta.rate - r_cross)
-    C = gain * r_cross * beta.latency + r_int * beta.latency
-    for i, k, v in interest:
-        if k >= 1:
-            Q[v] += 1.0
-        else:
-            C += net.flows[i].arrival.burst
-    for i, k, v in cross:
-        if k >= 1:
-            Q[v] += gain
-        else:
-            C += gain * net.flows[i].arrival.burst
-    return ObjectiveForm(Q, C, "backlog of flows %s at server %d" % (sorted(target.flows), j))
-
-
-def _objective_tree(
-    ctx: DecompositionContext, net: Network, target: Target, arcs: bool
-) -> ObjectiveForm:
-    dec = ctx.structure
-    if target.kind == "backlog":
-        j = target.server
-        interest = [_segments_containing(dec, i, j) for i in sorted(target.flows)]
-        view = ctx.view(j)
-        phi, rho, _ = view.coefficient_rows(view.shape.rows([interest]))
-        description = "backlog of flows %s at server %d" % (sorted(target.flows), j)
-        scale, extra = 1.0, 0.0
-    else:
-        i = target.flow
-        flow = net.flows[i]
-        if flow.arrival.rate == 0:
-            raise UnsupportedTargetError("delay of a zero-rate flow is undefined")
-        seg = _segments_containing(dec, i, flow.path[0])
-        if dec.split_flows[seg].path != flow.path:
-            raise UnsupportedTargetError(
-                "flow %d is split by the decomposition; its end-to-end delay "
-                "is not a single tree analysis" % i
-            )
-        view = ctx.view(flow.path[-1])
-        phi, rho, xi_root = view.coefficient_rows(view.shape.rows([[seg]]))
-        xi_entry = xi_root[0, flow.path[0]]
-        # delay transform: (B - b)/r + xi b / r
-        scale = 1.0 / flow.arrival.rate
-        extra = (xi_entry - 1.0) * flow.arrival.burst
-        description = "delay of flow %d" % i
-    cols = dec.columns(dec.removed if arcs else ())
-    coeffs, constant = cols.assemble(phi, rho, ctx.numbers)
-    return ObjectiveForm(coeffs[0] * scale, float((constant[0] + extra) * scale), description)
-
-
-def _objective(net: Network, handle, target: Target, method: str) -> ObjectiveForm:
-    """
-    The objective over ``handle``: the sd layout, or the bound decomposition.
-
-    :raises UnsupportedTargetError: if the target names a server or flow
-        ``net`` does not have
-    """
-    if target.kind == "backlog":
-        if target.server is None or not target.flows:
-            raise UnsupportedTargetError("backlog target needs a server and flows")
-        if not 0 <= target.server < net.num_servers:
-            raise UnsupportedTargetError("server %d does not exist" % target.server)
-        unknown = sorted(i for i in target.flows if not 0 <= i < net.num_flows)
-        if unknown:
-            raise UnsupportedTargetError(
-                "some target flows do not cross the server: flow %d does not exist" % unknown[0]
-            )
-    elif target.kind == "delay":
-        if target.flow is None or not 0 <= target.flow < net.num_flows:
-            raise UnsupportedTargetError("flow %r does not exist" % target.flow)
-    else:
-        raise UnsupportedTargetError("unknown target kind %r" % target.kind)
-    if method == "sd":
-        return _objective_sd(handle, net, target)
-    return _objective_tree(handle, net, target, arcs=(method == "ag"))
-
-
 def objective_for(net: Network, target: Target, method: str, removed=None) -> ObjectiveForm:
     """
     The requested performance expressed as ``Q . b + C`` over the variables
     of the given method's recursion.
     """
-    method = method.lower()
-    if method not in METHODS:
-        raise ValidationError("unknown method %r" % method)
-    structure = _prepare(net, method, removed)
-    handle = structure if method == "sd" else _bind(structure, _numbers(net))
-    return _objective(net, handle, target, method)
+    structure = _prepare(net, _method(method), removed)
+    return structure.objective(net, structure.bind(_numbers(net)), target)
 
 
 def _bound_at(obj: ObjectiveForm, fixed: Optional[np.ndarray]) -> Bound:
@@ -755,8 +728,9 @@ def two_stage_bound(net: Network, removed, target: Target) -> Bound:
 
 def _two_stage(dec: _Decomposition, obj: ObjectiveForm, b_star, big_b) -> Bound:
     """
-    The two-stage bound from the tree objective ``obj`` and the tree and
-    arc fixed points (``None`` where that recursion diverges).
+    The two-stage bound from the tree objective ``obj`` (over ``dec``'s
+    first layout, the tree one) and the tree and arc fixed points (``None``
+    where that recursion diverges).
 
     The groups are disjoint and each is constrained by a box and a single
     sum, so a per-group greedy allocation in decreasing coefficient order
@@ -766,7 +740,7 @@ def _two_stage(dec: _Decomposition, obj: ObjectiveForm, b_star, big_b) -> Bound:
     if b_star is None and big_b is None:
         return UNBOUNDED
     # the tree variables are the continuations, the arc variables the sorted arcs
-    index = {s: pos for pos, s in enumerate(dec.columns(()).single_src.tolist())}
+    index = {s: pos for pos, s in enumerate(dec.layouts[0].single_src.tolist())}
     value = obj.C
     for pos, arc in enumerate(sorted(dec.removed)):
         budget = math.inf if big_b is None else float(big_b[pos])
@@ -798,9 +772,9 @@ def analyze(
     diagnostic computed on first read.  Local instability short-circuits
     to an unstable report with ``rho = inf``.
     """
-    method = method.lower()
+    method = _method(method)
     try:
-        handle, recursions = _method_recursions(net, method, removed)
+        structure, numbers, recursions = _method_recursions(net, method, removed)
     except LocallyUnstableError:
         return StabilityReport(
             method, False, None, UNBOUNDED if target is not None else None
@@ -809,9 +783,9 @@ def analyze(
     fixed = next((fp for fp in fixed_points if fp is not None), None)
     bound = objective = None
     if target is not None:
-        obj = _objective(net, handle, target, method)
+        obj = structure.objective(net, numbers, target)
         if method == "2s":
-            bound = _two_stage(handle.structure, obj, *fixed_points)
+            bound = _two_stage(structure, obj, *fixed_points)
         else:
             bound, objective = _bound_at(obj, fixed), obj
     return StabilityReport(
@@ -820,58 +794,63 @@ def analyze(
     )
 
 
+def _method(name: str) -> str:
+    """``name`` lower-cased, checked to be one of :data:`METHODS`."""
+    method = name.lower()
+    if method not in METHODS:
+        raise ValidationError("unknown method %r" % method)
+    return method
+
+
 def _prepare(net: Network, method: str, removed=None):
     """
     The rate-free structure of ``method``'s recursions on ``net``'s flow
     paths: the sd pair layout, or the decomposition by ``removed``
-    (default: :func:`removal_tree`).
+    (default: :func:`removal_tree`) with the method's groupings of removed
+    arcs: none for ``td``, all for ``ag``, none then all for ``2s``.
     """
     if method == "sd":
         return _SdLayout(net)
-    return _Decomposition(net, removal_tree(net) if removed is None else removed)
+    removed = removal_tree(net) if removed is None else frozenset(removed)
+    return _Decomposition(net, removed, {"td": [()], "ag": [removed], "2s": [(), removed]}[method])
 
 
 def _method_recursions(net: Network, method: str, removed=None, structure=None):
     """
-    The method's recursions, and what its objective reads: the sd layout
-    or the decomposition bound to ``net``.  ``structure`` is a structure
-    prepared from ``net``'s flow paths when the caller holds one
-    (:func:`critical_utilization`); otherwise it is prepared here.
+    ``(structure, numbers, recursions)``: the structure of the method's
+    recursions, ``net``'s numbers bound to it and the recursions.
+    ``structure`` is one prepared from ``net``'s flow paths when the caller
+    holds one; otherwise it is prepared here, after the local stability
+    check.
     """
-    if method not in METHODS:
-        raise ValidationError("unknown method %r" % method)
     numbers = _numbers(net)
     _require_local_stability(numbers)
     if structure is None:
         structure = _prepare(net, method, removed)
-    if method == "sd":
-        return structure, [_sd_recursion(structure, numbers)]
-    ctx = _bind(structure, numbers)
-    groupings = {"td": [()], "ag": [structure.removed], "2s": [(), structure.removed]}[method]
-    return ctx, [_build_grouped(ctx, grouped) for grouped in groupings]
+    numbers = structure.bind(numbers)
+    return structure, numbers, structure.recursions(numbers)
 
 
 def is_stable(net: Network, method: str, removed=None) -> bool:
     """Stability verdict of one method (unstable on local instability)."""
-    return _stable(net, method.lower(), removed)
+    return _stable(net, _method(method), removed)
 
 
 def _stable(net: Network, method: str, removed=None, structure=None, starts=None) -> bool:
     """
-    The verdict of :func:`is_stable`.  ``starts``, when given, holds one
-    start vector per recursion of the method (``None``: all ones): each
-    decision starts its bracket from its recursion's vector and writes back
-    its final one (see :func:`_decide`).
+    The verdict of :func:`is_stable`: stable when some recursion of the
+    method decides below ``1 - 1e-9`` (``2s`` stops at its first stable
+    one).  ``starts``, when given, holds one start vector per recursion
+    (``None``: all ones); each decision starts its bracket from its
+    recursion's vector and writes back its final one (see :func:`_decide`).
     """
     try:
-        _, recursions = _method_recursions(net, method, removed, structure)
+        _, _, recursions = _method_recursions(net, method, removed, structure)
     except LocallyUnstableError:
         return False
-    if starts is None:  # cold decisions, nothing handed on
-        return any(rho_below(lr.M, 1.0 - STABILITY_EPS) for lr in recursions)
-    for r, lr in enumerate(recursions):  # 2s stops at its first stable recursion
-        start = np.ones(lr.size) if starts[r] is None else starts[r]
-        below, starts[r] = _decide(lr.M, 1.0 - STABILITY_EPS, start)
+    starts = [None] * len(recursions) if starts is None else starts
+    for r, lr in enumerate(recursions):
+        below, starts[r] = _decide(lr.M, 1.0 - STABILITY_EPS, starts[r])
         if below:
             return True
     return False
@@ -916,9 +895,7 @@ def critical_utilization(
         raise ValidationError("need 0 < u_min < u_max <= 1")
     if not (math.isfinite(tol) and tol > 0):
         raise ValidationError("need a finite tol > 0, got %r" % tol)
-    method = method.lower()
-    if method not in METHODS:
-        raise ValidationError("unknown method %r" % method)
+    method = _method(method)
     held = starts = None
 
     def stable(u: float) -> bool:

@@ -37,7 +37,7 @@ from netcalc import (
     worst_case_scenario,
 )
 from netcalc.decomposition import removal_tree
-from netcalc.stability import _method_recursions, _objective_tree, is_stable
+from netcalc.stability import _method_recursions, is_stable
 from netcalc.topologies import bi_ring, two_server_sink_tree, three_ring, toy, uni_ring
 
 from conftest import random_tandem, random_tree, random_uni_ring
@@ -267,14 +267,13 @@ def test_criterion_9_dominance():
     while sampled < 20:
         net = instance()
         removed = removal_tree(net)
-        ctx, (lr_td, lr_ag) = _method_recursions(net, "2s", removed)
+        dec, numbers, (lr_td, lr_ag) = _method_recursions(net, "2s", removed)
         b_star, big_b = solve_recursion(lr_td), solve_recursion(lr_ag)
         if b_star is None or big_b is None or lr_td.size == 0:
             continue
         target = Target.backlog(net.flows[0].path[-1], [0])
-        obj = _objective_tree(ctx, net, target, arcs=False)
+        obj = dec.objective(net, numbers, target)
         greedy = two_stage_bound(net, removed, target).value
-        dec = ctx.structure
         index = {lab: pos for pos, lab in enumerate(lr_td.labels)}
         arcs = lr_ag.labels
         groups = [

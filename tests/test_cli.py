@@ -13,7 +13,7 @@ from netcalc.fileio import (
     save_network,
 )
 from netcalc.errors import ValidationError
-from netcalc.topologies import bi_ring, two_server_sink_tree, toy, uni_ring
+from netcalc.topologies import bi_ring, three_ring, two_server_sink_tree, toy, uni_ring
 
 
 def test_network_file_round_trip(tmp_path):
@@ -77,6 +77,30 @@ def test_generate_and_analyze(tmp_path, capsys):
     assert "verdict: stable" in out
     report = analyze(net, "td", target=Target.backlog(5, [0]))
     assert "%.9g" % report.bound.value in out
+
+
+@pytest.mark.parametrize("options, expected", [
+    (["--kind", "three_ring", "--n", "6", "--short-len", "3", "-u", "0.4"],
+     three_ring(0.4, ring_size=6, short_len=3)),
+    (["--kind", "toy", "-u", "0.3"], toy(0.3)),
+    (["--kind", "two_server_sink_tree", "-u", "0.3"], two_server_sink_tree()),
+], ids=["three_ring", "toy", "two_server_sink_tree"])
+def test_generate_every_kind(tmp_path, options, expected):
+    path = str(tmp_path / "net.json")
+    assert main(["generate"] + options + ["-o", path]) == 0
+    assert load_network(path) == expected
+
+
+def test_analyze_ag_text_names_the_arcs(tmp_path, capsys):
+    path = str(tmp_path / "ring.json")
+    save_network(uni_ring(5, 0.3), path)
+    assert main(["analyze", "--network", path, "--method", "ag",
+                 "--server", "5", "--flows", "1"]) == 0
+    out = capsys.readouterr().out
+    report = analyze(uni_ring(5, 0.3), "ag", target=Target.backlog(4, [0]))
+    assert report.labels == ((4, 0),)
+    assert "  %.9g * arc 5->1\n" % report.objective.Q[0] in out
+    assert "fixed-point bursts:\n  arc 5->1: %.9g\n" % report.fixed_point[0] in out
 
 
 def test_analyze_json_output(tmp_path, capsys):
@@ -155,6 +179,19 @@ def test_sweep_rejects_step_without_end_before_any_analysis(monkeypatch, capsys,
     assert main(["sweep", "--kind", "uni_ring", "--n", "4", "--step", step]) == 2
     err = capsys.readouterr().err
     assert "step" in err and reason in err
+
+
+@pytest.mark.parametrize("options, message", [
+    (["--methods", "sd,xx"], "unknown method 'xx'"),
+    (["--u-min", "0.5", "--u-max", "0.4"], "need 0 < u-min < u-max < 1"),
+], ids=["unknown_method", "empty_range"])
+def test_sweep_rejects_bad_methods_and_range_before_any_analysis(monkeypatch, capsys, options, message):
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("sweep analyzed a row before checking its options")
+
+    monkeypatch.setattr("netcalc.cli.analyze", no_analysis)
+    assert main(["sweep", "--kind", "uni_ring", "--n", "4"] + options) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
 
 
 def test_sweep_format_and_consistency(capsys):

@@ -42,17 +42,16 @@ from netcalc.cli import main as cli_main
 from netcalc.decomposition import decompose, group_by_arc, removal_tree
 from netcalc.network import induced_graph, renumber
 from netcalc.stability import (
-    _bind,
+    METHODS,
     _decide,
     _method_recursions,
-    _objective_tree,
     _prepare,
     _two_stage,
     is_stable,
     rho_below,
 )
 from netcalc.topologies import bi_ring, three_ring, two_server_sink_tree, toy, uni_ring
-from netcalc.tree_analysis import _Forest, _numbers, tree_backlog_at, upstream_view
+from netcalc.tree_analysis import UpstreamView, _Forest, _numbers, tree_backlog_at, upstream_view
 
 import sd_reference
 from xi_reference import tree_network
@@ -264,6 +263,19 @@ def test_spectral_radius_examples():
         spectral_radius(np.array([[1.0, -0.1], [0.0, 0.5]]))
     with pytest.raises(ValidationError):
         spectral_radius(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("M, message", [
+    (np.array([[-5.0]]), "matrix entries must be nonnegative"),
+    (np.array([[0.5, np.nan], [0.0, 0.5]]), "matrix entries must be finite"),
+    (np.ones((2, 3)), "matrix must be square"),
+], ids=["negative", "nan", "not_square"])
+def test_rho_below_rejects_what_spectral_radius_rejects(M, message):
+    # rho([[-5]]) = 5: the decision must not answer "below 1" for it
+    with pytest.raises(ValidationError, match=message):
+        spectral_radius(M)
+    with pytest.raises(ValidationError, match=message):
+        rho_below(M, 1.0)
 
 
 def _weighted_cycle(weights):
@@ -598,10 +610,10 @@ def _check_report_consistency(net, method):
     if method == "2s":
         # the two-stage bound over td and ag fixed points built apart from analyze
         assert report.objective is None
-        ctx, recursions = _method_recursions(net, "2s", removed)
+        dec, numbers, recursions = _method_recursions(net, "2s", removed)
         b_star, big_b = (solve_recursion(lr) for lr in recursions)
-        obj = _objective_tree(ctx, net, target, arcs=False)
-        assert report.bound == _two_stage(ctx.structure, obj, b_star, big_b)
+        obj = dec.objective(net, numbers, target)
+        assert report.bound == _two_stage(dec, obj, b_star, big_b)
         return
     obj = objective_for(net, target, method)
     assert np.array_equal(report.objective.Q, obj.Q) and report.objective.C == obj.C
@@ -674,6 +686,54 @@ def test_objective_tree_matches_tree_backlog_on_acyclic():
     assert obj.C == pytest.approx(tree_backlog(net, [0]).value.value, abs=1e-12)
     d = objective_for(net, Target.delay(0), "td", removed=frozenset())
     assert d.C == pytest.approx(float(tree_delay(net, 0)), abs=1e-12)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("target, message", [
+    (Target("backlog", server=0), "backlog target needs a server and flows"),
+    (Target("backlog", flows=frozenset({0})), "backlog target needs a server and flows"),
+    (Target("rate"), "unknown target kind 'rate'"),
+], ids=["no_flows", "no_server", "unknown_kind"])
+def test_malformed_targets_are_rejected(method, target, message):
+    net = uni_ring(4, 0.3)
+    with pytest.raises(UnsupportedTargetError, match=re.escape(message)):
+        analyze(net, method, target)
+    with pytest.raises(UnsupportedTargetError, match=re.escape(message)):
+        objective_for(net, target, method)
+
+
+@pytest.mark.parametrize("method, message", [
+    ("sd", "some target flows do not cross the server"),
+    ("td", "flow 0 does not cross server 0"),
+    ("ag", "flow 0 does not cross server 0"),
+    ("2s", "flow 0 does not cross server 0"),
+])
+def test_backlog_target_flow_must_cross_the_server(method, message):
+    net = toy(0.4)  # flow 0 runs 2 -> 3 -> 1
+    with pytest.raises(UnsupportedTargetError, match=re.escape(message)):
+        analyze(net, method, Target.backlog(0, [0]))
+
+
+def test_objective_tree_rejects_zero_rate_delay():
+    net = Network((RateLatency(2, 1), RateLatency(4, 1)),
+                  (Flow(TokenBucket(1, 0), (0, 1)), Flow(TokenBucket(1, 1), (1,))))
+    with pytest.raises(UnsupportedTargetError, match="delay of a zero-rate flow is undefined"):
+        objective_for(net, Target.delay(0), "td", removed=frozenset())
+
+
+def test_unknown_method_is_rejected_before_any_work():
+    net = uni_ring(5, 1.0)  # locally unstable: the method is read first
+
+    def family(u):
+        raise AssertionError("family called")
+
+    calls = [lambda: analyze(net, "xx"), lambda: analyze(net, "xx", Target.backlog(0, [0])),
+             lambda: is_stable(net, "xx"), lambda: objective_for(net, Target.backlog(0, [0]), "xx"),
+             lambda: critical_utilization(family, "xx")]
+    for call in calls:
+        with pytest.raises(ValidationError, match="unknown method 'xx'"):
+            call()
+    assert analyze(uni_ring(4, 0.3), "TD").method == "td"
 
 
 def test_objective_sd_rejects_delay():
@@ -767,15 +827,14 @@ def test_two_stage_greedy_dominates_random_feasible(rng):
     while checked < 8:
         net = _random_cyclic_instance(rng)
         removed = removal_tree(net)
-        ctx, (lr_td, lr_ag) = _method_recursions(net, "2s", removed)
+        dec, numbers, (lr_td, lr_ag) = _method_recursions(net, "2s", removed)
         b_star = solve_recursion(lr_td)
         big_b = solve_recursion(lr_ag)
         if b_star is None or big_b is None or lr_td.size == 0:
             continue
         target = Target.backlog(net.flows[0].path[-1], [0])
-        obj = _objective_tree(ctx, net, target, arcs=False)
+        obj = dec.objective(net, numbers, target)
         greedy = two_stage_bound(net, removed, target).value
-        dec = ctx.structure
         index = {lab: pos for pos, lab in enumerate(lr_td.labels)}
         arcs = lr_ag.labels
         arc_pos = {a: i for i, a in enumerate(arcs)}
@@ -912,10 +971,11 @@ def test_context_views_equal_public_upstream_views(rng):
     nets += [_overloaded(uni_ring(5, 0.4), 4), _overloaded(bi_ring(5, 0.4), 3)]
     unstable_views = 0
     for net in nets:
-        ctx = _bind(_prepare(net, "td"), _numbers(net))
+        dec = _prepare(net, "td")
+        numbers = dec.bind(_numbers(net))
         forest = decompose(net, removal_tree(net)).as_network()
         for j1 in range(forest.num_servers):
-            view = ctx.view(j1)
+            view = UpstreamView(dec.forest.view(j1), numbers)
             assert _view_fields(view) == _view_fields(upstream_view(forest, j1))
             renamed, old_to_new, kept = _renumbered_clip(forest, j1)
             assert tree_network(view) == renamed

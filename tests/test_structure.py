@@ -35,7 +35,7 @@ def _family(kind, n):
 
 def _recursions(net, method, structure=None):
     try:
-        return _method_recursions(net, method, structure=structure)[1]
+        return _method_recursions(net, method, structure=structure)[2]
     except LocallyUnstableError:
         return None
 
@@ -130,7 +130,7 @@ def _record_decisions(monkeypatch):
 
 
 def _is_ones(start):
-    return start is not None and np.array_equal(start, np.ones(len(start)))
+    return start is None or np.array_equal(start, np.ones(len(start)))
 
 
 def test_bisection_decisions_start_from_the_previous_vector(monkeypatch):

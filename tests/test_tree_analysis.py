@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -431,6 +433,14 @@ def test_tree_output_curve():
     out = tree_output_curve(two_server_sink_tree(), [0])
     assert out.rate == 1.0
     assert out.burst == pytest.approx(TWO_SERVER_BACKLOG, abs=1e-12)
+
+
+def test_locally_unstable_tree_has_no_delay_bound_nor_output_curve():
+    net = two_server_sink_tree(service_rate=1.0)  # both servers exactly saturated
+    assert not tree_delay(net, 0).is_finite
+    with pytest.raises(LocallyUnstableError,
+                       match=re.escape("no finite departure curve: servers [0, 1] are not strictly stable")):
+        tree_output_curve(net, [0])
 
 
 def test_empty_interest_gives_zero():
