@@ -33,7 +33,6 @@ from .curves import (
 )
 from .decomposition import (
     ArcGroups,
-    FFNetwork,
     SplitFlow,
     decompose,
     group_by_arc,
@@ -70,7 +69,6 @@ from .network import (
     Network,
     Topology,
     classify,
-    flows_through,
     induced_graph,
     local_stability,
     renumber,

@@ -3,20 +3,20 @@
 
 """
 Feed-forward transformation of a network: removing arcs until the induced
-graph is acyclic, splitting each flow into segments at the removed arcs,
-and grouping the resulting segments.
+graph is acyclic (:func:`removal_tree`), splitting each flow into segments
+at the removed arcs (:func:`decompose`, which returns the segments), and
+grouping the segments by the removed arc between them
+(:func:`group_by_arc`).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .curves import TokenBucket
 from .errors import ValidationError
-from .network import Arc, Flow, Network, induced_graph, is_acyclic
+from .network import Arc, Network, induced_graph, is_acyclic
 
 
 @dataclass(frozen=True)
@@ -46,58 +46,22 @@ class SplitFlow:
         return (self.origin, self.segment)
 
 
-@dataclass(frozen=True)
-class FFNetwork:
-    """
-    Result of a feed-forward decomposition: the base network, the removed
-    arcs and the split flows (rates inherited from their origin flows).
-    """
-
-    base: Network
-    removed: FrozenSet[Arc]
-    split_flows: Tuple[SplitFlow, ...]
-
-    @cached_property
-    def _positions(self) -> Dict[Tuple[int, int], int]:
-        """``(origin, segment)`` label -> split flow position, built once."""
-        return {sf.label: s for s, sf in enumerate(self.split_flows)}
-
-    def index_of(self, label: Tuple[int, int]) -> int:
-        """
-        Position of the split flow with the given ``(origin, segment)``.
-
-        :raises KeyError: if no split flow carries that label
-        """
-        return self._positions[label]
-
-    def as_network(self) -> Network:
-        """
-        The decomposed network as a plain :class:`Network`: one flow per
-        segment, with the origin's burst on first segments and burst 0 on
-        continuations (whose actual burst is unknown).
-        """
-        flows = []
-        for sf in self.split_flows:
-            origin = self.base.flows[sf.origin].arrival
-            burst = origin.burst if sf.burst_known else 0.0
-            flows.append(Flow(TokenBucket(burst, origin.rate), sf.path))
-        return Network(self.base.servers, tuple(flows))
-
-
-def decompose(net: Network, removed) -> FFNetwork:
+def decompose(net: Network, removed) -> Tuple[SplitFlow, ...]:
     """
     Split every flow of ``net`` at each traversal of an arc in ``removed``.
+    The segments come in flow order, each flow's in path order; each
+    inherits its origin flow's rate.
 
     :raises ValidationError: if some removed arc is not an induced arc, or
         if the residual graph still has a cycle
 
-    >>> from .curves import RateLatency
+    >>> from .curves import RateLatency, TokenBucket
+    >>> from .network import Flow
     >>> net = Network([RateLatency(5, 0)] * 2,
     ...               [Flow(TokenBucket(1, 1), (0, 1)),
     ...                Flow(TokenBucket(1, 1), (1, 0))])
-    >>> ff = decompose(net, {(1, 0)})
-    >>> [sf.path for sf in ff.split_flows]
-    [(0, 1), (1,), (0,)]
+    >>> [(sf.label, sf.path) for sf in decompose(net, {(1, 0)})]
+    [((0, 0), (0, 1)), ((1, 0), (1,)), ((1, 1), (0,))]
     """
     removed = frozenset(removed)
     arcs = induced_graph(net)
@@ -118,7 +82,7 @@ def decompose(net: Network, removed) -> FFNetwork:
             else:
                 current.append(v)
         split.append(SplitFlow(i, segment, tuple(current)))
-    return FFNetwork(net, removed, tuple(split))
+    return tuple(split)
 
 
 def removal_tree(net: Network, root: Optional[int] = None) -> FrozenSet[Arc]:
@@ -168,31 +132,36 @@ class ArcGroups:
     arc_of: Dict[int, Arc]
 
 
-def group_by_arc(ff: FFNetwork) -> ArcGroups:
+def group_by_arc(split_flows: Sequence[SplitFlow]) -> ArcGroups:
     """
-    Group continuations according to the removed arc they cross.
+    Group continuations according to the removed arc they cross, the arc
+    from the end of the previous segment of the same flow to their start.
+    Every arc :func:`decompose` removes is an induced arc, so some flow
+    crosses it and it has a group.
 
-    >>> from .curves import RateLatency
+    >>> from .curves import RateLatency, TokenBucket
+    >>> from .network import Flow
     >>> net = Network([RateLatency(5, 0)] * 2,
     ...               [Flow(TokenBucket(1, 1), (0, 1)),
     ...                Flow(TokenBucket(1, 1), (1, 0))])
     >>> groups = group_by_arc(decompose(net, {(1, 0)}))
-    >>> sorted(groups.continuations[(1, 0)])
-    [2]
+    >>> groups.feeding, groups.continuations
+    ({(1, 0): frozenset({1})}, {(1, 0): frozenset({2})})
     >>> groups.arc_of
     {2: (1, 0)}
     """
-    feeding: Dict[Arc, set] = {a: set() for a in ff.removed}
-    continuations: Dict[Arc, set] = {a: set() for a in ff.removed}
+    index = {sf.label: s for s, sf in enumerate(split_flows)}
+    feeding: Dict[Arc, set] = {}
+    continuations: Dict[Arc, set] = {}
     arc_of: Dict[int, Arc] = {}
-    for s, sf in enumerate(ff.split_flows):
-        nxt = ff._positions.get((sf.origin, sf.segment + 1))
-        if nxt is None:
+    for s, sf in enumerate(split_flows):
+        if sf.segment == 0:
             continue
-        arc = (sf.path[-1], ff.split_flows[nxt].path[0])
-        feeding[arc].add(s)
-        continuations[arc].add(nxt)
-        arc_of[nxt] = arc
+        prev = index[(sf.origin, sf.segment - 1)]
+        arc = (split_flows[prev].path[-1], sf.path[0])
+        feeding.setdefault(arc, set()).add(prev)
+        continuations.setdefault(arc, set()).add(s)
+        arc_of[s] = arc
     return ArcGroups(
         {a: frozenset(v) for a, v in feeding.items()},
         {a: frozenset(v) for a, v in continuations.items()},

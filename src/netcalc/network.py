@@ -3,7 +3,8 @@
 
 """
 Network model: rate-latency servers crossed by token-bucket flows, the
-induced server graph, topology classification and local stability.
+induced server graph, topology classification, a network's numbers as
+arrays and local stability.
 
 Servers and flows are identified by their 0-based list positions.  The
 JSON file format (see :mod:`netcalc.fileio`) uses 1-based identifiers.
@@ -11,12 +12,14 @@ JSON file format (see :mod:`netcalc.fileio`) uses 1-based identifiers.
 
 from __future__ import annotations
 
+import enum
 import graphlib
 import heapq
 from dataclasses import dataclass
+from itertools import chain
 from typing import FrozenSet, List, Sequence, Set, Tuple
 
-import enum
+import numpy as np
 
 from .curves import RateLatency, ServerClass, TokenBucket, classify_server
 from .errors import ValidationError
@@ -193,11 +196,44 @@ def renumber(net: Network) -> Tuple[Network, List[int]]:
     return Network(servers, flows), old_to_new
 
 
-def flows_through(net: Network, server: int) -> FrozenSet[int]:
-    """Ids of the flows whose path crosses ``server``."""
-    if not (0 <= server < net.num_servers):
-        raise ValidationError("unknown server %d" % server)
-    return frozenset(i for i, f in enumerate(net.flows) if server in f.path)
+@dataclass(frozen=True)
+class _Numbers:
+    """
+    A network's numbers as arrays in id order: what binds a rate-free
+    structure (a view, a decomposition, a pair layout) to one network.
+    ``load`` is each server's aggregate rate, added in flow order, and
+    ``unstable`` marks the servers that are not strictly stable, the
+    classes :func:`local_stability` reports.
+    """
+
+    rate: np.ndarray  # per flow
+    burst: np.ndarray  # per flow
+    service_rate: np.ndarray  # per server
+    latency: np.ndarray  # per server
+    load: np.ndarray  # per server
+    unstable: np.ndarray  # per server: load >= service rate
+
+
+def _paths(net: Network) -> Tuple[Tuple[int, ...], ...]:
+    return tuple([f.path for f in net.flows])  # a list, as in topologies._loop
+
+
+def _numbers(net: Network) -> _Numbers:
+    paths = _paths(net)
+    length = np.fromiter(map(len, paths), np.intp, len(paths))
+    server = np.fromiter(chain.from_iterable(paths), np.intp, int(length.sum()))
+    rate = np.array([f.arrival.rate for f in net.flows], dtype=float)
+    service_rate = np.array([s.rate for s in net.servers], dtype=float)
+    # bincount adds its weights in input order: here every hop in flow order
+    load = np.bincount(server, np.repeat(rate, length), net.num_servers)
+    return _Numbers(
+        rate,
+        np.array([f.arrival.burst for f in net.flows], dtype=float),
+        service_rate,
+        np.array([s.latency for s in net.servers], dtype=float),
+        load,
+        ~(load < service_rate),
+    )
 
 
 @dataclass(frozen=True)
@@ -217,21 +253,15 @@ def local_stability(net: Network) -> LocalStability:
     the flows crossing it.  The network is locally stable only when every
     server is strictly stable (critical servers fail the verdict).
 
-    The class reads only the aggregate rate, so one pass over the flow
-    paths sums the rates, in flow order.  (Summing each server's flows in
-    ``flows_through`` order instead moves the last bit of the load on 17
-    of the 6980 servers of the benchmark's ``analyze_many`` pool, and no
-    class.)
+    The class reads only the aggregate rate, each server's load in
+    :func:`_numbers`.
 
     >>> net = Network([RateLatency(2, 0)], [Flow(TokenBucket(1, 1), (0,))])
     >>> local_stability(net).stable
     True
     """
-    load = [0.0] * net.num_servers
-    for f in net.flows:
-        for j in f.path:
-            load[j] += f.arrival.rate
-    classes = tuple(
-        [classify_server(TokenBucket(0.0, r), beta) for r, beta in zip(load, net.servers)]
-    )
+    classes = tuple([
+        classify_server(TokenBucket(0.0, r), beta)
+        for r, beta in zip(_numbers(net).load.tolist(), net.servers)
+    ])
     return LocalStability(classes, all(c is ServerClass.STABLE for c in classes))

@@ -37,12 +37,16 @@ pair layout (``_SdLayout``); for the others the removal, the split flows
 and their grouping, the forest with its upstream view shapes, and the
 column and row layout of each grouping of removed arcs the method builds
 a recursion for: none for ``td``, all for ``ag``, none then all for ``2s``
-(``_Decomposition``).  Both answer the same three calls.  ``bind`` gathers
-a network's ``_Numbers`` (rates, bursts, latencies, server loads and the
-not-strictly-stable mask) over what the structure reads; ``recursions``
-computes ``(M, N)`` from them with the same operations in the same order
-as a structure built from the network itself; ``objective`` writes a
-target as a linear form over the first recursion's variables.
+(``_Decomposition``).  After preparation a structure reads no network,
+only numbers: a network's ``_Numbers`` (:mod:`netcalc.network`: rates,
+bursts, latencies, server loads and the not-strictly-stable mask, the one
+place they are computed).  Both structures answer the same three calls.
+``bind(numbers)`` gathers them over what the structure reads;
+``recursions(numbers)`` computes ``(M, N)`` from the bound numbers with
+the same operations in the same order as a structure built from the
+network itself; ``objective(numbers, target)`` writes a target as a
+linear form over the first recursion's variables, from the bound numbers
+too, refusing a server the mask marks.
 
 The recursions come from one path (``_method_recursions``): local
 stability is read off the mask, the structure is prepared (``_prepare``)
@@ -72,8 +76,8 @@ from .errors import (
     UnsupportedTargetError,
     ValidationError,
 )
-from .network import Arc, Network
-from .tree_analysis import UpstreamView, _Numbers, _numbers, _paths, _prepare_forest
+from .network import Arc, Network, _Numbers, _numbers, _paths
+from .tree_analysis import UpstreamView, _prepare_forest
 
 #: The analysis methods.
 METHODS = ("sd", "td", "ag", "2s")
@@ -341,20 +345,20 @@ def _require_local_stability(num: _Numbers) -> None:
         )
 
 
-def _check_target(net: Network, target: Target) -> None:
-    """Reject a malformed target, or one naming a server or flow ``net`` lacks."""
+def _check_target(num_servers: int, num_flows: int, target: Target) -> None:
+    """Reject a malformed target, or one naming a server or flow the network lacks."""
     if target.kind == "backlog":
         if target.server is None or not target.flows:
             raise UnsupportedTargetError("backlog target needs a server and flows")
-        if not 0 <= target.server < net.num_servers:
+        if not 0 <= target.server < num_servers:
             raise UnsupportedTargetError("server %d does not exist" % target.server)
-        unknown = sorted(i for i in target.flows if not 0 <= i < net.num_flows)
+        unknown = sorted(i for i in target.flows if not 0 <= i < num_flows)
         if unknown:
             raise UnsupportedTargetError(
                 "some target flows do not cross the server: flow %d does not exist" % unknown[0]
             )
     elif target.kind == "delay":
-        if target.flow is None or not 0 <= target.flow < net.num_flows:
+        if target.flow is None or not 0 <= target.flow < num_flows:
             raise UnsupportedTargetError("flow %r does not exist" % target.flow)
     else:
         raise UnsupportedTargetError("unknown target kind %r" % target.kind)
@@ -445,38 +449,39 @@ class _SdLayout:
         terms[:, -1] = gain * R[j] * T[j]
         return [LinearRecursion(self.labels, M, np.cumsum(terms, axis=1)[:, -1])]
 
-    def objective(self, net: Network, num: _Numbers, target: Target) -> ObjectiveForm:
-        """A backlog at one server over the hops entering it, from ``net``'s curves."""
-        _check_target(net, target)
+    def objective(self, num: _Numbers, target: Target) -> ObjectiveForm:
+        """A backlog at one server over the hops entering it, from the bound numbers."""
+        _check_target(self.num_servers, len(self.paths), target)
         if target.kind != "backlog":
             raise UnsupportedTargetError(
                 "delay targets are not supported by the per-server decomposition"
             )
         j = target.server
         Q = np.zeros(len(self.labels))
-        beta = net.servers[j]
         at = np.flatnonzero(self.server == j)  # one hop per flow crossing j, in flow order
         hops = list(zip(self.flow[at].tolist(), self.pos[at].tolist(), self.var[at].tolist()))
         interest = [hop for hop in hops if hop[0] in target.flows]
         if len(interest) != len(target.flows):
             raise UnsupportedTargetError("some target flows do not cross the server")
-        cross = [hop for hop in hops if hop[0] not in target.flows]
-        r_int = left_sum(net.flows[i].arrival.rate for i, _, _ in interest)
-        r_cross = left_sum(net.flows[i].arrival.rate for i, _, _ in cross)
-        if r_int + r_cross >= beta.rate:
+        if num.unstable[j]:
             raise LocallyUnstableError("server %d has no strict rate margin" % j)
-        gain = r_int / (beta.rate - r_cross)
-        C = gain * r_cross * beta.latency + r_int * beta.latency
+        cross = [hop for hop in hops if hop[0] not in target.flows]
+        rate, burst = num.rate.tolist(), num.burst.tolist()
+        service_rate, latency = num.service_rate[j].item(), num.latency[j].item()
+        r_int = left_sum(rate[i] for i, _, _ in interest)
+        r_cross = left_sum(rate[i] for i, _, _ in cross)
+        gain = r_int / (service_rate - r_cross)
+        C = gain * r_cross * latency + r_int * latency
         for i, k, v in interest:
             if k >= 1:
                 Q[v] += 1.0
             else:
-                C += net.flows[i].arrival.burst
+                C += burst[i]
         for i, k, v in cross:
             if k >= 1:
                 Q[v] += gain
             else:
-                C += gain * net.flows[i].arrival.burst
+                C += gain * burst[i]
         return ObjectiveForm(Q, C, "backlog of flows %s at server %d" % (sorted(target.flows), j))
 
 
@@ -515,22 +520,22 @@ class _Decomposition:
     """
 
     def __init__(self, net: Network, removed, groupings: Iterable[Iterable[Arc]]):
-        ff = decompose(net, removed)
-        self.num_servers, self.paths = net.num_servers, _paths(net)
-        self.removed, self.split_flows = ff.removed, ff.split_flows
-        self.groups = group_by_arc(ff)
-        self.forest = _prepare_forest(tuple([sf.path for sf in ff.split_flows]), net.num_servers)
-        self.index = {sf.label: s for s, sf in enumerate(ff.split_flows)}
-        self.origin = np.array([sf.origin for sf in ff.split_flows], dtype=np.intp)
-        self.known = np.array([sf.burst_known for sf in ff.split_flows], dtype=bool)
+        self.split_flows = decompose(net, removed)
+        self.num_servers, self.paths, self.removed = net.num_servers, _paths(net), frozenset(removed)
+        self.groups = group_by_arc(self.split_flows)
+        self.forest = _prepare_forest(tuple([sf.path for sf in self.split_flows]), self.num_servers)
+        self.index = {sf.label: s for s, sf in enumerate(self.split_flows)}
+        self.origin = np.array([sf.origin for sf in self.split_flows], dtype=np.intp)
+        self.known = np.array([sf.burst_known for sf in self.split_flows], dtype=bool)
         self.layouts = tuple([_Columns(self, frozenset(grouped)) for grouped in groupings])
 
     def bind(self, num: _Numbers) -> _Numbers:
         """
-        A network's numbers gathered over the split flows: a continuation's
-        burst is 0, as in :meth:`FFNetwork.as_network`.  The server loads
-        and classes stay the network's: the split flows cross the same
-        servers with the same rates, added in the same order.
+        A network's numbers gathered over the split flows: a segment has its
+        origin's rate, and a first segment its origin's burst; a
+        continuation's burst is 0, the recursions' unknown.  The server
+        loads and classes stay the network's: the split flows cross the
+        same servers with the same rates, added in the same order.
         """
         return replace(
             num, rate=num.rate[self.origin], burst=np.where(self.known, num.burst[self.origin], 0.0)
@@ -554,12 +559,13 @@ class _Decomposition:
             recursions.append(LinearRecursion(cols.labels, M, N))
         return recursions
 
-    def objective(self, net: Network, num: _Numbers, target: Target) -> ObjectiveForm:
+    def objective(self, num: _Numbers, target: Target) -> ObjectiveForm:
         """
         The target's tight tree bound at the server it names (for a delay,
-        the flow's last one) as a row over the first layout's columns.
+        the flow's last one) as a row over the first layout's columns, from
+        the bound numbers ``num``.
         """
-        _check_target(net, target)
+        _check_target(self.num_servers, len(self.paths), target)
         if target.kind == "backlog":
             j = target.server
             interest = [_segments_containing(self, i, j) for i in sorted(target.flows)]
@@ -567,24 +573,22 @@ class _Decomposition:
             scale = 1.0
         else:
             i = target.flow
-            flow = net.flows[i]
-            if flow.arrival.rate == 0:
+            seg, path = self.index[(i, 0)], self.paths[i]
+            rate, burst = num.rate[seg].item(), num.burst[seg].item()
+            if rate == 0:
                 raise UnsupportedTargetError("delay of a zero-rate flow is undefined")
-            seg = _segments_containing(self, i, flow.path[0])
-            if self.split_flows[seg].path != flow.path:
+            if self.split_flows[seg].path != path:
                 raise UnsupportedTargetError(
                     "flow %d is split by the decomposition; its end-to-end delay "
                     "is not a single tree analysis" % i
                 )
-            j, interest = flow.path[-1], [seg]
+            j, interest = path[-1], [seg]
             # delay transform: (B - b)/r + xi b / r
-            scale = 1.0 / flow.arrival.rate
+            scale = 1.0 / rate
             description = "delay of flow %d" % i
         view = UpstreamView(self.forest.view(j), num)
         phi, rho, xi_root = view.coefficient_rows(view.shape.rows([interest]))
-        extra = 0.0 if target.kind == "backlog" else (
-            (xi_root[0, flow.path[0]] - 1.0) * flow.arrival.burst
-        )
+        extra = 0.0 if target.kind == "backlog" else (xi_root[0, path[0]] - 1.0) * burst
         coeffs, constant = self.layouts[0].assemble(phi, rho, num)
         return ObjectiveForm(coeffs[0] * scale, float((constant[0] + extra) * scale), description)
 
@@ -701,7 +705,7 @@ def objective_for(net: Network, target: Target, method: str, removed=None) -> Ob
     of the given method's recursion.
     """
     structure = _prepare(net, _method(method), removed)
-    return structure.objective(net, structure.bind(_numbers(net)), target)
+    return structure.objective(structure.bind(_numbers(net)), target)
 
 
 def _bound_at(obj: ObjectiveForm, fixed: Optional[np.ndarray]) -> Bound:
@@ -783,7 +787,7 @@ def analyze(
     fixed = next((fp for fp in fixed_points if fp is not None), None)
     bound = objective = None
     if target is not None:
-        obj = structure.objective(net, numbers, target)
+        obj = structure.objective(numbers, target)
         if method == "2s":
             bound = _two_stage(structure, obj, *fixed_points)
         else:

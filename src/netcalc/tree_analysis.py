@@ -38,8 +38,9 @@ check repeated.  A shape is indexed by the view's renumbered servers (every
 successor has a larger id, the root is last) and maps them and its flows
 straight to the network's ids: the clipped paths laid out as the index
 arrays of the array pass.  :class:`UpstreamView` binds a shape to one
-``_Numbers``, the network's rates, bursts, latencies, server loads and
-not-strictly-stable mask, from which the pass gathers its rates.  A batch
+``_Numbers`` of :mod:`netcalc.network`, the network's rates, bursts,
+latencies, server loads and not-strictly-stable mask, from which the pass
+gathers its rates.  A batch
 of interest sets is laid out on a shape once (``_ViewShape.rows``) and run
 with any rates.  The public :func:`upstream_view`, :func:`compute_xi` and
 :func:`tree_backlog` accept any network, so they check the extracted tree
@@ -53,7 +54,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -70,6 +70,9 @@ from .network import (
     Flow,
     Network,
     Topology,
+    _Numbers,
+    _numbers,
+    _paths,
     classify,
     induced_graph,
     topological_order,
@@ -117,46 +120,6 @@ class BacklogResult:
     def latency_coefficients(self) -> Dict[int, float]:
         """Coefficient of each server latency in the bound (rho)."""
         return self.table.rho if self.table is not None else {}
-
-
-@dataclass(frozen=True)
-class _Numbers:
-    """
-    A network's numbers as arrays in id order: what binds a rate-free
-    structure (a view, a decomposition, a pair layout) to one network.
-    ``load`` is each server's aggregate rate, added in flow order as
-    :func:`~netcalc.network.local_stability` adds it, so it is the same
-    float, and ``unstable`` marks the servers that are not strictly stable.
-    """
-
-    rate: np.ndarray  # per flow
-    burst: np.ndarray  # per flow
-    service_rate: np.ndarray  # per server
-    latency: np.ndarray  # per server
-    load: np.ndarray  # per server
-    unstable: np.ndarray  # per server: load >= service rate
-
-
-def _paths(net: Network) -> Tuple[Tuple[int, ...], ...]:
-    return tuple([f.path for f in net.flows])  # a list, as in topologies._loop
-
-
-def _numbers(net: Network) -> _Numbers:
-    paths = _paths(net)
-    length = np.fromiter(map(len, paths), np.intp, len(paths))
-    server = np.fromiter(chain.from_iterable(paths), np.intp, int(length.sum()))
-    rate = np.array([f.arrival.rate for f in net.flows], dtype=float)
-    service_rate = np.array([s.rate for s in net.servers], dtype=float)
-    # bincount adds its weights in input order: here every hop in flow order
-    load = np.bincount(server, np.repeat(rate, length), net.num_servers)
-    return _Numbers(
-        rate,
-        np.array([f.arrival.burst for f in net.flows], dtype=float),
-        service_rate,
-        np.array([s.latency for s in net.servers], dtype=float),
-        load,
-        ~(load < service_rate),
-    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,6 +6,20 @@ import pytest
 from netcalc import Flow, Network, RateLatency, TokenBucket
 
 
+def as_network(base, split_flows):
+    """
+    The decomposed network as a plain :class:`Network`: one flow per
+    segment of ``base``'s flows, with the origin's burst on first segments
+    and burst 0 on continuations (whose actual burst is unknown).
+    """
+    flows = []
+    for sf in split_flows:
+        origin = base.flows[sf.origin].arrival
+        burst = origin.burst if sf.burst_known else 0.0
+        flows.append(Flow(TokenBucket(burst, origin.rate), sf.path))
+    return Network(base.servers, tuple(flows))
+
+
 def random_tandem(rng, n=None, m=None, stable_margin=(0.02, 1.0)):
     """
     Locally stable tandem: one spanning flow keeps all consecutive arcs

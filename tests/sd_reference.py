@@ -15,7 +15,7 @@ import numpy as np
 from netcalc.errors import LocallyUnstableError
 from netcalc.network import Network
 from netcalc.stability import LinearRecursion, _require_local_stability, sd_labels
-from netcalc.tree_analysis import _numbers
+from netcalc.network import _numbers
 
 
 def build_sd(net: Network) -> LinearRecursion:

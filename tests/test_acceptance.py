@@ -272,7 +272,7 @@ def test_criterion_9_dominance():
         if b_star is None or big_b is None or lr_td.size == 0:
             continue
         target = Target.backlog(net.flows[0].path[-1], [0])
-        obj = dec.objective(net, numbers, target)
+        obj = dec.objective(numbers, target)
         greedy = two_stage_bound(net, removed, target).value
         index = {lab: pos for pos, lab in enumerate(lr_td.labels)}
         arcs = lr_ag.labels

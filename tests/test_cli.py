@@ -301,3 +301,13 @@ def test_simulate_rejects_cyclic(tmp_path, capsys):
     src = str(tmp_path / "ring.json")
     save_network(uni_ring(3, 0.5), src)
     assert main(["simulate", "--network", src]) == 2
+
+
+def test_analyze_json_on_a_diverging_recursion(tmp_path, capsys):
+    path = str(tmp_path / "ring.json")
+    save_network(uni_ring(10, 0.5), path)
+    assert main(["analyze", "--network", path, "--method", "sd", "--json"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["fixed_point"] is None
+    assert doc["bound"] is None
+    assert doc["verdict"] == "unstable"

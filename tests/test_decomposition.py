@@ -14,21 +14,21 @@ from netcalc import (
 from netcalc.network import is_acyclic
 from netcalc.topologies import toy, uni_ring
 
-from conftest import random_tree, random_uni_ring
+from conftest import as_network, random_tree, random_uni_ring
 
 TOY_REMOVAL = frozenset({(3, 1), (1, 0)})
 
 
 def test_decompose_toy_matches_expected_segments():
-    ff = decompose(toy(), TOY_REMOVAL)
-    got = {(sf.origin, sf.segment): sf.path for sf in ff.split_flows}
+    split = decompose(toy(), TOY_REMOVAL)
+    got = {(sf.origin, sf.segment): sf.path for sf in split}
     assert got == {
         (0, 0): (2, 3), (0, 1): (1,),
         (1, 0): (3,), (1, 1): (1, 2),
         (2, 0): (1,), (2, 1): (0, 2),
         (3, 0): (1, 2, 3),
     }
-    assert [sf.burst_known for sf in ff.split_flows] == [True, False] * 3 + [True]
+    assert [sf.burst_known for sf in split] == [True, False] * 3 + [True]
 
 
 def test_decompose_empty_removal_is_identity():
@@ -36,16 +36,16 @@ def test_decompose_empty_removal_is_identity():
         tuple(RateLatency(10, 0) for _ in range(2)),
         (Flow(TokenBucket(1, 1), (0, 1)),),
     )
-    ff = decompose(net, frozenset())
-    assert len(ff.split_flows) == 1
-    assert ff.split_flows[0].path == (0, 1)
+    split = decompose(net, frozenset())
+    assert len(split) == 1
+    assert split[0].path == (0, 1)
 
 
 def test_decompose_full_removal_gives_unit_segments():
     net = uni_ring(3, 0.5)
-    ff = decompose(net, induced_graph(net))
-    assert all(len(sf.path) == 1 for sf in ff.split_flows)
-    assert len(ff.split_flows) == sum(len(f.path) for f in net.flows)
+    split = decompose(net, induced_graph(net))
+    assert all(len(sf.path) == 1 for sf in split)
+    assert len(split) == sum(len(f.path) for f in net.flows)
 
 
 def test_decompose_rejects_bad_removals():
@@ -62,35 +62,35 @@ def test_decompose_round_trip(rng):
     for _ in range(20):
         net = random_uni_ring(rng)
         removed = removal_tree(net)
-        ff = decompose(net, removed)
+        split = decompose(net, removed)
         for i, flow in enumerate(net.flows):
             parts = sorted(
-                (sf for sf in ff.split_flows if sf.origin == i),
+                (sf for sf in split if sf.origin == i),
                 key=lambda sf: sf.segment,
             )
             rebuilt = tuple(j for sf in parts for j in sf.path)
             assert rebuilt == flow.path
             for a, b in zip(parts, parts[1:]):
                 assert (a.path[-1], b.path[0]) in removed
-        for s, sf in enumerate(ff.split_flows):
-            assert ff.index_of(sf.label) == s
-        with pytest.raises(KeyError):
-            ff.index_of((net.num_flows, 0))
-        with pytest.raises(KeyError):
-            ff.index_of((0, len(net.flows[0].path)))
 
 
 def test_split_graph_acyclic(rng):
     for _ in range(10):
         net = random_uni_ring(rng)
-        ff = decompose(net, removal_tree(net))
-        arcs = induced_graph(ff.as_network())
+        split = decompose(net, removal_tree(net))
+        arcs = induced_graph(as_network(net, split))
         assert is_acyclic(arcs, net.num_servers)
 
 
 def test_removal_tree_ring_removes_closing_arc():
     assert removal_tree(uni_ring(10, 0.5)) == frozenset({(9, 0)})
     assert removal_tree(uni_ring(10, 0.5), root=3) == frozenset({(3, 4)})
+
+
+@pytest.mark.parametrize("root", [-1, 10])
+def test_removal_tree_rejects_an_unknown_root(root):
+    with pytest.raises(ValidationError, match="^unknown root server %d$" % root):
+        removal_tree(uni_ring(10, 0.5), root=root)
 
 
 def test_removal_tree_toy():
@@ -123,15 +123,15 @@ def _assert_arc_of_inverts_continuations(groups):
     assert sum(len(conts) for conts in groups.continuations.values()) == len(expected)
 
 
-def _rate(ff, s):
-    """Arrival rate of split flow ``s``, inherited from its origin in ``ff.base``."""
-    return ff.base.flows[ff.split_flows[s].origin].arrival.rate
+def _rate(net, split, s):
+    """Arrival rate of split flow ``s``, inherited from its origin in ``net``."""
+    return net.flows[split[s].origin].arrival.rate
 
 
 def test_group_by_arc_toy():
-    ff = decompose(toy(), TOY_REMOVAL)
-    groups = group_by_arc(ff)
-    by_label = {sf.label: s for s, sf in enumerate(ff.split_flows)}
+    split = decompose(toy(), TOY_REMOVAL)
+    groups = group_by_arc(split)
+    by_label = {sf.label: s for s, sf in enumerate(split)}
     assert groups.continuations[(3, 1)] == {by_label[(0, 1)], by_label[(1, 1)]}
     assert groups.continuations[(1, 0)] == {by_label[(2, 1)]}
     assert groups.feeding[(3, 1)] == {by_label[(0, 0)], by_label[(1, 0)]}
@@ -142,19 +142,20 @@ def test_group_by_arc_toy():
 
 def test_group_by_arc_ring_second_segments():
     net = uni_ring(4, 0.5)
-    ff = decompose(net, removal_tree(net))
-    groups = group_by_arc(ff)
+    split = decompose(net, removal_tree(net))
+    groups = group_by_arc(split)
     conts = groups.continuations[(3, 0)]
-    assert {ff.split_flows[s].label for s in conts} == {(1, 1), (2, 1), (3, 1)}
+    assert {split[s].label for s in conts} == {(1, 1), (2, 1), (3, 1)}
     _assert_arc_of_inverts_continuations(groups)
 
 
 def test_rates_conserved_across_removed_arcs(rng):
     for _ in range(10):
         net = random_uni_ring(rng)
-        ff = decompose(net, removal_tree(net))
-        groups = group_by_arc(ff)
-        for arc in ff.removed:
-            fed = sum(_rate(ff, s) for s in groups.feeding[arc])
-            cont = sum(_rate(ff, s) for s in groups.continuations[arc])
+        removed = removal_tree(net)
+        split = decompose(net, removed)
+        groups = group_by_arc(split)
+        for arc in removed:
+            fed = sum(_rate(net, split, s) for s in groups.feeding[arc])
+            cont = sum(_rate(net, split, s) for s in groups.continuations[arc])
             assert fed == pytest.approx(cont, abs=1e-12)

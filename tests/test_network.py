@@ -15,15 +15,14 @@ from netcalc import (
     Topology,
     ValidationError,
     classify,
-    flows_through,
     induced_graph,
     local_stability,
     renumber,
     tree_backlog,
 )
+from netcalc.network import _numbers
 from netcalc.curves import aggregate, classify_server
-from netcalc.topologies import bi_ring, two_server_sink_tree, toy, uni_ring
-from netcalc.tree_analysis import _numbers
+from netcalc.topologies import bi_ring, three_ring, two_server_sink_tree, toy, uni_ring
 
 from conftest import random_tandem, random_tree, random_uni_ring
 
@@ -42,6 +41,25 @@ def test_flow_validation():
         Flow(TokenBucket(1, 1), (0, 1, 0))
     with pytest.raises(ValidationError):
         Network((RateLatency(1, 0),), (Flow(TokenBucket(1, 1), (2,)),))
+
+
+def test_network_needs_a_server():
+    with pytest.raises(ValidationError, match="^network needs at least one server$"):
+        Network((), ())
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: uni_ring(4, 0.0), r"utilization must be in \(0, 1\]"),
+    (lambda: bi_ring(4, 1.5), r"utilization must be in \(0, 1\]"),
+    (lambda: uni_ring(1, 0.5), "a ring needs at least two servers"),
+    (lambda: bi_ring(1, 0.5), "a ring needs at least two servers"),
+    (lambda: three_ring(0.5, ring_size=2), r"ring_size must be at least 3"),
+    (lambda: three_ring(0.5, ring_size=4, short_len=0), r"short_len must be in \[1, ring_size\]"),
+    (lambda: three_ring(0.5, ring_size=4, short_len=5), r"short_len must be in \[1, ring_size\]"),
+])
+def test_generators_validate_their_parameters(make, message):
+    with pytest.raises(ValidationError, match="^%s$" % message):
+        make()
 
 
 def test_induced_graph_toy():
@@ -137,17 +155,6 @@ def test_renumber_preserves_backlog(rng):
         assert a == pytest.approx(b, abs=1e-12)
 
 
-def test_flows_through():
-    net = two_server_sink_tree()
-    assert flows_through(net, 1) == {0, 1}
-    assert flows_through(uni_ring(3, 0.5), 0) == {0, 1, 2}
-    spare = Network(
-        (RateLatency(1, 0), RateLatency(1, 0)),
-        (Flow(TokenBucket(1, 1), (0,)),),
-    )
-    assert flows_through(spare, 1) == frozenset()
-
-
 def test_local_stability_ring():
     report = local_stability(uni_ring(10, 0.5))
     assert report.stable
@@ -166,7 +173,7 @@ def test_local_stability_single_server():
 def _classes_by_server_aggregate(net):
     # the formula local_stability used before it summed rates in flow order
     return tuple(
-        classify_server(aggregate(net.flows[i].arrival for i in flows_through(net, j)), beta)
+        classify_server(aggregate(f.arrival for f in net.flows if j in f.path), beta)
         for j, beta in enumerate(net.servers)
     )
 

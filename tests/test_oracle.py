@@ -85,6 +85,21 @@ def test_simulate_greedy_single_server():
     assert check_strict_service(traj)
 
 
+def test_check_arrival_curves_rejects_a_broken_token_bucket():
+    net = two_server_sink_tree()
+    traj = simulate_fluid(net, greedy_scenario(net, 0.05), dt=1e-3)
+    assert check_arrival_curves(traj)
+    traj.cum_in[(0, 0)][5:] += 10.0  # a jump of 10 beyond the burst of flow 0
+    assert not check_arrival_curves(traj)
+
+
+def test_check_strict_service_skips_a_server_no_flow_crosses():
+    net = Network((RateLatency(2, 0.01), RateLatency(1, 0.5)), (Flow(TokenBucket(1, 1), (0,)),))
+    traj = simulate_fluid(net, greedy_scenario(net, 0.05), dt=1e-3)
+    assert traj._positions_at(1) == []
+    assert check_strict_service(traj)
+
+
 def test_simulate_infinite_servers_no_backlog():
     net = two_server_sink_tree()
     scenario = Scenario(

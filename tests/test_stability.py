@@ -40,7 +40,7 @@ from netcalc import (
 )
 from netcalc.cli import main as cli_main
 from netcalc.decomposition import decompose, group_by_arc, removal_tree
-from netcalc.network import induced_graph, renumber
+from netcalc.network import _numbers, induced_graph, renumber
 from netcalc.stability import (
     METHODS,
     _decide,
@@ -51,11 +51,11 @@ from netcalc.stability import (
     rho_below,
 )
 from netcalc.topologies import bi_ring, three_ring, two_server_sink_tree, toy, uni_ring
-from netcalc.tree_analysis import UpstreamView, _Forest, _numbers, tree_backlog_at, upstream_view
+from netcalc.tree_analysis import UpstreamView, _Forest, tree_backlog_at, upstream_view
 
 import sd_reference
 from xi_reference import tree_network
-from conftest import random_tandem, random_tree, random_uni_ring
+from conftest import as_network, random_tandem, random_tree, random_uni_ring
 
 
 def _single_flow_tandem(b=1.0, r=1.0, R=4.0, T=0.25):
@@ -194,11 +194,11 @@ def test_build_ag_toy_structure():
     assert lr.M[idx[a_main], idx[a_main]] > 0
     assert lr.M[idx[a_main], idx[a_side]] > 0
     # the coefficient is the max over the arc's continuations
-    ff = decompose(net, removed)
-    groups = group_by_arc(ff)
+    split = decompose(net, removed)
+    groups = group_by_arc(split)
     from netcalc.tree_analysis import tree_backlog_at
 
-    result = tree_backlog_at(ff.as_network(), 3, groups.feeding[a_main])
+    result = tree_backlog_at(as_network(net, split), 3, groups.feeding[a_main])
     expected = max(result.burst_coefficients[s] for s in groups.continuations[a_main])
     assert lr.M[idx[a_main], idx[a_main]] == pytest.approx(expected, abs=1e-15)
 
@@ -210,27 +210,28 @@ def _recursion_row_by_row(net, removed, grouped):
     weight, a grouped arc takes the largest weight of its continuations,
     and known bursts and latencies fold into the constant.
     """
-    ff = decompose(net, removed)
-    forest, groups = ff.as_network(), group_by_arc(ff)
+    split = decompose(net, removed)
+    forest, groups = as_network(net, split), group_by_arc(split)
+    index = {sf.label: s for s, sf in enumerate(split)}
     arc_of = {s: arc for arc, conts in groups.continuations.items() for s in conts}
-    singles = [sf.label for s, sf in enumerate(ff.split_flows)
+    singles = [sf.label for s, sf in enumerate(split)
                if sf.segment >= 1 and arc_of[s] not in grouped]
     arcs = sorted(grouped)
     L = len(singles) + len(arcs)
 
     def row(result):
         phi, rho = result.burst_coefficients, result.latency_coefficients
-        coeffs = [phi[ff.index_of(lab)] for lab in singles]
+        coeffs = [phi[index[lab]] for lab in singles]
         coeffs += [max((phi[s] for s in groups.continuations[arc]), default=0.0) for arc in arcs]
         constant = sum(phi[s] * net.flows[sf.origin].arrival.burst
-                       for s, sf in enumerate(ff.split_flows) if sf.burst_known)
+                       for s, sf in enumerate(split) if sf.burst_known)
         constant += sum(rho[j] * beta.latency for j, beta in enumerate(net.servers))
         return coeffs, constant
 
     M, N = np.zeros((L, L)), np.zeros(L)
     for r, (i, k) in enumerate(singles):
-        prev = ff.index_of((i, k - 1))
-        M[r], N[r] = row(tree_backlog_at(forest, ff.split_flows[prev].path[-1], [prev]))
+        prev = index[(i, k - 1)]
+        M[r], N[r] = row(tree_backlog_at(forest, split[prev].path[-1], [prev]))
     for r, arc in enumerate(arcs, start=len(singles)):
         if groups.feeding[arc]:
             M[r], N[r] = row(tree_backlog_at(forest, arc[0], groups.feeding[arc]))
@@ -612,7 +613,7 @@ def _check_report_consistency(net, method):
         assert report.objective is None
         dec, numbers, recursions = _method_recursions(net, "2s", removed)
         b_star, big_b = (solve_recursion(lr) for lr in recursions)
-        obj = dec.objective(net, numbers, target)
+        obj = dec.objective(numbers, target)
         assert report.bound == _two_stage(dec, obj, b_star, big_b)
         return
     obj = objective_for(net, target, method)
@@ -833,7 +834,7 @@ def test_two_stage_greedy_dominates_random_feasible(rng):
         if b_star is None or big_b is None or lr_td.size == 0:
             continue
         target = Target.backlog(net.flows[0].path[-1], [0])
-        obj = dec.objective(net, numbers, target)
+        obj = dec.objective(numbers, target)
         greedy = two_stage_bound(net, removed, target).value
         index = {lab: pos for pos, lab in enumerate(lr_td.labels)}
         arcs = lr_ag.labels
@@ -973,7 +974,7 @@ def test_context_views_equal_public_upstream_views(rng):
     for net in nets:
         dec = _prepare(net, "td")
         numbers = dec.bind(_numbers(net))
-        forest = decompose(net, removal_tree(net)).as_network()
+        forest = as_network(net, decompose(net, removal_tree(net)))
         for j1 in range(forest.num_servers):
             view = UpstreamView(dec.forest.view(j1), numbers)
             assert _view_fields(view) == _view_fields(upstream_view(forest, j1))
@@ -1005,9 +1006,9 @@ def test_instability_diagnostics_name_network_server_ids():
         for i in crossing:
             with pytest.raises(LocallyUnstableError, match=r"^servers \[3\] are not strictly stable$"):
                 objective_for(net, Target.backlog(3, [i]), method)
-    ff = decompose(net, removal_tree(net))
-    ending = [s for s, sf in enumerate(ff.split_flows) if sf.path[-1] == 3]
-    result = tree_backlog_at(ff.as_network(), 3, ending)
+    split = decompose(net, removal_tree(net))
+    ending = [s for s, sf in enumerate(split) if sf.path[-1] == 3]
+    result = tree_backlog_at(as_network(net, split), 3, ending)
     assert not result.value.is_finite
     assert result.diagnostic == "servers [3] are not strictly stable"
 
@@ -1097,3 +1098,28 @@ def test_critical_utilization_edge_cases():
     assert critical_utilization(lambda u: two_server_sink_tree(), "td") == 1.0
     with pytest.raises(ValidationError):
         critical_utilization(lambda u: two_server_sink_tree(), "td", u_min=0.5, u_max=0.2)
+
+
+def test_objective_for_refuses_a_target_server_without_rate_margin():
+    # uni_ring(4, 1.0) loads every server to exactly its rate: the sd
+    # objective refuses the target server, td its view of servers 0..3
+    net, target = uni_ring(4, 1.0), Target.backlog(3, [0])
+    with pytest.raises(LocallyUnstableError, match=r"^server 3 has no strict rate margin$"):
+        objective_for(net, target, "sd")
+    with pytest.raises(LocallyUnstableError, match=r"^servers \[0, 1, 2, 3\] are not strictly stable$"):
+        objective_for(net, target, "td")
+
+
+def test_rho_below_reads_a_singular_exact_test_as_not_below():
+    # no bracket step: 1 I - M is singular, so the threshold is an eigenvalue
+    assert rho_below(np.array([[1.0]]), 1.0, max_iter=0) is False
+
+
+@pytest.mark.parametrize("M, N", [
+    (np.zeros((2, 2)), np.zeros(1)),
+    (np.zeros((1, 2)), np.zeros(1)),
+    (np.zeros((2, 2)), np.zeros(2)),
+])
+def test_linear_recursion_rejects_mismatched_dimensions(M, N):
+    with pytest.raises(ValidationError, match="inconsistent recursion dimensions"):
+        LinearRecursion(("a",), M, N)

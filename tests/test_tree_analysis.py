@@ -25,7 +25,7 @@ from netcalc.decomposition import decompose, removal_tree
 from netcalc.topologies import two_server_sink_tree, toy, uni_ring
 from netcalc.tree_analysis import XiTable, _root_view, upstream_view
 
-from conftest import random_tandem, random_tree
+from conftest import as_network, random_tandem, random_tree
 from xi_reference import _xi_general, _xi_sink_tree, scalar_input
 
 # Two-server tandem fixture, second server twice as fast; the flow of
@@ -369,15 +369,22 @@ def test_array_pass_rejects_local_instability():
         view.coefficient_rows(view.shape.rows([[0]]))
 
 
+@pytest.mark.parametrize("server", [-1, 4])
+def test_upstream_view_rejects_an_unknown_server(server):
+    with pytest.raises(InterestNotAtRootError, match="^unknown server %d$" % server):
+        upstream_view(toy(), server)
+
+
 def test_tree_backlog_at_toy_depends_on_server_1_only():
     net = toy()
     removed = removal_tree(net)
-    ff = decompose(net, removed)
-    forest = ff.as_network()
-    seg = ff.index_of((2, 0))  # the flow-2 segment ending at the removed arc (1, 0)
+    split = decompose(net, removed)
+    forest = as_network(net, split)
+    # the flow-2 segment ending at the removed arc (1, 0)
+    seg = next(s for s, sf in enumerate(split) if sf.label == (2, 0))
     result = tree_backlog_at(forest, 1, [seg])
     assert all(v == 0.0 for j, v in result.latency_coefficients.items() if j != 1)
-    crossing = {s for s, sf in enumerate(ff.split_flows) if 1 in sf.path}
+    crossing = {s for s, sf in enumerate(split) if 1 in sf.path}
     for s, phi in result.burst_coefficients.items():
         assert (phi > 0) == (s in crossing)
     # all cross segments share the single-server path, so one coefficient

@@ -1,0 +1,146 @@
+#!/usr/bin/env python3
+"""
+Record what netcalc computes on a fixed set of inputs, as JSON lines on
+standard output, so that two checkouts can be compared record by record.
+
+Run it from each checkout and compare the two files::
+
+    python tools/record_outputs.py > /tmp/before.jsonl   # in the old checkout
+    python tools/record_outputs.py > /tmp/after.jsonl    # in the new one
+    diff /tmp/before.jsonl /tmp/after.jsonl && echo same
+
+The script imports netcalc from the ``src/`` next to it, and the networks of
+the benchmark's ``analyze_many`` pool and its ``critical`` cases from
+``perfbench/workloads.py`` by file path.  On top of the pool it adds a few
+locally unstable networks.  It calls only public entry points, so it runs on
+any checkout that has them.  It takes no flags.
+
+Records:
+
+- ``analyze`` under every method with four targets (the benchmark's backlog
+  of flow 0 at the end of its path, the delay of flow 0, the backlog of
+  flow 0 at server 0, and none): the verdict, bound, fixed point, objective,
+  labels and every recursion's ``(M, N)``, or the error's type and message;
+- ``objective_for`` under every method with the three targets, ``is_stable``
+  under every method, ``build_sd`` and the ``local_stability`` classes;
+- every ``critical`` case's threshold ``U*``.
+
+Arrays are recorded by a digest of their bytes, floats by ``repr``.
+"""
+
+import hashlib
+import importlib.util
+import json
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+import numpy as np  # noqa: E402
+
+from netcalc import stability  # noqa: E402
+from netcalc.curves import RateLatency  # noqa: E402
+from netcalc.network import Network, local_stability  # noqa: E402
+from netcalc.topologies import bi_ring, three_ring, toy, uni_ring  # noqa: E402
+
+
+def _load_workloads():
+    path = os.path.join(ROOT, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look the module up there
+    spec.loader.exec_module(module)
+    module.load_netcalc()
+    return module
+
+
+def _digest(a) -> str:
+    a = np.ascontiguousarray(a)
+    return "%s%s:%s" % (a.dtype.str, a.shape, hashlib.sha256(a.tobytes()).hexdigest()[:32])
+
+
+def _objective(obj) -> dict:
+    return {"Q": _digest(obj.Q), "C": repr(obj.C), "description": obj.description}
+
+
+def _recursion(lr) -> list:
+    return [_digest(lr.M), _digest(lr.N)]
+
+
+def _report(rep) -> dict:
+    return {
+        "verdict": rep.verdict,
+        "stable": rep.stable,
+        "bound": None if rep.bound is None else repr(rep.bound),
+        "fixed_point": None if rep.fixed_point is None else _digest(rep.fixed_point),
+        "objective": None if rep.objective is None else _objective(rep.objective),
+        "labels": repr(rep.labels),
+        "recursions": [_recursion(lr) for lr in rep.recursions],
+    }
+
+
+def _call(show, f, *args):
+    """``show(f(*args))``, or the error ``f`` raised."""
+    try:
+        return show(f(*args))
+    except Exception as exc:  # recorded like any output
+        return {"error": type(exc).__name__, "message": str(exc)}
+
+
+def _targets(net):
+    return {
+        "bench": stability.Target.backlog(net.flows[0].path[-1], [0]),
+        "delay0": stability.Target.delay(0),
+        "backlog0": stability.Target.backlog(0, [0]),
+    }
+
+
+def _locally_unstable():
+    nets = {"three_ring(1.0)": three_ring(1.0, ring_size=4, short_len=2), "toy(1.0)": toy(1.0)}
+    for n in (3, 4, 5, 6, 7):
+        nets["uni_ring(%d,1.0)" % n] = uni_ring(n, 1.0)
+        nets["halved-uni_ring(%d,0.6)" % n] = _halved(uni_ring(n, 0.6))
+    for n in (3, 4, 5):
+        nets["bi_ring(%d,1.0)" % n] = bi_ring(n, 1.0)
+    return nets
+
+
+def _halved(net):
+    """``net`` with every service rate halved: some servers overload."""
+    servers = [RateLatency(s.rate * 0.5, s.latency) for s in net.servers]
+    return Network(servers, net.flows)
+
+
+def records(workloads):
+    nets = dict(workloads.pool_networks())
+    for n in workloads.RING_SIZES:
+        for k in range(4):
+            nets["halved-" + workloads.ring_id(n, k)] = _halved(nets[workloads.ring_id(n, k)])
+    nets.update(_locally_unstable())
+    for name, net in nets.items():
+        targets = _targets(net)
+        yield {"net": name, "local_stability": [c.name for c in local_stability(net).per_server]}
+        yield {"net": name, "build_sd": _call(_recursion, stability.build_sd, net)}
+        for method in stability.METHODS:
+            yield {"net": name, "method": method,
+                   "is_stable": _call(bool, stability.is_stable, net, method)}
+            for key, target in list(targets.items()) + [("none", None)]:
+                yield {"net": name, "method": method, "target": key,
+                       "analyze": _call(_report, stability.analyze, net, method, target)}
+            for key, target in targets.items():
+                yield {"net": name, "method": method, "target": key, "objective_for":
+                       _call(_objective, stability.objective_for, net, target, method)}
+    for kind, n, method in workloads.critical_cases(False):
+        yield {"critical": workloads.critical_key(kind, n, method), "u_star": _call(
+            repr, stability.critical_utilization, workloads._family(kind, n), method)}
+
+
+def main():
+    workloads = _load_workloads()
+    for record in records(workloads):
+        sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    main()
