@@ -218,10 +218,14 @@ def _paths(net: Network) -> Tuple[Tuple[int, ...], ...]:
     return tuple([f.path for f in net.flows])  # a list, as in topologies._loop
 
 
-def _numbers(net: Network) -> _Numbers:
-    paths = _paths(net)
+def _hops(paths: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
+    """Each path's length, and the server of every hop of every path, in flow order."""
     length = np.fromiter(map(len, paths), np.intp, len(paths))
-    server = np.fromiter(chain.from_iterable(paths), np.intp, int(length.sum()))
+    return length, np.fromiter(chain.from_iterable(paths), np.intp, int(length.sum()))
+
+
+def _numbers(net: Network) -> _Numbers:
+    length, server = _hops(_paths(net))
     rate = np.array([f.arrival.rate for f in net.flows], dtype=float)
     service_rate = np.array([s.rate for s in net.servers], dtype=float)
     # bincount adds its weights in input order: here every hop in flow order

@@ -34,13 +34,13 @@ each removed arc (``ag``), plus the two-stage combination (``2s``).
 Each construction is split in two.  A rate-free structure depends only on
 the server count and the flow paths: for ``sd`` the hop arrays and the
 pair layout (``_SdLayout``); for the others the removal, the split flows
-and their grouping, the forest with its upstream view shapes, and the
-column and row layout of each grouping of removed arcs the method builds
-a recursion for: none for ``td``, all for ``ag``, none then all for ``2s``
-(``_Decomposition``).  After preparation a structure reads no network,
-only numbers: a network's ``_Numbers`` (:mod:`netcalc.network`: rates,
-bursts, latencies, server loads and the not-strictly-stable mask, the one
-place they are computed).  Both structures answer the same three calls.
+and their grouping, the forest they form, the column layout of each
+grouping of removed arcs the method builds a recursion for (none for
+``td``, all for ``ag``, none then all for ``2s``) and one row layout of
+the coefficient pass for all their rows (``_Decomposition``).  After
+preparation a structure reads no network, only numbers: a network's
+``_Numbers`` (:mod:`netcalc.network`: rates, bursts, latencies, server
+loads and the not-strictly-stable mask, the one place they are computed).  Both structures answer the same three calls.
 ``bind(numbers)`` gathers them over what the structure reads;
 ``recursions(numbers)`` computes ``(M, N)`` from the bound numbers with
 the same operations in the same order as a structure built from the
@@ -64,8 +64,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Callable, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -76,8 +75,8 @@ from .errors import (
     UnsupportedTargetError,
     ValidationError,
 )
-from .network import Arc, Network, _Numbers, _numbers, _paths
-from .tree_analysis import UpstreamView, _prepare_forest
+from .network import Arc, Network, _Numbers, _hops, _numbers, _paths
+from .tree_analysis import UpstreamView, _RowLayout, _prepare_forest
 
 #: The analysis methods.
 METHODS = ("sd", "td", "ag", "2s")
@@ -385,8 +384,7 @@ class _SdLayout:
         # and the burst entering it is the sd variable var = offset[flow] + pos - 1
         # (from pos = 1 on); offset[i], the variables of the flows before i, is
         # first[i] - i for flow i's first hop, so var is the hop index less flow + 1
-        length = np.fromiter(map(len, self.paths), np.intp, len(self.paths))
-        server = np.fromiter(chain.from_iterable(self.paths), np.intp, int(length.sum()))
+        length, server = _hops(self.paths)
         flow = np.repeat(np.arange(len(self.paths)), length)
         hop = np.arange(len(server))
         first = np.cumsum(length) - length
@@ -512,11 +510,12 @@ class _Decomposition:
     A feed-forward decomposition of one network's flow paths, without
     rates: the removed arcs, the split flows, their grouping by arc and the
     forest they form, checked once (a removal that leaves some server
-    several successors raises :class:`NotAForestError`), and the column
+    several successors raises :class:`NotAForestError`), the column
     layout of each grouping of removed arcs that it builds a recursion
-    for, in order.  Each upstream view is kept by the forest, and all of
-    it serves every network the decomposition is bound to.  The first
-    layout also lays out the objective's columns.
+    for, in order, and the rows of every layout stacked in that order in
+    one row layout of the coefficient pass (:attr:`rows`).  All of it
+    serves every network the decomposition is bound to.  The first layout
+    also lays out the objective's columns.
     """
 
     def __init__(self, net: Network, removed, groupings: Iterable[Iterable[Arc]]):
@@ -528,6 +527,8 @@ class _Decomposition:
         self.origin = np.array([sf.origin for sf in self.split_flows], dtype=np.intp)
         self.known = np.array([sf.burst_known for sf in self.split_flows], dtype=bool)
         self.layouts = tuple([_Columns(self, frozenset(grouped)) for grouped in groupings])
+        # every row of every layout, stacked in layout order, in one batch
+        self.rows = _RowLayout(self.forest, [r for cols in self.layouts for r in cols.requests])
 
     def bind(self, num: _Numbers) -> _Numbers:
         """
@@ -545,18 +546,21 @@ class _Decomposition:
         """
         One recursion per layout.  Each row is one backlog form: a
         continuation's parent segment at its end, or a grouped arc's feeding
-        segments at its tail.  The rows of one upstream view come from one
-        array pass on the bound numbers ``num``.
+        segments at its tail.  Every row of every layout, whatever its
+        upstream view, comes from one coefficient pass on the bound numbers
+        ``num`` (:attr:`rows`): one array step per distance to a root.
         """
+        phi, rho, _ = self.rows.run(num)
         recursions = []
+        start = 0
         for cols in self.layouts:
             L = len(cols)
             M = np.zeros((L, L))
             N = np.zeros(L)
-            for j1, rows, batch in cols.batches:
-                phi, rho, _ = UpstreamView(self.forest.view(j1), num).coefficient_rows(batch)
-                M[rows], N[rows] = cols.assemble(phi, rho, num)
+            end = start + len(cols.rows)
+            M[cols.rows], N[cols.rows] = cols.assemble(phi[start:end], rho[start:end], num)
             recursions.append(LinearRecursion(cols.labels, M, N))
+            start = end
         return recursions
 
     def objective(self, num: _Numbers, target: Target) -> ObjectiveForm:
@@ -586,8 +590,7 @@ class _Decomposition:
             # delay transform: (B - b)/r + xi b / r
             scale = 1.0 / rate
             description = "delay of flow %d" % i
-        view = UpstreamView(self.forest.view(j), num)
-        phi, rho, xi_root = view.coefficient_rows(view.shape.rows([interest]))
+        phi, rho, xi_root = UpstreamView(self.forest, j, num).coefficient_rows([interest])
         extra = 0.0 if target.kind == "backlog" else (xi_root[0, path[0]] - 1.0) * burst
         coeffs, constant = self.layouts[0].assemble(phi, rho, num)
         return ObjectiveForm(coeffs[0] * scale, float((constant[0] + extra) * scale), description)
@@ -596,9 +599,12 @@ class _Decomposition:
 class _Columns:
     """
     Column layout of a mixed recursion, rate-free: one column per
-    continuation of an ungrouped arc, then one per grouped arc.  Its rows
-    are laid out per upstream view (:attr:`batches`), and :meth:`assemble`
-    turns backlog linear forms into rows over these columns.
+    continuation of an ungrouped arc, then one per grouped arc, and the
+    rows the coefficient pass computes for it (:attr:`rows`, each a root
+    server and its interest segments in :attr:`requests`; the decomposition
+    runs them with the other layouts' rows, whatever their upstream view,
+    in one pass).  :meth:`assemble` turns backlog linear forms into rows
+    over these columns.
     """
 
     def __init__(self, dec: _Decomposition, grouped: FrozenSet[Arc]):
@@ -625,17 +631,11 @@ class _Columns:
         for i, k in self.singles:
             prev = dec.index[(i, k - 1)]
             requests.append((dec.split_flows[prev].path[-1], [prev]))
-        requests += [(arc[0], dec.groups.feeding[arc]) for arc in self.arcs]
-        by_view: Dict[int, List[int]] = {}
-        for row, (j1, interest) in enumerate(requests):
-            if interest:  # an arc nothing feeds keeps a zero row
-                by_view.setdefault(j1, []).append(row)
-        #: ``(j1, rows, laid out)``: each upstream view, the rows it computes
-        #: and their interest sets laid out on it
-        self.batches = tuple([
-            (j1, rows, dec.forest.view(j1).rows([requests[r][1] for r in rows]))
-            for j1, rows in by_view.items()
-        ])
+        requests += [(arc[0], sorted(dec.groups.feeding[arc])) for arc in self.arcs]
+        # an arc nothing feeds keeps a zero row
+        self.rows = np.array([r for r, (_, interest) in enumerate(requests) if interest], dtype=np.intp)
+        #: ``(root, interest)`` of each computed row, in :attr:`rows` order
+        self.requests = [requests[r] for r in self.rows.tolist()]
 
     def __len__(self):
         return len(self.labels)
@@ -877,7 +877,7 @@ def critical_utilization(
     (finite and > 0), or earlier when its ends are adjacent floats.
 
     The rate-free structure of the recursions (the sd pair layout, or the
-    decomposition with its forest, views and column layouts) is prepared
+    decomposition with its forest, column layouts and row layout) is prepared
     from ``family(u_max)`` and bound to every ``family(U)`` the bisection
     visits.  ``family`` is arbitrary code, so each step first checks that
     ``family(U)`` has the held structure's server count and flow paths, and

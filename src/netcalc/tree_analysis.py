@@ -15,36 +15,36 @@ The computation produces, for every server ``j`` and every destination
 whose weights ``rho`` (latencies) and ``phi`` (bursts) depend only on the
 arrival and service rates.
 
-One pass computes the coefficients.  ``_xi_rows`` is the array pass: a
-batch of interest sets on one upstream view in one root-to-leaves sweep,
-one array step per server for all of them, filling the whole grid of
-``xi[j, k]``.  The recursion builders take every row of one upstream view
-from one pass (:meth:`UpstreamView.coefficient_rows`); the public analyses
-(:func:`compute_xi`, :func:`tree_backlog`, :meth:`UpstreamView.backlog`
-and the delay and departure results built on them) read one row's grid as
-a dict-keyed :class:`XiTable`.  The scalar pass it was derived from, one
-interest set and one server at a time, lives in the tests
-(``tests/xi_reference.py``) as the independent reference it is held to;
-both add in the same order, so they agree to the last bit (their float
-sums are explicit left folds, ``curves.left_sum``, because the builtin
-``sum`` compensates from Python 3.12 on).
+One pass computes the coefficients, for a batch of rows at once
+(:meth:`_RowLayout.run`).  A row is a root server and a set of interest
+flows crossing it; its pairs are the servers upstream of its root, each at
+its distance to the root.  The pass takes one array step per distance, for
+every pair of every row at that distance, from the roots outward, and
+fills each pair's coefficients toward every server on its way to the root.
+A batch therefore costs one step per distance to the farthest root,
+whatever the number of its rows and views.  The recursion builders run
+every row of a decomposition in one batch; the objectives and the public
+analyses (:func:`compute_xi`, :func:`tree_backlog`,
+:meth:`UpstreamView.backlog` and the delay and departure results built on
+them) run a batch of one row, the latter reading its grid as a dict-keyed
+:class:`XiTable`.  The scalar pass it was derived from, one interest set
+and one server at a time, lives in the tests (``tests/xi_reference.py``)
+as the independent reference it is held to; both add in the same order,
+so they agree to the last bit (their float sums are explicit left folds,
+``curves.left_sum``, because the builtin ``sum`` compensates from Python
+3.12 on).
 
-A view is a rate-free shape bound to numbers.  A forest of flow paths is
-checked once and prepared once (``_prepare_forest``: one successor per
-server, predecessor lists, one topological order); every upstream view of
-it is sliced from that preparation on first request and kept
-(``_Forest.view``, the one place a :class:`_ViewShape` is built), with no
-check repeated.  A shape is indexed by the view's renumbered servers (every
-successor has a larger id, the root is last) and maps them and its flows
-straight to the network's ids: the clipped paths laid out as the index
-arrays of the array pass.  :class:`UpstreamView` binds a shape to one
-``_Numbers`` of :mod:`netcalc.network`, the network's rates, bursts,
-latencies, server loads and not-strictly-stable mask, from which the pass
-gathers its rates.  A batch
-of interest sets is laid out on a shape once (``_ViewShape.rows``) and run
-with any rates.  The public :func:`upstream_view`, :func:`compute_xi` and
-:func:`tree_backlog` accept any network, so they check the extracted tree
-with :func:`~netcalc.network.classify` first, then prepare, slice and bind
+A forest of flow paths is checked once and prepared once, as arrays
+(``_prepare_forest``: one successor per server, each server's depth to its
+sink, the upstream mask and the crossings at each server in flow order).
+A batch of rows is laid out on it without rates, once (:class:`_RowLayout`,
+indexed by the network's own server and flow ids), and run with any
+``_Numbers`` of :mod:`netcalc.network`: the network's rates, bursts,
+latencies, server loads and not-strictly-stable mask.
+:class:`UpstreamView` binds one server of a forest, the root of its view,
+to those numbers.  The public :func:`upstream_view`, :func:`compute_xi`
+and :func:`tree_backlog` accept any network, so they check the extracted
+tree with :func:`~netcalc.network.classify` first, then prepare and bind
 it the same way, once per call; only :mod:`netcalc.stability`'s
 ``critical_utilization`` holds a structure across calls, and it re-checks
 the structure at every bisection step.
@@ -52,8 +52,9 @@ the structure at every bisection step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -71,6 +72,7 @@ from .network import (
     Network,
     Topology,
     _Numbers,
+    _hops,
     _numbers,
     _paths,
     classify,
@@ -122,125 +124,132 @@ class BacklogResult:
         return self.table.rho if self.table is not None else {}
 
 
-@dataclass(frozen=True, eq=False)
-class _ViewShape:
+class _RowLayout:
     """
-    The servers upstream of one server of a forest, without rates, laid out
-    for the array pass.  The view's servers are renumbered so that every
-    successor has a larger id and the root is last; its flows are the
-    forest's flows that start among them, in flow order, clipped to them.
-    ``server`` and ``flow`` map both straight to the network's ids.
+    A batch of rows on a prepared forest, laid out for the coefficient pass
+    without rates.  A row is a root server and a set of interest flows
+    crossing it.  A pair is a row and a server upstream of the row's root
+    (the root included), at its distance ``k`` from the root; the pair's
+    successor, the row and the server's successor, sits at ``k - 1``.
 
-    Coefficients live in a ``(server, position)`` grid of ``width``
-    columns: position ``p`` of server ``j`` is the ``p``-th server on the
-    path from ``j`` to the root (``p = 0`` is ``j`` itself, ``p = depth[j]``
-    the root).  Every crossing of a flow and a server, in flow order,
-    carries the flow, the server and its grid cell toward the flow's
-    destination.
+    The pairs are sorted by ``k``, so each distance is one block of them.
+    Coefficients live in a ``(pair, position)`` grid of ``width`` columns:
+    position ``p`` of a pair is the ``p``-th server on its way to the root,
+    exactly the cells of the pair's server in the view of the row's root.
+    Every crossing of a flow and a pair's server is one bin, in flow order:
+    the pair's interest rate, or the grid cell toward the flow's destination
+    in the view, the root when the flow goes past it.
     """
 
-    server: np.ndarray  # per view server: network server id
-    flow: np.ndarray  # per view flow: network flow id
-    depth: np.ndarray  # per view server
-    flow_at: np.ndarray  # per crossing: network flow id
-    server_at: np.ndarray  # ... view server id
-    slot_at: np.ndarray  # ... grid cell toward the flow's destination
-    entry_slot: np.ndarray  # per view flow: grid cell (entry server, destination)
-    succ: Tuple[int, ...]  # -1 at the root
-    width: int  # longest path to the root, in servers
-    at_root: FrozenSet[int]  # network ids of the flows that cross the root
-    num_flows: int  # the network's
+    def __init__(self, forest: "_Forest", requests: Sequence[Tuple[int, Sequence[int]]]):
+        """Lay out one row per ``(root, interest flows)`` of ``requests``, in order."""
+        depth = forest.depth
+        R, F, n = len(requests), len(forest.paths), len(depth)
+        interest = np.zeros((R, F), dtype=bool)
+        for r, (_, flows) in enumerate(requests):
+            interest[r, flows] = True
+        roots = np.array([root for root, _ in requests], dtype=np.intp)
+        row, server = np.nonzero(forest.upstream[:, roots].T)
+        k = depth[server] - depth[roots[row]]
+        order = np.argsort(k, kind="stable")
+        row, server, k = row[order], server[order], k[order]
+        P = len(k)
+        self.width = W = int(k[-1]) + 1 if P else 1
+        pair = np.zeros((R, n), dtype=np.intp)
+        pair[row, server] = np.arange(P)
+        # one block of pairs per distance to the root; a block whose
+        # successors are the previous block in order is sliced, not gathered
+        bounds = np.searchsorted(k, np.arange(W + 1))
+        after = pair[row, forest.succ[server]]
+        size = np.diff(bounds)
+        # the pair at the same place in the previous block
+        same_place = np.arange(P) - np.repeat(np.r_[0, size[:-1]], size)
+        in_order = np.bincount(k, after != same_place, W) == 0
+        in_order[1:] &= size[1:] == size[:-1]
+        bounds, in_order = bounds.tolist(), in_order.tolist()
+        self.levels = [
+            (d, bounds[d], bounds[d + 1],
+             slice(bounds[d - 1], bounds[d]) if in_order[d] else after[bounds[d] : bounds[d + 1]])
+            for d in range(1, W)
+        ]
+        self.server, self.size = server, P
+        # every crossing at every pair's server, in flow order per pair
+        count = forest.at_count[server]
+        pair_of = np.repeat(np.arange(P), count)
+        at = np.arange(len(pair_of)) + np.repeat(
+            forest.at_start[server] - (np.cumsum(count) - count), count
+        )
+        flow = forest.at_flow[at]
+        row_flow = np.repeat(row * F, count) + flow  # (row, flow), flat
+        own = interest.ravel()[row_flow]
+        cell = np.repeat(np.arange(P) * W, count) + np.minimum(
+            forest.at_reach[at], np.repeat(k, count)
+        )
+        self.own_pair, self.own_flow = pair_of[own], flow[own]
+        cross = ~own
+        self.cross_cell, self.cross_flow = cell[cross], flow[cross]
+        # each row's flows: 1 for its own, else the cell of the flow's first
+        # crossing, toward its destination; 0 outside the view
+        entry = forest.at_entry[at] & cross
+        self.entry_at, self.entry_cell = row_flow[entry], cell[entry]
+        self.own_at = np.flatnonzero(interest)
+        self.pair_at = row * n + server
+        self.k = k
+        self.last = np.arange(P) * W + k  # each pair's cell toward the root
+        self.shape = (R, F, n)
 
-    @property
-    def root(self) -> int:
-        """The analysed server, network id."""
-        return int(self.server[-1])
-
-    def rows(self, interests: Sequence[Iterable[int]]) -> "_Rows":
+    def run(self, num: _Numbers):
         """
-        A batch of interest sets (network flow ids) laid out for the pass.
+        The coefficient pass with the rates of ``num`` (indexed by the
+        forest's flows and servers).  Returns ``(phi, rho, xi)``: burst
+        weights ``(rows, flows)`` and latency weights ``(rows, servers)``
+        over the forest's ids (0 outside each row's view) and the pairs'
+        coefficient grid ``(pairs, width)``.
 
-        :raises InterestNotAtRootError: if some flow is unknown or misses
-            the local root
+        Each distance to the root takes one array step for all its pairs,
+        from the roots outward: candidates for every split position, then
+        the split where the successor's coefficient stops dominating.  Every
+        pair's arrays have the length and values of its server's in a pass
+        over its row's view alone, and every sum runs in the scalar
+        reference's order (``bincount`` in flow order, ``cumsum`` along
+        paths; the padding adds exact zeros), so each row equals its table.
+
+        :raises LocallyUnstableError: naming the network id of a server,
+            nearest to its root, whose cross traffic alone fills it
         """
-        mask = np.zeros((len(interests), self.num_flows), dtype=bool)
-        for b, interest in enumerate(interests):
-            for i in interest:
-                if i not in self.at_root:
-                    _check_flow_id(self.num_flows, i)
-                    raise InterestNotAtRootError(
-                        "flow %d does not cross server %d" % (i, self.root)
-                    )
-                mask[b, i] = True
-        return _Rows(mask[:, self.flow], mask[:, self.flow_at])
-
-
-@dataclass(frozen=True)
-class _Rows:
-    """
-    A batch of ``B`` interest sets on a view shape: the rate-free half of
-    the array pass, kept for every rate the shape is run with.
-    """
-
-    mask: np.ndarray  # (B, view flows): flow of interest
-    own: np.ndarray  # (B, crossings): the crossing's flow is of interest
-
-
-def _xi_rows(shape: _ViewShape, rows: _Rows, rate_at: np.ndarray, service_rate: np.ndarray):
-    """
-    The coefficient pass for a batch of ``B`` interest sets at once, in
-    the view's ids, with ``rate_at`` the flow rate of each crossing and
-    ``service_rate`` the rate of each server.  Returns ``(phi, rho, xi)``:
-    burst weights ``(B, flows)``, latency weights ``(B, servers)`` and the
-    coefficient grid ``(B, servers, width)`` of :class:`_ViewShape`,
-    ``xi[b, j, p]`` from server ``j`` toward the ``p``-th server on its
-    path to the root.
-
-    Every sum runs in the scalar reference's order (``bincount`` in flow
-    order, ``cumsum`` along paths), so each row equals its table.  Each
-    server takes one array step for all rows, from the root toward the
-    leaves: candidates for every split position, then the split where the
-    successor's coefficient stops dominating.
-    """
-    n, width = len(shape.succ), shape.width
-    B = len(rows.mask)
-    batch = np.arange(B)
-    row = batch[:, None]
-    r_star = np.bincount(
-        (row * n + shape.server_at).ravel(), np.where(rows.own, rate_at, 0.0).ravel(), B * n
-    ).reshape(B, n)
-    cross = np.bincount(
-        (row * (n * width) + shape.slot_at).ravel(),
-        np.where(rows.own, 0.0, rate_at).ravel(),
-        B * n * width,
-    ).reshape(B, n, width)
-    # den[b, j, p]: rate margin of j left by cross traffic ending up to position p
-    den = service_rate[:, None] - np.cumsum(cross, axis=2)
-    servers = np.arange(n)
-    stuck = np.flatnonzero((den[:, servers, shape.depth] <= 0).any(axis=0))
-    if len(stuck):  # cross traffic alone fills the server
-        raise LocallyUnstableError("server %d cannot drain its local traffic" % stuck[-1])
-    xi = np.zeros((B, n, width))
-    positions = np.arange(width)
-    depth = shape.depth.tolist()
-    for j in reversed(range(n)):  # successors carry larger ids
-        last = depth[j]
-        # successor's coefficients, positions 1..last: none at the root,
-        # whose successor -1 names itself
-        after = xi[:, shape.succ[j], :last]
-        # tail[p]: successor-weighted cross rates strictly beyond p
-        tail = np.zeros((B, last + 1))
-        tail[:, :last] = np.cumsum((after * cross[:, j, 1 : last + 1])[:, ::-1], axis=1)[:, ::-1]
-        cand = (r_star[:, j, None] + tail) / den[:, j, : last + 1]
-        # the split is the largest position whose successor coefficient
-        # does not exceed its candidate (position 0 always qualifies)
-        split = np.where(after > cand[:, 1:], 0, positions[1 : last + 1]).max(axis=1, initial=0)
-        row = xi[:, j, : last + 1]
-        row[:, 1:] = after
-        np.copyto(row, cand[batch, split][:, None], where=positions[: last + 1] <= split[:, None])
-    rho = r_star + np.cumsum(xi * cross, axis=2)[:, :, -1]
-    phi = np.where(rows.mask, 1.0, xi.reshape(B, -1)[:, shape.entry_slot])
-    return phi, rho, xi
+        P, W = self.size, self.width
+        R, F, n = self.shape
+        rate = num.rate
+        r_star = np.bincount(self.own_pair, rate[self.own_flow], P)
+        cross = np.bincount(self.cross_cell, rate[self.cross_flow], P * W).reshape(P, W)
+        # den[q, p]: rate margin of q's server left by cross traffic ending up to position p
+        den = num.service_rate[self.server][:, None] - np.cumsum(cross, axis=1)
+        stuck = den.ravel()[self.last] <= 0
+        if stuck.any():  # cross traffic alone fills the server
+            raise LocallyUnstableError(
+                "server %d cannot drain its local traffic" % self.server[stuck.argmax()]
+            )
+        xi = np.zeros((P, W))
+        tail = np.zeros((P, W))  # successor-weighted cross rates strictly beyond each position
+        xi[:R, 0] = r_star[:R] / den[:R, 0]  # the roots, one per row, come first
+        positions = np.arange(W)
+        for k, s, e, succ in self.levels:
+            after = xi[succ, :k]  # the successors' coefficients, positions 1..k
+            tail[s:e, :k] = np.cumsum((after * cross[s:e, 1 : k + 1])[:, ::-1], axis=1)[:, ::-1]
+            cand = (r_star[s:e, None] + tail[s:e, : k + 1]) / den[s:e, : k + 1]
+            # the split is the largest position whose successor coefficient
+            # does not exceed its candidate (position 0 always qualifies)
+            split = np.where(after > cand[:, 1:], 0, positions[1 : k + 1]).max(axis=1, initial=0)
+            cells = xi[s:e, : k + 1]
+            cells[:, 1:] = after
+            np.copyto(cells, cand[np.arange(e - s), split][:, None],
+                      where=positions[: k + 1] <= split[:, None])
+        rho = np.zeros(R * n)
+        rho[self.pair_at] = r_star + np.cumsum(xi * cross, axis=1)[:, -1]
+        phi = np.zeros(R * F)
+        phi[self.entry_at] = xi.ravel()[self.entry_cell]
+        phi[self.own_at] = 1.0
+        return phi.reshape(R, F), rho.reshape(R, n), xi
 
 
 def _check_tree(net: Network) -> None:
@@ -253,7 +262,7 @@ def _root_view(tree: Network) -> "UpstreamView":
     """The whole of ``tree``, checked to be a tandem or tree, as the view at its root."""
     _check_tree(tree)
     forest = _prepare_forest(_paths(tree), tree.num_servers)
-    return UpstreamView(forest.view(forest.succ.index(-1)), _numbers(tree))
+    return UpstreamView(forest, int(np.flatnonzero(forest.succ == -1)[0]), _numbers(tree))
 
 
 def compute_xi(tree: Network, interest: Iterable[int]) -> XiTable:
@@ -261,10 +270,11 @@ def compute_xi(tree: Network, interest: Iterable[int]) -> XiTable:
     Coefficient table for the worst-case backlog at the root of ``tree``
     for the flows in ``interest``.
 
-    The network may carry any server numbering (it is renumbered
-    internally; results are keyed by the caller's ids).  Runs in
-    ``O(n w + h)`` for ``n`` servers, ``w`` servers on the longest path to
-    the root and ``h`` flow hops: one array step per server over its path.
+    The network may carry any server numbering (results are keyed by the
+    caller's ids).  Runs in ``w`` array steps of ``O(n w + h)`` work in all,
+    for ``n`` servers, ``w`` servers on the longest path to the root and
+    ``h`` flow hops: one step per distance to the root, for every server
+    at that distance over its path.
 
     :raises NotATreeError: if the topology is not a tandem or tree
     :raises InterestNotAtRootError: if some interest flow is unknown or
@@ -307,143 +317,116 @@ def _check_flow_id(num_flows: int, i: int) -> None:
 @dataclass(frozen=True)
 class UpstreamView:
     """
-    The sub-network upstream of one server of a forest, prepared for
-    repeated backlog analyses with different interest sets: a rate-free
-    :class:`_ViewShape` bound to the network's numbers.
+    The sub-network upstream of one server of a prepared forest (the
+    view at ``root``), bound to the network's numbers, for repeated backlog
+    analyses with different interest sets: each is one row of the
+    coefficient pass (:class:`_RowLayout`).
 
     Coefficient tables are expanded back over the full network's ids, with
     weight 0 outside.
     """
 
-    shape: _ViewShape
+    forest: "_Forest"
+    root: int
     numbers: _Numbers  # of the full network
 
     @cached_property
     def unstable_servers(self) -> List[int]:
         """Network ids of the view's servers that are not strictly stable, sorted."""
-        server = self.shape.server
-        return sorted(server[self.numbers.unstable[server]].tolist())
+        return np.flatnonzero(self.forest.upstream[:, self.root] & self.numbers.unstable).tolist()
 
-    def _pass(self, rows: _Rows):
-        """The array pass over ``rows`` with the view's rates."""
-        return _xi_rows(
-            self.shape,
-            rows,
-            self.numbers.rate[self.shape.flow_at],
-            self.numbers.service_rate[self.shape.server],
-        )
+    @cached_property
+    def at_root(self) -> FrozenSet[int]:
+        """Network ids of the flows that cross the root."""
+        start = self.forest.at_start[self.root]
+        return frozenset(self.forest.at_flow[start : start + self.forest.at_count[self.root]].tolist())
+
+    def _rows(self, interests: Sequence[Iterable[int]]) -> _RowLayout:
+        """
+        A batch of interest sets (network flow ids) laid out as rows at the root.
+
+        :raises InterestNotAtRootError: if some flow is unknown or misses
+            the root
+        """
+        requests = [(self.root, list(interest)) for interest in interests]
+        for _, interest in requests:
+            for i in interest:
+                if i not in self.at_root:
+                    _check_flow_id(len(self.forest.paths), i)
+                    raise InterestNotAtRootError(
+                        "flow %d does not cross server %d" % (i, self.root)
+                    )
+        return _RowLayout(self.forest, requests)
 
     def backlog(self, interest: Iterable[int]) -> BacklogResult:
         """
         Worst-case backlog at the local root for full-network flow ids,
-        with its table read off one row of the array pass.
+        with its table read off one row of the coefficient pass.
 
         :raises InterestNotAtRootError: if some flow is unknown or misses
             the local root
         """
         interest = frozenset(interest)
-        rows = self.shape.rows([interest])
+        rows = self._rows([interest])
         if self.unstable_servers:
             return BacklogResult(
                 UNBOUNDED, None, "servers %r are not strictly stable" % self.unstable_servers
             )
-        shape, num = self.shape, self.numbers
-        phi, rho, grid = (v[0].tolist() for v in self._pass(rows))
-        server = shape.server.tolist()
-        succ, depth = shape.succ, shape.depth.tolist()
+        num, succ = self.numbers, self.forest.succ.tolist()
+        phi, rho, grid = rows.run(num)
         xi = {}
-        for j, row in enumerate(grid):
-            k = j
-            for v in row[: depth[j] + 1]:
-                xi[(server[j], server[k])] = v
-                k = succ[k]
-        full_rho = dict.fromkeys(range(len(num.service_rate)), 0.0)
-        full_rho.update(zip(server, rho))
-        full_phi = dict.fromkeys(range(len(num.rate)), 0.0)
-        full_phi.update(zip(shape.flow.tolist(), phi))
+        for j, k, cells in zip(rows.server.tolist(), rows.k.tolist(), grid.tolist()):
+            t = j
+            for v in cells[: k + 1]:
+                xi[(j, t)] = v
+                t = succ[t]
+        full_rho = dict(enumerate(rho[0].tolist()))
+        full_phi = dict(enumerate(phi[0].tolist()))
         # the zero weights outside the view add exact zeros to the value
         value = left_sum(full_rho[j] * t for j, t in enumerate(num.latency.tolist()))
         value += left_sum(full_phi[i] * b for i, b in enumerate(num.burst.tolist()))
         return BacklogResult(Bound(value), XiTable(xi, full_rho, full_phi, interest))
 
-    def coefficient_rows(self, rows: _Rows):
+    def coefficient_rows(self, interests: Sequence[Iterable[int]]):
         """
-        The array pass for a batch laid out by :meth:`_ViewShape.rows`:
-        ``(phi, rho, xi_root)``, one row per interest set, with the burst
-        weight of every flow, the latency weight of every server and every
-        server's coefficient toward the local root, over the full network's
-        ids (0 outside the view).
+        The coefficient pass for a batch of interest sets (network flow
+        ids): ``(phi, rho, xi_root)``, one row per interest set, with the
+        burst weight of every flow, the latency weight of every server and
+        every server's coefficient toward the local root, over the full
+        network's ids (0 outside the view).
 
+        :raises InterestNotAtRootError: if some flow is unknown or misses
+            the local root
         :raises LocallyUnstableError: if the view is not locally stable
         """
+        rows = self._rows(interests)
         if self.unstable_servers:
             raise LocallyUnstableError(
                 "servers %r are not strictly stable" % self.unstable_servers
             )
-        phi, rho, xi = self._pass(rows)
-        shape, num = self.shape, self.numbers
-        B = len(phi)
-        full_phi = np.zeros((B, len(num.rate)))
-        full_phi[:, shape.flow] = phi
-        full_rho = np.zeros((B, len(num.service_rate)))
-        full_rho[:, shape.server] = rho
-        full_xi = np.zeros((B, len(num.service_rate)))
-        full_xi[:, shape.server] = xi[:, np.arange(len(shape.succ)), shape.depth]
-        return full_phi, full_rho, full_xi
+        phi, rho, xi = rows.run(self.numbers)
+        xi_root = np.zeros(rho.size)
+        xi_root[rows.pair_at] = xi.ravel()[rows.last]
+        return phi, rho, xi_root.reshape(rho.shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Forest:
     """
     Flow paths already checked to form a forest (no cycle, at most one
-    successor per server), prepared once: every upstream view is then
-    sliced from it with no check repeated, and kept.  Rate-free.
+    successor per server), prepared once as arrays, rate-free: any batch of
+    rows on it is laid out from them with no check repeated.
     """
 
     paths: Tuple[Tuple[int, ...], ...]
-    succ: Tuple[int, ...]  # -1 at a sink
-    preds: Tuple[Tuple[int, ...], ...]
-    rank: Tuple[int, ...]  # position in renumber's topological order
-    views: Dict[int, _ViewShape] = field(default_factory=dict, compare=False, repr=False)
-
-    def view(self, j1: int) -> _ViewShape:
-        """
-        The view upstream of ``j1``, sliced on its first request.  Its
-        renumbering is the forest's topological order restricted to the
-        ancestors of ``j1``, which is :func:`renumber` of the view itself:
-        the ancestors are closed under predecessors, so the restriction
-        takes the smallest ready server next just as the view's own order
-        does, and a flow that crosses them starts there.
-        """
-        if j1 in self.views:
-            return self.views[j1]
-        order = sorted(_upstream(self.preds, j1), key=self.rank.__getitem__)
-        new_id = {j: new for new, j in enumerate(order)}
-        succ = tuple([-1 if j == j1 else new_id[self.succ[j]] for j in order])
-        depth = [0] * len(order)
-        for j in reversed(range(len(order) - 1)):  # the root is last
-            depth[j] = depth[succ[j]] + 1
-        width = max(depth) + 1
-        flow, at_root, flow_at, server_at, slot_at, entry_slot = [], [], [], [], [], []
-        for i, path in enumerate(self.paths):
-            if path[0] not in new_id:
-                continue
-            clipped = [new_id[j] for j in path if j in new_id]
-            end = depth[clipped[-1]]
-            flow.append(i)
-            if end == 0:
-                at_root.append(i)
-            for j in clipped:
-                flow_at.append(i)
-                server_at.append(j)
-                slot_at.append(j * width + depth[j] - end)
-            entry_slot.append(clipped[0] * width + depth[clipped[0]] - end)
-        shape = self.views[j1] = _ViewShape(
-            *(np.array(v, dtype=np.intp)
-              for v in (order, flow, depth, flow_at, server_at, slot_at, entry_slot)),
-            succ, width, frozenset(at_root), len(self.paths),
-        )
-        return shape
+    succ: np.ndarray  # per server: -1 at a sink
+    depth: np.ndarray  # per server: arcs on its way to its sink
+    upstream: np.ndarray  # [j, r]: r lies on j's way to its sink (r == j included)
+    at_flow: np.ndarray  # per crossing, by server, in flow order: the flow
+    at_reach: np.ndarray  # ... arcs from the server to the flow's last server
+    at_entry: np.ndarray  # ... the server is the flow's first
+    at_start: np.ndarray  # per server: its first crossing
+    at_count: np.ndarray  # per server: its crossings
 
 
 def _prepare_forest(paths: Tuple[Tuple[int, ...], ...], n: int) -> _Forest:
@@ -456,16 +439,29 @@ def _prepare_forest(paths: Tuple[Tuple[int, ...], ...], n: int) -> _Forest:
     for path in paths:
         arcs.update(zip(path, path[1:]))
     succ = [-1] * n
-    preds: List[List[int]] = [[] for _ in range(n)]
     for u, v in arcs:
         if succ[u] != -1:
             raise NotAForestError("removal leaves server %d with several successors" % u)
         succ[u] = v
-        preds[v].append(u)
-    rank = [0] * n
-    for position, j in enumerate(topological_order(arcs, n)):
-        rank[j] = position
-    return _Forest(paths, tuple(succ), tuple(map(tuple, preds)), tuple(rank))
+    way: List[List[int]] = [[]] * n  # each server's way to its sink
+    for j in reversed(topological_order(arcs, n)):  # successors first
+        way[j] = [j, *way[succ[j]]] if succ[j] != -1 else [j]
+    steps = np.fromiter(map(len, way), np.intp, n)
+    upstream = np.zeros((n, n), dtype=bool)
+    upstream[np.repeat(np.arange(n), steps), np.fromiter(chain.from_iterable(way), np.intp)] = True
+    depth = steps - 1
+    length, server = _hops(paths)
+    ends = np.cumsum(length)
+    flow = np.repeat(np.arange(len(paths)), length)
+    entry = np.zeros(len(server), dtype=bool)
+    entry[ends - length] = True
+    by_server = np.argsort(server, kind="stable")  # flow order at each server
+    at_count = np.bincount(server, minlength=n)
+    return _Forest(
+        paths, np.array(succ, dtype=np.intp), depth, upstream,
+        flow[by_server], (depth[server] - depth[server[ends - 1]][flow])[by_server],
+        entry[by_server], np.cumsum(at_count) - at_count, at_count,
+    )
 
 
 def _upstream(preds: Sequence[Sequence[int]], j1: int) -> Set[int]:
@@ -500,7 +496,7 @@ def upstream_view(net: Network, j1: int) -> UpstreamView:
     ))
     # a flow that misses the extracted servers keeps its first server: no arc
     paths = tuple([tuple(p) if p else f.path[:1] for f, p in zip(net.flows, clipped)])
-    return UpstreamView(_prepare_forest(paths, net.num_servers).view(j1), _numbers(net))
+    return UpstreamView(_prepare_forest(paths, net.num_servers), j1, _numbers(net))
 
 
 def tree_backlog_at(net: Network, j1: int, interest: Iterable[int]) -> BacklogResult:

@@ -51,10 +51,10 @@ from netcalc.stability import (
     rho_below,
 )
 from netcalc.topologies import bi_ring, three_ring, two_server_sink_tree, toy, uni_ring
-from netcalc.tree_analysis import UpstreamView, _Forest, tree_backlog_at, upstream_view
+from netcalc.tree_analysis import UpstreamView, _RowLayout, tree_backlog_at, upstream_view
 
 import sd_reference
-from xi_reference import tree_network
+from xi_reference import view_tree
 from conftest import as_network, random_tandem, random_tree, random_uni_ring
 
 
@@ -939,13 +939,6 @@ def _overloaded(net, j):
     return Network(tuple(servers), net.flows)
 
 
-def _view_fields(view):
-    s = view.shape
-    arrays = (s.server, s.flow, s.depth, s.flow_at, s.server_at, s.slot_at, s.entry_slot)
-    return (s.num_flows, s.at_root, s.succ, s.width, view.unstable_servers,
-            *(a.tolist() for a in arrays))
-
-
 def _renumbered_clip(net, j1):
     # reference view: the servers with a path to j1, the flows cut to them,
     # then renumber() of that sub-network
@@ -976,12 +969,19 @@ def test_context_views_equal_public_upstream_views(rng):
         numbers = dec.bind(_numbers(net))
         forest = as_network(net, decompose(net, removal_tree(net)))
         for j1 in range(forest.num_servers):
-            view = UpstreamView(dec.forest.view(j1), numbers)
-            assert _view_fields(view) == _view_fields(upstream_view(forest, j1))
+            view, public = UpstreamView(dec.forest, j1, numbers), upstream_view(forest, j1)
+            assert view_tree(view) == view_tree(public)
+            assert view.unstable_servers == public.unstable_servers
+            assert view.at_root == public.at_root
             renamed, old_to_new, kept = _renumbered_clip(forest, j1)
-            assert tree_network(view) == renamed
-            assert [view.shape.server[new] for new in old_to_new] == kept
+            tree, server, _ = view_tree(view)
+            assert tree == renamed
+            assert [server[new] for new in old_to_new] == kept
             unstable_views += bool(view.unstable_servers)
+            if not view.unstable_servers:
+                batch = [[i] for i in sorted(view.at_root)] + [sorted(view.at_root)]
+                for mine, theirs in zip(view.coefficient_rows(batch), public.coefficient_rows(batch)):
+                    np.testing.assert_array_equal(mine, theirs)
     assert unstable_views > 0
 
 
@@ -1064,9 +1064,9 @@ def test_td_verdict_checks_the_network_once_whatever_the_number_of_views(monkeyp
         for module_name, module in list(sys.modules.items()):
             if module_name.split(".")[0] == "netcalc" and vars(module).get(name) is original:
                 monkeypatch.setattr(module, name, wrapper)
-    monkeypatch.setattr(_Forest, "view", counted("view", _Forest.view))
+    monkeypatch.setattr(_RowLayout, "__init__", counted("layout", _RowLayout.__init__))
     is_stable(bi_ring(10, 0.5), "td")
-    assert counts["view"] > 1
+    assert counts["layout"] == 1  # every row of every view in one layout
     assert all(counts[name] <= 1 for name in checks), counts
 
 

@@ -23,10 +23,18 @@ from netcalc import (
 )
 from netcalc.decomposition import decompose, removal_tree
 from netcalc.topologies import two_server_sink_tree, toy, uni_ring
-from netcalc.tree_analysis import XiTable, _root_view, upstream_view
+from netcalc.network import _numbers
+from netcalc.tree_analysis import (
+    UpstreamView,
+    XiTable,
+    _RowLayout,
+    _prepare_forest,
+    _root_view,
+    upstream_view,
+)
 
 from conftest import as_network, random_tandem, random_tree
-from xi_reference import _xi_general, _xi_sink_tree, scalar_input
+from xi_reference import _xi_general, _xi_sink_tree, scalar_input, view_tree
 
 # Two-server tandem fixture, second server twice as fast; the flow of
 # interest crosses both.  Value frozen from the case-enumeration oracle.
@@ -248,7 +256,7 @@ def test_sink_tree_fast_path_matches_general(rng):
         # the public table, keyed by the sink tree's own ids, has exactly the
         # general pass's keys; compare it in the renumbered ids
         own = compute_xi(sink, interest)
-        back = view.shape.server.tolist()
+        back = view_tree(view)[1]
         assert {(back[j], back[k]) for j, k in slow.xi} == set(own.xi)
         public = XiTable(
             {(j, k): own.xi[(back[j], back[k])] for j, k in slow.xi},
@@ -291,32 +299,99 @@ def _interest_batch(rng, flows):
     return batch + [list(flows), []]
 
 
+def _grid(rows, xi, b, succ):
+    # row b's coefficient grid keyed (server, k-th server on its way to the
+    # root) in network ids, read off its pairs
+    n = len(succ)
+    grid = {}
+    for q in np.flatnonzero(rows.pair_at // n == b).tolist():
+        j = t = int(rows.server[q])
+        for v in xi[q, : rows.k[q] + 1].tolist():
+            grid[(j, t)] = v
+            t = succ[t]
+    return grid
+
+
+def _assert_rows_match_scalar(view, rows, phi, rho, xi, batch):
+    # each row against the scalar pass on the row's own view, every cell of
+    # the grid included, in the renumbered ids of that view
+    tree, server, flow = view_tree(view)
+    succ = view.forest.succ.tolist()
+    for b, interest in batch:
+        table = _xi_general(*scalar_input(view, [flow.index(i) for i in interest]))
+        np.testing.assert_allclose(
+            phi[b, flow], [table.phi[i] for i in range(tree.num_flows)], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            rho[b, server], [table.rho[j] for j in range(tree.num_servers)], rtol=1e-12, atol=0)
+        outside = np.ones(len(succ), dtype=bool)
+        outside[server] = False
+        assert not rho[b, outside].any()
+        assert not np.delete(phi[b], flow).any()
+        grid = _grid(rows, xi, b, succ)
+        assert len(grid) == len(table.xi)
+        keys = list(table.xi)
+        np.testing.assert_allclose(
+            [grid[(server[j], server[k])] for j, k in keys],
+            [table.xi[key] for key in keys],
+            rtol=1e-12, atol=0)
+
+
 def test_array_pass_matches_scalar_pass(rng):
     for make in (random_tree, random_tandem):
         for _ in range(30):
             view = _root_view(make(rng))
-            net, _, _, _, root = scalar_input(view, ())
-            at_root = [i for i, f in enumerate(net.flows) if f.path[-1] == root]
+            net, _, flow = view_tree(view)
+            root = net.num_servers - 1
+            at_root = [flow[i] for i, f in enumerate(net.flows) if f.path[-1] == root]
             batch = _interest_batch(rng, at_root)
-            # a whole tree's view flows are the network's, in flow order
-            phi, rho, xi = view._pass(view.shape.rows(batch))
-            depth = view.shape.depth
+            rows = view._rows(batch)
+            phi, rho, xi = rows.run(view.numbers)
+            # one pair per row and server of the whole tree
             assert phi.shape == (len(batch), net.num_flows)
             assert rho.shape == (len(batch), net.num_servers)
-            assert xi.shape == (len(batch), net.num_servers, depth.max() + 1)
-            for b, interest in enumerate(batch):
-                table = _xi_general(*scalar_input(view, interest))
-                np.testing.assert_allclose(
-                    phi[b], [table.phi[i] for i in range(net.num_flows)], rtol=1e-12, atol=0)
-                np.testing.assert_allclose(
-                    rho[b], [table.rho[j] for j in range(net.num_servers)], rtol=1e-12, atol=0)
-                # the whole grid: key (j, k) sits depth[j] - depth[k] steps along j's path
-                assert len(table.xi) == depth.sum() + net.num_servers
-                keys = list(table.xi)
-                np.testing.assert_allclose(
-                    [xi[b, j, depth[j] - depth[k]] for j, k in keys],
-                    [table.xi[key] for key in keys],
-                    rtol=1e-12, atol=0)
+            assert xi.shape == (len(batch) * net.num_servers, view.forest.depth.max() + 1)
+            _assert_rows_match_scalar(view, rows, phi, rho, xi, enumerate(batch))
+
+
+def _random_forest(rng):
+    # a tree or a tandem next to another tree or tandem, servers and flows
+    # interleaved: a forest with two sinks and ids in no particular order
+    parts = [(random_tree if rng.random() < 0.5 else random_tandem)(rng) for _ in range(2)]
+    n = sum(part.num_servers for part in parts)
+    perm = [int(j) for j in rng.permutation(n)]
+    servers, flows, offset = [None] * n, [], 0
+    for part in parts:
+        for j, server in enumerate(part.servers):
+            servers[perm[offset + j]] = server
+        flows += [Flow(f.arrival, tuple(perm[offset + j] for j in f.path)) for f in part.flows]
+        offset += part.num_servers
+    order = [int(i) for i in rng.permutation(len(flows))]
+    return Network(tuple(servers), tuple(flows[i] for i in order))
+
+
+def test_one_batch_rooted_everywhere_matches_scalar_pass_per_view(rng):
+    # rows rooted at every server of a forest in one batch: branching trees,
+    # tandems, one-server views (leaves) and empty interest sets
+    for _ in range(25):
+        net = _random_forest(rng)
+        forest = _prepare_forest(tuple(f.path for f in net.flows), net.num_servers)
+        numbers = _numbers(net)
+        roots, batch = [], []
+        for j in range(net.num_servers):
+            crossing = [i for i, f in enumerate(net.flows) if j in f.path]
+            for interest in _interest_batch(rng, crossing) if crossing else [[]]:
+                roots.append(j)
+                batch.append(interest)
+        rows = _RowLayout(forest, list(zip(roots, batch)))
+        phi, rho, xi = rows.run(numbers)
+        assert (rows.k == 0).sum() == len(batch)  # one root pair per row
+        assert any(not flows for flows in batch)
+        for j in range(net.num_servers):
+            view = UpstreamView(forest, j, numbers)
+            mine = [(b, batch[b]) for b, root in enumerate(roots) if root == j]
+            _assert_rows_match_scalar(view, rows, phi, rho, xi, mine)
+            if view_tree(view)[0].num_servers == 1:
+                assert all(rows.k[rows.pair_at // net.num_servers == b].max() == 0 for b, _ in mine)
 
 
 def _shuffled_servers(net, rng):
@@ -338,19 +413,21 @@ def test_view_rows_match_view_backlog(rng):
         view = upstream_view(net, j1)
         crossing = [i for i, f in enumerate(net.flows) if j1 in f.path]
         batch = _interest_batch(rng, crossing)
-        phi, rho, xi_root = view.coefficient_rows(view.shape.rows(batch))
+        phi, rho, xi_root = view.coefficient_rows(batch)
+        kept = view_tree(view)[1]
         for b, interest in enumerate(batch):
             table = view.backlog(interest).table
             np.testing.assert_allclose(
                 phi[b], [table.phi[i] for i in range(net.num_flows)], rtol=1e-12, atol=0)
             np.testing.assert_allclose(
                 rho[b], [table.rho[j] for j in range(net.num_servers)], rtol=1e-12, atol=0)
-            for j in view.shape.server.tolist():
+            for j in kept:
                 assert xi_root[b, j] == pytest.approx(table.xi[(j, j1)], rel=1e-12, abs=0)
+            assert not np.delete(xi_root[b], kept).any()
         outside = next((i for i, f in enumerate(net.flows) if j1 not in f.path), None)
         if outside is not None:
             with pytest.raises(InterestNotAtRootError):
-                view.shape.rows([[outside]])
+                view.coefficient_rows([[outside]])
 
 
 def test_array_pass_rejects_local_instability():
@@ -363,10 +440,24 @@ def test_array_pass_rejects_local_instability():
     with pytest.raises(LocallyUnstableError):
         _xi_general(*scalar_input(view, [0]))
     with pytest.raises(LocallyUnstableError):
-        view._pass(view.shape.rows([[0]]))
+        view._rows([[0]]).run(view.numbers)
     view = upstream_view(net, 1)
     with pytest.raises(LocallyUnstableError):
-        view.coefficient_rows(view.shape.rows([[0]]))
+        view.coefficient_rows([[0]])
+
+
+def test_array_pass_instability_names_the_network_server():
+    # the chain 0 -> 2 -> 1, server 2 filled by cross traffic alone: its
+    # position in the view of server 1 is 1, its network id 2
+    net = Network(
+        (RateLatency(4.0, 0.1), RateLatency(8.0, 0.1), RateLatency(2.0, 0.1)),
+        (Flow(TokenBucket(1, 1), (0, 2, 1)), Flow(TokenBucket(1, 3), (2,))),
+    )
+    view = upstream_view(net, 1)
+    assert view_tree(view)[1] == [0, 2, 1]
+    with pytest.raises(LocallyUnstableError, match=r"^server 2 cannot drain its local traffic$"):
+        view._rows([[0]]).run(view.numbers)
+    assert view.unstable_servers == [2]
 
 
 @pytest.mark.parametrize("server", [-1, 4])

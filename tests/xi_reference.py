@@ -1,6 +1,6 @@
 """
 The scalar coefficient pass: the reference the tests hold the array pass
-(``netcalc.tree_analysis._xi_rows``) and the public tree analyses to.
+(``netcalc.tree_analysis._RowLayout.run``) and the public tree analyses to.
 
 ``_xi_general`` computes one interest set's dict-keyed table on a prepared
 tree (renumbered ids: every successor has a larger id), from the root
@@ -15,30 +15,54 @@ from typing import Dict, FrozenSet, List, Tuple
 
 from netcalc.curves import RateLatency, TokenBucket, left_sum
 from netcalc.errors import LocallyUnstableError
-from netcalc.network import Flow, Network
+from netcalc.network import Flow, Network, renumber
 from netcalc.tree_analysis import XiTable
 
 
-def tree_network(view) -> Network:
+def view_tree(view):
     """
-    The renumbered tree an upstream view's array pass runs on, rebuilt from
-    its rate-free shape and its numbers: the input of the scalar pass.
+    The renumbered tree of an upstream view, rebuilt from its forest's
+    paths, its root and its numbers: the servers with a way to the root,
+    the flows that start among them clipped to them, in flow order, then
+    :func:`~netcalc.network.renumber` of that sub-network.  Returns the
+    tree, each tree server's network id and each tree flow's network id.
     """
-    shape, num = view.shape, view.numbers
+    forest, root, num = view.forest, view.root, view.numbers
+    succ = forest.succ.tolist()
+
+    def reaches(j):
+        while j != -1 and j != root:
+            j = succ[j]
+        return j == root
+
+    kept = [j for j in range(len(succ)) if reaches(j)]
+    sub = {j: s for s, j in enumerate(kept)}
     rate, burst = num.rate.tolist(), num.burst.tolist()
     service_rate, latency = num.service_rate.tolist(), num.latency.tolist()
-    servers = [RateLatency(service_rate[j], latency[j]) for j in shape.server.tolist()]
-    paths: Dict[int, List[int]] = {}  # each view flow's crossings, in flow order
-    for i, j in zip(shape.flow_at.tolist(), shape.server_at.tolist()):
-        paths.setdefault(i, []).append(j)
-    flows = [Flow(TokenBucket(burst[i], rate[i]), paths[i]) for i in shape.flow.tolist()]
-    return Network(tuple(servers), tuple(flows))
+    flows, flow_ids = [], []
+    for i, path in enumerate(forest.paths):
+        if path[0] in sub:
+            flows.append(Flow(TokenBucket(burst[i], rate[i]), [sub[j] for j in path if j in sub]))
+            flow_ids.append(i)
+    servers = [RateLatency(service_rate[j], latency[j]) for j in kept]
+    tree, old_to_new = renumber(Network(tuple(servers), tuple(flows)))
+    server = [0] * len(kept)
+    for old, new in enumerate(old_to_new):
+        server[new] = kept[old]
+    return tree, server, flow_ids
 
 
 def scalar_input(view, interest):
-    """The arguments of the scalar passes for ``interest`` on the view (root last)."""
-    succ = view.shape.succ
-    return tree_network(view), frozenset(interest), succ, predecessors(succ), len(succ) - 1
+    """
+    The arguments of the scalar passes for ``interest``, in the tree's flow
+    ids, on the view's renumbered tree (root last).
+    """
+    tree = view_tree(view)[0]
+    succ = [-1] * tree.num_servers
+    for f in tree.flows:
+        for u, v in zip(f.path, f.path[1:]):
+            succ[u] = v
+    return tree, frozenset(interest), succ, predecessors(succ), len(succ) - 1
 
 
 def predecessors(succ) -> List[List[int]]:

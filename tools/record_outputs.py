@@ -23,7 +23,12 @@ Records:
   labels and every recursion's ``(M, N)``, or the error's type and message;
 - ``objective_for`` under every method with the three targets, ``is_stable``
   under every method, ``build_sd`` and the ``local_stability`` classes;
-- every ``critical`` case's threshold ``U*``.
+- every ``critical`` case's threshold ``U*``;
+- every ``sweep`` cell: ``bi_ring(SWEEP_N)`` at each utilization of the
+  full sweep, ``analyze`` under every method with the benchmark's target;
+- ``tree_backlog`` on every tree and tandem of the ``fluid`` workload's
+  rounds for seed 1, for the flows ending at the sink and for the first
+  half of them: the value and the coefficient table, or the error.
 
 Arrays are recorded by a digest of their bytes, floats by ``repr``.
 """
@@ -43,6 +48,7 @@ from netcalc import stability  # noqa: E402
 from netcalc.curves import RateLatency  # noqa: E402
 from netcalc.network import Network, local_stability  # noqa: E402
 from netcalc.topologies import bi_ring, three_ring, toy, uni_ring  # noqa: E402
+from netcalc.tree_analysis import tree_backlog  # noqa: E402
 
 
 def _load_workloads():
@@ -86,6 +92,30 @@ def _call(show, f, *args):
         return show(f(*args))
     except Exception as exc:  # recorded like any output
         return {"error": type(exc).__name__, "message": str(exc)}
+
+
+def _table(result) -> dict:
+    """A tree backlog result: its value and its table's entries, sorted by key."""
+    table = result.table
+    if table is None:
+        return {"value": repr(result.value), "diagnostic": result.diagnostic}
+    entries = [sorted(table.xi.items()), sorted(table.rho.items()), sorted(table.phi.items())]
+    return {"value": repr(result.value), "table": hashlib.sha256(
+        repr(entries).encode()).hexdigest()[:32], "interest": sorted(table.interest)}
+
+
+def _fluid_networks(workloads, seed):
+    """The trees and tandems of every ``fluid`` round for ``seed``, drawn as the workload draws them."""
+    np_ = workloads.np
+    for r in range(workloads.FLUID_ROUNDS):
+        rng = np_.random.default_rng([seed, r])
+        tandem_rng = np_.random.default_rng([workloads.POOL_SEED, 2, r])
+        for n, m in workloads.TREE_SHAPES:
+            yield "fluid%d/%d/tree%d.%d" % (seed, r, n, m), workloads.random_tree(rng, n, m)
+            rng.integers(2**31)  # the scenario seed
+        for n in workloads.TANDEM_SIZES:
+            net = workloads.random_tandem(tandem_rng, n, int(tandem_rng.integers(3, 6)))
+            yield "fluid%d/%d/tandem%d" % (seed, r, n), net
 
 
 def _targets(net):
@@ -134,6 +164,18 @@ def records(workloads):
     for kind, n, method in workloads.critical_cases(False):
         yield {"critical": workloads.critical_key(kind, n, method), "u_star": _call(
             repr, stability.critical_utilization, workloads._family(kind, n), method)}
+    for row, u in enumerate(workloads.sweep_utilizations(False)):
+        net = bi_ring(workloads.SWEEP_N, u)
+        target = stability.Target.backlog(net.num_servers - 1, [0])
+        for method in stability.METHODS:
+            yield {"sweep": workloads.sweep_key(row, method), "u": repr(u),
+                   "analyze": _call(_report, stability.analyze, net, method, target)}
+    for name, net in _fluid_networks(workloads, 1):
+        root = net.num_servers - 1
+        sink = [i for i, f in enumerate(net.flows) if f.path[-1] == root]
+        for interest in (sink, sink[: max(1, len(sink) // 2)]):
+            yield {"fluid": name, "interest": interest,
+                   "tree_backlog": _call(_table, tree_backlog, net, interest)}
 
 
 def main():
