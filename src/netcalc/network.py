@@ -13,7 +13,6 @@ JSON file format (see :mod:`netcalc.fileio`) uses 1-based identifiers.
 from __future__ import annotations
 
 import enum
-import graphlib
 import heapq
 from dataclasses import dataclass
 from itertools import chain
@@ -22,7 +21,7 @@ from typing import FrozenSet, List, Sequence, Set, Tuple
 import numpy as np
 
 from .curves import RateLatency, ServerClass, TokenBucket, classify_server
-from .errors import ValidationError
+from .errors import LocallyUnstableError, ValidationError
 
 Arc = Tuple[int, int]
 
@@ -111,12 +110,9 @@ def induced_graph(net: Network) -> FrozenSet[Arc]:
 
 def is_acyclic(arcs: Sequence[Arc] | FrozenSet[Arc], n: int) -> bool:
     """True when the arc set over ``n`` vertices has no directed cycle."""
-    sorter = graphlib.TopologicalSorter({j: [] for j in range(n)})
-    for u, v in arcs:
-        sorter.add(v, u)
     try:
-        sorter.prepare()
-    except graphlib.CycleError:
+        topological_order(arcs, n)
+    except ValidationError:
         return False
     return True
 
@@ -238,6 +234,14 @@ def _numbers(net: Network) -> _Numbers:
         load,
         ~(load < service_rate),
     )
+
+
+def _require_local_stability(num: _Numbers) -> None:
+    """Raise :class:`LocallyUnstableError` naming every server the mask marks."""
+    if num.unstable.any():
+        raise LocallyUnstableError(
+            "servers %r are not strictly stable" % np.flatnonzero(num.unstable).tolist()
+        )
 
 
 @dataclass(frozen=True)

@@ -13,74 +13,32 @@ backlog from first principles, with no shared code with the coefficient
 algorithm.
 
 All choice vectors are evaluated at once, breadth-first: at server ``j``
-one array holds the state of every vector's prefix, and each prefix gets
-one child per threshold ``k``.  The first maximizing vector is then
-evaluated again, alone and with scalar arithmetic, for its value and its
-period lengths.
+one array holds the state of every vector's prefix (the bursts it
+forwards, its interest backlog and its period lengths so far), and each
+prefix gets one child per threshold ``k``.  The first maximizing vector's
+value and period lengths are read off the last server's arrays.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import FrozenSet, Iterable, List, Tuple
 
 import numpy as np
 
-from .curves import left_sum
 from .errors import LocallyUnstableError, NotATreeError, OracleSizeError
-from .network import Network, Topology, classify, local_stability
+from .network import (
+    Network,
+    Topology,
+    _hops,
+    _numbers,
+    _paths,
+    _require_local_stability,
+    classify,
+)
 
-#: Enumeration limit: the last server's array holds n! case vectors, 40320
-#: for n = 8; the maximizing vector is then re-evaluated on its own.
+#: Enumeration limit: the last server's arrays hold n! case vectors, 40320
+#: for n = 8, with n period lengths each.
 MAX_ORACLE_SERVERS = 8
-
-
-def _case_tables(net: Network, interest: FrozenSet[int]):
-    n = net.num_servers
-    burst_jk: List[Dict[int, float]] = [dict() for _ in range(n)]
-    burst_star = [0.0] * n
-    rate_jk: List[Dict[int, float]] = [dict() for _ in range(n)]
-    rate_star = [0.0] * n
-    for i, flow in enumerate(net.flows):
-        first, last = flow.path[0], flow.path[-1]
-        if i in interest:
-            burst_star[first] += flow.arrival.burst
-            for j in flow.path:
-                rate_star[j] += flow.arrival.rate
-        else:
-            burst_jk[first][last] = burst_jk[first].get(last, 0.0) + flow.arrival.burst
-            for j in flow.path:
-                rate_jk[j][last] = rate_jk[j].get(last, 0.0) + flow.arrival.rate
-    return burst_jk, burst_star, rate_jk, rate_star
-
-
-def _evaluate_case(net, case, burst_jk, burst_star, rate_jk, rate_star):
-    """Backlog at the last server and the per-server period lengths."""
-    n = net.num_servers
-    x = [0.0] * n
-    x_star = 0.0
-    deltas = []
-    for j in range(n):
-        beta = net.servers[j]
-        q = [0.0] * n
-        for ell in range(j, n):
-            q[ell] = (
-                burst_jk[j].get(ell, 0.0)
-                + x[ell]
-                + rate_jk[j].get(ell, 0.0) * beta.latency
-            )
-        k = case[j]
-        served_rate = left_sum(rate_jk[j].get(ell, 0.0) for ell in range(j, k + 1))
-        margin = beta.rate - served_rate
-        if margin <= 0:
-            raise LocallyUnstableError("server %d cannot drain its local traffic" % j)
-        stretch = left_sum(q[ell] for ell in range(j, k + 1)) / margin
-        deltas.append(beta.latency + stretch)
-        new_x = [0.0] * n
-        for ell in range(k + 1, n):
-            new_x[ell] = q[ell] + rate_jk[j].get(ell, 0.0) * stretch
-        x_star = burst_star[j] + x_star + rate_star[j] * deltas[-1]
-        x = new_x
-    return x_star, deltas
 
 
 def _bruteforce(net: Network, interest: FrozenSet[int]):
@@ -89,40 +47,47 @@ def _bruteforce(net: Network, interest: FrozenSet[int]):
         raise NotATreeError("the case enumeration handles tandems only")
     if n > MAX_ORACLE_SERVERS:
         raise OracleSizeError("n=%d exceeds the enumeration limit %d" % (n, MAX_ORACLE_SERVERS))
-    report = local_stability(net)
-    if not report.stable:
-        raise LocallyUnstableError(
-            "servers %r are not strictly stable" % report.unstable_servers()
-        )
-    tables = _case_tables(net, interest)
-    burst_jk, burst_star, rate_jk, rate_star = tables
-    bursts = np.array([[burst_jk[j].get(ell, 0.0) for ell in range(n)] for j in range(n)])
-    rates = np.array([[rate_jk[j].get(ell, 0.0) for ell in range(n)] for j in range(n)])
+    num = _numbers(net)
+    _require_local_stability(num)
+    # bursts[j, ell] and rates[j, ell]: the cross flows entering at j (for
+    # the rates: crossing j) that leave at ell, added in flow order; column
+    # n holds the interest flows the same way
+    length, server = _hops(_paths(net))
+    last = np.array([f.path[-1] for f in net.flows], dtype=np.intp)
+    column = np.where(np.isin(np.arange(net.num_flows), list(interest)), n, last)
+    first = server[np.cumsum(length) - length]
+    shape = (n, n + 1)
+    bursts = np.bincount(first * (n + 1) + column, num.burst, n * (n + 1)).reshape(shape)
+    at = server * (n + 1) + np.repeat(column, length)
+    rates = np.bincount(at, np.repeat(num.rate, length), n * (n + 1)).reshape(shape)
+    R, T = num.service_rate, num.latency
     # margins[j][k - j]: service rate left at server j when it serves k
-    margins = [net.servers[j].rate - np.cumsum(rates[j, j:]) for j in range(n)]
+    margins = [R[j] - np.cumsum(rates[j, j:n]) for j in range(n)]
     _require_margins(margins)
     # Breadth-first over case prefixes: at server j, row p of ``x`` holds
-    # prefix p's bursts entering servers j..n-1 and ``x_star[p]`` its
-    # interest backlog; prefix p's child for threshold k is row
-    # p * (n - j) + k - j, so the leaves come in itertools.product order.
+    # prefix p's bursts entering servers j..n-1, ``x_star[p]`` its interest
+    # backlog and ``periods[p]`` its period lengths at servers 0..j-1;
+    # prefix p's child for threshold k is row p * (n - j) + k - j, so the
+    # leaves come in itertools.product order.
     x = np.zeros((1, n))
     x_star = np.zeros(1)
+    periods = np.zeros((1, 0))
     for j in range(n):
-        latency = net.servers[j].latency
-        q = (bursts[j, j:] + x) + rates[j, j:] * latency
+        q = (bursts[j, j:n] + x) + rates[j, j:n] * T[j]
         stretch = np.cumsum(q, axis=1) / margins[j]
-        x_star = ((burst_star[j] + x_star)[:, None] + rate_star[j] * (latency + stretch)).ravel()
-        carried = q[:, None, 1:] + rates[j, j + 1:] * stretch[:, :, None]
+        delta = T[j] + stretch
+        x_star = ((bursts[j, n] + x_star)[:, None] + rates[j, n] * delta).ravel()
+        periods = np.column_stack((np.repeat(periods, n - j, axis=0), delta.ravel()))
+        carried = q[:, None, 1:] + rates[j, j + 1:n] * stretch[:, :, None]
         beyond = np.arange(j + 1, n) > np.arange(j, n)[:, None]  # server ell > threshold k
         x = np.where(beyond, carried, 0.0).reshape(len(x_star), n - j - 1)
     leaf = int(np.argmax(x_star))  # the first maximum, as the strict > of a scan
+    value, deltas = x_star[leaf].item(), periods[leaf].tolist()
     thresholds = []
     for j in reversed(range(n)):  # mixed radix: server j has n - j thresholds
         leaf, digit = divmod(leaf, n - j)
         thresholds.append(j + digit)
-    case = tuple(reversed(thresholds))
-    value, deltas = _evaluate_case(net, case, *tables)
-    return value, case, deltas
+    return value, tuple(reversed(thresholds)), deltas
 
 
 def _require_margins(margins) -> None:

@@ -75,7 +75,7 @@ from .errors import (
     UnsupportedTargetError,
     ValidationError,
 )
-from .network import Arc, Network, _Numbers, _hops, _numbers, _paths
+from .network import Arc, Network, _Numbers, _hops, _numbers, _paths, _require_local_stability
 from .tree_analysis import UpstreamView, _RowLayout, _prepare_forest
 
 #: The analysis methods.
@@ -163,7 +163,8 @@ class StabilityReport:
 
     ``verdict`` comes from the stability decisions alone: ``stable`` when
     a fixed point exists, else ``critical`` when some recursion's spectral
-    radius lies below ``1 + 1e-9`` (one more ``rho_below`` test), else
+    radius lies below ``1 + 1e-9`` (one more decision, as :func:`rho_below`
+    makes it), else
     ``unstable``.  ``rho``, the exact spectral radius (the smallest over
     the recursions, ``inf`` on local instability), is computed on first
     read and cached; it decides nothing.
@@ -185,7 +186,7 @@ class StabilityReport:
     def verdict(self) -> str:
         if self.stable:
             return "stable"
-        if any(rho_below(lr.M, 1.0 + STABILITY_EPS) for lr in self.recursions):
+        if any(_decide(lr.M, 1.0 + STABILITY_EPS)[0] for lr in self.recursions):
             return "critical"
         return "unstable"
 
@@ -329,19 +330,12 @@ def solve_recursion(lr: LinearRecursion) -> Optional[np.ndarray]:
     """
     if lr.size == 0:
         return np.zeros(0)
-    if not rho_below(lr.M, 1.0 - STABILITY_EPS):
+    if not _decide(lr.M, 1.0 - STABILITY_EPS)[0]:  # LinearRecursion checked M
         return None
     solution = np.linalg.solve(_shifted(lr.M, 1.0), lr.N)
     if solution.min() < -1e-9 * max(1.0, float(np.abs(solution).max())):
         raise ValidationError("fixed point came out negative; ill-conditioned system")
     return np.maximum(solution, 0.0)
-
-
-def _require_local_stability(num: _Numbers) -> None:
-    if num.unstable.any():
-        raise LocallyUnstableError(
-            "servers %r are not strictly stable" % np.flatnonzero(num.unstable).tolist()
-        )
 
 
 def _check_target(num_servers: int, num_flows: int, target: Target) -> None:
@@ -363,23 +357,18 @@ def _check_target(num_servers: int, num_flows: int, target: Target) -> None:
         raise UnsupportedTargetError("unknown target kind %r" % target.kind)
 
 
-def sd_labels(net: Network) -> Tuple[Tuple[int, int], ...]:
-    """Variables of the per-server recursion: each flow's hops past the first."""
-    return tuple(
-        [(i, k) for i, f in enumerate(net.flows) for k in range(1, len(f.path))]
-    )
-
-
 class _SdLayout:
     """
     The rate-free half of :func:`build_sd` on one network's flow paths: the
     hop arrays, each row's feeding hop and every pair (row, hop at the
     row's server), laid out once.  A pair with a later hop is a cell of
     ``M``; a pair with a first hop is a cell of the row's constant terms.
+    The labels and the objective read the same hop arrays: the variables
+    are the hops past each flow's first, ``(flow, pos)`` in flow order.
     """
 
     def __init__(self, net: Network):
-        self.num_servers, self.paths, self.labels = net.num_servers, _paths(net), sd_labels(net)
+        self.num_servers, self.paths = net.num_servers, _paths(net)
         # every hop of every flow, in flow order: hop pos of flow crosses server,
         # and the burst entering it is the sd variable var = offset[flow] + pos - 1
         # (from pos = 1 on); offset[i], the variables of the flows before i, is
@@ -390,6 +379,7 @@ class _SdLayout:
         first = np.cumsum(length) - length
         pos, var = hop - first[flow], hop - flow - 1
         self.flow, self.pos, self.server, self.var = flow, pos, server, var
+        self.labels = tuple(zip(flow[pos >= 1].tolist(), pos[pos >= 1].tolist()))
         # row r, the variable (i, k), is fed by hop (i, k - 1): every hop but the last
         feed = np.flatnonzero(flow[1:] == flow[:-1])
         self.row_flow, self.row_server = flow[feed], server[feed]
@@ -455,31 +445,30 @@ class _SdLayout:
                 "delay targets are not supported by the per-server decomposition"
             )
         j = target.server
-        Q = np.zeros(len(self.labels))
         at = np.flatnonzero(self.server == j)  # one hop per flow crossing j, in flow order
-        hops = list(zip(self.flow[at].tolist(), self.pos[at].tolist(), self.var[at].tolist()))
-        interest = [hop for hop in hops if hop[0] in target.flows]
-        if len(interest) != len(target.flows):
+        flow, later = self.flow[at], self.pos[at] >= 1
+        mine = np.zeros(len(self.paths), dtype=bool)
+        mine[list(target.flows)] = True
+        mine = mine[flow]
+        if mine.sum() != len(target.flows):
             raise UnsupportedTargetError("some target flows do not cross the server")
         if num.unstable[j]:
             raise LocallyUnstableError("server %d has no strict rate margin" % j)
-        cross = [hop for hop in hops if hop[0] not in target.flows]
-        rate, burst = num.rate.tolist(), num.burst.tolist()
+        r_int = left_sum(num.rate[flow[mine]].tolist())
+        r_cross = left_sum(num.rate[flow[~mine]].tolist())
         service_rate, latency = num.service_rate[j].item(), num.latency[j].item()
-        r_int = left_sum(rate[i] for i, _, _ in interest)
-        r_cross = left_sum(rate[i] for i, _, _ in cross)
         gain = r_int / (service_rate - r_cross)
-        C = gain * r_cross * latency + r_int * latency
-        for i, k, v in interest:
-            if k >= 1:
-                Q[v] += 1.0
-            else:
-                C += burst[i]
-        for i, k, v in cross:
-            if k >= 1:
-                Q[v] += gain
-            else:
-                C += gain * burst[i]
+        Q = np.zeros(len(self.labels))
+        Q[self.var[at[mine & later]]] = 1.0
+        Q[self.var[at[~mine & later]]] = gain
+        # the latency terms, then the first-hop bursts: the interest ones, then
+        # the cross ones weighed by the gain, each group in flow order
+        terms = np.concatenate((
+            [gain * r_cross * latency + r_int * latency],
+            num.burst[flow[mine & ~later]],
+            gain * num.burst[flow[~mine & ~later]],
+        ))
+        C = np.cumsum(terms)[-1].item()
         return ObjectiveForm(Q, C, "backlog of flows %s at server %d" % (sorted(target.flows), j))
 
 

@@ -1,21 +1,29 @@
 """
 The per-server recursion built one pair of hops at a time: the reference
-the tests hold ``netcalc.stability.build_sd`` to, bit for bit.
+the tests hold ``netcalc.stability.build_sd`` and the sd objective to,
+bit for bit.
 
 ``build_sd`` below is the loop the array builder replaced: for each
 variable ``(i, k)`` it walks every hop present at the server ``j`` of hop
 ``k - 1`` and adds that hop's burst, with the server's gain, to ``M`` or
-(first hops) to ``N``.  Not collected by pytest; the test modules import it.
+(first hops) to ``N``.  ``objective`` walks the hops present at the target
+server the same way.  Not collected by pytest; the test modules import it.
 """
 
 from typing import List, Tuple
 
 import numpy as np
 
-from netcalc.errors import LocallyUnstableError
+from netcalc.curves import left_sum
+from netcalc.errors import LocallyUnstableError, UnsupportedTargetError
 from netcalc.network import Network
-from netcalc.stability import LinearRecursion, _require_local_stability, sd_labels
+from netcalc.stability import LinearRecursion, ObjectiveForm, Target, _require_local_stability
 from netcalc.network import _numbers
+
+
+def labels_of(net: Network) -> Tuple[Tuple[int, int], ...]:
+    """The variables: each flow's hops past the first, in flow order."""
+    return tuple((i, k) for i, f in enumerate(net.flows) for k in range(1, len(f.path)))
 
 
 def build_sd(net: Network) -> LinearRecursion:
@@ -31,7 +39,7 @@ def build_sd(net: Network) -> LinearRecursion:
     are known and folded into the constant vector.
     """
     _require_local_stability(_numbers(net))
-    labels = sd_labels(net)
+    labels = labels_of(net)
     index = {lab: pos for pos, lab in enumerate(labels)}
     L = len(labels)
     M = np.zeros((L, L))
@@ -68,3 +76,37 @@ def build_sd(net: Network) -> LinearRecursion:
                     N[row] += gain * net.flows[p].arrival.burst
             N[row] += gain * beta.rate * beta.latency
     return LinearRecursion(labels, M, N)
+
+
+def objective(net: Network, target: Target) -> ObjectiveForm:
+    """
+    The backlog of ``target.flows`` at ``target.server`` over the variables:
+    1 on each interest hop entering the server and the server's gain on each
+    cross hop, first-hop bursts folded into the constant.
+    """
+    j = target.server
+    index = {lab: pos for pos, lab in enumerate(labels_of(net))}
+    hops = [(i, f.path.index(j)) for i, f in enumerate(net.flows) if j in f.path]
+    interest = [(i, k) for i, k in hops if i in target.flows]
+    if len(interest) != len(target.flows):
+        raise UnsupportedTargetError("some target flows do not cross the server")
+    if _numbers(net).unstable[j]:
+        raise LocallyUnstableError("server %d has no strict rate margin" % j)
+    cross = [(i, k) for i, k in hops if i not in target.flows]
+    beta = net.servers[j]
+    r_int = left_sum(net.flows[i].arrival.rate for i, _ in interest)
+    r_cross = left_sum(net.flows[i].arrival.rate for i, _ in cross)
+    gain = r_int / (beta.rate - r_cross)
+    Q = np.zeros(len(index))
+    C = gain * r_cross * beta.latency + r_int * beta.latency
+    for i, k in interest:
+        if k >= 1:
+            Q[index[(i, k)]] += 1.0
+        else:
+            C += net.flows[i].arrival.burst
+    for i, k in cross:
+        if k >= 1:
+            Q[index[(i, k)]] += gain
+        else:
+            C += gain * net.flows[i].arrival.burst
+    return ObjectiveForm(Q, C, "backlog of flows %s at server %d" % (sorted(target.flows), j))

@@ -1,3 +1,4 @@
+import io
 import json
 import re
 
@@ -21,6 +22,10 @@ def test_network_file_round_trip(tmp_path):
         path = str(tmp_path / "net.json")
         save_network(net, path)
         assert load_network(path) == net
+        stream = io.StringIO()  # and through open streams
+        save_network(net, stream)
+        stream.seek(0)
+        assert load_network(stream) == net
         # canonical dict round-trips as well
         assert network_from_dict(network_to_dict(net)) == net
 

@@ -99,6 +99,9 @@ def test_token_bucket_addition_componentwise():
 def test_token_bucket_validation():
     with pytest.raises(ValueError):
         TokenBucket(-1, 0)
+    for rate in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="rate must be finite and >= 0"):
+            TokenBucket(1, rate)
     with pytest.raises(ValueError):
         RateLatency(0, 0)
     with pytest.raises(ValueError):

@@ -122,6 +122,8 @@ def test_simulate_validates_scenario():
         ArrivalSpec("burst")
     with pytest.raises(ScenarioError):
         ServerSpec("window")
+    with pytest.raises(ScenarioError, match="unknown service mode 'bogus'"):
+        ServerSpec("bogus")
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])

@@ -680,6 +680,28 @@ def test_objective_sd_weights_the_bursts_entering_the_server(rng):
         objective_for(uni_ring(4, 0.3), Target.backlog(0, [0, 7]), "sd")
 
 
+def test_objective_sd_matches_reference(rng):
+    # every server, one-flow and multi-flow groups, and a locally unstable ring
+    nets = [random_uni_ring(rng) for _ in range(10)] + [random_tandem(rng) for _ in range(10)]
+    nets += [random_tree(rng) for _ in range(10)] + [bi_ring(4, 0.3), toy(0.4), uni_ring(4, 1.0)]
+    for net in nets:
+        for j in range(net.num_servers):
+            crossing = [i for i, f in enumerate(net.flows) if j in f.path]
+            for interest in (crossing[:1], crossing[:2], crossing[1::2], crossing, [0]):
+                if not interest:
+                    continue
+                target = Target.backlog(j, interest)
+                try:
+                    expected = sd_reference.objective(net, target)
+                except Exception as exc:
+                    with pytest.raises(type(exc), match="^%s$" % re.escape(str(exc))):
+                        objective_for(net, target, "sd")
+                    continue
+                obj = objective_for(net, target, "sd")
+                assert np.array_equal(obj.Q, expected.Q)
+                assert (obj.C, obj.description) == (expected.C, expected.description)
+
+
 def test_objective_tree_matches_tree_backlog_on_acyclic():
     net = two_server_sink_tree()
     obj = objective_for(net, Target.backlog(1, [0]), "td", removed=frozenset())

@@ -9,9 +9,10 @@ Run it from each checkout and compare the two files::
     python tools/record_outputs.py > /tmp/after.jsonl    # in the new one
     diff /tmp/before.jsonl /tmp/after.jsonl && echo same
 
-The script imports netcalc from the ``src/`` next to it, and the networks of
+The script imports netcalc from the ``src/`` next to it, the networks of
 the benchmark's ``analyze_many`` pool and its ``critical`` cases from
-``perfbench/workloads.py`` by file path.  On top of the pool it adds a few
+``perfbench/workloads.py`` and the test suite's ``random_tandem`` from
+``tests/conftest.py``, both by file path.  On top of the pool it adds a few
 locally unstable networks.  It calls only public entry points, so it runs on
 any checkout that has them.  It takes no flags.
 
@@ -21,6 +22,9 @@ Records:
   of flow 0 at the end of its path, the delay of flow 0, the backlog of
   flow 0 at server 0, and none): the verdict, bound, fixed point, objective,
   labels and every recursion's ``(M, N)``, or the error's type and message;
+- ``analyze`` and ``objective_for`` under ``sd`` and ``td`` with two group
+  backlogs: every flow crossing the last server there, and the first two
+  flows crossing flow 0's first server there;
 - ``objective_for`` under every method with the three targets, ``is_stable``
   under every method, ``build_sd`` and the ``local_stability`` classes;
 - every ``critical`` case's threshold ``U*``;
@@ -29,6 +33,11 @@ Records:
 - ``tree_backlog`` on every tree and tandem of the ``fluid`` workload's
   rounds for seed 1, for the flows ending at the sink and for the first
   half of them: the value and the coefficient table, or the error.
+- ``bruteforce_backlog`` and ``worst_case_periods`` (value and period
+  lengths) on the same rounds' tandems with the same two interest sets,
+  and on the random tandems of ``tests/test_oracle.py``'s reference test
+  (1 to 8 servers) for flow 0 and for the first half of the flows ending
+  at the last server, or the error.
 
 Arrays are recorded by a digest of their bytes, floats by ``repr``.
 """
@@ -45,18 +54,23 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 import numpy as np  # noqa: E402
 
 from netcalc import stability  # noqa: E402
-from netcalc.curves import RateLatency  # noqa: E402
-from netcalc.network import Network, local_stability  # noqa: E402
+from netcalc.curves import RateLatency, TokenBucket  # noqa: E402
+from netcalc.network import Flow, Network, local_stability  # noqa: E402
+from netcalc.oracle import MAX_ORACLE_SERVERS, bruteforce_backlog, worst_case_periods  # noqa: E402
 from netcalc.topologies import bi_ring, three_ring, toy, uni_ring  # noqa: E402
 from netcalc.tree_analysis import tree_backlog  # noqa: E402
 
 
-def _load_workloads():
-    path = os.path.join(ROOT, "perfbench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def _load(name, *path):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, *path))
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look the module up there
     spec.loader.exec_module(module)
+    return module
+
+
+def _load_workloads():
+    module = _load("perfbench_workloads", "perfbench", "workloads.py")
     module.load_netcalc()
     return module
 
@@ -118,6 +132,37 @@ def _fluid_networks(workloads, seed):
             yield "fluid%d/%d/tandem%d" % (seed, r, n), net
 
 
+def _periods(result) -> list:
+    value, deltas = result
+    return [repr(value), [repr(d) for d in deltas]]
+
+
+def _oracle_tandems():
+    """
+    The tandems ``tests/test_oracle.py`` holds the enumeration to its
+    reference on: per size, one whose cases all tie, then random ones.
+    """
+    random_tandem = _load("tests_conftest", "tests", "conftest.py").random_tandem
+    for n in range(1, MAX_ORACLE_SERVERS + 1):
+        rng = np.random.default_rng(100 + n)
+        flows = [Flow(TokenBucket(1.0, 1.0), tuple(range(n)))]
+        flows += [Flow(TokenBucket(0.0, 0.0), tuple(range(j, n))) for j in range(n)]
+        servers = tuple(RateLatency(2.0 + j, 0.5) for j in range(n))
+        yield "oracle%d/ties" % n, Network(servers, flows)
+        for t in range(3 if n < 8 else 1):
+            yield "oracle%d/%d" % (n, t), random_tandem(rng, n=n, m=int(rng.integers(2, 6)))
+
+
+def _group_targets(net):
+    """Group backlogs: all flows at the last server, two flows at flow 0's first server."""
+    last, first = net.num_servers - 1, net.flows[0].path[0]
+    crossing = [[i for i, f in enumerate(net.flows) if j in f.path] for j in (last, first)]
+    return {
+        "last_all": stability.Target.backlog(last, crossing[0]),
+        "first_two": stability.Target.backlog(first, crossing[1][:2]),
+    }
+
+
 def _targets(net):
     return {
         "bench": stability.Target.backlog(net.flows[0].path[-1], [0]),
@@ -161,6 +206,12 @@ def records(workloads):
             for key, target in targets.items():
                 yield {"net": name, "method": method, "target": key, "objective_for":
                        _call(_objective, stability.objective_for, net, target, method)}
+        for method in ("sd", "td"):
+            for key, target in _group_targets(net).items():
+                yield {"net": name, "method": method, "target": key,
+                       "analyze": _call(_report, stability.analyze, net, method, target),
+                       "objective_for":
+                       _call(_objective, stability.objective_for, net, target, method)}
     for kind, n, method in workloads.critical_cases(False):
         yield {"critical": workloads.critical_key(kind, n, method), "u_star": _call(
             repr, stability.critical_utilization, workloads._family(kind, n), method)}
@@ -176,6 +227,19 @@ def records(workloads):
         for interest in (sink, sink[: max(1, len(sink) // 2)]):
             yield {"fluid": name, "interest": interest,
                    "tree_backlog": _call(_table, tree_backlog, net, interest)}
+            if "tandem" in name:
+                yield _oracle_record(name, net, interest)
+    for name, net in _oracle_tandems():
+        root = net.num_servers - 1
+        ending = [i for i, f in enumerate(net.flows) if f.path[-1] == root]
+        for interest in ([0], ending[: max(1, len(ending) // 2)]):
+            yield _oracle_record(name, net, interest)
+
+
+def _oracle_record(name, net, interest):
+    return {"oracle": name, "interest": interest,
+            "bruteforce_backlog": _call(repr, bruteforce_backlog, net, interest),
+            "worst_case_periods": _call(_periods, worst_case_periods, net, interest)}
 
 
 def main():
