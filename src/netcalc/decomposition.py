@@ -7,16 +7,25 @@ graph is acyclic (:func:`removal_tree`), splitting each flow into segments
 at the removed arcs (:func:`decompose`, which returns the segments), and
 grouping the segments by the removed arc between them
 (:func:`group_by_arc`).
+
+The split is read off the network's hop arrays (``_Split``), with no
+loop over hops or segments; one induced graph serves the default removal
+and the checks.  :func:`decompose` is a view over it, and the stability
+module prepares its decompositions from its arrays.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter, itemgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import ValidationError
-from .network import Arc, Network, induced_graph, is_acyclic
+from .network import Arc, Network, _hops, _paths, induced_graph, is_acyclic
 
 
 @dataclass(frozen=True)
@@ -46,6 +55,38 @@ class SplitFlow:
         return (self.origin, self.segment)
 
 
+class _Split:
+    """
+    :func:`decompose` by ``removed`` (default: :func:`removal_tree`) as
+    arrays: per hop in flow order ``server``, ``flow`` and ``segment``; per
+    segment ``start`` (its first hop), ``length``, ``origin`` and ``number``.
+    A continuation (``number >= 1``) follows the segment before it across
+    a removed arc.
+    """
+
+    def __init__(self, net: Network, removed=None):
+        arcs, n = induced_graph(net), net.num_servers
+        removed = _removal(arcs, n) if removed is None else frozenset(removed)
+        extra = removed - arcs
+        if extra:
+            raise ValidationError("removed arcs not in induced graph: %r" % sorted(extra))
+        if not is_acyclic(arcs - removed, n):
+            raise ValidationError("residual graph still has a cycle")
+        self.paths, self.num_servers, self.removed = _paths(net), n, removed
+        length, server = _hops(self.paths)
+        flow = np.repeat(np.arange(len(self.paths)), length)
+        cut = np.zeros((n, n), dtype=bool)
+        cut[tuple(np.array(list(removed), dtype=np.intp).reshape(-1, 2).T)] = True
+        # a hop opens a segment when it is its flow's first or follows a removed arc
+        opens = np.ones(len(server), dtype=bool)
+        opens[1:] = (flow[1:] != flow[:-1]) | cut[server[:-1], server[1:]]
+        self.server, self.flow, self.segment = server, flow, np.cumsum(opens) - 1
+        self.start = start = np.flatnonzero(opens)
+        self.length = np.diff(np.append(start, len(server)))
+        self.origin = flow[start]
+        self.number = np.arange(len(start)) - self.segment[np.cumsum(length) - length][self.origin]
+
+
 def decompose(net: Network, removed) -> Tuple[SplitFlow, ...]:
     """
     Split every flow of ``net`` at each traversal of an arc in ``removed``.
@@ -63,26 +104,11 @@ def decompose(net: Network, removed) -> Tuple[SplitFlow, ...]:
     >>> [(sf.label, sf.path) for sf in decompose(net, {(1, 0)})]
     [((0, 0), (0, 1)), ((1, 0), (1,)), ((1, 1), (0,))]
     """
-    removed = frozenset(removed)
-    arcs = induced_graph(net)
-    extra = removed - arcs
-    if extra:
-        raise ValidationError("removed arcs not in induced graph: %r" % sorted(extra))
-    if not is_acyclic(arcs - removed, net.num_servers):
-        raise ValidationError("residual graph still has a cycle")
-    split: List[SplitFlow] = []
-    for i, flow in enumerate(net.flows):
-        segment = 0
-        current = [flow.path[0]]
-        for u, v in zip(flow.path, flow.path[1:]):
-            if (u, v) in removed:
-                split.append(SplitFlow(i, segment, tuple(current)))
-                segment += 1
-                current = [v]
-            else:
-                current.append(v)
-        split.append(SplitFlow(i, segment, tuple(current)))
-    return tuple(split)
+    split = _Split(net, frozenset(removed))
+    hops = split.server.tolist()
+    bounds = np.append(split.start, len(hops)).tolist()
+    paths = [tuple(hops[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return tuple(map(SplitFlow, split.origin.tolist(), split.number.tolist(), paths))
 
 
 def removal_tree(net: Network, root: Optional[int] = None) -> FrozenSet[Arc]:
@@ -96,12 +122,16 @@ def removal_tree(net: Network, root: Optional[int] = None) -> FrozenSet[Arc]:
     Finding a minimum removal is NP-complete, hence the heuristic; any
     user-chosen removal can be passed to :func:`decompose` directly.
     """
-    arcs = induced_graph(net)
+    return _removal(induced_graph(net), net.num_servers, root)
+
+
+def _removal(arcs: FrozenSet[Arc], n: int, root: Optional[int] = None) -> FrozenSet[Arc]:
+    """:func:`removal_tree` on the induced arcs of a network of ``n`` servers."""
     if root is None:
-        root = net.num_servers - 1
-    if not (0 <= root < net.num_servers):
+        root = n - 1
+    if not (0 <= root < n):
         raise ValidationError("unknown root server %d" % root)
-    predecessors: Dict[int, List[int]] = {j: [] for j in range(net.num_servers)}
+    predecessors: Dict[int, List[int]] = {j: [] for j in range(n)}
     for u, v in arcs:
         predecessors[v].append(u)
     kept = set()
@@ -150,20 +180,20 @@ def group_by_arc(split_flows: Sequence[SplitFlow]) -> ArcGroups:
     >>> groups.arc_of
     {2: (1, 0)}
     """
-    index = {sf.label: s for s, sf in enumerate(split_flows)}
-    feeding: Dict[Arc, set] = {}
-    continuations: Dict[Arc, set] = {}
-    arc_of: Dict[int, Arc] = {}
-    for s, sf in enumerate(split_flows):
-        if sf.segment == 0:
-            continue
-        prev = index[(sf.origin, sf.segment - 1)]
-        arc = (split_flows[prev].path[-1], sf.path[0])
-        feeding.setdefault(arc, set()).add(prev)
-        continuations.setdefault(arc, set()).add(s)
-        arc_of[s] = arc
+    labels = list(map(attrgetter("label"), split_flows))
+    paths = list(map(attrgetter("path"), split_flows))
+    index = dict(zip(labels, range(len(labels))))
+    label = np.array(labels, dtype=np.intp).reshape(-1, 2)
+    cont = np.flatnonzero(label[:, 1] != 0).tolist()
+    before = zip(label[cont, 0].tolist(), (label[cont, 1] - 1).tolist())  # the labels they follow
+    prev = list(map(index.__getitem__, before))
+    arcs = list(zip(map(itemgetter(-1), map(paths.__getitem__, prev)),
+                    map(itemgetter(0), map(paths.__getitem__, cont))))
+    by_arc = groupby(sorted(zip(arcs, cont, prev)), itemgetter(0))
+    members = {arc: list(group) for arc, group in by_arc}
+    order = dict.fromkeys(arcs)  # the arcs in order of first appearance
     return ArcGroups(
-        {a: frozenset(v) for a, v in feeding.items()},
-        {a: frozenset(v) for a, v in continuations.items()},
-        arc_of,
+        {arc: frozenset(map(itemgetter(2), members[arc])) for arc in order},
+        {arc: frozenset(map(itemgetter(1), members[arc])) for arc in order},
+        dict(zip(cont, arcs)),
     )

@@ -16,7 +16,7 @@ import enum
 import heapq
 from dataclasses import dataclass
 from itertools import chain
-from typing import FrozenSet, List, Sequence, Set, Tuple
+from typing import FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
@@ -101,11 +101,7 @@ def induced_graph(net: Network) -> FrozenSet[Arc]:
     >>> sorted(induced_graph(net))
     [(0, 1), (1, 2)]
     """
-    arcs: Set[Arc] = set()
-    for flow in net.flows:
-        for u, v in zip(flow.path, flow.path[1:]):
-            arcs.add((u, v))
-    return frozenset(arcs)
+    return frozenset(chain.from_iterable(zip(p, p[1:]) for p in _paths(net)))
 
 
 def is_acyclic(arcs: Sequence[Arc] | FrozenSet[Arc], n: int) -> bool:

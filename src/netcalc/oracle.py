@@ -25,7 +25,7 @@ from typing import FrozenSet, Iterable, List, Tuple
 
 import numpy as np
 
-from .errors import LocallyUnstableError, NotATreeError, OracleSizeError
+from .errors import InterestNotAtRootError, LocallyUnstableError, NotATreeError, OracleSizeError
 from .network import (
     Network,
     Topology,
@@ -49,6 +49,11 @@ def _bruteforce(net: Network, interest: FrozenSet[int]):
         raise OracleSizeError("n=%d exceeds the enumeration limit %d" % (n, MAX_ORACLE_SERVERS))
     num = _numbers(net)
     _require_local_stability(num)
+    for i in interest:  # as the tree analysis checks them, in the set's order
+        if not 0 <= i < net.num_flows:
+            raise InterestNotAtRootError("unknown flow id %d" % i)
+        if net.flows[i].path[-1] != n - 1:
+            raise InterestNotAtRootError("flow %d does not cross server %d" % (i, n - 1))
     # bursts[j, ell] and rates[j, ell]: the cross flows entering at j (for
     # the rates: crossing j) that leave at ell, added in flow order; column
     # n holds the interest flows the same way
@@ -112,6 +117,10 @@ def bruteforce_backlog(tandem: Network, interest: Iterable[int]) -> float:
 
     Exponential in the number of servers (rejected above
     ``MAX_ORACLE_SERVERS``); intended as a ground truth for tests.
+
+    :raises InterestNotAtRootError: if some interest flow is unknown or
+        misses the last server, as :func:`~netcalc.tree_analysis.tree_backlog`
+        reports it
 
     >>> from .curves import RateLatency, TokenBucket
     >>> from .network import Flow

@@ -33,30 +33,32 @@ each removed arc (``ag``), plus the two-stage combination (``2s``).
 
 Each construction is split in two.  A rate-free structure depends only on
 the server count and the flow paths: for ``sd`` the hop arrays and the
-pair layout (``_SdLayout``); for the others the removal, the split flows
-and their grouping, the forest they form, the column layout of each
+pair layout (``_SdLayout``); for the others the split of the flows at the
+removed arcs, the forest the segments form, the column layout of each
 grouping of removed arcs the method builds a recursion for (none for
-``td``, all for ``ag``, none then all for ``2s``) and one row layout of
-the coefficient pass for all their rows (``_Decomposition``).  After
-preparation a structure reads no network, only numbers: a network's
-``_Numbers`` (:mod:`netcalc.network`: rates, bursts, latencies, server
-loads and the not-strictly-stable mask, the one place they are computed).  Both structures answer the same three calls.
-``bind(numbers)`` gathers them over what the structure reads;
-``recursions(numbers)`` computes ``(M, N)`` from the bound numbers with
-the same operations in the same order as a structure built from the
-network itself; ``objective(numbers, target)`` writes a target as a
-linear form over the first recursion's variables, from the bound numbers
-too, refusing a server the mask marks.
+``td``, all for ``ag``, none then all for ``2s``), the target's row when
+one is given, and one row layout of the coefficient pass for all their
+rows (``_Decomposition``).  Preparing it reads the network's hop arrays
+once, with no loop over hops or segments.  After preparation a structure
+reads no network, only numbers: a network's ``_Numbers``
+(:mod:`netcalc.network`: rates, bursts, latencies, server loads and the
+not-strictly-stable mask, the one place they are computed).
+Both structures answer ``bind(numbers)``, which gathers the numbers over
+what the structure reads; ``recursions(numbers)``, which returns ``(M,
+N)`` per recursion and the target row's weights from one coefficient
+pass (none for ``sd``, which runs no pass); and ``objective(numbers,
+target, weights)``, which writes the target as a linear form over the
+first recursion's variables from those weights, or from a one-row pass of
+its own when it has none.
 
 The recursions come from one path (``_method_recursions``): local
-stability is read off the mask, the structure is prepared (``_prepare``)
-unless the caller holds one, bound once, and asked for its recursions;
-``analyze`` asks the same bound structure for its objective.  The method
-name is checked once per call (``_method``).  Only
-``critical_utilization`` holds a structure across calls: it prepares the
-one of ``family(u_max)`` and binds it at every bisection step whose
-``family(U)`` has the same server count and flow paths, checked at every
-step, and prepares a new one otherwise.
+stability is read off the mask, the structure is prepared (``_prepare``,
+with the target for ``analyze``) unless the caller holds one, bound once,
+and asked for its recursions.  Every ``analyze`` call prepares its
+structure anew, cheaply, and keeps nothing: only ``critical_utilization``
+holds a structure across calls, the one of ``family(u_max)``, bound at
+every bisection step whose ``family(U)`` has the same server count and
+flow paths, checked at every step.
 """
 
 from __future__ import annotations
@@ -64,12 +66,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Callable, FrozenSet, Iterable, Optional, Tuple
 
 import numpy as np
 
 from .curves import Bound, UNBOUNDED, left_sum
-from .decomposition import decompose, group_by_arc, removal_tree
+from .decomposition import _Split
 from .errors import (
     LocallyUnstableError,
     UnsupportedTargetError,
@@ -409,9 +411,10 @@ class _SdLayout:
         """The numbers the pass reads: the network's own."""
         return num
 
-    def recursions(self, num: _Numbers) -> List[LinearRecursion]:
+    def recursions(self, num: _Numbers):
         """
-        The per-server recursion from the layout and a network's numbers.
+        The per-server recursion from the layout and a network's numbers,
+        as a one-element list, and no target weights.
         Each pair weighs ``1`` for the row's own hop and the server's gain
         for the others.  ``M`` takes one scatter: paths never revisit a
         server, so each cell is written at most once.  ``N`` is a
@@ -435,9 +438,9 @@ class _SdLayout:
             np.where(self.term_own, 1.0, gain[self.term_row]) * num.burst[self.term_flow]
         )
         terms[:, -1] = gain * R[j] * T[j]
-        return [LinearRecursion(self.labels, M, np.cumsum(terms, axis=1)[:, -1])]
+        return [LinearRecursion(self.labels, M, np.cumsum(terms, axis=1)[:, -1])], None
 
-    def objective(self, num: _Numbers, target: Target) -> ObjectiveForm:
+    def objective(self, num: _Numbers, target: Target, weights=None) -> ObjectiveForm:
         """A backlog at one server over the hops entering it, from the bound numbers."""
         _check_target(self.num_servers, len(self.paths), target)
         if target.kind != "backlog":
@@ -497,27 +500,57 @@ def build_sd(net: Network) -> LinearRecursion:
 class _Decomposition:
     """
     A feed-forward decomposition of one network's flow paths, without
-    rates: the removed arcs, the split flows, their grouping by arc and the
-    forest they form, checked once (a removal that leaves some server
-    several successors raises :class:`NotAForestError`), the column
-    layout of each grouping of removed arcs that it builds a recursion
-    for, in order, and the rows of every layout stacked in that order in
-    one row layout of the coefficient pass (:attr:`rows`).  All of it
-    serves every network the decomposition is bound to.  The first layout
-    also lays out the objective's columns.
+    rates: the split (:attr:`split`), the forest of its segments, checked
+    once (a removal that leaves some server several successors raises
+    :class:`NotAForestError`), the column layout of each grouping of
+    removed arcs it builds a recursion for, and the target's row when it is
+    prepared for one.  Every layout's rows, then the target's, form one
+    row layout of the coefficient pass (:attr:`rows`), so one pass serves
+    the recursions and the objective of every network it is bound to.  The
+    first layout also lays out the objective's columns.
     """
 
-    def __init__(self, net: Network, removed, groupings: Iterable[Iterable[Arc]]):
-        self.split_flows = decompose(net, removed)
-        self.num_servers, self.paths, self.removed = net.num_servers, _paths(net), frozenset(removed)
-        self.groups = group_by_arc(self.split_flows)
-        self.forest = _prepare_forest(tuple([sf.path for sf in self.split_flows]), self.num_servers)
-        self.index = {sf.label: s for s, sf in enumerate(self.split_flows)}
-        self.origin = np.array([sf.origin for sf in self.split_flows], dtype=np.intp)
-        self.known = np.array([sf.burst_known for sf in self.split_flows], dtype=bool)
-        self.layouts = tuple([_Columns(self, frozenset(grouped)) for grouped in groupings])
-        # every row of every layout, stacked in layout order, in one batch
-        self.rows = _RowLayout(self.forest, [r for cols in self.layouts for r in cols.requests])
+    def __init__(self, split: _Split, groupings: Iterable[Iterable[Arc]], target=None):
+        self.split, self.paths, self.num_servers = split, split.paths, split.num_servers
+        self.forest = _prepare_forest(split.length, split.server, self.num_servers)
+        self.layouts = tuple([_Columns(split, frozenset(grouped)) for grouped in groupings])
+        rows = [(cols.roots, cols.member_row, cols.member_segment) for cols in self.layouts]
+        self.target = None if target is None else self._target_row(target)
+        if target is not None:
+            rows.append(([self.target[0]], np.zeros(len(self.target[1]), np.intp), self.target[1]))
+        offsets = np.cumsum([0] + [len(roots) for roots, _, _ in rows]).tolist()
+        self.rows = _RowLayout(
+            self.forest, np.concatenate([roots for roots, _, _ in rows]).astype(np.intp),
+            np.concatenate([row + offset for (_, row, _), offset in zip(rows, offsets)]),
+            np.concatenate([segment for _, _, segment in rows]),
+        )
+
+    def _target_row(self, target: Target):
+        """
+        ``(root, interest segments, entry server)`` of the target's tree
+        bound: a backlog's server and its flows' segments there, no entry;
+        a delay flow's last server, its one segment and its first server.
+
+        :raises UnsupportedTargetError: on a malformed target, a flow that
+            misses the target's server, or a delay flow the removal splits
+        """
+        split = self.split
+        _check_target(self.num_servers, len(self.paths), target)
+        if target.kind == "delay":
+            path, seg = self.paths[target.flow], np.searchsorted(split.origin, target.flow)
+            if split.length[seg] != len(path):
+                raise UnsupportedTargetError(
+                    "flow %d is split by the decomposition; its end-to-end delay "
+                    "is not a single tree analysis" % target.flow
+                )
+            return path[-1], np.array([seg]), path[0]
+        flows, at = np.array(sorted(target.flows), dtype=np.intp), split.server == target.server
+        segment = np.full(len(self.paths), -1)
+        segment[split.flow[at]] = split.segment[at]
+        if (segment[flows] < 0).any():
+            raise UnsupportedTargetError("flow %d does not cross server %d" % (
+                flows[(segment[flows] < 0).argmax()], target.server))
+        return target.server, segment[flows], None
 
     def bind(self, num: _Numbers) -> _Numbers:
         """
@@ -527,104 +560,93 @@ class _Decomposition:
         loads and classes stay the network's: the split flows cross the
         same servers with the same rates, added in the same order.
         """
-        return replace(
-            num, rate=num.rate[self.origin], burst=np.where(self.known, num.burst[self.origin], 0.0)
-        )
+        origin, known = self.split.origin, self.split.number == 0
+        return replace(num, rate=num.rate[origin], burst=np.where(known, num.burst[origin], 0.0))
 
-    def recursions(self, num: _Numbers) -> List[LinearRecursion]:
+    def recursions(self, num: _Numbers):
         """
-        One recursion per layout.  Each row is one backlog form: a
-        continuation's parent segment at its end, or a grouped arc's feeding
-        segments at its tail.  Every row of every layout, whatever its
-        upstream view, comes from one coefficient pass on the bound numbers
-        ``num`` (:attr:`rows`): one array step per distance to a root.
+        One recursion per layout, and the target row's weights ``(phi, rho,
+        xi toward the root)`` for :meth:`objective` (``None`` without a
+        target), all from one coefficient pass on the bound numbers ``num``
+        (:attr:`rows`): one array step per distance to a root.  The weights
+        are returned, never kept.
         """
-        phi, rho, _ = self.rows.run(num)
+        phi, rho, xi = self.rows.run(num)
         recursions = []
         start = 0
         for cols in self.layouts:
-            L = len(cols)
-            M = np.zeros((L, L))
-            N = np.zeros(L)
-            end = start + len(cols.rows)
-            M[cols.rows], N[cols.rows] = cols.assemble(phi[start:end], rho[start:end], num)
-            recursions.append(LinearRecursion(cols.labels, M, N))
+            end = start + len(cols)
+            M, N = cols.assemble(phi[start:end], rho[start:end], num)
+            recursions.append(LinearRecursion(cols.labels, M, N.copy()))  # N alone, not its table
             start = end
-        return recursions
+        if self.target is None:
+            return recursions, None
+        return recursions, (phi[start:], rho[start:], self.rows.toward_root(xi)[start:])
 
-    def objective(self, num: _Numbers, target: Target) -> ObjectiveForm:
+    def objective(self, num: _Numbers, target: Target, weights=None) -> ObjectiveForm:
         """
         The target's tight tree bound at the server it names (for a delay,
         the flow's last one) as a row over the first layout's columns, from
-        the bound numbers ``num``.
+        the bound numbers ``num`` and ``weights`` from :meth:`recursions`, or
+        else from a one-row pass on the target's upstream view.
         """
-        _check_target(self.num_servers, len(self.paths), target)
+        root, interest, entry = self._target_row(target) if weights is None else self.target
         if target.kind == "backlog":
-            j = target.server
-            interest = [_segments_containing(self, i, j) for i in sorted(target.flows)]
-            description = "backlog of flows %s at server %d" % (sorted(target.flows), j)
+            description = "backlog of flows %s at server %d" % (sorted(target.flows), root)
             scale = 1.0
         else:
-            i = target.flow
-            seg, path = self.index[(i, 0)], self.paths[i]
+            seg = np.searchsorted(self.split.origin, target.flow)
             rate, burst = num.rate[seg].item(), num.burst[seg].item()
             if rate == 0:
                 raise UnsupportedTargetError("delay of a zero-rate flow is undefined")
-            if self.split_flows[seg].path != path:
-                raise UnsupportedTargetError(
-                    "flow %d is split by the decomposition; its end-to-end delay "
-                    "is not a single tree analysis" % i
-                )
-            j, interest = path[-1], [seg]
             # delay transform: (B - b)/r + xi b / r
             scale = 1.0 / rate
-            description = "delay of flow %d" % i
-        phi, rho, xi_root = UpstreamView(self.forest, j, num).coefficient_rows([interest])
-        extra = 0.0 if target.kind == "backlog" else (xi_root[0, path[0]] - 1.0) * burst
+            description = "delay of flow %d" % target.flow
+        if weights is None:
+            weights = UpstreamView(self.forest, root, num).coefficient_rows([interest])
+        phi, rho, xi_root = weights
+        extra = 0.0 if target.kind == "backlog" else (xi_root[0, entry] - 1.0) * burst
         coeffs, constant = self.layouts[0].assemble(phi, rho, num)
         return ObjectiveForm(coeffs[0] * scale, float((constant[0] + extra) * scale), description)
 
 
 class _Columns:
     """
-    Column layout of a mixed recursion, rate-free: one column per
-    continuation of an ungrouped arc, then one per grouped arc, and the
-    rows the coefficient pass computes for it (:attr:`rows`, each a root
-    server and its interest segments in :attr:`requests`; the decomposition
-    runs them with the other layouts' rows, whatever their upstream view,
-    in one pass).  :meth:`assemble` turns backlog linear forms into rows
-    over these columns.
+    Column layout of a mixed recursion, read off a split without rates:
+    one column per continuation of an ungrouped arc, then one per grouped
+    arc, and one row per column for the coefficient pass, a single's parent
+    segment at its end or a grouped arc's feeding segments at its tail
+    (row ``r`` at :attr:`roots` ``[r]``, its segments the
+    :attr:`member_segment` entries whose :attr:`member_row` is ``r``).  A
+    grouped arc is a removed induced arc, so some segment feeds its row.
+    :meth:`assemble` turns backlog linear forms into rows over the columns.
     """
 
-    def __init__(self, dec: _Decomposition, grouped: FrozenSet[Arc]):
-        extra = grouped - dec.removed
+    def __init__(self, split: _Split, grouped: FrozenSet[Arc]):
+        extra = grouped - split.removed
         if extra:
             raise ValidationError("grouped arcs not in the removal: %r" % sorted(extra))
-        singles = [
-            (s, sf.label) for s, sf in enumerate(dec.split_flows)
-            if sf.segment >= 1 and dec.groups.arc_of[s] not in grouped
-        ]
-        self.singles = tuple([lab for _, lab in singles])
+        n = split.num_servers
+        cont = np.flatnonzero(split.number >= 1)
+        tail, head = split.server[split.start[cont] - 1], split.server[split.start[cont]]
+        code = tail * n + head  # the removed arc each continuation crosses
         self.arcs = tuple(sorted(grouped))
+        arc_code = np.array([u * n + v for u, v in self.arcs], dtype=np.intp)
+        in_group = np.isin(code, arc_code)
+        self.single_src = cont[~in_group]
+        self.singles = tuple(zip(split.origin[self.single_src].tolist(),
+                                 split.number[self.single_src].tolist()))
         self.labels = self.singles + self.arcs
-        self.single_src = np.array([s for s, _ in singles], dtype=np.intp)
-        conts = [(len(self.singles) + c, sorted(dec.groups.continuations[arc]))
-                 for c, arc in enumerate(self.arcs) if dec.groups.continuations[arc]]
-        self.arc_cols = np.array([col for col, _ in conts], dtype=np.intp)
-        self.arc_src = np.array([s for _, members in conts for s in members], dtype=np.intp)
-        self.arc_starts = np.cumsum([0] + [len(members) for _, members in conts[:-1]])
-        self.known = np.flatnonzero(dec.known)
-        # one row per backlog form: a continuation's parent segment at its
-        # end, a grouped arc's feeding segments at its tail
-        requests = []
-        for i, k in self.singles:
-            prev = dec.index[(i, k - 1)]
-            requests.append((dec.split_flows[prev].path[-1], [prev]))
-        requests += [(arc[0], sorted(dec.groups.feeding[arc])) for arc in self.arcs]
-        # an arc nothing feeds keeps a zero row
-        self.rows = np.array([r for r, (_, interest) in enumerate(requests) if interest], dtype=np.intp)
-        #: ``(root, interest)`` of each computed row, in :attr:`rows` order
-        self.requests = [requests[r] for r in self.rows.tolist()]
+        # each grouped arc's continuations, arc by arc
+        by_arc = np.argsort(code[in_group], kind="stable")
+        self.arc_src, arc_of = cont[in_group][by_arc], code[in_group][by_arc]
+        self.arc_starts = np.searchsorted(arc_of, arc_code)
+        self.known = np.flatnonzero(split.number == 0)
+        self.roots = np.concatenate((tail[~in_group], arc_code // n))
+        self.member_row = np.concatenate((
+            np.arange(len(self.singles)), len(self.singles) + np.searchsorted(arc_code, arc_of)
+        ))
+        self.member_segment = np.concatenate((self.single_src, self.arc_src)) - 1
 
     def __len__(self):
         return len(self.labels)
@@ -640,8 +662,8 @@ class _Columns:
         """
         coeffs = np.zeros((len(phi), len(self)))
         coeffs[:, : len(self.singles)] = phi[:, self.single_src]
-        if len(self.arc_cols):
-            coeffs[:, self.arc_cols] = np.maximum.reduceat(
+        if self.arcs:
+            coeffs[:, len(self.singles) :] = np.maximum.reduceat(
                 phi[:, self.arc_src], self.arc_starts, axis=1
             )
         terms = np.concatenate(
@@ -675,17 +697,8 @@ def build_grouped(net: Network, removed, grouped_arcs) -> LinearRecursion:
     Specializes to the tree recursion with no grouped arcs and to the
     arc-grouping recursion with all of them.
     """
-    dec = _Decomposition(net, removal_tree(net) if removed is None else removed, [grouped_arcs])
+    dec = _Decomposition(_Split(net, removed), [grouped_arcs])
     return _method_recursions(net, "td", structure=dec)[2][0]
-
-
-def _segments_containing(dec: _Decomposition, flow: int, server: int) -> int:
-    for s, sf in enumerate(dec.split_flows):
-        if sf.origin == flow and server in sf.path:
-            return s
-    raise UnsupportedTargetError(
-        "flow %d does not cross server %d" % (flow, server)
-    )
 
 
 def objective_for(net: Network, target: Target, method: str, removed=None) -> ObjectiveForm:
@@ -728,23 +741,26 @@ def _two_stage(dec: _Decomposition, obj: ObjectiveForm, b_star, big_b) -> Bound:
     The groups are disjoint and each is constrained by a box and a single
     sum, so a per-group greedy allocation in decreasing coefficient order
     is exact.  When only one recursion is stable its constraints alone
-    apply; when neither is, the bound is unbounded.
+    apply; when neither is, the bound is unbounded.  The budget left
+    before each take is the running difference of the arc's budget and
+    the boxes taken before it, and the takes add up in order.
     """
     if b_star is None and big_b is None:
         return UNBOUNDED
-    # the tree variables are the continuations, the arc variables the sorted arcs
-    index = {s: pos for pos, s in enumerate(dec.layouts[0].single_src.tolist())}
-    value = obj.C
-    for pos, arc in enumerate(sorted(dec.removed)):
-        budget = math.inf if big_b is None else float(big_b[pos])
-        members = [index[s] for s in dec.groups.continuations[arc]]
-        for var in sorted(members, key=lambda v: (-obj.Q[v], v)):
-            if budget <= 0 or obj.Q[var] <= 0:
-                break
-            take = min(budget, math.inf if b_star is None else float(b_star[var]))
-            value += float(obj.Q[var]) * take
-            budget -= take
-    return Bound(float(value))
+    tree, arcs = dec.layouts
+    # the tree variables are the continuations, the arc layout's groups the sorted arcs
+    var = np.searchsorted(tree.single_src, arcs.arc_src)
+    bounds = np.append(arcs.arc_starts, len(var)).tolist()
+    terms = [np.array([obj.C])]
+    for pos in range(len(arcs.arcs)):
+        members = var[bounds[pos] : bounds[pos + 1]]
+        members = members[np.lexsort((members, -obj.Q[members]))]
+        members = members[obj.Q[members] > 0]
+        box = np.full(len(members), math.inf) if b_star is None else b_star[members]
+        left = np.cumsum(np.append(math.inf if big_b is None else big_b[pos], -box))[:-1]
+        taking = np.logical_and.accumulate(left > 0)
+        terms.append(obj.Q[members][taking] * np.minimum(left, box)[taking])
+    return Bound(np.cumsum(np.concatenate(terms))[-1].item())
 
 
 def analyze(
@@ -767,7 +783,8 @@ def analyze(
     """
     method = _method(method)
     try:
-        structure, numbers, recursions = _method_recursions(net, method, removed)
+        structure, numbers, recursions, weights = _method_recursions(
+            net, method, removed, None, target)
     except LocallyUnstableError:
         return StabilityReport(
             method, False, None, UNBOUNDED if target is not None else None
@@ -776,7 +793,7 @@ def analyze(
     fixed = next((fp for fp in fixed_points if fp is not None), None)
     bound = objective = None
     if target is not None:
-        obj = structure.objective(numbers, target)
+        obj = structure.objective(numbers, target, weights)
         if method == "2s":
             bound = _two_stage(structure, obj, *fixed_points)
         else:
@@ -795,33 +812,37 @@ def _method(name: str) -> str:
     return method
 
 
-def _prepare(net: Network, method: str, removed=None):
+def _prepare(net: Network, method: str, removed=None, target: Optional[Target] = None):
     """
     The rate-free structure of ``method``'s recursions on ``net``'s flow
     paths: the sd pair layout, or the decomposition by ``removed``
     (default: :func:`removal_tree`) with the method's groupings of removed
-    arcs: none for ``td``, all for ``ag``, none then all for ``2s``.
+    arcs: none for ``td``, all for ``ag``, none then all for ``2s``, and
+    the row of ``target``, when given, laid out after the recursions' rows.
+    The sd layout takes no target: its objective runs no pass.
     """
     if method == "sd":
         return _SdLayout(net)
-    removed = removal_tree(net) if removed is None else frozenset(removed)
-    return _Decomposition(net, removed, {"td": [()], "ag": [removed], "2s": [(), removed]}[method])
+    split = _Split(net, removed)
+    groupings = {"td": [()], "ag": [split.removed], "2s": [(), split.removed]}[method]
+    return _Decomposition(split, groupings, target)
 
 
-def _method_recursions(net: Network, method: str, removed=None, structure=None):
+def _method_recursions(net: Network, method: str, removed=None, structure=None, target=None):
     """
-    ``(structure, numbers, recursions)``: the structure of the method's
-    recursions, ``net``'s numbers bound to it and the recursions.
-    ``structure`` is one prepared from ``net``'s flow paths when the caller
-    holds one; otherwise it is prepared here, after the local stability
-    check.
+    ``(structure, numbers, recursions, weights)``: the structure of the
+    method's recursions, ``net``'s numbers bound to it, the recursions and
+    the weights of ``target``'s row when the structure laid one out
+    (``None`` otherwise).  ``structure`` is one prepared from ``net``'s
+    flow paths when the caller holds one; otherwise it is prepared here,
+    for ``target``, after the local stability check.
     """
     numbers = _numbers(net)
     _require_local_stability(numbers)
     if structure is None:
-        structure = _prepare(net, method, removed)
+        structure = _prepare(net, method, removed, target)
     numbers = structure.bind(numbers)
-    return structure, numbers, structure.recursions(numbers)
+    return (structure, numbers, *structure.recursions(numbers))
 
 
 def is_stable(net: Network, method: str, removed=None) -> bool:
@@ -838,7 +859,7 @@ def _stable(net: Network, method: str, removed=None, structure=None, starts=None
     recursion's vector and writes back its final one (see :func:`_decide`).
     """
     try:
-        _, _, recursions = _method_recursions(net, method, removed, structure)
+        _, _, recursions, _ = _method_recursions(net, method, removed, structure)
     except LocallyUnstableError:
         return False
     starts = [None] * len(recursions) if starts is None else starts

@@ -19,35 +19,28 @@ One pass computes the coefficients, for a batch of rows at once
 (:meth:`_RowLayout.run`).  A row is a root server and a set of interest
 flows crossing it; its pairs are the servers upstream of its root, each at
 its distance to the root.  The pass takes one array step per distance, for
-every pair of every row at that distance, from the roots outward, and
-fills each pair's coefficients toward every server on its way to the root.
-A batch therefore costs one step per distance to the farthest root,
-whatever the number of its rows and views.  The recursion builders run
-every row of a decomposition in one batch; the objectives and the public
+every pair of every row at that distance, from the roots outward, so a
+batch costs one step per distance to the farthest root, whatever the
+number of its rows and views.  :mod:`netcalc.stability` runs every row of
+a decomposition, and of an ``analyze`` target, in one batch; the public
 analyses (:func:`compute_xi`, :func:`tree_backlog`,
-:meth:`UpstreamView.backlog` and the delay and departure results built on
-them) run a batch of one row, the latter reading its grid as a dict-keyed
-:class:`XiTable`.  The scalar pass it was derived from, one interest set
-and one server at a time, lives in the tests (``tests/xi_reference.py``)
-as the independent reference it is held to; both add in the same order,
-so they agree to the last bit (their float sums are explicit left folds,
-``curves.left_sum``, because the builtin ``sum`` compensates from Python
-3.12 on).
+:meth:`UpstreamView.backlog` and the results built on them) run a batch
+of one row, read as a dict-keyed :class:`XiTable`.  The scalar pass it was
+derived from lives in the tests (``tests/xi_reference.py``) as the
+reference it is held to; both add in the same order, so they agree to the
+last bit (their float sums are explicit left folds, ``curves.left_sum``,
+because the builtin ``sum`` compensates from Python 3.12 on).
 
-A forest of flow paths is checked once and prepared once, as arrays
+A forest of flow paths is checked and prepared once from its hop arrays
 (``_prepare_forest``: one successor per server, each server's depth to its
 sink, the upstream mask and the crossings at each server in flow order).
-A batch of rows is laid out on it without rates, once (:class:`_RowLayout`,
-indexed by the network's own server and flow ids), and run with any
-``_Numbers`` of :mod:`netcalc.network`: the network's rates, bursts,
-latencies, server loads and not-strictly-stable mask.
+Rows are laid out on it without rates (:class:`_RowLayout`, in the
+network's own ids) and run with any ``_Numbers`` of :mod:`netcalc.network`.
 :class:`UpstreamView` binds one server of a forest, the root of its view,
 to those numbers.  The public :func:`upstream_view`, :func:`compute_xi`
-and :func:`tree_backlog` accept any network, so they check the extracted
-tree with :func:`~netcalc.network.classify` first, then prepare and bind
-it the same way, once per call; only :mod:`netcalc.stability`'s
-``critical_utilization`` holds a structure across calls, and it re-checks
-the structure at every bisection step.
+and :func:`tree_backlog` accept any network: they check the extracted tree
+with :func:`~netcalc.network.classify`, then prepare and bind it the same
+way, once per call.
 """
 
 from __future__ import annotations
@@ -141,14 +134,13 @@ class _RowLayout:
     in the view, the root when the flow goes past it.
     """
 
-    def __init__(self, forest: "_Forest", requests: Sequence[Tuple[int, Sequence[int]]]):
-        """Lay out one row per ``(root, interest flows)`` of ``requests``, in order."""
+    def __init__(self, forest: "_Forest", roots: np.ndarray, member_row: np.ndarray,
+                 member_flow: np.ndarray):
+        """Lay out row ``r`` at ``roots[r]``: its flows are ``member_flow[member_row == r]``."""
         depth = forest.depth
-        R, F, n = len(requests), len(forest.paths), len(depth)
+        R, F, n = len(roots), forest.num_flows, len(depth)
         interest = np.zeros((R, F), dtype=bool)
-        for r, (_, flows) in enumerate(requests):
-            interest[r, flows] = True
-        roots = np.array([root for root, _ in requests], dtype=np.intp)
+        interest[member_row, member_flow] = True
         row, server = np.nonzero(forest.upstream[:, roots].T)
         k = depth[server] - depth[roots[row]]
         order = np.argsort(k, kind="stable")
@@ -197,6 +189,13 @@ class _RowLayout:
         self.k = k
         self.last = np.arange(P) * W + k  # each pair's cell toward the root
         self.shape = (R, F, n)
+
+    def toward_root(self, xi: np.ndarray) -> np.ndarray:
+        """Each server's coefficient toward each row's root in the grid ``xi``, 0 outside."""
+        R, _, n = self.shape
+        table = np.zeros(R * n)
+        table[self.pair_at] = xi.ravel()[self.last]
+        return table.reshape(R, n)
 
     def run(self, num: _Numbers):
         """
@@ -261,7 +260,7 @@ def _check_tree(net: Network) -> None:
 def _root_view(tree: Network) -> "UpstreamView":
     """The whole of ``tree``, checked to be a tandem or tree, as the view at its root."""
     _check_tree(tree)
-    forest = _prepare_forest(_paths(tree), tree.num_servers)
+    forest = _prepare_forest(*_hops(_paths(tree)), tree.num_servers)
     return UpstreamView(forest, int(np.flatnonzero(forest.succ == -1)[0]), _numbers(tree))
 
 
@@ -348,15 +347,18 @@ class UpstreamView:
         :raises InterestNotAtRootError: if some flow is unknown or misses
             the root
         """
-        requests = [(self.root, list(interest)) for interest in interests]
-        for _, interest in requests:
+        interests = [list(interest) for interest in interests]
+        for interest in interests:
             for i in interest:
                 if i not in self.at_root:
-                    _check_flow_id(len(self.forest.paths), i)
+                    _check_flow_id(self.forest.num_flows, i)
                     raise InterestNotAtRootError(
                         "flow %d does not cross server %d" % (i, self.root)
                     )
-        return _RowLayout(self.forest, requests)
+        sizes = list(map(len, interests))
+        member_flow = np.fromiter(chain.from_iterable(interests), np.intp, sum(sizes))
+        return _RowLayout(self.forest, np.full(len(sizes), self.root),
+                          np.repeat(np.arange(len(sizes)), sizes), member_flow)
 
     def backlog(self, interest: Iterable[int]) -> BacklogResult:
         """
@@ -405,9 +407,7 @@ class UpstreamView:
                 "servers %r are not strictly stable" % self.unstable_servers
             )
         phi, rho, xi = rows.run(self.numbers)
-        xi_root = np.zeros(rho.size)
-        xi_root[rows.pair_at] = xi.ravel()[rows.last]
-        return phi, rho, xi_root.reshape(rho.shape)
+        return phi, rho, rows.toward_root(xi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -418,7 +418,7 @@ class _Forest:
     rows on it is laid out from them with no check repeated.
     """
 
-    paths: Tuple[Tuple[int, ...], ...]
+    num_flows: int
     succ: np.ndarray  # per server: -1 at a sink
     depth: np.ndarray  # per server: arcs on its way to its sink
     upstream: np.ndarray  # [j, r]: r lies on j's way to its sink (r == j included)
@@ -429,15 +429,17 @@ class _Forest:
     at_count: np.ndarray  # per server: its crossings
 
 
-def _prepare_forest(paths: Tuple[Tuple[int, ...], ...], n: int) -> _Forest:
+def _prepare_forest(length: np.ndarray, server: np.ndarray, n: int) -> _Forest:
     """
-    Prepare the flow paths of an acyclic network of ``n`` servers.
+    Prepare the flow paths of an acyclic network of ``n`` servers, given
+    as hop arrays: each path's length and the server of every hop of every
+    path, in path order (:func:`~netcalc.network._hops`).
 
     :raises NotAForestError: if some server has several successors
     """
-    arcs = set()
-    for path in paths:
-        arcs.update(zip(path, path[1:]))
+    flow = np.repeat(np.arange(len(length)), length)
+    inner = np.flatnonzero(flow[1:] == flow[:-1])  # hops h and h + 1 on one path
+    arcs = set(zip(server[inner].tolist(), server[inner + 1].tolist()))  # filled in path order
     succ = [-1] * n
     for u, v in arcs:
         if succ[u] != -1:
@@ -450,15 +452,13 @@ def _prepare_forest(paths: Tuple[Tuple[int, ...], ...], n: int) -> _Forest:
     upstream = np.zeros((n, n), dtype=bool)
     upstream[np.repeat(np.arange(n), steps), np.fromiter(chain.from_iterable(way), np.intp)] = True
     depth = steps - 1
-    length, server = _hops(paths)
     ends = np.cumsum(length)
-    flow = np.repeat(np.arange(len(paths)), length)
     entry = np.zeros(len(server), dtype=bool)
     entry[ends - length] = True
     by_server = np.argsort(server, kind="stable")  # flow order at each server
     at_count = np.bincount(server, minlength=n)
     return _Forest(
-        paths, np.array(succ, dtype=np.intp), depth, upstream,
+        len(length), np.array(succ, dtype=np.intp), depth, upstream,
         flow[by_server], (depth[server] - depth[server[ends - 1]][flow])[by_server],
         entry[by_server], np.cumsum(at_count) - at_count, at_count,
     )
@@ -496,7 +496,7 @@ def upstream_view(net: Network, j1: int) -> UpstreamView:
     ))
     # a flow that misses the extracted servers keeps its first server: no arc
     paths = tuple([tuple(p) if p else f.path[:1] for f, p in zip(net.flows, clipped)])
-    return UpstreamView(_prepare_forest(paths, net.num_servers), j1, _numbers(net))
+    return UpstreamView(_prepare_forest(*_hops(paths), net.num_servers), j1, _numbers(net))
 
 
 def tree_backlog_at(net: Network, j1: int, interest: Iterable[int]) -> BacklogResult:

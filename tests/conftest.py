@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from netcalc import Flow, Network, RateLatency, TokenBucket
+from netcalc.topologies import bi_ring, toy, uni_ring
 
 
 def as_network(base, split_flows):
@@ -101,6 +102,17 @@ def random_uni_ring(rng, n=None):
         for _ in range(n)
     ]
     return Network(tuple(servers), tuple(flows))
+
+
+def random_cyclic_instance(rng):
+    """A uni-ring, a bi-ring or the toy network at a random low utilization."""
+    kind = rng.integers(0, 3)
+    u = float(rng.uniform(0.05, 0.16))
+    if kind == 0:
+        return uni_ring(int(rng.integers(3, 7)), u)
+    if kind == 1:
+        return bi_ring(int(rng.integers(3, 5)), u)
+    return toy(u)
 
 
 @pytest.fixture

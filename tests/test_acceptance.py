@@ -36,7 +36,7 @@ from netcalc import (
     two_stage_bound,
     worst_case_scenario,
 )
-from netcalc.decomposition import removal_tree
+from netcalc.decomposition import decompose, group_by_arc, removal_tree
 from netcalc.stability import _method_recursions, is_stable
 from netcalc.topologies import bi_ring, two_server_sink_tree, three_ring, toy, uni_ring
 
@@ -267,7 +267,7 @@ def test_criterion_9_dominance():
     while sampled < 20:
         net = instance()
         removed = removal_tree(net)
-        dec, numbers, (lr_td, lr_ag) = _method_recursions(net, "2s", removed)
+        dec, numbers, (lr_td, lr_ag), _ = _method_recursions(net, "2s", removed)
         b_star, big_b = solve_recursion(lr_td), solve_recursion(lr_ag)
         if b_star is None or big_b is None or lr_td.size == 0:
             continue
@@ -276,10 +276,12 @@ def test_criterion_9_dominance():
         greedy = two_stage_bound(net, removed, target).value
         index = {lab: pos for pos, lab in enumerate(lr_td.labels)}
         arcs = lr_ag.labels
+        split = decompose(net, removed)
+        continuations = group_by_arc(split).continuations
         groups = [
-            (i, [index[dec.split_flows[s].label] for s in dec.groups.continuations[a]])
+            (i, [index[split[s].label] for s in continuations[a]])
             for i, a in enumerate(arcs)
-            if dec.groups.continuations[a]
+            if continuations[a]
         ]
         points = rng.uniform(0, 1, (10**4, lr_td.size)) * b_star
         for a_i, members in groups:

@@ -11,10 +11,13 @@ from netcalc import (
     induced_graph,
     removal_tree,
 )
+from netcalc.decomposition import _Split
 from netcalc.network import is_acyclic
-from netcalc.topologies import toy, uni_ring
+from netcalc.stability import _Decomposition
+from netcalc.topologies import bi_ring, three_ring, toy, uni_ring
 
-from conftest import as_network, random_tree, random_uni_ring
+import decomposition_reference
+from conftest import as_network, random_cyclic_instance, random_tree, random_uni_ring
 
 TOY_REMOVAL = frozenset({(3, 1), (1, 0)})
 
@@ -159,3 +162,100 @@ def test_rates_conserved_across_removed_arcs(rng):
             fed = sum(_rate(net, split, s) for s in groups.feeding[arc])
             cont = sum(_rate(net, split, s) for s in groups.continuations[arc])
             assert fed == pytest.approx(cont, abs=1e-12)
+
+
+def _invalid_removals(net):
+    """
+    Three removals the decomposition refuses: the default one plus an arc
+    that is not induced; the default one without its first arc (a cycle
+    may remain); the default one with every arc put back that keeps the
+    residual graph acyclic (some server may keep several successors).
+    """
+    arcs, n = induced_graph(net), net.num_servers
+    default = removal_tree(net)
+    outside = next(((u, v) for u in range(n) for v in range(n) if (u, v) not in arcs and u != v),
+                   (0, 0))  # every ordered pair is an arc: a loop is not one
+    kept = set(arcs - default)
+    for arc in sorted(default):
+        if is_acyclic(kept | {arc}, n):
+            kept.add(arc)
+    return [default | {outside}, frozenset(sorted(default)[1:]), frozenset(arcs - kept)]
+
+
+def _outcome(run):
+    """What ``run()`` returns, or the type and message of what it raises."""
+    try:
+        return run()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _requests(cols):
+    interest = [[] for _ in cols.roots]
+    for r, s in zip(cols.member_row.tolist(), cols.member_segment.tolist()):
+        interest[r].append(s)
+    return list(zip(cols.roots.tolist(), map(sorted, interest)))
+
+
+def _split_outputs(decompose, group_by_arc, net, removed):
+    split = decompose(net, removed)
+    groups = group_by_arc(split)
+    return split, [list(groups.feeding.items()), list(groups.continuations.items()),
+                   list(groups.arc_of.items())]
+
+
+def _groupings(removed):
+    # none, all, and the first arc alone
+    return [frozenset(), removed, frozenset(sorted(removed)[:1])]
+
+
+def _layouts_now(net, removed):
+    dec = _Decomposition(_Split(net, removed), _groupings(removed))
+    return [(cols.labels, _requests(cols)) for cols in dec.layouts]
+
+
+def _layouts_then(net, removed):
+    split = decomposition_reference.decompose(net, removed)
+    decomposition_reference.check_forest(split, net.num_servers)
+    groups = decomposition_reference.group_by_arc(split)
+    return [decomposition_reference.columns(split, groups, removed, grouped)
+            for grouped in _groupings(removed)]
+
+
+def test_array_split_matches_the_hop_by_hop_reference(rng):
+    nets = [random_cyclic_instance(rng) for _ in range(20)]
+    nets += [random_uni_ring(rng) for _ in range(10)]
+    nets += [uni_ring(n, 0.5) for n in (3, 6, 9)] + [bi_ring(n, 0.3) for n in (3, 5, 8)]
+    nets += [three_ring(0.3), toy()]
+    refusals = []
+    for net in nets:
+        removals = [removal_tree(net, root) for root in range(net.num_servers)]
+        for removed in [removal_tree(net)] + removals + _invalid_removals(net):
+            expected = _outcome(lambda: _split_outputs(
+                decomposition_reference.decompose, decomposition_reference.group_by_arc, net, removed))
+            assert _outcome(lambda: _split_outputs(decompose, group_by_arc, net, removed)) == expected
+            expected = _outcome(lambda: _layouts_then(net, removed))
+            assert _outcome(lambda: _layouts_now(net, removed)) == expected
+            if isinstance(expected[0], type):
+                refusals.append(expected[1])
+    # every refusal is exercised: the non-induced arc, the cycle, the branching
+    for refusal in ("not in induced graph", "still has a cycle", "several successors"):
+        assert any(refusal in message for message in refusals), refusal
+
+
+def test_branching_refusal_names_the_server_the_reference_names(rng):
+    # acyclic networks with several branching servers and nothing removed:
+    # the refusal names the server the scan over the arc set meets first
+    named = set()
+    for _ in range(200):
+        n = int(rng.integers(4, 12))
+        paths = []
+        for _ in range(int(rng.integers(2, 10))):
+            servers = sorted(rng.choice(n, size=int(rng.integers(1, 4)), replace=False).tolist())
+            paths.append(tuple(servers))
+        net = Network([RateLatency(10, 0)] * n, [Flow(TokenBucket(1, 1), p) for p in paths])
+        expected = _outcome(lambda: _layouts_then(net, frozenset()))
+        assert _outcome(lambda: _layouts_now(net, frozenset())) == expected
+        if isinstance(expected[0], type):
+            named.add(expected[1])
+    assert len(named) > 5

@@ -1,12 +1,14 @@
 import io
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from netcalc import (
     Flow,
+    InterestNotAtRootError,
     LocallyUnstableError,
     Network,
     NotATreeError,
@@ -418,3 +420,34 @@ def test_simulate_rejects_unknown_or_repeated_priority(priority):
     scenario = Scenario((ArrivalSpec(),), (ServerSpec(priority=priority),), 1.0)
     with pytest.raises(ScenarioError, match="server 0 priority"):
         simulate_fluid(net, scenario, dt=0.01)
+
+
+def _two_server_tandem():
+    # flow 1 ends at server 0: it misses the root, server 1
+    return Network(
+        (RateLatency(3.0, 1.0), RateLatency(4.0, 1.0)),
+        (Flow(TokenBucket(1, 1), (0, 1)), Flow(TokenBucket(1, 1), (0,))),
+    )
+
+
+@pytest.mark.parametrize("interest", [[7], [0, 5, -1], [1], [0, 1], [-1]])
+def test_oracle_refuses_the_interest_tree_backlog_refuses(interest):
+    # an unknown flow or one that misses the last server: the tree analysis'
+    # error, with its message, from both oracle entry points
+    net = _two_server_tandem()
+    with pytest.raises(InterestNotAtRootError) as refused:
+        tree_backlog(net, interest)
+    message = "^%s$" % re.escape(str(refused.value))
+    with pytest.raises(InterestNotAtRootError, match=message):
+        bruteforce_backlog(net, interest)
+    with pytest.raises(InterestNotAtRootError, match=message):
+        worst_case_periods(net, interest)
+
+
+def test_oracle_refusal_names_the_flow_that_misses_the_root():
+    net = _two_server_tandem()
+    with pytest.raises(InterestNotAtRootError, match="^flow 1 does not cross server 1$"):
+        bruteforce_backlog(net, [1])
+    with pytest.raises(InterestNotAtRootError, match="^unknown flow id 7$"):
+        worst_case_periods(net, [7])
+    assert bruteforce_backlog(net, [0]) == pytest.approx(tree_backlog(net, [0]).value.value, rel=1e-12)

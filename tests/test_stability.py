@@ -55,7 +55,7 @@ from netcalc.tree_analysis import UpstreamView, _RowLayout, tree_backlog_at, ups
 
 import sd_reference
 from xi_reference import view_tree
-from conftest import as_network, random_tandem, random_tree, random_uni_ring
+from conftest import as_network, random_cyclic_instance, random_tandem, random_tree, random_uni_ring
 
 
 def _single_flow_tandem(b=1.0, r=1.0, R=4.0, T=0.25):
@@ -611,7 +611,7 @@ def _check_report_consistency(net, method):
     if method == "2s":
         # the two-stage bound over td and ag fixed points built apart from analyze
         assert report.objective is None
-        dec, numbers, recursions = _method_recursions(net, "2s", removed)
+        dec, numbers, recursions, _ = _method_recursions(net, "2s", removed)
         b_star, big_b = (solve_recursion(lr) for lr in recursions)
         obj = dec.objective(numbers, target)
         assert report.bound == _two_stage(dec, obj, b_star, big_b)
@@ -805,20 +805,10 @@ def test_sd_feed_forward_equals_manual_propagation():
     assert sd == pytest.approx(manual, abs=1e-12)
 
 
-def _random_cyclic_instance(rng):
-    kind = rng.integers(0, 3)
-    u = float(rng.uniform(0.05, 0.16))
-    if kind == 0:
-        return uni_ring(int(rng.integers(3, 7)), u)
-    if kind == 1:
-        return bi_ring(int(rng.integers(3, 5)), u)
-    return toy(u)
-
-
 def test_dominance_td_below_sd(rng):
     checked = 0
     while checked < 40:
-        net = _random_cyclic_instance(rng)
+        net = random_cyclic_instance(rng)
         target = Target.backlog(net.flows[0].path[-1], [0])
         sd = analyze(net, "sd", target=target).bound
         td = analyze(net, "td", target=target).bound
@@ -831,7 +821,7 @@ def test_dominance_td_below_sd(rng):
 def test_two_stage_below_components(rng):
     checked = 0
     while checked < 25:
-        net = _random_cyclic_instance(rng)
+        net = random_cyclic_instance(rng)
         removed = removal_tree(net)
         target = Target.backlog(net.flows[0].path[-1], [0])
         td = analyze(net, "td", target=target, removed=removed).bound
@@ -848,9 +838,9 @@ def test_two_stage_below_components(rng):
 def test_two_stage_greedy_dominates_random_feasible(rng):
     checked = 0
     while checked < 8:
-        net = _random_cyclic_instance(rng)
+        net = random_cyclic_instance(rng)
         removed = removal_tree(net)
-        dec, numbers, (lr_td, lr_ag) = _method_recursions(net, "2s", removed)
+        dec, numbers, (lr_td, lr_ag), _ = _method_recursions(net, "2s", removed)
         b_star = solve_recursion(lr_td)
         big_b = solve_recursion(lr_ag)
         if b_star is None or big_b is None or lr_td.size == 0:
@@ -861,9 +851,11 @@ def test_two_stage_greedy_dominates_random_feasible(rng):
         index = {lab: pos for pos, lab in enumerate(lr_td.labels)}
         arcs = lr_ag.labels
         arc_pos = {a: i for i, a in enumerate(arcs)}
+        split = decompose(net, removed)
+        continuations = group_by_arc(split).continuations
         groups = [
-            (arc_pos[a], [index[dec.split_flows[s].label] for s in dec.groups.continuations[a]])
-            for a in arcs if dec.groups.continuations[a]
+            (arc_pos[a], [index[split[s].label] for s in continuations[a]])
+            for a in arcs if continuations[a]
         ]
         for _ in range(2000):
             x = rng.uniform(0, 1, lr_td.size) * b_star
@@ -1090,6 +1082,37 @@ def test_td_verdict_checks_the_network_once_whatever_the_number_of_views(monkeyp
     is_stable(bi_ring(10, 0.5), "td")
     assert counts["layout"] == 1  # every row of every view in one layout
     assert all(counts[name] <= 1 for name in checks), counts
+
+
+@pytest.mark.parametrize("kind", ["backlog", "delay"])
+@pytest.mark.parametrize("method", ["td", "ag", "2s"])
+def test_analyze_prepares_and_runs_one_batch_per_call(monkeypatch, method, kind):
+    # the recursions' rows and the target's share one layout and one pass,
+    # and one induced graph serves the removal and the split's checks
+    counts = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    original = netcalc.network.induced_graph
+    wrapper = counted("induced_graph", original)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "netcalc" and vars(module).get("induced_graph") is original:
+            monkeypatch.setattr(module, "induced_graph", wrapper)
+    monkeypatch.setattr(_RowLayout, "__init__", counted("layout", _RowLayout.__init__))
+    monkeypatch.setattr(_RowLayout, "run", counted("run", _RowLayout.run))
+    net = three_ring(0.3)  # a bi-ring's removal splits every flow
+    split = decompose(net, removal_tree(net))
+    whole = next(sf.origin for sf in split if sf.path == net.flows[sf.origin].path)
+    target = Target.backlog(net.flows[0].path[-1], [0]) if kind == "backlog" else Target.delay(whole)
+    counts.clear()
+    for calls in (1, 2):
+        report = analyze(net, method, target)
+        assert report.bound.is_finite
+        assert counts == {"layout": calls, "run": calls, "induced_graph": calls}, counts
 
 
 @pytest.mark.parametrize("tol", [0.0, math.nan, math.inf])

@@ -23,7 +23,7 @@ from netcalc import (
 )
 from netcalc.decomposition import decompose, removal_tree
 from netcalc.topologies import two_server_sink_tree, toy, uni_ring
-from netcalc.network import _numbers
+from netcalc.network import _hops, _numbers, _paths
 from netcalc.tree_analysis import (
     UpstreamView,
     XiTable,
@@ -374,7 +374,7 @@ def test_one_batch_rooted_everywhere_matches_scalar_pass_per_view(rng):
     # tandems, one-server views (leaves) and empty interest sets
     for _ in range(25):
         net = _random_forest(rng)
-        forest = _prepare_forest(tuple(f.path for f in net.flows), net.num_servers)
+        forest = _prepare_forest(*_hops(_paths(net)), net.num_servers)
         numbers = _numbers(net)
         roots, batch = [], []
         for j in range(net.num_servers):
@@ -382,7 +382,9 @@ def test_one_batch_rooted_everywhere_matches_scalar_pass_per_view(rng):
             for interest in _interest_batch(rng, crossing) if crossing else [[]]:
                 roots.append(j)
                 batch.append(interest)
-        rows = _RowLayout(forest, list(zip(roots, batch)))
+        sizes = [len(interest) for interest in batch]
+        rows = _RowLayout(forest, np.array(roots), np.repeat(np.arange(len(batch)), sizes),
+                          np.array([i for interest in batch for i in interest], dtype=np.intp))
         phi, rho, xi = rows.run(numbers)
         assert (rows.k == 0).sum() == len(batch)  # one root pair per row
         assert any(not flows for flows in batch)

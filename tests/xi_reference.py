@@ -40,7 +40,7 @@ def view_tree(view):
     rate, burst = num.rate.tolist(), num.burst.tolist()
     service_rate, latency = num.service_rate.tolist(), num.latency.tolist()
     flows, flow_ids = [], []
-    for i, path in enumerate(forest.paths):
+    for i, path in enumerate(forest_paths(forest)):
         if path[0] in sub:
             flows.append(Flow(TokenBucket(burst[i], rate[i]), [sub[j] for j in path if j in sub]))
             flow_ids.append(i)
@@ -50,6 +50,23 @@ def view_tree(view):
     for old, new in enumerate(old_to_new):
         server[new] = kept[old]
     return tree, server, flow_ids
+
+
+def forest_paths(forest):
+    """
+    Every flow's path in a prepared forest, read back from its arrays: the
+    flow's first server, then as many successors as arcs to its last.
+    """
+    succ = forest.succ.tolist()
+    paths = [None] * forest.num_flows
+    for j in range(len(succ)):
+        for c in range(forest.at_start[j], forest.at_start[j] + forest.at_count[j]):
+            if forest.at_entry[c]:
+                path = [j]
+                for _ in range(forest.at_reach[c]):
+                    path.append(succ[path[-1]])
+                paths[forest.at_flow[c]] = tuple(path)
+    return paths
 
 
 def scalar_input(view, interest):

@@ -28,8 +28,16 @@ Records:
 - ``objective_for`` under every method with the three targets, ``is_stable``
   under every method, ``build_sd`` and the ``local_stability`` classes;
 - every ``critical`` case's threshold ``U*``;
+- ``analyze`` under ``td``, ``ag`` and ``2s`` with explicit removals, on
+  the pool's fixed structures, its first ``EXPLICIT_RINGS`` rings of each
+  size and the locally unstable networks, with the benchmark's target and
+  the delay of flow 0: ``removal_tree(net, root)`` at every root, then
+  three invalid removals (see :func:`invalid_removals`); and, for each of
+  these removals and the default one, the outputs of ``decompose`` and
+  ``group_by_arc``, or the error;
 - every ``sweep`` cell: ``bi_ring(SWEEP_N)`` at each utilization of the
-  full sweep, ``analyze`` under every method with the benchmark's target;
+  full sweep, ``analyze`` under every method with the benchmark's target
+  and with the delay of every flow;
 - ``tree_backlog`` on every tree and tandem of the ``fluid`` workload's
   rounds for seed 1, for the flows ending at the sink and for the first
   half of them: the value and the coefficient table, or the error.
@@ -55,10 +63,15 @@ import numpy as np  # noqa: E402
 
 from netcalc import stability  # noqa: E402
 from netcalc.curves import RateLatency, TokenBucket  # noqa: E402
-from netcalc.network import Flow, Network, local_stability  # noqa: E402
+from netcalc.decomposition import decompose, group_by_arc, removal_tree  # noqa: E402
+from netcalc.network import Flow, Network, induced_graph, is_acyclic, local_stability  # noqa: E402
 from netcalc.oracle import MAX_ORACLE_SERVERS, bruteforce_backlog, worst_case_periods  # noqa: E402
 from netcalc.topologies import bi_ring, three_ring, toy, uni_ring  # noqa: E402
 from netcalc.tree_analysis import tree_backlog  # noqa: E402
+
+
+#: Rings of each pool size that get the explicit-removal records.
+EXPLICIT_RINGS = 40
 
 
 def _load(name, *path):
@@ -181,6 +194,66 @@ def _locally_unstable():
     return nets
 
 
+def invalid_removals(net):
+    """
+    Three removals meant to be refused, by name: the default one
+    plus the first ordered server pair that is not an induced arc; the
+    default one without its first arc (a cycle may remain); and the
+    default one with every arc put back, in order, that leaves the residual
+    graph acyclic (some server may keep several successors).
+    """
+    arcs, n = induced_graph(net), net.num_servers
+    default = removal_tree(net)
+    outside = next(((u, v) for u in range(n) for v in range(n)
+                    if u != v and (u, v) not in arcs), None)
+    removals = {"non_induced": None if outside is None else default | {outside},
+                "cycle": frozenset(sorted(default)[1:])}
+    kept = set(arcs - default)
+    for arc in sorted(default):
+        if is_acyclic(kept | {arc}, n):
+            kept.add(arc)
+    removals["branching"] = frozenset(arcs - kept)
+    return {name: removed for name, removed in removals.items() if removed is not None}
+
+
+def _removals(net):
+    """The default removal, ``removal_tree(net, root)`` at every root and the invalid ones."""
+    removals = {"default": None}
+    removals.update(("root%d" % root, removal_tree(net, root)) for root in range(net.num_servers))
+    removals.update(invalid_removals(net))
+    return removals
+
+
+def _segments(split):
+    return [[sf.origin, sf.segment, list(sf.path)] for sf in split]
+
+
+def _groups(groups):
+    def arcs(table):
+        return [[list(arc), sorted(members)] for arc, members in table.items()]
+    return {"feeding": arcs(groups.feeding), "continuations": arcs(groups.continuations),
+            "arc_of": [[s, list(arc)] for s, arc in groups.arc_of.items()]}
+
+
+def _decomposed(net, removed):
+    """``decompose`` and ``group_by_arc`` by ``removed`` (default: removal_tree)."""
+    split = decompose(net, removal_tree(net) if removed is None else removed)
+    return {"split": _segments(split), "groups": _groups(group_by_arc(split))}
+
+
+def _explicit_records(name, net):
+    targets = _targets(net)
+    for key, removed in _removals(net).items():
+        yield {"net": name, "removal": key, "decompose": _call(lambda d: d, _decomposed, net, removed)}
+        if removed is None:
+            continue
+        for method in ("td", "ag", "2s"):
+            for target in ("bench", "delay0"):
+                yield {"net": name, "removal": key, "method": method, "target": target,
+                       "analyze": _call(_report, stability.analyze, net, method,
+                                        targets[target], removed)}
+
+
 def _halved(net):
     """``net`` with every service rate halved: some servers overload."""
     servers = [RateLatency(s.rate * 0.5, s.latency) for s in net.servers]
@@ -212,6 +285,12 @@ def records(workloads):
                        "analyze": _call(_report, stability.analyze, net, method, target),
                        "objective_for":
                        _call(_objective, stability.objective_for, net, target, method)}
+    explicit = [workloads.fixed_id(s, k) for s in range(len(workloads.FIXED_STRUCTURES))
+                for k in range(workloads.UTILIZATIONS_PER_STRUCTURE)]
+    explicit += [workloads.ring_id(n, k) for n in workloads.RING_SIZES for k in range(EXPLICIT_RINGS)]
+    explicit += list(_locally_unstable())
+    for name in explicit:
+        yield from _explicit_records(name, nets[name])
     for kind, n, method in workloads.critical_cases(False):
         yield {"critical": workloads.critical_key(kind, n, method), "u_star": _call(
             repr, stability.critical_utilization, workloads._family(kind, n), method)}
@@ -221,6 +300,10 @@ def records(workloads):
         for method in stability.METHODS:
             yield {"sweep": workloads.sweep_key(row, method), "u": repr(u),
                    "analyze": _call(_report, stability.analyze, net, method, target)}
+            for i in range(net.num_flows):
+                yield {"sweep": workloads.sweep_key(row, method), "u": repr(u), "delay": i,
+                       "analyze": _call(_report, stability.analyze, net, method,
+                                        stability.Target.delay(i))}
     for name, net in _fluid_networks(workloads, 1):
         root = net.num_servers - 1
         sink = [i for i, f in enumerate(net.flows) if f.path[-1] == root]
