@@ -23,14 +23,8 @@ from typing import List, Optional, Sequence
 from . import fileio
 from .curves import busy_period_bound, aggregate
 from .errors import NetcalcError
-from .fluid import (
-    check_arrival_curves,
-    check_strict_service,
-    default_dt,
-    random_scenario,
-    simulate_fluid,
-)
-from .network import Network, classify
+from .fluid import check_arrival_curves, check_strict_service, random_scenario, simulate_fluid
+from .network import Network
 from .stability import METHODS, Target, _method, analyze, critical_utilization
 from .topologies import GENERATORS
 
@@ -199,11 +193,8 @@ def cmd_critical(args) -> int:
 
 def cmd_simulate(args) -> int:
     net = fileio.load_network(args.network)
-    if classify(net).value == "cyclic":
-        raise NetcalcError("simulation requires a feed-forward network")
     server = _server(args, net)
     flows = _flow_ids(args.flows, net) if args.flows else None
-    dt = default_dt(net) if args.dt is None else args.dt
     horizon = args.horizon
     if horizon is None:
         horizon = 0.0
@@ -212,7 +203,7 @@ def cmd_simulate(args) -> int:
             horizon += float(busy_period_bound(alpha, net.servers[j]))
         horizon = 1.5 * horizon if math.isfinite(horizon) and horizon > 0 else 10.0
     scenario = random_scenario(net, horizon, args.seed)
-    traj = simulate_fluid(net, scenario, dt=dt)
+    traj = simulate_fluid(net, scenario, dt=args.dt)  # refuses a cyclic network
     print("observed max backlog at server %d: %.9g" % (server + 1, traj.max_backlog(server, flows)))
     print("arrival curves respected: %s" % check_arrival_curves(traj))
     print("strict service respected: %s" % check_strict_service(traj))

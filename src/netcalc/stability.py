@@ -205,7 +205,7 @@ def _checked(M) -> np.ndarray:
     return M
 
 
-def spectral_radius(M: np.ndarray, max_iter: Optional[int] = None) -> float:
+def spectral_radius(M: np.ndarray) -> float:
     """
     Spectral radius of a nonnegative matrix, via power iteration on the
     shifted matrix ``M + 1e-6 I`` (``POWER_SHIFT``) started from the
@@ -216,11 +216,11 @@ def spectral_radius(M: np.ndarray, max_iter: Optional[int] = None) -> float:
     iteration stops when the bracket closes to the fixed absolute
     tolerance ``1e-9`` (``RHO_TOL``).  Near-periodic matrices (a cycle of
     coefficients) close their bracket only at a ``1/POWER_SHIFT`` pace, so
-    the bracket gets at most ``max_iter`` steps (default: the matrix size
-    ``L``) and then the exact eigenvalue routine takes over; either way the
-    result is accurate to ``1e-9``.  ``L`` steps are not a cost balance:
-    one step is a matrix-vector product, far cheaper than a dense routine
-    (see :func:`rho_below`).
+    the bracket gets at most ``L`` steps, ``L`` the matrix size, and then
+    the exact eigenvalue routine takes over; either way the result is
+    accurate to ``1e-9``.  The budget is always ``L``, and it is not a cost
+    balance: one step is a matrix-vector product, far cheaper than a dense
+    routine (see :func:`rho_below`).
 
     >>> spectral_radius(np.array([[0.0, 0.5], [0.5, 0.0]]))
     0.5
@@ -228,21 +228,21 @@ def spectral_radius(M: np.ndarray, max_iter: Optional[int] = None) -> float:
     M = _checked(M)
     if M.size == 0:
         return 0.0
-    for lo, hi, _ in _brackets(M, None, max_iter):
+    for lo, hi, _ in _brackets(M, None):
         if hi - lo <= RHO_TOL:
             return 0.5 * (lo + hi)
     return float(max(abs(np.linalg.eigvals(M))))
 
 
-def _brackets(M: np.ndarray, x: Optional[np.ndarray], max_iter: Optional[int]):
+def _brackets(M: np.ndarray, x: Optional[np.ndarray]):
     """
     Collatz-Wielandt brackets of ``rho(M)``, from power iteration on
     ``M + POWER_SHIFT I`` started from the positive vector ``x`` (``None``:
-    all ones): at most ``max_iter`` of them, the matrix size ``L`` by
-    default.  Each comes as ``(lo, hi, the iterate it was read off)``.
+    all ones): ``L`` of them, ``L`` the matrix size, the one budget of every
+    decision.  Each comes as ``(lo, hi, the iterate it was read off)``.
     """
     x = np.ones(M.shape[0]) if x is None else x
-    for _ in range(M.shape[0] if max_iter is None else max_iter):
+    for _ in range(M.shape[0]):
         y = M @ x + POWER_SHIFT * x
         ratios = y / x
         yield float(ratios.min()) - POWER_SHIFT, float(ratios.max()) - POWER_SHIFT, x
@@ -256,13 +256,13 @@ def _shifted(M: np.ndarray, theta: float) -> np.ndarray:
     return A
 
 
-def rho_below(M: np.ndarray, threshold: float, max_iter: Optional[int] = None) -> bool:
+def rho_below(M: np.ndarray, threshold: float) -> bool:
     """
     Decide ``spectral_radius(M) < threshold``.  The Collatz-Wielandt
     bracket usually separates from the threshold long before it closes,
-    so it runs first, from the all-ones vector, for at most ``max_iter``
-    steps (default: the matrix size ``L``).  If it is still undecided, one
-    exact M-matrix test settles it: ``rho(M) < threshold`` exactly when
+    so it runs first, from the all-ones vector, for at most ``L`` steps,
+    ``L`` the matrix size.  If it is still undecided, one exact M-matrix
+    test settles it: ``rho(M) < threshold`` exactly when
     ``threshold I - M`` is a nonsingular M-matrix, i.e. when
     ``(threshold I - M) x = 1`` has a positive solution.  The answer is
     yes only if the solved ``x`` is positive and the residual
@@ -278,14 +278,11 @@ def rho_below(M: np.ndarray, threshold: float, max_iter: Optional[int] = None) -
     :raises ValidationError: if ``M`` is not square, finite and
         nonnegative, as :func:`spectral_radius` requires
     """
-    return _decide(_checked(M), threshold, None, max_iter)[0]
+    return _decide(_checked(M), threshold)[0]
 
 
 def _decide(
-    M: np.ndarray,
-    threshold: float,
-    start: Optional[np.ndarray] = None,
-    max_iter: Optional[int] = None,
+    M: np.ndarray, threshold: float, start: Optional[np.ndarray] = None
 ) -> Tuple[bool, Optional[np.ndarray]]:
     """
     :func:`rho_below`'s decision on a checked ``M``, with its bracket
@@ -304,7 +301,7 @@ def _decide(
     if M.size == 0:
         return threshold > 0, start
     x = start
-    for lo, hi, x in _brackets(M, start, max_iter):
+    for lo, hi, x in _brackets(M, start):
         if lo >= threshold:
             return False, x
         if hi < threshold:
@@ -364,7 +361,9 @@ class _SdLayout:
     The rate-free half of :func:`build_sd` on one network's flow paths: the
     hop arrays, each row's feeding hop and every pair (row, hop at the
     row's server), laid out once.  A pair with a later hop is a cell of
-    ``M``; a pair with a first hop is a cell of the row's constant terms.
+    ``M``; a pair with a first hop is a term of the row's constant, and the
+    terms are ordered so that each row's own comes ahead of its others,
+    which keep flow order: the order in which ``N`` adds them.
     The labels and the objective read the same hop arrays: the variables
     are the hops past each flow's first, ``(flow, pos)`` in flow order.
     """
@@ -398,14 +397,11 @@ class _SdLayout:
         later = pos[peer] >= 1
         # later-hop pairs: cells of M
         self.cell_row, self.cell_col, self.cell_own = row[later], var[peer[later]], own[later]
-        # first-hop pairs: the row's own in column 0, the others from column 1 in flow order
-        entry = ~later
-        known = np.flatnonzero(entry)
-        before = np.cumsum(entry) - entry  # first-hop pairs ahead of each pair
-        self.term_row = row[known]
-        self.term_col = np.where(own[known], 0, 1 + before[known] - before[block[self.term_row]])
-        self.term_own, self.term_flow = own[known], flow[peer[known]]
-        self.width = self.term_col.max(initial=0) + 2  # first-hop terms, then latency
+        # first-hop pairs: terms of N, every own one ahead of all others (a row has
+        # at most one), the others still in row order and in flow order within it
+        known = np.flatnonzero(~later)
+        known = known[np.argsort(~own[known], kind="stable")]
+        self.term_row, self.term_own, self.term_flow = row[known], own[known], flow[peer[known]]
 
     def bind(self, num: _Numbers) -> _Numbers:
         """The numbers the pass reads: the network's own."""
@@ -417,28 +413,26 @@ class _SdLayout:
         as a one-element list, and no target weights.
         Each pair weighs ``1`` for the row's own hop and the server's gain
         for the others.  ``M`` takes one scatter: paths never revisit a
-        server, so each cell is written at most once.  ``N`` is a
-        sequential sum over a zero-padded term row: the row's own first-hop
-        burst, then ``gain * b`` of every other first hop at the server in
-        flow order, then ``gain * R_j * T_j``.
+        server, so each cell is written at most once.  ``N`` is one ordered
+        left fold per row: the row's own first-hop burst, then ``gain * b``
+        of every other first hop at the server in flow order, then
+        ``gain * R_j * T_j``.
+
+        The numbers must be locally stable, as :func:`_method_recursions`
+        checks before every bind: ``load_j < R_j`` keeps every margin
+        ``R_j - (load_j - r_i)`` positive in floats too, since
+        ``fl(load_j - r_i) <= load_j``, so no row needs a margin check.
         """
         rate, R, T = num.rate, num.service_rate, num.latency
         i, j = self.row_flow, self.row_server
-        margin = R[j] - (num.load[j] - rate[i])
-        bad = margin <= 0
-        if bad.any():  # the first failing row, as the pairwise loop reports it
-            r = bad.argmax()
-            raise LocallyUnstableError("server %d has no residual rate for flow %d" % (j[r], i[r]))
-        gain = rate[i] / margin
+        gain = rate[i] / (R[j] - (num.load[j] - rate[i]))
         L = len(self.labels)
         M = np.zeros((L, L))
         M[self.cell_row, self.cell_col] = np.where(self.cell_own, 1.0, gain[self.cell_row])
-        terms = np.zeros((L, self.width))
-        terms[self.term_row, self.term_col] = (
-            np.where(self.term_own, 1.0, gain[self.term_row]) * num.burst[self.term_flow]
-        )
-        terms[:, -1] = gain * R[j] * T[j]
-        return [LinearRecursion(self.labels, M, np.cumsum(terms, axis=1)[:, -1])], None
+        # bincount adds its weights in input order, so each row's terms in layout order
+        weights = np.where(self.term_own, 1.0, gain[self.term_row]) * num.burst[self.term_flow]
+        N = np.bincount(self.term_row, weights, L) + gain * R[j] * T[j]
+        return [LinearRecursion(self.labels, M, N)], None
 
     def objective(self, num: _Numbers, target: Target, weights=None) -> ObjectiveForm:
         """A backlog at one server over the hops entering it, from the bound numbers."""
@@ -490,9 +484,13 @@ def build_sd(net: Network) -> LinearRecursion:
     Built from hop arrays with no per-pair Python work: every pair (row,
     hop at the row's server) is laid out at once from the flow paths
     alone, then weighed with the rates.  Server loads are added in flow
-    order, and ``N`` adds its terms in the order of the pairwise loop this
-    replaces (``tests/sd_reference.py``), so ``(M, N)`` equal it bit for
-    bit.
+    order, and ``N`` is one ordered left fold per row, in the order of the
+    pairwise loop this replaces (``tests/sd_reference.py``), so ``(M, N)``
+    equal it bit for bit.  That loop checks each row's residual rate; here
+    the whole-network local stability check, made first, already keeps
+    every residual rate positive.
+
+    :raises LocallyUnstableError: if some server is not strictly stable
     """
     return _method_recursions(net, "sd")[2][0]
 

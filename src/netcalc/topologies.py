@@ -6,9 +6,11 @@ Generators for the cyclic benchmark topologies: unidirectional and
 bidirectional rings, the three-ring composition and the small fixed
 fixtures used throughout the tests.
 
-All generators follow the uniform experiment parameters (burst 1 kb, rate
-1 kb/s, latency 10 ms) and scale every service rate like ``1/U`` so that
-``U`` is the utilization of the busiest server.
+The rings and ``toy`` have the paper's one traffic profile, fixed by the
+module constants rather than by options: every flow a burst of
+``DEFAULT_BURST`` (1 kb) and a rate of ``DEFAULT_RATE`` (1 kb/s), every
+server a latency of ``DEFAULT_LATENCY`` (10 ms).  They scale every service
+rate like ``1/U``, so that ``U`` is the utilization of the busiest server.
 """
 
 from __future__ import annotations
@@ -28,9 +30,6 @@ def _uniform_network(
     num_servers: int,
     paths: Sequence[Tuple[int, ...]],
     utilization: float,
-    burst: float,
-    rate: float,
-    latency: float,
     rate_overrides: Optional[dict] = None,
 ) -> Network:
     if not (0 < utilization <= 1):
@@ -41,11 +40,11 @@ def _uniform_network(
             crossing[j] += 1
     servers = []
     for j in range(num_servers):
-        base = rate * max(crossing[j], 1)
+        base = DEFAULT_RATE * max(crossing[j], 1)
         if rate_overrides and j in rate_overrides:
             base = rate_overrides[j]
-        servers.append(RateLatency(base / utilization, latency))
-    flows = tuple([Flow(TokenBucket(burst, rate), path) for path in paths])
+        servers.append(RateLatency(base / utilization, DEFAULT_LATENCY))
+    flows = tuple([Flow(TokenBucket(DEFAULT_BURST, DEFAULT_RATE), path) for path in paths])
     return Network(tuple(servers), flows)
 
 
@@ -58,18 +57,11 @@ def _loop(start: int, length: int, cycle: Sequence[int]) -> Tuple[int, ...]:
     return tuple([cycle[(pos + k) % len(cycle)] for k in range(length)])
 
 
-def uni_ring(
-    n: int,
-    utilization: float,
-    heterogeneous: bool = False,
-    burst: float = DEFAULT_BURST,
-    rate: float = DEFAULT_RATE,
-    latency: float = DEFAULT_LATENCY,
-) -> Network:
+def uni_ring(n: int, utilization: float, heterogeneous: bool = False) -> Network:
     """
     Unidirectional ring of ``n`` servers, crossed by ``n`` full-loop flows
     (flow ``i`` starts at server ``i``).  Every server carries all ``n``
-    flows, so its service rate is ``n * rate / U``.
+    flows, so its service rate is ``n * DEFAULT_RATE / U``.
 
     With ``heterogeneous`` the two highest-index servers keep that rate
     while all others get twice as much (half the utilization).
@@ -84,17 +76,11 @@ def uni_ring(
     paths = [_loop(i, n, cycle) for i in range(n)]
     overrides = None
     if heterogeneous:
-        overrides = {j: 2 * n * rate for j in range(n - 2)}
-    return _uniform_network(n, paths, utilization, burst, rate, latency, overrides)
+        overrides = {j: 2 * n * DEFAULT_RATE for j in range(n - 2)}
+    return _uniform_network(n, paths, utilization, overrides)
 
 
-def bi_ring(
-    n: int,
-    utilization: float,
-    burst: float = DEFAULT_BURST,
-    rate: float = DEFAULT_RATE,
-    latency: float = DEFAULT_LATENCY,
-) -> Network:
+def bi_ring(n: int, utilization: float) -> Network:
     """
     Bidirectional ring of ``n`` servers crossed by ``2n`` flows of length
     ``n``: the ``n`` clockwise full loops plus the ``n`` counter-clockwise
@@ -111,17 +97,10 @@ def bi_ring(
     paths.append(tuple(backward))
     for i in range(1, n):
         paths.append(_loop(i, n, backward))
-    return _uniform_network(n, paths, utilization, burst, rate, latency)
+    return _uniform_network(n, paths, utilization)
 
 
-def three_ring(
-    utilization: float,
-    ring_size: int = 10,
-    short_len: int = 5,
-    burst: float = DEFAULT_BURST,
-    rate: float = DEFAULT_RATE,
-    latency: float = DEFAULT_LATENCY,
-) -> Network:
+def three_ring(utilization: float, ring_size: int = 10, short_len: int = 5) -> Network:
     """
     Three unidirectional rings of ``ring_size`` servers, pairwise sharing
     one border server (``3 * ring_size - 3`` servers in total).  The first
@@ -144,22 +123,16 @@ def three_ring(
     for cycle, length in ((ring0, s), (ring1, s), (ring2, short_len)):
         for start in cycle:
             paths.append(_loop(start, length, cycle))
-    return _uniform_network(3 * s - 3, paths, utilization, burst, rate, latency)
+    return _uniform_network(3 * s - 3, paths, utilization)
 
 
-def toy(
-    utilization: float = 0.5,
-    f4_path: Tuple[int, ...] = (1, 2, 3),
-    burst: float = DEFAULT_BURST,
-    rate: float = DEFAULT_RATE,
-    latency: float = DEFAULT_LATENCY,
-) -> Network:
+def toy(utilization: float = 0.5) -> Network:
     """
-    The four-server cyclic fixture: flows (2,3,1), (3,1,2), (1,0,2) and a
-    configurable fourth flow, default (1,2,3).
+    The four-server cyclic fixture: flows (2,3,1), (3,1,2), (1,0,2) and
+    (1,2,3).
     """
-    paths = [(2, 3, 1), (3, 1, 2), (1, 0, 2), tuple(f4_path)]
-    return _uniform_network(4, paths, utilization, burst, rate, latency)
+    paths = [(2, 3, 1), (3, 1, 2), (1, 0, 2), (1, 2, 3)]
+    return _uniform_network(4, paths, utilization)
 
 
 def two_server_sink_tree(

@@ -306,6 +306,7 @@ def test_simulate_rejects_cyclic(tmp_path, capsys):
     src = str(tmp_path / "ring.json")
     save_network(uni_ring(3, 0.5), src)
     assert main(["simulate", "--network", src]) == 2
+    assert "feed-forward" in capsys.readouterr().err
 
 
 def test_analyze_json_on_a_diverging_recursion(tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 import re
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -145,11 +146,9 @@ def test_build_sd_matches_reference_property(net):
     _same_as_sd_reference(net)
 
 
-def test_build_sd_residual_rate_guard_matches_reference(monkeypatch):
-    # unreachable once local stability holds: switch that check off in both
-    # builders to reach the per-row guard and compare which row it names
-    for module in (netcalc.stability, sd_reference):
-        monkeypatch.setattr(module, "_require_local_stability", lambda net: None)
+def test_build_sd_refuses_overloaded_networks_as_a_whole():
+    # the whole-network check comes first and names every overloaded server,
+    # so no row is left without a residual rate
     overloaded = [Network(tuple(RateLatency(s.rate / 2, s.latency) for s in net.servers),
                           net.flows)
                   for net in (uni_ring(5, 0.9), bi_ring(4, 0.9), toy(0.9))]
@@ -158,8 +157,11 @@ def test_build_sd_residual_rate_guard_matches_reference(monkeypatch):
         (Flow(TokenBucket(1, 1), (2, 1, 0)), Flow(TokenBucket(1, 2), (1, 0))),
     ))
     for net in overloaded:
-        with pytest.raises(LocallyUnstableError, match="no residual rate"):
-            sd_reference.build_sd(net)
+        unstable = np.flatnonzero(_numbers(net).unstable).tolist()
+        assert unstable
+        with pytest.raises(LocallyUnstableError,
+                           match=r"^servers %s are not strictly stable$" % re.escape(str(unstable))):
+            build_sd(net)
         assert not _same_as_sd_reference(net)
 
 
@@ -310,12 +312,46 @@ def _decision_inputs(rng):
     return cases
 
 
-def test_spectral_radius_matches_eigvals(rng):
+def _no_brackets(M, x):
+    """A ``_brackets`` with no step: the decisions reach the exact stage alone."""
+    yield from ()
+
+
+def test_spectral_radius_matches_eigvals(rng, monkeypatch):
     for M in _decision_inputs(rng):
         expected = float(max(abs(np.linalg.eigvals(M))))
-        for max_iter in (None, 0):  # the bracket first, or the exact stage alone
-            assert spectral_radius(M, max_iter=max_iter) == pytest.approx(expected, abs=1e-7)
-            assert rho_below(M, 1.0, max_iter=max_iter) == (expected < 1.0)
+        for exact_alone in (False, True):  # the bracket first, or the exact stage alone
+            with monkeypatch.context() as patch:
+                if exact_alone:
+                    patch.setattr(netcalc.stability, "_brackets", _no_brackets)
+                assert spectral_radius(M) == pytest.approx(expected, abs=1e-7)
+                assert rho_below(M, 1.0) == (expected < 1.0)
+
+
+def _certifies_below(M, x, theta):
+    """``M x < theta x`` with ``x > 0``, in exact rational arithmetic on the floats."""
+    x = [Fraction(v) for v in x.tolist()]
+    theta = Fraction(theta)
+    return min(x) > 0 and all(
+        sum(Fraction(a) * v for a, v in zip(row, x) if a) < theta * v_row
+        for row, v_row in zip(M.tolist(), x)
+    )
+
+
+@pytest.mark.parametrize("exact_alone", [False, True], ids=["bracket", "exact"])
+def test_every_below_answer_carries_an_exact_certificate(rng, monkeypatch, exact_alone):
+    # each "below" rests on the vector _decide hands back: the bracket iterate
+    # it was read off, or the exact test's scaled solution
+    if exact_alone:
+        monkeypatch.setattr(netcalc.stability, "_brackets", _no_brackets)
+    below = 0
+    for M in _decision_inputs(rng):
+        for theta in (1 - 1e-9, 1.0, 1 + 1e-9):
+            answer, x = _decide(M, theta)
+            if answer:
+                below += 1
+                assert _certifies_below(M, x, theta)
+    assert below > 0
 
 
 def test_rho_below_decides_periodic_cycles_without_eigvals(monkeypatch):
@@ -1155,9 +1191,10 @@ def test_objective_for_refuses_a_target_server_without_rate_margin():
         objective_for(net, target, "td")
 
 
-def test_rho_below_reads_a_singular_exact_test_as_not_below():
+def test_rho_below_reads_a_singular_exact_test_as_not_below(monkeypatch):
     # no bracket step: 1 I - M is singular, so the threshold is an eigenvalue
-    assert rho_below(np.array([[1.0]]), 1.0, max_iter=0) is False
+    monkeypatch.setattr(netcalc.stability, "_brackets", _no_brackets)
+    assert rho_below(np.array([[1.0]]), 1.0) is False
 
 
 @pytest.mark.parametrize("M, N", [

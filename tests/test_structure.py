@@ -118,10 +118,10 @@ def _record_decisions(monkeypatch):
             decisions[-1][2] += 1
             yield bracket
 
-    def decide(M, threshold, start=None, max_iter=None):
+    def decide(M, threshold, start=None):
         record = [start, None, 0]
         decisions.append(record)
-        below, record[1] = original_decide(M, threshold, start, max_iter)
+        below, record[1] = original_decide(M, threshold, start)
         return below, record[1]
 
     monkeypatch.setattr(netcalc.stability, "_brackets", brackets)

@@ -45,7 +45,15 @@ Records:
   lengths) on the same rounds' tandems with the same two interest sets,
   and on the random tandems of ``tests/test_oracle.py``'s reference test
   (1 to 8 servers) for flow 0 and for the first half of the flows ending
-  at the last server, or the error.
+  at the last server, or the error;
+- every generator's network, its servers and flows by ``repr``, or the
+  error: the rings at the sizes the CLI, the demos and the workloads use
+  (``uni_ring`` with ``heterogeneous`` off and on), ``three_ring`` at its
+  ``ring_size`` and ``short_len`` variants, and ``toy``, each at every
+  utilization of the full sweep, at 1 and at two invalid ones; and the
+  fixtures with their defaults;
+- ``build_sd`` of every ``critical`` sd case's family at every utilization
+  of the full sweep and at 1, or the error: rings up to ``L = 870``.
 
 Arrays are recorded by a digest of their bytes, floats by ``repr``.
 """
@@ -55,6 +63,7 @@ import importlib.util
 import json
 import os
 import sys
+from functools import partial
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -66,7 +75,13 @@ from netcalc.curves import RateLatency, TokenBucket  # noqa: E402
 from netcalc.decomposition import decompose, group_by_arc, removal_tree  # noqa: E402
 from netcalc.network import Flow, Network, induced_graph, is_acyclic, local_stability  # noqa: E402
 from netcalc.oracle import MAX_ORACLE_SERVERS, bruteforce_backlog, worst_case_periods  # noqa: E402
-from netcalc.topologies import bi_ring, three_ring, toy, uni_ring  # noqa: E402
+from netcalc.topologies import (  # noqa: E402
+    bi_ring,
+    three_ring,
+    toy,
+    two_server_sink_tree,
+    uni_ring,
+)
 from netcalc.tree_analysis import tree_backlog  # noqa: E402
 
 
@@ -317,6 +332,45 @@ def records(workloads):
         ending = [i for i, f in enumerate(net.flows) if f.path[-1] == root]
         for interest in ([0], ending[: max(1, len(ending) // 2)]):
             yield _oracle_record(name, net, interest)
+    yield from _generator_records(workloads)
+
+
+def _network(net) -> dict:
+    return {"servers": repr(net.servers), "flows": repr(net.flows)}
+
+
+def _generated(workloads):
+    """``(name, call)`` of every generator call recorded."""
+    us = workloads.sweep_utilizations(False) + [1.0, 0.0, 1.5]
+    uni = sorted(set(workloads.CRITICAL_UNI_SIZES) | set(workloads.RING_SIZES) | {1, 2})
+    bi = sorted(set(workloads.CRITICAL_BI_SIZES) | {1, 2, 3, 4, 5, 6, workloads.SWEEP_N, 30})
+    three = [(10, 5), (3, 2), (4, 2), (5, 2), (5, 3), (6, 3), (10, 1), (10, 10), (3, 3),
+             (2, 1), (4, 0), (4, 5)]
+    for u in us:
+        for n in uni:
+            for h in (False, True):
+                yield "uni_ring(%d,%r,%s)" % (n, u, h), partial(uni_ring, n, u, heterogeneous=h)
+        for n in bi:
+            yield "bi_ring(%d,%r)" % (n, u), partial(bi_ring, n, u)
+        for size, short in three:
+            yield ("three_ring(%r,%d,%d)" % (u, size, short),
+                   partial(three_ring, u, ring_size=size, short_len=short))
+        yield "toy(%r)" % u, partial(toy, u)
+    yield "three_ring(0.5)", partial(three_ring, 0.5)
+    yield "toy()", toy
+    yield "two_server_sink_tree()", two_server_sink_tree
+
+
+def _generator_records(workloads):
+    for name, call in _generated(workloads):
+        yield {"generated": name, "network": _call(_network, call)}
+    for kind, n, method in workloads.critical_cases(False):
+        if method != "sd":
+            continue
+        family = workloads._family(kind, n)
+        for u in workloads.sweep_utilizations(False) + [1.0]:
+            yield {"family": workloads.critical_key(kind, n, method), "u": repr(u),
+                   "build_sd": _call(_recursion, stability.build_sd, family(u))}
 
 
 def _oracle_record(name, net, interest):
