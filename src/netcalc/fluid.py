@@ -21,12 +21,14 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .curves import left_sum
+from .curves import TokenBucket, left_sum
 from .errors import ScenarioError
 from .network import Network, Topology, classify, induced_graph, topological_order
 from .oracle import worst_case_periods
 
 QUEUE_EPS = 1e-12
+#: Most grid steps one simulation may take: memory and run time grow with them.
+MAX_GRID_STEPS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -188,6 +190,46 @@ class Trajectory:
                 )
 
 
+def _injections(
+    spec: ArrivalSpec, arrival: TokenBucket, grid: List[float], dt: float
+) -> List[float]:
+    """
+    The amount a flow injects at each step of ``grid``, or ``[]`` for a
+    silent flow.  Injections depend only on the flow's own spec, token
+    bucket and uniforms, never on the network state, so the whole stream
+    is one left fold ahead of the step loop.
+    """
+    steps = len(grid) - 1
+    burst, rate = arrival.burst, arrival.rate
+    amounts: List[float] = []
+    if spec.kind == "greedy":
+        start, injected = spec.start, 0.0
+        for t_next in grid[1:]:
+            target = 0.0
+            if t_next > start:
+                target = burst + rate * (t_next - start)
+            amount = target - injected
+            if amount > 0:  # max(0.0, target - injected), as a branch
+                injected += amount
+            else:
+                amount = 0.0
+            amounts.append(amount)
+    elif spec.kind == "random":
+        # one uniform per step decides whether to send, a second (when
+        # sending) scales the tokens: at most 2 * steps of them, read in
+        # order as floats straight off the array
+        u = iter(memoryview(np.random.default_rng(spec.seed).random(2 * steps)))
+        tokens = burst
+        for _ in range(steps):
+            tokens = tokens + rate * dt
+            if not tokens < burst:  # min(burst, tokens + rate * dt), as a branch
+                tokens = burst
+            amount = tokens * next(u) if next(u) < 0.5 else 0.0
+            tokens -= amount
+            amounts.append(amount)
+    return amounts
+
+
 def simulate_fluid(
     net: Network,
     scenario: Scenario,
@@ -199,15 +241,16 @@ def simulate_fluid(
 
     The network must be feed-forward.  Servers are processed in topological
     order within each step, so instantaneous service cascades downstream in
-    the same step.
+    the same step.  A grid of more than ``MAX_GRID_STEPS`` steps is refused.
 
     The state is flat: one position per ``(flow, path position)`` in flow
-    order, each with its queue, its running cumulative totals and the index
-    of the next position on its path; every server serves a fixed list of
-    its positions.  At the end of a step the running totals fill one column
-    of a ``(positions, steps + 1)`` array per side, whose rows are the
-    trajectory's ``cum_in`` / ``cum_out`` entries.  A random flow draws its
-    whole uniform stream up front and reads it in order.
+    order, each with its queue and its running cumulative totals.  Every
+    flow's injection stream is computed up front (it never depends on the
+    queues), and every server's mode, window, rate, latency and service
+    order, as ``(position, next position on the path)`` pairs, are bound
+    once before the step loop.  At the end of a step the running totals
+    fill one column of a ``(positions, steps + 1)`` array per side, whose
+    rows are the trajectory's ``cum_in`` / ``cum_out`` entries.
 
     >>> from .curves import RateLatency, TokenBucket
     >>> from .network import Flow
@@ -230,11 +273,14 @@ def simulate_fluid(
             )
     dt = _require_positive("dt", default_dt(net) if dt is None else dt)
     horizon = scenario.horizon if horizon is None else _require_positive("horizon", horizon)
-    steps = int(math.ceil(horizon / dt)) + 1
+    ratio = horizon / dt
+    if not (math.isfinite(ratio) and math.ceil(ratio) + 1 <= MAX_GRID_STEPS):
+        raise ScenarioError(
+            "horizon %r over dt %r needs more than %d grid steps" % (horizon, dt, MAX_GRID_STEPS)
+        )
+    steps = int(math.ceil(ratio)) + 1
     times = np.arange(steps + 1) * dt
     grid = times.tolist()
-
-    topo_order = topological_order(induced_graph(net), net.num_servers)
 
     keys: List[Tuple[int, int]] = []  # (flow, path position) of each flat position
     entry: List[int] = []  # flat position of each flow's first hop
@@ -247,111 +293,101 @@ def simulate_fluid(
             successor.append(len(keys) + 1 if p + 1 < len(f.path) else -1)
             keys.append((i, p))
 
+    # (entry position, amount per step) of every flow that injects; an
+    # entry position gets no other input, so the order of the adds is moot
+    streams = []
+    for i, spec in enumerate(scenario.arrivals):
+        amounts = _injections(spec, net.flows[i].arrival, grid, dt)
+        if amounts:
+            streams.append((entry[i], amounts))
+
+    # each server in topological order, upstream first so instant service
+    # cascades within the step, with its numbers and its service order
+    servers = []
+    for j in topological_order(induced_graph(net), net.num_servers):
+        spec, curve = scenario.servers[j], net.servers[j]
+        rank = {i: p for p, i in enumerate(spec.priority)}
+        order = sorted(
+            at_server[j],
+            key=lambda pos: (rank.get(keys[pos][0], len(rank) + keys[pos][0]), keys[pos][1]),
+        )
+        start, end = spec.window if spec.mode == "window" else (0.0, 0.0)
+        servers.append((j, spec.mode, order, [(pos, successor[pos]) for pos in order],
+                        curve.rate, curve.latency, start, end))
+
     cum_in = np.zeros((len(keys), steps + 1))
     cum_out = np.zeros((len(keys), steps + 1))
     run_in = [0.0] * len(keys)
     run_out = [0.0] * len(keys)
     queues = [0.0] * len(keys)
-    injected = [0.0] * net.num_flows
-    tokens = [f.arrival.burst for f in net.flows]
-    # one uniform per step decides whether to send, a second (when sending)
-    # scales the tokens: at most 2 * steps of them, read in order as floats
-    # straight off the array (a list of them would hold 4x the memory)
-    uniforms = [
-        iter(memoryview(np.random.default_rng(spec.seed).random(2 * steps)))
-        if spec.kind == "random" else None
-        for spec in scenario.arrivals
-    ]
     period_start: List[Optional[float]] = [None] * net.num_servers
     served_in_period = [0.0] * net.num_servers
     flushed = [False] * net.num_servers
 
-    def service_order(j: int) -> List[int]:
-        rank = {i: p for p, i in enumerate(scenario.servers[j].priority)}
-        return sorted(
-            at_server[j],
-            key=lambda pos: (rank.get(keys[pos][0], len(rank) + keys[pos][0]), keys[pos][1]),
-        )
-
-    order_at = [service_order(j) for j in range(net.num_servers)]
-
     for step in range(steps):
         t, t_next = grid[step], grid[step + 1]
-        # injections at the network entry
-        for i, spec in enumerate(scenario.arrivals):
-            flow = net.flows[i]
-            if spec.kind == "greedy":
-                target = 0.0
-                if t_next > spec.start:
-                    target = flow.arrival.burst + flow.arrival.rate * (t_next - spec.start)
-                amount = max(0.0, target - injected[i])
-            elif spec.kind == "random":
-                tokens[i] = min(flow.arrival.burst, tokens[i] + flow.arrival.rate * dt)
-                u = uniforms[i]
-                amount = tokens[i] * next(u) if next(u) < 0.5 else 0.0
-                tokens[i] -= amount
-            else:
-                amount = 0.0
+        for pos, amounts in streams:
+            amount = amounts[step]
             if amount > 0:
-                injected[i] += amount
-                queues[entry[i]] += amount
-                run_in[entry[i]] += amount
+                queues[pos] += amount
+                run_in[pos] += amount
 
-        # service, upstream first so instant service cascades within the step
-        for j in topo_order:
-            spec = scenario.servers[j]
-            order = order_at[j]
-            queued = left_sum(queues[pos] for pos in order)
-            if spec.mode == "infinite":
-                capacity = queued
-            elif spec.mode == "exact":
+        for j, mode, order, pairs, rate, latency, start, end in servers:
+            queued = 0  # a left fold, as curves.left_sum
+            for pos in order:
+                queued = queued + queues[pos]
+            # the envelope rate * max(0.0, elapsed - latency) less what the
+            # period served, floored at 0, and then min(capacity, queued):
+            # the builtins' values, written as branches
+            in_period = False  # whether this step's service counts toward the envelope
+            if mode == "exact":
                 if queued <= QUEUE_EPS:
                     period_start[j] = None
                     served_in_period[j] = 0.0
                     capacity = queued
                 else:
-                    if period_start[j] is None:
-                        period_start[j] = t
+                    in_period = True
+                    begun = period_start[j]
+                    if begun is None:
+                        begun = period_start[j] = t
                         served_in_period[j] = 0.0
-                    envelope = net.servers[j].evaluate(t_next - period_start[j])
-                    capacity = max(0.0, envelope - served_in_period[j])
-            else:  # window
-                start, end = spec.window
-                in_window = False
-                if t_next < start:
-                    capacity = queued
-                elif t < end:
-                    in_window = True
-                    envelope = net.servers[j].evaluate(min(t_next, end) - start)
-                    capacity = max(0.0, envelope - served_in_period[j])
-                    if t_next >= end and not flushed[j]:
-                        capacity = queued  # end of the window: flush everything
-                        flushed[j] = True
-                else:
-                    capacity = queued
+                    elapsed = t_next - begun - latency
+                    capacity = rate * (elapsed if elapsed > 0.0 else 0.0) - served_in_period[j]
+                    if not capacity > 0.0:
+                        capacity = 0.0
+            elif mode == "infinite" or t_next < start or t >= end:
+                capacity = queued
+            else:  # inside the window
+                in_period = True
+                elapsed = (end if end < t_next else t_next) - start - latency
+                capacity = rate * (elapsed if elapsed > 0.0 else 0.0) - served_in_period[j]
+                if not capacity > 0.0:
+                    capacity = 0.0
+                if t_next >= end and not flushed[j]:
+                    capacity = queued  # end of the window: flush everything
+                    flushed[j] = True
 
-            remaining = min(capacity, queued)
+            remaining = queued if queued < capacity else capacity
             total_served = remaining
-            for pos in order:
+            for pos, nxt in pairs:
                 if remaining <= 0:
                     break
-                amount = min(queues[pos], remaining)
+                amount = queues[pos]
+                if remaining < amount:
+                    amount = remaining
                 if amount <= 0:
                     continue
                 queues[pos] -= amount
                 remaining -= amount
                 run_out[pos] += amount
-                nxt = successor[pos]
                 if nxt >= 0:
                     queues[nxt] += amount
                     run_in[nxt] += amount
-            if spec.mode == "exact" and period_start[j] is not None:
+            if in_period:
                 served_in_period[j] += total_served
-                if queued - total_served <= QUEUE_EPS:
+                if mode == "exact" and queued - total_served <= QUEUE_EPS:
                     period_start[j] = None
                     served_in_period[j] = 0.0
-            elif spec.mode == "window" and in_window:
-                served_in_period[j] += total_served
 
         cum_in[:, step + 1] = run_in
         cum_out[:, step + 1] = run_out
@@ -432,14 +468,13 @@ def worst_case_scenario(tandem: Network, interest: Iterable[int]) -> Scenario:
     arrivals = tuple(
         ArrivalSpec("greedy", start=starts[f.path[0]]) for f in tandem.flows
     )
-    servers = []
-    for j in range(n):
-        cross = sorted(
-            (i for i in range(tandem.num_flows) if i not in interest),
-            key=lambda i: (tandem.flows[i].path[-1], i),
-        )
-        last = sorted(interest)
-        servers.append(
-            ServerSpec("window", window=(starts[j], starts[j + 1]), priority=tuple(cross + last))
-        )
-    return Scenario(arrivals, tuple(servers), horizon=starts[n])
+    cross = sorted(
+        (i for i in range(tandem.num_flows) if i not in interest),
+        key=lambda i: (tandem.flows[i].path[-1], i),
+    )
+    priority = tuple(cross + sorted(interest))
+    servers = tuple(
+        ServerSpec("window", window=(starts[j], starts[j + 1]), priority=priority)
+        for j in range(n)
+    )
+    return Scenario(arrivals, servers, horizon=starts[n])

@@ -291,6 +291,15 @@ def test_simulate_rejects_bad_dt_and_horizon(tmp_path, capsys, option, value):
         name, float(value))
 
 
+@pytest.mark.parametrize("dt", ["5e-324", "1e-9"])
+def test_simulate_rejects_an_oversized_grid(tmp_path, capsys, dt):
+    src = str(tmp_path / "two_server_sink_tree.json")
+    save_network(two_server_sink_tree(), src)
+    assert main(["simulate", "--network", src, "--seed", "1", "--dt", dt]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: horizon ") and err.endswith(" grid steps\n")
+
+
 def test_simulate_rejects_out_of_range_ids(tmp_path, capsys):
     src = str(tmp_path / "two_server_sink_tree.json")
     save_network(two_server_sink_tree(), src)

@@ -28,7 +28,14 @@ from netcalc import (
     worst_case_periods,
     worst_case_scenario,
 )
-from netcalc.fluid import ArrivalSpec, Scenario, ServerSpec, Trajectory, default_dt
+from netcalc.fluid import (
+    MAX_GRID_STEPS,
+    ArrivalSpec,
+    Scenario,
+    ServerSpec,
+    Trajectory,
+    default_dt,
+)
 from netcalc.oracle import MAX_ORACLE_SERVERS, _bruteforce, _require_margins
 from netcalc.topologies import two_server_sink_tree, uni_ring
 
@@ -251,6 +258,56 @@ def test_simulate_fluid_matches_reference(kind):
         dt = scenario.horizon / 300
         expected = fluid_reference.simulate_fluid(net, scenario, dt=dt)
         assert _same_trajectory(simulate_fluid(net, scenario, dt=dt), expected), trial
+
+
+def _grid_edge_cases(rng):
+    """
+    ``(name, net, scenario, dt, horizon)`` runs whose injection streams or
+    windows sit on the edges of the grid: greedy starts below 0, on a grid
+    point and at or after the horizon, horizon overrides shorter and longer
+    than the scenario's, windows ending on a grid point, and networks where
+    one flow alone injects.
+    """
+    horizon, dt = 2.0, 2.0 / 300
+    for trial in range(6):
+        net = random_tree(rng) if trial % 2 else random_tandem(rng)
+        servers = random_scenario(net, horizon, trial).servers
+        for name, start in (("below 0", -0.3), ("on a grid point", 37 * dt),
+                            ("at the horizon", horizon), ("after the horizon", horizon + 1.0)):
+            arrivals = tuple(ArrivalSpec("greedy", start=start if i == 0 else 0.1 * i)
+                             for i in range(net.num_flows))
+            yield "start " + name, net, Scenario(arrivals, servers, horizon), dt, None
+        mixed = _mixed_scenario(rng, net, horizon)
+        yield "shorter horizon", net, mixed, dt, 0.6 * horizon
+        yield "longer horizon", net, mixed, dt, 1.7 * horizon
+        windows = tuple(
+            ServerSpec("window", window=(int(rng.integers(0, 100)) * dt,
+                                         int(rng.integers(100, 250)) * dt),
+                       priority=spec.priority)
+            for spec in servers
+        )
+        greedy = greedy_scenario(net, horizon).arrivals
+        yield "window ends on a grid point", net, Scenario(greedy, windows, horizon), dt, None
+        for kind in ("greedy", "random"):
+            arrivals = tuple(ArrivalSpec(kind if i == trial % net.num_flows else "none", seed=trial)
+                             for i in range(net.num_flows))
+            yield "one %s flow" % kind, net, Scenario(arrivals, servers, horizon), dt, None
+
+
+def test_simulate_fluid_matches_reference_on_grid_edges():
+    for case, (name, net, scenario, dt, horizon) in enumerate(
+        _grid_edge_cases(np.random.default_rng(41))
+    ):
+        expected = fluid_reference.simulate_fluid(net, scenario, dt=dt, horizon=horizon)
+        traj = simulate_fluid(net, scenario, dt=dt, horizon=horizon)
+        assert _same_trajectory(traj, expected), (case, name)
+
+
+def test_simulate_rejects_oversized_grid():
+    net = two_server_sink_tree()
+    for dt, horizon in ((5e-324, None), (1e-300, 1e10), (10.0 / MAX_GRID_STEPS, None)):
+        with pytest.raises(ScenarioError, match="needs more than %d grid steps" % MAX_GRID_STEPS):
+            simulate_fluid(net, greedy_scenario(net, 10.0), dt=dt, horizon=horizon)
 
 
 def test_simulate_fluid_cumulative_rows_are_views_of_one_array():

@@ -41,6 +41,12 @@ Records:
 - ``tree_backlog`` on every tree and tandem of the ``fluid`` workload's
   rounds for seed 1, for the flows ending at the sink and for the first
   half of them: the value and the coefficient table, or the error.
+- ``simulate_fluid`` on the same rounds' trees and tandems, with each
+  op's own scenario and step (a random scenario for a tree, the extremal
+  one for half of the flows ending at the sink for a tandem): digests of
+  ``times``, ``cum_in`` and ``cum_out`` with their keys,
+  ``check_arrival_curves``, ``check_strict_service`` and the op's
+  ``max_backlog`` at the sink, or the error;
 - ``bruteforce_backlog`` and ``worst_case_periods`` (value and period
   lengths) on the same rounds' tandems with the same two interest sets,
   and on the random tandems of ``tests/test_oracle.py``'s reference test
@@ -70,7 +76,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
-from netcalc import stability  # noqa: E402
+from netcalc import fluid, stability  # noqa: E402
 from netcalc.curves import RateLatency, TokenBucket  # noqa: E402
 from netcalc.decomposition import decompose, group_by_arc, removal_tree  # noqa: E402
 from netcalc.network import Flow, Network, induced_graph, is_acyclic, local_stability  # noqa: E402
@@ -147,17 +153,49 @@ def _table(result) -> dict:
 
 
 def _fluid_networks(workloads, seed):
-    """The trees and tandems of every ``fluid`` round for ``seed``, drawn as the workload draws them."""
+    """
+    ``(name, net, scenario seed)`` of the trees and tandems of every
+    ``fluid`` round for ``seed``, drawn as the workload draws them; a
+    tandem's scenario seed is ``None``.
+    """
     np_ = workloads.np
     for r in range(workloads.FLUID_ROUNDS):
         rng = np_.random.default_rng([seed, r])
         tandem_rng = np_.random.default_rng([workloads.POOL_SEED, 2, r])
         for n, m in workloads.TREE_SHAPES:
-            yield "fluid%d/%d/tree%d.%d" % (seed, r, n, m), workloads.random_tree(rng, n, m)
-            rng.integers(2**31)  # the scenario seed
+            net = workloads.random_tree(rng, n, m)
+            yield "fluid%d/%d/tree%d.%d" % (seed, r, n, m), net, int(rng.integers(2**31))
         for n in workloads.TANDEM_SIZES:
             net = workloads.random_tandem(tandem_rng, n, int(tandem_rng.integers(3, 6)))
-            yield "fluid%d/%d/tandem%d" % (seed, r, n), net
+            yield "fluid%d/%d/tandem%d" % (seed, r, n), net, None
+
+
+def _fluid_run(workloads, net, sink, seed):
+    """
+    The simulation a ``fluid`` op runs, with the op's scenario and step:
+    a random scenario for a tree, the extremal one for half of the flows
+    ending at the sink for a tandem.  Returns the trajectory and the op's
+    interest set.
+    """
+    if seed is not None:
+        scenario = fluid.random_scenario(net, workloads.FLUID_HORIZON, seed)
+        dt, interest = workloads.FLUID_DT, sink
+    else:
+        interest = sink[: max(1, len(sink) // 2)]
+        scenario = fluid.worst_case_scenario(net, interest)
+        dt = max(min(s.latency for s in net.servers) / 50, scenario.horizon / 3000)
+    return fluid.simulate_fluid(net, scenario, dt=dt), interest
+
+
+def _trajectory(run) -> dict:
+    traj, interest = run
+    root = traj.net.num_servers - 1
+    return {"times": _digest(traj.times), "keys": [list(key) for key in traj.cum_in],
+            "cum_in": _digest(list(traj.cum_in.values())),
+            "cum_out": _digest(list(traj.cum_out.values())),
+            "arrival_curves": fluid.check_arrival_curves(traj),
+            "strict_service": fluid.check_strict_service(traj),
+            "max_backlog": repr(traj.max_backlog(root, interest))}
 
 
 def _periods(result) -> list:
@@ -319,9 +357,11 @@ def records(workloads):
                 yield {"sweep": workloads.sweep_key(row, method), "u": repr(u), "delay": i,
                        "analyze": _call(_report, stability.analyze, net, method,
                                         stability.Target.delay(i))}
-    for name, net in _fluid_networks(workloads, 1):
+    for name, net, seed in _fluid_networks(workloads, 1):
         root = net.num_servers - 1
         sink = [i for i, f in enumerate(net.flows) if f.path[-1] == root]
+        yield {"fluid": name,
+               "trajectory": _call(_trajectory, _fluid_run, workloads, net, sink, seed)}
         for interest in (sink, sink[: max(1, len(sink) // 2)]):
             yield {"fluid": name, "interest": interest,
                    "tree_backlog": _call(_table, tree_backlog, net, interest)}
