@@ -21,6 +21,11 @@ decision started from the all-ones vector is cold; the decisions of a
 vector of the previous step's decision on the same recursion (its last
 bracket iterate, or the exact test's solution), which changes how many
 steps a decision takes, never what it certifies.
+A bracket step is one product ``M x``.  The per-server recursion keeps
+its ``M`` in factors, one gain per row (``_SdFactors``): a step sums the
+variables at each server and gathers twice, ``O(L)``, and the dense ``M``
+is built only when something reads it (the exact test, the fixed point's
+solve, ``eigvals`` or a caller), then kept and used for the later steps.
 ``analyze`` takes its verdict from these decisions alone: the fixed-point
 test at ``1 - 1e-9``, and for a diverging recursion one more test at
 ``1 + 1e-9`` that tells ``critical`` from ``unstable``.  The exact
@@ -44,12 +49,12 @@ reads no network, only numbers: a network's ``_Numbers``
 (:mod:`netcalc.network`: rates, bursts, latencies, server loads and the
 not-strictly-stable mask, the one place they are computed).
 Both structures answer ``bind(numbers)``, which gathers the numbers over
-what the structure reads; ``recursions(numbers)``, which returns ``(M,
-N)`` per recursion and the target row's weights from one coefficient
-pass (none for ``sd``, which runs no pass); and ``objective(numbers,
-target, weights)``, which writes the target as a linear form over the
-first recursion's variables from those weights, or from a one-row pass of
-its own when it has none.
+what the structure reads; ``recursions(numbers)``, which returns the
+recursions (``sd``'s with ``M`` in factors) and the target row's weights
+from one coefficient pass (none for ``sd``, which runs no pass); and
+``objective(numbers, target, weights)``, which writes the target as a
+linear form over the first recursion's variables from those weights, or
+from a one-row pass of its own when it has none.
 
 The recursions come from one path (``_method_recursions``): local
 stability is read off the mask, the structure is prepared (``_prepare``,
@@ -93,7 +98,6 @@ RHO_TOL = 1e-9
 POWER_SHIFT = 1e-6
 
 
-@dataclass(frozen=True)
 class LinearRecursion:
     """
     The componentwise recursion ``b <= M b + N`` over labelled variables.
@@ -101,17 +105,37 @@ class LinearRecursion:
     Labels are ``(flow, segment)`` pairs for the sd/td constructions and
     removed arcs for ag; mixed recursions list the individual continuations
     first, then the grouped arcs.
+
+    ``len(lr)`` is the number of variables and ``lr @ x`` the product
+    ``M x``, the step of every stability decision.  A recursion built from
+    its matrix steps through it.  The per-server recursion is built from
+    its factors instead (:class:`_SdFactors`): its steps cost ``O(L)``, and
+    its ``M`` is built on first read (by the exact M-matrix test, the
+    fixed point's solve, ``eigvals`` or a caller) and cached, after which
+    ``lr @ x`` is the dense product.
     """
 
-    labels: Tuple
-    M: np.ndarray
-    N: np.ndarray
+    def __init__(self, labels: Tuple, M, N):
+        self.labels, self._M, self.N, self._factors = labels, M, N, None
+        self.__post_init__()
+
+    @classmethod
+    def _factored(cls, labels: Tuple, factors: "_SdFactors", N) -> "LinearRecursion":
+        lr = cls.__new__(cls)
+        lr.labels, lr._M, lr.N, lr._factors = labels, None, N, factors
+        lr.__post_init__()
+        return lr
 
     def __post_init__(self):
-        m = np.asarray(self.M, dtype=float)
-        n = np.asarray(self.N, dtype=float)
+        """Check the shapes, and that the entries are finite and nonnegative."""
         L = len(self.labels)
-        if m.shape != (L, L) or n.shape != (L,):
+        self.N = n = np.asarray(self.N, dtype=float)
+        if self._factors is None:
+            self._M = m = np.asarray(self._M, dtype=float)
+            shape = (L, L)
+        else:
+            m, shape = self._factors.gain, (L,)  # the entries of M are 0, 1 and the gains
+        if m.shape != shape or n.shape != (L,):
             raise ValidationError("inconsistent recursion dimensions")
         if L:
             # NaN propagates through min and max, so the extremes decide both
@@ -120,8 +144,18 @@ class LinearRecursion:
                 raise ValidationError("recursion entries must be finite")
             if min(extremes) < 0:
                 raise ValidationError("recursion entries must be nonnegative")
-        object.__setattr__(self, "M", m)
-        object.__setattr__(self, "N", n)
+
+    @property
+    def M(self) -> np.ndarray:
+        if self._M is None:
+            self._M = self._factors.matrix()
+        return self._M
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self._factors(x) if self._M is None else self._M @ x
 
     @property
     def size(self) -> int:
@@ -182,19 +216,24 @@ class StabilityReport:
 
     @cached_property
     def rho(self) -> float:
-        return min((spectral_radius(lr.M) for lr in self.recursions), default=math.inf)
+        return min((spectral_radius(lr) for lr in self.recursions), default=math.inf)
 
     @cached_property
     def verdict(self) -> str:
         if self.stable:
             return "stable"
-        if any(_decide(lr.M, 1.0 + STABILITY_EPS)[0] for lr in self.recursions):
+        if any(_decide(lr, 1.0 + STABILITY_EPS)[0] for lr in self.recursions):
             return "critical"
         return "unstable"
 
 
-def _checked(M) -> np.ndarray:
-    """``M`` as a float array, checked square, finite and nonnegative."""
+def _checked(M):
+    """
+    ``M`` as a float array, checked square, finite and nonnegative; a
+    recursion as it is, checked when it was built.
+    """
+    if isinstance(M, LinearRecursion):
+        return M
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValidationError("matrix must be square")
@@ -205,11 +244,18 @@ def _checked(M) -> np.ndarray:
     return M
 
 
-def spectral_radius(M: np.ndarray) -> float:
+def _dense(M) -> np.ndarray:
+    """A checked matrix itself, or a recursion's ``M``, built on this read if not before."""
+    return M.M if isinstance(M, LinearRecursion) else M
+
+
+def spectral_radius(M) -> float:
     """
     Spectral radius of a nonnegative matrix, via power iteration on the
     shifted matrix ``M + 1e-6 I`` (``POWER_SHIFT``) started from the
-    all-ones vector.
+    all-ones vector.  ``M`` may also be a :class:`LinearRecursion`, whose
+    ``M`` is then stepped through its product (``lr @ x``) and built only
+    if the exact routine runs.
 
     The iterate stays positive thanks to the shift, so the min/max ratios
     of consecutive iterates bracket the radius (Collatz-Wielandt);
@@ -219,30 +265,32 @@ def spectral_radius(M: np.ndarray) -> float:
     the bracket gets at most ``L`` steps, ``L`` the matrix size, and then
     the exact eigenvalue routine takes over; either way the result is
     accurate to ``1e-9``.  The budget is always ``L``, and it is not a cost
-    balance: one step is a matrix-vector product, far cheaper than a dense
-    routine (see :func:`rho_below`).
+    balance: one step is a matrix-vector product, or the sd recursion's
+    ``O(L)`` factored one, far cheaper than a dense routine (see
+    :func:`rho_below`).
 
     >>> spectral_radius(np.array([[0.0, 0.5], [0.5, 0.0]]))
     0.5
     """
     M = _checked(M)
-    if M.size == 0:
+    if len(M) == 0:
         return 0.0
     for lo, hi, _ in _brackets(M, None):
         if hi - lo <= RHO_TOL:
             return 0.5 * (lo + hi)
-    return float(max(abs(np.linalg.eigvals(M))))
+    return float(max(abs(np.linalg.eigvals(_dense(M)))))
 
 
-def _brackets(M: np.ndarray, x: Optional[np.ndarray]):
+def _brackets(M, x: Optional[np.ndarray]):
     """
     Collatz-Wielandt brackets of ``rho(M)``, from power iteration on
     ``M + POWER_SHIFT I`` started from the positive vector ``x`` (``None``:
-    all ones): ``L`` of them, ``L`` the matrix size, the one budget of every
-    decision.  Each comes as ``(lo, hi, the iterate it was read off)``.
+    all ones): ``L`` of them, ``L`` the size of ``M``, the one budget of
+    every decision.  Each comes as ``(lo, hi, the iterate it was read off)``.
+    ``M`` is a checked matrix or a recursion; either steps by ``M @ x``.
     """
-    x = np.ones(M.shape[0]) if x is None else x
-    for _ in range(M.shape[0]):
+    x = np.ones(len(M)) if x is None else x
+    for _ in range(len(x)):
         y = M @ x + POWER_SHIFT * x
         ratios = y / x
         yield float(ratios.min()) - POWER_SHIFT, float(ratios.max()) - POWER_SHIFT, x
@@ -256,24 +304,30 @@ def _shifted(M: np.ndarray, theta: float) -> np.ndarray:
     return A
 
 
-def rho_below(M: np.ndarray, threshold: float) -> bool:
+def rho_below(M, threshold: float) -> bool:
     """
-    Decide ``spectral_radius(M) < threshold``.  The Collatz-Wielandt
-    bracket usually separates from the threshold long before it closes,
-    so it runs first, from the all-ones vector, for at most ``L`` steps,
-    ``L`` the matrix size.  If it is still undecided, one exact M-matrix
-    test settles it: ``rho(M) < threshold`` exactly when
-    ``threshold I - M`` is a nonsingular M-matrix, i.e. when
-    ``(threshold I - M) x = 1`` has a positive solution.  The answer is
-    yes only if the solved ``x`` is positive and the residual
-    ``threshold x - M x``, recomputed directly, is positive too: ``x`` is
-    then a certificate ``M x < threshold x``.
+    Decide ``spectral_radius(M) < threshold``, for a nonnegative matrix or
+    a :class:`LinearRecursion`.  The Collatz-Wielandt bracket usually
+    separates from the threshold long before it closes, so it runs first,
+    from the all-ones vector, for at most ``L`` steps, ``L`` the matrix
+    size.  If it is still undecided, one exact M-matrix test settles it:
+    ``rho(M) < threshold`` exactly when ``threshold I - M`` is a
+    nonsingular M-matrix, i.e. when ``(threshold I - M) x = 1`` has a
+    positive solution.  The answer is yes only if the solved ``x`` is
+    positive and the residual ``threshold x - M x``, recomputed directly,
+    is positive too: ``x`` is then a certificate ``M x < threshold x``.
 
-    The budget of ``L`` steps is not a cost balance.  A step is one
-    matrix-vector product, the exact test one dense solve, and ``L`` steps
-    cost several exact tests: at ``L = 870`` a step takes about 60 us and
-    the exact test 8.5 ms, the price of about 140 steps (about 23 at
-    ``L = 180``; single-threaded BLAS on one AMD EPYC core).
+    A step is one product ``M @ x``.  The per-server recursion computes it
+    from its factors, one sum per server then two gathers, and builds its
+    dense ``M`` only for the exact test; the other recursions, and any
+    recursion whose ``M`` has been built, multiply by the dense ``M``.  On
+    one Intel Xeon core with single-threaded BLAS (``timeit``, sd
+    recursions of ``uni_ring(3)``, ``bi_ring(12)`` and ``uni_ring(30)``) a
+    dense step takes 1.4 us at ``L = 6``, 12.6 us at ``L = 264`` and 280 us
+    at ``L = 870``, a factored one 3.6, 4.3 and 7.7 us, and the exact test
+    1.2 ms at ``L = 264`` and 24 ms at ``L = 870``.  The budget of ``L``
+    steps is not a cost balance: on a dense ``M``, ``L`` steps cost several
+    exact tests.
 
     :raises ValidationError: if ``M`` is not square, finite and
         nonnegative, as :func:`spectral_radius` requires
@@ -282,23 +336,24 @@ def rho_below(M: np.ndarray, threshold: float) -> bool:
 
 
 def _decide(
-    M: np.ndarray, threshold: float, start: Optional[np.ndarray] = None
+    M, threshold: float, start: Optional[np.ndarray] = None
 ) -> Tuple[bool, Optional[np.ndarray]]:
     """
-    :func:`rho_below`'s decision on a checked ``M``, with its bracket
-    started from the positive vector ``start`` (``None``: all ones), and
-    the vector to start the next decision on a similar matrix from.  That
-    is the exact test's solution when the test ran and the solution has one
-    sign, scaled to a largest entry of 1: near ``threshold = rho`` the
-    Perron vector dominates ``(threshold I - M)^-1 1``, with the sign of
-    ``threshold - rho``.  Otherwise it is the last bracket iterate.  Both
-    are floored at ``1e-250``.
+    :func:`rho_below`'s decision on a checked matrix or a recursion ``M``,
+    with its bracket started from the positive vector ``start`` (``None``:
+    all ones), and the vector to start the next decision on a similar
+    matrix from.  That is the exact test's solution when the test ran and
+    the solution has one sign, scaled to a largest entry of 1: near
+    ``threshold = rho`` the Perron vector dominates ``(threshold I -
+    M)^-1 1``, with the sign of ``threshold - rho``.  Otherwise it is the
+    last bracket iterate.  Both are floored at ``1e-250``.  Only the exact
+    test reads a recursion's dense ``M``.
 
     Any positive start is sound: ``min(M x / x) <= rho(M) <= max(M x / x)``
     holds for every nonnegative ``M`` and every ``x > 0``, so the start
     changes how many steps a decision takes, never what it certifies.
     """
-    if M.size == 0:
+    if len(M) == 0:
         return threshold > 0, start
     x = start
     for lo, hi, x in _brackets(M, start):
@@ -307,7 +362,7 @@ def _decide(
         if hi < threshold:
             return True, x
     try:
-        y = np.linalg.solve(_shifted(M, threshold), np.ones(M.shape[0]))
+        y = np.linalg.solve(_shifted(_dense(M), threshold), np.ones(len(M)))
     except np.linalg.LinAlgError:  # singular: threshold is an eigenvalue
         return False, x
     positive = y.min() > 0
@@ -329,7 +384,7 @@ def solve_recursion(lr: LinearRecursion) -> Optional[np.ndarray]:
     """
     if lr.size == 0:
         return np.zeros(0)
-    if not _decide(lr.M, 1.0 - STABILITY_EPS)[0]:  # LinearRecursion checked M
+    if not _decide(lr, 1.0 - STABILITY_EPS)[0]:
         return None
     solution = np.linalg.solve(_shifted(lr.M, 1.0), lr.N)
     if solution.min() < -1e-9 * max(1.0, float(np.abs(solution).max())):
@@ -385,6 +440,9 @@ class _SdLayout:
         feed = np.flatnonzero(flow[1:] == flow[:-1])
         self.row_flow, self.row_server = flow[feed], server[feed]
         j = self.row_server
+        # the factors of M's product: each variable's server, and each row's own
+        # feeding hop when it is a variable (a first hop is not: weighed 0 then)
+        self.var_server, self.own_var, self.own_later = server[pos >= 1], var[feed], pos[feed] >= 1
         # pairs (row, peer), peer running over the hops at the row's server in flow order
         by_server = np.argsort(server, kind="stable")
         count = np.bincount(server, minlength=self.num_servers)
@@ -412,8 +470,8 @@ class _SdLayout:
         The per-server recursion from the layout and a network's numbers,
         as a one-element list, and no target weights.
         Each pair weighs ``1`` for the row's own hop and the server's gain
-        for the others.  ``M`` takes one scatter: paths never revisit a
-        server, so each cell is written at most once.  ``N`` is one ordered
+        for the others.  ``M`` is kept in factors, the gains
+        (:class:`_SdFactors`), and built only when read.  ``N`` is one ordered
         left fold per row: the row's own first-hop burst, then ``gain * b``
         of every other first hop at the server in flow order, then
         ``gain * R_j * T_j``.
@@ -426,13 +484,10 @@ class _SdLayout:
         rate, R, T = num.rate, num.service_rate, num.latency
         i, j = self.row_flow, self.row_server
         gain = rate[i] / (R[j] - (num.load[j] - rate[i]))
-        L = len(self.labels)
-        M = np.zeros((L, L))
-        M[self.cell_row, self.cell_col] = np.where(self.cell_own, 1.0, gain[self.cell_row])
         # bincount adds its weights in input order, so each row's terms in layout order
         weights = np.where(self.term_own, 1.0, gain[self.term_row]) * num.burst[self.term_flow]
-        N = np.bincount(self.term_row, weights, L) + gain * R[j] * T[j]
-        return [LinearRecursion(self.labels, M, N)], None
+        N = np.bincount(self.term_row, weights, len(self.labels)) + gain * R[j] * T[j]
+        return [LinearRecursion._factored(self.labels, _SdFactors(self, gain), N)], None
 
     def objective(self, num: _Numbers, target: Target, weights=None) -> ObjectiveForm:
         """A backlog at one server over the hops entering it, from the bound numbers."""
@@ -467,6 +522,43 @@ class _SdLayout:
         ))
         C = np.cumsum(terms)[-1].item()
         return ObjectiveForm(Q, C, "backlog of flows %s at server %d" % (sorted(target.flows), j))
+
+
+class _SdFactors:
+    """
+    The per-server ``M`` in factors, from an :class:`_SdLayout` and one
+    network's gains.  Row ``r``, fed by a hop at server ``j``, weighs its
+    own feeding hop ``1`` and every other hop at ``j`` its ``gain_r``, so
+
+    .. math:: (M x)_r = gain_r S_j(x) + keep_r x_{own(r)},
+
+    ``S_j`` the sum of the variables at server ``j``, and ``keep_r = 1 -
+    gain_r`` when the row's own feeding hop is a variable, else 0.  The
+    local stability margin keeps every gain in ``[0, 1]`` in floats too,
+    so every term is nonnegative and the product has no cancellation: it
+    is within ``gamma_{c+2} M x`` of the exact ``M x`` for every ``x >= 0``,
+    ``c`` the most hops at a server.
+    """
+
+    def __init__(self, layout: _SdLayout, gain: np.ndarray):
+        self.layout, self.gain = layout, gain
+        self.keep = np.where(layout.own_later, 1.0 - gain, 0.0)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """``M x`` in ``O(L)``: one sum per server, then two gathers."""
+        lay = self.layout
+        S = np.bincount(lay.var_server, x, lay.num_servers)
+        return self.gain * S[lay.row_server] + self.keep * x[lay.own_var]
+
+    def matrix(self) -> np.ndarray:
+        """
+        The dense ``M`` in one scatter: paths never revisit a server, so
+        each cell is written at most once.
+        """
+        lay = self.layout
+        M = np.zeros((len(lay.labels), len(lay.labels)))
+        M[lay.cell_row, lay.cell_col] = np.where(lay.cell_own, 1.0, self.gain[lay.cell_row])
+        return M
 
 
 def build_sd(net: Network) -> LinearRecursion:
@@ -862,7 +954,7 @@ def _stable(net: Network, method: str, removed=None, structure=None, starts=None
         return False
     starts = [None] * len(recursions) if starts is None else starts
     for r, lr in enumerate(recursions):
-        below, starts[r] = _decide(lr.M, 1.0 - STABILITY_EPS, starts[r])
+        below, starts[r] = _decide(lr, 1.0 - STABILITY_EPS, starts[r])
         if below:
             return True
     return False

@@ -50,11 +50,12 @@ def _uniform_network(
 
 def _loop(start: int, length: int, cycle: Sequence[int]) -> Tuple[int, ...]:
     pos = cycle.index(start)
+    turns = -(-length // len(cycle))  # as many turns of the rotated cycle as cover length
     # tuple() of a list takes the tuple from the free list of its length; of a
     # generator, it resizes a length-10 one, which is then freed to the list of
     # its own length and never taken back: a bisection's family(U) networks
     # would pile up there until the next full garbage collection
-    return tuple([cycle[(pos + k) % len(cycle)] for k in range(length)])
+    return tuple(((cycle[pos:] + cycle[:pos]) * turns)[:length])
 
 
 def uni_ring(n: int, utilization: float, heterogeneous: bool = False) -> Network:

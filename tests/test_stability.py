@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import netcalc.network
 import netcalc.stability
@@ -144,6 +144,33 @@ def _small_networks(draw):
 @given(_small_networks())
 def test_build_sd_matches_reference_property(net):
     _same_as_sd_reference(net)
+
+
+def _exact_product(M, x):
+    """``M x`` in exact rational arithmetic on the floats."""
+    x = [Fraction(v) for v in x.tolist()]
+    return [sum(Fraction(a) * v for a, v in zip(row, x) if a) for row in M.tolist()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_networks(), st.integers(0, 2**32 - 1))
+@example(Network((RateLatency(2, 0.1),), (Flow(TokenBucket(1, 1), (0,)),)), 0)  # L = 0
+def test_build_sd_factored_product_matches_its_matrix(net, seed):
+    # every term of the factored product is nonnegative: with c the most hops
+    # at a server, it is within gamma_{c+2} (M x) of the exact M x
+    try:
+        lr = build_sd(net)
+    except LocallyUnstableError:
+        return
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, len(lr))
+    x[rng.random(len(lr)) < 0.2] = 1e-250  # the bracket's floor
+    factored = lr @ x  # before M is read
+    k = int(np.bincount([j for f in net.flows for j in f.path]).max()) + 2
+    gamma = Fraction(k, 2**53 - k)  # k u / (1 - k u), u = 2**-53
+    for value, exact in zip(factored.tolist(), _exact_product(lr.M, x), strict=True):
+        assert abs(Fraction(value) - exact) <= gamma * exact
+    assert np.array_equal(lr @ x, lr.M @ x)  # once M is built, steps use it
 
 
 def test_build_sd_refuses_overloaded_networks_as_a_whole():

@@ -4,6 +4,8 @@ binds to every ``family(U)`` of its bisection, and the start vectors its
 decisions hand on from step to step.
 """
 
+import json
+import os
 from collections import Counter
 
 import numpy as np
@@ -16,6 +18,10 @@ from netcalc.stability import _method_recursions, _prepare, is_stable
 from netcalc.topologies import bi_ring, three_ring, uni_ring
 
 import sd_reference
+
+# The benchmark's reference outputs.
+REFERENCE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench", "reference")
 
 # The benchmark's critical bisections: ring families and the methods run on each.
 CRITICAL_CASES = (
@@ -146,6 +152,34 @@ def test_bisection_decisions_start_from_the_previous_vector(monkeypatch):
     assert all(now[0] is before[1] for before, now in zip(warm, warm[1:]))
     assert all(start is None for start, _, _ in cold)
     assert sum(steps for _, _, steps in warm) < sum(steps for _, _, steps in cold)
+
+
+@pytest.mark.parametrize("family, reaches",
+                         [(("uni_ring", 12), False), (("three_ring", 10), True)],
+                         ids=["uni_ring(12)", "three_ring(10)"])
+def test_bisection_builds_the_sd_matrix_only_for_exact_tests(monkeypatch, family, reaches):
+    # the decisions step through the factored product; each recursion's M is
+    # built when its decision reaches the exact test, and only then (no
+    # decision on uni_ring(12) does, some on three_ring(10) do)
+    counts = Counter()
+    original_matrix = netcalc.stability._SdFactors.matrix
+    original_shifted = netcalc.stability._shifted
+
+    def matrix(self):
+        counts["matrix"] += 1
+        return original_matrix(self)
+
+    def shifted(M, theta):
+        counts["exact"] += 1
+        return original_shifted(M, theta)
+
+    monkeypatch.setattr(netcalc.stability._SdFactors, "matrix", matrix)
+    monkeypatch.setattr(netcalc.stability, "_shifted", shifted)
+    u_star = critical_utilization(_family(*family), "sd")
+    with open(os.path.join(REFERENCE, "critical.json"), encoding="utf-8") as stream:
+        assert repr(u_star) == repr(json.load(stream)["%s(%d)/sd" % family])
+    assert counts["matrix"] == counts["exact"]
+    assert (counts["exact"] > 0) == reaches
 
 
 def _reversed(net):
