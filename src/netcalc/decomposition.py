@@ -47,10 +47,6 @@ class SplitFlow:
     path: Tuple[int, ...]
 
     @property
-    def burst_known(self) -> bool:
-        return self.segment == 0
-
-    @property
     def label(self) -> Tuple[int, int]:
         return (self.origin, self.segment)
 

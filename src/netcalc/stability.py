@@ -10,22 +10,22 @@ coefficients; a spectral radius of ``M`` strictly below one certifies
 global stability and yields the greatest fixed point, from which backlog
 and delay bounds are read as linear forms.
 
-Every stability decision (``rho_below``) runs at most ``L`` steps of a
-Collatz-Wielandt bracket, ``L`` being the number of variables, then one
-exact M-matrix test: ``(theta I - M) x = 1`` solved once, with a positive
-``x`` and a positive residual ``theta x - M x`` as the certificate.  The
-bracket may start from any positive vector: ``min(M x / x) <= rho(M) <=
-max(M x / x)`` for every nonnegative ``M`` and positive ``x``.  A
-decision started from the all-ones vector is cold; the decisions of a
+Every stability decision takes a :class:`LinearRecursion`, the one
+operand of the decision layer; a matrix given to a public routine is
+checked, then wrapped with ``N = 0``.  A decision (``rho_below``) runs at
+most ``L`` steps of a Collatz-Wielandt bracket, ``L`` being the number of
+variables, each step one product ``lr @ x``, then one exact M-matrix
+test: ``(theta I - M) x = 1`` solved once (``lr.shifted_solve``, the
+solve of the fixed point too), with a positive ``x`` and a positive
+residual ``theta x - M x`` as the certificate.  Whether ``M`` is dense
+or kept in factors is the recursion's business alone.  The bracket may
+start from any positive vector: ``min(M x / x) <= rho(M) <= max(M x /
+x)`` for every nonnegative ``M`` and positive ``x``.  A decision started
+from the all-ones vector is cold; the decisions of a
 ``critical_utilization`` bisection are warm, each started from the final
 vector of the previous step's decision on the same recursion (its last
 bracket iterate, or the exact test's solution), which changes how many
 steps a decision takes, never what it certifies.
-A bracket step is one product ``M x``.  The per-server recursion keeps
-its ``M`` in factors, one gain per row (``_SdFactors``): a step sums the
-variables at each server and gathers twice, ``O(L)``, and the dense ``M``
-is built only when something reads it (the exact test, the fixed point's
-solve, ``eigvals`` or a caller), then kept and used for the later steps.
 ``analyze`` takes its verdict from these decisions alone: the fixed-point
 test at ``1 - 1e-9``, and for a diverging recursion one more test at
 ``1 + 1e-9`` that tells ``critical`` from ``unstable``.  The exact
@@ -61,7 +61,7 @@ stability is read off the mask, the structure is prepared (``_prepare``,
 with the target for ``analyze``) unless the caller holds one, bound once,
 and asked for its recursions.  Every ``analyze`` call prepares its
 structure anew, cheaply, and keeps nothing: only ``critical_utilization``
-holds a structure across calls, the one of ``family(u_max)``, bound at
+holds a structure across calls, the one of ``family(U_MAX)``, bound at
 every bisection step whose ``family(U)`` has the same server count and
 flow paths, checked at every step.
 """
@@ -97,44 +97,42 @@ RHO_TOL = 1e-9
 #: Diagonal shift of the power iteration, which keeps its iterate positive.
 POWER_SHIFT = 1e-6
 
+#: The utilization range :func:`critical_utilization` searches, and the
+#: bracket width at which its bisection stops.
+U_MIN, U_MAX, CRITICAL_TOL = 1e-3, 1.0, 1e-4
+
 
 class LinearRecursion:
     """
-    The componentwise recursion ``b <= M b + N`` over labelled variables.
+    The componentwise recursion ``b <= M b + N`` over labelled variables,
+    the one operand of every stability decision.
 
     Labels are ``(flow, segment)`` pairs for the sd/td constructions and
     removed arcs for ag; mixed recursions list the individual continuations
     first, then the grouped arcs.
 
-    ``len(lr)`` is the number of variables and ``lr @ x`` the product
-    ``M x``, the step of every stability decision.  A recursion built from
-    its matrix steps through it.  The per-server recursion is built from
-    its factors instead (:class:`_SdFactors`): its steps cost ``O(L)``, and
-    its ``M`` is built on first read (by the exact M-matrix test, the
-    fixed point's solve, ``eigvals`` or a caller) and cached, after which
-    ``lr @ x`` is the dense product.
+    ``M`` is the ``L x L`` matrix, ``L`` the number of variables
+    (:attr:`size`), or for the per-server recursion its factors
+    (:class:`_SdFactors`); only the recursion knows which.  ``lr @ x`` is
+    the product ``M x``, the step of every decision: ``O(L)`` on factors.
+    Reading :attr:`M`, as :meth:`shifted_solve` does, builds the dense
+    matrix from the factors and keeps it in their place, so later steps
+    multiply by it.
     """
 
     def __init__(self, labels: Tuple, M, N):
-        self.labels, self._M, self.N, self._factors = labels, M, N, None
+        self.labels, self._M, self.N = labels, M, N
         self.__post_init__()
-
-    @classmethod
-    def _factored(cls, labels: Tuple, factors: "_SdFactors", N) -> "LinearRecursion":
-        lr = cls.__new__(cls)
-        lr.labels, lr._M, lr.N, lr._factors = labels, None, N, factors
-        lr.__post_init__()
-        return lr
 
     def __post_init__(self):
         """Check the shapes, and that the entries are finite and nonnegative."""
         L = len(self.labels)
         self.N = n = np.asarray(self.N, dtype=float)
-        if self._factors is None:
+        if isinstance(self._M, _SdFactors):
+            m, shape = self._M.gain, (L,)  # the entries of M are 0, 1 and the gains
+        else:
             self._M = m = np.asarray(self._M, dtype=float)
             shape = (L, L)
-        else:
-            m, shape = self._factors.gain, (L,)  # the entries of M are 0, 1 and the gains
         if m.shape != shape or n.shape != (L,):
             raise ValidationError("inconsistent recursion dimensions")
         if L:
@@ -147,15 +145,23 @@ class LinearRecursion:
 
     @property
     def M(self) -> np.ndarray:
-        if self._M is None:
-            self._M = self._factors.matrix()
+        if isinstance(self._M, _SdFactors):
+            self._M = self._M.matrix()
         return self._M
 
-    def __len__(self) -> int:
-        return len(self.labels)
-
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self._factors(x) if self._M is None else self._M @ x
+        return self._M @ x
+
+    def shifted_solve(self, theta: float, rhs: np.ndarray) -> np.ndarray:
+        """
+        ``(theta I - M)^-1 rhs`` by one LU, on a negated copy of ``M`` with
+        ``theta`` added to its diagonal.
+
+        :raises numpy.linalg.LinAlgError: if ``theta I - M`` is singular
+        """
+        A = np.negative(self.M)
+        A.flat[:: A.shape[0] + 1] += theta
+        return np.linalg.solve(A, rhs)
 
     @property
     def size(self) -> int:
@@ -168,7 +174,6 @@ class ObjectiveForm:
 
     Q: np.ndarray
     C: float
-    description: str = ""
 
 
 @dataclass(frozen=True)
@@ -227,10 +232,11 @@ class StabilityReport:
         return "unstable"
 
 
-def _checked(M):
+def _checked(M) -> LinearRecursion:
     """
-    ``M`` as a float array, checked square, finite and nonnegative; a
-    recursion as it is, checked when it was built.
+    The operand of a decision: a recursion as it is, checked when it was
+    built; a matrix checked square, finite and nonnegative, then wrapped
+    with ``N = 0``.
     """
     if isinstance(M, LinearRecursion):
         return M
@@ -241,21 +247,15 @@ def _checked(M):
         raise ValidationError("matrix entries must be finite")
     if M.size and M.min() < 0:
         raise ValidationError("matrix entries must be nonnegative")
-    return M
-
-
-def _dense(M) -> np.ndarray:
-    """A checked matrix itself, or a recursion's ``M``, built on this read if not before."""
-    return M.M if isinstance(M, LinearRecursion) else M
+    return LinearRecursion(tuple(range(len(M))), M, np.zeros(len(M)))
 
 
 def spectral_radius(M) -> float:
     """
-    Spectral radius of a nonnegative matrix, via power iteration on the
-    shifted matrix ``M + 1e-6 I`` (``POWER_SHIFT``) started from the
-    all-ones vector.  ``M`` may also be a :class:`LinearRecursion`, whose
-    ``M`` is then stepped through its product (``lr @ x``) and built only
-    if the exact routine runs.
+    Spectral radius of a nonnegative matrix, or of a
+    :class:`LinearRecursion`'s ``M``, via power iteration on the shifted
+    matrix ``M + 1e-6 I`` (``POWER_SHIFT``) started from the all-ones
+    vector.
 
     The iterate stays positive thanks to the shift, so the min/max ratios
     of consecutive iterates bracket the radius (Collatz-Wielandt);
@@ -263,45 +263,35 @@ def spectral_radius(M) -> float:
     tolerance ``1e-9`` (``RHO_TOL``).  Near-periodic matrices (a cycle of
     coefficients) close their bracket only at a ``1/POWER_SHIFT`` pace, so
     the bracket gets at most ``L`` steps, ``L`` the matrix size, and then
-    the exact eigenvalue routine takes over; either way the result is
-    accurate to ``1e-9``.  The budget is always ``L``, and it is not a cost
-    balance: one step is a matrix-vector product, or the sd recursion's
-    ``O(L)`` factored one, far cheaper than a dense routine (see
-    :func:`rho_below`).
+    the exact eigenvalue routine takes over on the dense ``M``; either way
+    the result is accurate to ``1e-9``.  The budget of ``L`` steps is the
+    one of :func:`rho_below`, and it is not a cost balance.
 
     >>> spectral_radius(np.array([[0.0, 0.5], [0.5, 0.0]]))
     0.5
     """
-    M = _checked(M)
-    if len(M) == 0:
+    lr = _checked(M)
+    if lr.size == 0:
         return 0.0
-    for lo, hi, _ in _brackets(M, None):
+    for lo, hi, _ in _brackets(lr, None):
         if hi - lo <= RHO_TOL:
             return 0.5 * (lo + hi)
-    return float(max(abs(np.linalg.eigvals(_dense(M)))))
+    return float(max(abs(np.linalg.eigvals(lr.M))))
 
 
-def _brackets(M, x: Optional[np.ndarray]):
+def _brackets(lr: LinearRecursion, x: Optional[np.ndarray]):
     """
     Collatz-Wielandt brackets of ``rho(M)``, from power iteration on
     ``M + POWER_SHIFT I`` started from the positive vector ``x`` (``None``:
-    all ones): ``L`` of them, ``L`` the size of ``M``, the one budget of
+    all ones): ``L`` of them, ``L`` the recursion's size, the one budget of
     every decision.  Each comes as ``(lo, hi, the iterate it was read off)``.
-    ``M`` is a checked matrix or a recursion; either steps by ``M @ x``.
     """
-    x = np.ones(len(M)) if x is None else x
+    x = np.ones(lr.size) if x is None else x
     for _ in range(len(x)):
-        y = M @ x + POWER_SHIFT * x
+        y = lr @ x + POWER_SHIFT * x
         ratios = y / x
         yield float(ratios.min()) - POWER_SHIFT, float(ratios.max()) - POWER_SHIFT, x
         x = np.maximum(y / y.max(), 1e-250)  # floor out underflow to keep x > 0
-
-
-def _shifted(M: np.ndarray, theta: float) -> np.ndarray:
-    """``theta I - M`` in one allocation: a negated copy, then the diagonal."""
-    A = np.negative(M)
-    A.flat[:: A.shape[0] + 1] += theta
-    return A
 
 
 def rho_below(M, threshold: float) -> bool:
@@ -317,59 +307,53 @@ def rho_below(M, threshold: float) -> bool:
     positive and the residual ``threshold x - M x``, recomputed directly,
     is positive too: ``x`` is then a certificate ``M x < threshold x``.
 
-    A step is one product ``M @ x``.  The per-server recursion computes it
-    from its factors, one sum per server then two gathers, and builds its
-    dense ``M`` only for the exact test; the other recursions, and any
-    recursion whose ``M`` has been built, multiply by the dense ``M``.  On
-    one Intel Xeon core with single-threaded BLAS (``timeit``, sd
-    recursions of ``uni_ring(3)``, ``bi_ring(12)`` and ``uni_ring(30)``) a
-    dense step takes 1.4 us at ``L = 6``, 12.6 us at ``L = 264`` and 280 us
-    at ``L = 870``, a factored one 3.6, 4.3 and 7.7 us, and the exact test
-    1.2 ms at ``L = 264`` and 24 ms at ``L = 870``.  The budget of ``L``
+    A step is one product ``M x`` and the exact test one shifted solve,
+    both the recursion's (:class:`LinearRecursion`).  The budget of ``L``
     steps is not a cost balance: on a dense ``M``, ``L`` steps cost several
     exact tests.
 
     :raises ValidationError: if ``M`` is not square, finite and
         nonnegative, as :func:`spectral_radius` requires
     """
-    return _decide(_checked(M), threshold)[0]
+    return _decide(M, threshold)[0]
 
 
 def _decide(
     M, threshold: float, start: Optional[np.ndarray] = None
 ) -> Tuple[bool, Optional[np.ndarray]]:
     """
-    :func:`rho_below`'s decision on a checked matrix or a recursion ``M``,
-    with its bracket started from the positive vector ``start`` (``None``:
-    all ones), and the vector to start the next decision on a similar
-    matrix from.  That is the exact test's solution when the test ran and
-    the solution has one sign, scaled to a largest entry of 1: near
-    ``threshold = rho`` the Perron vector dominates ``(threshold I -
-    M)^-1 1``, with the sign of ``threshold - rho``.  Otherwise it is the
-    last bracket iterate.  Both are floored at ``1e-250``.  Only the exact
-    test reads a recursion's dense ``M``.
+    :func:`rho_below`'s decision on a matrix or a recursion ``M`` (see
+    :func:`_checked`), with its bracket started from the positive vector
+    ``start`` (``None``: all ones), and the vector to start the next
+    decision on a similar matrix from.  That is the exact test's solution
+    when the test ran and the solution has one sign, scaled to a largest
+    entry of 1: near ``threshold = rho`` the Perron vector dominates
+    ``(threshold I - M)^-1 1``, with the sign of ``threshold - rho``.
+    Otherwise it is the last bracket iterate.  Both are floored at
+    ``1e-250``.
 
     Any positive start is sound: ``min(M x / x) <= rho(M) <= max(M x / x)``
     holds for every nonnegative ``M`` and every ``x > 0``, so the start
     changes how many steps a decision takes, never what it certifies.
     """
-    if len(M) == 0:
+    lr = _checked(M)
+    if lr.size == 0:
         return threshold > 0, start
     x = start
-    for lo, hi, x in _brackets(M, start):
+    for lo, hi, x in _brackets(lr, start):
         if lo >= threshold:
             return False, x
         if hi < threshold:
             return True, x
     try:
-        y = np.linalg.solve(_shifted(_dense(M), threshold), np.ones(len(M)))
+        y = lr.shifted_solve(threshold, np.ones(lr.size))
     except np.linalg.LinAlgError:  # singular: threshold is an eigenvalue
         return False, x
     positive = y.min() > 0
     scale = y.max() if positive else y.min() if y.max() < 0 else math.nan
     if math.isfinite(scale):
         x = np.maximum(y / scale, 1e-250)
-    return bool(positive and (threshold * y - M @ y).min() > 0), x
+    return bool(positive and (threshold * y - lr @ y).min() > 0), x
 
 
 def solve_recursion(lr: LinearRecursion) -> Optional[np.ndarray]:
@@ -386,7 +370,7 @@ def solve_recursion(lr: LinearRecursion) -> Optional[np.ndarray]:
         return np.zeros(0)
     if not _decide(lr, 1.0 - STABILITY_EPS)[0]:
         return None
-    solution = np.linalg.solve(_shifted(lr.M, 1.0), lr.N)
+    solution = lr.shifted_solve(1.0, lr.N)
     if solution.min() < -1e-9 * max(1.0, float(np.abs(solution).max())):
         raise ValidationError("fixed point came out negative; ill-conditioned system")
     return np.maximum(solution, 0.0)
@@ -487,7 +471,7 @@ class _SdLayout:
         # bincount adds its weights in input order, so each row's terms in layout order
         weights = np.where(self.term_own, 1.0, gain[self.term_row]) * num.burst[self.term_flow]
         N = np.bincount(self.term_row, weights, len(self.labels)) + gain * R[j] * T[j]
-        return [LinearRecursion._factored(self.labels, _SdFactors(self, gain), N)], None
+        return [LinearRecursion(self.labels, _SdFactors(self, gain), N)], None
 
     def objective(self, num: _Numbers, target: Target, weights=None) -> ObjectiveForm:
         """A backlog at one server over the hops entering it, from the bound numbers."""
@@ -521,7 +505,7 @@ class _SdLayout:
             gain * num.burst[flow[~mine & ~later]],
         ))
         C = np.cumsum(terms)[-1].item()
-        return ObjectiveForm(Q, C, "backlog of flows %s at server %d" % (sorted(target.flows), j))
+        return ObjectiveForm(Q, C)
 
 
 class _SdFactors:
@@ -544,7 +528,7 @@ class _SdFactors:
         self.layout, self.gain = layout, gain
         self.keep = np.where(layout.own_later, 1.0 - gain, 0.0)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """``M x`` in ``O(L)``: one sum per server, then two gathers."""
         lay = self.layout
         S = np.bincount(lay.var_server, x, lay.num_servers)
@@ -681,23 +665,20 @@ class _Decomposition:
         else from a one-row pass on the target's upstream view.
         """
         root, interest, entry = self._target_row(target) if weights is None else self.target
-        if target.kind == "backlog":
-            description = "backlog of flows %s at server %d" % (sorted(target.flows), root)
-            scale = 1.0
-        else:
+        scale = 1.0
+        if target.kind == "delay":
             seg = np.searchsorted(self.split.origin, target.flow)
             rate, burst = num.rate[seg].item(), num.burst[seg].item()
             if rate == 0:
                 raise UnsupportedTargetError("delay of a zero-rate flow is undefined")
             # delay transform: (B - b)/r + xi b / r
             scale = 1.0 / rate
-            description = "delay of flow %d" % target.flow
         if weights is None:
             weights = UpstreamView(self.forest, root, num).coefficient_rows([interest])
         phi, rho, xi_root = weights
         extra = 0.0 if target.kind == "backlog" else (xi_root[0, entry] - 1.0) * burst
         coeffs, constant = self.layouts[0].assemble(phi, rho, num)
-        return ObjectiveForm(coeffs[0] * scale, float((constant[0] + extra) * scale), description)
+        return ObjectiveForm(coeffs[0] * scale, float((constant[0] + extra) * scale))
 
 
 class _Columns:
@@ -910,8 +891,13 @@ def _prepare(net: Network, method: str, removed=None, target: Optional[Target] =
     arcs: none for ``td``, all for ``ag``, none then all for ``2s``, and
     the row of ``target``, when given, laid out after the recursions' rows.
     The sd layout takes no target: its objective runs no pass.
+
+    :raises ValidationError: if ``removed`` is given for ``sd``, which
+        removes no arcs
     """
     if method == "sd":
+        if removed is not None:
+            raise ValidationError("the per-server decomposition removes no arcs")
         return _SdLayout(net)
     split = _Split(net, removed)
     groupings = {"td": [()], "ag": [split.removed], "2s": [(), split.removed]}[method]
@@ -960,25 +946,19 @@ def _stable(net: Network, method: str, removed=None, structure=None, starts=None
     return False
 
 
-def critical_utilization(
-    family: Callable[[float], Network],
-    method: str,
-    tol: float = 1e-4,
-    u_min: float = 1e-3,
-    u_max: float = 1.0,
-) -> float:
+def critical_utilization(family: Callable[[float], Network], method: str) -> float:
     """
     Largest utilization at which ``family(U)`` stays stable for ``method``,
     located by bisection (the families scale every service rate like
     ``1/U``, so stability is monotone in ``U``).
 
-    Returns ``u_max`` when stable on the whole range and ``0.0`` when
-    already unstable at ``u_min``.  The bracket stops at width ``tol``
-    (finite and > 0), or earlier when its ends are adjacent floats.
+    Returns ``U_MAX`` (1) when stable on the whole range and ``0.0`` when
+    already unstable at ``U_MIN`` (``1e-3``).  The bracket stops at width
+    ``CRITICAL_TOL`` (``1e-4``).
 
     The rate-free structure of the recursions (the sd pair layout, or the
     decomposition with its forest, column layouts and row layout) is prepared
-    from ``family(u_max)`` and bound to every ``family(U)`` the bisection
+    from ``family(U_MAX)`` and bound to every ``family(U)`` the bisection
     visits.  ``family`` is arbitrary code, so each step first checks that
     ``family(U)`` has the held structure's server count and flow paths, and
     prepares a new structure when it does not.
@@ -995,10 +975,6 @@ def critical_utilization(
     certificate.  The vectors are dropped whenever a new structure is
     prepared.
     """
-    if not (0 < u_min < u_max <= 1.0):
-        raise ValidationError("need 0 < u_min < u_max <= 1")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValidationError("need a finite tol > 0, got %r" % tol)
     method = _method(method)
     held = starts = None
 
@@ -1009,15 +985,13 @@ def critical_utilization(
             held, starts = _prepare(net, method), [None, None]  # at most two recursions (2s)
         return _stable(net, method, structure=held, starts=starts)
 
-    if stable(u_max):
-        return u_max
-    if not stable(u_min):
+    if stable(U_MAX):
+        return U_MAX
+    if not stable(U_MIN):
         return 0.0
-    lo, hi = u_min, u_max
-    while hi - lo > tol:
+    lo, hi = U_MIN, U_MAX
+    while hi - lo > CRITICAL_TOL:
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # adjacent floats: the bracket cannot shrink
-            break
         if stable(mid):
             lo = mid
         else:

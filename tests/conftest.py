@@ -16,7 +16,7 @@ def as_network(base, split_flows):
     flows = []
     for sf in split_flows:
         origin = base.flows[sf.origin].arrival
-        burst = origin.burst if sf.burst_known else 0.0
+        burst = origin.burst if sf.segment == 0 else 0.0
         flows.append(Flow(TokenBucket(burst, origin.rate), sf.path))
     return Network(base.servers, tuple(flows))
 

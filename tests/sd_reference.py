@@ -109,4 +109,4 @@ def objective(net: Network, target: Target) -> ObjectiveForm:
             Q[index[(i, k)]] += gain
         else:
             C += gain * net.flows[i].arrival.burst
-    return ObjectiveForm(Q, C, "backlog of flows %s at server %d" % (sorted(target.flows), j))
+    return ObjectiveForm(Q, C)

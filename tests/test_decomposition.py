@@ -31,7 +31,7 @@ def test_decompose_toy_matches_expected_segments():
         (2, 0): (1,), (2, 1): (0, 2),
         (3, 0): (1, 2, 3),
     }
-    assert [sf.burst_known for sf in split] == [True, False] * 3 + [True]
+    assert [sf.segment == 0 for sf in split] == [True, False] * 3 + [True]
 
 
 def test_decompose_empty_removal_is_identity():

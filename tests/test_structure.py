@@ -163,18 +163,18 @@ def test_bisection_builds_the_sd_matrix_only_for_exact_tests(monkeypatch, family
     # decision on uni_ring(12) does, some on three_ring(10) do)
     counts = Counter()
     original_matrix = netcalc.stability._SdFactors.matrix
-    original_shifted = netcalc.stability._shifted
+    original_solve = netcalc.stability.LinearRecursion.shifted_solve
 
     def matrix(self):
         counts["matrix"] += 1
         return original_matrix(self)
 
-    def shifted(M, theta):
+    def shifted_solve(self, theta, rhs):
         counts["exact"] += 1
-        return original_shifted(M, theta)
+        return original_solve(self, theta, rhs)
 
     monkeypatch.setattr(netcalc.stability._SdFactors, "matrix", matrix)
-    monkeypatch.setattr(netcalc.stability, "_shifted", shifted)
+    monkeypatch.setattr(netcalc.stability.LinearRecursion, "shifted_solve", shifted_solve)
     u_star = critical_utilization(_family(*family), "sd")
     with open(os.path.join(REFERENCE, "critical.json"), encoding="utf-8") as stream:
         assert repr(u_star) == repr(json.load(stream)["%s(%d)/sd" % family])

@@ -20,13 +20,17 @@ Records:
 
 - ``analyze`` under every method with four targets (the benchmark's backlog
   of flow 0 at the end of its path, the delay of flow 0, the backlog of
-  flow 0 at server 0, and none): the verdict, bound, fixed point, objective,
-  labels and every recursion's ``(M, N)``, or the error's type and message;
+  flow 0 at server 0, and none): the verdict, ``rho``, bound, fixed point,
+  objective, labels and every recursion's ``(M, N)``, or the error's type
+  and message (every ``analyze`` record below holds the same fields);
 - ``analyze`` and ``objective_for`` under ``sd`` and ``td`` with two group
   backlogs: every flow crossing the last server there, and the first two
   flows crossing flow 0's first server there;
 - ``objective_for`` under every method with the three targets, ``is_stable``
   under every method, ``build_sd`` and the ``local_stability`` classes;
+  for a ``build_sd`` recursion of at most ``DECIDED_SIZE`` variables also
+  ``spectral_radius`` and ``rho_below`` at each of ``THRESHOLDS``, both
+  given the dense ``M`` as a plain matrix;
 - every ``critical`` case's threshold ``U*``;
 - ``analyze`` under ``td``, ``ag`` and ``2s`` with explicit removals, on
   the pool's fixed structures, its first ``EXPLICIT_RINGS`` rings of each
@@ -94,6 +98,12 @@ from netcalc.tree_analysis import tree_backlog  # noqa: E402
 #: Rings of each pool size that get the explicit-removal records.
 EXPLICIT_RINGS = 40
 
+#: Largest pool ``build_sd`` recursion whose matrix gets the decision records.
+DECIDED_SIZE = 60
+
+#: The thresholds of those ``rho_below`` records: ``analyze``'s two and 1.
+THRESHOLDS = (1 - 1e-9, 1.0, 1 + 1e-9)
+
 
 def _load(name, *path):
     spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, *path))
@@ -115,16 +125,27 @@ def _digest(a) -> str:
 
 
 def _objective(obj) -> dict:
-    return {"Q": _digest(obj.Q), "C": repr(obj.C), "description": obj.description}
+    return {"Q": _digest(obj.Q), "C": repr(obj.C)}
 
 
 def _recursion(lr) -> list:
     return [_digest(lr.M), _digest(lr.N)]
 
 
+def _decided(lr) -> dict:
+    """A recursion and, up to ``DECIDED_SIZE``, the decisions on its ``M`` as a plain matrix."""
+    record = {"recursion": _recursion(lr)}
+    if lr.size <= DECIDED_SIZE:
+        M = lr.M
+        record["spectral_radius"] = repr(stability.spectral_radius(M))
+        record["rho_below"] = [stability.rho_below(M, theta) for theta in THRESHOLDS]
+    return record
+
+
 def _report(rep) -> dict:
     return {
         "verdict": rep.verdict,
+        "rho": repr(rep.rho),
         "stable": rep.stable,
         "bound": None if rep.bound is None else repr(rep.bound),
         "fixed_point": None if rep.fixed_point is None else _digest(rep.fixed_point),
@@ -322,7 +343,7 @@ def records(workloads):
     for name, net in nets.items():
         targets = _targets(net)
         yield {"net": name, "local_stability": [c.name for c in local_stability(net).per_server]}
-        yield {"net": name, "build_sd": _call(_recursion, stability.build_sd, net)}
+        yield {"net": name, "build_sd": _call(_decided, stability.build_sd, net)}
         for method in stability.METHODS:
             yield {"net": name, "method": method,
                    "is_stable": _call(bool, stability.is_stable, net, method)}
