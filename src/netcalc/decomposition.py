@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import groupby
-from operator import attrgetter, itemgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -176,20 +174,18 @@ def group_by_arc(split_flows: Sequence[SplitFlow]) -> ArcGroups:
     >>> groups.arc_of
     {2: (1, 0)}
     """
-    labels = list(map(attrgetter("label"), split_flows))
-    paths = list(map(attrgetter("path"), split_flows))
-    index = dict(zip(labels, range(len(labels))))
-    label = np.array(labels, dtype=np.intp).reshape(-1, 2)
-    cont = np.flatnonzero(label[:, 1] != 0).tolist()
-    before = zip(label[cont, 0].tolist(), (label[cont, 1] - 1).tolist())  # the labels they follow
-    prev = list(map(index.__getitem__, before))
-    arcs = list(zip(map(itemgetter(-1), map(paths.__getitem__, prev)),
-                    map(itemgetter(0), map(paths.__getitem__, cont))))
-    by_arc = groupby(sorted(zip(arcs, cont, prev)), itemgetter(0))
-    members = {arc: list(group) for arc, group in by_arc}
-    order = dict.fromkeys(arcs)  # the arcs in order of first appearance
+    index = {sf.label: s for s, sf in enumerate(split_flows)}
+    feeding: Dict[Arc, set] = {}
+    continuations: Dict[Arc, set] = {}
+    arc_of: Dict[int, Arc] = {}
+    for s, sf in enumerate(split_flows):
+        if sf.segment:
+            prev = index[(sf.origin, sf.segment - 1)]
+            arc_of[s] = arc = (split_flows[prev].path[-1], sf.path[0])
+            feeding.setdefault(arc, set()).add(prev)
+            continuations.setdefault(arc, set()).add(s)
     return ArcGroups(
-        {arc: frozenset(map(itemgetter(2), members[arc])) for arc in order},
-        {arc: frozenset(map(itemgetter(1), members[arc])) for arc in order},
-        dict(zip(cont, arcs)),
+        {arc: frozenset(members) for arc, members in feeding.items()},
+        {arc: frozenset(members) for arc, members in continuations.items()},
+        arc_of,
     )

@@ -29,6 +29,8 @@ from .oracle import worst_case_periods
 QUEUE_EPS = 1e-12
 #: Most grid steps one simulation may take: memory and run time grow with them.
 MAX_GRID_STEPS = 10_000_000
+#: Slack over the burst that :func:`check_arrival_curves` allows.
+ARRIVAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -230,12 +232,7 @@ def _injections(
     return amounts
 
 
-def simulate_fluid(
-    net: Network,
-    scenario: Scenario,
-    dt: Optional[float] = None,
-    horizon: Optional[float] = None,
-) -> Trajectory:
+def simulate_fluid(net: Network, scenario: Scenario, dt: Optional[float] = None) -> Trajectory:
     """
     Run the fluid evolution of ``net`` under ``scenario`` on a uniform grid.
 
@@ -272,12 +269,10 @@ def simulate_fluid(
                 % (j, spec.priority, net.num_flows - 1)
             )
     dt = _require_positive("dt", default_dt(net) if dt is None else dt)
-    horizon = scenario.horizon if horizon is None else _require_positive("horizon", horizon)
-    ratio = horizon / dt
+    ratio = scenario.horizon / dt
     if not (math.isfinite(ratio) and math.ceil(ratio) + 1 <= MAX_GRID_STEPS):
-        raise ScenarioError(
-            "horizon %r over dt %r needs more than %d grid steps" % (horizon, dt, MAX_GRID_STEPS)
-        )
+        raise ScenarioError("horizon %r over dt %r needs more than %d grid steps"
+                            % (scenario.horizon, dt, MAX_GRID_STEPS))
     steps = int(math.ceil(ratio)) + 1
     times = np.arange(steps + 1) * dt
     grid = times.tolist()
@@ -350,7 +345,6 @@ def simulate_fluid(
                     begun = period_start[j]
                     if begun is None:
                         begun = period_start[j] = t
-                        served_in_period[j] = 0.0
                     elapsed = t_next - begun - latency
                     capacity = rate * (elapsed if elapsed > 0.0 else 0.0) - served_in_period[j]
                     if not capacity > 0.0:
@@ -401,16 +395,16 @@ def simulate_fluid(
     )
 
 
-def check_arrival_curves(traj: Trajectory, tol: float = 1e-9) -> bool:
+def check_arrival_curves(traj: Trajectory) -> bool:
     """
     Verify that every injected process respects its token bucket on every
     grid pair: sup over s <= t of A(t) - A(s) - r (t - s) must stay below
-    the burst.
+    the burst, up to ``ARRIVAL_TOL``.
     """
     for i, flow in enumerate(traj.net.flows):
         a = traj.cum_in[(i, 0)]
         drift = a - flow.arrival.rate * traj.times
-        if float((drift - np.minimum.accumulate(drift)).max()) > flow.arrival.burst + tol:
+        if float((drift - np.minimum.accumulate(drift)).max()) > flow.arrival.burst + ARRIVAL_TOL:
             return False
     return True
 

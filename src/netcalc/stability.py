@@ -397,12 +397,11 @@ def _check_target(num_servers: int, num_flows: int, target: Target) -> None:
 
 class _SdLayout:
     """
-    The rate-free half of :func:`build_sd` on one network's flow paths: the
-    hop arrays, each row's feeding hop and every pair (row, hop at the
-    row's server), laid out once.  A pair with a later hop is a cell of
-    ``M``; a pair with a first hop is a term of the row's constant, and the
-    terms are ordered so that each row's own comes ahead of its others,
-    which keep flow order: the order in which ``N`` adds them.
+    The rate-free half of :func:`build_sd` on one network's flow paths,
+    laid out once: the hop arrays, the indices of ``M``'s factors
+    (:class:`_SdFactors`) and the terms of ``N``, every pair (row, first
+    hop at the row's server), each row's own ahead of its others, which
+    keep flow order: the order in which ``N`` adds them.
     The labels and the objective read the same hop arrays: the variables
     are the hops past each flow's first, ``(flow, pos)`` in flow order.
     """
@@ -427,23 +426,19 @@ class _SdLayout:
         # the factors of M's product: each variable's server, and each row's own
         # feeding hop when it is a variable (a first hop is not: weighed 0 then)
         self.var_server, self.own_var, self.own_later = server[pos >= 1], var[feed], pos[feed] >= 1
-        # pairs (row, peer), peer running over the hops at the row's server in flow order
-        by_server = np.argsort(server, kind="stable")
-        count = np.bincount(server, minlength=self.num_servers)
-        start = np.cumsum(count) - count  # each server's first hop in by_server
+        # pairs (row, peer), peer running over the flows starting at the row's server
+        by_server = np.argsort(server[first], kind="stable")
+        count = np.bincount(server[first], minlength=self.num_servers)
+        start = np.cumsum(count) - count  # each server's first flow in by_server
         size = count[j]
         block = np.cumsum(size) - size  # each row's first pair
         row = np.repeat(np.arange(len(feed)), size)
         peer = by_server[np.arange(len(row)) - np.repeat(block - start[j], size)]
-        own = peer == feed[row]
-        later = pos[peer] >= 1
-        # later-hop pairs: cells of M
-        self.cell_row, self.cell_col, self.cell_own = row[later], var[peer[later]], own[later]
-        # first-hop pairs: terms of N, every own one ahead of all others (a row has
-        # at most one), the others still in row order and in flow order within it
-        known = np.flatnonzero(~later)
-        known = known[np.argsort(~own[known], kind="stable")]
-        self.term_row, self.term_own, self.term_flow = row[known], own[known], flow[peer[known]]
+        own = first[peer] == feed[row]
+        # every own term ahead of all others (a row has at most one), the others
+        # still in row order and in flow order within it
+        terms = np.argsort(~own, kind="stable")
+        self.term_row, self.term_own, self.term_flow = row[terms], own[terms], peer[terms]
 
     def bind(self, num: _Numbers) -> _Numbers:
         """The numbers the pass reads: the network's own."""
@@ -453,11 +448,10 @@ class _SdLayout:
         """
         The per-server recursion from the layout and a network's numbers,
         as a one-element list, and no target weights.
-        Each pair weighs ``1`` for the row's own hop and the server's gain
-        for the others.  ``M`` is kept in factors, the gains
-        (:class:`_SdFactors`), and built only when read.  ``N`` is one ordered
-        left fold per row: the row's own first-hop burst, then ``gain * b``
-        of every other first hop at the server in flow order, then
+        ``M`` is kept in factors, the gains (:class:`_SdFactors`), and
+        built only when read.  ``N`` is one ordered left fold per row over
+        its terms: the row's own first-hop burst, then ``gain * b`` of every
+        other first hop at the server in flow order, then
         ``gain * R_j * T_j``.
 
         The numbers must be locally stable, as :func:`_method_recursions`
@@ -536,12 +530,15 @@ class _SdFactors:
 
     def matrix(self) -> np.ndarray:
         """
-        The dense ``M`` in one scatter: paths never revisit a server, so
-        each cell is written at most once.
+        The dense ``M`` from the factors: each row its gain at every variable
+        of its server, then exactly ``1`` at its own feeding hop if a variable.
         """
         lay = self.layout
-        M = np.zeros((len(lay.labels), len(lay.labels)))
-        M[lay.cell_row, lay.cell_col] = np.where(lay.cell_own, 1.0, self.gain[lay.cell_row])
+        at = np.zeros((lay.num_servers, len(lay.labels)))  # the variables at each server
+        at[lay.var_server, np.arange(len(lay.labels))] = 1.0
+        M = at[lay.row_server]
+        M *= self.gain[:, None]
+        M[np.flatnonzero(lay.own_later), lay.own_var[lay.own_later]] = 1.0
         return M
 
 
@@ -557,14 +554,14 @@ def build_sd(net: Network) -> LinearRecursion:
     over all other hops ``s`` present at server ``j``.  First-hop bursts
     are known and folded into the constant vector.
 
-    Built from hop arrays with no per-pair Python work: every pair (row,
-    hop at the row's server) is laid out at once from the flow paths
-    alone, then weighed with the rates.  Server loads are added in flow
-    order, and ``N`` is one ordered left fold per row, in the order of the
-    pairwise loop this replaces (``tests/sd_reference.py``), so ``(M, N)``
-    equal it bit for bit.  That loop checks each row's residual rate; here
-    the whole-network local stability check, made first, already keeps
-    every residual rate positive.
+    Built from hop arrays with no per-pair Python work: ``M``'s factors
+    and ``N``'s terms (row, first hop at the row's server) are laid out
+    from the flow paths alone, then weighed with the rates.  Server loads
+    are added in flow order, and ``N`` is one ordered left fold per row, in
+    the order of the pairwise loop this replaces (``tests/sd_reference.py``),
+    so ``(M, N)`` equal it bit for bit.  That loop checks each row's
+    residual rate; here the whole-network local stability check, made
+    first, already keeps every residual rate positive.
 
     :raises LocallyUnstableError: if some server is not strictly stable
     """
@@ -775,7 +772,8 @@ def build_grouped(net: Network, removed, grouped_arcs) -> LinearRecursion:
 def objective_for(net: Network, target: Target, method: str, removed=None) -> ObjectiveForm:
     """
     The requested performance expressed as ``Q . b + C`` over the variables
-    of the given method's recursion.
+    of the given method's recursion.  It makes no whole-network check, so
+    it raises ``ValidationError`` on a bad ``removed`` on any network.
     """
     structure = _prepare(net, _method(method), removed)
     return structure.objective(structure.bind(_numbers(net)), target)
@@ -850,7 +848,7 @@ def analyze(
     ``critical`` from ``unstable`` by one more test at ``1 + 1e-9``.
     ``rho``, the exact spectral radius (the smaller one for ``2s``), is a
     diagnostic computed on first read.  Local instability short-circuits
-    to an unstable report with ``rho = inf``.
+    to an unstable report with ``rho = inf``, whatever ``removed``.
     """
     method = _method(method)
     try:
@@ -922,7 +920,7 @@ def _method_recursions(net: Network, method: str, removed=None, structure=None, 
 
 
 def is_stable(net: Network, method: str, removed=None) -> bool:
-    """Stability verdict of one method (unstable on local instability)."""
+    """Stability verdict of one method: ``False`` on local instability, whatever ``removed``."""
     return _stable(net, _method(method), removed)
 
 

@@ -655,6 +655,16 @@ def test_local_instability_means_every_method_unstable():
         assert not report.stable
         assert math.isinf(report.rho)
         assert not report.bound.is_finite
+    # local instability is found before the removal is looked at, so a removal
+    # that names no induced arc does not change the report; objective_for makes
+    # no whole-network check and refuses it
+    for method in ("sd", "td", "ag", "2s"):
+        report = analyze(net, method, target=Target.backlog(4, [0]), removed={(9, 8)})
+        assert not report.stable and report.verdict == "unstable"
+        assert not is_stable(net, method, removed={(9, 8)})
+    for method in ("td", "ag", "2s"):
+        with pytest.raises(ValidationError, match=re.escape("[(9, 8)]")):
+            objective_for(net, Target.backlog(4, [0]), method, removed={(9, 8)})
 
 
 def _check_report_consistency(net, method):

@@ -63,7 +63,8 @@ Records:
   utilization of the full sweep, at 1 and at two invalid ones; and the
   fixtures with their defaults;
 - ``build_sd`` of every ``critical`` sd case's family at every utilization
-  of the full sweep and at 1, or the error: rings up to ``L = 870``.
+  of the full sweep and at 1, or the error: rings up to ``L = 870``; and
+  at 0.5 with the labels and ``L`` too.
 
 Arrays are recorded by a digest of their bytes, floats by ``repr``.
 """
@@ -130,6 +131,11 @@ def _objective(obj) -> dict:
 
 def _recursion(lr) -> list:
     return [_digest(lr.M), _digest(lr.N)]
+
+
+def _laid_out(lr) -> dict:
+    """A recursion with its labels and size."""
+    return {"labels": repr(lr.labels), "L": lr.size, "recursion": _recursion(lr)}
 
 
 def _decided(lr) -> dict:
@@ -428,10 +434,12 @@ def _generator_records(workloads):
     for kind, n, method in workloads.critical_cases(False):
         if method != "sd":
             continue
-        family = workloads._family(kind, n)
+        family, key = workloads._family(kind, n), workloads.critical_key(kind, n, method)
         for u in workloads.sweep_utilizations(False) + [1.0]:
-            yield {"family": workloads.critical_key(kind, n, method), "u": repr(u),
+            yield {"family": key, "u": repr(u),
                    "build_sd": _call(_recursion, stability.build_sd, family(u))}
+        yield {"family": key, "u": repr(0.5),
+               "build_sd": _call(_laid_out, stability.build_sd, family(0.5))}
 
 
 def _oracle_record(name, net, interest):
