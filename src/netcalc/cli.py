@@ -289,10 +289,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except NetcalcError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_VALIDATION
-    except (OSError, json.JSONDecodeError) as exc:
+    except (NetcalcError, OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
 

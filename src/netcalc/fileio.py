@@ -57,26 +57,35 @@ def _path(ids, flow: int, n: int) -> Tuple[int, ...]:
     return tuple([j - 1 for j in ids])
 
 
+def _number(item: dict, key: str, what: str, index: int) -> float:
+    """Field ``key`` of ``item`` (``what`` number ``index + 1``) as a float: a JSON number."""
+    value = item[key]
+    if isinstance(value, float) or type(value) is int:  # bool is not int
+        return float(value)
+    raise TypeError("%s %d: %s must be a number, got %r" % (what, index + 1, key, value))
+
+
 def network_from_dict(doc: dict) -> Network:
     """
-    Parse and validate the JSON document shape.  Paths must be lists of
+    Parse and validate the JSON document shape.  Rates, latencies and
+    bursts must be numbers (not bools or strings); paths must be lists of
     integers (not bools) naming servers ``1..n``.
     """
     if not isinstance(doc, dict):
         raise ValidationError("network file must hold a JSON object")
     try:
         servers = tuple(
-            RateLatency(float(s["rate"]), float(s["latency"]))
-            for s in doc["servers"]
+            RateLatency(_number(s, "rate", "server", j), _number(s, "latency", "server", j))
+            for j, s in enumerate(doc["servers"])
         )
         flows = tuple(
             Flow(
-                TokenBucket(float(f["burst"]), float(f["rate"])),
+                TokenBucket(_number(f, "burst", "flow", i), _number(f, "rate", "flow", i)),
                 _path(f["path"], i, len(servers)),
             )
             for i, f in enumerate(doc["flows"])
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError("malformed network file: %s" % exc) from exc
     return Network(servers, flows)
 

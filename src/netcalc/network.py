@@ -232,11 +232,11 @@ def _numbers(net: Network) -> _Numbers:
     )
 
 
-def _require_local_stability(num: _Numbers) -> None:
-    """Raise :class:`LocallyUnstableError` naming every server the mask marks."""
-    if num.unstable.any():
+def _require_local_stability(unstable: np.ndarray) -> None:
+    """Raise :class:`LocallyUnstableError` naming every server the mask ``unstable`` marks."""
+    if unstable.any():
         raise LocallyUnstableError(
-            "servers %r are not strictly stable" % np.flatnonzero(num.unstable).tolist()
+            "servers %r are not strictly stable" % np.flatnonzero(unstable).tolist()
         )
 
 

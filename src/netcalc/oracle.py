@@ -48,7 +48,7 @@ def _bruteforce(net: Network, interest: FrozenSet[int]):
     if n > MAX_ORACLE_SERVERS:
         raise OracleSizeError("n=%d exceeds the enumeration limit %d" % (n, MAX_ORACLE_SERVERS))
     num = _numbers(net)
-    _require_local_stability(num)
+    _require_local_stability(num.unstable)
     for i in interest:  # as the tree analysis checks them, in the set's order
         if not 0 <= i < net.num_flows:
             raise InterestNotAtRootError("unknown flow id %d" % i)

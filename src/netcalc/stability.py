@@ -83,7 +83,7 @@ from .errors import (
     ValidationError,
 )
 from .network import Arc, Network, _Numbers, _hops, _numbers, _paths, _require_local_stability
-from .tree_analysis import UpstreamView, _RowLayout, _prepare_forest
+from .tree_analysis import _RowLayout, _prepare_forest
 
 #: The analysis methods.
 METHODS = ("sd", "td", "ag", "2s")
@@ -659,7 +659,8 @@ class _Decomposition:
         The target's tight tree bound at the server it names (for a delay,
         the flow's last one) as a row over the first layout's columns, from
         the bound numbers ``num`` and ``weights`` from :meth:`recursions`, or
-        else from a one-row pass on the target's upstream view.
+        else from a pass over the target's one row on :attr:`forest`, which
+        refuses a view holding a server the not-strictly-stable mask marks.
         """
         root, interest, entry = self._target_row(target) if weights is None else self.target
         scale = 1.0
@@ -671,7 +672,10 @@ class _Decomposition:
             # delay transform: (B - b)/r + xi b / r
             scale = 1.0 / rate
         if weights is None:
-            weights = UpstreamView(self.forest, root, num).coefficient_rows([interest])
+            _require_local_stability(num.unstable & self.forest.upstream[:, root])
+            rows = _RowLayout(self.forest, np.array([root]), np.zeros_like(interest), interest)
+            phi, rho, xi = rows.run(num)
+            weights = phi, rho, rows.toward_root(xi)
         phi, rho, xi_root = weights
         extra = 0.0 if target.kind == "backlog" else (xi_root[0, entry] - 1.0) * burst
         coeffs, constant = self.layouts[0].assemble(phi, rho, num)
@@ -763,8 +767,10 @@ def build_grouped(net: Network, removed, grouped_arcs) -> LinearRecursion:
     Mixed recursion: the removed arcs in ``grouped_arcs`` contribute one
     aggregated unknown each, all other continuations stay individual.
     Specializes to the tree recursion with no grouped arcs and to the
-    arc-grouping recursion with all of them.
+    arc-grouping recursion with all of them.  Local stability is checked
+    first, as by :func:`build_td` and :func:`build_ag`.
     """
+    _require_local_stability(_numbers(net).unstable)
     dec = _Decomposition(_Split(net, removed), [grouped_arcs])
     return _method_recursions(net, "td", structure=dec)[2][0]
 
@@ -912,7 +918,7 @@ def _method_recursions(net: Network, method: str, removed=None, structure=None, 
     for ``target``, after the local stability check.
     """
     numbers = _numbers(net)
-    _require_local_stability(numbers)
+    _require_local_stability(numbers.unstable)
     if structure is None:
         structure = _prepare(net, method, removed, target)
     numbers = structure.bind(numbers)

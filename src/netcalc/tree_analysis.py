@@ -21,11 +21,13 @@ flows crossing it; its pairs are the servers upstream of its root, each at
 its distance to the root.  The pass takes one array step per distance, for
 every pair of every row at that distance, from the roots outward, so a
 batch costs one step per distance to the farthest root, whatever the
-number of its rows and views.  :mod:`netcalc.stability` runs every row of
-a decomposition, and of an ``analyze`` target, in one batch; the public
-analyses (:func:`compute_xi`, :func:`tree_backlog`,
-:meth:`UpstreamView.backlog` and the results built on them) run a batch
-of one row, read as a dict-keyed :class:`XiTable`.  The scalar pass it was
+number of its rows and views.  Each batch is one direct call to
+:class:`_RowLayout` by the code that knows its rows: :mod:`netcalc.stability`
+lays out every row of a decomposition and of an ``analyze`` target on the
+decomposition's forest (an objective given no weights, the target's row
+alone); the public analyses (:func:`compute_xi`, :func:`tree_backlog`,
+:meth:`UpstreamView.backlog` and the results built on them) one row each,
+read as a dict-keyed :class:`XiTable`.  The scalar pass it was
 derived from lives in the tests (``tests/xi_reference.py``) as the
 reference it is held to; both add in the same order, so they agree to the
 last bit (their float sums are explicit left folds, ``curves.left_sum``,
@@ -340,40 +342,26 @@ class UpstreamView:
         start = self.forest.at_start[self.root]
         return frozenset(self.forest.at_flow[start : start + self.forest.at_count[self.root]].tolist())
 
-    def _rows(self, interests: Sequence[Iterable[int]]) -> _RowLayout:
-        """
-        A batch of interest sets (network flow ids) laid out as rows at the root.
-
-        :raises InterestNotAtRootError: if some flow is unknown or misses
-            the root
-        """
-        interests = [list(interest) for interest in interests]
-        for interest in interests:
-            for i in interest:
-                if i not in self.at_root:
-                    _check_flow_id(self.forest.num_flows, i)
-                    raise InterestNotAtRootError(
-                        "flow %d does not cross server %d" % (i, self.root)
-                    )
-        sizes = list(map(len, interests))
-        member_flow = np.fromiter(chain.from_iterable(interests), np.intp, sum(sizes))
-        return _RowLayout(self.forest, np.full(len(sizes), self.root),
-                          np.repeat(np.arange(len(sizes)), sizes), member_flow)
-
     def backlog(self, interest: Iterable[int]) -> BacklogResult:
         """
         Worst-case backlog at the local root for full-network flow ids,
-        with its table read off one row of the coefficient pass.
+        with its table read off one row of the coefficient pass, laid out at
+        the root on the view's forest once the interest flows are checked.
 
         :raises InterestNotAtRootError: if some flow is unknown or misses
             the local root
         """
         interest = frozenset(interest)
-        rows = self._rows([interest])
+        for i in interest:
+            if i not in self.at_root:
+                _check_flow_id(self.forest.num_flows, i)
+                raise InterestNotAtRootError("flow %d does not cross server %d" % (i, self.root))
         if self.unstable_servers:
             return BacklogResult(
                 UNBOUNDED, None, "servers %r are not strictly stable" % self.unstable_servers
             )
+        rows = _RowLayout(self.forest, np.array([self.root]), np.zeros(len(interest), np.intp),
+                          np.fromiter(interest, np.intp, len(interest)))
         num, succ = self.numbers, self.forest.succ.tolist()
         phi, rho, grid = rows.run(num)
         xi = {}
@@ -388,26 +376,6 @@ class UpstreamView:
         value = left_sum(full_rho[j] * t for j, t in enumerate(num.latency.tolist()))
         value += left_sum(full_phi[i] * b for i, b in enumerate(num.burst.tolist()))
         return BacklogResult(Bound(value), XiTable(xi, full_rho, full_phi, interest))
-
-    def coefficient_rows(self, interests: Sequence[Iterable[int]]):
-        """
-        The coefficient pass for a batch of interest sets (network flow
-        ids): ``(phi, rho, xi_root)``, one row per interest set, with the
-        burst weight of every flow, the latency weight of every server and
-        every server's coefficient toward the local root, over the full
-        network's ids (0 outside the view).
-
-        :raises InterestNotAtRootError: if some flow is unknown or misses
-            the local root
-        :raises LocallyUnstableError: if the view is not locally stable
-        """
-        rows = self._rows(interests)
-        if self.unstable_servers:
-            raise LocallyUnstableError(
-                "servers %r are not strictly stable" % self.unstable_servers
-            )
-        phi, rho, xi = rows.run(self.numbers)
-        return phi, rho, rows.toward_root(xi)
 
 
 @dataclass(frozen=True, eq=False)

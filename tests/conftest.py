@@ -5,6 +5,7 @@ import pytest
 
 from netcalc import Flow, Network, RateLatency, TokenBucket
 from netcalc.topologies import bi_ring, toy, uni_ring
+from netcalc.tree_analysis import _RowLayout
 
 
 def as_network(base, split_flows):
@@ -19,6 +20,14 @@ def as_network(base, split_flows):
         burst = origin.burst if sf.segment == 0 else 0.0
         flows.append(Flow(TokenBucket(burst, origin.rate), sf.path))
     return Network(base.servers, tuple(flows))
+
+
+def rows_at(forest, roots, batch):
+    """Row ``b`` of the coefficient pass at ``roots[b]`` with the interest flows ``batch[b]``."""
+    sizes = [len(interest) for interest in batch]
+    member_flow = np.array([i for interest in batch for i in interest], dtype=np.intp)
+    return _RowLayout(forest, np.array(roots, dtype=np.intp),
+                      np.repeat(np.arange(len(batch)), sizes), member_flow)
 
 
 def random_tandem(rng, n=None, m=None, stable_margin=(0.02, 1.0)):

@@ -38,7 +38,7 @@ def build_sd(net: Network) -> LinearRecursion:
     over all other hops ``s`` present at server ``j``.  First-hop bursts
     are known and folded into the constant vector.
     """
-    _require_local_stability(_numbers(net))
+    _require_local_stability(_numbers(net).unstable)
     labels = labels_of(net)
     index = {lab: pos for pos, lab in enumerate(labels)}
     L = len(labels)

@@ -64,6 +64,29 @@ def test_network_file_rejects_bad_path_ids(tmp_path, capsys, path, message):
     assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    (("servers", 0, "rate"), True, "server 1: rate must be a number, got True"),
+    (("servers", 1, "rate"), False, "server 2: rate must be a number, got False"),
+    (("servers", 0, "latency"), "0.5", "server 1: latency must be a number, got '0.5'"),
+    (("flows", 0, "burst"), True, "flow 1: burst must be a number, got True"),
+    (("flows", 0, "rate"), "1", "flow 1: rate must be a number, got '1'"),
+    (("servers", 0, "rate"), 10**400, "int too large to convert to float"),
+], ids=["true_rate", "false_rate", "string_latency", "true_burst", "string_rate", "huge_int"])
+def test_network_file_rejects_non_numbers(tmp_path, capsys, field, value, message):
+    # rates, latencies and bursts are JSON numbers: a bool or a string is
+    # refused, not read as 1.0, 0.0 or the number it spells
+    doc = network_to_dict(two_server_sink_tree())
+    kind, index, key = field
+    doc[kind][index][key] = value
+    with pytest.raises(ValidationError, match="^malformed network file: " + re.escape(message)):
+        network_from_dict(doc)
+    src = tmp_path / "net.json"
+    src.write_text(json.dumps(doc))
+    assert main(["analyze", "--network", str(src), "--method", "sd"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
 def test_format_value():
     assert format_value(None) == "inf"
     assert format_value(float("inf")) == "inf"

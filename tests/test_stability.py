@@ -56,7 +56,9 @@ from netcalc.tree_analysis import UpstreamView, _RowLayout, tree_backlog_at, ups
 
 import sd_reference
 from xi_reference import view_tree
-from conftest import as_network, random_cyclic_instance, random_tandem, random_tree, random_uni_ring
+from conftest import (
+    as_network, random_cyclic_instance, random_tandem, random_tree, random_uni_ring, rows_at,
+)
 
 
 def _single_flow_tandem(b=1.0, r=1.0, R=4.0, T=0.25):
@@ -1043,6 +1045,13 @@ def _renumbered_clip(net, j1):
     return renamed, old_to_new, sorted(keep)
 
 
+def _view_rows(view, batch):
+    # (phi, rho, xi toward the root) of the batch's rows at the view's root
+    rows = rows_at(view.forest, [view.root] * len(batch), batch)
+    phi, rho, xi = rows.run(view.numbers)
+    return phi, rho, rows.toward_root(xi)
+
+
 def test_context_views_equal_public_upstream_views(rng):
     # a context slices its views from the forest checked once; they must be
     # the views the public upstream_view builds and checks on its own
@@ -1067,7 +1076,7 @@ def test_context_views_equal_public_upstream_views(rng):
             unstable_views += bool(view.unstable_servers)
             if not view.unstable_servers:
                 batch = [[i] for i in sorted(view.at_root)] + [sorted(view.at_root)]
-                for mine, theirs in zip(view.coefficient_rows(batch), public.coefficient_rows(batch)):
+                for mine, theirs in zip(_view_rows(view, batch), _view_rows(public, batch)):
                     np.testing.assert_array_equal(mine, theirs)
     assert unstable_views > 0
 
@@ -1131,6 +1140,17 @@ def test_build_grouped_rejects_arcs_outside_the_removal():
     kept = min(induced_graph(net) - removed)
     with pytest.raises(ValidationError, match=re.escape("grouped arcs not in the removal: [%r]" % (kept,))):
         build_grouped(net, removed, removed | {kept})
+
+
+def test_build_functions_check_local_stability_before_the_removal():
+    # a removal that names no induced arc is not looked at on a locally
+    # unstable network: every build_* refuses the network first
+    net, removed = uni_ring(4, 1.0), {(9, 8)}
+    message = r"^servers \[0, 1, 2, 3\] are not strictly stable$"
+    for build in (lambda: build_td(net, removed), lambda: build_ag(net, removed),
+                  lambda: build_grouped(net, removed, ())):
+        with pytest.raises(LocallyUnstableError, match=message):
+            build()
 
 
 def test_td_verdict_checks_the_network_once_whatever_the_number_of_views(monkeypatch):

@@ -27,13 +27,12 @@ from netcalc.network import _hops, _numbers, _paths
 from netcalc.tree_analysis import (
     UpstreamView,
     XiTable,
-    _RowLayout,
     _prepare_forest,
     _root_view,
     upstream_view,
 )
 
-from conftest import as_network, random_tandem, random_tree
+from conftest import as_network, random_tandem, random_tree, rows_at
 from xi_reference import _xi_general, _xi_sink_tree, scalar_input, view_tree
 
 # Two-server tandem fixture, second server twice as fast; the flow of
@@ -344,7 +343,7 @@ def test_array_pass_matches_scalar_pass(rng):
             root = net.num_servers - 1
             at_root = [flow[i] for i, f in enumerate(net.flows) if f.path[-1] == root]
             batch = _interest_batch(rng, at_root)
-            rows = view._rows(batch)
+            rows = rows_at(view.forest, [view.root] * len(batch), batch)
             phi, rho, xi = rows.run(view.numbers)
             # one pair per row and server of the whole tree
             assert phi.shape == (len(batch), net.num_flows)
@@ -382,9 +381,7 @@ def test_one_batch_rooted_everywhere_matches_scalar_pass_per_view(rng):
             for interest in _interest_batch(rng, crossing) if crossing else [[]]:
                 roots.append(j)
                 batch.append(interest)
-        sizes = [len(interest) for interest in batch]
-        rows = _RowLayout(forest, np.array(roots), np.repeat(np.arange(len(batch)), sizes),
-                          np.array([i for interest in batch for i in interest], dtype=np.intp))
+        rows = rows_at(forest, roots, batch)
         phi, rho, xi = rows.run(numbers)
         assert (rows.k == 0).sum() == len(batch)  # one root pair per row
         assert any(not flows for flows in batch)
@@ -415,7 +412,9 @@ def test_view_rows_match_view_backlog(rng):
         view = upstream_view(net, j1)
         crossing = [i for i, f in enumerate(net.flows) if j1 in f.path]
         batch = _interest_batch(rng, crossing)
-        phi, rho, xi_root = view.coefficient_rows(batch)
+        rows = rows_at(view.forest, [j1] * len(batch), batch)
+        phi, rho, xi = rows.run(view.numbers)
+        xi_root = rows.toward_root(xi)
         kept = view_tree(view)[1]
         for b, interest in enumerate(batch):
             table = view.backlog(interest).table
@@ -429,7 +428,7 @@ def test_view_rows_match_view_backlog(rng):
         outside = next((i for i, f in enumerate(net.flows) if j1 not in f.path), None)
         if outside is not None:
             with pytest.raises(InterestNotAtRootError):
-                view.coefficient_rows([[outside]])
+                view.backlog([outside])
 
 
 def test_array_pass_rejects_local_instability():
@@ -442,10 +441,10 @@ def test_array_pass_rejects_local_instability():
     with pytest.raises(LocallyUnstableError):
         _xi_general(*scalar_input(view, [0]))
     with pytest.raises(LocallyUnstableError):
-        view._rows([[0]]).run(view.numbers)
+        rows_at(view.forest, [view.root], [[0]]).run(view.numbers)
     view = upstream_view(net, 1)
     with pytest.raises(LocallyUnstableError):
-        view.coefficient_rows([[0]])
+        rows_at(view.forest, [view.root], [[0]]).run(view.numbers)
 
 
 def test_array_pass_instability_names_the_network_server():
@@ -458,7 +457,7 @@ def test_array_pass_instability_names_the_network_server():
     view = upstream_view(net, 1)
     assert view_tree(view)[1] == [0, 2, 1]
     with pytest.raises(LocallyUnstableError, match=r"^server 2 cannot drain its local traffic$"):
-        view._rows([[0]]).run(view.numbers)
+        rows_at(view.forest, [view.root], [[0]]).run(view.numbers)
     assert view.unstable_servers == [2]
 
 

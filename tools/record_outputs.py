@@ -38,7 +38,9 @@ Records:
   the delay of flow 0: ``removal_tree(net, root)`` at every root, then
   three invalid removals (see :func:`invalid_removals`); and, for each of
   these removals and the default one, the outputs of ``decompose`` and
-  ``group_by_arc``, or the error;
+  ``group_by_arc``, and ``build_grouped`` with no removed arc grouped, the
+  first one (in sorted order) and all of them, with its labels and ``L``,
+  or the error;
 - every ``sweep`` cell: ``bi_ring(SWEEP_N)`` at each utilization of the
   full sweep, ``analyze`` under every method with the benchmark's target
   and with the delay of every flow;
@@ -64,7 +66,9 @@ Records:
   fixtures with their defaults;
 - ``build_sd`` of every ``critical`` sd case's family at every utilization
   of the full sweep and at 1, or the error: rings up to ``L = 870``; and
-  at 0.5 with the labels and ``L`` too.
+  at 0.5 with the labels and ``L`` too;
+- ``network_from_dict`` on the network document of ``toy()`` and on copies
+  with one rate, latency or burst set to a bool or a string, or the error.
 
 Arrays are recorded by a digest of their bytes, floats by ``repr``.
 """
@@ -81,7 +85,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
-from netcalc import fluid, stability  # noqa: E402
+from netcalc import fileio, fluid, stability  # noqa: E402
 from netcalc.curves import RateLatency, TokenBucket  # noqa: E402
 from netcalc.decomposition import decompose, group_by_arc, removal_tree  # noqa: E402
 from netcalc.network import Flow, Network, induced_graph, is_acyclic, local_stability  # noqa: E402
@@ -321,10 +325,22 @@ def _decomposed(net, removed):
     return {"split": _segments(split), "groups": _groups(group_by_arc(split))}
 
 
+def _grouped(net, removed, count):
+    """
+    ``build_grouped`` by ``removed`` (default: removal_tree) with its first
+    ``count`` arcs in sorted order grouped (all of them for ``None``).
+    """
+    arcs = sorted(removal_tree(net) if removed is None else removed)
+    return _laid_out(stability.build_grouped(net, removed, arcs[:count]))
+
+
 def _explicit_records(name, net):
     targets = _targets(net)
     for key, removed in _removals(net).items():
         yield {"net": name, "removal": key, "decompose": _call(lambda d: d, _decomposed, net, removed)}
+        for grouped, count in (("none", 0), ("first", 1), ("all", None)):
+            yield {"net": name, "removal": key, "grouped": grouped,
+                   "build_grouped": _call(lambda d: d, _grouped, net, removed, count)}
         if removed is None:
             continue
         for method in ("td", "ag", "2s"):
@@ -400,6 +416,9 @@ def records(workloads):
         for interest in ([0], ending[: max(1, len(ending) // 2)]):
             yield _oracle_record(name, net, interest)
     yield from _generator_records(workloads)
+    for name, doc in _documents():
+        yield {"document": name,
+               "network_from_dict": _call(_network, fileio.network_from_dict, doc)}
 
 
 def _network(net) -> dict:
@@ -440,6 +459,17 @@ def _generator_records(workloads):
                    "build_sd": _call(_recursion, stability.build_sd, family(u))}
         yield {"family": key, "u": repr(0.5),
                "build_sd": _call(_laid_out, stability.build_sd, family(0.5))}
+
+
+def _documents():
+    """``(name, document)``: ``toy()``'s network document, then copies with a non-number."""
+    yield "toy()", fileio.network_to_dict(toy())
+    for kind, key in (("servers", "rate"), ("servers", "latency"), ("flows", "burst"),
+                      ("flows", "rate")):
+        for value in (True, False, "0.5", "1"):
+            doc = fileio.network_to_dict(toy())
+            doc[kind][0][key] = value
+            yield "toy()/%s/%s=%r" % (kind, key, value), doc
 
 
 def _oracle_record(name, net, interest):
