@@ -12,13 +12,14 @@ and delay bounds are read as linear forms.
 
 Every stability decision takes a :class:`LinearRecursion`, the one
 operand of the decision layer; a matrix given to a public routine is
-checked, then wrapped with ``N = 0``.  A decision (``rho_below``) runs at
-most ``L`` steps of a Collatz-Wielandt bracket, ``L`` being the number of
-variables, each step one product ``lr @ x``, then one exact M-matrix
-test: ``(theta I - M) x = 1`` solved once (``lr.shifted_solve``, the
-solve of the fixed point too), with a positive ``x`` and a positive
-residual ``theta x - M x`` as the certificate.  Whether ``M`` is dense
-or kept in factors is the recursion's business alone.  The bracket may
+checked, then wrapped with ``N = 0``.  A decision (``rho_below``) runs
+steps of a Collatz-Wielandt bracket, each one product ``lr @ x``, then
+one exact M-matrix test: ``(theta I - M) x = 1`` solved once
+(``lr.shifted_solve``, the solve of the fixed point too), with a positive
+``x`` and a positive residual ``theta x - M x`` as the certificate.
+The bracket runs the steps that cost what the exact test does
+(``_budget``), each step priced by the recursion (``lr.step_cost``):
+``O(L^2)`` on a dense ``M``, ``O(L)`` on factors.  The bracket may
 start from any positive vector: ``min(M x / x) <= rho(M) <= max(M x /
 x)`` for every nonnegative ``M`` and positive ``x``.  A decision started
 from the all-ones vector is cold; the decisions of a
@@ -29,8 +30,8 @@ steps a decision takes, never what it certifies.
 ``analyze`` takes its verdict from these decisions alone: the fixed-point
 test at ``1 - 1e-9``, and for a diverging recursion one more test at
 ``1 + 1e-9`` that tells ``critical`` from ``unstable``.  The exact
-spectral radius (``spectral_radius``) is computed only when a report's
-``rho`` is read, and cached.
+spectral radius (``spectral_radius``, ``eigvals`` on the dense ``M``) is
+computed only when a report's ``rho`` is read, and cached.
 
 Three constructions of ``(M, N)`` are provided: per-server decomposition
 (``sd``), tree decomposition (``td``) and grouping of the flows crossing
@@ -69,8 +70,10 @@ flow paths, checked at every step.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import islice
 from typing import Callable, FrozenSet, Iterable, Optional, Tuple
 
 import numpy as np
@@ -91,11 +94,19 @@ METHODS = ("sd", "td", "ag", "2s")
 #: Margin below 1 required of the spectral radius to declare stability.
 STABILITY_EPS = 1e-9
 
-#: Absolute accuracy of :func:`spectral_radius`.
-RHO_TOL = 1e-9
-
 #: Diagonal shift of the power iteration, which keeps its iterate positive.
 POWER_SHIFT = 1e-6
+
+#: The cost model of :func:`_budget` in seconds, fitted to ``timeit`` (best of
+#: 7) on ring sd recursions of ``L <= 264``, 2-core Intel Xeon, one BLAS
+#: thread; they hold only up to that size.  A step
+#: (:attr:`LinearRecursion.step_cost`): its fixed numpy calls (7.0 µs at
+#: ``L = 6``) plus its product by every stored entry of a dense ``M`` (17.1 µs
+#: at 264) or variable of factors (10.8 µs at 264).
+STEP_S, DENSE_ENTRY_S, FACTORED_VAR_S = 7e-6, 0.15e-9, 10e-9
+#: The exact test, ``(call, per L³)``: an LU of ``⅔ L³`` flops and a
+#: certificate (19 µs at ``L = 12``, 1.02 ms at 264).
+LU_S = (20e-6, 60e-12)
 
 #: The utilization range :func:`critical_utilization` searches, and the
 #: bracket width at which its bisection stops.
@@ -114,7 +125,8 @@ class LinearRecursion:
     ``M`` is the ``L x L`` matrix, ``L`` the number of variables
     (:attr:`size`), or for the per-server recursion its factors
     (:class:`_SdFactors`); only the recursion knows which.  ``lr @ x`` is
-    the product ``M x``, the step of every decision: ``O(L)`` on factors.
+    the product ``M x``, the step of every decision: ``O(L)`` on factors,
+    and :attr:`step_cost` its price.
     Reading :attr:`M`, as :meth:`shifted_solve` does, builds the dense
     matrix from the factors and keeps it in their place, so later steps
     multiply by it.
@@ -151,6 +163,13 @@ class LinearRecursion:
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self._M @ x
+
+    @property
+    def step_cost(self) -> float:
+        """The seconds of one bracket step, its product ``lr @ x`` included."""
+        L = self.size
+        factored = isinstance(self._M, _SdFactors)
+        return STEP_S + (FACTORED_VAR_S * L if factored else DENSE_ENTRY_S * L * L)
 
     def shifted_solve(self, theta: float, rhs: np.ndarray) -> np.ndarray:
         """
@@ -253,41 +272,37 @@ def _checked(M) -> LinearRecursion:
 def spectral_radius(M) -> float:
     """
     Spectral radius of a nonnegative matrix, or of a
-    :class:`LinearRecursion`'s ``M``, via power iteration on the shifted
-    matrix ``M + 1e-6 I`` (``POWER_SHIFT``) started from the all-ones
-    vector.
+    :class:`LinearRecursion`'s ``M``: the largest eigenvalue modulus by
+    the exact eigenvalue routine on the dense ``M``.  Only a report's
+    ``rho`` reads it, and it decides nothing: a decision is
+    :func:`rho_below`'s.
 
-    The iterate stays positive thanks to the shift, so the min/max ratios
-    of consecutive iterates bracket the radius (Collatz-Wielandt);
-    iteration stops when the bracket closes to the fixed absolute
-    tolerance ``1e-9`` (``RHO_TOL``).  Near-periodic matrices (a cycle of
-    coefficients) close their bracket only at a ``1/POWER_SHIFT`` pace, so
-    the bracket gets at most ``L`` steps, ``L`` the matrix size, and then
-    the exact eigenvalue routine takes over on the dense ``M``; either way
-    the result is accurate to ``1e-9``.  The budget of ``L`` steps is the
-    one of :func:`rho_below`, and it is not a cost balance.
-
-    >>> spectral_radius(np.array([[0.0, 0.5], [0.5, 0.0]]))
+    >>> round(spectral_radius(np.array([[0.0, 0.5], [0.5, 0.0]])), 12)
     0.5
     """
     lr = _checked(M)
     if lr.size == 0:
         return 0.0
-    for lo, hi, _ in _brackets(lr, None):
-        if hi - lo <= RHO_TOL:
-            return 0.5 * (lo + hi)
     return float(max(abs(np.linalg.eigvals(lr.M))))
+
+
+def _budget(lr: LinearRecursion) -> int:
+    """
+    The bracket steps on ``lr``, at least one, that cost what the exact
+    test after them does (``LU_S``), each step priced by the recursion.
+    """
+    return max(1, int((LU_S[0] + LU_S[1] * lr.size**3) / lr.step_cost))
 
 
 def _brackets(lr: LinearRecursion, x: Optional[np.ndarray]):
     """
     Collatz-Wielandt brackets of ``rho(M)``, from power iteration on
     ``M + POWER_SHIFT I`` started from the positive vector ``x`` (``None``:
-    all ones): ``L`` of them, ``L`` the recursion's size, the one budget of
-    every decision.  Each comes as ``(lo, hi, the iterate it was read off)``.
+    all ones), without end (:func:`_budget` bounds them).  Each comes as
+    ``(lo, hi, the iterate it was read off)``.
     """
     x = np.ones(lr.size) if x is None else x
-    for _ in range(len(x)):
+    while True:
         y = lr @ x + POWER_SHIFT * x
         ratios = y / x
         yield float(ratios.min()) - POWER_SHIFT, float(ratios.max()) - POWER_SHIFT, x
@@ -299,8 +314,9 @@ def rho_below(M, threshold: float) -> bool:
     Decide ``spectral_radius(M) < threshold``, for a nonnegative matrix or
     a :class:`LinearRecursion`.  The Collatz-Wielandt bracket usually
     separates from the threshold long before it closes, so it runs first,
-    from the all-ones vector, for at most ``L`` steps, ``L`` the matrix
-    size.  If it is still undecided, one exact M-matrix test settles it:
+    from the all-ones vector, for at most the steps that cost what the
+    exact test does (:func:`_budget`).  If it is still undecided, one
+    exact M-matrix test settles it:
     ``rho(M) < threshold`` exactly when ``threshold I - M`` is a
     nonsingular M-matrix, i.e. when ``(threshold I - M) x = 1`` has a
     positive solution.  The answer is yes only if the solved ``x`` is
@@ -308,9 +324,8 @@ def rho_below(M, threshold: float) -> bool:
     is positive too: ``x`` is then a certificate ``M x < threshold x``.
 
     A step is one product ``M x`` and the exact test one shifted solve,
-    both the recursion's (:class:`LinearRecursion`).  The budget of ``L``
-    steps is not a cost balance: on a dense ``M``, ``L`` steps cost several
-    exact tests.
+    both the recursion's (:class:`LinearRecursion`); a decision the
+    bracket cannot settle costs about two exact tests.
 
     :raises ValidationError: if ``M`` is not square, finite and
         nonnegative, as :func:`spectral_radius` requires
@@ -340,7 +355,7 @@ def _decide(
     if lr.size == 0:
         return threshold > 0, start
     x = start
-    for lo, hi, x in _brackets(lr, start):
+    for lo, hi, x in islice(_brackets(lr, start), _budget(lr)):
         if lo >= threshold:
             return False, x
         if hi < threshold:
@@ -376,21 +391,31 @@ def solve_recursion(lr: LinearRecursion) -> Optional[np.ndarray]:
     return np.maximum(solution, 0.0)
 
 
+def _is_id(i) -> bool:
+    """An id: an integer, numpy's too, never a ``bool``."""
+    return isinstance(i, numbers.Integral) and not isinstance(i, bool)
+
+
 def _check_target(num_servers: int, num_flows: int, target: Target) -> None:
-    """Reject a malformed target, or one naming a server or flow the network lacks."""
+    """
+    Reject a malformed target, or one naming a server or flow the network
+    lacks; an id is an integer (numpy's too), never a ``bool`` or a ``float``.
+    """
     if target.kind == "backlog":
         if target.server is None or not target.flows:
             raise UnsupportedTargetError("backlog target needs a server and flows")
-        if not 0 <= target.server < num_servers:
-            raise UnsupportedTargetError("server %d does not exist" % target.server)
-        unknown = sorted(i for i in target.flows if not 0 <= i < num_flows)
+        if not _is_id(target.server) or not 0 <= target.server < num_servers:
+            raise UnsupportedTargetError("server %r does not exist" % (target.server,))
+        # an id that is no integer first, else the smallest one out of range
+        unknown = [i for i in target.flows if not _is_id(i)] or sorted(
+            i for i in target.flows if not 0 <= i < num_flows)
         if unknown:
             raise UnsupportedTargetError(
-                "some target flows do not cross the server: flow %d does not exist" % unknown[0]
+                "some target flows do not cross the server: flow %r does not exist" % (unknown[0],)
             )
     elif target.kind == "delay":
-        if target.flow is None or not 0 <= target.flow < num_flows:
-            raise UnsupportedTargetError("flow %r does not exist" % target.flow)
+        if not _is_id(target.flow) or not 0 <= target.flow < num_flows:
+            raise UnsupportedTargetError("flow %r does not exist" % (target.flow,))
     else:
         raise UnsupportedTargetError("unknown target kind %r" % target.kind)
 

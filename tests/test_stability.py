@@ -43,7 +43,9 @@ from netcalc.cli import main as cli_main
 from netcalc.decomposition import decompose, group_by_arc, removal_tree
 from netcalc.network import _numbers, induced_graph, renumber
 from netcalc.stability import (
+    LU_S,
     METHODS,
+    _budget,
     _decide,
     _method_recursions,
     _prepare,
@@ -381,6 +383,24 @@ def test_every_below_answer_carries_an_exact_certificate(rng, monkeypatch, exact
                 below += 1
                 assert _certifies_below(M, x, theta)
     assert below > 0
+
+
+def test_budget_balances_the_steps_against_the_exact_test(monkeypatch):
+    lr = build_sd(uni_ring(30, 0.05))  # L = 870, in factors until M is read
+    factored = _budget(lr)
+    lr.M  # reading M puts the dense matrix in the factors' place
+    # a factored step is O(L), a dense one O(L^2): the same test buys more factored steps
+    assert factored > _budget(lr) >= 1
+    for L in (1, 12, 264):
+        dense = LinearRecursion(tuple(range(L)), np.ones((L, L)), np.zeros(L))
+        budget = _budget(dense)
+        assert budget >= 1
+        with monkeypatch.context() as patch:
+            # the dearer the exact test after the bracket, the more steps it buys
+            patch.setattr(netcalc.stability, "LU_S", (2 * LU_S[0], 2 * LU_S[1]))
+            assert _budget(dense) > budget
+            patch.setattr(netcalc.stability, "LU_S", (0.0, 0.0))
+            assert _budget(dense) == 1  # a free test still gets one step
 
 
 def test_rho_below_decides_periodic_cycles_without_eigvals(monkeypatch):
@@ -1132,6 +1152,36 @@ def test_out_of_range_target_ids_are_rejected(method, target, bad):
     # local instability still short-circuits first
     report = analyze(uni_ring(5, 1.0), method, target)
     assert not report.stable and report.bound is UNBOUNDED
+
+
+_NOT_INT_TARGETS = [
+    (Target.backlog(True, [0]), "server True", METHODS),
+    (Target.backlog(9.0, [0]), "server 9.0", METHODS),
+    (Target.delay(0.0), "flow 0.0", ("td", "ag", "2s")),  # sd refuses any delay
+    (Target.backlog(9, [True]), "flow True", METHODS),
+]
+
+
+@pytest.mark.parametrize("target, bad, methods", _NOT_INT_TARGETS,
+                         ids=[bad.replace(" ", "_") for _, bad, _ in _NOT_INT_TARGETS])
+def test_target_ids_must_be_ints(target, bad, methods):
+    # True == 1 and 9.0 == 9 name existing ids, but they are no ids: refused,
+    # not read as server 1, server 9 or flow 1
+    net = uni_ring(10, 0.3)
+    message = re.escape("%s does not exist" % bad)
+    for method in methods:
+        with pytest.raises(UnsupportedTargetError, match=message):
+            analyze(net, method, target)
+        with pytest.raises(UnsupportedTargetError, match=message):
+            objective_for(net, target, method)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_numpy_integer_target_ids_are_ids(method):
+    net = uni_ring(10, 0.05)
+    plain = analyze(net, method, Target.backlog(9, [0]))
+    assert math.isfinite(plain.bound)
+    assert analyze(net, method, Target.backlog(np.int64(9), [np.int64(0)])).bound == plain.bound
 
 
 def test_build_grouped_rejects_arcs_outside_the_removal():

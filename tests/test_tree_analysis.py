@@ -313,15 +313,14 @@ def _grid(rows, xi, b, succ):
 
 def _assert_rows_match_scalar(view, rows, phi, rho, xi, batch):
     # each row against the scalar pass on the row's own view, every cell of
-    # the grid included, in the renumbered ids of that view
+    # the grid included, in the renumbered ids of that view: equal to the last bit
     tree, server, flow = view_tree(view)
     succ = view.forest.succ.tolist()
     for b, interest in batch:
         table = _xi_general(*scalar_input(view, [flow.index(i) for i in interest]))
-        np.testing.assert_allclose(
-            phi[b, flow], [table.phi[i] for i in range(tree.num_flows)], rtol=1e-12, atol=0)
-        np.testing.assert_allclose(
-            rho[b, server], [table.rho[j] for j in range(tree.num_servers)], rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(phi[b, flow], [table.phi[i] for i in range(tree.num_flows)])
+        np.testing.assert_array_equal(
+            rho[b, server], [table.rho[j] for j in range(tree.num_servers)])
         outside = np.ones(len(succ), dtype=bool)
         outside[server] = False
         assert not rho[b, outside].any()
@@ -329,10 +328,8 @@ def _assert_rows_match_scalar(view, rows, phi, rho, xi, batch):
         grid = _grid(rows, xi, b, succ)
         assert len(grid) == len(table.xi)
         keys = list(table.xi)
-        np.testing.assert_allclose(
-            [grid[(server[j], server[k])] for j, k in keys],
-            [table.xi[key] for key in keys],
-            rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(
+            [grid[(server[j], server[k])] for j, k in keys], [table.xi[key] for key in keys])
 
 
 def test_array_pass_matches_scalar_pass(rng):

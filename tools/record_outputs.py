@@ -30,7 +30,9 @@ Records:
   under every method, ``build_sd`` and the ``local_stability`` classes;
   for a ``build_sd`` recursion of at most ``DECIDED_SIZE`` variables also
   ``spectral_radius`` and ``rho_below`` at each of ``THRESHOLDS``, both
-  given the dense ``M`` as a plain matrix;
+  given the dense ``M`` as a plain matrix, and both given the recursion
+  as built, a fresh one for each call (its ``M`` in factors until the call
+  reads it), as ``factored``;
 - every ``critical`` case's threshold ``U*``;
 - ``analyze`` under ``td``, ``ag`` and ``2s`` with explicit removals, on
   the pool's fixed structures, its first ``EXPLICIT_RINGS`` rings of each
@@ -142,13 +144,22 @@ def _laid_out(lr) -> dict:
     return {"labels": repr(lr.labels), "L": lr.size, "recursion": _recursion(lr)}
 
 
-def _decided(lr) -> dict:
-    """A recursion and, up to ``DECIDED_SIZE``, the decisions on its ``M`` as a plain matrix."""
+def _decisions(operand) -> dict:
+    """``spectral_radius`` and ``rho_below`` at each threshold, each on ``operand()``."""
+    return {"spectral_radius": repr(stability.spectral_radius(operand())),
+            "rho_below": [stability.rho_below(operand(), theta) for theta in THRESHOLDS]}
+
+
+def _decided(net, lr) -> dict:
+    """
+    The recursion ``lr = build_sd(net)`` and, up to ``DECIDED_SIZE``
+    variables, the decisions on its ``M`` as a plain matrix and on fresh
+    recursions as built.
+    """
     record = {"recursion": _recursion(lr)}
     if lr.size <= DECIDED_SIZE:
-        M = lr.M
-        record["spectral_radius"] = repr(stability.spectral_radius(M))
-        record["rho_below"] = [stability.rho_below(M, theta) for theta in THRESHOLDS]
+        record.update(_decisions(lambda: lr.M))
+        record["factored"] = _decisions(partial(stability.build_sd, net))
     return record
 
 
@@ -365,7 +376,7 @@ def records(workloads):
     for name, net in nets.items():
         targets = _targets(net)
         yield {"net": name, "local_stability": [c.name for c in local_stability(net).per_server]}
-        yield {"net": name, "build_sd": _call(_decided, stability.build_sd, net)}
+        yield {"net": name, "build_sd": _call(partial(_decided, net), stability.build_sd, net)}
         for method in stability.METHODS:
             yield {"net": name, "method": method,
                    "is_stable": _call(bool, stability.is_stable, net, method)}
