@@ -96,7 +96,6 @@ from .tree_analysis import (
     XiTable,
     compute_xi,
     tree_backlog,
-    tree_backlog_at,
     tree_delay,
     tree_output_curve,
 )

@@ -112,13 +112,11 @@ def cmd_analyze(args) -> int:
             "bound": bound_value,
             "target": _describe_target(target),
             "variables": [str(lab) for lab in report.labels],
-            "fixed_point": None
-            if report.fixed_point is None
-            else [float(v) for v in report.fixed_point],
+            "fixed_point": None if report.fixed_point is None else report.fixed_point.tolist(),
         }
         if objective is not None:
             doc["bound_constant"] = float(objective.C)
-            doc["bound_coefficients"] = [float(q) for q in objective.Q]
+            doc["bound_coefficients"] = objective.Q.tolist()
         print(json.dumps(doc, indent=2))
     else:
         print("method:  %s" % report.method)

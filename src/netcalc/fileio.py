@@ -22,7 +22,7 @@ from typing import IO, Optional, Sequence, Tuple, Union
 
 from .curves import RateLatency, TokenBucket
 from .errors import ValidationError
-from .network import Flow, Network
+from .network import Flow, Network, _is_id
 
 
 def network_to_dict(net: Network) -> dict:
@@ -44,7 +44,7 @@ def network_to_dict(net: Network) -> dict:
 
 def _path(ids, flow: int, n: int) -> Tuple[int, ...]:
     """0-based path of ``flow`` from a JSON list of 1-based server ids."""
-    if not isinstance(ids, list) or not set(map(type, ids)) <= {int}:  # bool is not int
+    if not isinstance(ids, list) or not all(map(_is_id, ids)):
         raise ValidationError(
             "flow %d: path must be a list of integer server ids, got %r" % (flow + 1, ids)
         )

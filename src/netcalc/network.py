@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import enum
 import heapq
+import numbers
 from dataclasses import dataclass
 from itertools import chain
-from typing import FrozenSet, List, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from .curves import RateLatency, ServerClass, TokenBucket, classify_server
-from .errors import LocallyUnstableError, ValidationError
+from .errors import InterestNotAtRootError, LocallyUnstableError, ValidationError
 
 Arc = Tuple[int, int]
 
@@ -238,6 +239,30 @@ def _require_local_stability(unstable: np.ndarray) -> None:
         raise LocallyUnstableError(
             "servers %r are not strictly stable" % np.flatnonzero(unstable).tolist()
         )
+
+
+def _is_id(i) -> bool:
+    """An id: an integer, numpy's too, never a ``bool``."""
+    return type(i) is int or isinstance(i, numbers.Integral) and not isinstance(i, bool)
+
+
+def _check_flow_id(num_flows: int, i) -> None:
+    """Raise :class:`InterestNotAtRootError` unless ``i`` is one of ``num_flows`` flow ids."""
+    if not _is_id(i) or not 0 <= i < num_flows:
+        raise InterestNotAtRootError("unknown flow id %r" % (i,))
+
+
+def _check_interest(interest: Iterable, num_flows: int, at_root, root: int) -> None:
+    """
+    Raise :class:`InterestNotAtRootError` for the first flow of
+    ``interest``, in its iteration order, that is no flow id or is not in
+    ``at_root``, the flows crossing the root server ``root``: the check of
+    the tree analysis and of its oracle alike.
+    """
+    for i in interest:
+        _check_flow_id(num_flows, i)
+        if i not in at_root:
+            raise InterestNotAtRootError("flow %d does not cross server %d" % (i, root))
 
 
 @dataclass(frozen=True)

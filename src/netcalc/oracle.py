@@ -25,10 +25,11 @@ from typing import FrozenSet, Iterable, List, Tuple
 
 import numpy as np
 
-from .errors import InterestNotAtRootError, LocallyUnstableError, NotATreeError, OracleSizeError
+from .errors import LocallyUnstableError, NotATreeError, OracleSizeError
 from .network import (
     Network,
     Topology,
+    _check_interest,
     _hops,
     _numbers,
     _paths,
@@ -49,11 +50,8 @@ def _bruteforce(net: Network, interest: FrozenSet[int]):
         raise OracleSizeError("n=%d exceeds the enumeration limit %d" % (n, MAX_ORACLE_SERVERS))
     num = _numbers(net)
     _require_local_stability(num.unstable)
-    for i in interest:  # as the tree analysis checks them, in the set's order
-        if not 0 <= i < net.num_flows:
-            raise InterestNotAtRootError("unknown flow id %d" % i)
-        if net.flows[i].path[-1] != n - 1:
-            raise InterestNotAtRootError("flow %d does not cross server %d" % (i, n - 1))
+    ending = {i for i, f in enumerate(net.flows) if f.path[-1] == n - 1}
+    _check_interest(interest, net.num_flows, ending, n - 1)
     # bursts[j, ell] and rates[j, ell]: the cross flows entering at j (for
     # the rates: crossing j) that leave at ell, added in flow order; column
     # n holds the interest flows the same way

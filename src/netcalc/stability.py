@@ -70,7 +70,6 @@ flow paths, checked at every step.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import islice
@@ -85,7 +84,9 @@ from .errors import (
     UnsupportedTargetError,
     ValidationError,
 )
-from .network import Arc, Network, _Numbers, _hops, _numbers, _paths, _require_local_stability
+from .network import (
+    Arc, Network, _Numbers, _hops, _is_id, _numbers, _paths, _require_local_stability,
+)
 from .tree_analysis import _RowLayout, _prepare_forest
 
 #: The analysis methods.
@@ -391,11 +392,6 @@ def solve_recursion(lr: LinearRecursion) -> Optional[np.ndarray]:
     return np.maximum(solution, 0.0)
 
 
-def _is_id(i) -> bool:
-    """An id: an integer, numpy's too, never a ``bool``."""
-    return isinstance(i, numbers.Integral) and not isinstance(i, bool)
-
-
 def _check_target(num_servers: int, num_flows: int, target: Target) -> None:
     """
     Reject a malformed target, or one naming a server or flow the network
@@ -502,11 +498,10 @@ class _SdLayout:
         j = target.server
         at = np.flatnonzero(self.server == j)  # one hop per flow crossing j, in flow order
         flow, later = self.flow[at], self.pos[at] >= 1
-        mine = np.zeros(len(self.paths), dtype=bool)
-        mine[list(target.flows)] = True
-        mine = mine[flow]
-        if mine.sum() != len(target.flows):
-            raise UnsupportedTargetError("some target flows do not cross the server")
+        missing = set(target.flows).difference(flow.tolist())
+        if missing:
+            raise UnsupportedTargetError("flow %d does not cross server %d" % (min(missing), j))
+        mine = np.array([i in target.flows for i in flow.tolist()], dtype=bool)
         if num.unstable[j]:
             raise LocallyUnstableError("server %d has no strict rate margin" % j)
         r_int = left_sum(num.rate[flow[mine]].tolist())
@@ -518,12 +513,9 @@ class _SdLayout:
         Q[self.var[at[~mine & later]]] = gain
         # the latency terms, then the first-hop bursts: the interest ones, then
         # the cross ones weighed by the gain, each group in flow order
-        terms = np.concatenate((
-            [gain * r_cross * latency + r_int * latency],
-            num.burst[flow[mine & ~later]],
-            gain * num.burst[flow[~mine & ~later]],
-        ))
-        C = np.cumsum(terms)[-1].item()
+        C = left_sum([gain * r_cross * latency + r_int * latency,
+                      *num.burst[flow[mine & ~later]].tolist(),
+                      *(gain * num.burst[flow[~mine & ~later]]).tolist()])
         return ObjectiveForm(Q, C)
 
 
@@ -640,13 +632,13 @@ class _Decomposition:
                     "is not a single tree analysis" % target.flow
                 )
             return path[-1], np.array([seg]), path[0]
-        flows, at = np.array(sorted(target.flows), dtype=np.intp), split.server == target.server
-        segment = np.full(len(self.paths), -1)
-        segment[split.flow[at]] = split.segment[at]
-        if (segment[flows] < 0).any():
-            raise UnsupportedTargetError("flow %d does not cross server %d" % (
-                flows[(segment[flows] < 0).argmax()], target.server))
-        return target.server, segment[flows], None
+        at = split.server == target.server
+        segment = dict(zip(split.flow[at].tolist(), split.segment[at].tolist()))
+        missing = set(target.flows).difference(segment)
+        if missing:
+            raise UnsupportedTargetError(
+                "flow %d does not cross server %d" % (min(missing), target.server))
+        return target.server, np.array([segment[i] for i in sorted(target.flows)]), None
 
     def bind(self, num: _Numbers) -> _Numbers:
         """
@@ -689,9 +681,8 @@ class _Decomposition:
         """
         root, interest, entry = self._target_row(target) if weights is None else self.target
         scale = 1.0
-        if target.kind == "delay":
-            seg = np.searchsorted(self.split.origin, target.flow)
-            rate, burst = num.rate[seg].item(), num.burst[seg].item()
+        if target.kind == "delay":  # the flow's one segment is the row's interest
+            rate, burst = num.rate[interest].item(), num.burst[interest].item()
             if rate == 0:
                 raise UnsupportedTargetError("delay of a zero-rate flow is undefined")
             # delay transform: (B - b)/r + xi b / r
@@ -841,26 +832,27 @@ def _two_stage(dec: _Decomposition, obj: ObjectiveForm, b_star, big_b) -> Bound:
     The groups are disjoint and each is constrained by a box and a single
     sum, so a per-group greedy allocation in decreasing coefficient order
     is exact.  When only one recursion is stable its constraints alone
-    apply; when neither is, the bound is unbounded.  The budget left
-    before each take is the running difference of the arc's budget and
-    the boxes taken before it, and the takes add up in order.
+    apply; when neither is, the bound is unbounded.  Each arc's members
+    with a positive coefficient are taken in decreasing coefficient order,
+    ties by variable index, while the arc's budget left is positive: a
+    take adds its coefficient times the smaller of that budget and its
+    box, and the budget loses the box.  The takes add to ``C`` in order.
     """
     if b_star is None and big_b is None:
         return UNBOUNDED
     tree, arcs = dec.layouts
     # the tree variables are the continuations, the arc layout's groups the sorted arcs
-    var = np.searchsorted(tree.single_src, arcs.arc_src)
-    bounds = np.append(arcs.arc_starts, len(var)).tolist()
-    terms = [np.array([obj.C])]
-    for pos in range(len(arcs.arcs)):
-        members = var[bounds[pos] : bounds[pos + 1]]
-        members = members[np.lexsort((members, -obj.Q[members]))]
-        members = members[obj.Q[members] > 0]
-        box = np.full(len(members), math.inf) if b_star is None else b_star[members]
-        left = np.cumsum(np.append(math.inf if big_b is None else big_b[pos], -box))[:-1]
-        taking = np.logical_and.accumulate(left > 0)
-        terms.append(obj.Q[members][taking] * np.minimum(left, box)[taking])
-    return Bound(np.cumsum(np.concatenate(terms))[-1].item())
+    var = np.searchsorted(tree.single_src, arcs.arc_src).tolist()
+    Q, starts = obj.Q.tolist(), arcs.arc_starts.tolist() + [len(var)]
+    box = [math.inf] * len(Q) if b_star is None else b_star.tolist()
+    total = obj.C
+    for pos, left in enumerate([math.inf] * len(arcs.arcs) if big_b is None else big_b.tolist()):
+        for v in sorted(var[starts[pos] : starts[pos + 1]], key=lambda v: (-Q[v], v)):
+            if not (Q[v] > 0 and left > 0):
+                break
+            total += Q[v] * min(left, box[v])
+            left -= box[v]
+    return Bound(total)
 
 
 def analyze(

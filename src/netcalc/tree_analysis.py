@@ -67,7 +67,10 @@ from .network import (
     Network,
     Topology,
     _Numbers,
+    _check_flow_id,
+    _check_interest,
     _hops,
+    _is_id,
     _numbers,
     _paths,
     classify,
@@ -128,6 +131,10 @@ class _RowLayout:
     successor, the row and the server's successor, sits at ``k - 1``.
 
     The pairs are sorted by ``k``, so each distance is one block of them.
+    Each distance ``k >= 1`` is one level ``(k, start, end, succ)`` of
+    :attr:`levels`: the block's pairs ``start:end`` and their successors,
+    as the slice of the previous block when the block's successors are
+    that block in order, else as an index array.
     Coefficients live in a ``(pair, position)`` grid of ``width`` columns:
     position ``p`` of a pair is the ``p``-th server on its way to the root,
     exactly the cells of the pair's server in the view of the row's root.
@@ -151,20 +158,15 @@ class _RowLayout:
         self.width = W = int(k[-1]) + 1 if P else 1
         pair = np.zeros((R, n), dtype=np.intp)
         pair[row, server] = np.arange(P)
-        # one block of pairs per distance to the root; a block whose
-        # successors are the previous block in order is sliced, not gathered
-        bounds = np.searchsorted(k, np.arange(W + 1))
+        # one block of pairs per distance d to the root, from bounds[d] to
+        # bounds[d + 1]; a block whose successors are the previous block in
+        # order is sliced, not gathered
+        bounds = np.searchsorted(k, np.arange(W + 1)).tolist()
         after = pair[row, forest.succ[server]]
-        size = np.diff(bounds)
-        # the pair at the same place in the previous block
-        same_place = np.arange(P) - np.repeat(np.r_[0, size[:-1]], size)
-        in_order = np.bincount(k, after != same_place, W) == 0
-        in_order[1:] &= size[1:] == size[:-1]
-        bounds, in_order = bounds.tolist(), in_order.tolist()
+        succ = after.tolist()
         self.levels = [
-            (d, bounds[d], bounds[d + 1],
-             slice(bounds[d - 1], bounds[d]) if in_order[d] else after[bounds[d] : bounds[d + 1]])
-            for d in range(1, W)
+            (d, s, e, slice(p, s) if succ[s:e] == list(range(p, s)) else after[s:e])
+            for d, (p, s, e) in enumerate(zip(bounds, bounds[1:], bounds[2:]), 1)
         ]
         self.server, self.size = server, P
         # every crossing at every pair's server, in flow order per pair
@@ -310,11 +312,6 @@ def tree_backlog(tree: Network, interest: Iterable[int]) -> BacklogResult:
     return view.backlog(interest)
 
 
-def _check_flow_id(num_flows: int, i: int) -> None:
-    if not 0 <= i < num_flows:
-        raise InterestNotAtRootError("unknown flow id %d" % i)
-
-
 @dataclass(frozen=True)
 class UpstreamView:
     """
@@ -352,10 +349,7 @@ class UpstreamView:
             the local root
         """
         interest = frozenset(interest)
-        for i in interest:
-            if i not in self.at_root:
-                _check_flow_id(self.forest.num_flows, i)
-                raise InterestNotAtRootError("flow %d does not cross server %d" % (i, self.root))
+        _check_interest(interest, self.forest.num_flows, self.at_root, self.root)
         if self.unstable_servers:
             return BacklogResult(
                 UNBOUNDED, None, "servers %r are not strictly stable" % self.unstable_servers
@@ -450,8 +444,8 @@ def upstream_view(net: Network, j1: int) -> UpstreamView:
     ``net`` may be any network: the extracted part is checked to be a tree
     before it is prepared.
     """
-    if not (0 <= j1 < net.num_servers):
-        raise InterestNotAtRootError("unknown server %d" % j1)
+    if not _is_id(j1) or not 0 <= j1 < net.num_servers:
+        raise InterestNotAtRootError("unknown server %r" % (j1,))
     preds: List[List[int]] = [[] for _ in range(net.num_servers)]
     for u, v in induced_graph(net):
         preds[v].append(u)
@@ -465,16 +459,6 @@ def upstream_view(net: Network, j1: int) -> UpstreamView:
     # a flow that misses the extracted servers keeps its first server: no arc
     paths = tuple([tuple(p) if p else f.path[:1] for f, p in zip(net.flows, clipped)])
     return UpstreamView(_prepare_forest(*_hops(paths), net.num_servers), j1, _numbers(net))
-
-
-def tree_backlog_at(net: Network, j1: int, interest: Iterable[int]) -> BacklogResult:
-    """
-    Worst-case backlog at server ``j1`` of a forest-shaped network for the
-    flows in ``interest``: extraction of the upstream sub-network followed
-    by the tree computation.  Coefficients are returned over the full
-    network's ids; flows and servers outside the extraction get weight 0.
-    """
-    return upstream_view(net, j1).backlog(interest)
 
 
 def tree_delay(tree: Network, flow: int) -> Bound:

@@ -88,8 +88,9 @@ def objective(net: Network, target: Target) -> ObjectiveForm:
     index = {lab: pos for pos, lab in enumerate(labels_of(net))}
     hops = [(i, f.path.index(j)) for i, f in enumerate(net.flows) if j in f.path]
     interest = [(i, k) for i, k in hops if i in target.flows]
-    if len(interest) != len(target.flows):
-        raise UnsupportedTargetError("some target flows do not cross the server")
+    missing = sorted(set(target.flows) - {i for i, _ in hops})
+    if missing:
+        raise UnsupportedTargetError("flow %d does not cross server %d" % (missing[0], j))
     if _numbers(net).unstable[j]:
         raise LocallyUnstableError("server %d has no strict rate margin" % j)
     cross = [(i, k) for i, k in hops if i not in target.flows]

@@ -54,7 +54,7 @@ from netcalc.stability import (
     rho_below,
 )
 from netcalc.topologies import bi_ring, three_ring, two_server_sink_tree, toy, uni_ring
-from netcalc.tree_analysis import UpstreamView, _RowLayout, tree_backlog_at, upstream_view
+from netcalc.tree_analysis import UpstreamView, _RowLayout, upstream_view
 
 import sd_reference
 from xi_reference import view_tree
@@ -229,9 +229,7 @@ def test_build_ag_toy_structure():
     # the coefficient is the max over the arc's continuations
     split = decompose(net, removed)
     groups = group_by_arc(split)
-    from netcalc.tree_analysis import tree_backlog_at
-
-    result = tree_backlog_at(as_network(net, split), 3, groups.feeding[a_main])
+    result = upstream_view(as_network(net, split), 3).backlog(groups.feeding[a_main])
     expected = max(result.burst_coefficients[s] for s in groups.continuations[a_main])
     assert lr.M[idx[a_main], idx[a_main]] == pytest.approx(expected, abs=1e-15)
 
@@ -239,7 +237,7 @@ def test_build_ag_toy_structure():
 def _recursion_row_by_row(net, removed, grouped):
     """
     The mixed recursion rebuilt one row at a time from the scalar tree pass
-    (``tree_backlog_at``): ungrouped continuations keep their own burst
+    (``UpstreamView.backlog``): ungrouped continuations keep their own burst
     weight, a grouped arc takes the largest weight of its continuations,
     and known bursts and latencies fold into the constant.
     """
@@ -264,10 +262,10 @@ def _recursion_row_by_row(net, removed, grouped):
     M, N = np.zeros((L, L)), np.zeros(L)
     for r, (i, k) in enumerate(singles):
         prev = index[(i, k - 1)]
-        M[r], N[r] = row(tree_backlog_at(forest, split[prev].path[-1], [prev]))
+        M[r], N[r] = row(upstream_view(forest, split[prev].path[-1]).backlog([prev]))
     for r, arc in enumerate(arcs, start=len(singles)):
         if groups.feeding[arc]:
-            M[r], N[r] = row(tree_backlog_at(forest, arc[0], groups.feeding[arc]))
+            M[r], N[r] = row(upstream_view(forest, arc[0]).backlog(groups.feeding[arc]))
     return tuple(singles) + tuple(arcs), M, N
 
 
@@ -821,7 +819,7 @@ def test_malformed_targets_are_rejected(method, target, message):
 
 
 @pytest.mark.parametrize("method, message", [
-    ("sd", "some target flows do not cross the server"),
+    ("sd", "flow 0 does not cross server 0"),
     ("td", "flow 0 does not cross server 0"),
     ("ag", "flow 0 does not cross server 0"),
     ("2s", "flow 0 does not cross server 0"),
@@ -1124,7 +1122,7 @@ def test_instability_diagnostics_name_network_server_ids():
                 objective_for(net, Target.backlog(3, [i]), method)
     split = decompose(net, removal_tree(net))
     ending = [s for s, sf in enumerate(split) if sf.path[-1] == 3]
-    result = tree_backlog_at(as_network(net, split), 3, ending)
+    result = upstream_view(as_network(net, split), 3).backlog(ending)
     assert not result.value.is_finite
     assert result.diagnostic == "servers [3] are not strictly stable"
 

@@ -17,12 +17,13 @@ from netcalc import (
     compute_xi,
     group_backlog_bound,
     tree_backlog,
-    tree_backlog_at,
     tree_delay,
     tree_output_curve,
+    worst_case_periods,
 )
 from netcalc.decomposition import decompose, removal_tree
-from netcalc.topologies import two_server_sink_tree, toy, uni_ring
+from netcalc.stability import Target, _prepare
+from netcalc.topologies import bi_ring, three_ring, two_server_sink_tree, toy, uni_ring
 from netcalc.network import _hops, _numbers, _paths
 from netcalc.tree_analysis import (
     UpstreamView,
@@ -390,6 +391,46 @@ def test_one_batch_rooted_everywhere_matches_scalar_pass_per_view(rng):
                 assert all(rows.k[rows.pair_at // net.num_servers == b].max() == 0 for b, _ in mine)
 
 
+def _assert_levels(forest, rows, rng):
+    # every level against the pairs it stands for: the pairs at distance d,
+    # and their successors, sliced exactly when they are the pairs at d - 1
+    # in order; returns the number of sliced levels and of gathered ones
+    n, succ = len(forest.succ), forest.succ.tolist()
+    row, server, k = (rows.pair_at // n).tolist(), rows.server.tolist(), rows.k.tolist()
+    pair = {(r, j): q for q, (r, j) in enumerate(zip(row, server))}
+    xi = rng.random((rows.size, rows.width))
+    assert [level[0] for level in rows.levels] == list(range(1, rows.width))
+    kinds = [0, 0]
+    for d, s, e, after in rows.levels:
+        assert [q for q in range(rows.size) if k[q] == d] == list(range(s, e))
+        previous = [q for q in range(rows.size) if k[q] == d - 1]
+        expected = [pair[(row[q], succ[server[q]])] for q in range(s, e)]
+        assert isinstance(after, slice) == (expected == previous)
+        np.testing.assert_array_equal(xi[after], xi[expected])
+        kinds[isinstance(after, slice)] += 1
+    return kinds
+
+
+def test_level_table_slices_exactly_the_in_order_blocks(rng):
+    # random forests, rooted at every server in one batch and at one sink,
+    # and the td, ag and 2s row layouts of the ring families
+    kinds = np.zeros(2, dtype=int)
+    # servers 0 and 1 feed 3 and 2: a block the size of the previous one,
+    # whose successors are that block in reverse
+    crossed = Network(tuple(RateLatency(4.0, 1.0) for _ in range(5)),
+                      (Flow(TokenBucket(1, 1), (0, 3, 4)), Flow(TokenBucket(1, 1), (1, 2, 4))))
+    for net in [_random_forest(rng) for _ in range(25)] + [crossed]:
+        forest = _prepare_forest(*_hops(_paths(net)), net.num_servers)
+        for roots in (list(range(net.num_servers)), np.flatnonzero(forest.succ == -1)[:1]):
+            kinds += _assert_levels(forest, rows_at(forest, roots, [[] for _ in roots]), rng)
+    rings = [uni_ring(6, 0.3), uni_ring(10, 0.3), bi_ring(5, 0.3), three_ring(0.3)]
+    for net in rings:
+        for method in ("td", "ag", "2s"):
+            dec = _prepare(net, method, target=Target.backlog(net.flows[0].path[-1], [0]))
+            kinds += _assert_levels(dec.forest, dec.rows, rng)
+    assert kinds.all()  # both kinds of level are seen
+
+
 def _shuffled_servers(net, rng):
     # the same tree under random server ids, so that preparing it renumbers
     perm = [int(j) for j in rng.permutation(net.num_servers)]
@@ -458,9 +499,9 @@ def test_array_pass_instability_names_the_network_server():
     assert view.unstable_servers == [2]
 
 
-@pytest.mark.parametrize("server", [-1, 4])
+@pytest.mark.parametrize("server", [-1, 4, True, 1.0])
 def test_upstream_view_rejects_an_unknown_server(server):
-    with pytest.raises(InterestNotAtRootError, match="^unknown server %d$" % server):
+    with pytest.raises(InterestNotAtRootError, match="^unknown server %s$" % re.escape(repr(server))):
         upstream_view(toy(), server)
 
 
@@ -471,7 +512,7 @@ def test_tree_backlog_at_toy_depends_on_server_1_only():
     forest = as_network(net, split)
     # the flow-2 segment ending at the removed arc (1, 0)
     seg = next(s for s, sf in enumerate(split) if sf.label == (2, 0))
-    result = tree_backlog_at(forest, 1, [seg])
+    result = upstream_view(forest, 1).backlog([seg])
     assert all(v == 0.0 for j, v in result.latency_coefficients.items() if j != 1)
     crossing = {s for s, sf in enumerate(split) if 1 in sf.path}
     for s, phi in result.burst_coefficients.items():
@@ -495,7 +536,7 @@ def test_tree_backlog_at_root_equals_tree_backlog(rng):
         root = net.num_servers - 1
         interest = [i for i, f in enumerate(net.flows) if f.path[-1] == root]
         a = tree_backlog(net, interest).value.value
-        b = tree_backlog_at(net, root, interest).value.value
+        b = upstream_view(net, root).backlog(interest).value.value
         assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -559,22 +600,27 @@ def test_zero_rate_cross_flow_contributes_burst_only():
     assert bruteforce_backlog(net, [0]) == pytest.approx(expected, abs=1e-12)
 
 
-@pytest.mark.parametrize("bad", [-1, 2])
+@pytest.mark.parametrize("bad", [-1, 2, True, 0.0, 1.5])
 @pytest.mark.parametrize(
     "call",
     [
         lambda net, i: compute_xi(net, [i]),
         lambda net, i: tree_backlog(net, [i]),
-        lambda net, i: tree_backlog_at(net, 1, [i]),
+        lambda net, i: upstream_view(net, 1).backlog([i]),
         lambda net, i: tree_output_curve(net, [i]),
         lambda net, i: tree_delay(net, i),
+        lambda net, i: bruteforce_backlog(net, [i]),
+        lambda net, i: worst_case_periods(net, [i]),
     ],
-    ids=["compute_xi", "tree_backlog", "tree_backlog_at", "tree_output_curve", "tree_delay"],
+    ids=["compute_xi", "tree_backlog", "upstream_view", "tree_output_curve", "tree_delay",
+         "bruteforce_backlog", "worst_case_periods"],
 )
 def test_unknown_flow_ids_are_rejected(call, bad):
+    # True == 1 and 0.0 == 0 name existing flows, but they are no ids: refused,
+    # not read as flow 1 or flow 0
     net = two_server_sink_tree()
     assert net.num_flows == 2
-    with pytest.raises(InterestNotAtRootError, match="unknown flow id %d" % bad):
+    with pytest.raises(InterestNotAtRootError, match="^unknown flow id %s$" % re.escape(repr(bad))):
         call(net, bad)
 
 

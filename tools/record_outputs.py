@@ -60,6 +60,10 @@ Records:
   and on the random tandems of ``tests/test_oracle.py``'s reference test
   (1 to 8 servers) for flow 0 and for the first half of the flows ending
   at the last server, or the error;
+- ``tree_backlog``, ``compute_xi``, ``tree_delay``, ``tree_output_curve``,
+  ``bruteforce_backlog`` and ``worst_case_periods`` on
+  ``two_server_sink_tree()`` with each of ``ID_CASES`` as the flow id: the
+  result (a table's interest set by ``repr``), or the error;
 - every generator's network, its servers and flows by ``repr``, or the
   error: the rings at the sizes the CLI, the demos and the workloads use
   (``uni_ring`` with ``heterogeneous`` off and on), ``three_ring`` at its
@@ -99,7 +103,12 @@ from netcalc.topologies import (  # noqa: E402
     two_server_sink_tree,
     uni_ring,
 )
-from netcalc.tree_analysis import tree_backlog  # noqa: E402
+from netcalc.tree_analysis import (  # noqa: E402
+    compute_xi,
+    tree_backlog,
+    tree_delay,
+    tree_output_curve,
+)
 
 
 #: Rings of each pool size that get the explicit-removal records.
@@ -110,6 +119,10 @@ DECIDED_SIZE = 60
 
 #: The thresholds of those ``rho_below`` records: ``analyze``'s two and 1.
 THRESHOLDS = (1 - 1e-9, 1.0, 1 + 1e-9)
+
+#: The flow ids the id records give each tree and oracle entry point: a
+#: bool, floats, a numpy integer, and integers out of range.
+ID_CASES = (True, 0.0, 1.5, np.int64(0), -1, 2)
 
 
 def _load(name, *path):
@@ -184,14 +197,18 @@ def _call(show, f, *args):
         return {"error": type(exc).__name__, "message": str(exc)}
 
 
-def _table(result) -> dict:
-    """A tree backlog result: its value and its table's entries, sorted by key."""
-    table = result.table
-    if table is None:
-        return {"value": repr(result.value), "diagnostic": result.diagnostic}
+def _xi(table) -> dict:
+    """A coefficient table: a digest of its entries, sorted by key, and its interest set."""
     entries = [sorted(table.xi.items()), sorted(table.rho.items()), sorted(table.phi.items())]
-    return {"value": repr(result.value), "table": hashlib.sha256(
-        repr(entries).encode()).hexdigest()[:32], "interest": sorted(table.interest)}
+    return {"table": hashlib.sha256(repr(entries).encode()).hexdigest()[:32],
+            "interest": repr(sorted(table.interest))}
+
+
+def _table(result) -> dict:
+    """A tree backlog result: its value and its table, or its diagnostic."""
+    if result.table is None:
+        return {"value": repr(result.value), "diagnostic": result.diagnostic}
+    return {"value": repr(result.value), **_xi(result.table)}
 
 
 def _fluid_networks(workloads, seed):
@@ -426,6 +443,7 @@ def records(workloads):
         ending = [i for i, f in enumerate(net.flows) if f.path[-1] == root]
         for interest in ([0], ending[: max(1, len(ending) // 2)]):
             yield _oracle_record(name, net, interest)
+    yield from _id_records()
     yield from _generator_records(workloads)
     for name, doc in _documents():
         yield {"document": name,
@@ -481,6 +499,23 @@ def _documents():
             doc = fileio.network_to_dict(toy())
             doc[kind][0][key] = value
             yield "toy()/%s/%s=%r" % (kind, key, value), doc
+
+
+def _id_records():
+    """
+    Every tree and oracle entry point on ``two_server_sink_tree()`` (flows 0
+    and 1) given each of ``ID_CASES`` as its one flow id.
+    """
+    net = two_server_sink_tree()
+    calls = [("tree_backlog", _table, lambda i: tree_backlog(net, [i])),
+             ("compute_xi", _xi, lambda i: compute_xi(net, [i])),
+             ("tree_delay", repr, lambda i: tree_delay(net, i)),
+             ("tree_output_curve", repr, lambda i: tree_output_curve(net, [i])),
+             ("bruteforce_backlog", repr, lambda i: bruteforce_backlog(net, [i])),
+             ("worst_case_periods", _periods, lambda i: worst_case_periods(net, [i]))]
+    for name, show, call in calls:
+        for i in ID_CASES:
+            yield {"ids": "two_server_sink_tree()", "id": repr(i), name: _call(show, call, i)}
 
 
 def _oracle_record(name, net, interest):
