@@ -246,10 +246,15 @@ def _is_id(i) -> bool:
     return type(i) is int or isinstance(i, numbers.Integral) and not isinstance(i, bool)
 
 
+def _shown(i) -> str:
+    """``i`` as a message names it: an id as a plain integer, numpy's too, else by ``repr``."""
+    return repr(int(i) if _is_id(i) else i)
+
+
 def _check_flow_id(num_flows: int, i) -> None:
     """Raise :class:`InterestNotAtRootError` unless ``i`` is one of ``num_flows`` flow ids."""
     if not _is_id(i) or not 0 <= i < num_flows:
-        raise InterestNotAtRootError("unknown flow id %r" % (i,))
+        raise InterestNotAtRootError("unknown flow id %s" % _shown(i))
 
 
 def _check_interest(interest: Iterable, num_flows: int, at_root, root: int) -> None:

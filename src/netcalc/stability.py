@@ -73,7 +73,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import islice
-from typing import Callable, FrozenSet, Iterable, Optional, Tuple
+from typing import Callable, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,7 +85,7 @@ from .errors import (
     ValidationError,
 )
 from .network import (
-    Arc, Network, _Numbers, _hops, _is_id, _numbers, _paths, _require_local_stability,
+    Arc, Network, _Numbers, _hops, _is_id, _numbers, _paths, _require_local_stability, _shown,
 )
 from .tree_analysis import _RowLayout, _prepare_forest
 
@@ -392,26 +392,31 @@ def solve_recursion(lr: LinearRecursion) -> Optional[np.ndarray]:
     return np.maximum(solution, 0.0)
 
 
-def _check_target(num_servers: int, num_flows: int, target: Target) -> None:
+def _check_target(num_servers: int, paths: Sequence[Sequence[int]], target: Target) -> None:
     """
-    Reject a malformed target, or one naming a server or flow the network
-    lacks; an id is an integer (numpy's too), never a ``bool`` or a ``float``.
+    Reject a malformed target, one naming a server or flow the network
+    lacks, or a backlog of a flow whose path, in ``paths``, misses the
+    target's server; an id is an integer (numpy's too), never a ``bool`` or
+    a ``float``.
     """
     if target.kind == "backlog":
         if target.server is None or not target.flows:
             raise UnsupportedTargetError("backlog target needs a server and flows")
         if not _is_id(target.server) or not 0 <= target.server < num_servers:
-            raise UnsupportedTargetError("server %r does not exist" % (target.server,))
+            raise UnsupportedTargetError("server %s does not exist" % _shown(target.server))
         # an id that is no integer first, else the smallest one out of range
         unknown = [i for i in target.flows if not _is_id(i)] or sorted(
-            i for i in target.flows if not 0 <= i < num_flows)
+            i for i in target.flows if not 0 <= i < len(paths))
         if unknown:
+            raise UnsupportedTargetError("some target flows do not cross the server: "
+                                         "flow %s does not exist" % _shown(unknown[0]))
+        missing = [i for i in target.flows if target.server not in paths[i]]
+        if missing:
             raise UnsupportedTargetError(
-                "some target flows do not cross the server: flow %r does not exist" % (unknown[0],)
-            )
+                "flow %d does not cross server %d" % (min(missing), target.server))
     elif target.kind == "delay":
-        if not _is_id(target.flow) or not 0 <= target.flow < num_flows:
-            raise UnsupportedTargetError("flow %r does not exist" % (target.flow,))
+        if not _is_id(target.flow) or not 0 <= target.flow < len(paths):
+            raise UnsupportedTargetError("flow %s does not exist" % _shown(target.flow))
     else:
         raise UnsupportedTargetError("unknown target kind %r" % target.kind)
 
@@ -490,7 +495,7 @@ class _SdLayout:
 
     def objective(self, num: _Numbers, target: Target, weights=None) -> ObjectiveForm:
         """A backlog at one server over the hops entering it, from the bound numbers."""
-        _check_target(self.num_servers, len(self.paths), target)
+        _check_target(self.num_servers, self.paths, target)
         if target.kind != "backlog":
             raise UnsupportedTargetError(
                 "delay targets are not supported by the per-server decomposition"
@@ -498,9 +503,6 @@ class _SdLayout:
         j = target.server
         at = np.flatnonzero(self.server == j)  # one hop per flow crossing j, in flow order
         flow, later = self.flow[at], self.pos[at] >= 1
-        missing = set(target.flows).difference(flow.tolist())
-        if missing:
-            raise UnsupportedTargetError("flow %d does not cross server %d" % (min(missing), j))
         mine = np.array([i in target.flows for i in flow.tolist()], dtype=bool)
         if num.unstable[j]:
             raise LocallyUnstableError("server %d has no strict rate margin" % j)
@@ -623,7 +625,7 @@ class _Decomposition:
             misses the target's server, or a delay flow the removal splits
         """
         split = self.split
-        _check_target(self.num_servers, len(self.paths), target)
+        _check_target(self.num_servers, self.paths, target)
         if target.kind == "delay":
             path, seg = self.paths[target.flow], np.searchsorted(split.origin, target.flow)
             if split.length[seg] != len(path):
@@ -634,10 +636,6 @@ class _Decomposition:
             return path[-1], np.array([seg]), path[0]
         at = split.server == target.server
         segment = dict(zip(split.flow[at].tolist(), split.segment[at].tolist()))
-        missing = set(target.flows).difference(segment)
-        if missing:
-            raise UnsupportedTargetError(
-                "flow %d does not cross server %d" % (min(missing), target.server))
         return target.server, np.array([segment[i] for i in sorted(target.flows)]), None
 
     def bind(self, num: _Numbers) -> _Numbers:

@@ -40,9 +40,10 @@ Rows are laid out on it without rates (:class:`_RowLayout`, in the
 network's own ids) and run with any ``_Numbers`` of :mod:`netcalc.network`.
 :class:`UpstreamView` binds one server of a forest, the root of its view,
 to those numbers.  The public :func:`upstream_view`, :func:`compute_xi`
-and :func:`tree_backlog` accept any network: they check the extracted tree
-with :func:`~netcalc.network.classify`, then prepare and bind it the same
-way, once per call.
+and :func:`tree_backlog` accept any network: preparing the forest of its
+paths (for a view, clipped to the servers upstream of its root) is their
+one tree check, once per call.  A cycle, found first, a server with two
+successors or, at the root, a second sink raises :class:`NotATreeError`.
 """
 
 from __future__ import annotations
@@ -50,22 +51,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .curves import Bound, UNBOUNDED, TokenBucket, left_sum
+from .decomposition import _removal
 from .errors import (
     InterestNotAtRootError,
     LocallyUnstableError,
     NotAForestError,
     NotATreeError,
+    ValidationError,
     ZeroRateFlowError,
 )
 from .network import (
     Flow,
     Network,
-    Topology,
     _Numbers,
     _check_flow_id,
     _check_interest,
@@ -73,7 +75,7 @@ from .network import (
     _is_id,
     _numbers,
     _paths,
-    classify,
+    _shown,
     induced_graph,
     topological_order,
 )
@@ -255,17 +257,23 @@ class _RowLayout:
         return phi.reshape(R, F), rho.reshape(R, n), xi
 
 
-def _check_tree(net: Network) -> None:
-    topology = classify(net)
-    if topology not in (Topology.TANDEM, Topology.TREE):
-        raise NotATreeError("topology is %s, need a tandem or tree" % topology.value)
+def _tree_forest(paths: Sequence[Sequence[int]], n: int) -> "_Forest":
+    """:func:`_prepare_forest` of ``paths`` on ``n`` servers, refused as :class:`NotATreeError`."""
+    try:
+        return _prepare_forest(*_hops(paths), n)
+    except ValidationError:
+        raise NotATreeError("topology is cyclic, need a tandem or tree") from None
+    except NotAForestError:
+        raise NotATreeError("topology is feed-forward, need a tandem or tree") from None
 
 
 def _root_view(tree: Network) -> "UpstreamView":
     """The whole of ``tree``, checked to be a tandem or tree, as the view at its root."""
-    _check_tree(tree)
-    forest = _prepare_forest(*_hops(_paths(tree)), tree.num_servers)
-    return UpstreamView(forest, int(np.flatnonzero(forest.succ == -1)[0]), _numbers(tree))
+    forest = _tree_forest(_paths(tree), tree.num_servers)
+    sinks = np.flatnonzero(forest.succ == -1)
+    if len(sinks) > 1:
+        raise NotATreeError("topology is feed-forward, need a tandem or tree")
+    return UpstreamView(forest, int(sinks[0]), _numbers(tree))
 
 
 def compute_xi(tree: Network, interest: Iterable[int]) -> XiTable:
@@ -304,12 +312,9 @@ def tree_backlog(tree: Network, interest: Iterable[int]) -> BacklogResult:
     ``interest``; the bound is tight for tandem and tree topologies.
 
     A network that is not locally stable yields an unbounded value with a
-    diagnostic instead of an error, whatever the interest.
+    diagnostic instead of an error, once its interest is checked.
     """
-    view = _root_view(tree)
-    if view.unstable_servers:
-        return view.backlog(())
-    return view.backlog(interest)
+    return _root_view(tree).backlog(interest)
 
 
 @dataclass(frozen=True)
@@ -393,22 +398,24 @@ class _Forest:
 
 def _prepare_forest(length: np.ndarray, server: np.ndarray, n: int) -> _Forest:
     """
-    Prepare the flow paths of an acyclic network of ``n`` servers, given
+    Prepare the flow paths of a network of ``n`` servers, given
     as hop arrays: each path's length and the server of every hop of every
     path, in path order (:func:`~netcalc.network._hops`).
 
+    :raises ValidationError: if the paths have a cycle, found first
     :raises NotAForestError: if some server has several successors
     """
     flow = np.repeat(np.arange(len(length)), length)
     inner = np.flatnonzero(flow[1:] == flow[:-1])  # hops h and h + 1 on one path
     arcs = set(zip(server[inner].tolist(), server[inner + 1].tolist()))  # filled in path order
+    order = topological_order(arcs, n)
     succ = [-1] * n
     for u, v in arcs:
         if succ[u] != -1:
             raise NotAForestError("removal leaves server %d with several successors" % u)
         succ[u] = v
     way: List[List[int]] = [[]] * n  # each server's way to its sink
-    for j in reversed(topological_order(arcs, n)):  # successors first
+    for j in reversed(order):  # successors first
         way[j] = [j, *way[succ[j]]] if succ[j] != -1 else [j]
     steps = np.fromiter(map(len, way), np.intp, n)
     upstream = np.zeros((n, n), dtype=bool)
@@ -426,39 +433,21 @@ def _prepare_forest(length: np.ndarray, server: np.ndarray, n: int) -> _Forest:
     )
 
 
-def _upstream(preds: Sequence[Sequence[int]], j1: int) -> Set[int]:
-    """Servers with a directed path to ``j1``, including ``j1``."""
-    seen = {j1}
-    stack = [j1]
-    while stack:
-        for u in preds[stack.pop()]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return seen
-
-
 def upstream_view(net: Network, j1: int) -> UpstreamView:
     """
-    Extract the servers upstream of ``j1`` and clip the flows to them.
-    ``net`` may be any network: the extracted part is checked to be a tree
-    before it is prepared.
+    Extract the servers upstream of ``j1``, the tails of the arcs the
+    breadth-first search of :func:`~netcalc.decomposition.removal_tree`
+    from ``j1`` keeps, and clip the flows to them.  ``net`` may be any
+    network: the clipped paths are checked to form a tree as they are
+    prepared.
     """
     if not _is_id(j1) or not 0 <= j1 < net.num_servers:
-        raise InterestNotAtRootError("unknown server %r" % (j1,))
-    preds: List[List[int]] = [[] for _ in range(net.num_servers)]
-    for u, v in induced_graph(net):
-        preds[v].append(u)
-    index = {j: s for s, j in enumerate(sorted(_upstream(preds, j1)))}
-    clipped = [[j for j in f.path if j in index] for f in net.flows]
-    # the extracted part as a network of its own, servers numbered in order
-    _check_tree(Network(
-        tuple([net.servers[j] for j in index]),
-        tuple([Flow(f.arrival, [index[j] for j in p]) for f, p in zip(net.flows, clipped) if p]),
-    ))
+        raise InterestNotAtRootError("unknown server %s" % _shown(j1))
+    arcs = induced_graph(net)
+    upstream = {j1, *(u for u, _ in arcs - _removal(arcs, net.num_servers, j1))}
     # a flow that misses the extracted servers keeps its first server: no arc
-    paths = tuple([tuple(p) if p else f.path[:1] for f, p in zip(net.flows, clipped)])
-    return UpstreamView(_prepare_forest(*_hops(paths), net.num_servers), j1, _numbers(net))
+    paths = [[j for j in p if j in upstream] or p[:1] for p in _paths(net)]
+    return UpstreamView(_tree_forest(paths, net.num_servers), j1, _numbers(net))
 
 
 def tree_delay(tree: Network, flow: int) -> Bound:

@@ -1174,6 +1174,25 @@ def test_target_ids_must_be_ints(target, bad, methods):
             objective_for(net, target, method)
 
 
+_NUMPY_TARGETS = [
+    (Target.backlog(np.int64(7), [0]), "server 7"),
+    (Target.backlog(4, [0, np.int64(5)]), "flow 5"),
+    (Target.delay(np.int64(9)), "flow 9"),
+]
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("target, bad", _NUMPY_TARGETS, ids=[bad for _, bad in _NUMPY_TARGETS])
+def test_out_of_range_numpy_target_ids_read_as_integers(method, target, bad):
+    # a numpy id out of range is named as the integer it is, not as np.int64(...)
+    net = uni_ring(5, 0.5)
+    message = "%s does not exist" % re.escape(bad)
+    with pytest.raises(UnsupportedTargetError, match=message):
+        analyze(net, method, target)
+    with pytest.raises(UnsupportedTargetError, match=message):
+        objective_for(net, target, method)
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_numpy_integer_target_ids_are_ids(method):
     net = uni_ring(10, 0.05)

@@ -34,6 +34,7 @@ from netcalc.tree_analysis import (
 )
 
 from conftest import as_network, random_tandem, random_tree, rows_at
+from tree_check_reference import reference_root_view, reference_upstream_view
 from xi_reference import _xi_general, _xi_sink_tree, scalar_input, view_tree
 
 # Two-server tandem fixture, second server twice as fast; the flow of
@@ -499,9 +500,10 @@ def test_array_pass_instability_names_the_network_server():
     assert view.unstable_servers == [2]
 
 
-@pytest.mark.parametrize("server", [-1, 4, True, 1.0])
+@pytest.mark.parametrize("server", [-1, 4, True, 1.0, np.int64(4)])
 def test_upstream_view_rejects_an_unknown_server(server):
-    with pytest.raises(InterestNotAtRootError, match="^unknown server %s$" % re.escape(repr(server))):
+    shown = repr(int(server)) if isinstance(server, np.integer) else repr(server)
+    with pytest.raises(InterestNotAtRootError, match="^unknown server %s$" % re.escape(shown)):
         upstream_view(toy(), server)
 
 
@@ -600,7 +602,7 @@ def test_zero_rate_cross_flow_contributes_burst_only():
     assert bruteforce_backlog(net, [0]) == pytest.approx(expected, abs=1e-12)
 
 
-@pytest.mark.parametrize("bad", [-1, 2, True, 0.0, 1.5])
+@pytest.mark.parametrize("bad", [-1, 2, True, 0.0, 1.5, np.int64(5)])
 @pytest.mark.parametrize(
     "call",
     [
@@ -617,11 +619,109 @@ def test_zero_rate_cross_flow_contributes_burst_only():
 )
 def test_unknown_flow_ids_are_rejected(call, bad):
     # True == 1 and 0.0 == 0 name existing flows, but they are no ids: refused,
-    # not read as flow 1 or flow 0
+    # not read as flow 1 or flow 0; a numpy id is named as the integer it is
     net = two_server_sink_tree()
     assert net.num_flows == 2
+    shown = repr(int(bad)) if isinstance(bad, np.integer) else repr(bad)
+    with pytest.raises(InterestNotAtRootError, match="^unknown flow id %s$" % re.escape(shown)):
+        call(net, bad)
+
+
+@pytest.mark.parametrize("bad", [7, "x", True, -1])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda net, i: compute_xi(net, [i]),
+        lambda net, i: tree_backlog(net, [i]),
+        lambda net, i: upstream_view(net, 1).backlog([i]),
+        lambda net, i: tree_output_curve(net, [i]),
+    ],
+    ids=["compute_xi", "tree_backlog", "upstream_view", "tree_output_curve"],
+)
+def test_unstable_tree_checks_its_interest_first(call, bad):
+    # both servers saturated: the interest is checked before the tree is
+    # found unbounded, as on a stable tree
+    net = two_server_sink_tree(service_rate=1.0)
     with pytest.raises(InterestNotAtRootError, match="^unknown flow id %s$" % re.escape(repr(bad))):
         call(net, bad)
+
+
+def test_unstable_tree_refuses_a_flow_that_misses_the_root():
+    # flow 1 leaves at server 0; server 1, the root, is saturated
+    net = Network(
+        (RateLatency(4.0, 0.1), RateLatency(1.0, 0.1)),
+        (Flow(TokenBucket(1, 1), (0, 1)), Flow(TokenBucket(1, 1), (0,))),
+    )
+    with pytest.raises(InterestNotAtRootError, match=r"^flow 1 does not cross server 1$"):
+        tree_backlog(net, [0, 1])
+    assert tree_backlog(net, [0]).diagnostic == "servers [1] are not strictly stable"
+
+
+def _random_paths(rng):
+    """
+    A small network on random paths: any paths (mostly cyclic or
+    feed-forward), or an in-tree, some servers isolated, sometimes with one
+    extra arc; server ids shuffled, rates drawn so that some servers
+    saturate.
+    """
+    n = int(rng.integers(1, 7))
+    if rng.random() < 0.5:
+        paths = [tuple(rng.permutation(n)[: int(rng.integers(1, n + 1))].tolist())
+                 for _ in range(int(rng.integers(0, 5)))]
+    else:
+        succ = [int(rng.integers(j + 1, n)) if j < n - 1 and rng.random() < 0.8 else -1
+                for j in range(n)]
+        paths = []
+        for _ in range(int(rng.integers(0, 6))):
+            path = [int(rng.integers(0, n))]
+            while succ[path[-1]] != -1 and rng.random() < 0.8:
+                path.append(succ[path[-1]])
+            paths.append(tuple(path))
+        if n > 1 and rng.random() < 0.3:
+            paths.append(tuple(rng.permutation(n)[:2].tolist()))
+        perm = rng.permutation(n).tolist()
+        paths = [tuple(perm[j] for j in p) for p in paths]
+    rates = rng.uniform(0.1, 1.0, len(paths))
+    load = [sum(r for r, p in zip(rates, paths) if j in p) for j in range(n)]
+    servers = [RateLatency(float(max(x * rng.uniform(0.7, 2.0), 0.1)), float(rng.uniform(0.0, 1.0)))
+               for x in load]
+    flows = [Flow(TokenBucket(float(rng.uniform(0.1, 2.0)), float(r)), p)
+             for r, p in zip(rates, paths)]
+    return Network(tuple(servers), tuple(flows))
+
+
+def _same_outcome(call, reference):
+    """``call()`` equals ``reference()``: the same ``NotATreeError`` message, or equal results."""
+    try:
+        expected = reference()
+    except NotATreeError as exc:
+        with pytest.raises(NotATreeError, match="^%s$" % re.escape(str(exc))):
+            call()
+        return False
+    assert call() == expected
+    return True
+
+
+def test_forest_preparation_checks_trees_as_classify_does(rng):
+    # the one tree check, preparing the forest, refuses exactly what
+    # classify refuses, with its message, at the root and at every view,
+    # and where both accept, the backlog results are equal
+    accepted = refused = 0
+    for _ in range(400):
+        net = _random_paths(rng)
+        try:
+            at_root = sorted(reference_root_view(net).at_root)
+        except NotATreeError:
+            at_root = [0]
+        ok = _same_outcome(lambda: tree_backlog(net, at_root),
+                           lambda: reference_root_view(net).backlog(at_root))
+        accepted, refused = accepted + ok, refused + (not ok)
+        for j in range(net.num_servers):
+            crossing = [i for i, f in enumerate(net.flows) if j in f.path]
+            ok = _same_outcome(lambda: upstream_view(net, j).backlog(crossing),
+                               lambda: reference_upstream_view(net, j).backlog(crossing))
+            accepted, refused = accepted + ok, refused + (not ok)
+    assert accepted > 200 and refused > 200
 
 
 def test_errors():

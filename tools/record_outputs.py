@@ -46,9 +46,14 @@ Records:
 - every ``sweep`` cell: ``bi_ring(SWEEP_N)`` at each utilization of the
   full sweep, ``analyze`` under every method with the benchmark's target
   and with the delay of every flow;
+- ``tree_backlog`` of flow 0 on every network above (on the cyclic ones,
+  its ``NotATreeError``), and ``upstream_view(net, j).backlog`` of the
+  flows crossing ``j`` at every server ``j``: the value and the
+  coefficient table, or the error;
 - ``tree_backlog`` on every tree and tandem of the ``fluid`` workload's
   rounds for seed 1, for the flows ending at the sink and for the first
-  half of them: the value and the coefficient table, or the error.
+  half of them, and ``upstream_view`` there as above: the value and the
+  coefficient table, or the error.
 - ``simulate_fluid`` on the same rounds' trees and tandems, with each
   op's own scenario and step (a random scenario for a tree, the extremal
   one for half of the flows ending at the sink for a tandem): digests of
@@ -63,7 +68,10 @@ Records:
 - ``tree_backlog``, ``compute_xi``, ``tree_delay``, ``tree_output_curve``,
   ``bruteforce_backlog`` and ``worst_case_periods`` on
   ``two_server_sink_tree()`` with each of ``ID_CASES`` as the flow id: the
-  result (a table's interest set by ``repr``), or the error;
+  result (a table's interest set by ``repr``), or the error; and
+  ``tree_backlog``, ``compute_xi``, ``tree_output_curve`` and
+  ``upstream_view(net, 1).backlog`` on its locally unstable variant
+  (``service_rate=1.0``) with each of ``UNSTABLE_ID_CASES``;
 - every generator's network, its servers and flows by ``repr``, or the
   error: the rings at the sizes the CLI, the demos and the workloads use
   (``uni_ring`` with ``heterogeneous`` off and on), ``three_ring`` at its
@@ -108,6 +116,7 @@ from netcalc.tree_analysis import (  # noqa: E402
     tree_backlog,
     tree_delay,
     tree_output_curve,
+    upstream_view,
 )
 
 
@@ -121,8 +130,11 @@ DECIDED_SIZE = 60
 THRESHOLDS = (1 - 1e-9, 1.0, 1 + 1e-9)
 
 #: The flow ids the id records give each tree and oracle entry point: a
-#: bool, floats, a numpy integer, and integers out of range.
-ID_CASES = (True, 0.0, 1.5, np.int64(0), -1, 2)
+#: bool, floats, numpy integers in and out of range, and integers out of range.
+ID_CASES = (True, 0.0, 1.5, np.int64(0), np.int64(2), -1, 2)
+
+#: The flow ids the locally unstable tree's records give: none is a flow id.
+UNSTABLE_ID_CASES = (7, "x", True, -1)
 
 
 def _load(name, *path):
@@ -394,6 +406,8 @@ def records(workloads):
         targets = _targets(net)
         yield {"net": name, "local_stability": [c.name for c in local_stability(net).per_server]}
         yield {"net": name, "build_sd": _call(partial(_decided, net), stability.build_sd, net)}
+        yield {"net": name, "tree_backlog": _call(_table, tree_backlog, net, [0])}
+        yield from _view_records({"net": name}, net)
         for method in stability.METHODS:
             yield {"net": name, "method": method,
                    "is_stable": _call(bool, stability.is_stable, net, method)}
@@ -438,6 +452,7 @@ def records(workloads):
                    "tree_backlog": _call(_table, tree_backlog, net, interest)}
             if "tandem" in name:
                 yield _oracle_record(name, net, interest)
+        yield from _view_records({"fluid": name}, net)
     for name, net in _oracle_tandems():
         root = net.num_servers - 1
         ending = [i for i, f in enumerate(net.flows) if f.path[-1] == root]
@@ -448,6 +463,14 @@ def records(workloads):
     for name, doc in _documents():
         yield {"document": name,
                "network_from_dict": _call(_network, fileio.network_from_dict, doc)}
+
+
+def _view_records(key, net):
+    """``upstream_view(net, j).backlog`` of the flows crossing ``j``, at every server ``j``."""
+    for j in range(net.num_servers):
+        crossing = [i for i, f in enumerate(net.flows) if j in f.path]
+        yield {**key, "server": j, "upstream_view":
+               _call(_table, lambda: upstream_view(net, j).backlog(crossing))}
 
 
 def _network(net) -> dict:
@@ -504,7 +527,9 @@ def _documents():
 def _id_records():
     """
     Every tree and oracle entry point on ``two_server_sink_tree()`` (flows 0
-    and 1) given each of ``ID_CASES`` as its one flow id.
+    and 1) given each of ``ID_CASES`` as its one flow id, then the tree
+    analyses on its locally unstable variant given each of
+    ``UNSTABLE_ID_CASES``.
     """
     net = two_server_sink_tree()
     calls = [("tree_backlog", _table, lambda i: tree_backlog(net, [i])),
@@ -516,6 +541,15 @@ def _id_records():
     for name, show, call in calls:
         for i in ID_CASES:
             yield {"ids": "two_server_sink_tree()", "id": repr(i), name: _call(show, call, i)}
+    hot = two_server_sink_tree(service_rate=1.0)
+    calls = [("tree_backlog", _table, lambda i: tree_backlog(hot, [i])),
+             ("compute_xi", _xi, lambda i: compute_xi(hot, [i])),
+             ("tree_output_curve", repr, lambda i: tree_output_curve(hot, [i])),
+             ("upstream_view", _table, lambda i: upstream_view(hot, 1).backlog([i]))]
+    for name, show, call in calls:
+        for i in UNSTABLE_ID_CASES:
+            yield {"ids": "two_server_sink_tree(service_rate=1.0)", "id": repr(i),
+                   name: _call(show, call, i)}
 
 
 def _oracle_record(name, net, interest):
