@@ -23,7 +23,7 @@ import numpy as np
 
 from .curves import TokenBucket, left_sum
 from .errors import ScenarioError
-from .network import Network, Topology, classify, induced_graph, topological_order
+from .network import Network, Topology, _is_id, _shown, classify, induced_graph, topological_order
 from .oracle import worst_case_periods
 
 QUEUE_EPS = 1e-12
@@ -40,7 +40,8 @@ class ArrivalSpec:
 
     * ``greedy``: nothing before ``start``, then the full burst followed by
       the token-bucket rate (the maximal admissible process from ``start``).
-    * ``random``: a seeded random admissible process (token-bucket gated).
+    * ``random``: a seeded random admissible process (token-bucket gated);
+      its ``seed`` is a nonnegative integer.
     * ``none``: the flow stays silent.
     """
 
@@ -53,6 +54,8 @@ class ArrivalSpec:
             raise ScenarioError("unknown arrival kind %r" % self.kind)
         if not math.isfinite(self.start):
             raise ScenarioError("arrival start must be finite, got %r" % self.start)
+        if self.kind == "random":
+            _require_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -89,6 +92,11 @@ class ServerSpec:
                 )
 
 
+def _require_seed(seed) -> None:
+    if not (_is_id(seed) and seed >= 0):
+        raise ScenarioError("random seed must be a nonnegative integer, got %s" % _shown(seed))
+
+
 def _require_positive(name: str, value: float) -> float:
     if not (math.isfinite(value) and value > 0):
         raise ScenarioError("%s must be finite and positive, got %r" % (name, value))
@@ -118,6 +126,7 @@ def greedy_scenario(net: Network, horizon: float) -> Scenario:
 
 def random_scenario(net: Network, horizon: float, seed: int) -> Scenario:
     """Seeded random admissible arrivals, exact servers, shuffled priorities."""
+    _require_seed(seed)
     rng = np.random.default_rng(seed)
     arrivals = tuple(
         ArrivalSpec("random", start=0.0, seed=int(rng.integers(2**31)))

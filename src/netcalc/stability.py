@@ -125,12 +125,13 @@ class LinearRecursion:
 
     ``M`` is the ``L x L`` matrix, ``L`` the number of variables
     (:attr:`size`), or for the per-server recursion its factors
-    (:class:`_SdFactors`); only the recursion knows which.  ``lr @ x`` is
-    the product ``M x``, the step of every decision: ``O(L)`` on factors,
-    and :attr:`step_cost` its price.
-    Reading :attr:`M`, as :meth:`shifted_solve` does, builds the dense
-    matrix from the factors and keeps it in their place, so later steps
-    multiply by it.
+    (:class:`_SdFactors`); only the recursion knows which, and it keeps
+    the form it was built with for its whole life.  ``lr @ x`` is the
+    product ``M x``, the step of every decision: ``O(L)`` on factors, and
+    :attr:`step_cost` its price in seconds.  Reading :attr:`M`, as
+    :meth:`shifted_solve` does, builds the dense matrix from the factors
+    once and keeps it beside them, so no step, budget or certificate
+    depends on whether ``M`` was read.
     """
 
     def __init__(self, labels: Tuple, M, N):
@@ -138,14 +139,15 @@ class LinearRecursion:
         self.__post_init__()
 
     def __post_init__(self):
-        """Check the shapes, and that the entries are finite and nonnegative."""
-        L = len(self.labels)
+        """Check the shapes, and that the entries are finite and nonnegative; price a step."""
+        self.size = L = len(self.labels)
         self.N = n = np.asarray(self.N, dtype=float)
         if isinstance(self._M, _SdFactors):
             m, shape = self._M.gain, (L,)  # the entries of M are 0, 1 and the gains
+            self.step_cost = STEP_S + FACTORED_VAR_S * L
         else:
-            self._M = m = np.asarray(self._M, dtype=float)
-            shape = (L, L)
+            self._M = self.M = m = np.asarray(self._M, dtype=float)
+            shape, self.step_cost = (L, L), STEP_S + DENSE_ENTRY_S * L * L
         if m.shape != shape or n.shape != (L,):
             raise ValidationError("inconsistent recursion dimensions")
         if L:
@@ -156,21 +158,13 @@ class LinearRecursion:
             if min(extremes) < 0:
                 raise ValidationError("recursion entries must be nonnegative")
 
-    @property
+    @cached_property
     def M(self) -> np.ndarray:
-        if isinstance(self._M, _SdFactors):
-            self._M = self._M.matrix()
-        return self._M
+        """The dense ``M``: set at construction, or built from the factors on first read."""
+        return self._M.matrix()
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self._M @ x
-
-    @property
-    def step_cost(self) -> float:
-        """The seconds of one bracket step, its product ``lr @ x`` included."""
-        L = self.size
-        factored = isinstance(self._M, _SdFactors)
-        return STEP_S + (FACTORED_VAR_S * L if factored else DENSE_ENTRY_S * L * L)
 
     def shifted_solve(self, theta: float, rhs: np.ndarray) -> np.ndarray:
         """
@@ -182,10 +176,6 @@ class LinearRecursion:
         A = np.negative(self.M)
         A.flat[:: A.shape[0] + 1] += theta
         return np.linalg.solve(A, rhs)
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
 
 
 @dataclass(frozen=True)
@@ -895,10 +885,10 @@ def analyze(
 
 
 def _method(name: str) -> str:
-    """``name`` lower-cased, checked to be one of :data:`METHODS`."""
-    method = name.lower()
+    """``name`` lower-cased when it is a string, checked to be one of :data:`METHODS`."""
+    method = name.lower() if isinstance(name, str) else name
     if method not in METHODS:
-        raise ValidationError("unknown method %r" % method)
+        raise ValidationError("unknown method %r" % (method,))
     return method
 
 

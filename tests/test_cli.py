@@ -314,6 +314,13 @@ def test_simulate_rejects_bad_dt_and_horizon(tmp_path, capsys, option, value):
         name, float(value))
 
 
+def test_simulate_rejects_a_negative_seed(tmp_path, capsys):
+    src = str(tmp_path / "two_server_sink_tree.json")
+    save_network(two_server_sink_tree(), src)
+    assert main(["simulate", "--network", src, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: random seed must be a nonnegative integer, got -1\n"
+
+
 @pytest.mark.parametrize("dt", ["5e-324", "1e-9"])
 def test_simulate_rejects_an_oversized_grid(tmp_path, capsys, dt):
     src = str(tmp_path / "two_server_sink_tree.json")

@@ -136,6 +136,20 @@ def test_simulate_validates_scenario():
         ServerSpec("bogus")
 
 
+@pytest.mark.parametrize("seed", [-1, -3, 1.5, True, None, "1"])
+def test_a_random_seed_is_a_nonnegative_integer(seed):
+    net = two_server_sink_tree()
+    refused = "^random seed must be a nonnegative integer, got %s$" % re.escape(repr(seed))
+    with pytest.raises(ScenarioError, match=refused):
+        random_scenario(net, 1.0, seed)
+    with pytest.raises(ScenarioError, match=refused):
+        ArrivalSpec("random", seed=seed)
+    # numpy integers are seeds too; greedy and silent arrivals take none
+    assert random_scenario(net, 1.0, np.int64(3)) == random_scenario(net, 1.0, 3)
+    assert ArrivalSpec("random", seed=np.uint8(0)).seed == 0
+    assert ArrivalSpec("greedy").seed is ArrivalSpec("none").seed is None
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
 def test_simulate_rejects_non_finite_or_non_positive_dt_and_horizon(bad):
     net = two_server_sink_tree()

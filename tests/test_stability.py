@@ -174,7 +174,7 @@ def test_build_sd_factored_product_matches_its_matrix(net, seed):
     gamma = Fraction(k, 2**53 - k)  # k u / (1 - k u), u = 2**-53
     for value, exact in zip(factored.tolist(), _exact_product(lr.M, x), strict=True):
         assert abs(Fraction(value) - exact) <= gamma * exact
-    assert np.array_equal(lr @ x, lr.M @ x)  # once M is built, steps use it
+    assert np.array_equal(lr @ x, factored)  # reading M leaves the steps on the factors
 
 
 def test_build_sd_refuses_overloaded_networks_as_a_whole():
@@ -386,9 +386,10 @@ def test_every_below_answer_carries_an_exact_certificate(rng, monkeypatch, exact
 def test_budget_balances_the_steps_against_the_exact_test(monkeypatch):
     lr = build_sd(uni_ring(30, 0.05))  # L = 870, in factors until M is read
     factored = _budget(lr)
-    lr.M  # reading M puts the dense matrix in the factors' place
+    lr.M  # reading M builds the dense matrix beside the factors
+    assert _budget(lr) == factored
     # a factored step is O(L), a dense one O(L^2): the same test buys more factored steps
-    assert factored > _budget(lr) >= 1
+    assert factored > _budget(LinearRecursion(lr.labels, lr.M, lr.N)) >= 1
     for L in (1, 12, 264):
         dense = LinearRecursion(tuple(range(L)), np.ones((L, L)), np.zeros(L))
         budget = _budget(dense)
@@ -850,6 +851,17 @@ def test_unknown_method_is_rejected_before_any_work():
         with pytest.raises(ValidationError, match="unknown method 'xx'"):
             call()
     assert analyze(uni_ring(4, 0.3), "TD").method == "td"
+
+
+@pytest.mark.parametrize("method", [5, None, ("sd",)], ids=["int", "none", "tuple"])
+def test_a_method_that_is_no_string_is_an_unknown_method(method):
+    net = uni_ring(4, 0.3)
+    calls = [lambda: analyze(net, method), lambda: is_stable(net, method),
+             lambda: objective_for(net, Target.backlog(0, [0]), method),
+             lambda: critical_utilization(lambda u: uni_ring(4, u), method)]
+    for call in calls:
+        with pytest.raises(ValidationError, match=r"^unknown method %s$" % re.escape(repr(method))):
+            call()
 
 
 def test_objective_sd_rejects_delay():

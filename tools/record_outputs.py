@@ -29,10 +29,10 @@ Records:
 - ``objective_for`` under every method with the three targets, ``is_stable``
   under every method, ``build_sd`` and the ``local_stability`` classes;
   for a ``build_sd`` recursion of at most ``DECIDED_SIZE`` variables also
-  ``spectral_radius`` and ``rho_below`` at each of ``THRESHOLDS``, both
-  given the dense ``M`` as a plain matrix, and both given the recursion
-  as built, a fresh one for each call (its ``M`` in factors until the call
-  reads it), as ``factored``;
+  ``rho_below`` at each of ``THRESHOLDS`` and ``spectral_radius``, given
+  the dense ``M`` as a plain matrix, given one recursion as built (its
+  ``M`` in factors), as ``factored``, and given one recursion whose ``M``
+  was read first, as a tracer reads it, as ``read_first``;
 - every ``critical`` case's threshold ``U*``;
 - ``analyze`` under ``td``, ``ag`` and ``2s`` with explicit removals, on
   the pool's fixed structures, its first ``EXPLICIT_RINGS`` rings of each
@@ -82,7 +82,12 @@ Records:
   of the full sweep and at 1, or the error: rings up to ``L = 870``; and
   at 0.5 with the labels and ``L`` too;
 - ``network_from_dict`` on the network document of ``toy()`` and on copies
-  with one rate, latency or burst set to a bool or a string, or the error.
+  with one rate, latency or burst set to a bool or a string, or the error;
+- ``random_scenario`` on ``two_server_sink_tree()`` and a ``random``
+  ``ArrivalSpec``, each with every one of ``SEED_CASES`` as its seed, and
+  ``analyze``, ``is_stable``, ``objective_for`` and
+  ``critical_utilization`` with each of ``METHOD_CASES`` as the method:
+  the result by ``repr``, or the error.
 
 Arrays are recorded by a digest of their bytes, floats by ``repr``.
 """
@@ -136,6 +141,12 @@ ID_CASES = (True, 0.0, 1.5, np.int64(0), np.int64(2), -1, 2)
 #: The flow ids the locally unstable tree's records give: none is a flow id.
 UNSTABLE_ID_CASES = (7, "x", True, -1)
 
+#: The random seeds the scenario records give: a seed is a nonnegative integer.
+SEED_CASES = (0, 7, np.int64(3), -1, 1.5, True, None, "1")
+
+#: The methods the method records give: a method is one of ``METHODS``, any case.
+METHOD_CASES = ("TD", "xx", 5, None)
+
 
 def _load(name, *path):
     spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, *path))
@@ -170,21 +181,24 @@ def _laid_out(lr) -> dict:
 
 
 def _decisions(operand) -> dict:
-    """``spectral_radius`` and ``rho_below`` at each threshold, each on ``operand()``."""
-    return {"spectral_radius": repr(stability.spectral_radius(operand())),
-            "rho_below": [stability.rho_below(operand(), theta) for theta in THRESHOLDS]}
+    """``rho_below`` at each threshold, then ``spectral_radius``, all on ``operand``."""
+    below = [stability.rho_below(operand, theta) for theta in THRESHOLDS]
+    return {"rho_below": below, "spectral_radius": repr(stability.spectral_radius(operand))}
 
 
 def _decided(net, lr) -> dict:
     """
     The recursion ``lr = build_sd(net)`` and, up to ``DECIDED_SIZE``
-    variables, the decisions on its ``M`` as a plain matrix and on fresh
-    recursions as built.
+    variables, the decisions on its ``M`` as a plain matrix, on one
+    recursion as built and on one whose ``M`` was read first.
     """
     record = {"recursion": _recursion(lr)}
     if lr.size <= DECIDED_SIZE:
-        record.update(_decisions(lambda: lr.M))
-        record["factored"] = _decisions(partial(stability.build_sd, net))
+        record.update(_decisions(lr.M))
+        record["factored"] = _decisions(stability.build_sd(net))
+        read = stability.build_sd(net)
+        read.M  # as a tracer counting its entries reads it
+        record["read_first"] = _decisions(read)
     return record
 
 
@@ -463,6 +477,7 @@ def records(workloads):
     for name, doc in _documents():
         yield {"document": name,
                "network_from_dict": _call(_network, fileio.network_from_dict, doc)}
+    yield from _refusal_records()
 
 
 def _view_records(key, net):
@@ -550,6 +565,27 @@ def _id_records():
         for i in UNSTABLE_ID_CASES:
             yield {"ids": "two_server_sink_tree(service_rate=1.0)", "id": repr(i),
                    name: _call(show, call, i)}
+
+
+def _refusal_records():
+    """
+    The seeds of ``SEED_CASES`` given to ``random_scenario`` and to a
+    ``random`` arrival, and the methods of ``METHOD_CASES`` given to every
+    entry point that takes one.
+    """
+    net = two_server_sink_tree()
+    for seed in SEED_CASES:
+        yield {"seed": repr(seed),
+               "random_scenario": _call(repr, fluid.random_scenario, net, 1.0, seed),
+               "ArrivalSpec": _call(repr, fluid.ArrivalSpec, "random", 0.0, seed)}
+    ring, target = uni_ring(4, 0.3), stability.Target.backlog(0, [0])
+    for method in METHOD_CASES:
+        yield {"method": repr(method),
+               "analyze": _call(_report, stability.analyze, ring, method, target),
+               "is_stable": _call(bool, stability.is_stable, ring, method),
+               "objective_for": _call(_objective, stability.objective_for, ring, target, method),
+               "critical_utilization": _call(repr, stability.critical_utilization,
+                                             partial(uni_ring, 4), method)}
 
 
 def _oracle_record(name, net, interest):
