@@ -969,8 +969,9 @@ def critical_utilization(family: Callable[[float], Network], method: str) -> flo
     decomposition with its forest, column layouts and row layout) is prepared
     from ``family(U_MAX)`` and bound to every ``family(U)`` the bisection
     visits.  ``family`` is arbitrary code, so each step first checks that
-    ``family(U)`` has the held structure's server count and flow paths, and
-    prepares a new structure when it does not.
+    ``family(U)`` is a :class:`Network`, else raising :class:`ValidationError`,
+    with the held structure's server count and flow paths, and prepares a
+    new structure when it has not.
 
     The decisions are warm-started.  Next to the structure the bisection
     holds one positive vector per recursion of the method; each decision
@@ -990,6 +991,8 @@ def critical_utilization(family: Callable[[float], Network], method: str) -> flo
     def stable(u: float) -> bool:
         nonlocal held, starts
         net = family(u)
+        if not isinstance(net, Network):
+            raise ValidationError("family(%r) returned %s, not a Network" % (u, type(net).__name__))
         if held is None or (held.num_servers, held.paths) != (net.num_servers, _paths(net)):
             held, starts = _prepare(net, method), [None, None]  # at most two recursions (2s)
         return _stable(net, method, structure=held, starts=starts)

@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .curves import RateLatency, TokenBucket
 from .errors import ValidationError
-from .network import Flow, Network
+from .network import Flow, Network, _is_id
 
 DEFAULT_BURST = 1.0
 DEFAULT_RATE = 1.0
@@ -48,6 +48,13 @@ def _uniform_network(
     return Network(tuple(servers), flows)
 
 
+def _size(value, name: str) -> int:
+    """``value`` as a plain ``int``, refused unless an integer (numpy's too, never a ``bool``)."""
+    if not _is_id(value):
+        raise ValidationError("%s must be an integer, got %r" % (name, value))
+    return int(value)
+
+
 def _loop(start: int, length: int, cycle: Sequence[int]) -> Tuple[int, ...]:
     pos = cycle.index(start)
     turns = -(-length // len(cycle))  # as many turns of the rotated cycle as cover length
@@ -71,6 +78,7 @@ def uni_ring(n: int, utilization: float, heterogeneous: bool = False) -> Network
     >>> net.servers[0].rate
     20.0
     """
+    n = _size(n, "n")
     if n < 2:
         raise ValidationError("a ring needs at least two servers")
     cycle = list(range(n))
@@ -90,6 +98,7 @@ def bi_ring(n: int, utilization: float) -> Network:
     >>> [f.path for f in bi_ring(3, 0.5).flows[3:]]
     [(2, 1, 0), (1, 0, 2), (2, 0, 1)]
     """
+    n = _size(n, "n")
     if n < 2:
         raise ValidationError("a ring needs at least two servers")
     forward = list(range(n))
@@ -112,7 +121,7 @@ def three_ring(utilization: float, ring_size: int = 10, short_len: int = 5) -> N
     ``s .. 2s-2``; ring 2 shares servers ``2s-2`` and ``0`` and adds
     ``2s-1 .. 3s-4``.
     """
-    s = ring_size
+    s, short_len = _size(ring_size, "ring_size"), _size(short_len, "short_len")
     if s < 3:
         raise ValidationError("ring_size must be at least 3")
     if not (1 <= short_len <= s):

@@ -16,12 +16,14 @@ whose weights ``rho`` (latencies) and ``phi`` (bursts) depend only on the
 arrival and service rates.
 
 One pass computes the coefficients, for a batch of rows at once
-(:meth:`_RowLayout.run`).  A row is a root server and a set of interest
-flows crossing it; its pairs are the servers upstream of its root, each at
-its distance to the root.  The pass takes one array step per distance, for
-every pair of every row at that distance, from the roots outward, so a
-batch costs one step per distance to the farthest root, whatever the
-number of its rows and views.  Each batch is one direct call to
+(:meth:`_RowLayout.run`), on a position-major grid: one array row per
+position on the way to a root, so that its sums along a path are row
+operations in the reference's order of additions.  A row is a root server
+and a set of interest flows crossing it; its pairs are the servers upstream
+of its root, each at its distance to the root.  The pass takes one array
+step per distance, for every pair of every row at that distance, from the
+roots outward, so a batch costs one step per distance to the farthest root,
+whatever the number of its rows and views.  Each batch is one direct call to
 :class:`_RowLayout` by the code that knows its rows: :mod:`netcalc.stability`
 lays out every row of a decomposition and of an ``analyze`` target on the
 decomposition's forest (an objective given no weights, the target's row
@@ -137,7 +139,8 @@ class _RowLayout:
     :attr:`levels`: the block's pairs ``start:end`` and their successors,
     as the slice of the previous block when the block's successors are
     that block in order, else as an index array.
-    Coefficients live in a ``(pair, position)`` grid of ``width`` columns:
+    Coefficients live in a position-major grid of ``width`` rows of one
+    cell per pair, cell ``p * size + q`` for pair ``q`` at position ``p``:
     position ``p`` of a pair is the ``p``-th server on its way to the root,
     exactly the cells of the pair's server in the view of the row's root.
     Every crossing of a flow and a pair's server is one bin, in flow order:
@@ -180,9 +183,7 @@ class _RowLayout:
         flow = forest.at_flow[at]
         row_flow = np.repeat(row * F, count) + flow  # (row, flow), flat
         own = interest.ravel()[row_flow]
-        cell = np.repeat(np.arange(P) * W, count) + np.minimum(
-            forest.at_reach[at], np.repeat(k, count)
-        )
+        cell = np.minimum(forest.at_reach[at], np.repeat(k, count)) * P + pair_of
         self.own_pair, self.own_flow = pair_of[own], flow[own]
         cross = ~own
         self.cross_cell, self.cross_flow = cell[cross], flow[cross]
@@ -193,14 +194,14 @@ class _RowLayout:
         self.own_at = np.flatnonzero(interest)
         self.pair_at = row * n + server
         self.k = k
-        self.last = np.arange(P) * W + k  # each pair's cell toward the root
+        self.last = k * P + np.arange(P)  # each pair's cell toward the root
         self.shape = (R, F, n)
 
     def toward_root(self, xi: np.ndarray) -> np.ndarray:
         """Each server's coefficient toward each row's root in the grid ``xi``, 0 outside."""
         R, _, n = self.shape
         table = np.zeros(R * n)
-        table[self.pair_at] = xi.ravel()[self.last]
+        table[self.pair_at] = xi.T.ravel()[self.last]
         return table.reshape(R, n)
 
     def run(self, num: _Numbers):
@@ -209,52 +210,65 @@ class _RowLayout:
         forest's flows and servers).  Returns ``(phi, rho, xi)``: burst
         weights ``(rows, flows)`` and latency weights ``(rows, servers)``
         over the forest's ids (0 outside each row's view) and the pairs'
-        coefficient grid ``(pairs, width)``.
+        coefficient grid, as the ``(pairs, width)`` view (the transpose) of
+        the position-major ``(width, pairs)`` array the pass fills.
 
         Each distance to the root takes one array step for all its pairs,
         from the roots outward: candidates for every split position, then
         the split where the successor's coefficient stops dominating.  Every
         pair's arrays have the length and values of its server's in a pass
         over its row's view alone, and every sum runs in the scalar
-        reference's order (``bincount`` in flow order, ``cumsum`` along
-        paths; the padding adds exact zeros), so each row equals its table.
+        reference's order, so each row equals its table: ``bincount`` in
+        flow order, and along paths ``np.add.accumulate`` and
+        ``np.add.reduce`` over the grid's rows, which add row after row (a
+        left fold, where a sum along a contiguous axis would add pairwise);
+        the padding adds exact zeros.
 
         :raises LocallyUnstableError: naming the network id of a server,
             nearest to its root, whose cross traffic alone fills it
         """
         P, W = self.size, self.width
         R, F, n = self.shape
-        rate = num.rate
-        r_star = np.bincount(self.own_pair, rate[self.own_flow], P)
-        cross = np.bincount(self.cross_cell, rate[self.cross_flow], P * W).reshape(P, W)
-        # den[q, p]: rate margin of q's server left by cross traffic ending up to position p
-        den = num.service_rate[self.server][:, None] - np.cumsum(cross, axis=1)
+        r_star = np.bincount(self.own_pair, num.rate[self.own_flow], P)
+        cross = np.bincount(self.cross_cell, num.rate[self.cross_flow], W * P).reshape(W, P)
+        # den[p, q]: rate margin of q's server left by cross traffic ending up to position p
+        den = num.service_rate[self.server] - np.add.accumulate(cross, axis=0)
         stuck = den.ravel()[self.last] <= 0
         if stuck.any():  # cross traffic alone fills the server
             raise LocallyUnstableError(
                 "server %d cannot drain its local traffic" % self.server[stuck.argmax()]
             )
-        xi = np.zeros((P, W))
-        tail = np.zeros((P, W))  # successor-weighted cross rates strictly beyond each position
-        xi[:R, 0] = r_star[:R] / den[:R, 0]  # the roots, one per row, come first
-        positions = np.arange(W)
+        xi = np.zeros((W, P))
+        xi[0, :R] = r_star[:R] / den[0, :R]  # the roots, one per row, come first
+        # the level at k fills rows 0..k of two buffers, as wide as the widest level:
+        # ``work`` with the successor-weighted cross rates at positions 1..k (its row k
+        # still zero), added from the far end into the tail beyond each position, then
+        # turned into the candidates; ``above`` with where the successor's coefficient
+        # exceeds the candidate (its row 0 never)
+        work = np.zeros((W, max((e - s for _, s, e, _ in self.levels), default=0)))
+        above = np.zeros(work.shape, dtype=bool)
+        positions, columns = np.arange(W)[:, None], np.arange(work.shape[1])
         for k, s, e, succ in self.levels:
-            after = xi[succ, :k]  # the successors' coefficients, positions 1..k
-            tail[s:e, :k] = np.cumsum((after * cross[s:e, 1 : k + 1])[:, ::-1], axis=1)[:, ::-1]
-            cand = (r_star[s:e, None] + tail[s:e, : k + 1]) / den[s:e, : k + 1]
+            after = xi[:k, succ]  # the successors' coefficients, positions 1..k
+            m = e - s
+            cand = work[: k + 1, :m]
+            np.multiply(after, cross[1 : k + 1, s:e], out=cand[:k])
+            np.add.accumulate(cand[::-1], axis=0, out=cand[::-1])
+            cand += r_star[s:e]
+            cand /= den[: k + 1, s:e]
             # the split is the largest position whose successor coefficient
             # does not exceed its candidate (position 0 always qualifies)
-            split = np.where(after > cand[:, 1:], 0, positions[1 : k + 1]).max(axis=1, initial=0)
-            cells = xi[s:e, : k + 1]
-            cells[:, 1:] = after
-            np.copyto(cells, cand[np.arange(e - s), split][:, None],
-                      where=positions[: k + 1] <= split[:, None])
+            np.greater(after, cand[1:], out=above[1 : k + 1, :m])
+            split = k - above[k::-1, :m].argmin(axis=0)  # the first such from the far end
+            cells = xi[: k + 1, s:e]
+            cells[1:] = after
+            np.copyto(cells, cand[split, columns[:m]], where=positions[: k + 1] <= split)
         rho = np.zeros(R * n)
-        rho[self.pair_at] = r_star + np.cumsum(xi * cross, axis=1)[:, -1]
+        rho[self.pair_at] = r_star + np.add.reduce(xi * cross, axis=0)
         phi = np.zeros(R * F)
         phi[self.entry_at] = xi.ravel()[self.entry_cell]
         phi[self.own_at] = 1.0
-        return phi.reshape(R, F), rho.reshape(R, n), xi
+        return phi.reshape(R, F), rho.reshape(R, n), xi.T
 
 
 def _tree_forest(paths: Sequence[Sequence[int]], n: int) -> "_Forest":

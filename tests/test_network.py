@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import re
 import sys
 
 import numpy as np
@@ -60,6 +61,26 @@ def test_network_needs_a_server():
 def test_generators_validate_their_parameters(make, message):
     with pytest.raises(ValidationError, match="^%s$" % message):
         make()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: uni_ring(2.5, 0.5), "n must be an integer, got 2.5"),
+    (lambda: bi_ring(2.5, 0.5), "n must be an integer, got 2.5"),
+    (lambda: uni_ring(True, 0.5), "n must be an integer, got True"),
+    (lambda: three_ring(0.5, ring_size=4.0, short_len=2), "ring_size must be an integer, got 4.0"),
+    (lambda: three_ring(0.5, ring_size=4, short_len=2.0), "short_len must be an integer, got 2.0"),
+], ids=["uni_ring", "bi_ring", "bool", "ring_size", "short_len"])
+def test_generators_refuse_sizes_that_are_not_integers(make, message):
+    with pytest.raises(ValidationError, match="^%s$" % re.escape(message)):
+        make()
+
+
+def test_generators_take_numpy_integer_sizes_as_ints():
+    assert uni_ring(np.int64(4), 0.5) == uni_ring(4, 0.5)
+    assert bi_ring(np.int32(4), 0.5) == bi_ring(4, 0.5)
+    net = three_ring(0.5, ring_size=np.int64(4), short_len=np.int64(2))
+    assert net == three_ring(0.5, ring_size=4, short_len=2)
+    assert {type(j) for f in net.flows for j in f.path} == {int}
 
 
 def test_induced_graph_toy():

@@ -864,6 +864,16 @@ def test_a_method_that_is_no_string_is_an_unknown_method(method):
             call()
 
 
+@pytest.mark.parametrize("method", ["sd", "td", "ag", "2s"])
+def test_critical_utilization_refuses_a_family_that_returns_no_network(method):
+    with pytest.raises(ValidationError, match=r"^family\(1\.0\) returned int, not a Network$"):
+        critical_utilization(lambda u: 5, method)
+    # every step checks its network, not only the first one
+    with pytest.raises(ValidationError,
+                       match=r"^family\(0\.001\) returned NoneType, not a Network$"):
+        critical_utilization(lambda u: uni_ring(4, u) if u == 1.0 else None, method)
+
+
 def test_objective_sd_rejects_delay():
     with pytest.raises(UnsupportedTargetError):
         objective_for(two_server_sink_tree(), Target.delay(0), "sd")

@@ -392,6 +392,28 @@ def test_one_batch_rooted_everywhere_matches_scalar_pass_per_view(rng):
                 assert all(rows.k[rows.pair_at // net.num_servers == b].max() == 0 for b, _ in mine)
 
 
+@pytest.mark.parametrize("method", ["td", "ag", "2s"])
+def test_decomposition_rows_match_scalar_pass_per_view(method):
+    # the row layouts the benchmark's decompositions run, each with the row
+    # of the backlog of flow 0 at the last server of its path (the CLI's
+    # default target on the rings): every row against the scalar pass on the
+    # view at its root, over the split flows' numbers
+    gathered = 0
+    for net in (uni_ring(12, 0.3), bi_ring(5, 0.3), three_ring(0.3, ring_size=4, short_len=2)):
+        dec = _prepare(net, method, target=Target.backlog(net.flows[0].path[-1], [0]))
+        rows, numbers = dec.rows, dec.bind(_numbers(net))
+        phi, rho, xi = rows.run(numbers)
+        R, F, _ = rows.shape
+        roots = rows.server[:R].tolist()  # the root pairs, one per row, come first
+        member_row, member_flow = np.divmod(rows.own_at, F)
+        for root in sorted(set(roots)):
+            mine = [(b, member_flow[member_row == b].tolist()) for b in range(R) if roots[b] == root]
+            _assert_rows_match_scalar(UpstreamView(dec.forest, root, numbers), rows, phi, rho, xi,
+                                      mine)
+        gathered += sum(not isinstance(level[3], slice) for level in rows.levels)
+    assert gathered
+
+
 def _assert_levels(forest, rows, rng):
     # every level against the pairs it stands for: the pairs at distance d,
     # and their successors, sliced exactly when they are the pairs at d - 1

@@ -9,12 +9,26 @@ Run it from each checkout and compare the two files::
     python tools/record_outputs.py > /tmp/after.jsonl    # in the new one
     diff /tmp/before.jsonl /tmp/after.jsonl && echo same
 
+With ``--digest`` it prints, instead of the records, the numpy version, the
+BLAS build and the BLAS thread settings as ``#`` lines, then one SHA-256
+per record section, a source, generator, method and entry point (see
+:func:`section`), over the section's JSON lines in order.  The digests are
+kept in ``tools/outputs.sha256``, recorded with the BLAS threads unset on
+two cores; a test recomputes a fixed sample of them, and a change that
+keeps every output shows it with::
+
+    python tools/record_outputs.py --digest | diff - tools/outputs.sha256 && echo same
+
+A change that moves outputs on purpose writes the file anew and names the
+sections that changed.  Only the records of the sections asked for are
+computed (:func:`digests`); the rest of a run lays out the inputs.
+
 The script imports netcalc from the ``src/`` next to it, the networks of
 the benchmark's ``analyze_many`` pool and its ``critical`` cases from
 ``perfbench/workloads.py`` and the test suite's ``random_tandem`` from
 ``tests/conftest.py``, both by file path.  On top of the pool it adds a few
 locally unstable networks.  It calls only public entry points, so it runs on
-any checkout that has them.  It takes no flags.
+any checkout that has them.
 
 Records:
 
@@ -92,10 +106,12 @@ Records:
 Arrays are recorded by a digest of their bytes, floats by ``repr``.
 """
 
+import argparse
 import hashlib
 import importlib.util
 import json
 import os
+import re
 import sys
 from functools import partial
 
@@ -146,6 +162,19 @@ SEED_CASES = (0, 7, np.int64(3), -1, 1.5, True, None, "1")
 
 #: The methods the method records give: a method is one of ``METHODS``, any case.
 METHOD_CASES = ("TD", "xx", 5, None)
+
+#: The fields that name a record's source, in the order :func:`section` looks for them.
+SOURCES = ("net", "fluid", "oracle", "critical", "sweep", "family", "generated", "ids",
+           "document", "seed", "method")
+
+#: The sources whose value ends with ``/`` and the record's method.
+NAMED_METHOD = ("critical", "sweep", "family")
+
+#: The sources whose value names no generator: the refused arguments.
+UNNAMED = ("seed", "method")
+
+#: The digests ``--digest`` prints, as kept in the repository.
+DIGESTS = os.path.join(ROOT, "tools", "outputs.sha256")
 
 
 def _load(name, *path):
@@ -221,6 +250,11 @@ def _call(show, f, *args):
         return show(f(*args))
     except Exception as exc:  # recorded like any output
         return {"error": type(exc).__name__, "message": str(exc)}
+
+
+def _out(show, f, *args):
+    """An output computed when it is asked for: :func:`_call` of the same arguments."""
+    return partial(_call, show, f, *args)
 
 
 def _xi(table) -> dict:
@@ -391,17 +425,18 @@ def _grouped(net, removed, count):
 def _explicit_records(name, net):
     targets = _targets(net)
     for key, removed in _removals(net).items():
-        yield {"net": name, "removal": key, "decompose": _call(lambda d: d, _decomposed, net, removed)}
+        at = {"net": name, "removal": key}
+        yield at, {"decompose": _out(lambda d: d, _decomposed, net, removed)}
         for grouped, count in (("none", 0), ("first", 1), ("all", None)):
-            yield {"net": name, "removal": key, "grouped": grouped,
-                   "build_grouped": _call(lambda d: d, _grouped, net, removed, count)}
+            yield ({**at, "grouped": grouped},
+                   {"build_grouped": _out(lambda d: d, _grouped, net, removed, count)})
         if removed is None:
             continue
         for method in ("td", "ag", "2s"):
             for target in ("bench", "delay0"):
-                yield {"net": name, "removal": key, "method": method, "target": target,
-                       "analyze": _call(_report, stability.analyze, net, method,
-                                        targets[target], removed)}
+                yield ({**at, "method": method, "target": target},
+                       {"analyze": _out(_report, stability.analyze, net, method, targets[target],
+                                        removed)})
 
 
 def _halved(net):
@@ -410,7 +445,16 @@ def _halved(net):
     return Network(servers, net.flows)
 
 
+def _classes(net) -> list:
+    return [c.name for c in local_stability(net).per_server]
+
+
 def records(workloads):
+    """
+    Every record, in order, as ``(key, outputs)``: the fields that name it
+    and its outputs by entry point, each computed when it is asked for
+    (:func:`line`), so that a run can skip the sections it does not want.
+    """
     nets = dict(workloads.pool_networks())
     for n in workloads.RING_SIZES:
         for k in range(4):
@@ -418,25 +462,25 @@ def records(workloads):
     nets.update(_locally_unstable())
     for name, net in nets.items():
         targets = _targets(net)
-        yield {"net": name, "local_stability": [c.name for c in local_stability(net).per_server]}
-        yield {"net": name, "build_sd": _call(partial(_decided, net), stability.build_sd, net)}
-        yield {"net": name, "tree_backlog": _call(_table, tree_backlog, net, [0])}
+        yield {"net": name}, {"local_stability": partial(_classes, net)}
+        yield {"net": name}, {"build_sd": _out(partial(_decided, net), stability.build_sd, net)}
+        yield {"net": name}, {"tree_backlog": _out(_table, tree_backlog, net, [0])}
         yield from _view_records({"net": name}, net)
         for method in stability.METHODS:
-            yield {"net": name, "method": method,
-                   "is_stable": _call(bool, stability.is_stable, net, method)}
+            at = {"net": name, "method": method}
+            yield at, {"is_stable": _out(bool, stability.is_stable, net, method)}
             for key, target in list(targets.items()) + [("none", None)]:
-                yield {"net": name, "method": method, "target": key,
-                       "analyze": _call(_report, stability.analyze, net, method, target)}
+                yield ({**at, "target": key},
+                       {"analyze": _out(_report, stability.analyze, net, method, target)})
             for key, target in targets.items():
-                yield {"net": name, "method": method, "target": key, "objective_for":
-                       _call(_objective, stability.objective_for, net, target, method)}
+                yield ({**at, "target": key}, {"objective_for":
+                       _out(_objective, stability.objective_for, net, target, method)})
         for method in ("sd", "td"):
             for key, target in _group_targets(net).items():
-                yield {"net": name, "method": method, "target": key,
-                       "analyze": _call(_report, stability.analyze, net, method, target),
-                       "objective_for":
-                       _call(_objective, stability.objective_for, net, target, method)}
+                yield ({"net": name, "method": method, "target": key},
+                       {"analyze": _out(_report, stability.analyze, net, method, target),
+                        "objective_for":
+                        _out(_objective, stability.objective_for, net, target, method)})
     explicit = [workloads.fixed_id(s, k) for s in range(len(workloads.FIXED_STRUCTURES))
                 for k in range(workloads.UTILIZATIONS_PER_STRUCTURE)]
     explicit += [workloads.ring_id(n, k) for n in workloads.RING_SIZES for k in range(EXPLICIT_RINGS)]
@@ -444,26 +488,25 @@ def records(workloads):
     for name in explicit:
         yield from _explicit_records(name, nets[name])
     for kind, n, method in workloads.critical_cases(False):
-        yield {"critical": workloads.critical_key(kind, n, method), "u_star": _call(
+        yield {"critical": workloads.critical_key(kind, n, method)}, {"u_star": _out(
             repr, stability.critical_utilization, workloads._family(kind, n), method)}
     for row, u in enumerate(workloads.sweep_utilizations(False)):
         net = bi_ring(workloads.SWEEP_N, u)
         target = stability.Target.backlog(net.num_servers - 1, [0])
         for method in stability.METHODS:
-            yield {"sweep": workloads.sweep_key(row, method), "u": repr(u),
-                   "analyze": _call(_report, stability.analyze, net, method, target)}
+            at = {"sweep": workloads.sweep_key(row, method), "u": repr(u)}
+            yield at, {"analyze": _out(_report, stability.analyze, net, method, target)}
             for i in range(net.num_flows):
-                yield {"sweep": workloads.sweep_key(row, method), "u": repr(u), "delay": i,
-                       "analyze": _call(_report, stability.analyze, net, method,
-                                        stability.Target.delay(i))}
+                yield ({**at, "delay": i}, {"analyze": _out(
+                    _report, stability.analyze, net, method, stability.Target.delay(i))})
     for name, net, seed in _fluid_networks(workloads, 1):
         root = net.num_servers - 1
         sink = [i for i, f in enumerate(net.flows) if f.path[-1] == root]
-        yield {"fluid": name,
-               "trajectory": _call(_trajectory, _fluid_run, workloads, net, sink, seed)}
+        yield ({"fluid": name},
+               {"trajectory": _out(_trajectory, _fluid_run, workloads, net, sink, seed)})
         for interest in (sink, sink[: max(1, len(sink) // 2)]):
-            yield {"fluid": name, "interest": interest,
-                   "tree_backlog": _call(_table, tree_backlog, net, interest)}
+            yield ({"fluid": name, "interest": interest},
+                   {"tree_backlog": _out(_table, tree_backlog, net, interest)})
             if "tandem" in name:
                 yield _oracle_record(name, net, interest)
         yield from _view_records({"fluid": name}, net)
@@ -475,17 +518,19 @@ def records(workloads):
     yield from _id_records()
     yield from _generator_records(workloads)
     for name, doc in _documents():
-        yield {"document": name,
-               "network_from_dict": _call(_network, fileio.network_from_dict, doc)}
+        yield {"document": name}, {"network_from_dict": _out(_network, fileio.network_from_dict, doc)}
     yield from _refusal_records()
+
+
+def _view_backlog(net, j, interest):
+    return upstream_view(net, j).backlog(interest)
 
 
 def _view_records(key, net):
     """``upstream_view(net, j).backlog`` of the flows crossing ``j``, at every server ``j``."""
     for j in range(net.num_servers):
         crossing = [i for i, f in enumerate(net.flows) if j in f.path]
-        yield {**key, "server": j, "upstream_view":
-               _call(_table, lambda: upstream_view(net, j).backlog(crossing))}
+        yield {**key, "server": j}, {"upstream_view": _out(_table, _view_backlog, net, j, crossing)}
 
 
 def _network(net) -> dict:
@@ -516,16 +561,16 @@ def _generated(workloads):
 
 def _generator_records(workloads):
     for name, call in _generated(workloads):
-        yield {"generated": name, "network": _call(_network, call)}
+        yield {"generated": name}, {"network": _out(_network, call)}
     for kind, n, method in workloads.critical_cases(False):
         if method != "sd":
             continue
         family, key = workloads._family(kind, n), workloads.critical_key(kind, n, method)
         for u in workloads.sweep_utilizations(False) + [1.0]:
-            yield {"family": key, "u": repr(u),
-                   "build_sd": _call(_recursion, stability.build_sd, family(u))}
-        yield {"family": key, "u": repr(0.5),
-               "build_sd": _call(_laid_out, stability.build_sd, family(0.5))}
+            yield ({"family": key, "u": repr(u)},
+                   {"build_sd": _out(_recursion, stability.build_sd, family(u))})
+        yield ({"family": key, "u": repr(0.5)},
+               {"build_sd": _out(_laid_out, stability.build_sd, family(0.5))})
 
 
 def _documents():
@@ -555,7 +600,7 @@ def _id_records():
              ("worst_case_periods", _periods, lambda i: worst_case_periods(net, [i]))]
     for name, show, call in calls:
         for i in ID_CASES:
-            yield {"ids": "two_server_sink_tree()", "id": repr(i), name: _call(show, call, i)}
+            yield {"ids": "two_server_sink_tree()", "id": repr(i)}, {name: _out(show, call, i)}
     hot = two_server_sink_tree(service_rate=1.0)
     calls = [("tree_backlog", _table, lambda i: tree_backlog(hot, [i])),
              ("compute_xi", _xi, lambda i: compute_xi(hot, [i])),
@@ -563,8 +608,8 @@ def _id_records():
              ("upstream_view", _table, lambda i: upstream_view(hot, 1).backlog([i]))]
     for name, show, call in calls:
         for i in UNSTABLE_ID_CASES:
-            yield {"ids": "two_server_sink_tree(service_rate=1.0)", "id": repr(i),
-                   name: _call(show, call, i)}
+            yield ({"ids": "two_server_sink_tree(service_rate=1.0)", "id": repr(i)},
+                   {name: _out(show, call, i)})
 
 
 def _refusal_records():
@@ -575,29 +620,106 @@ def _refusal_records():
     """
     net = two_server_sink_tree()
     for seed in SEED_CASES:
-        yield {"seed": repr(seed),
-               "random_scenario": _call(repr, fluid.random_scenario, net, 1.0, seed),
-               "ArrivalSpec": _call(repr, fluid.ArrivalSpec, "random", 0.0, seed)}
+        yield {"seed": repr(seed)}, {
+            "random_scenario": _out(repr, fluid.random_scenario, net, 1.0, seed),
+            "ArrivalSpec": _out(repr, fluid.ArrivalSpec, "random", 0.0, seed)}
     ring, target = uni_ring(4, 0.3), stability.Target.backlog(0, [0])
     for method in METHOD_CASES:
-        yield {"method": repr(method),
-               "analyze": _call(_report, stability.analyze, ring, method, target),
-               "is_stable": _call(bool, stability.is_stable, ring, method),
-               "objective_for": _call(_objective, stability.objective_for, ring, target, method),
-               "critical_utilization": _call(repr, stability.critical_utilization,
-                                             partial(uni_ring, 4), method)}
+        yield {"method": repr(method)}, {
+            "analyze": _out(_report, stability.analyze, ring, method, target),
+            "is_stable": _out(bool, stability.is_stable, ring, method),
+            "objective_for": _out(_objective, stability.objective_for, ring, target, method),
+            "critical_utilization": _out(repr, stability.critical_utilization,
+                                         partial(uni_ring, 4), method)}
 
 
 def _oracle_record(name, net, interest):
-    return {"oracle": name, "interest": interest,
-            "bruteforce_backlog": _call(repr, bruteforce_backlog, net, interest),
-            "worst_case_periods": _call(_periods, worst_case_periods, net, interest)}
+    return {"oracle": name, "interest": interest}, {
+        "bruteforce_backlog": _out(repr, bruteforce_backlog, net, interest),
+        "worst_case_periods": _out(_periods, worst_case_periods, net, interest)}
 
 
-def main():
+def line(key, outputs) -> str:
+    """A record's JSON line (no newline): its key and its outputs, computed now."""
+    return json.dumps({**key, **{name: out() for name, out in outputs.items()}}, sort_keys=True)
+
+
+def section(key, outputs) -> str:
+    """
+    The section a record counts in, as one line of words: its source (the
+    first of ``SOURCES`` among its fields), the generator it comes from (the
+    leading name of that field's value, none for ``UNNAMED``), its method
+    (a ``NAMED_METHOD`` value ends with it) and its entry points; ``-`` for
+    a record with no generator or no method.
+    """
+    source = next(field for field in SOURCES if field in key)
+    value = str(key[source])
+    generator = "-" if source in UNNAMED else re.match(r"[a-z_-]*[a-z_]|", value).group() or "-"
+    method = key.get("method") or (value.rpartition("/")[2] if source in NAMED_METHOD else "-")
+    return "%s %s %s %s" % (source, generator, method, ",".join(outputs))
+
+
+def digests(workloads, wanted=None) -> dict:
+    """
+    The SHA-256 of each section's JSON lines, by section, in the order the
+    sections first appear.  Given ``wanted``, only the records of those
+    sections are computed, and only their digests returned.
+    """
+    hashes = {}
+    for key, outputs in records(workloads):
+        name = section(key, outputs)
+        if wanted is None or name in wanted:
+            hashes.setdefault(name, hashlib.sha256()).update((line(key, outputs) + "\n").encode())
+    return {name: h.hexdigest() for name, h in hashes.items()}
+
+
+def build() -> list:
+    """
+    The header lines of a digest file: the numpy version and the BLAS build
+    the digests hold for, then the BLAS thread settings.  The largest
+    recursions' decisions read other bits with another number of BLAS
+    threads (the sweep's sd, td and 2s sections, between one and two).
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a numpy before 1.26, or a build that names no BLAS
+        blas = {"name": "unknown", "version": "-"}
+    settings = ["%s=%s" % (var, os.environ.get(var, "unset"))
+                for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")]
+    return ["# numpy %s" % np.__version__,
+            "# blas %s %s: %s" % (blas["name"], blas["version"],
+                                  blas.get("openblas configuration", "-")),
+            "# threads %s cpus=%d" % (" ".join(settings), len(os.sched_getaffinity(0)))]
+
+
+def read_digests(path=DIGESTS):
+    """``(header lines, {section: digest})`` of a file written by ``--digest``."""
+    header, pinned = [], {}
+    with open(path, encoding="utf-8") as f:
+        for row in f.read().splitlines():
+            if row.startswith("#"):
+                header.append(row)
+            else:
+                digest, name = row.split("  ", 1)
+                pinned[name] = digest
+    return header, pinned
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Record netcalc's outputs on a fixed set of "
+                                                 "inputs, as JSON lines.")
+    parser.add_argument("--digest", action="store_true",
+                        help="print the numpy and BLAS build, then one SHA-256 per record "
+                             "section, instead of the records")
+    args = parser.parse_args(argv)
     workloads = _load_workloads()
-    for record in records(workloads):
-        sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
+    if args.digest:
+        sys.stdout.write("".join(row + "\n" for row in build()))
+        for name, digest in digests(workloads).items():
+            sys.stdout.write("%s  %s\n" % (digest, name))
+        return
+    for key, outputs in records(workloads):
+        sys.stdout.write(line(key, outputs) + "\n")
 
 
 if __name__ == "__main__":
