@@ -6,6 +6,9 @@ Command-line front end: generate benchmark topologies, analyze bounds and
 stability, sweep utilizations to CSV, locate critical utilizations and run
 fluid simulations.
 
+Every ``--kind`` is one entry of :data:`KINDS`; every ``-o`` path opens
+through ``fileio``'s one path-or-stream helper (standard output without one).
+
 Server and flow ids are 1-indexed on this surface, matching the JSON
 network files.  Exit codes: 0 on success, 2 on validation errors, 3 when a
 bound was requested on an unstable network.
@@ -26,7 +29,7 @@ from .errors import NetcalcError
 from .fluid import check_arrival_curves, check_strict_service, random_scenario, simulate_fluid
 from .network import Network
 from .stability import METHODS, Target, _method, analyze, critical_utilization
-from .topologies import GENERATORS
+from .topologies import bi_ring, three_ring, toy, two_server_sink_tree, uni_ring
 
 EXIT_VALIDATION = 2
 EXIT_UNSTABLE = 3
@@ -37,22 +40,19 @@ METHOD_COLUMNS = {"sd": "SD", "td": "TD", "ag": "AG", "2s": "TWO_STAGE"}
 MAX_SWEEP_ROWS = 100_000
 
 
-def _build_network(args, u: float) -> Network:
-    """The ``--kind`` topology at utilization ``u``."""
-    kind = args.kind
-    if kind == "uni_ring":
-        return GENERATORS[kind](args.n, u, heterogeneous=args.heterogeneous)
-    if kind == "bi_ring":
-        return GENERATORS[kind](args.n, u)
-    if kind == "three_ring":
-        return GENERATORS[kind](u, ring_size=args.n, short_len=args.short_len)
-    if kind == "toy":
-        return GENERATORS[kind](u)
-    return GENERATORS[kind]()  # the fixed fixture ignores the sweep parameters
+#: Each ``--kind``'s network, built from the parsed options and a utilization.
+KINDS = {
+    "uni_ring": lambda args, u: uni_ring(args.n, u, heterogeneous=args.heterogeneous),
+    "bi_ring": lambda args, u: bi_ring(args.n, u),
+    "three_ring": lambda args, u: three_ring(u, ring_size=args.n, short_len=args.short_len),
+    "toy": lambda args, u: toy(u),
+    "two_server_sink_tree": lambda args, u: two_server_sink_tree(),  # ignores the options
+}
 
 
 def _family(args):
-    return lambda u: _build_network(args, u)
+    """The ``--kind`` topology as a function of the utilization."""
+    return functools.partial(KINDS[args.kind], args)
 
 
 def _index(what: str, one_based: int, count: int) -> int:
@@ -84,16 +84,8 @@ def _parse_target(args, net: Network) -> Target:
     return Target.backlog(_server(args, net), _flow_ids(args.flows or "1", net))
 
 
-def _open_output(path: Optional[str]):
-    return open(path, "w", encoding="utf-8") if path else sys.stdout
-
-
 def cmd_generate(args) -> int:
-    net = _build_network(args, args.utilization)
-    out = _open_output(args.output)
-    fileio.save_network(net, out)
-    if out is not sys.stdout:
-        out.close()
+    fileio.save_network(_family(args)(args.utilization), args.output or sys.stdout)
     return 0
 
 
@@ -176,10 +168,8 @@ def cmd_sweep(args) -> int:
             row.append(report.bound.value if report.bound is not None else None)
         rows.append(row)
         u += args.step
-    out = _open_output(args.output)
-    fileio.write_sweep_csv(out, columns, rows)
-    if out is not sys.stdout:
-        out.close()
+    with fileio._opened(args.output or sys.stdout, "w") as out:
+        fileio.write_sweep_csv(out, columns, rows)
     return 0
 
 
@@ -206,13 +196,13 @@ def cmd_simulate(args) -> int:
     print("arrival curves respected: %s" % check_arrival_curves(traj))
     print("strict service respected: %s" % check_strict_service(traj))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as stream:
+        with fileio._opened(args.output, "w") as stream:
             traj.to_csv(stream)
     return 0
 
 
 def _add_topology_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kind", required=True, choices=sorted(GENERATORS))
+    parser.add_argument("--kind", required=True, choices=sorted(KINDS))
     parser.add_argument("--n", type=int, default=10, help="ring size")
     parser.add_argument("--utilization", "-u", type=float, default=0.5)
     parser.add_argument("--heterogeneous", action="store_true",

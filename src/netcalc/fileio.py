@@ -2,7 +2,7 @@
 # -*- coding: utf-8 -*-
 
 """
-JSON network files and CSV emission.
+JSON network files (a path or an open stream alike) and CSV emission.
 
 A network file is a JSON document
 
@@ -18,6 +18,7 @@ Round-trips are lossless.
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from typing import IO, Optional, Sequence, Tuple, Union
 
 from .curves import RateLatency, TokenBucket
@@ -90,26 +91,22 @@ def network_from_dict(doc: dict) -> Network:
     return Network(servers, flows)
 
 
+def _opened(target: Union[str, IO[str]], mode: str):
+    """A ``with`` context for ``target``: a path opened in ``mode``, or an open stream left open."""
+    return open(target, mode, encoding="utf-8") if isinstance(target, str) else nullcontext(target)
+
+
 def save_network(net: Network, target: Union[str, IO[str]]) -> None:
     """Write ``net`` as a JSON network file (path or open stream)."""
-    doc = network_to_dict(net)
-    if isinstance(target, str):
-        with open(target, "w", encoding="utf-8") as stream:
-            json.dump(doc, stream, indent=2)
-            stream.write("\n")
-    else:
-        json.dump(doc, target, indent=2)
-        target.write("\n")
+    with _opened(target, "w") as stream:
+        json.dump(network_to_dict(net), stream, indent=2)
+        stream.write("\n")
 
 
 def load_network(source: Union[str, IO[str]]) -> Network:
     """Read a JSON network file (path or open stream)."""
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as stream:
-            doc = json.load(stream)
-    else:
-        doc = json.load(source)
-    return network_from_dict(doc)
+    with _opened(source, "r") as stream:
+        return network_from_dict(json.load(stream))
 
 
 def format_value(value: Optional[float]) -> str:

@@ -70,7 +70,9 @@ class ServerSpec:
 
     ``priority`` orders the flows for service (first drained first);
     flows missing from it are appended in id order.  ``simulate_fluid``
-    rejects a priority that repeats a flow or names one the network lacks.
+    rejects a priority that repeats a flow or names anything but a flow id
+    of the network: an integer (numpy's too, never a ``bool``) below its
+    flow count.
     A window starts at a finite time no later than its end; the end may be
     infinite.
     """
@@ -271,7 +273,7 @@ def simulate_fluid(net: Network, scenario: Scenario, dt: Optional[float] = None)
         raise ScenarioError("scenario does not match the network size")
     for j, spec in enumerate(scenario.servers):
         if len(set(spec.priority)) != len(spec.priority) or not all(
-            0 <= i < net.num_flows for i in spec.priority
+            _is_id(i) and 0 <= i < net.num_flows for i in spec.priority
         ):
             raise ScenarioError(
                 "server %d priority %r must list distinct flows of 0..%d"

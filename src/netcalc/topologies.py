@@ -4,7 +4,8 @@
 """
 Generators for the cyclic benchmark topologies: unidirectional and
 bidirectional rings, the three-ring composition and the small fixed
-fixtures used throughout the tests.
+fixtures used throughout the tests; each is one ``--kind`` of the command
+line (``cli.KINDS``).
 
 The rings and ``toy`` have the paper's one traffic profile, fixed by the
 module constants rather than by options: every flow a burst of
@@ -162,11 +163,3 @@ def two_server_sink_tree(
     )
     return Network(servers, flows)
 
-
-GENERATORS = {
-    "uni_ring": uni_ring,
-    "bi_ring": bi_ring,
-    "three_ring": three_ring,
-    "toy": toy,
-    "two_server_sink_tree": two_server_sink_tree,
-}

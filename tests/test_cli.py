@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from netcalc import Target, analyze
+from netcalc import Target, analyze, critical_utilization
 from netcalc.cli import main
 from netcalc.fileio import (
     format_value,
@@ -28,6 +28,15 @@ def test_network_file_round_trip(tmp_path):
         assert load_network(stream) == net
         # canonical dict round-trips as well
         assert network_from_dict(network_to_dict(net)) == net
+
+
+def test_save_and_load_leave_an_open_stream_open():
+    stream = io.StringIO()
+    save_network(toy(), stream)
+    assert not stream.closed
+    stream.seek(0)
+    assert load_network(stream) == toy()
+    assert not stream.closed
 
 
 def test_network_file_is_one_indexed(tmp_path):
@@ -117,6 +126,56 @@ def test_generate_every_kind(tmp_path, options, expected):
     path = str(tmp_path / "net.json")
     assert main(["generate"] + options + ["-o", path]) == 0
     assert load_network(path) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--kind", "three_ring", "--n", "4", "--short-len", "2", "-u", "0.3"],
+    ["sweep", "--kind", "bi_ring", "--n", "3", "--methods", "sd,2s",
+     "--u-min", "0.1", "--u-max", "0.3", "--step", "0.1"],
+], ids=["generate", "sweep"])
+def test_output_path_holds_what_stdout_shows(tmp_path, capsys, argv):
+    assert main(argv) == 0
+    shown = capsys.readouterr().out
+    path = tmp_path / "out"
+    assert main(argv + ["-o", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == shown.encode("utf-8")
+
+
+def test_sweep_closes_its_output_when_a_write_fails(tmp_path, monkeypatch, capsys):
+    streams = []
+
+    def fail(stream, columns, rows):
+        streams.append(stream)
+        stream.write("U\n")
+        raise OSError("no space left")
+
+    monkeypatch.setattr("netcalc.fileio.write_sweep_csv", fail)
+    argv = ["sweep", "--kind", "toy", "--methods", "sd", "--u-min", "0.2", "--u-max", "0.3"]
+    assert main(argv + ["-o", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err == "error: no space left\n"
+    assert streams[0].closed
+
+
+@pytest.mark.parametrize("kind, family", [
+    ("toy", toy),
+    ("two_server_sink_tree", lambda u: two_server_sink_tree()),
+], ids=["toy", "two_server_sink_tree"])
+def test_critical_and_sweep_on_the_fixed_kinds(capsys, kind, family):
+    for method in ("sd", "td"):
+        assert main(["critical", "--kind", kind, "--method", method]) == 0
+        assert capsys.readouterr().out == "%.4f\n" % critical_utilization(family, method)
+    methods = ("sd", "td", "ag", "2s")
+    assert main(["sweep", "--kind", kind, "--methods", ",".join(methods),
+                 "--u-min", "0.2", "--u-max", "0.6", "--step", "0.2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "U,SD,TD,AG,TWO_STAGE" and len(lines) == 4
+    for line in lines[1:]:
+        u, *cells = line.split(",")
+        net = family(float(u))
+        target = Target.backlog(net.num_servers - 1, [0])  # the default: flow 1 at the last server
+        fresh = [analyze(net, m, target=target).bound.value for m in methods]
+        assert [float(cell) for cell in cells] == pytest.approx(fresh, rel=1e-8)
 
 
 def test_analyze_ag_text_names_the_arcs(tmp_path, capsys):

@@ -494,6 +494,25 @@ def test_simulate_rejects_unknown_or_repeated_priority(priority):
         simulate_fluid(net, scenario, dt=0.01)
 
 
+@pytest.mark.parametrize("priority", [(0.5,), (0.0,), (True,), (1.0, 0), (1, False)],
+                         ids=["half", "float_zero", "true", "float_one", "false"])
+def test_simulate_rejects_a_priority_that_is_no_flow_id(priority):
+    # a float or a bool names no flow, not even one equal to a flow id
+    net = Network((RateLatency(4, 0.1),), (Flow(TokenBucket(1, 1), (0,)),) * 2)
+    scenario = Scenario((ArrivalSpec(),) * 2, (ServerSpec(priority=priority),), 1.0)
+    message = "server 0 priority %r must list distinct flows of 0..1" % (priority,)
+    with pytest.raises(ScenarioError, match="^%s$" % re.escape(message)):
+        simulate_fluid(net, scenario, dt=0.01)
+
+
+def test_simulate_takes_numpy_priority_ids_as_flow_ids():
+    net = Network((RateLatency(4, 0.1),), (Flow(TokenBucket(1, 1), (0,)),) * 2)
+    runs = [simulate_fluid(net, Scenario((ArrivalSpec(),) * 2, (ServerSpec(priority=p),), 1.0),
+                           dt=0.01) for p in ((1, 0), (np.int64(1), np.intp(0)))]
+    assert runs[0].cum_out.keys() == runs[1].cum_out.keys()
+    assert all(np.array_equal(runs[0].cum_out[key], runs[1].cum_out[key]) for key in runs[0].cum_out)
+
+
 def _two_server_tandem():
     # flow 1 ends at server 0: it misses the root, server 1
     return Network(

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 import sys
 from collections import Counter
@@ -61,6 +62,7 @@ from xi_reference import view_tree
 from conftest import (
     as_network, random_cyclic_instance, random_tandem, random_tree, random_uni_ring, rows_at,
 )
+from test_network import _benchmark_pool
 
 
 def _single_flow_tandem(b=1.0, r=1.0, R=4.0, T=0.25):
@@ -1339,3 +1341,81 @@ def test_rho_below_reads_a_singular_exact_test_as_not_below(monkeypatch):
 def test_linear_recursion_rejects_mismatched_dimensions(M, N):
     with pytest.raises(ValidationError, match="inconsistent recursion dimensions"):
         LinearRecursion(("a",), M, N)
+
+
+@pytest.fixture(scope="module")
+def benchmark_pool():
+    """The networks of the benchmark's ``analyze_many`` pool, loaded once per module."""
+    with pytest.MonkeyPatch.context() as mp:
+        return _benchmark_pool(mp)
+
+
+def _relative_gap(a, b) -> float:
+    """The largest entry difference of ``a`` and ``b`` over their largest entry."""
+    scale = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))
+    return 0.0 if scale == 0 else np.abs(a - b).max(initial=0.0) / scale
+
+
+def _end_of_flow_0(net) -> Target:
+    """The benchmark's target: the backlog of flow 0 at the last server of its path."""
+    return Target.backlog(net.flows[0].path[-1], [0])
+
+
+def _td_on_full_removal_is_sd(net) -> bool:
+    """
+    td on the removal of every induced arc leaves one-server trees, so it
+    builds sd's recursion and gives sd's verdict and bound, up to rounding;
+    or both builders refuse a locally unstable network.  True when stable.
+    """
+    full = induced_graph(net)
+    try:
+        sd = build_sd(net)
+    except LocallyUnstableError:
+        with pytest.raises(LocallyUnstableError):
+            build_td(net, full)
+        return False
+    td = build_td(net, full)
+    assert td.labels == sd.labels
+    assert _relative_gap(td.M, sd.M) <= 1e-13 and _relative_gap(td.N, sd.N) <= 1e-13
+    target = _end_of_flow_0(net)
+    a, b = analyze(net, "sd", target=target), analyze(net, "td", target=target, removed=full)
+    assert a.verdict == b.verdict and a.bound.is_finite == b.bound.is_finite
+    if a.bound.is_finite:
+        assert b.bound.value == pytest.approx(a.bound.value, rel=1e-12)
+    return a.stable
+
+
+def test_td_on_the_full_removal_is_sd_on_the_benchmark_pool(benchmark_pool):
+    nets = benchmark_pool[::7]
+    # a quarter of them or more stable, so that the bounds are compared too
+    assert sum(map(_td_on_full_removal_is_sd, nets)) >= len(nets) // 4
+
+
+@settings(max_examples=50, deadline=None)
+@given(_small_networks())
+def test_td_on_the_full_removal_is_sd_property(net):
+    _td_on_full_removal_is_sd(net)
+
+
+@pytest.mark.parametrize("method", ["td", "ag", "2s"])
+def test_refining_a_removal_never_loosens_the_bound(benchmark_pool, method):
+    # from removal_tree(net) to every induced arc, one arc more at a time:
+    # smaller trees know less, so a stable verdict may only be lost and a
+    # finite bound may only grow (up to rounding) or become unbounded
+    steps = 0
+    for k, net in enumerate(benchmark_pool[::13]):
+        removed = removal_tree(net)
+        arcs = sorted(induced_graph(net) - removed)
+        random.Random(k).shuffle(arcs)
+        target = _end_of_flow_0(net)
+        before = analyze(net, method, target=target, removed=removed)
+        for arc in arcs:
+            removed = removed | {arc}
+            after = analyze(net, method, target=target, removed=removed)
+            assert before.stable or not after.stable
+            assert before.bound.is_finite or not after.bound.is_finite
+            if after.bound.is_finite:
+                assert after.bound.value >= before.bound.value * (1 - 1e-12)
+            before = after
+            steps += 1
+    assert steps >= 400

@@ -98,7 +98,10 @@ Records:
 - ``network_from_dict`` on the network document of ``toy()`` and on copies
   with one rate, latency or burst set to a bool or a string, or the error;
 - ``random_scenario`` on ``two_server_sink_tree()`` and a ``random``
-  ``ArrivalSpec``, each with every one of ``SEED_CASES`` as its seed, and
+  ``ArrivalSpec``, each with every one of ``SEED_CASES`` as its seed,
+  ``simulate_fluid`` on ``two_server_sink_tree()`` with greedy arrivals and
+  each of ``PRIORITY_CASES`` as the priority at its last server (recorded
+  as the tree and tandem runs above), and
   ``analyze``, ``is_stable``, ``objective_for`` and
   ``critical_utilization`` with each of ``METHOD_CASES`` as the method:
   the result by ``repr``, or the error.
@@ -160,18 +163,24 @@ UNSTABLE_ID_CASES = (7, "x", True, -1)
 #: The random seeds the scenario records give: a seed is a nonnegative integer.
 SEED_CASES = (0, 7, np.int64(3), -1, 1.5, True, None, "1")
 
+#: The priorities the scenario records give the last server of a two-flow
+#: network: a priority lists distinct integer flow ids, numpy's too, never a
+#: bool or a float.
+PRIORITY_CASES = ((1, 0), (np.int64(1), 0), (0.5,), (0.0,), (True,), (1.0, 0), (1, False),
+                  (0, 0), (2,))
+
 #: The methods the method records give: a method is one of ``METHODS``, any case.
 METHOD_CASES = ("TD", "xx", 5, None)
 
 #: The fields that name a record's source, in the order :func:`section` looks for them.
 SOURCES = ("net", "fluid", "oracle", "critical", "sweep", "family", "generated", "ids",
-           "document", "seed", "method")
+           "document", "seed", "priority", "method")
 
 #: The sources whose value ends with ``/`` and the record's method.
 NAMED_METHOD = ("critical", "sweep", "family")
 
 #: The sources whose value names no generator: the refused arguments.
-UNNAMED = ("seed", "method")
+UNNAMED = ("seed", "priority", "method")
 
 #: The digests ``--digest`` prints, as kept in the repository.
 DIGESTS = os.path.join(ROOT, "tools", "outputs.sha256")
@@ -612,17 +621,28 @@ def _id_records():
                    {name: _out(show, call, i)})
 
 
+def _priority_run(net, priority):
+    """The greedy run of ``net`` with ``priority`` at its last server, and every flow as interest."""
+    servers = (fluid.ServerSpec(),) * (net.num_servers - 1) + (fluid.ServerSpec(priority=priority),)
+    scenario = fluid.Scenario((fluid.ArrivalSpec(),) * net.num_flows, servers, 2.0)
+    return fluid.simulate_fluid(net, scenario, 0.01), list(range(net.num_flows))
+
+
 def _refusal_records():
     """
     The seeds of ``SEED_CASES`` given to ``random_scenario`` and to a
-    ``random`` arrival, and the methods of ``METHOD_CASES`` given to every
-    entry point that takes one.
+    ``random`` arrival, the priorities of ``PRIORITY_CASES`` given to a
+    simulation, and the methods of ``METHOD_CASES`` given to every entry
+    point that takes one.
     """
     net = two_server_sink_tree()
     for seed in SEED_CASES:
         yield {"seed": repr(seed)}, {
             "random_scenario": _out(repr, fluid.random_scenario, net, 1.0, seed),
             "ArrivalSpec": _out(repr, fluid.ArrivalSpec, "random", 0.0, seed)}
+    for priority in PRIORITY_CASES:
+        yield {"priority": repr(priority)}, {
+            "simulate_fluid": _out(_trajectory, _priority_run, net, priority)}
     ring, target = uni_ring(4, 0.3), stability.Target.backlog(0, [0])
     for method in METHOD_CASES:
         yield {"method": repr(method)}, {
