@@ -18,6 +18,7 @@ Round-trips are lossless.
 from __future__ import annotations
 
 import json
+import os
 from contextlib import nullcontext
 from typing import IO, Optional, Sequence, Tuple, Union
 
@@ -91,19 +92,23 @@ def network_from_dict(doc: dict) -> Network:
     return Network(servers, flows)
 
 
-def _opened(target: Union[str, IO[str]], mode: str):
-    """A ``with`` context for ``target``: a path opened in ``mode``, or an open stream left open."""
-    return open(target, mode, encoding="utf-8") if isinstance(target, str) else nullcontext(target)
+def _opened(target: Union[str, os.PathLike, IO[str]], mode: str):
+    """
+    A ``with`` context for ``target``: a path (a ``str`` or an ``os.PathLike``)
+    opened in ``mode``, or an open stream left open.
+    """
+    is_path = isinstance(target, (str, os.PathLike))
+    return open(target, mode, encoding="utf-8") if is_path else nullcontext(target)
 
 
-def save_network(net: Network, target: Union[str, IO[str]]) -> None:
+def save_network(net: Network, target: Union[str, os.PathLike, IO[str]]) -> None:
     """Write ``net`` as a JSON network file (path or open stream)."""
     with _opened(target, "w") as stream:
         json.dump(network_to_dict(net), stream, indent=2)
         stream.write("\n")
 
 
-def load_network(source: Union[str, IO[str]]) -> Network:
+def load_network(source: Union[str, os.PathLike, IO[str]]) -> Network:
     """Read a JSON network file (path or open stream)."""
     with _opened(source, "r") as stream:
         return network_from_dict(json.load(stream))

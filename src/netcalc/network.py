@@ -130,10 +130,7 @@ def classify(net: Network) -> Topology:
         return Topology.CYCLIC
     if arcs == {(j, j + 1) for j in range(n - 1)}:
         return Topology.TANDEM
-    out_degree = [0] * n
-    for u, _ in arcs:
-        out_degree[u] += 1
-    if out_degree.count(0) == 1 and all(d <= 1 for d in out_degree):
+    if len({u for u, _ in arcs}) == len(arcs) == n - 1:  # one sink, every other vertex one arc out
         return Topology.TREE
     return Topology.FEED_FORWARD
 

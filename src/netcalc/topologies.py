@@ -10,12 +10,17 @@ line (``cli.KINDS``).
 The rings and ``toy`` have the paper's one traffic profile, fixed by the
 module constants rather than by options: every flow a burst of
 ``DEFAULT_BURST`` (1 kb) and a rate of ``DEFAULT_RATE`` (1 kb/s), every
-server a latency of ``DEFAULT_LATENCY`` (10 ms).  They scale every service
+server a latency of ``DEFAULT_LATENCY`` (10 ms).  Each network has one
+table of server rates, by default ``DEFAULT_RATE`` per flow crossing the
+server, and one token bucket that all its flows share (it is frozen, so the
+flows stay equal to flows of their own buckets).  They scale every service
 rate like ``1/U``, so that ``U`` is the utilization of the busiest server.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 from .curves import RateLatency, TokenBucket
@@ -31,22 +36,21 @@ def _uniform_network(
     num_servers: int,
     paths: Sequence[Tuple[int, ...]],
     utilization: float,
-    rate_overrides: Optional[dict] = None,
+    rates: Optional[Sequence[float]] = None,
 ) -> Network:
+    """
+    The network of ``paths``, all its flows one shared token bucket: server
+    ``j`` serves at ``rates[j] / utilization``, where ``rates`` defaults to
+    ``DEFAULT_RATE`` per flow crossing the server (at least one).
+    """
     if not (0 < utilization <= 1):
         raise ValidationError("utilization must be in (0, 1]")
-    crossing = [0] * num_servers
-    for path in paths:
-        for j in path:
-            crossing[j] += 1
-    servers = []
-    for j in range(num_servers):
-        base = DEFAULT_RATE * max(crossing[j], 1)
-        if rate_overrides and j in rate_overrides:
-            base = rate_overrides[j]
-        servers.append(RateLatency(base / utilization, DEFAULT_LATENCY))
-    flows = tuple([Flow(TokenBucket(DEFAULT_BURST, DEFAULT_RATE), path) for path in paths])
-    return Network(tuple(servers), flows)
+    if rates is None:
+        crossing = Counter(chain.from_iterable(paths))
+        rates = [DEFAULT_RATE * max(crossing[j], 1) for j in range(num_servers)]
+    servers = tuple([RateLatency(rate / utilization, DEFAULT_LATENCY) for rate in rates])
+    arrival = TokenBucket(DEFAULT_BURST, DEFAULT_RATE)
+    return Network(servers, tuple([Flow(arrival, path) for path in paths]))
 
 
 def _size(value, name: str) -> int:
@@ -84,10 +88,8 @@ def uni_ring(n: int, utilization: float, heterogeneous: bool = False) -> Network
         raise ValidationError("a ring needs at least two servers")
     cycle = list(range(n))
     paths = [_loop(i, n, cycle) for i in range(n)]
-    overrides = None
-    if heterogeneous:
-        overrides = {j: 2 * n * DEFAULT_RATE for j in range(n - 2)}
-    return _uniform_network(n, paths, utilization, overrides)
+    rates = [2 * n * DEFAULT_RATE] * (n - 2) + [n * DEFAULT_RATE] * 2 if heterogeneous else None
+    return _uniform_network(n, paths, utilization, rates)
 
 
 def bi_ring(n: int, utilization: float) -> Network:

@@ -39,10 +39,17 @@ def test_save_and_load_leave_an_open_stream_open():
     assert not stream.closed
 
 
+def test_network_file_round_trip_through_a_pathlib_path(tmp_path):
+    path = tmp_path / "net.json"
+    save_network(toy(), path)
+    assert load_network(path) == toy()
+
+
 def test_network_file_is_one_indexed(tmp_path):
     path = str(tmp_path / "net.json")
     save_network(two_server_sink_tree(), path)
-    doc = json.load(open(path))
+    with open(path) as stream:
+        doc = json.load(stream)
     assert doc["flows"][0]["path"] == [1, 2]
 
 
@@ -356,7 +363,8 @@ def test_simulate_command(tmp_path, capsys):
     assert "observed max backlog" in out
     assert "arrival curves respected: True" in out
     assert "strict service respected: True" in out
-    first = open(dump).readline().strip()
+    with open(dump) as stream:
+        first = stream.readline().strip()
     assert first == "t,flow,server,A,B"
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -44,8 +45,11 @@ from netcalc.cli import main as cli_main
 from netcalc.decomposition import decompose, group_by_arc, removal_tree
 from netcalc.network import _numbers, induced_graph, renumber
 from netcalc.stability import (
+    CRITICAL_TOL,
     LU_S,
     METHODS,
+    U_MAX,
+    U_MIN,
     _budget,
     _decide,
     _method_recursions,
@@ -1397,25 +1401,67 @@ def test_td_on_the_full_removal_is_sd_property(net):
     _td_on_full_removal_is_sd(net)
 
 
+def _refine(net, method, arcs) -> int:
+    """
+    From ``removal_tree(net)``, remove ``arcs`` one more at a time: smaller
+    trees know less, so a stable verdict may only be lost and a finite bound
+    may only grow (up to rounding) or become unbounded.  The number of steps.
+    """
+    removed = removal_tree(net)
+    target = _end_of_flow_0(net)
+    before = analyze(net, method, target=target, removed=removed)
+    for arc in arcs:
+        removed = removed | {arc}
+        after = analyze(net, method, target=target, removed=removed)
+        assert before.stable or not after.stable
+        assert before.bound.is_finite or not after.bound.is_finite
+        if after.bound.is_finite:
+            assert after.bound.value >= before.bound.value * (1 - 1e-12)
+        before = after
+    return len(arcs)
+
+
 @pytest.mark.parametrize("method", ["td", "ag", "2s"])
 def test_refining_a_removal_never_loosens_the_bound(benchmark_pool, method):
-    # from removal_tree(net) to every induced arc, one arc more at a time:
-    # smaller trees know less, so a stable verdict may only be lost and a
-    # finite bound may only grow (up to rounding) or become unbounded
+    # from removal_tree(net) to every induced arc, in a shuffled order
     steps = 0
     for k, net in enumerate(benchmark_pool[::13]):
-        removed = removal_tree(net)
-        arcs = sorted(induced_graph(net) - removed)
+        arcs = sorted(induced_graph(net) - removal_tree(net))
         random.Random(k).shuffle(arcs)
-        target = _end_of_flow_0(net)
-        before = analyze(net, method, target=target, removed=removed)
-        for arc in arcs:
-            removed = removed | {arc}
-            after = analyze(net, method, target=target, removed=removed)
-            assert before.stable or not after.stable
-            assert before.bound.is_finite or not after.bound.is_finite
-            if after.bound.is_finite:
-                assert after.bound.value >= before.bound.value * (1 - 1e-12)
-            before = after
-            steps += 1
+        steps += _refine(net, method, arcs)
     assert steps >= 400
+
+
+@pytest.mark.parametrize("method", ["td", "ag", "2s"])
+@settings(max_examples=25, deadline=None)
+@given(net=_small_networks(), data=st.data())
+def test_refining_a_removal_never_loosens_the_bound_property(method, net, data):
+    # from removal_tree(net) to every induced arc, in a drawn order
+    _refine(net, method, data.draw(st.permutations(sorted(induced_graph(net) - removal_tree(net)))))
+
+
+def _td_threshold(removed) -> float:
+    """U* of ``uni_ring(10, U)`` under td with ``removed``: critical_utilization's bisection."""
+    def stable(u):
+        return is_stable(uni_ring(10, u), "td", removed)
+
+    if stable(U_MAX):
+        return U_MAX
+    if not stable(U_MIN):
+        return 0.0
+    lo, hi = U_MIN, U_MAX
+    while hi - lo > CRITICAL_TOL:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if stable(mid) else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_td_threshold_of_uni_ring_10_under_one_and_two_arc_removals():
+    # criterion 5 asks td's U* near 0.62; the default removal gives 0.6475,
+    # every one-arc removal cuts the ring to the same tandem and gives the
+    # same U*, and two cut arcs give trees that know less (0.50 to 0.52)
+    default = critical_utilization(lambda u: uni_ring(10, u), "td")
+    arcs = sorted(induced_graph(uni_ring(10, 0.5)))
+    assert [_td_threshold(frozenset([arc])) for arc in arcs] == [default] * 10
+    pairs = list(itertools.combinations(arcs, 2))
+    assert len(pairs) == 45 and all(_td_threshold(frozenset(p)) < default for p in pairs)
