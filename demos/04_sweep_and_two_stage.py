@@ -10,7 +10,7 @@ both constraint sets pointwise.
 
 import sys
 
-from netcalc import Target, analyze, two_stage_bound
+from netcalc import Target, analyze
 from netcalc.decomposition import removal_tree
 from netcalc.fileio import write_sweep_csv
 from netcalc.topologies import uni_ring
@@ -21,10 +21,9 @@ def bounds_at(u):
     target = Target.backlog(9, [0])
     removed = removal_tree(net)
     row = [u, analyze(net, "sd", target=target).bound.value]  # sd removes no arcs
-    for method in ("td", "ag"):
+    for method in ("td", "ag", "2s"):
         report = analyze(net, method, target=target, removed=removed)
         row.append(report.bound.value)
-    row.append(two_stage_bound(net, removed, target).value)
     return row
 
 

@@ -23,7 +23,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .network import Arc, Network, _hops, _paths, induced_graph, is_acyclic
+from .network import Arc, Network, _check_id, _hops, _is_id, _paths, induced_graph, is_acyclic
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class _Split:
     def __init__(self, net: Network, removed=None):
         arcs, n = induced_graph(net), net.num_servers
         removed = _removal(arcs, n) if removed is None else frozenset(removed)
-        extra = removed - arcs
+        extra = {a for a in removed if a not in arcs or not all(map(_is_id, a))}
         if extra:
             raise ValidationError("removed arcs not in induced graph: %r" % sorted(extra))
         if not is_acyclic(arcs - removed, n):
@@ -115,6 +115,8 @@ def removal_tree(net: Network, root: Optional[int] = None) -> FrozenSet[Arc]:
     On a ring this removes exactly the arc closing the cycle at the root.
     Finding a minimum removal is NP-complete, hence the heuristic; any
     user-chosen removal can be passed to :func:`decompose` directly.
+
+    :raises ValidationError: when ``root`` is no server id
     """
     return _removal(induced_graph(net), net.num_servers, root)
 
@@ -123,8 +125,7 @@ def _removal(arcs: FrozenSet[Arc], n: int, root: Optional[int] = None) -> Frozen
     """:func:`removal_tree` on the induced arcs of a network of ``n`` servers."""
     if root is None:
         root = n - 1
-    if not (0 <= root < n):
-        raise ValidationError("unknown root server %d" % root)
+    _check_id(root, n, ValidationError, "unknown root server %s")
     predecessors: Dict[int, List[int]] = {j: [] for j in range(n)}
     for u, v in arcs:
         predecessors[v].append(u)

@@ -23,10 +23,12 @@ import numpy as np
 
 from .curves import TokenBucket, left_sum
 from .errors import ScenarioError
-from .network import Network, Topology, _is_id, _shown, classify, induced_graph, topological_order
+from .network import Network, Topology, _check_id, _is_id, classify, induced_graph, topological_order
 from .oracle import worst_case_periods
 
 QUEUE_EPS = 1e-12
+#: What :class:`ArrivalSpec` and :func:`random_scenario` raise on a seed that is no id.
+_SEED_MESSAGE = "random seed must be a nonnegative integer, got %s"
 #: Most grid steps one simulation may take: memory and run time grow with them.
 MAX_GRID_STEPS = 10_000_000
 #: Slack over the burst that :func:`check_arrival_curves` allows.
@@ -55,7 +57,7 @@ class ArrivalSpec:
         if not math.isfinite(self.start):
             raise ScenarioError("arrival start must be finite, got %r" % self.start)
         if self.kind == "random":
-            _require_seed(self.seed)
+            _check_id(self.seed, math.inf, ScenarioError, _SEED_MESSAGE)
 
 
 @dataclass(frozen=True)
@@ -94,11 +96,6 @@ class ServerSpec:
                 )
 
 
-def _require_seed(seed) -> None:
-    if not (_is_id(seed) and seed >= 0):
-        raise ScenarioError("random seed must be a nonnegative integer, got %s" % _shown(seed))
-
-
 def _require_positive(name: str, value: float) -> float:
     if not (math.isfinite(value) and value > 0):
         raise ScenarioError("%s must be finite and positive, got %r" % (name, value))
@@ -128,7 +125,7 @@ def greedy_scenario(net: Network, horizon: float) -> Scenario:
 
 def random_scenario(net: Network, horizon: float, seed: int) -> Scenario:
     """Seeded random admissible arrivals, exact servers, shuffled priorities."""
-    _require_seed(seed)
+    _check_id(seed, math.inf, ScenarioError, _SEED_MESSAGE)
     rng = np.random.default_rng(seed)
     arrivals = tuple(
         ArrivalSpec("random", start=0.0, seed=int(rng.integers(2**31)))
@@ -179,8 +176,16 @@ class Trajectory:
         ]
 
     def backlog(self, server: int, flows: Optional[Iterable[int]] = None) -> np.ndarray:
-        """Backlog of the given flows (default: all) at ``server`` over time."""
-        wanted = None if flows is None else set(flows)
+        """
+        Backlog of the given flows (default: all) at ``server`` over time.
+
+        :raises ScenarioError: when ``server`` or a flow of ``flows`` is no
+            id of the network
+        """
+        _check_id(server, self.net.num_servers, ScenarioError, "unknown server %s")
+        wanted = None if flows is None else list(flows)  # a set would read True as 1
+        for i in wanted or ():
+            _check_id(i, self.net.num_flows, ScenarioError, "unknown flow id %s")
         total = np.zeros_like(self.times)
         for i, p in self._positions_at(server):
             if wanted is None or i in wanted:

@@ -248,10 +248,10 @@ def _shown(i) -> str:
     return repr(int(i) if _is_id(i) else i)
 
 
-def _check_flow_id(num_flows: int, i) -> None:
-    """Raise :class:`InterestNotAtRootError` unless ``i`` is one of ``num_flows`` flow ids."""
-    if not _is_id(i) or not 0 <= i < num_flows:
-        raise InterestNotAtRootError("unknown flow id %s" % _shown(i))
+def _check_id(i, count, error, message: str) -> None:
+    """Raise ``error(message % _shown(i))`` unless ``i`` is an id below ``count``."""
+    if not (_is_id(i) and 0 <= i < count):
+        raise error(message % _shown(i))
 
 
 def _check_interest(interest: Iterable, num_flows: int, at_root, root: int) -> None:
@@ -262,7 +262,7 @@ def _check_interest(interest: Iterable, num_flows: int, at_root, root: int) -> N
     the tree analysis and of its oracle alike.
     """
     for i in interest:
-        _check_flow_id(num_flows, i)
+        _check_id(i, num_flows, InterestNotAtRootError, "unknown flow id %s")
         if i not in at_root:
             raise InterestNotAtRootError("flow %d does not cross server %d" % (i, root))
 

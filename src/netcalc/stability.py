@@ -85,7 +85,7 @@ from .errors import (
     ValidationError,
 )
 from .network import (
-    Arc, Network, _Numbers, _hops, _is_id, _numbers, _paths, _require_local_stability, _shown,
+    Arc, Network, _Numbers, _check_id, _hops, _is_id, _numbers, _paths, _require_local_stability,
 )
 from .tree_analysis import _RowLayout, _prepare_forest
 
@@ -392,21 +392,17 @@ def _check_target(num_servers: int, paths: Sequence[Sequence[int]], target: Targ
     if target.kind == "backlog":
         if target.server is None or not target.flows:
             raise UnsupportedTargetError("backlog target needs a server and flows")
-        if not _is_id(target.server) or not 0 <= target.server < num_servers:
-            raise UnsupportedTargetError("server %s does not exist" % _shown(target.server))
+        _check_id(target.server, num_servers, UnsupportedTargetError, "server %s does not exist")
         # an id that is no integer first, else the smallest one out of range
-        unknown = [i for i in target.flows if not _is_id(i)] or sorted(
-            i for i in target.flows if not 0 <= i < len(paths))
-        if unknown:
-            raise UnsupportedTargetError("some target flows do not cross the server: "
-                                         "flow %s does not exist" % _shown(unknown[0]))
+        for i in [i for i in target.flows if not _is_id(i)] or sorted(target.flows):
+            _check_id(i, len(paths), UnsupportedTargetError,
+                      "some target flows do not cross the server: flow %s does not exist")
         missing = [i for i in target.flows if target.server not in paths[i]]
         if missing:
             raise UnsupportedTargetError(
                 "flow %d does not cross server %d" % (min(missing), target.server))
     elif target.kind == "delay":
-        if not _is_id(target.flow) or not 0 <= target.flow < len(paths):
-            raise UnsupportedTargetError("flow %s does not exist" % _shown(target.flow))
+        _check_id(target.flow, len(paths), UnsupportedTargetError, "flow %s does not exist")
     else:
         raise UnsupportedTargetError("unknown target kind %r" % target.kind)
 
@@ -699,7 +695,7 @@ class _Columns:
     """
 
     def __init__(self, split: _Split, grouped: FrozenSet[Arc]):
-        extra = grouped - split.removed
+        extra = {a for a in grouped if a not in split.removed or not all(map(_is_id, a))}
         if extra:
             raise ValidationError("grouped arcs not in the removal: %r" % sorted(extra))
         n = split.num_servers

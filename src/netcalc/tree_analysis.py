@@ -71,13 +71,11 @@ from .network import (
     Flow,
     Network,
     _Numbers,
-    _check_flow_id,
+    _check_id,
     _check_interest,
     _hops,
-    _is_id,
     _numbers,
     _paths,
-    _shown,
     induced_graph,
     topological_order,
 )
@@ -455,8 +453,7 @@ def upstream_view(net: Network, j1: int) -> UpstreamView:
     network: the clipped paths are checked to form a tree as they are
     prepared.
     """
-    if not _is_id(j1) or not 0 <= j1 < net.num_servers:
-        raise InterestNotAtRootError("unknown server %s" % _shown(j1))
+    _check_id(j1, net.num_servers, InterestNotAtRootError, "unknown server %s")
     arcs = induced_graph(net)
     upstream = {j1, *(u for u, _ in arcs - _removal(arcs, net.num_servers, j1))}
     # a flow that misses the extracted servers keeps its first server: no arc
@@ -481,7 +478,7 @@ def tree_delay(tree: Network, flow: int) -> Bound:
     >>> round(float(tree_delay(net, 0)), 12)
     3.166666666667
     """
-    _check_flow_id(tree.num_flows, flow)
+    _check_id(flow, tree.num_flows, InterestNotAtRootError, "unknown flow id %s")
     f = tree.flows[flow]
     if f.arrival.rate == 0:
         raise ZeroRateFlowError("delay of a zero-rate flow is undefined")

@@ -1,4 +1,8 @@
-"""Shared random-instance builders for the test suite."""
+"""Shared random-instance builders for the test suite, and a by-path loader."""
+
+import importlib.util
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +10,22 @@ import pytest
 from netcalc import Flow, Network, RateLatency, TokenBucket
 from netcalc.topologies import bi_ring, toy, uni_ring
 from netcalc.tree_analysis import _RowLayout
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def load_by_path(name, *parts):
+    """
+    The module at ``os.path.join(ROOT, *parts)``, imported as ``name`` and
+    registered in ``sys.modules`` (dataclasses look their module up there),
+    with ``sys.path`` left alone.
+    """
+    spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, *parts))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def as_network(base, split_flows):

@@ -11,26 +11,14 @@ for the untraced run only if the tracer changes no decision.  Nothing under
 ``perfbench/`` is changed.
 """
 
-import importlib.util
-import os
-
 import netcalc.stability
 import netcalc.topologies
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def _load_tracing():
-    """``perfbench/tracing.py`` by file path, leaving ``sys.path`` alone."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", os.path.join(ROOT, "perfbench", "tracing.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_by_path
 
 
 def test_every_traced_name_resolves():
-    tracing = _load_tracing()
+    tracing = load_by_path("perfbench_tracing", "perfbench", "tracing.py")
     specs = [spec for layer in tracing.LAYERS.values() for spec in layer]
     specs += list(tracing.COUNTERS)
     missing = []
@@ -42,15 +30,6 @@ def test_every_traced_name_resolves():
     assert not missing, "tracer specs that no longer resolve: %s" % missing
 
 
-def _sweep_utilizations():
-    """The 19 utilizations of ``netcalc sweep``'s defaults, accumulated as it does."""
-    us, u = [], 0.05
-    while u <= 0.95 + 1e-12:
-        us.append(u)
-        u += 0.05
-    return us
-
-
 def _sd_ops():
     """
     ``(name, op)``: ``analyze(..., "sd")`` on every ``bi_ring(12)`` cell of
@@ -59,7 +38,8 @@ def _sd_ops():
     attributes as the benchmark's workloads call them.
     """
     stability, topologies = netcalc.stability, netcalc.topologies
-    for u in _sweep_utilizations():
+    workloads = load_by_path("perfbench_workloads", "perfbench", "workloads.py")
+    for u in workloads.sweep_utilizations(False):
         net = topologies.bi_ring(12, u)
         target = stability.Target.backlog(net.num_servers - 1, [0])
 
@@ -102,7 +82,7 @@ def test_a_traced_op_takes_its_untraced_route(monkeypatch):
     monkeypatch.setattr(netcalc.stability, "_decide", counted_decide)
     monkeypatch.setattr(netcalc.stability, "_brackets", counted_brackets)
     monkeypatch.setattr(netcalc.stability.LinearRecursion, "shifted_solve", counted_solve)
-    tracer = _load_tracing().Tracer()
+    tracer = load_by_path("perfbench_tracing", "perfbench", "tracing.py").Tracer()
     for name, op in _sd_ops():
         decisions.clear()
         plain, plain_route = op(), [list(d) for d in decisions]

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from netcalc import (
@@ -6,6 +8,7 @@ from netcalc import (
     RateLatency,
     TokenBucket,
     ValidationError,
+    analyze,
     decompose,
     group_by_arc,
     induced_graph,
@@ -59,6 +62,13 @@ def test_decompose_rejects_bad_removals():
 
     with pytest.raises(ValidationError):
         decompose(bi_ring(3, 0.5), frozenset({(2, 0)}))  # backward cycle remains
+    # an endpoint that is no id makes no induced arc, though the arc equals (9, 0)
+    net = uni_ring(10, 0.5)
+    for arc in ((9.0, 0), (9, False)):
+        refused = re.escape("removed arcs not in induced graph: [%r]" % (arc,))
+        for method in ("td", "ag", "2s"):
+            with pytest.raises(ValidationError, match=refused):
+                analyze(net, method, removed={arc})
 
 
 def test_decompose_round_trip(rng):
@@ -90,9 +100,9 @@ def test_removal_tree_ring_removes_closing_arc():
     assert removal_tree(uni_ring(10, 0.5), root=3) == frozenset({(3, 4)})
 
 
-@pytest.mark.parametrize("root", [-1, 10])
+@pytest.mark.parametrize("root", [-1, 10, 1.5, True, 9.0, "1"])
 def test_removal_tree_rejects_an_unknown_root(root):
-    with pytest.raises(ValidationError, match="^unknown root server %d$" % root):
+    with pytest.raises(ValidationError, match="^unknown root server %s$" % re.escape(repr(root))):
         removal_tree(uni_ring(10, 0.5), root=root)
 
 

@@ -1,4 +1,6 @@
 import doctest
+import os
+import re
 
 import pytest
 
@@ -9,6 +11,8 @@ import netcalc.network
 import netcalc.oracle
 import netcalc.stability
 import netcalc.tree_analysis
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
 @pytest.mark.parametrize(
@@ -27,3 +31,16 @@ import netcalc.tree_analysis
 def test_module_doctests(module):
     result = doctest.testmod(module)
     assert result.failed == 0
+
+
+def test_readme_python_blocks_run():
+    # every fenced python block runs in a fresh namespace, and the library
+    # tour's tandem has the backlog and delay its comments claim
+    with open(README, encoding="utf-8") as stream:
+        blocks = re.findall(r"^```python\n(.*?)^```", stream.read(), re.M | re.S)
+    namespaces = [{} for _ in blocks]
+    for block, namespace in zip(blocks, namespaces):
+        exec(compile(block, README, "exec"), namespace)
+    tour = namespaces[0]
+    assert abs(float(tour["tree_backlog"](tour["net"], [0]).value) - 11 / 3) <= 1e-12
+    assert abs(float(tour["tree_delay"](tour["net"], 0)) - 19 / 6) <= 1e-12

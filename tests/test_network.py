@@ -1,7 +1,4 @@
-import importlib.util
-import os
 import re
-import sys
 
 import numpy as np
 import pytest
@@ -25,7 +22,7 @@ from netcalc.network import _numbers
 from netcalc.curves import aggregate, classify_server
 from netcalc.topologies import bi_ring, three_ring, two_server_sink_tree, toy, uni_ring
 
-from conftest import random_tandem, random_tree, random_uni_ring
+from conftest import load_by_path, random_tandem, random_tree, random_uni_ring
 
 
 def _chain(n, extra_flows=()):
@@ -199,23 +196,19 @@ def _classes_by_server_aggregate(net):
     )
 
 
-def _benchmark_pool(monkeypatch):
+def _benchmark_pool():
     # the networks of the benchmark's analyze_many pool
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up there
-    spec.loader.exec_module(workloads)
+    workloads = load_by_path("perfbench_workloads", "perfbench", "workloads.py")
     workloads.load_netcalc()
     return list(workloads.pool_networks().values())
 
 
-def test_local_stability_classes_match_per_server_aggregate(rng, monkeypatch):
+def test_local_stability_classes_match_per_server_aggregate(rng):
     # summing rates in flow order may move the last bit of a load (17 of the
     # pool's 6980 servers), but no class
     nets = [make(rng) for make in (random_tandem, random_tree, random_uni_ring) for _ in range(30)]
     nets += [ring(n, u) for ring in (uni_ring, bi_ring) for n in (3, 10) for u in (0.5, 0.999, 1.0)]
-    nets += _benchmark_pool(monkeypatch)
+    nets += _benchmark_pool()
     exact = Network(
         (RateLatency(3.0, 0.1), RateLatency(4.0, 0.1)),
         (Flow(TokenBucket(1, 1.0), (0, 1)), Flow(TokenBucket(1, 2.0), (0,)),

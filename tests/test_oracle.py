@@ -214,6 +214,21 @@ def test_trajectory_csv_dump():
     assert len(cells) == 5
 
 
+def test_a_trajectory_refuses_a_server_or_flow_it_does_not_hold():
+    net = two_server_sink_tree()  # flow 0 crosses servers 0 and 1, flow 1 only server 1
+    traj = simulate_fluid(net, greedy_scenario(net, 3.0), dt=1e-3)
+    for server in (7, -1, True, 1.0, "1"):
+        with pytest.raises(ScenarioError, match="^unknown server %s$" % re.escape(repr(server))):
+            traj.max_backlog(server)
+    for flows, bad in (([5], 5), ([-1], -1), ([0, True], True), ([1, 1.0], 1.0)):
+        with pytest.raises(ScenarioError, match="^unknown flow id %s$" % re.escape(repr(bad))):
+            traj.max_backlog(1, flows)
+    # numpy ids are ids; a flow that misses the server adds nothing
+    assert traj.max_backlog(np.int64(1), [np.int64(0), 1]) == traj.max_backlog(1) > 0
+    assert traj.max_backlog(0, [1]) == 0.0
+    assert traj.max_backlog(0, [0, 1]) == traj.max_backlog(0) > 0
+
+
 # ---------------------------------------------------------------- references
 
 

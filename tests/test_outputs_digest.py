@@ -5,13 +5,9 @@ of a fixed sample of their sections.  The full comparison, every section,
 is the documented step for a change that claims to keep every output.
 """
 
-import importlib.util
-import os
-import sys
-
 import pytest
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from conftest import load_by_path
 
 #: Sections that take about a second in all: every tree entry point, td, ag
 #: and 2s recursions and objectives on the pool's fixtures, sd on a ring, the
@@ -41,17 +37,8 @@ SAMPLE = (
 )
 
 
-def _tool():
-    spec = importlib.util.spec_from_file_location(
-        "record_outputs", os.path.join(ROOT, "tools", "record_outputs.py"))
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look the module up there
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_sampled_sections_match_the_kept_digests():
-    tool = _tool()
+    tool = load_by_path("record_outputs", "tools", "record_outputs.py")
     header, kept = tool.read_digests()
     build = tool.build()
     if header[:2] != build[:2]:  # the thread line is not compared: no sampled section reads it

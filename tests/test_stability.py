@@ -1235,6 +1235,11 @@ def test_build_grouped_rejects_arcs_outside_the_removal():
     kept = min(induced_graph(net) - removed)
     with pytest.raises(ValidationError, match=re.escape("grouped arcs not in the removal: [%r]" % (kept,))):
         build_grouped(net, removed, removed | {kept})
+    # an endpoint that is no id makes no removed arc, though the arc equals (9, 0)
+    net = uni_ring(10, 0.5)
+    for arc in ((9.0, 0), (9, False)):
+        with pytest.raises(ValidationError, match=re.escape("grouped arcs not in the removal: [%r]" % (arc,))):
+            build_grouped(net, {(9, 0)}, {arc})
 
 
 def test_build_functions_check_local_stability_before_the_removal():
@@ -1350,8 +1355,7 @@ def test_linear_recursion_rejects_mismatched_dimensions(M, N):
 @pytest.fixture(scope="module")
 def benchmark_pool():
     """The networks of the benchmark's ``analyze_many`` pool, loaded once per module."""
-    with pytest.MonkeyPatch.context() as mp:
-        return _benchmark_pool(mp)
+    return _benchmark_pool()
 
 
 def _relative_gap(a, b) -> float:

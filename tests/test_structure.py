@@ -18,25 +18,18 @@ from netcalc.stability import _method_recursions, _prepare, is_stable
 from netcalc.topologies import bi_ring, three_ring, uni_ring
 
 import sd_reference
+from conftest import load_by_path
 
 # The benchmark's reference outputs.
 REFERENCE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench", "reference")
 
+WORKLOADS = load_by_path("perfbench_workloads", "perfbench", "workloads.py")
+WORKLOADS.load_netcalc()
+
 # The benchmark's critical bisections: ring families and the methods run on each.
-CRITICAL_CASES = (
-    [(("uni_ring", n), m) for n in tuple(range(3, 21)) + (25, 30) for m in ("sd", "td")]
-    + [(("three_ring", 10), m) for m in ("sd", "td", "ag")]
-    + [(("bi_ring", n), m) for n in (10, 15) for m in ("sd", "td")]
-)
-
-
-def _family(kind, n):
-    if kind == "uni_ring":
-        return lambda u: uni_ring(n, u)
-    if kind == "bi_ring":
-        return lambda u: bi_ring(n, u)
-    return lambda u: three_ring(u, ring_size=n)
+CRITICAL_CASES = [((kind, n), m) for kind, n, m in WORKLOADS.critical_cases(False)]
+_family = WORKLOADS._family
 
 
 def _recursions(net, method, structure=None):
