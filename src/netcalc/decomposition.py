@@ -60,13 +60,14 @@ class _Split:
 
     def __init__(self, net: Network, removed=None):
         arcs, n = induced_graph(net), net.num_servers
-        removed = _removal(arcs, n) if removed is None else frozenset(removed)
+        # checked as given, then frozen: a set would fold (3, False) into (3, 0)
+        removed = _removal(arcs, n) if removed is None else list(removed)
         extra = {a for a in removed if a not in arcs or not all(map(_is_id, a))}
         if extra:
             raise ValidationError("removed arcs not in induced graph: %r" % sorted(extra))
-        if not is_acyclic(arcs - removed, n):
+        self.paths, self.num_servers, self.removed = _paths(net), n, frozenset(removed)
+        if not is_acyclic(arcs - self.removed, n):
             raise ValidationError("residual graph still has a cycle")
-        self.paths, self.num_servers, self.removed = _paths(net), n, removed
         length, server = _hops(self.paths)
         flow = np.repeat(np.arange(len(self.paths)), length)
         cut = np.zeros((n, n), dtype=bool)
@@ -98,7 +99,7 @@ def decompose(net: Network, removed) -> Tuple[SplitFlow, ...]:
     >>> [(sf.label, sf.path) for sf in decompose(net, {(1, 0)})]
     [((0, 0), (0, 1)), ((1, 0), (1,)), ((1, 1), (0,))]
     """
-    split = _Split(net, frozenset(removed))
+    split = _Split(net, list(removed))
     hops = split.server.tolist()
     bounds = np.append(split.start, len(hops)).tolist()
     paths = [tuple(hops[a:b]) for a, b in zip(bounds, bounds[1:])]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -146,7 +147,7 @@ def default_dt(net: Network) -> float:
 
 def discretization_slack(net: Network, dt: float) -> float:
     """Backlog comparison slack: (sum of flow rates + max service rate) dt."""
-    return (sum(f.arrival.rate for f in net.flows) + max(s.rate for s in net.servers)) * dt
+    return (left_sum(f.arrival.rate for f in net.flows) + max(s.rate for s in net.servers)) * dt
 
 
 @dataclass
@@ -168,12 +169,7 @@ class Trajectory:
     dt: float
 
     def _positions_at(self, server: int) -> List[Tuple[int, int]]:
-        return [
-            (i, p)
-            for i, f in enumerate(self.net.flows)
-            for p, j in enumerate(f.path)
-            if j == server
-        ]
+        return [(i, f.path.index(server)) for i, f in enumerate(self.net.flows) if server in f.path]
 
     def backlog(self, server: int, flows: Optional[Iterable[int]] = None) -> np.ndarray:
         """
@@ -257,13 +253,14 @@ def simulate_fluid(net: Network, scenario: Scenario, dt: Optional[float] = None)
     the same step.  A grid of more than ``MAX_GRID_STEPS`` steps is refused.
 
     The state is flat: one position per ``(flow, path position)`` in flow
-    order, each with its queue and its running cumulative totals.  Every
-    flow's injection stream is computed up front (it never depends on the
-    queues), and every server's mode, window, rate, latency and service
-    order, as ``(position, next position on the path)`` pairs, are bound
-    once before the step loop.  At the end of a step the running totals
-    fill one column of a ``(positions, steps + 1)`` array per side, whose
-    rows are the trajectory's ``cum_in`` / ``cum_out`` entries.
+    order, each with its queue and its running cumulative totals.  One pass
+    over the flows computes each flow's injection stream up front (it never
+    depends on the queues) and lays out its positions, the first of which
+    the stream feeds.  Every server's mode, window, rate, latency and
+    service order, as ``(position, next position on the path)`` pairs, are
+    bound once before the step loop.  At the end of a step the running
+    totals fill one column of a ``(positions, steps + 1)`` array per side,
+    whose rows are the trajectory's ``cum_in`` / ``cum_out`` entries.
 
     >>> from .curves import RateLatency, TokenBucket
     >>> from .network import Flow
@@ -294,34 +291,28 @@ def simulate_fluid(net: Network, scenario: Scenario, dt: Optional[float] = None)
     grid = times.tolist()
 
     keys: List[Tuple[int, int]] = []  # (flow, path position) of each flat position
-    entry: List[int] = []  # flat position of each flow's first hop
     successor: List[int] = []  # flat position of the next hop, -1 after the last
     at_server: List[List[int]] = [[] for _ in range(net.num_servers)]
-    for i, f in enumerate(net.flows):
-        entry.append(len(keys))
+    # (entry position, amount per step) of every flow that injects; an
+    # entry position gets no other input, so the order of the adds is moot
+    streams = []
+    for i, (f, spec) in enumerate(zip(net.flows, scenario.arrivals)):
+        amounts = _injections(spec, f.arrival, grid, dt)
+        if amounts:
+            streams.append((len(keys), amounts))
         for p, j in enumerate(f.path):
             at_server[j].append(len(keys))
             successor.append(len(keys) + 1 if p + 1 < len(f.path) else -1)
             keys.append((i, p))
 
-    # (entry position, amount per step) of every flow that injects; an
-    # entry position gets no other input, so the order of the adds is moot
-    streams = []
-    for i, spec in enumerate(scenario.arrivals):
-        amounts = _injections(spec, net.flows[i].arrival, grid, dt)
-        if amounts:
-            streams.append((entry[i], amounts))
-
     # each server in topological order, upstream first so instant service
-    # cascades within the step, with its numbers and its service order
+    # cascades within the step, with its numbers and its service order (a
+    # flow crosses a server once, so its rank alone places its position)
     servers = []
     for j in topological_order(induced_graph(net), net.num_servers):
         spec, curve = scenario.servers[j], net.servers[j]
         rank = {i: p for p, i in enumerate(spec.priority)}
-        order = sorted(
-            at_server[j],
-            key=lambda pos: (rank.get(keys[pos][0], len(rank) + keys[pos][0]), keys[pos][1]),
-        )
+        order = sorted(at_server[j], key=lambda pos: rank.get(keys[pos][0], len(rank) + keys[pos][0]))
         start, end = spec.window if spec.mode == "window" else (0.0, 0.0)
         servers.append((j, spec.mode, order, [(pos, successor[pos]) for pos in order],
                         curve.rate, curve.latency, start, end))
@@ -469,12 +460,10 @@ def worst_case_scenario(tandem: Network, interest: Iterable[int]) -> Scenario:
     Simulating it reproduces the worst-case backlog (up to grid slack) at
     the last server when the windows close.
     """
-    interest = frozenset(interest)
+    interest = list(interest)  # checked as given: a set would fold True into 1
     _, deltas = worst_case_periods(tandem, interest)
     n = tandem.num_servers
-    starts = [0.0] * (n + 1)
-    for j in range(n):
-        starts[j + 1] = starts[j] + deltas[j]
+    starts = list(accumulate(deltas, initial=0.0))
     arrivals = tuple(
         ArrivalSpec("greedy", start=starts[f.path[0]]) for f in tandem.flows
     )
@@ -482,7 +471,7 @@ def worst_case_scenario(tandem: Network, interest: Iterable[int]) -> Scenario:
         (i for i in range(tandem.num_flows) if i not in interest),
         key=lambda i: (tandem.flows[i].path[-1], i),
     )
-    priority = tuple(cross + sorted(interest))
+    priority = tuple(cross + sorted(set(interest)))
     servers = tuple(
         ServerSpec("window", window=(starts[j], starts[j + 1]), priority=priority)
         for j in range(n)

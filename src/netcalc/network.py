@@ -254,17 +254,20 @@ def _check_id(i, count, error, message: str) -> None:
         raise error(message % _shown(i))
 
 
-def _check_interest(interest: Iterable, num_flows: int, at_root, root: int) -> None:
+def _check_interest(interest: Iterable, num_flows: int, at_root, root: int) -> FrozenSet[int]:
     """
-    Raise :class:`InterestNotAtRootError` for the first flow of
-    ``interest``, in its iteration order, that is no flow id or is not in
-    ``at_root``, the flows crossing the root server ``root``: the check of
-    the tree analysis and of its oracle alike.
+    The flows of ``interest`` as a frozenset, the check of the tree
+    analysis and of its oracle alike: raise :class:`InterestNotAtRootError`
+    for the first flow, in the caller's order, that is no flow id or is not
+    in ``at_root``, the flows crossing the root server ``root``.  The flows
+    are frozen only once checked, as a set would fold ``True`` into ``1``.
     """
+    interest = list(interest)
     for i in interest:
         _check_id(i, num_flows, InterestNotAtRootError, "unknown flow id %s")
         if i not in at_root:
             raise InterestNotAtRootError("flow %d does not cross server %d" % (i, root))
+    return frozenset(interest)
 
 
 @dataclass(frozen=True)

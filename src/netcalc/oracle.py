@@ -21,7 +21,7 @@ value and period lengths are read off the last server's arrays.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .network import (
 MAX_ORACLE_SERVERS = 8
 
 
-def _bruteforce(net: Network, interest: FrozenSet[int]):
+def _bruteforce(net: Network, interest: Iterable[int]):
     n = net.num_servers
     if classify(net) is not Topology.TANDEM:
         raise NotATreeError("the case enumeration handles tandems only")
@@ -51,7 +51,7 @@ def _bruteforce(net: Network, interest: FrozenSet[int]):
     num = _numbers(net)
     _require_local_stability(num.unstable)
     ending = {i for i, f in enumerate(net.flows) if f.path[-1] == n - 1}
-    _check_interest(interest, net.num_flows, ending, n - 1)
+    interest = _check_interest(interest, net.num_flows, ending, n - 1)
     # bursts[j, ell] and rates[j, ell]: the cross flows entering at j (for
     # the rates: crossing j) that leave at ell, added in flow order; column
     # n holds the interest flows the same way
@@ -128,7 +128,7 @@ def bruteforce_backlog(tandem: Network, interest: Iterable[int]) -> float:
     >>> round(bruteforce_backlog(net, [0]), 12)
     3.666666666667
     """
-    value, _, _ = _bruteforce(net=tandem, interest=frozenset(interest))
+    value, _, _ = _bruteforce(net=tandem, interest=interest)
     return value
 
 
@@ -138,5 +138,5 @@ def worst_case_periods(tandem: Network, interest: Iterable[int]) -> Tuple[float,
     lengths of the maximizing case vector (period of server ``j`` starts
     when the previous one ends; the first starts at time 0).
     """
-    value, _, deltas = _bruteforce(net=tandem, interest=frozenset(interest))
+    value, _, deltas = _bruteforce(net=tandem, interest=interest)
     return value, deltas

@@ -589,7 +589,7 @@ class _Decomposition:
     def __init__(self, split: _Split, groupings: Iterable[Iterable[Arc]], target=None):
         self.split, self.paths, self.num_servers = split, split.paths, split.num_servers
         self.forest = _prepare_forest(split.length, split.server, self.num_servers)
-        self.layouts = tuple([_Columns(split, frozenset(grouped)) for grouped in groupings])
+        self.layouts = tuple([_Columns(split, list(grouped)) for grouped in groupings])
         rows = [(cols.roots, cols.member_row, cols.member_segment) for cols in self.layouts]
         self.target = None if target is None else self._target_row(target)
         if target is not None:
@@ -694,7 +694,8 @@ class _Columns:
     :meth:`assemble` turns backlog linear forms into rows over the columns.
     """
 
-    def __init__(self, split: _Split, grouped: FrozenSet[Arc]):
+    def __init__(self, split: _Split, grouped: Sequence[Arc]):
+        # checked as given, then deduplicated: a set would fold (3, 0.0) into (3, 0)
         extra = {a for a in grouped if a not in split.removed or not all(map(_is_id, a))}
         if extra:
             raise ValidationError("grouped arcs not in the removal: %r" % sorted(extra))
@@ -702,7 +703,7 @@ class _Columns:
         cont = np.flatnonzero(split.number >= 1)
         tail, head = split.server[split.start[cont] - 1], split.server[split.start[cont]]
         code = tail * n + head  # the removed arc each continuation crosses
-        self.arcs = tuple(sorted(grouped))
+        self.arcs = tuple(sorted(set(grouped)))
         arc_code = np.array([u * n + v for u, v in self.arcs], dtype=np.intp)
         in_group = np.isin(code, arc_code)
         self.single_src = cont[~in_group]

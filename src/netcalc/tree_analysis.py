@@ -365,8 +365,7 @@ class UpstreamView:
         :raises InterestNotAtRootError: if some flow is unknown or misses
             the local root
         """
-        interest = frozenset(interest)
-        _check_interest(interest, self.forest.num_flows, self.at_root, self.root)
+        interest = _check_interest(interest, self.forest.num_flows, self.at_root, self.root)
         if self.unstable_servers:
             return BacklogResult(
                 UNBOUNDED, None, "servers %r are not strictly stable" % self.unstable_servers
@@ -497,11 +496,11 @@ def tree_output_curve(tree: Network, interest: Iterable[int]) -> TokenBucket:
     ``interest``: a token bucket with the worst-case backlog as burst and
     the aggregate interest rate.
     """
-    interest = frozenset(interest)
     result = tree_backlog(tree, interest)
     if not result.value.is_finite:
         raise LocallyUnstableError(
             "no finite departure curve: %s" % (result.diagnostic or "unbounded")
         )
-    rate = left_sum(tree.flows[i].arrival.rate for i in interest)
+    # over the checked set, so a flow given twice adds its rate once
+    rate = left_sum(tree.flows[i].arrival.rate for i in result.table.interest)
     return TokenBucket(result.value.value, rate)

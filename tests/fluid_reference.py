@@ -7,8 +7,10 @@ queues live in a dict, every step adds its moved amounts into per-position
 arrays, and a last pass over every position turns them into cumulative
 totals.  Random flows draw from their generator step by step.
 ``check_strict_service`` below is the grid-point loop the array check
-replaced.  Sums are left folds (``left_sum``), the builtin ``sum`` of
-Python 3.11.  Not collected by pytest; the test modules import it.
+replaced; it finds each server's positions with its own scan over every
+hop, not through the trajectory's lookup.  Sums are left folds
+(``left_sum``), the builtin ``sum`` of Python 3.11.  Not collected by
+pytest; the test modules import it.
 """
 
 import math
@@ -176,7 +178,12 @@ def check_strict_service(traj: Trajectory, tol: Optional[float] = None) -> bool:
     if tol is None:
         tol = max(s.rate for s in traj.net.servers) * traj.dt + 1e-9
     for j in range(traj.net.num_servers):
-        keys = traj._positions_at(j)
+        keys = [
+            (i, p)
+            for i, f in enumerate(traj.net.flows)
+            for p, server in enumerate(f.path)
+            if server == j
+        ]
         if not keys:
             continue
         a = left_sum(traj.cum_in[key] for key in keys)

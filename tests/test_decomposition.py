@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import pytest
@@ -6,6 +7,7 @@ from netcalc import (
     Flow,
     Network,
     RateLatency,
+    Target,
     TokenBucket,
     ValidationError,
     analyze,
@@ -62,13 +64,18 @@ def test_decompose_rejects_bad_removals():
 
     with pytest.raises(ValidationError):
         decompose(bi_ring(3, 0.5), frozenset({(2, 0)}))  # backward cycle remains
-    # an endpoint that is no id makes no induced arc, though the arc equals (9, 0)
+    # an endpoint that is no id makes no induced arc, though the arc equals
+    # (9, 0): refused alone and beside (9, 0), where a set would fold it away
     net = uni_ring(10, 0.5)
     for arc in ((9.0, 0), (9, False)):
         refused = re.escape("removed arcs not in induced graph: [%r]" % (arc,))
-        for method in ("td", "ag", "2s"):
+        for method, removed in itertools.product(("td", "ag", "2s"), ({arc}, [(9, 0), arc])):
             with pytest.raises(ValidationError, match=refused):
-                analyze(net, method, removed={arc})
+                analyze(net, method, removed=removed)
+        with pytest.raises(ValidationError, match=refused):
+            decompose(net, [(9, 0), arc])
+    with pytest.raises(ValidationError, match=re.escape("graph: [(3, False)]")):
+        analyze(uni_ring(4, 0.5), "td", Target.backlog(3, [0]), removed=[(3, 0), (3, False)])
 
 
 def test_decompose_round_trip(rng):

@@ -30,6 +30,7 @@ README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))
 )
 def test_module_doctests(module):
     result = doctest.testmod(module)
+    assert result.attempted > 0  # a module whose examples vanish must not pass
     assert result.failed == 0
 
 

@@ -536,18 +536,19 @@ def _two_server_tandem():
     )
 
 
-@pytest.mark.parametrize("interest", [[7], [0, 5, -1], [1], [0, 1], [-1]])
+@pytest.mark.parametrize("interest", [[7], [0, 5, -1], [1], [0, 1], [-1], [0, False], [0, 0.0]])
 def test_oracle_refuses_the_interest_tree_backlog_refuses(interest):
     # an unknown flow or one that misses the last server: the tree analysis'
-    # error, with its message, from both oracle entry points
+    # error, with its message, from both oracle entry points and the
+    # extremal scenario; False and 0.0 after flow 0 are checked as given,
+    # not folded into it
     net = _two_server_tandem()
     with pytest.raises(InterestNotAtRootError) as refused:
         tree_backlog(net, interest)
     message = "^%s$" % re.escape(str(refused.value))
-    with pytest.raises(InterestNotAtRootError, match=message):
-        bruteforce_backlog(net, interest)
-    with pytest.raises(InterestNotAtRootError, match=message):
-        worst_case_periods(net, interest)
+    for call in (bruteforce_backlog, worst_case_periods, worst_case_scenario):
+        with pytest.raises(InterestNotAtRootError, match=message):
+            call(net, interest)
 
 
 def test_oracle_refusal_names_the_flow_that_misses_the_root():

@@ -1,9 +1,12 @@
 """
 The rate-free structure that ``critical_utilization`` prepares once and
 binds to every ``family(U)`` of its bisection, and the start vectors its
-decisions hand on from step to step.
+decisions hand on from step to step; and one rule on the package's own
+source, that it adds floats with ``left_sum``, never the builtin ``sum``.
 """
 
+import ast
+import glob
 import json
 import os
 from collections import Counter
@@ -20,9 +23,9 @@ from netcalc.topologies import bi_ring, three_ring, uni_ring
 import sd_reference
 from conftest import load_by_path
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # The benchmark's reference outputs.
-REFERENCE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "perfbench", "reference")
+REFERENCE = os.path.join(ROOT, "perfbench", "reference")
 
 WORKLOADS = load_by_path("perfbench_workloads", "perfbench", "workloads.py")
 WORKLOADS.load_netcalc()
@@ -230,3 +233,20 @@ def test_fixed_structure_is_prepared_once(monkeypatch, method):
     counts = _count_prepare(monkeypatch)
     critical_utilization(lambda u: bi_ring(6, u), method)
     assert counts["prepare"] == 1
+
+
+def test_src_calls_no_builtin_sum():
+    # from Python 3.12 on the builtin sum compensates float sums; the
+    # package adds left to right with curves.left_sum instead
+    calls = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "netcalc", "*.py"))):
+        with open(path, encoding="utf-8") as stream:
+            tree = ast.parse(stream.read(), path)
+        calls += [
+            "%s:%d" % (os.path.basename(path), node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "sum"
+        ]
+    assert calls == []

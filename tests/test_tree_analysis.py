@@ -593,6 +593,7 @@ def test_tree_output_curve():
     assert tree_output_curve(net, []) == TokenBucket(0.0, 0.0)
     out = tree_output_curve(two_server_sink_tree(), [0])
     assert out.rate == 1.0
+    assert tree_output_curve(two_server_sink_tree(), [0, 0]) == out  # a flow's rate counts once
     assert out.burst == pytest.approx(TWO_SERVER_BACKLOG, abs=1e-12)
 
 
@@ -624,29 +625,31 @@ def test_zero_rate_cross_flow_contributes_burst_only():
     assert bruteforce_backlog(net, [0]) == pytest.approx(expected, abs=1e-12)
 
 
-@pytest.mark.parametrize("bad", [-1, 2, True, 0.0, 1.5, np.int64(5)])
+@pytest.mark.parametrize("bad", [-1, 2, True, 0.0, 1.5, np.int64(5), 1.0])
 @pytest.mark.parametrize(
     "call",
     [
-        lambda net, i: compute_xi(net, [i]),
-        lambda net, i: tree_backlog(net, [i]),
-        lambda net, i: upstream_view(net, 1).backlog([i]),
-        lambda net, i: tree_output_curve(net, [i]),
-        lambda net, i: tree_delay(net, i),
-        lambda net, i: bruteforce_backlog(net, [i]),
-        lambda net, i: worst_case_periods(net, [i]),
+        lambda net, i, *ahead: compute_xi(net, [*ahead, i]),
+        lambda net, i, *ahead: tree_backlog(net, [*ahead, i]),
+        lambda net, i, *ahead: upstream_view(net, 1).backlog([*ahead, i]),
+        lambda net, i, *ahead: tree_output_curve(net, [*ahead, i]),
+        lambda net, i, *ahead: tree_delay(net, i),
+        lambda net, i, *ahead: bruteforce_backlog(net, [*ahead, i]),
+        lambda net, i, *ahead: worst_case_periods(net, [*ahead, i]),
     ],
     ids=["compute_xi", "tree_backlog", "upstream_view", "tree_output_curve", "tree_delay",
          "bruteforce_backlog", "worst_case_periods"],
 )
 def test_unknown_flow_ids_are_rejected(call, bad):
     # True == 1 and 0.0 == 0 name existing flows, but they are no ids: refused,
-    # not read as flow 1 or flow 0; a numpy id is named as the integer it is
+    # not read as flow 1 or flow 0, also after both flows, where a set would
+    # fold them away unchecked; a numpy id is named as the integer it is
     net = two_server_sink_tree()
     assert net.num_flows == 2
     shown = repr(int(bad)) if isinstance(bad, np.integer) else repr(bad)
-    with pytest.raises(InterestNotAtRootError, match="^unknown flow id %s$" % re.escape(shown)):
-        call(net, bad)
+    for ahead in ((), (0, 1)):
+        with pytest.raises(InterestNotAtRootError, match="^unknown flow id %s$" % re.escape(shown)):
+            call(net, bad, *ahead)
 
 
 @pytest.mark.parametrize("bad", [7, "x", True, -1])
