@@ -23,7 +23,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .network import Arc, Network, _check_id, _hops, _is_id, _paths, induced_graph, is_acyclic
+from .network import Arc, Network, _check_arcs, _check_id, _hops, _paths, induced_graph, is_acyclic
 
 
 @dataclass(frozen=True)
@@ -61,10 +61,8 @@ class _Split:
     def __init__(self, net: Network, removed=None):
         arcs, n = induced_graph(net), net.num_servers
         # checked as given, then frozen: a set would fold (3, False) into (3, 0)
-        removed = _removal(arcs, n) if removed is None else list(removed)
-        extra = {a for a in removed if a not in arcs or not all(map(_is_id, a))}
-        if extra:
-            raise ValidationError("removed arcs not in induced graph: %r" % sorted(extra))
+        removed = (_removal(arcs, n) if removed is None
+                   else _check_arcs(removed, arcs, "removed arcs", "induced graph"))
         self.paths, self.num_servers, self.removed = _paths(net), n, frozenset(removed)
         if not is_acyclic(arcs - self.removed, n):
             raise ValidationError("residual graph still has a cycle")
@@ -88,8 +86,9 @@ def decompose(net: Network, removed) -> Tuple[SplitFlow, ...]:
     The segments come in flow order, each flow's in path order; each
     inherits its origin flow's rate.
 
-    :raises ValidationError: if some removed arc is not an induced arc, or
-        if the residual graph still has a cycle
+    :raises ValidationError: if ``removed`` is no iterable of arcs (``None``
+        included), if some removed arc is not an induced arc, or if the
+        residual graph still has a cycle
 
     >>> from .curves import RateLatency, TokenBucket
     >>> from .network import Flow
@@ -99,7 +98,9 @@ def decompose(net: Network, removed) -> Tuple[SplitFlow, ...]:
     >>> [(sf.label, sf.path) for sf in decompose(net, {(1, 0)})]
     [((0, 0), (0, 1)), ((1, 0), (1,)), ((1, 1), (0,))]
     """
-    split = _Split(net, list(removed))
+    if removed is None:  # refused, not read as the default removal
+        raise ValidationError("removed arcs must be server pairs, got None")
+    split = _Split(net, removed)
     hops = split.server.tolist()
     bounds = np.append(split.start, len(hops)).tolist()
     paths = [tuple(hops[a:b]) for a, b in zip(bounds, bounds[1:])]

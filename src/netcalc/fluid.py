@@ -8,14 +8,16 @@ service guarantees.
 The simulator is a soundness check for the analytical bounds: any
 admissible scenario must stay below them (up to discretization slack),
 and the reconstructed extremal scenario must reach them.  Fluid volumes
-move on a uniform time grid; servers either serve everything instantly,
-follow their minimal strict-service envelope, or follow a scheduled
-backlogged window that ends with an instantaneous flush.
+move on a uniform time grid; a server either follows its minimal
+strict-service envelope in every backlogged period, or follows it in a
+scheduled window only and serves all queued data at once outside it, so
+the window ends with a flush.  An empty window serves everything at once.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -67,9 +69,11 @@ class ServerSpec:
     Service behaviour of one server.
 
     * ``exact``: minimal strict service during every backlogged period.
-    * ``infinite``: serves all queued data instantly.
-    * ``window``: infinite service outside ``window = (start, end)``, the
-      minimal envelope inside it, and an instantaneous flush at the end.
+    * ``window``: the minimal envelope, counted from ``start``, in every
+      step that ends in ``[start, end)`` of ``window = (start, end)``, and
+      all queued data at once in every other step, so the step that
+      reaches ``end`` flushes the queue.  An empty window (``start ==
+      end``) serves all queued data at once in every step.
 
     ``priority`` orders the flows for service (first drained first);
     flows missing from it are appended in id order.  ``simulate_fluid``
@@ -85,7 +89,7 @@ class ServerSpec:
     priority: Tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.mode not in ("exact", "infinite", "window"):
+        if self.mode not in ("exact", "window"):
             raise ScenarioError("unknown service mode %r" % self.mode)
         if self.mode == "window" and self.window is None:
             raise ScenarioError("window mode needs a (start, end) window")
@@ -98,7 +102,8 @@ class ServerSpec:
 
 
 def _require_positive(name: str, value: float) -> float:
-    if not (math.isfinite(value) and value > 0):
+    """``value`` when it is a finite positive real number (numpy's too), never a ``bool``."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0 < value < math.inf):
         raise ScenarioError("%s must be finite and positive, got %r" % (name, value))
     return value
 
@@ -324,7 +329,6 @@ def simulate_fluid(net: Network, scenario: Scenario, dt: Optional[float] = None)
     queues = [0.0] * len(keys)
     period_start: List[Optional[float]] = [None] * net.num_servers
     served_in_period = [0.0] * net.num_servers
-    flushed = [False] * net.num_servers
 
     for step in range(steps):
         t, t_next = grid[step], grid[step + 1]
@@ -356,17 +360,14 @@ def simulate_fluid(net: Network, scenario: Scenario, dt: Optional[float] = None)
                     capacity = rate * (elapsed if elapsed > 0.0 else 0.0) - served_in_period[j]
                     if not capacity > 0.0:
                         capacity = 0.0
-            elif mode == "infinite" or t_next < start or t >= end:
+            elif t_next < start or t_next >= end:  # the step reaching the end flushes
                 capacity = queued
-            else:  # inside the window
+            else:  # the step ends inside the window
                 in_period = True
-                elapsed = (end if end < t_next else t_next) - start - latency
+                elapsed = t_next - start - latency
                 capacity = rate * (elapsed if elapsed > 0.0 else 0.0) - served_in_period[j]
                 if not capacity > 0.0:
                     capacity = 0.0
-                if t_next >= end and not flushed[j]:
-                    capacity = queued  # end of the window: flush everything
-                    flushed[j] = True
 
             remaining = queued if queued < capacity else capacity
             total_served = remaining

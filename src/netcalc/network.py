@@ -270,6 +270,23 @@ def _check_interest(interest: Iterable, num_flows: int, at_root, root: int) -> F
     return frozenset(interest)
 
 
+def _check_arcs(arcs, allowed: FrozenSet[Arc], name: str, where: str) -> List[Arc]:
+    """
+    The arcs of ``arcs`` as a list, checked as given, as a set would fold
+    ``(3, False)`` into ``(3, 0)``: raise :class:`ValidationError` naming
+    the arcs, sorted, that are no pair of ids in ``allowed``, or naming
+    ``arcs`` whole when it is no iterable of hashable values in some order.
+    """
+    try:
+        arcs = list(arcs)
+        extra = sorted({a for a in arcs if a not in allowed or not all(map(_is_id, a))})
+    except TypeError:
+        raise ValidationError("%s must be server pairs, got %r" % (name, arcs)) from None
+    if extra:
+        raise ValidationError("%s not in %s: %r" % (name, where, extra))
+    return arcs
+
+
 @dataclass(frozen=True)
 class LocalStability:
     """Per-server stability classes and the overall verdict."""

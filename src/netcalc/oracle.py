@@ -16,7 +16,8 @@ All choice vectors are evaluated at once, breadth-first: at server ``j``
 one array holds the state of every vector's prefix (the bursts it
 forwards, its interest backlog and its period lengths so far), and each
 prefix gets one child per threshold ``k``.  The first maximizing vector's
-value and period lengths are read off the last server's arrays.
+value and period lengths are read off the last server's arrays; the
+vector itself is never decoded, as no caller reads it.
 """
 
 from __future__ import annotations
@@ -42,7 +43,12 @@ from .network import (
 MAX_ORACLE_SERVERS = 8
 
 
-def _bruteforce(net: Network, interest: Iterable[int]):
+def _bruteforce(net: Network, interest: Iterable[int]) -> Tuple[float, List[float]]:
+    """
+    ``(value, periods)`` of the first maximizing case vector in
+    ``itertools.product`` order: the interest backlog at the last server
+    and the length of each server's backlogged period, server by server.
+    """
     n = net.num_servers
     if classify(net) is not Topology.TANDEM:
         raise NotATreeError("the case enumeration handles tandems only")
@@ -85,12 +91,7 @@ def _bruteforce(net: Network, interest: Iterable[int]):
         beyond = np.arange(j + 1, n) > np.arange(j, n)[:, None]  # server ell > threshold k
         x = np.where(beyond, carried, 0.0).reshape(len(x_star), n - j - 1)
     leaf = int(np.argmax(x_star))  # the first maximum, as the strict > of a scan
-    value, deltas = x_star[leaf].item(), periods[leaf].tolist()
-    thresholds = []
-    for j in reversed(range(n)):  # mixed radix: server j has n - j thresholds
-        leaf, digit = divmod(leaf, n - j)
-        thresholds.append(j + digit)
-    return value, tuple(reversed(thresholds)), deltas
+    return x_star[leaf].item(), periods[leaf].tolist()
 
 
 def _require_margins(margins) -> None:
@@ -128,8 +129,7 @@ def bruteforce_backlog(tandem: Network, interest: Iterable[int]) -> float:
     >>> round(bruteforce_backlog(net, [0]), 12)
     3.666666666667
     """
-    value, _, _ = _bruteforce(net=tandem, interest=interest)
-    return value
+    return _bruteforce(net=tandem, interest=interest)[0]
 
 
 def worst_case_periods(tandem: Network, interest: Iterable[int]) -> Tuple[float, List[float]]:
@@ -138,5 +138,4 @@ def worst_case_periods(tandem: Network, interest: Iterable[int]) -> Tuple[float,
     lengths of the maximizing case vector (period of server ``j`` starts
     when the previous one ends; the first starts at time 0).
     """
-    value, _, deltas = _bruteforce(net=tandem, interest=interest)
-    return value, deltas
+    return _bruteforce(net=tandem, interest=interest)

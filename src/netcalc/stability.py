@@ -85,7 +85,8 @@ from .errors import (
     ValidationError,
 )
 from .network import (
-    Arc, Network, _Numbers, _check_id, _hops, _is_id, _numbers, _paths, _require_local_stability,
+    Arc, Network, _Numbers, _check_arcs, _check_id, _hops, _is_id, _numbers, _paths,
+    _require_local_stability,
 )
 from .tree_analysis import _RowLayout, _prepare_forest
 
@@ -589,7 +590,7 @@ class _Decomposition:
     def __init__(self, split: _Split, groupings: Iterable[Iterable[Arc]], target=None):
         self.split, self.paths, self.num_servers = split, split.paths, split.num_servers
         self.forest = _prepare_forest(split.length, split.server, self.num_servers)
-        self.layouts = tuple([_Columns(split, list(grouped)) for grouped in groupings])
+        self.layouts = tuple([_Columns(split, grouped) for grouped in groupings])
         rows = [(cols.roots, cols.member_row, cols.member_segment) for cols in self.layouts]
         self.target = None if target is None else self._target_row(target)
         if target is not None:
@@ -694,11 +695,9 @@ class _Columns:
     :meth:`assemble` turns backlog linear forms into rows over the columns.
     """
 
-    def __init__(self, split: _Split, grouped: Sequence[Arc]):
+    def __init__(self, split: _Split, grouped: Iterable[Arc]):
         # checked as given, then deduplicated: a set would fold (3, 0.0) into (3, 0)
-        extra = {a for a in grouped if a not in split.removed or not all(map(_is_id, a))}
-        if extra:
-            raise ValidationError("grouped arcs not in the removal: %r" % sorted(extra))
+        grouped = _check_arcs(grouped, split.removed, "grouped arcs", "the removal")
         n = split.num_servers
         cont = np.flatnonzero(split.number >= 1)
         tail, head = split.server[split.start[cont] - 1], split.server[split.start[cont]]

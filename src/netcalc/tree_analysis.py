@@ -503,4 +503,4 @@ def tree_output_curve(tree: Network, interest: Iterable[int]) -> TokenBucket:
         )
     # over the checked set, so a flow given twice adds its rate once
     rate = left_sum(tree.flows[i].arrival.rate for i in result.table.interest)
-    return TokenBucket(result.value.value, rate)
+    return TokenBucket(result.value.value, float(rate))  # no rates add up to the int 0

@@ -111,9 +111,7 @@ def simulate_fluid(
             spec = scenario.servers[j]
             keys = order_at[j]
             queued = left_sum(queues[key] for key in keys)
-            if spec.mode == "infinite":
-                capacity = queued
-            elif spec.mode == "exact":
+            if spec.mode == "exact":
                 if queued <= QUEUE_EPS:
                     period_start[j] = None
                     served_in_period[j] = 0.0

@@ -5,8 +5,8 @@ hold ``netcalc.oracle._bruteforce`` to, bit for bit.
 ``_bruteforce`` below is the loop the breadth-first array evaluation
 replaced: it walks every case vector in ``itertools.product`` order,
 evaluates each with the scalar ``_evaluate_case`` (its burst and rate
-tables are dicts built by ``_case_tables``) and keeps the first maximum,
-with its value and period lengths.  Not collected by pytest; the test
+tables are dicts built by ``_case_tables``) and keeps the first maximum:
+``(value, period lengths)``.  Not collected by pytest; the test
 modules import it.
 """
 
@@ -84,5 +84,5 @@ def _bruteforce(net: Network, interest: FrozenSet[int]):
     for case in itertools.product(*(range(j, n) for j in range(n))):
         value, deltas = _evaluate_case(net, case, *tables)
         if best is None or value > best[0]:
-            best = (value, case, deltas)
+            best = (value, deltas)
     return best

@@ -18,7 +18,7 @@ from netcalc import (
 )
 from netcalc.decomposition import _Split
 from netcalc.network import is_acyclic
-from netcalc.stability import _Decomposition
+from netcalc.stability import _Decomposition, build_grouped, build_td, is_stable, objective_for
 from netcalc.topologies import bi_ring, three_ring, toy, uni_ring
 
 import decomposition_reference
@@ -76,6 +76,35 @@ def test_decompose_rejects_bad_removals():
             decompose(net, [(9, 0), arc])
     with pytest.raises(ValidationError, match=re.escape("graph: [(3, False)]")):
         analyze(uni_ring(4, 0.5), "td", Target.backlog(3, [0]), removed=[(3, 0), (3, False)])
+
+
+#: Every entry point that takes arcs, as ``(which arcs, call on (network, arcs))``.
+ARC_TAKERS = {
+    "analyze": ("removed", lambda net, arcs: analyze(net, "td", removed=arcs)),
+    "is_stable": ("removed", lambda net, arcs: is_stable(net, "2s", removed=arcs)),
+    "objective_for": ("removed",
+                      lambda net, arcs: objective_for(net, Target.backlog(3, [0]), "ag", arcs)),
+    "build_td": ("removed", build_td),
+    "decompose": ("removed", decompose),
+    "build_grouped removed": ("removed", lambda net, arcs: build_grouped(net, arcs, ())),
+    "build_grouped grouped": ("grouped", lambda net, arcs: build_grouped(net, None, arcs)),
+}
+
+
+@pytest.mark.parametrize("taker", ARC_TAKERS)
+def test_arcs_that_are_no_iterable_of_hashable_pairs_are_refused(taker):
+    # refused by ValidationError, none by a TypeError
+    name, call = ARC_TAKERS[taker]
+    net = uni_ring(4, 0.5)
+    bad = [5, True, [[3, 0]], [(3, 0), (3, [0])], [(9.0, 0), (9, "a")]]
+    if name == "grouped" or taker == "decompose":  # elsewhere None asks for the default removal
+        bad.append(None)
+    for arcs in bad:
+        refused = "^%s arcs must be server pairs, got %s$" % (name, re.escape(repr(arcs)))
+        with pytest.raises(ValidationError, match=refused):
+            call(net, arcs)
+    # the same pairs as tuples are arcs
+    call(net, [(3, 0)])
 
 
 def test_decompose_round_trip(rng):

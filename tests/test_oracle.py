@@ -110,16 +110,18 @@ def test_check_strict_service_skips_a_server_no_flow_crosses():
     assert check_strict_service(traj)
 
 
-def test_simulate_infinite_servers_no_backlog():
+def test_simulate_empty_window_servers_no_backlog():
+    # an empty window serves everything at once, on a grid point or off it
     net = two_server_sink_tree()
-    scenario = Scenario(
-        tuple(ArrivalSpec("greedy") for _ in net.flows),
-        tuple(ServerSpec("infinite") for _ in net.servers),
-        horizon=3.0,
-    )
-    traj = simulate_fluid(net, scenario, dt=1e-3)
-    assert traj.max_backlog(0) == pytest.approx(0.0, abs=1e-9)
-    assert traj.max_backlog(1) == pytest.approx(0.0, abs=1e-9)
+    for window in ((0.0, 0.0), (0.5, 0.5), (0.0105, 0.0105)):
+        scenario = Scenario(
+            tuple(ArrivalSpec("greedy") for _ in net.flows),
+            tuple(ServerSpec("window", window=window) for _ in net.servers),
+            horizon=3.0,
+        )
+        traj = simulate_fluid(net, scenario, dt=1e-3)
+        assert traj.max_backlog(0) == pytest.approx(0.0, abs=1e-9)
+        assert traj.max_backlog(1) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_simulate_validates_scenario():
@@ -132,8 +134,9 @@ def test_simulate_validates_scenario():
         ArrivalSpec("burst")
     with pytest.raises(ScenarioError):
         ServerSpec("window")
-    with pytest.raises(ScenarioError, match="unknown service mode 'bogus'"):
-        ServerSpec("bogus")
+    for mode in ("bogus", "infinite"):  # an empty window serves as "infinite" did
+        with pytest.raises(ScenarioError, match="unknown service mode '%s'" % mode):
+            ServerSpec(mode)
 
 
 @pytest.mark.parametrize("seed", [-1, -3, 1.5, True, None, "1"])
@@ -150,13 +153,23 @@ def test_a_random_seed_is_a_nonnegative_integer(seed):
     assert ArrivalSpec("greedy").seed is ArrivalSpec("none").seed is None
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, True, False, np.True_, "1", [1.0], None])
 def test_simulate_rejects_non_finite_or_non_positive_dt_and_horizon(bad):
+    # a bool, numpy's too, or anything but a real number is refused as well
     net = two_server_sink_tree()
-    with pytest.raises(ScenarioError, match="horizon must be finite and positive"):
+    shown = re.escape(repr(bad))
+    with pytest.raises(ScenarioError, match="^horizon must be finite and positive, got %s$" % shown):
         greedy_scenario(net, bad)
-    with pytest.raises(ScenarioError, match="dt must be finite and positive"):
-        simulate_fluid(net, greedy_scenario(net, 1.0), dt=bad)
+    if bad is not None:  # dt=None asks for the default step
+        with pytest.raises(ScenarioError, match="^dt must be finite and positive, got %s$" % shown):
+            simulate_fluid(net, greedy_scenario(net, 1.0), dt=bad)
+
+
+def test_simulate_takes_numpy_numbers_for_dt_and_horizon():
+    net = two_server_sink_tree()
+    plain = simulate_fluid(net, greedy_scenario(net, 1.0), dt=0.01)
+    for dt, horizon in ((np.float64(0.01), np.float64(1.0)), (np.float64(0.01), np.int64(1))):
+        assert _same_trajectory(simulate_fluid(net, greedy_scenario(net, horizon), dt=dt), plain)
 
 
 def test_random_scenarios_sound_on_trees(rng):
@@ -233,7 +246,10 @@ def test_a_trajectory_refuses_a_server_or_flow_it_does_not_hold():
 
 
 def _mixed_scenario(rng, net, horizon):
-    """Every arrival kind and server mode, with partial shuffled priorities."""
+    """
+    Every arrival kind and both server modes, empty windows among them,
+    with partial shuffled priorities.
+    """
     arrivals = []
     for _ in net.flows:
         kind = ("greedy", "random", "none")[int(rng.integers(3))]
@@ -241,11 +257,12 @@ def _mixed_scenario(rng, net, horizon):
         arrivals.append(ArrivalSpec(kind, start=start, seed=int(rng.integers(2**31))))
     servers = []
     for _ in net.servers:
-        mode = ("exact", "infinite", "window")[int(rng.integers(3))]
+        mode = ("exact", "empty window", "window")[int(rng.integers(3))]
         start = float(rng.uniform(0, horizon / 2))
         end = math.inf if rng.random() < 0.25 else start + float(rng.uniform(0, horizon / 2))
         ranked = rng.permutation(net.num_flows)[: int(rng.integers(net.num_flows + 1))]
-        servers.append(ServerSpec(mode, window=(start, end) if mode == "window" else None,
+        window = {"exact": None, "empty window": (start, start), "window": (start, end)}[mode]
+        servers.append(ServerSpec("exact" if window is None else "window", window=window,
                                   priority=tuple(int(i) for i in ranked)))
     return Scenario(tuple(arrivals), tuple(servers), horizon)
 
@@ -293,8 +310,9 @@ def _grid_edge_cases(rng):
     ``(name, net, scenario, dt, horizon)`` runs whose injection streams or
     windows sit on the edges of the grid: greedy starts below 0, on a grid
     point and at or after the horizon, horizon overrides shorter and longer
-    than the scenario's, windows ending on a grid point, and networks where
-    one flow alone injects.
+    than the scenario's, windows ending on a grid point, between grid
+    points, at the horizon and past it or past the grid, empty windows on
+    and off a grid point, and networks where one flow alone injects.
     """
     horizon, dt = 2.0, 2.0 / 300
     for trial in range(6):
@@ -316,6 +334,18 @@ def _grid_edge_cases(rng):
         )
         greedy = greedy_scenario(net, horizon).arrivals
         yield "window ends on a grid point", net, Scenario(greedy, windows, horizon), dt, None
+        ks = rng.integers(0, 100, net.num_servers).tolist()
+        for name, window in (
+            ("empty window on a grid point", lambda k: (k * dt, k * dt)),
+            ("empty window off the grid", lambda k: ((k + 0.5) * dt,) * 2),
+            ("window ends between grid points", lambda k: (k * dt, (k + 100.5) * dt)),
+            ("window ends at the horizon", lambda k: (k * dt, horizon)),
+            ("window ends past the horizon", lambda k: (k * dt, horizon + 0.5 * dt)),
+            ("window ends past the grid", lambda k: ((k + 0.5) * dt, horizon + 5 * dt)),
+        ):
+            specs = tuple(ServerSpec("window", window=window(k), priority=spec.priority)
+                          for k, spec in zip(ks, servers))
+            yield name, net, Scenario(greedy, specs, horizon), dt, None
         for kind in ("greedy", "random"):
             arrivals = tuple(ArrivalSpec(kind if i == trial % net.num_flows else "none", seed=trial)
                              for i in range(net.num_flows))
@@ -430,11 +460,8 @@ def test_bruteforce_matches_reference(n):
         ending = [i for i, f in enumerate(net.flows) if f.path[-1] == root]
         interests = [frozenset([0]), frozenset(ending[: max(1, len(ending) // 2)])]
         for interest in interests[: 1 if n == 8 else 2]:  # 8! scalar cases take a while
-            value, case, deltas = _bruteforce(net, interest)
-            assert (value, case, deltas) == oracle_reference._bruteforce(net, interest)
-            assert isinstance(case, tuple)
-    # on a full tie the first case vector in enumeration order wins
-    assert _bruteforce(_zero_cross_tandem(n), frozenset([0]))[1] == tuple(range(n))
+            value, periods = _bruteforce(net, interest)
+            assert (value, periods) == oracle_reference._bruteforce(net, interest)
 
 
 def _drain_tandem():

@@ -11,8 +11,9 @@ from conftest import load_by_path
 
 #: Sections that take about a second in all: every tree entry point, td, ag
 #: and 2s recursions and objectives on the pool's fixtures, sd on a ring, the
-#: bisections, the generators, the oracle and the refusals.  None is one of
-#: the sections whose bits follow the number of BLAS threads.
+#: bisections, the generators, the oracle, the fluid step loop under service
+#: orders and the refusals.  None is one of the sections whose bits follow
+#: the number of BLAS threads.
 SAMPLE = (
     "net toy td analyze",
     "net toy 2s analyze",
@@ -33,6 +34,7 @@ SAMPLE = (
     "oracle oracle - bruteforce_backlog,worst_case_periods",
     "document toy - network_from_dict",
     "seed - - random_scenario,ArrivalSpec",
+    "priority - - simulate_fluid",
     "method - 'TD' analyze,is_stable,objective_for,critical_utilization",
 )
 

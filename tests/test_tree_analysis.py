@@ -597,6 +597,15 @@ def test_tree_output_curve():
     assert out.burst == pytest.approx(TWO_SERVER_BACKLOG, abs=1e-12)
 
 
+def test_tree_output_curve_holds_floats():
+    # no rates add up to a float 0.0, integer rates to a float sum
+    integral = Network((RateLatency(2, 1),), (Flow(TokenBucket(1, 1), (0,)),))
+    for net, interest in ((two_server_sink_tree(), []), (two_server_sink_tree(), [0, 1]),
+                          (integral, [0]), (integral, [])):
+        curve = tree_output_curve(net, interest)
+        assert (type(curve.burst), type(curve.rate)) == (float, float), (interest, curve)
+
+
 def test_locally_unstable_tree_has_no_delay_bound_nor_output_curve():
     net = two_server_sink_tree(service_rate=1.0)  # both servers exactly saturated
     assert not tree_delay(net, 0).is_finite
