@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from .errors import ValidationError
+
 
 @dataclass(frozen=True)
 class TokenBucket:
@@ -34,9 +36,9 @@ class TokenBucket:
 
     def __post_init__(self):
         if not (self.burst >= 0 and math.isfinite(self.burst)):
-            raise ValueError("burst must be finite and >= 0, got %r" % (self.burst,))
+            raise ValidationError("burst must be finite and >= 0, got %r" % (self.burst,))
         if not (self.rate >= 0 and math.isfinite(self.rate)):
-            raise ValueError("rate must be finite and >= 0, got %r" % (self.rate,))
+            raise ValidationError("rate must be finite and >= 0, got %r" % (self.rate,))
 
     def __add__(self, other: "TokenBucket") -> "TokenBucket":
         return TokenBucket(self.burst + other.burst, self.rate + other.rate)
@@ -59,9 +61,9 @@ class RateLatency:
 
     def __post_init__(self):
         if not (self.rate > 0 and math.isfinite(self.rate)):
-            raise ValueError("rate must be finite and > 0, got %r" % (self.rate,))
+            raise ValidationError("rate must be finite and > 0, got %r" % (self.rate,))
         if not (self.latency >= 0 and math.isfinite(self.latency)):
-            raise ValueError("latency must be finite and >= 0, got %r" % (self.latency,))
+            raise ValidationError("latency must be finite and >= 0, got %r" % (self.latency,))
 
     def evaluate(self, t: float) -> float:
         """Value of the curve at ``t``."""
@@ -107,14 +109,14 @@ class Bound:
 
     def __post_init__(self):
         if self.value is not None and not (self.value >= 0 and math.isfinite(self.value)):
-            raise ValueError("finite bound must be >= 0 and finite, got %r" % (self.value,))
+            raise ValidationError("finite bound must be >= 0 and finite, got %r" % (self.value,))
 
     @property
     def is_finite(self) -> bool:
         return self.value is not None
 
     def __float__(self) -> float:
-        return math.inf if self.value is None else self.value
+        return math.inf if self.value is None else float(self.value)
 
     def __str__(self) -> str:
         return "inf" if self.value is None else repr(self.value)
@@ -213,15 +215,14 @@ def output_curve(max_backlog, rate: float) -> TokenBucket:
     system never exceeds ``max_backlog`` and whose aggregate input rate is
     ``rate``: the token bucket :math:`\\gamma_{B, r}`.
 
-    ``max_backlog`` may be a float or a finite :class:`Bound`.
+    ``max_backlog`` may be a float or a finite :class:`Bound`; a bound is
+    read through ``float``, so an unbounded one reads as ``inf``.
 
     >>> output_curve(5.0, 1.0)
     TokenBucket(burst=5.0, rate=1.0)
     """
     if isinstance(max_backlog, Bound):
-        if not max_backlog.is_finite:
-            raise ValueError("output curve requires a finite backlog bound")
-        max_backlog = max_backlog.value
+        max_backlog = float(max_backlog)
     if not math.isfinite(max_backlog):
-        raise ValueError("output curve requires a finite backlog bound")
+        raise ValidationError("output curve requires a finite backlog bound")
     return TokenBucket(max_backlog, rate)

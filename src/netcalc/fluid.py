@@ -8,10 +8,11 @@ service guarantees.
 The simulator is a soundness check for the analytical bounds: any
 admissible scenario must stay below them (up to discretization slack),
 and the reconstructed extremal scenario must reach them.  Fluid volumes
-move on a uniform time grid; a server either follows its minimal
-strict-service envelope in every backlogged period, or follows it in a
-scheduled window only and serves all queued data at once outside it, so
-the window ends with a flush.  An empty window serves everything at once.
+move on a uniform time grid.  A server's window is its service mode: with
+none, it follows its minimal strict-service envelope in every backlogged
+period; with one, it follows the envelope in that window only and serves
+all queued data at once outside it, so the window ends with a flush.  An
+empty window serves everything at once.
 """
 
 from __future__ import annotations
@@ -56,9 +57,9 @@ class ArrivalSpec:
 
     def __post_init__(self):
         if self.kind not in ("greedy", "random", "none"):
-            raise ScenarioError("unknown arrival kind %r" % self.kind)
-        if not math.isfinite(self.start):
-            raise ScenarioError("arrival start must be finite, got %r" % self.start)
+            raise ScenarioError("unknown arrival kind %r" % (self.kind,))
+        if not (_is_real(self.start) and math.isfinite(self.start)):
+            raise ScenarioError("arrival start must be finite, got %r" % (self.start,))
         if self.kind == "random":
             _check_id(self.seed, math.inf, ScenarioError, _SEED_MESSAGE)
 
@@ -66,44 +67,49 @@ class ArrivalSpec:
 @dataclass(frozen=True)
 class ServerSpec:
     """
-    Service behaviour of one server.
+    Service behaviour of one server; its window is its service mode.
 
-    * ``exact``: minimal strict service during every backlogged period.
-    * ``window``: the minimal envelope, counted from ``start``, in every
-      step that ends in ``[start, end)`` of ``window = (start, end)``, and
-      all queued data at once in every other step, so the step that
-      reaches ``end`` flushes the queue.  An empty window (``start ==
-      end``) serves all queued data at once in every step.
+    * ``window=None``: minimal strict service during every backlogged
+      period.
+    * ``window=(start, end)``: the minimal envelope, counted from
+      ``start``, in every step that ends in ``[start, end)``, and all
+      queued data at once in every other step, so the step that reaches
+      ``end`` flushes the queue.  An empty window (``start == end``) serves
+      all queued data at once in every step.
 
     ``priority`` orders the flows for service (first drained first);
     flows missing from it are appended in id order.  ``simulate_fluid``
     rejects a priority that repeats a flow or names anything but a flow id
     of the network: an integer (numpy's too, never a ``bool``) below its
     flow count.
-    A window starts at a finite time no later than its end; the end may be
-    infinite.
+    A window is a tuple of two real numbers (numpy's too, never a
+    ``bool``): a finite start no later than its end, which may be infinite.
+    A service-mode string is no window:
+
+    >>> ServerSpec("exact")
+    Traceback (most recent call last):
+    ...
+    netcalc.errors.ScenarioError: window start must be finite and at most its end, got 'exact'
     """
 
-    mode: str = "exact"
     window: Optional[Tuple[float, float]] = None
     priority: Tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.mode not in ("exact", "window"):
-            raise ScenarioError("unknown service mode %r" % self.mode)
-        if self.mode == "window" and self.window is None:
-            raise ScenarioError("window mode needs a (start, end) window")
-        if self.window is not None:
-            start, end = self.window
-            if not (math.isfinite(start) and start <= end):
-                raise ScenarioError(
-                    "window start must be finite and at most its end, got %r" % (self.window,)
-                )
+        w = self.window
+        if w is not None and not (isinstance(w, tuple) and len(w) == 2 and all(map(_is_real, w))
+                                  and math.isfinite(w[0]) and w[0] <= w[1]):
+            raise ScenarioError("window start must be finite and at most its end, got %r" % (w,))
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number (numpy's too), never a ``bool``."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _require_positive(name: str, value: float) -> float:
     """``value`` when it is a finite positive real number (numpy's too), never a ``bool``."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+    if not (_is_real(value) and 0 < value < math.inf):
         raise ScenarioError("%s must be finite and positive, got %r" % (name, value))
     return value
 
@@ -124,7 +130,7 @@ def greedy_scenario(net: Network, horizon: float) -> Scenario:
     """All flows greedy from time 0, all servers on the exact envelope."""
     return Scenario(
         tuple(ArrivalSpec("greedy") for _ in net.flows),
-        tuple(ServerSpec("exact") for _ in net.servers),
+        tuple(ServerSpec() for _ in net.servers),
         horizon,
     )
 
@@ -140,7 +146,7 @@ def random_scenario(net: Network, horizon: float, seed: int) -> Scenario:
     servers = []
     for _ in net.servers:
         order = rng.permutation(net.num_flows)
-        servers.append(ServerSpec("exact", priority=tuple(int(i) for i in order)))
+        servers.append(ServerSpec(priority=tuple(int(i) for i in order)))
     return Scenario(arrivals, tuple(servers), horizon)
 
 
@@ -261,11 +267,12 @@ def simulate_fluid(net: Network, scenario: Scenario, dt: Optional[float] = None)
     order, each with its queue and its running cumulative totals.  One pass
     over the flows computes each flow's injection stream up front (it never
     depends on the queues) and lays out its positions, the first of which
-    the stream feeds.  Every server's mode, window, rate, latency and
-    service order, as ``(position, next position on the path)`` pairs, are
-    bound once before the step loop.  At the end of a step the running
-    totals fill one column of a ``(positions, steps + 1)`` array per side,
-    whose rows are the trajectory's ``cum_in`` / ``cum_out`` entries.
+    the stream feeds.  Every server's window (whether it has one, and its
+    ends), rate, latency and service order, as ``(position, next position
+    on the path)`` pairs, are bound once before the step loop.  At the end
+    of a step the running totals fill one column of a
+    ``(positions, steps + 1)`` array per side, whose rows are the
+    trajectory's ``cum_in`` / ``cum_out`` entries.
 
     >>> from .curves import RateLatency, TokenBucket
     >>> from .network import Flow
@@ -318,8 +325,8 @@ def simulate_fluid(net: Network, scenario: Scenario, dt: Optional[float] = None)
         spec, curve = scenario.servers[j], net.servers[j]
         rank = {i: p for p, i in enumerate(spec.priority)}
         order = sorted(at_server[j], key=lambda pos: rank.get(keys[pos][0], len(rank) + keys[pos][0]))
-        start, end = spec.window if spec.mode == "window" else (0.0, 0.0)
-        servers.append((j, spec.mode, order, [(pos, successor[pos]) for pos in order],
+        start, end = spec.window or (0.0, 0.0)
+        servers.append((j, spec.window is None, order, [(pos, successor[pos]) for pos in order],
                         curve.rate, curve.latency, start, end))
 
     cum_in = np.zeros((len(keys), steps + 1))
@@ -338,7 +345,7 @@ def simulate_fluid(net: Network, scenario: Scenario, dt: Optional[float] = None)
                 queues[pos] += amount
                 run_in[pos] += amount
 
-        for j, mode, order, pairs, rate, latency, start, end in servers:
+        for j, exact, order, pairs, rate, latency, start, end in servers:
             queued = 0  # a left fold, as curves.left_sum
             for pos in order:
                 queued = queued + queues[pos]
@@ -346,7 +353,7 @@ def simulate_fluid(net: Network, scenario: Scenario, dt: Optional[float] = None)
             # period served, floored at 0, and then min(capacity, queued):
             # the builtins' values, written as branches
             in_period = False  # whether this step's service counts toward the envelope
-            if mode == "exact":
+            if exact:
                 if queued <= QUEUE_EPS:
                     period_start[j] = None
                     served_in_period[j] = 0.0
@@ -387,7 +394,7 @@ def simulate_fluid(net: Network, scenario: Scenario, dt: Optional[float] = None)
                     run_in[nxt] += amount
             if in_period:
                 served_in_period[j] += total_served
-                if mode == "exact" and queued - total_served <= QUEUE_EPS:
+                if exact and queued - total_served <= QUEUE_EPS:
                     period_start[j] = None
                     served_in_period[j] = 0.0
 
@@ -474,7 +481,7 @@ def worst_case_scenario(tandem: Network, interest: Iterable[int]) -> Scenario:
     )
     priority = tuple(cross + sorted(set(interest)))
     servers = tuple(
-        ServerSpec("window", window=(starts[j], starts[j + 1]), priority=priority)
+        ServerSpec((starts[j], starts[j + 1]), priority)
         for j in range(n)
     )
     return Scenario(arrivals, servers, horizon=starts[n])

@@ -259,10 +259,14 @@ def _check_interest(interest: Iterable, num_flows: int, at_root, root: int) -> F
     The flows of ``interest`` as a frozenset, the check of the tree
     analysis and of its oracle alike: raise :class:`InterestNotAtRootError`
     for the first flow, in the caller's order, that is no flow id or is not
-    in ``at_root``, the flows crossing the root server ``root``.  The flows
-    are frozen only once checked, as a set would fold ``True`` into ``1``.
+    in ``at_root``, the flows crossing the root server ``root``, or for
+    ``interest`` whole when it is no iterable.  The flows are frozen only
+    once checked, as a set would fold ``True`` into ``1``.
     """
-    interest = list(interest)
+    try:
+        interest = list(interest)
+    except TypeError:
+        raise InterestNotAtRootError("interest must be flow ids, got %r" % (interest,)) from None
     for i in interest:
         _check_id(i, num_flows, InterestNotAtRootError, "unknown flow id %s")
         if i not in at_root:

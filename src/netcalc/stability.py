@@ -385,11 +385,13 @@ def solve_recursion(lr: LinearRecursion) -> Optional[np.ndarray]:
 
 def _check_target(num_servers: int, paths: Sequence[Sequence[int]], target: Target) -> None:
     """
-    Reject a malformed target, one naming a server or flow the network
-    lacks, or a backlog of a flow whose path, in ``paths``, misses the
-    target's server; an id is an integer (numpy's too), never a ``bool`` or
-    a ``float``.
+    Reject a target that is no :class:`Target`, a malformed one, one naming
+    a server or flow the network lacks, or a backlog of a flow whose path,
+    in ``paths``, misses the target's server; an id is an integer (numpy's
+    too), never a ``bool`` or a ``float``.
     """
+    if not isinstance(target, Target):
+        raise UnsupportedTargetError("target must be a Target, got %r" % (target,))
     if target.kind == "backlog":
         if target.server is None or not target.flows:
             raise UnsupportedTargetError("backlog target needs a server and flows")

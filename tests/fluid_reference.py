@@ -111,7 +111,7 @@ def simulate_fluid(
             spec = scenario.servers[j]
             keys = order_at[j]
             queued = left_sum(queues[key] for key in keys)
-            if spec.mode == "exact":
+            if spec.window is None:
                 if queued <= QUEUE_EPS:
                     period_start[j] = None
                     served_in_period[j] = 0.0
@@ -151,12 +151,12 @@ def simulate_fluid(
                 if p + 1 < len(net.flows[i].path):
                     queues[(i, p + 1)] += amount
                     cum_in[(i, p + 1)][step + 1] += amount
-            if spec.mode == "exact" and period_start[j] is not None:
+            if spec.window is None and period_start[j] is not None:
                 served_in_period[j] += total_served
                 if queued - total_served <= QUEUE_EPS:
                     period_start[j] = None
                     served_in_period[j] = 0.0
-            elif spec.mode == "window" and in_window:
+            elif spec.window is not None and in_window:
                 served_in_period[j] += total_served
 
         for key in positions:

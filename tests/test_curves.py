@@ -14,6 +14,7 @@ from netcalc import (
     busy_period_bound,
     classify_server,
     group_backlog_bound,
+    ValidationError,
     output_curve,
 )
 from netcalc.curves import left_sum
@@ -97,34 +98,38 @@ def test_token_bucket_addition_componentwise():
 
 
 def test_token_bucket_validation():
-    with pytest.raises(ValueError):
+    # a netcalc error, and still a ValueError
+    with pytest.raises(ValidationError, match="^burst must be finite and >= 0, got -1$"):
         TokenBucket(-1, 0)
     for rate in (-1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="rate must be finite and >= 0"):
+        with pytest.raises(ValidationError, match="rate must be finite and >= 0"):
             TokenBucket(1, rate)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="^rate must be finite and > 0, got 0$"):
         RateLatency(0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="^latency must be finite and >= 0, got -2$"):
         RateLatency(1, -2)
+    assert issubclass(ValidationError, ValueError)
 
 
 def test_output_curve():
     assert output_curve(5.0, 1.0) == TokenBucket(5.0, 1.0)
     assert output_curve(Bound(2.02), 2.0) == TokenBucket(2.02, 2.0)
     assert output_curve(0.0, 0.0) == TokenBucket(0.0, 0.0)
-    with pytest.raises(ValueError):
-        output_curve(UNBOUNDED, 1.0)
-    with pytest.raises(ValueError):
-        output_curve(math.inf, 1.0)
+    assert output_curve(Bound(2), 1.0) == TokenBucket(2.0, 1.0)
+    assert repr(output_curve(Bound(2), 1.0)) == "TokenBucket(burst=2.0, rate=1.0)"
+    for unbounded in (UNBOUNDED, math.inf):
+        with pytest.raises(ValidationError, match="^output curve requires a finite backlog bound$"):
+            output_curve(unbounded, 1.0)
 
 
 def test_bound_arithmetic_absorbs_unbounded():
     assert float(UNBOUNDED) == math.inf
     assert str(UNBOUNDED) == "inf"
-    with pytest.raises(ValueError):
-        Bound(-0.5)
-    with pytest.raises(ValueError):
-        Bound(math.inf)
+    # a bound of an integer value reads as a float
+    assert float(Bound(2)) == 2.0 and type(float(Bound(2))) is float
+    for value in (-0.5, math.inf):
+        with pytest.raises(ValidationError, match="^finite bound must be >= 0 and finite, got "):
+            Bound(value)
 
 
 def test_left_sum_adds_left_to_right_on_every_python_version():

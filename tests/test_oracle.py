@@ -116,7 +116,7 @@ def test_simulate_empty_window_servers_no_backlog():
     for window in ((0.0, 0.0), (0.5, 0.5), (0.0105, 0.0105)):
         scenario = Scenario(
             tuple(ArrivalSpec("greedy") for _ in net.flows),
-            tuple(ServerSpec("window", window=window) for _ in net.servers),
+            tuple(ServerSpec(window) for _ in net.servers),
             horizon=3.0,
         )
         traj = simulate_fluid(net, scenario, dt=1e-3)
@@ -132,10 +132,12 @@ def test_simulate_validates_scenario():
         simulate_fluid(net, Scenario((ArrivalSpec(),), (ServerSpec(),), 1.0))
     with pytest.raises(ScenarioError):
         ArrivalSpec("burst")
-    with pytest.raises(ScenarioError):
-        ServerSpec("window")
-    for mode in ("bogus", "infinite"):  # an empty window serves as "infinite" did
-        with pytest.raises(ScenarioError, match="unknown service mode '%s'" % mode):
+    with pytest.raises(ScenarioError, match=r"^unknown arrival kind \('a', 'b'\)$"):
+        ArrivalSpec(("a", "b"))
+    # a server's window is its mode: every old mode string is refused as a window
+    for mode in ("exact", "window", "infinite", "bogus"):
+        with pytest.raises(ScenarioError, match="^window start must be finite and at most its "
+                                                "end, got '%s'$" % mode):
             ServerSpec(mode)
 
 
@@ -247,8 +249,8 @@ def test_a_trajectory_refuses_a_server_or_flow_it_does_not_hold():
 
 def _mixed_scenario(rng, net, horizon):
     """
-    Every arrival kind and both server modes, empty windows among them,
-    with partial shuffled priorities.
+    Every arrival kind, and servers with no window, an empty window or a
+    window, with partial shuffled priorities.
     """
     arrivals = []
     for _ in net.flows:
@@ -262,8 +264,7 @@ def _mixed_scenario(rng, net, horizon):
         end = math.inf if rng.random() < 0.25 else start + float(rng.uniform(0, horizon / 2))
         ranked = rng.permutation(net.num_flows)[: int(rng.integers(net.num_flows + 1))]
         window = {"exact": None, "empty window": (start, start), "window": (start, end)}[mode]
-        servers.append(ServerSpec("exact" if window is None else "window", window=window,
-                                  priority=tuple(int(i) for i in ranked)))
+        servers.append(ServerSpec(window, tuple(int(i) for i in ranked)))
     return Scenario(tuple(arrivals), tuple(servers), horizon)
 
 
@@ -327,9 +328,8 @@ def _grid_edge_cases(rng):
         yield "shorter horizon", net, mixed, dt, 0.6 * horizon
         yield "longer horizon", net, mixed, dt, 1.7 * horizon
         windows = tuple(
-            ServerSpec("window", window=(int(rng.integers(0, 100)) * dt,
-                                         int(rng.integers(100, 250)) * dt),
-                       priority=spec.priority)
+            ServerSpec((int(rng.integers(0, 100)) * dt, int(rng.integers(100, 250)) * dt),
+                       spec.priority)
             for spec in servers
         )
         greedy = greedy_scenario(net, horizon).arrivals
@@ -343,8 +343,7 @@ def _grid_edge_cases(rng):
             ("window ends past the horizon", lambda k: (k * dt, horizon + 0.5 * dt)),
             ("window ends past the grid", lambda k: ((k + 0.5) * dt, horizon + 5 * dt)),
         ):
-            specs = tuple(ServerSpec("window", window=window(k), priority=spec.priority)
-                          for k, spec in zip(ks, servers))
+            specs = tuple(ServerSpec(window(k), spec.priority) for k, spec in zip(ks, servers))
             yield name, net, Scenario(greedy, specs, horizon), dt, None
         for kind in ("greedy", "random"):
             arrivals = tuple(ArrivalSpec(kind if i == trial % net.num_flows else "none", seed=trial)
@@ -511,20 +510,26 @@ def test_margin_check_names_the_server_of_the_first_failing_case(rng):
 
 
 @pytest.mark.parametrize("window", [(0.2, 0.1), (math.nan, 1.0), (0.1, math.nan),
-                                    (-math.inf, 1.0), (math.inf, math.inf), (0.0, -math.inf)])
+                                    (-math.inf, 1.0), (math.inf, math.inf), (0.0, -math.inf),
+                                    # no pair of real numbers, or a bool read as a time
+                                    ("a", "b"), 5, (1.0,), (True, 2.0), (0.0, np.True_),
+                                    (1.0, 2.0, 3.0), "ab", "exact", "window"])
 def test_server_spec_rejects_malformed_window(window):
-    with pytest.raises(ScenarioError, match="window start must be finite and at most its end"):
-        ServerSpec("window", window=window)
+    refused = "^window start must be finite and at most its end, got %s$" % re.escape(repr(window))
+    with pytest.raises(ScenarioError, match=refused):
+        ServerSpec(window)
 
 
 def test_server_spec_accepts_empty_and_open_ended_windows():
-    assert ServerSpec("window", window=(0.3, 0.3)).window == (0.3, 0.3)
-    assert ServerSpec("window", window=(0.3, math.inf)).window == (0.3, math.inf)
+    assert ServerSpec((0.3, 0.3)).window == (0.3, 0.3)
+    assert ServerSpec((0.3, math.inf)).window == (0.3, math.inf)
+    assert ServerSpec((np.float64(0.3), np.int64(1))).window == (0.3, 1)
 
 
-@pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf, True, "a", None, (1.0, 2.0)])
 def test_arrival_spec_rejects_non_finite_start(start):
-    with pytest.raises(ScenarioError, match="arrival start must be finite"):
+    refused = "^arrival start must be finite, got %s$" % re.escape(repr(start))
+    with pytest.raises(ScenarioError, match=refused):
         ArrivalSpec("greedy", start=start)
 
 

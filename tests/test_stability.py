@@ -15,8 +15,10 @@ import netcalc.stability
 
 from netcalc import (
     Flow,
+    InterestNotAtRootError,
     LinearRecursion,
     LocallyUnstableError,
+    NetcalcError,
     Network,
     ObjectiveForm,
     RateLatency,
@@ -31,6 +33,8 @@ from netcalc import (
     build_grouped,
     build_sd,
     build_td,
+    bruteforce_backlog,
+    compute_xi,
     critical_utilization,
     local_stability,
     objective_for,
@@ -39,7 +43,9 @@ from netcalc import (
     spectral_radius,
     tree_backlog,
     tree_delay,
+    tree_output_curve,
     two_stage_bound,
+    worst_case_periods,
 )
 from netcalc.cli import main as cli_main
 from netcalc.decomposition import decompose, group_by_arc, removal_tree
@@ -1228,6 +1234,43 @@ def test_numpy_integer_target_ids_are_ids(method):
     plain = analyze(net, method, Target.backlog(9, [0]))
     assert math.isfinite(plain.bound)
     assert analyze(net, method, Target.backlog(np.int64(9), [np.int64(0)])).bound == plain.bound
+
+
+#: Odd values of every kind: no value, a bool, numbers, a string, empty and
+#: odd containers, a dict, nan and a numpy integer.
+_ODD_VALUES = [None, True, 1.5, "1", -1, 10**6, (), [], [None], [1.0], [(0, "a")], {"a": 1},
+               math.nan, np.int64(1), 5]
+
+#: Every entry point that takes a target or an interest, as a call on one value.
+_TARGET_OR_INTEREST_TAKERS = {
+    **{"analyze " + m: lambda v, m=m: analyze(uni_ring(4, 0.3), m, v) for m in METHODS},
+    **{"objective_for " + m: lambda v, m=m: objective_for(uni_ring(4, 0.3), v, m) for m in METHODS},
+    "tree_backlog": lambda v: tree_backlog(two_server_sink_tree(), v),
+    "compute_xi": lambda v: compute_xi(two_server_sink_tree(), v),
+    "tree_output_curve": lambda v: tree_output_curve(two_server_sink_tree(), v),
+    "UpstreamView.backlog": lambda v: upstream_view(two_server_sink_tree(), 1).backlog(v),
+    "bruteforce_backlog": lambda v: bruteforce_backlog(two_server_sink_tree(), v),
+    "worst_case_periods": lambda v: worst_case_periods(two_server_sink_tree(), v),
+}
+
+
+@pytest.mark.parametrize("taker", _TARGET_OR_INTEREST_TAKERS)
+def test_odd_targets_and_interests_return_or_raise_a_netcalc_error(taker):
+    call = _TARGET_OR_INTEREST_TAKERS[taker]
+    for value in _ODD_VALUES:
+        try:
+            call(value)
+        except NetcalcError:
+            pass  # any other exception fails the test
+    # a target that is no Target, or an interest that is no iterable, is named
+    if taker.startswith(("analyze", "objective_for")):
+        with pytest.raises(UnsupportedTargetError, match="^target must be a Target, got True$"):
+            call(True)
+    else:
+        for value in (None, 5):
+            with pytest.raises(InterestNotAtRootError,
+                               match="^interest must be flow ids, got %r$" % value):
+                call(value)
 
 
 def test_build_grouped_rejects_arcs_outside_the_removal():
