@@ -32,10 +32,6 @@ from .curves import (
     output_curve,
 )
 from .decomposition import (
-    ArcGroups,
-    SplitFlow,
-    decompose,
-    group_by_arc,
     removal_tree,
 )
 from .errors import (
@@ -65,13 +61,10 @@ from .fluid import (
 )
 from .network import (
     Flow,
-    LocalStability,
     Network,
     Topology,
     classify,
     induced_graph,
-    local_stability,
-    renumber,
 )
 from .oracle import bruteforce_backlog, worst_case_periods
 from .stability import (
@@ -80,16 +73,10 @@ from .stability import (
     StabilityReport,
     Target,
     analyze,
-    build_ag,
-    build_grouped,
     build_sd,
-    build_td,
     critical_utilization,
-    objective_for,
-    one_stage_bound,
     solve_recursion,
     spectral_radius,
-    two_stage_bound,
 )
 from .tree_analysis import (
     BacklogResult,

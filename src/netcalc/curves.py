@@ -13,10 +13,19 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import ValidationError
+
+
+def _is_real(value) -> bool:
+    """
+    Whether ``value`` is a real number (numpy's too), never a ``bool``: the
+    one number rule of the model, its curves, bounds and scenario times.
+    """
+    return type(value) in (float, int) or isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -35,9 +44,9 @@ class TokenBucket:
     rate: float
 
     def __post_init__(self):
-        if not (self.burst >= 0 and math.isfinite(self.burst)):
+        if not (_is_real(self.burst) and self.burst >= 0 and math.isfinite(self.burst)):
             raise ValidationError("burst must be finite and >= 0, got %r" % (self.burst,))
-        if not (self.rate >= 0 and math.isfinite(self.rate)):
+        if not (_is_real(self.rate) and self.rate >= 0 and math.isfinite(self.rate)):
             raise ValidationError("rate must be finite and >= 0, got %r" % (self.rate,))
 
     def __add__(self, other: "TokenBucket") -> "TokenBucket":
@@ -60,9 +69,9 @@ class RateLatency:
     latency: float
 
     def __post_init__(self):
-        if not (self.rate > 0 and math.isfinite(self.rate)):
+        if not (_is_real(self.rate) and self.rate > 0 and math.isfinite(self.rate)):
             raise ValidationError("rate must be finite and > 0, got %r" % (self.rate,))
-        if not (self.latency >= 0 and math.isfinite(self.latency)):
+        if not (_is_real(self.latency) and self.latency >= 0 and math.isfinite(self.latency)):
             raise ValidationError("latency must be finite and >= 0, got %r" % (self.latency,))
 
     def evaluate(self, t: float) -> float:
@@ -108,8 +117,9 @@ class Bound:
     value: Optional[float] = None
 
     def __post_init__(self):
-        if self.value is not None and not (self.value >= 0 and math.isfinite(self.value)):
-            raise ValidationError("finite bound must be >= 0 and finite, got %r" % (self.value,))
+        value = self.value
+        if value is not None and not (_is_real(value) and value >= 0 and math.isfinite(value)):
+            raise ValidationError("finite bound must be >= 0 and finite, got %r" % (value,))
 
     @property
     def is_finite(self) -> bool:
@@ -223,6 +233,6 @@ def output_curve(max_backlog, rate: float) -> TokenBucket:
     """
     if isinstance(max_backlog, Bound):
         max_backlog = float(max_backlog)
-    if not math.isfinite(max_backlog):
+    if not (_is_real(max_backlog) and math.isfinite(max_backlog)):
         raise ValidationError("output curve requires a finite backlog bound")
     return TokenBucket(max_backlog, rate)

@@ -22,7 +22,7 @@ import os
 from contextlib import nullcontext
 from typing import IO, Optional, Sequence, Tuple, Union
 
-from .curves import RateLatency, TokenBucket
+from .curves import RateLatency, TokenBucket, _is_real
 from .errors import ValidationError
 from .network import Flow, Network, _is_id
 
@@ -60,9 +60,12 @@ def _path(ids, flow: int, n: int) -> Tuple[int, ...]:
 
 
 def _number(item: dict, key: str, what: str, index: int) -> float:
-    """Field ``key`` of ``item`` (``what`` number ``index + 1``) as a float: a JSON number."""
+    """
+    Field ``key`` of ``item`` (``what`` number ``index + 1``) as a float: a
+    JSON number, or any real number by ``curves._is_real`` (numpy's too).
+    """
     value = item[key]
-    if isinstance(value, float) or type(value) is int:  # bool is not int
+    if _is_real(value):
         return float(value)
     raise TypeError("%s %d: %s must be a number, got %r" % (what, index + 1, key, value))
 

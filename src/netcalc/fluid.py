@@ -18,16 +18,16 @@ empty window serves everything at once.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .curves import TokenBucket, left_sum
+from .curves import TokenBucket, _is_real, left_sum
 from .errors import ScenarioError
-from .network import Network, Topology, _check_id, _is_id, classify, induced_graph, topological_order
+from .network import (Network, Topology, _check_id, _is_id, _listed, classify, induced_graph,
+                      topological_order)
 from .oracle import worst_case_periods
 
 QUEUE_EPS = 1e-12
@@ -77,11 +77,11 @@ class ServerSpec:
       ``end`` flushes the queue.  An empty window (``start == end``) serves
       all queued data at once in every step.
 
-    ``priority`` orders the flows for service (first drained first);
-    flows missing from it are appended in id order.  ``simulate_fluid``
-    rejects a priority that repeats a flow or names anything but a flow id
-    of the network: an integer (numpy's too, never a ``bool``) below its
-    flow count.
+    ``priority``, a tuple, orders the flows for service (first drained
+    first); flows missing from it are appended in id order.
+    ``simulate_fluid`` rejects a priority that repeats a flow or names
+    anything but a flow id of the network: an integer (numpy's too, never a
+    ``bool``) below its flow count.
     A window is a tuple of two real numbers (numpy's too, never a
     ``bool``): a finite start no later than its end, which may be infinite.
     A service-mode string is no window:
@@ -100,11 +100,8 @@ class ServerSpec:
         if w is not None and not (isinstance(w, tuple) and len(w) == 2 and all(map(_is_real, w))
                                   and math.isfinite(w[0]) and w[0] <= w[1]):
             raise ScenarioError("window start must be finite and at most its end, got %r" % (w,))
-
-
-def _is_real(value) -> bool:
-    """Whether ``value`` is a real number (numpy's too), never a ``bool``."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if not isinstance(self.priority, tuple):
+            raise ScenarioError("priority must be a tuple of flow ids, got %r" % (self.priority,))
 
 
 def _require_positive(name: str, value: float) -> float:
@@ -116,13 +113,20 @@ def _require_positive(name: str, value: float) -> float:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Arrival and service behaviour for a whole network."""
+    """
+    Arrival and service behaviour for a whole network: a tuple of
+    :class:`ArrivalSpec` (one per flow), a tuple of :class:`ServerSpec`
+    (one per server) and a finite positive horizon.
+    """
 
     arrivals: Tuple[ArrivalSpec, ...]
     servers: Tuple[ServerSpec, ...]
     horizon: float
 
     def __post_init__(self):
+        for specs, kind in ((self.arrivals, ArrivalSpec), (self.servers, ServerSpec)):
+            if not (isinstance(specs, tuple) and all(isinstance(spec, kind) for spec in specs)):
+                raise ScenarioError("scenario needs a tuple of %s, got %r" % (kind.__name__, specs))
         _require_positive("horizon", self.horizon)
 
 
@@ -281,18 +285,17 @@ def simulate_fluid(net: Network, scenario: Scenario, dt: Optional[float] = None)
     >>> abs(traj.max_backlog(0) - 1.01) < 0.01
     True
     """
+    if not isinstance(scenario, Scenario):
+        raise ScenarioError("scenario must be a Scenario, got %r" % (scenario,))
     if classify(net) is Topology.CYCLIC:
         raise ScenarioError("fluid simulation needs a feed-forward network")
     if len(scenario.arrivals) != net.num_flows or len(scenario.servers) != net.num_servers:
         raise ScenarioError("scenario does not match the network size")
     for j, spec in enumerate(scenario.servers):
-        if len(set(spec.priority)) != len(spec.priority) or not all(
-            _is_id(i) and 0 <= i < net.num_flows for i in spec.priority
-        ):
-            raise ScenarioError(
-                "server %d priority %r must list distinct flows of 0..%d"
-                % (j, spec.priority, net.num_flows - 1)
-            )
+        prio = spec.priority  # ids first, so that set() sees only hashable entries
+        if not all(_is_id(i) and 0 <= i < net.num_flows for i in prio) or len(set(prio)) != len(prio):
+            raise ScenarioError("server %d priority %r must list distinct flows of 0..%d"
+                                % (j, prio, net.num_flows - 1))
     dt = _require_positive("dt", default_dt(net) if dt is None else dt)
     ratio = scenario.horizon / dt
     if not (math.isfinite(ratio) and math.ceil(ratio) + 1 <= MAX_GRID_STEPS):
@@ -468,7 +471,7 @@ def worst_case_scenario(tandem: Network, interest: Iterable[int]) -> Scenario:
     Simulating it reproduces the worst-case backlog (up to grid slack) at
     the last server when the windows close.
     """
-    interest = list(interest)  # checked as given: a set would fold True into 1
+    interest = _listed(interest)
     _, deltas = worst_case_periods(tandem, interest)
     n = tandem.num_servers
     starts = list(accumulate(deltas, initial=0.0))

@@ -68,11 +68,10 @@ class Network:
         if n == 0:
             raise ValidationError("network needs at least one server")
         for i, flow in enumerate(self.flows):
-            for j in flow.path:
-                if not (0 <= j < n):
+            for j in flow.path:  # an id below n; type() first, as nearly every hop is an int
+                if not ((type(j) is int or _is_id(j)) and 0 <= j < n):
                     raise ValidationError(
-                        "flow %d crosses unknown server %d (n=%d)" % (i, j, n)
-                    )
+                        "flow %d crosses unknown server %s (n=%d)" % (i, _shown(j), n))
 
     @property
     def num_servers(self) -> int:
@@ -254,6 +253,17 @@ def _check_id(i, count, error, message: str) -> None:
         raise error(message % _shown(i))
 
 
+def _listed(interest: Iterable) -> List:
+    """
+    ``interest`` as a list, to be checked as given (a set would fold ``True``
+    into ``1``), or :class:`InterestNotAtRootError` when it is no iterable.
+    """
+    try:
+        return list(interest)
+    except TypeError:
+        raise InterestNotAtRootError("interest must be flow ids, got %r" % (interest,)) from None
+
+
 def _check_interest(interest: Iterable, num_flows: int, at_root, root: int) -> FrozenSet[int]:
     """
     The flows of ``interest`` as a frozenset, the check of the tree
@@ -263,10 +273,7 @@ def _check_interest(interest: Iterable, num_flows: int, at_root, root: int) -> F
     ``interest`` whole when it is no iterable.  The flows are frozen only
     once checked, as a set would fold ``True`` into ``1``.
     """
-    try:
-        interest = list(interest)
-    except TypeError:
-        raise InterestNotAtRootError("interest must be flow ids, got %r" % (interest,)) from None
+    interest = _listed(interest)
     for i in interest:
         _check_id(i, num_flows, InterestNotAtRootError, "unknown flow id %s")
         if i not in at_root:

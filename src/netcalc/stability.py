@@ -77,7 +77,7 @@ from typing import Callable, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .curves import Bound, UNBOUNDED, left_sum
+from .curves import Bound, UNBOUNDED, _is_real, left_sum
 from .decomposition import _Split
 from .errors import (
     LocallyUnstableError,
@@ -246,12 +246,15 @@ class StabilityReport:
 def _checked(M) -> LinearRecursion:
     """
     The operand of a decision: a recursion as it is, checked when it was
-    built; a matrix checked square, finite and nonnegative, then wrapped
-    with ``N = 0``.
+    built; a matrix checked to be numbers, square, finite and nonnegative,
+    then wrapped with ``N = 0``.
     """
     if isinstance(M, LinearRecursion):
         return M
-    M = np.asarray(M, dtype=float)
+    try:
+        M = np.asarray(M, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError("matrix entries must be numbers") from None
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValidationError("matrix must be square")
     if not np.isfinite(M).all():
@@ -320,8 +323,11 @@ def rho_below(M, threshold: float) -> bool:
     bracket cannot settle costs about two exact tests.
 
     :raises ValidationError: if ``M`` is not square, finite and
-        nonnegative, as :func:`spectral_radius` requires
+        nonnegative, as :func:`spectral_radius` requires, or if
+        ``threshold`` is no real number (numpy's too, never a ``bool``)
     """
+    if not _is_real(threshold):
+        raise ValidationError("threshold must be a real number, got %r" % (threshold,))
     return _decide(M, threshold)[0]
 
 

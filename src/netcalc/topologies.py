@@ -12,9 +12,11 @@ module constants rather than by options: every flow a burst of
 ``DEFAULT_BURST`` (1 kb) and a rate of ``DEFAULT_RATE`` (1 kb/s), every
 server a latency of ``DEFAULT_LATENCY`` (10 ms).  Each network has one
 table of server rates, by default ``DEFAULT_RATE`` per flow crossing the
-server, and one token bucket that all its flows share (it is frozen, so the
-flows stay equal to flows of their own buckets).  They scale every service
-rate like ``1/U``, so that ``U`` is the utilization of the busiest server.
+server, one rate-latency curve per distinct rate that its servers share,
+and one token bucket that all its flows share (the curves are frozen, so
+servers and flows stay equal to those of curves of their own).  They
+scale every service rate like ``1/U``, so that ``U`` is the utilization
+of the busiest server.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from collections import Counter
 from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
-from .curves import RateLatency, TokenBucket
+from .curves import RateLatency, TokenBucket, _is_real
 from .errors import ValidationError
 from .network import Flow, Network, _is_id
 
@@ -39,16 +41,18 @@ def _uniform_network(
     rates: Optional[Sequence[float]] = None,
 ) -> Network:
     """
-    The network of ``paths``, all its flows one shared token bucket: server
-    ``j`` serves at ``rates[j] / utilization``, where ``rates`` defaults to
-    ``DEFAULT_RATE`` per flow crossing the server (at least one).
+    The network of ``paths``, all its flows one shared token bucket and all
+    its servers of one rate one shared curve: server ``j`` serves at
+    ``rates[j] / utilization``, where ``rates`` defaults to ``DEFAULT_RATE``
+    per flow crossing the server (at least one).
     """
-    if not (0 < utilization <= 1):
+    if not (_is_real(utilization) and 0 < utilization <= 1):
         raise ValidationError("utilization must be in (0, 1]")
     if rates is None:
         crossing = Counter(chain.from_iterable(paths))
         rates = [DEFAULT_RATE * max(crossing[j], 1) for j in range(num_servers)]
-    servers = tuple([RateLatency(rate / utilization, DEFAULT_LATENCY) for rate in rates])
+    curve = {rate: RateLatency(rate / utilization, DEFAULT_LATENCY) for rate in set(rates)}
+    servers = tuple([curve[rate] for rate in rates])
     arrival = TokenBucket(DEFAULT_BURST, DEFAULT_RATE)
     return Network(servers, tuple([Flow(arrival, path) for path in paths]))
 

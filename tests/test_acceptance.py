@@ -22,7 +22,6 @@ from netcalc import (
     analyze,
     bruteforce_backlog,
     backlog_bound,
-    build_ag,
     busy_period_bound,
     critical_utilization,
     discretization_slack,
@@ -30,10 +29,8 @@ from netcalc import (
     random_scenario,
     simulate_fluid,
     solve_recursion,
-    spectral_radius,
     tree_backlog,
     tree_delay,
-    two_stage_bound,
     worst_case_scenario,
 )
 from netcalc.decomposition import decompose, group_by_arc, removal_tree
@@ -215,8 +212,7 @@ def test_criterion_7_bidirectional_ring():
     ok = abs(sd - 0.19) <= 0.02 and abs(td - 0.24) <= 0.02
     for u in (0.1, 0.5):
         net = bi_ring(10, u)
-        rho = spectral_radius(build_ag(net, removal_tree(net)).M)
-        ok &= rho >= 1.0 - 1e-6
+        ok &= analyze(net, "ag").rho >= 1.0 - 1e-6
     assert crit.finish(ok, "(SD %.4f TD %.4f)" % (sd, td))
 
 
@@ -258,7 +254,7 @@ def test_criterion_9_dominance():
             continue
         ok &= td.value <= sd.value + 1e-9
         ag = analyze(net, "ag", target=target, removed=removed).bound
-        ts = two_stage_bound(net, removed, target)
+        ts = analyze(net, "2s", target, removed).bound
         if ag.is_finite:
             ok &= ts.value <= min(td.value, ag.value) + 1e-9
         checked += 1
@@ -273,7 +269,7 @@ def test_criterion_9_dominance():
             continue
         target = Target.backlog(net.flows[0].path[-1], [0])
         obj = dec.objective(numbers, target)
-        greedy = two_stage_bound(net, removed, target).value
+        greedy = analyze(net, "2s", target, removed).bound.value
         index = {lab: pos for pos, lab in enumerate(lr_td.labels)}
         arcs = lr_ag.labels
         split = decompose(net, removed)

@@ -2,6 +2,7 @@ import io
 import json
 import re
 
+import numpy as np
 import pytest
 
 from netcalc import Target, analyze, critical_utilization
@@ -101,6 +102,13 @@ def test_network_file_rejects_non_numbers(tmp_path, capsys, field, value, messag
     assert main(["analyze", "--network", str(src), "--method", "sd"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+def test_network_dict_reads_numpy_numbers():
+    # a dict built in Python may hold numpy numbers: real numbers, as JSON's are
+    doc = network_to_dict(two_server_sink_tree())
+    doc["servers"][0]["rate"], doc["flows"][0]["burst"] = np.int64(2), np.float32(1.0)
+    assert network_from_dict(doc) == two_server_sink_tree()
 
 
 def test_format_value():
@@ -334,7 +342,7 @@ def test_sweep_bi_ring_ag_all_inf(capsys):
 
 
 def test_generated_ring_local_stability_iff_below_one():
-    from netcalc import local_stability
+    from netcalc.network import local_stability
 
     for n in (3, 10):
         assert local_stability(uni_ring(n, 0.999)).stable

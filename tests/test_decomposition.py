@@ -11,12 +11,10 @@ from netcalc import (
     TokenBucket,
     ValidationError,
     analyze,
-    decompose,
-    group_by_arc,
     induced_graph,
     removal_tree,
 )
-from netcalc.decomposition import _Split
+from netcalc.decomposition import _Split, decompose, group_by_arc
 from netcalc.network import is_acyclic
 from netcalc.stability import _Decomposition, build_grouped, build_td, is_stable, objective_for
 from netcalc.topologies import bi_ring, three_ring, toy, uni_ring

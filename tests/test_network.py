@@ -14,11 +14,9 @@ from netcalc import (
     ValidationError,
     classify,
     induced_graph,
-    local_stability,
-    renumber,
     tree_backlog,
 )
-from netcalc.network import _numbers
+from netcalc.network import _numbers, local_stability, renumber
 from netcalc.curves import aggregate, classify_server
 from netcalc.topologies import bi_ring, three_ring, two_server_sink_tree, toy, uni_ring
 

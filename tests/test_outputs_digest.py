@@ -11,9 +11,10 @@ from conftest import load_by_path
 
 #: Sections that take about a second in all: every tree entry point, td, ag
 #: and 2s recursions and objectives on the pool's fixtures, sd on a ring, the
-#: bisections, the generators, the oracle, the fluid step loop under service
-#: orders and the refusals.  None is one of the sections whose bits follow
-#: the number of BLAS threads.
+#: bisections, the generators (``uni_ring`` for its two-rate heterogeneous
+#: ring, whose servers share one curve per rate), the oracle, the fluid step
+#: loop under service orders and the refusals.  None is one of the sections
+#: whose bits follow the number of BLAS threads.
 SAMPLE = (
     "net toy td analyze",
     "net toy 2s analyze",
@@ -29,6 +30,7 @@ SAMPLE = (
     "critical three_ring ag u_star",
     "family bi_ring sd build_sd",
     "sweep - ag analyze",
+    "generated uni_ring - network",
     "generated three_ring - network",
     "ids two_server_sink_tree - compute_xi",
     "oracle oracle - bruteforce_backlog,worst_case_periods",

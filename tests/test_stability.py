@@ -4,6 +4,7 @@ import random
 import re
 import sys
 from collections import Counter
+from collections.abc import Hashable
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,8 @@ import netcalc.network
 import netcalc.stability
 
 from netcalc import (
+    ArrivalSpec,
+    Bound,
     Flow,
     InterestNotAtRootError,
     LinearRecursion,
@@ -22,6 +25,9 @@ from netcalc import (
     Network,
     ObjectiveForm,
     RateLatency,
+    Scenario,
+    ScenarioError,
+    ServerSpec,
     StabilityReport,
     Target,
     TokenBucket,
@@ -29,27 +35,24 @@ from netcalc import (
     UnsupportedTargetError,
     ValidationError,
     analyze,
-    build_ag,
-    build_grouped,
     build_sd,
-    build_td,
     bruteforce_backlog,
     compute_xi,
     critical_utilization,
-    local_stability,
-    objective_for,
-    one_stage_bound,
+    output_curve,
+    simulate_fluid,
     solve_recursion,
     spectral_radius,
     tree_backlog,
     tree_delay,
     tree_output_curve,
-    two_stage_bound,
     worst_case_periods,
+    worst_case_scenario,
 )
 from netcalc.cli import main as cli_main
 from netcalc.decomposition import decompose, group_by_arc, removal_tree
-from netcalc.network import _numbers, induced_graph, renumber
+from netcalc.fileio import network_from_dict
+from netcalc.network import _numbers, induced_graph, local_stability, renumber
 from netcalc.stability import (
     CRITICAL_TOL,
     LU_S,
@@ -61,8 +64,14 @@ from netcalc.stability import (
     _method_recursions,
     _prepare,
     _two_stage,
+    build_ag,
+    build_grouped,
+    build_td,
     is_stable,
+    objective_for,
+    one_stage_bound,
     rho_below,
+    two_stage_bound,
 )
 from netcalc.topologies import bi_ring, three_ring, two_server_sink_tree, toy, uni_ring
 from netcalc.tree_analysis import UpstreamView, _RowLayout, upstream_view
@@ -1027,8 +1036,6 @@ def test_two_stage_matches_ag_when_td_diverges():
 
 
 def test_grouped_extremes_match_td_and_ag(rng):
-    from netcalc import build_grouped
-
     for _ in range(8):
         net = random_uni_ring(rng)
         removed = removal_tree(net)
@@ -1044,8 +1051,6 @@ def test_grouped_extremes_match_td_and_ag(rng):
 def test_mixed_grouping_beats_full_grouping_on_bi_ring():
     # grouping only the wrap-around arc keeps a finite stability region,
     # full grouping has none on the bidirectional ring
-    from netcalc import build_grouped
-
     net = bi_ring(6, 0.05)
     removed = removal_tree(net)
     mixed = build_grouped(net, removed, {(net.num_servers - 1, 0)})
@@ -1271,6 +1276,66 @@ def test_odd_targets_and_interests_return_or_raise_a_netcalc_error(taker):
             with pytest.raises(InterestNotAtRootError,
                                match="^interest must be flow ids, got %r$" % value):
                 call(value)
+
+
+#: Every entry point that takes a number of the model, a path entry, a
+#: scenario part or a matrix, as ``(call on one value, a value it refuses,
+#: the error, its message)``.
+_MODEL_TAKERS = {
+    "TokenBucket burst": (lambda v: TokenBucket(v, 1.0), True, ValidationError,
+                          "burst must be finite and >= 0, got True"),
+    "TokenBucket rate": (lambda v: TokenBucket(1.0, v), "1", ValidationError,
+                         "rate must be finite and >= 0, got '1'"),
+    "RateLatency rate": (lambda v: RateLatency(v, 0.0), "1", ValidationError,
+                         "rate must be finite and > 0, got '1'"),
+    "RateLatency latency": (lambda v: RateLatency(1.0, v), True, ValidationError,
+                            "latency must be finite and >= 0, got True"),
+    "Bound": (Bound, "a", ValidationError, "finite bound must be >= 0 and finite, got 'a'"),
+    "output_curve backlog": (lambda v: output_curve(v, 1.0), None, ValidationError,
+                             "output curve requires a finite backlog bound"),
+    "output_curve rate": (lambda v: output_curve(1.0, v), True, ValidationError,
+                          "rate must be finite and >= 0, got True"),
+    "network_from_dict": (
+        lambda v: network_from_dict({"servers": [{"rate": v, "latency": 0.0}], "flows": []}),
+        "1", ValidationError, "malformed network file: server 1: rate must be a number, got '1'"),
+    "uni_ring": (lambda v: uni_ring(4, v), True, ValidationError, "utilization must be in (0, 1]"),
+    "Network path entry": (
+        lambda v: Network([RateLatency(1.0, 0.0)] * 2, [Flow(TokenBucket(1.0, 1.0), (v, 1))]),
+        0.0, ValidationError, "flow 0 crosses unknown server 0.0 (n=2)"),
+    "simulate_fluid": (lambda v: simulate_fluid(two_server_sink_tree(), v), None, ScenarioError,
+                       "scenario must be a Scenario, got None"),
+    "Scenario arrivals": (lambda v: Scenario(v, (ServerSpec(),) * 2, 1.0), None, ScenarioError,
+                          "scenario needs a tuple of ArrivalSpec, got None"),
+    "Scenario servers": (lambda v: Scenario((ArrivalSpec(),) * 2, v, 1.0), (None, None),
+                         ScenarioError, "scenario needs a tuple of ServerSpec, got (None, None)"),
+    "ServerSpec priority": (lambda v: ServerSpec(priority=v), 5, ScenarioError,
+                            "priority must be a tuple of flow ids, got 5"),
+    "simulate_fluid priority entry": (
+        lambda v: simulate_fluid(two_server_sink_tree(), Scenario(
+            (ArrivalSpec(),) * 2, (ServerSpec(priority=(v,)),) * 2, 1.0), dt=0.01),
+        [None], ScenarioError, "server 0 priority ([None],) must list distinct flows of 0..1"),
+    "worst_case_scenario": (lambda v: worst_case_scenario(two_server_sink_tree(), v), 5,
+                            InterestNotAtRootError, "interest must be flow ids, got 5"),
+    "spectral_radius": (spectral_radius, {"a": 1}, ValidationError, "matrix entries must be numbers"),
+    "rho_below matrix": (lambda v: rho_below(v, 1.0), [(0, "a")], ValidationError,
+                         "matrix entries must be numbers"),
+    "rho_below threshold": (lambda v: rho_below(np.eye(2) / 2, v), None, ValidationError,
+                            "threshold must be a real number, got None"),
+}
+
+
+@pytest.mark.parametrize("taker", _MODEL_TAKERS)
+def test_odd_numbers_paths_scenarios_and_matrices_return_or_raise_a_netcalc_error(taker):
+    call, refused, error, message = _MODEL_TAKERS[taker]
+    for value in _ODD_VALUES:
+        # unhashable path entries are left out: Flow's set() still raises TypeError on them
+        if taker != "Network path entry" or isinstance(value, Hashable):
+            try:
+                call(value)
+            except NetcalcError:
+                pass  # any other exception fails the test
+    with pytest.raises(error, match="^%s$" % re.escape(message)):
+        call(refused)
 
 
 def test_build_grouped_rejects_arcs_outside_the_removal():

@@ -1,12 +1,14 @@
 """
 The rate-free structure that ``critical_utilization`` prepares once and
 binds to every ``family(U)`` of its bisection, and the start vectors its
-decisions hand on from step to step; and one rule on the package's own
-source, that it adds floats with ``left_sum``, never the builtin ``sum``.
+decisions hand on from step to step; and two rules on the package's own
+source: it adds floats with ``left_sum``, never the builtin ``sum``, and
+its root exports no helper that only its modules keep.
 """
 
 import ast
 import glob
+import importlib
 import json
 import os
 from collections import Counter
@@ -14,6 +16,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import netcalc
 import netcalc.stability
 from netcalc import Flow, Network, critical_utilization
 from netcalc.errors import LocallyUnstableError
@@ -250,3 +253,20 @@ def test_src_calls_no_builtin_sum():
             and node.func.id == "sum"
         ]
     assert calls == []
+
+
+#: Helpers the package root does not export, by module: no product path
+#: runs them, and the benchmark's tracer reaches them as ``module:name``.
+MODULE_HELPERS = {
+    "stability": ("build_td", "build_ag", "build_grouped", "objective_for", "one_stage_bound",
+                  "two_stage_bound"),
+    "decomposition": ("decompose", "group_by_arc", "SplitFlow", "ArcGroups"),
+    "network": ("renumber", "local_stability", "LocalStability"),
+}
+
+
+@pytest.mark.parametrize("module", MODULE_HELPERS)
+def test_module_helpers_stay_out_of_the_package_root(module):
+    names = MODULE_HELPERS[module]
+    assert [name for name in names if hasattr(netcalc, name)] == []
+    assert all(hasattr(importlib.import_module("netcalc." + module), name) for name in names)
