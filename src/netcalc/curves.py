@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -26,6 +27,11 @@ def _is_real(value) -> bool:
     one number rule of the model, its curves, bounds and scenario times.
     """
     return type(value) in (float, int) or isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+#: The largest finite float: a real number is finite in the model when its
+#: magnitude is at most this, so an integer too large for a float is not.
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -44,9 +50,9 @@ class TokenBucket:
     rate: float
 
     def __post_init__(self):
-        if not (_is_real(self.burst) and self.burst >= 0 and math.isfinite(self.burst)):
+        if not (_is_real(self.burst) and 0 <= self.burst <= _FLOAT_MAX):
             raise ValidationError("burst must be finite and >= 0, got %r" % (self.burst,))
-        if not (_is_real(self.rate) and self.rate >= 0 and math.isfinite(self.rate)):
+        if not (_is_real(self.rate) and 0 <= self.rate <= _FLOAT_MAX):
             raise ValidationError("rate must be finite and >= 0, got %r" % (self.rate,))
 
     def __add__(self, other: "TokenBucket") -> "TokenBucket":
@@ -69,9 +75,9 @@ class RateLatency:
     latency: float
 
     def __post_init__(self):
-        if not (_is_real(self.rate) and self.rate > 0 and math.isfinite(self.rate)):
+        if not (_is_real(self.rate) and 0 < self.rate <= _FLOAT_MAX):
             raise ValidationError("rate must be finite and > 0, got %r" % (self.rate,))
-        if not (_is_real(self.latency) and self.latency >= 0 and math.isfinite(self.latency)):
+        if not (_is_real(self.latency) and 0 <= self.latency <= _FLOAT_MAX):
             raise ValidationError("latency must be finite and >= 0, got %r" % (self.latency,))
 
     def evaluate(self, t: float) -> float:
@@ -118,7 +124,7 @@ class Bound:
 
     def __post_init__(self):
         value = self.value
-        if value is not None and not (_is_real(value) and value >= 0 and math.isfinite(value)):
+        if value is not None and not (_is_real(value) and 0 <= value <= _FLOAT_MAX):
             raise ValidationError("finite bound must be >= 0 and finite, got %r" % (value,))
 
     @property
@@ -233,6 +239,6 @@ def output_curve(max_backlog, rate: float) -> TokenBucket:
     """
     if isinstance(max_backlog, Bound):
         max_backlog = float(max_backlog)
-    if not (_is_real(max_backlog) and math.isfinite(max_backlog)):
+    if not (_is_real(max_backlog) and abs(max_backlog) <= _FLOAT_MAX):
         raise ValidationError("output curve requires a finite backlog bound")
     return TokenBucket(max_backlog, rate)

@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .curves import TokenBucket, _is_real, left_sum
+from .curves import _FLOAT_MAX, TokenBucket, _is_real, left_sum
 from .errors import ScenarioError
 from .network import (Network, Topology, _check_id, _is_id, _listed, classify, induced_graph,
                       topological_order)
@@ -58,7 +58,7 @@ class ArrivalSpec:
     def __post_init__(self):
         if self.kind not in ("greedy", "random", "none"):
             raise ScenarioError("unknown arrival kind %r" % (self.kind,))
-        if not (_is_real(self.start) and math.isfinite(self.start)):
+        if not (_is_real(self.start) and abs(self.start) <= _FLOAT_MAX):
             raise ScenarioError("arrival start must be finite, got %r" % (self.start,))
         if self.kind == "random":
             _check_id(self.seed, math.inf, ScenarioError, _SEED_MESSAGE)
@@ -98,7 +98,7 @@ class ServerSpec:
     def __post_init__(self):
         w = self.window
         if w is not None and not (isinstance(w, tuple) and len(w) == 2 and all(map(_is_real, w))
-                                  and math.isfinite(w[0]) and w[0] <= w[1]):
+                                  and abs(w[0]) <= _FLOAT_MAX and w[0] <= w[1]):
             raise ScenarioError("window start must be finite and at most its end, got %r" % (w,))
         if not isinstance(self.priority, tuple):
             raise ScenarioError("priority must be a tuple of flow ids, got %r" % (self.priority,))
@@ -106,7 +106,7 @@ class ServerSpec:
 
 def _require_positive(name: str, value: float) -> float:
     """``value`` when it is a finite positive real number (numpy's too), never a ``bool``."""
-    if not (_is_real(value) and 0 < value < math.inf):
+    if not (_is_real(value) and 0 < value <= _FLOAT_MAX):
         raise ScenarioError("%s must be finite and positive, got %r" % (name, value))
     return value
 

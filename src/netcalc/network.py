@@ -40,10 +40,16 @@ class Flow:
     path: Tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "path", tuple(self.path))
+        if not isinstance(self.arrival, TokenBucket):
+            raise ValidationError("flow arrival must be a TokenBucket, got %r" % (self.arrival,))
+        try:
+            object.__setattr__(self, "path", tuple(self.path))
+            visited = len(set(self.path))
+        except TypeError:  # no iterable, or an entry that is no id (unhashable)
+            raise ValidationError("flow path must be server ids, got %r" % (self.path,)) from None
         if len(self.path) == 0:
             raise ValidationError("flow path must be nonempty")
-        if len(set(self.path)) != len(self.path):
+        if visited != len(self.path):
             raise ValidationError("flow path revisits a server: %r" % (self.path,))
 
 
@@ -62,12 +68,21 @@ class Network:
     flows: Tuple[Flow, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "servers", tuple(self.servers))
-        object.__setattr__(self, "flows", tuple(self.flows))
+        try:
+            object.__setattr__(self, "servers", tuple(self.servers))
+            object.__setattr__(self, "flows", tuple(self.flows))
+        except TypeError:
+            raise ValidationError("network servers and flows must be iterables, got %r and %r"
+                                  % (self.servers, self.flows)) from None
         n = len(self.servers)
         if n == 0:
             raise ValidationError("network needs at least one server")
+        for j, server in enumerate(self.servers):
+            if not isinstance(server, RateLatency):
+                raise ValidationError("server %d must be a RateLatency, got %r" % (j, server))
         for i, flow in enumerate(self.flows):
+            if not isinstance(flow, Flow):
+                raise ValidationError("flow %d must be a Flow, got %r" % (i, flow))
             for j in flow.path:  # an id below n; type() first, as nearly every hop is an int
                 if not ((type(j) is int or _is_id(j)) and 0 <= j < n):
                     raise ValidationError(

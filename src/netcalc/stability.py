@@ -17,9 +17,15 @@ steps of a Collatz-Wielandt bracket, each one product ``lr @ x``, then
 one exact M-matrix test: ``(theta I - M) x = 1`` solved once
 (``lr.shifted_solve``, the solve of the fixed point too), with a positive
 ``x`` and a positive residual ``theta x - M x`` as the certificate.
-The bracket runs the steps that cost what the exact test does
-(``_budget``), each step priced by the recursion (``lr.step_cost``):
-``O(L^2)`` on a dense ``M``, ``O(L)`` on factors.  The bracket may
+The solve takes one of two routes, chosen by price when the recursion is
+built (``lr.exact_cost``): an LU of the dense ``M``, built first when
+``M`` is in factors, or, for ``sd``'s factors, the Woodbury identity
+through an ``n x n`` capacitance matrix (``_SdFactors.solve``, ``n`` the
+server count), which never builds ``M``.  The route only supplies ``x``;
+the certificate is the same on both.  The bracket runs the steps that
+cost what the exact test does (``_budget``), each step priced by the
+recursion (``lr.step_cost``): ``O(L^2)`` on a dense ``M``, ``O(L)`` on
+factors.  The bracket may
 start from any positive vector: ``min(M x / x) <= rho(M) <= max(M x /
 x)`` for every nonnegative ``M`` and positive ``x``.  A decision started
 from the all-ones vector is cold; the decisions of a
@@ -106,9 +112,22 @@ POWER_SHIFT = 1e-6
 #: ``L = 6``) plus its product by every stored entry of a dense ``M`` (17.1 µs
 #: at 264) or variable of factors (10.8 µs at 264).
 STEP_S, DENSE_ENTRY_S, FACTORED_VAR_S = 7e-6, 0.15e-9, 10e-9
-#: The exact test, ``(call, per L³)``: an LU of ``⅔ L³`` flops and a
-#: certificate (19 µs at ``L = 12``, 1.02 ms at 264).
+#: The exact test on a dense ``M``, ``(call, per L³)``: an LU of ``⅔ L³``
+#: flops and a certificate (19 µs at ``L = 12``, 1.02 ms at 264).
 LU_S = (20e-6, 60e-12)
+#: The exact test on factors (:class:`_SdFactors`) takes the cheaper of two
+#: routes.  The dense one builds ``M`` first, per entry (81 µs at ``L =
+#: 264``, 1.08 ms at 870), then pays :data:`LU_S`.  The capacitance one
+#: (:meth:`_SdFactors.solve`) costs ``(call, per position, per entry of its
+#: L x (n + 1) table)`` plus :data:`LU_S`'s price of an ``n x n`` LU, as
+#: ``analyze`` meets it, on a layout not yet laid out position-major: 42 µs
+#: at ``uni_ring(4)`` (``L = 12``), 106 µs at ``bi_ring(12)`` (264), 356 µs
+#: at ``uni_ring(30)`` (870).  Fitted as above (best of 40 to 160 runs,
+#: alternating with the dense route) on ring sd recursions of ``6 <= L <=
+#: 3540``; the model's crossover lies near ``L = 60-90``, the measured one
+#: near ``L = 56``.
+BUILD_ENTRY_S = 1.3e-9
+CAPACITANCE_S = (30.8e-6, 3.8e-6, 9.1e-9)
 
 #: The utilization range :func:`critical_utilization` searches, and the
 #: bracket width at which its bisection stops.
@@ -129,9 +148,14 @@ class LinearRecursion:
     (:class:`_SdFactors`); only the recursion knows which, and it keeps
     the form it was built with for its whole life.  ``lr @ x`` is the
     product ``M x``, the step of every decision: ``O(L)`` on factors, and
-    :attr:`step_cost` its price in seconds.  Reading :attr:`M`, as
-    :meth:`shifted_solve` does, builds the dense matrix from the factors
-    once and keeps it beside them, so no step, budget or certificate
+    :attr:`step_cost` its price in seconds.  :meth:`shifted_solve`, the
+    exact test's solve, is priced too (:attr:`exact_cost`): an LU on a
+    dense ``M``; on factors the cheaper of building ``M`` for that LU and
+    the capacitance solve (:meth:`_SdFactors.solve`), which is ``O(L n)``
+    with ``n`` the server count and wins from some tens of variables on.
+    Both prices and the route follow from the form and the size alone.
+    Reading :attr:`M` builds the dense matrix from the factors once and
+    keeps it beside them, so no step, budget, route or certificate
     depends on whether ``M`` was read.
     """
 
@@ -140,15 +164,22 @@ class LinearRecursion:
         self.__post_init__()
 
     def __post_init__(self):
-        """Check the shapes, and that the entries are finite and nonnegative; price a step."""
+        """Check the shapes and that the entries are finite and nonnegative; price the solves."""
         self.size = L = len(self.labels)
         self.N = n = np.asarray(self.N, dtype=float)
+        lu = LU_S[0] + LU_S[1] * L**3
         if isinstance(self._M, _SdFactors):
             m, shape = self._M.gain, (L,)  # the entries of M are 0, 1 and the gains
             self.step_cost = STEP_S + FACTORED_VAR_S * L
+            lay, dense = self._M.layout, lu + BUILD_ENTRY_S * L * L
+            capacitance = (CAPACITANCE_S[0] + CAPACITANCE_S[1] * lay.depth
+                           + CAPACITANCE_S[2] * L * (lay.num_servers + 1)
+                           + LU_S[1] * lay.num_servers**3)
+            self._by_capacitance, self.exact_cost = capacitance < dense, min(capacitance, dense)
         else:
             self._M = self.M = m = np.asarray(self._M, dtype=float)
             shape, self.step_cost = (L, L), STEP_S + DENSE_ENTRY_S * L * L
+            self._by_capacitance, self.exact_cost = False, lu
         if m.shape != shape or n.shape != (L,):
             raise ValidationError("inconsistent recursion dimensions")
         if L:
@@ -169,11 +200,15 @@ class LinearRecursion:
 
     def shifted_solve(self, theta: float, rhs: np.ndarray) -> np.ndarray:
         """
-        ``(theta I - M)^-1 rhs`` by one LU, on a negated copy of ``M`` with
-        ``theta`` added to its diagonal.
+        ``(theta I - M)^-1 rhs`` by the route the recursion was priced for:
+        through the capacitance matrix when it is cheaper and ``theta > 0``,
+        else by one LU, on a negated copy of ``M`` with ``theta`` added to
+        its diagonal.
 
         :raises numpy.linalg.LinAlgError: if ``theta I - M`` is singular
         """
+        if self._by_capacitance and theta > 0:
+            return self._M.solve(theta, rhs)
         A = np.negative(self.M)
         A.flat[:: A.shape[0] + 1] += theta
         return np.linalg.solve(A, rhs)
@@ -284,9 +319,9 @@ def spectral_radius(M) -> float:
 def _budget(lr: LinearRecursion) -> int:
     """
     The bracket steps on ``lr``, at least one, that cost what the exact
-    test after them does (``LU_S``), each step priced by the recursion.
+    test after them does, both priced by the recursion.
     """
-    return max(1, int((LU_S[0] + LU_S[1] * lr.size**3) / lr.step_cost))
+    return max(1, int(lr.exact_cost / lr.step_cost))
 
 
 def _brackets(lr: LinearRecursion, x: Optional[np.ndarray]):
@@ -425,6 +460,8 @@ class _SdLayout:
     keep flow order: the order in which ``N`` adds them.
     The labels and the objective read the same hop arrays: the variables
     are the hops past each flow's first, ``(flow, pos)`` in flow order.
+    The capacitance solve's position-major order of the variables is laid
+    out on its first use (:attr:`by_position`).
     """
 
     def __init__(self, net: Network):
@@ -439,6 +476,7 @@ class _SdLayout:
         first = np.cumsum(length) - length
         pos, var = hop - first[flow], hop - flow - 1
         self.flow, self.pos, self.server, self.var = flow, pos, server, var
+        self.length, self.depth = length, int(pos.max(initial=0))  # depth: the last position
         self.labels = tuple(zip(flow[pos >= 1].tolist(), pos[pos >= 1].tolist()))
         # row r, the variable (i, k), is fed by hop (i, k - 1): every hop but the last
         feed = np.flatnonzero(flow[1:] == flow[:-1])
@@ -460,6 +498,31 @@ class _SdLayout:
         # still in row order and in flow order within it
         terms = np.argsort(~own, kind="stable")
         self.term_row, self.term_own, self.term_flow = row[terms], own[terms], peer[terms]
+
+    @cached_property
+    def by_position(self):
+        """
+        The variables position-major, for the recurrence along each flow of
+        :meth:`_SdFactors.solve`, laid out on its first use: ``(order,
+        steps, cell)``.  ``order`` lists the variables by position, and
+        within a position by decreasing flow length, ties in flow order, so
+        the flows at position ``k + 1`` are a prefix of those at ``k``: each
+        variable's predecessor on its flow sits in the previous block at the
+        same offset.  ``steps`` holds, from position 2 on, each block's slice
+        of ``order`` and the slice of its predecessors.  ``cell`` numbers the
+        entries of an ``L x (n + 1)`` position-major table by the entry of an
+        ``n x (n + 1)`` one that sums them: the same column at the variable's
+        server.
+        """
+        later = self.pos >= 1
+        flow = self.flow[later]
+        order = np.lexsort((flow, -self.length[flow], self.pos[later]))
+        bounds = np.cumsum(np.bincount(self.pos[later], minlength=self.depth + 1)).tolist()
+        steps = [(slice(start, end), slice(before, before + end - start))
+                 for before, start, end in zip(bounds, bounds[1:], bounds[2:])]
+        width = self.num_servers + 1
+        cell = (self.var_server[order, None] * width + np.arange(width)).ravel()
+        return order, steps, cell
 
     def bind(self, num: _Numbers) -> _Numbers:
         """The numbers the pass reads: the network's own."""
@@ -541,6 +604,39 @@ class _SdFactors:
         lay = self.layout
         S = np.bincount(lay.var_server, x, lay.num_servers)
         return self.gain * S[lay.row_server] + self.keep * x[lay.own_var]
+
+    def solve(self, theta: float, rhs: np.ndarray) -> np.ndarray:
+        """
+        ``(theta I - M)^-1 rhs`` for ``theta > 0`` without ``M``, through
+        the ``n x n`` capacitance matrix, ``n`` the server count.  ``M = K P
+        + G E V``: ``K P`` weighs each row's own feeding hop ``keep_r``,
+        ``G E`` is row ``r``'s gain at its server's column and ``V`` sums the
+        variables at each server.  ``A = theta I - K P`` is lower triangular
+        along each flow, so ``A^-1`` is the recurrence ``z_r = b_r / theta +
+        (keep_r / theta) z_{r-1}``, one array step per position
+        (:attr:`_SdLayout.by_position`) for ``rhs`` and the ``n`` columns of
+        ``G E`` at once.  With ``Z = A^-1 G E`` and ``C = V Z``, the Woodbury
+        identity gives ``A^-1 rhs + Z (I - C)^-1 V A^-1 rhs``.
+
+        :raises numpy.linalg.LinAlgError: if ``I - C`` is singular, which it
+            is exactly when ``theta I - M`` is
+        """
+        lay = self.layout
+        order, steps, cell = lay.by_position
+        n = lay.num_servers
+        # the columns G E, then rhs, position-major; A^-1 overwrites them block by block
+        Z = np.zeros((len(order), n + 1))
+        Z[np.arange(len(order)), lay.row_server[order]] = self.gain[order]
+        Z[:, n] = rhs[order]
+        Z /= theta
+        keep = self.keep[order, None] / theta
+        for block, before in steps:  # position 1 is fed by no variable
+            Z[block] += keep[block] * Z[before]
+        VZ = np.bincount(cell, Z.ravel(), n * (n + 1)).reshape(n, n + 1)
+        w = np.linalg.solve(np.eye(n) - VZ[:, :n], VZ[:, n])
+        x = np.empty(len(order))
+        x[order] = Z[:, n] + Z[:, :n] @ w
+        return x
 
     def matrix(self) -> np.ndarray:
         """

@@ -155,7 +155,8 @@ def test_a_random_seed_is_a_nonnegative_integer(seed):
     assert ArrivalSpec("greedy").seed is ArrivalSpec("none").seed is None
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, True, False, np.True_, "1", [1.0], None])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, True, False, np.True_, "1", [1.0], None,
+                                 10**400])
 def test_simulate_rejects_non_finite_or_non_positive_dt_and_horizon(bad):
     # a bool, numpy's too, or anything but a real number is refused as well
     net = two_server_sink_tree()
@@ -513,7 +514,9 @@ def test_margin_check_names_the_server_of_the_first_failing_case(rng):
                                     (-math.inf, 1.0), (math.inf, math.inf), (0.0, -math.inf),
                                     # no pair of real numbers, or a bool read as a time
                                     ("a", "b"), 5, (1.0,), (True, 2.0), (0.0, np.True_),
-                                    (1.0, 2.0, 3.0), "ab", "exact", "window"])
+                                    (1.0, 2.0, 3.0), "ab", "exact", "window",
+                                    # an integer too large for a float is no finite start
+                                    (10**400, 10**401)])
 def test_server_spec_rejects_malformed_window(window):
     refused = "^window start must be finite and at most its end, got %s$" % re.escape(repr(window))
     with pytest.raises(ScenarioError, match=refused):
@@ -526,7 +529,8 @@ def test_server_spec_accepts_empty_and_open_ended_windows():
     assert ServerSpec((np.float64(0.3), np.int64(1))).window == (0.3, 1)
 
 
-@pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf, True, "a", None, (1.0, 2.0)])
+@pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf, True, "a", None, (1.0, 2.0),
+                                   10**400])
 def test_arrival_spec_rejects_non_finite_start(start):
     refused = "^arrival start must be finite, got %s$" % re.escape(repr(start))
     with pytest.raises(ScenarioError, match=refused):

@@ -9,12 +9,14 @@ import pytest
 
 from conftest import load_by_path
 
-#: Sections that take about a second in all: every tree entry point, td, ag
-#: and 2s recursions and objectives on the pool's fixtures, sd on a ring, the
-#: bisections, the generators (``uni_ring`` for its two-rate heterogeneous
-#: ring, whose servers share one curve per rate), the oracle, the fluid step
-#: loop under service orders and the refusals.  None is one of the sections
-#: whose bits follow the number of BLAS threads.
+#: Sections that take about two seconds in all: every tree entry point, td,
+#: ag and 2s recursions and objectives on the pool's fixtures, sd on a ring,
+#: sd on the sweep's ``bi_ring(12)`` (``L = 264``, solved through the
+#: capacitance matrix), the bisections, the generators (``uni_ring`` for its
+#: two-rate heterogeneous ring, whose servers share one curve per rate), the
+#: oracle, the fluid step loop under service orders and the refusals.  None
+#: is one of the sections whose bits follow the number of BLAS threads (the
+#: sweep's td and 2s sections).
 SAMPLE = (
     "net toy td analyze",
     "net toy 2s analyze",
@@ -30,6 +32,7 @@ SAMPLE = (
     "critical three_ring ag u_star",
     "family bi_ring sd build_sd",
     "sweep - ag analyze",
+    "sweep - sd analyze",
     "generated uni_ring - network",
     "generated three_ring - network",
     "ids two_server_sink_tree - compute_xi",

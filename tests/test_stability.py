@@ -1,11 +1,13 @@
 import itertools
+import json
 import math
+import os
 import random
 import re
 import sys
 from collections import Counter
-from collections.abc import Hashable
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -54,6 +56,7 @@ from netcalc.decomposition import decompose, group_by_arc, removal_tree
 from netcalc.fileio import network_from_dict
 from netcalc.network import _numbers, induced_graph, local_stability, renumber
 from netcalc.stability import (
+    BUILD_ENTRY_S,
     CRITICAL_TOL,
     LU_S,
     METHODS,
@@ -80,7 +83,8 @@ import sd_reference
 from exact_reference import exact_fixed_point
 from xi_reference import view_tree
 from conftest import (
-    as_network, random_cyclic_instance, random_tandem, random_tree, random_uni_ring, rows_at,
+    ROOT, as_network, load_by_path, random_cyclic_instance, random_tandem, random_tree,
+    random_uni_ring, rows_at,
 )
 from test_network import _benchmark_pool
 
@@ -406,22 +410,110 @@ def test_every_below_answer_carries_an_exact_certificate(rng, monkeypatch, exact
 
 
 def test_budget_balances_the_steps_against_the_exact_test(monkeypatch):
-    lr = build_sd(uni_ring(30, 0.05))  # L = 870, in factors until M is read
-    factored = _budget(lr)
-    lr.M  # reading M builds the dense matrix beside the factors
-    assert _budget(lr) == factored
-    # a factored step is O(L), a dense one O(L^2): the same test buys more factored steps
-    assert factored > _budget(LinearRecursion(lr.labels, lr.M, lr.N)) >= 1
+    # each recursion buys the steps that cost what its own exact test does
+    small, large = build_sd(uni_ring(4, 0.05)), build_sd(uni_ring(30, 0.05))  # L = 12, 870
+    budgets = [_budget(small), _budget(large)]  # in factors until M is read
+    twins = [LinearRecursion(lr.labels, lr.M, lr.N) for lr in (small, large)]  # reads M
+    assert [_budget(small), _budget(large)] == budgets  # reading M moves no budget
+    for lr in [small, large] + twins:
+        assert _budget(lr) == max(1, int(lr.exact_cost / lr.step_cost)) >= 1
+    # a factored test is the cheaper of building M for the dense LU and the
+    # capacitance solve: the first at L = 12, the second at 870, M read or not
+    assert not small._by_capacitance and large._by_capacitance
+    assert small.exact_cost == twins[0].exact_cost + BUILD_ENTRY_S * 12**2
+    assert large.exact_cost < twins[1].exact_cost / 50
     for L in (1, 12, 264):
         dense = LinearRecursion(tuple(range(L)), np.ones((L, L)), np.zeros(L))
         budget = _budget(dense)
-        assert budget >= 1
         with monkeypatch.context() as patch:
             # the dearer the exact test after the bracket, the more steps it buys
             patch.setattr(netcalc.stability, "LU_S", (2 * LU_S[0], 2 * LU_S[1]))
-            assert _budget(dense) > budget
+            assert _budget(LinearRecursion(dense.labels, dense.M, dense.N)) > budget
             patch.setattr(netcalc.stability, "LU_S", (0.0, 0.0))
-            assert _budget(dense) == 1  # a free test still gets one step
+            free = LinearRecursion(dense.labels, dense.M, dense.N)
+            assert _budget(free) == 1  # a free test still gets one step
+
+
+def _routes_agree(lr: LinearRecursion, solve: bool = True) -> bool:
+    """
+    The exact test of a factored ``lr`` alone, with no bracket step, on
+    both routes, the capacitance solve and the dense LU: equal answers at
+    five thresholds and, when ``solve``, fixed points within 1e-12 relative
+    per entry.  Whether the fixed point exists.
+    """
+    cap, dense = LinearRecursion(lr.labels, lr._M, lr.N), LinearRecursion(lr.labels, lr._M, lr.N)
+    cap._by_capacitance, dense._by_capacitance = True, False
+    with mock.patch.object(netcalc.stability, "_brackets", _no_brackets):
+        for theta in (1 - 1e-9, 1.0, 1 + 1e-9, 0.5, 2.0):
+            assert _decide(cap, theta)[0] == _decide(dense, theta)[0], theta
+        if not solve:
+            return False
+        fast, slow = solve_recursion(cap), solve_recursion(dense)
+    assert "M" not in vars(cap)
+    assert (fast is None) == (slow is None)
+    if fast is not None:
+        np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=0)
+    return fast is not None
+
+
+def _sd_recursion(net):
+    """``build_sd(net)``, or ``None`` on local instability."""
+    try:
+        return build_sd(net)
+    except LocallyUnstableError:
+        return None
+
+
+def test_exact_test_routes_agree_on_the_benchmark_pool(benchmark_pool):
+    recursions = [lr for lr in map(_sd_recursion, benchmark_pool) if lr is not None]
+    # the pool's recursions are small: every one takes the dense route when not forced
+    assert not any(lr._by_capacitance for lr in recursions)
+    stable = sum(map(_routes_agree, recursions))
+    assert len(recursions) >= 1000 and min(stable, len(recursions) - stable) >= 100  # 1160, 375
+
+
+def test_exact_test_routes_agree_on_the_benchmark_families():
+    # the sd families of the critical workload decided at their reference U*
+    # and one bisection tolerance below, its hardest steps, and solved well
+    # inside the stable range at 0.9 U*; every sd cell of the sweep workload.
+    # (Next to U* the fixed point amplifies rounding like 1 / (1 - rho): one
+    # tolerance below U* on uni_ring(3) the routes differ by 1.6e-12, and
+    # each from the exact fixed point by 1.3e-12 and 3.7e-13.)
+    workloads = load_by_path("perfbench_workloads", "perfbench", "workloads.py")
+    workloads.load_netcalc()
+    with open(os.path.join(ROOT, "perfbench", "reference", "critical.json"),
+              encoding="utf-8") as stream:
+        u_star = json.load(stream)
+    cases = []
+    for kind, n, method in workloads.critical_cases(False):
+        if method == "sd":
+            u, family = u_star[workloads.critical_key(kind, n, method)], workloads._family(kind, n)
+            cases += [(family(u), False), (family(u - CRITICAL_TOL), False), (family(0.9 * u), True)]
+    cases += [(bi_ring(12, u), True) for u in workloads.sweep_utilizations(False)]
+    stable = checked = factored = 0
+    for net, solve in cases:
+        lr = _sd_recursion(net)
+        if lr is not None:
+            stable += _routes_agree(lr, solve)
+            checked, factored = checked + 1, factored + lr._by_capacitance
+    assert checked >= 80 and factored >= 50 and stable >= 20  # 88, 64 and 26 at writing
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_networks())
+def test_exact_test_routes_agree_property(net):
+    lr = _sd_recursion(net)
+    if lr is not None and lr.size:
+        _routes_agree(lr)
+
+
+@pytest.mark.parametrize("net", [bi_ring(12, 0.1), uni_ring(30, 0.05)],
+                         ids=["bi_ring(12)", "uni_ring(30)"])
+def test_analyze_never_builds_a_large_sd_matrix(net):
+    report = analyze(net, "sd", Target.backlog(net.num_servers - 1, [0]))
+    (lr,) = report.recursions
+    assert report.verdict == "stable" and report.bound.is_finite
+    assert "M" not in vars(lr)
 
 
 def test_rho_below_decides_periodic_cycles_without_eigvals(monkeypatch):
@@ -1244,7 +1336,7 @@ def test_numpy_integer_target_ids_are_ids(method):
 #: Odd values of every kind: no value, a bool, numbers, a string, empty and
 #: odd containers, a dict, nan and a numpy integer.
 _ODD_VALUES = [None, True, 1.5, "1", -1, 10**6, (), [], [None], [1.0], [(0, "a")], {"a": 1},
-               math.nan, np.int64(1), 5]
+               math.nan, np.int64(1), 5, 10**400]
 
 #: Every entry point that takes a target or an interest, as a call on one value.
 _TARGET_OR_INTEREST_TAKERS = {
@@ -1302,6 +1394,21 @@ _MODEL_TAKERS = {
     "Network path entry": (
         lambda v: Network([RateLatency(1.0, 0.0)] * 2, [Flow(TokenBucket(1.0, 1.0), (v, 1))]),
         0.0, ValidationError, "flow 0 crosses unknown server 0.0 (n=2)"),
+    "Flow arrival": (lambda v: Flow(v, (0,)), None, ValidationError,
+                     "flow arrival must be a TokenBucket, got None"),
+    "Flow path": (lambda v: Flow(TokenBucket(1.0, 1.0), v), 5, ValidationError,
+                  "flow path must be server ids, got 5"),
+    "Flow path entry": (lambda v: Flow(TokenBucket(1.0, 1.0), (v,)), [0], ValidationError,
+                        "flow path must be server ids, got ([0],)"),
+    "Network servers": (lambda v: Network(v, []), None, ValidationError,
+                        "network servers and flows must be iterables, got None and []"),
+    "Network server": (lambda v: Network([v], [Flow(TokenBucket(1.0, 1.0), (0,))]), None,
+                       ValidationError, "server 0 must be a RateLatency, got None"),
+    "Network flows": (lambda v: Network([RateLatency(1.0, 0.0)], v), None, ValidationError,
+                      "network servers and flows must be iterables, got "
+                      "(RateLatency(rate=1.0, latency=0.0),) and None"),
+    "Network flow": (lambda v: Network([RateLatency(1.0, 0.0)], [v]), None, ValidationError,
+                     "flow 0 must be a Flow, got None"),
     "simulate_fluid": (lambda v: simulate_fluid(two_server_sink_tree(), v), None, ScenarioError,
                        "scenario must be a Scenario, got None"),
     "Scenario arrivals": (lambda v: Scenario(v, (ServerSpec(),) * 2, 1.0), None, ScenarioError,
@@ -1328,14 +1435,23 @@ _MODEL_TAKERS = {
 def test_odd_numbers_paths_scenarios_and_matrices_return_or_raise_a_netcalc_error(taker):
     call, refused, error, message = _MODEL_TAKERS[taker]
     for value in _ODD_VALUES:
-        # unhashable path entries are left out: Flow's set() still raises TypeError on them
-        if taker != "Network path entry" or isinstance(value, Hashable):
-            try:
-                call(value)
-            except NetcalcError:
-                pass  # any other exception fails the test
+        try:
+            call(value)
+        except NetcalcError:
+            pass  # any other exception fails the test
     with pytest.raises(error, match="^%s$" % re.escape(message)):
         call(refused)
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: TokenBucket(v, 1), lambda v: TokenBucket(1, v), lambda v: RateLatency(v, 0),
+    lambda v: RateLatency(1, v), Bound, lambda v: output_curve(v, 1.0),
+], ids=["TokenBucket burst", "TokenBucket rate", "RateLatency rate", "RateLatency latency",
+        "Bound", "output_curve backlog"])
+def test_an_integer_too_large_for_a_float_is_refused(make):
+    with pytest.raises(ValidationError, match="finite"):
+        make(10**400)
+    make(2**1000)  # large, but a float holds it
 
 
 def test_build_grouped_rejects_arcs_outside_the_removal():

@@ -698,7 +698,7 @@ def build() -> list:
     The header lines of a digest file: the numpy version and the BLAS build
     the digests hold for, then the BLAS thread settings.  The largest
     recursions' decisions read other bits with another number of BLAS
-    threads (the sweep's sd, td and 2s sections, between one and two).
+    threads (the sweep's td and 2s sections, between one and two).
     """
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
