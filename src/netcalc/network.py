@@ -201,13 +201,26 @@ def renumber(net: Network) -> Tuple[Network, List[int]]:
 
 
 @dataclass(frozen=True)
+class _FlowNumbers:
+    """
+    The flow half of a network's numbers (:func:`_flow_numbers`), what
+    depends on its flows alone: ``rate`` and ``burst`` per flow, and per
+    server ``load``, the aggregate rate, added in flow order.
+    """
+
+    rate: np.ndarray  # per flow
+    burst: np.ndarray  # per flow
+    load: np.ndarray  # per server
+
+
+@dataclass(frozen=True)
 class _Numbers:
     """
     A network's numbers as arrays in id order: what binds a rate-free
     structure (a view, a decomposition, a pair layout) to one network.
-    ``load`` is each server's aggregate rate, added in flow order, and
-    ``unstable`` marks the servers that are not strictly stable, the
-    classes :func:`local_stability` reports.
+    The flow half (:class:`_FlowNumbers`), then the server half
+    (:func:`_server_numbers`): ``unstable`` marks the servers that are not
+    strictly stable, the classes :func:`local_stability` reports.
     """
 
     rate: np.ndarray  # per flow
@@ -228,20 +241,35 @@ def _hops(paths: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
     return length, np.fromiter(chain.from_iterable(paths), np.intp, int(length.sum()))
 
 
-def _numbers(net: Network) -> _Numbers:
+def _flow_numbers(net: Network) -> _FlowNumbers:
+    """The numbers of ``net`` that its flows alone fix: see :class:`_FlowNumbers`."""
     length, server = _hops(_paths(net))
     rate = np.array([f.arrival.rate for f in net.flows], dtype=float)
-    service_rate = np.array([s.rate for s in net.servers], dtype=float)
     # bincount adds its weights in input order: here every hop in flow order
     load = np.bincount(server, np.repeat(rate, length), net.num_servers)
+    return _FlowNumbers(rate, np.array([f.arrival.burst for f in net.flows], dtype=float), load)
+
+
+def _server_numbers(net: Network, flows: _FlowNumbers) -> _Numbers:
+    """
+    The numbers of ``net`` from a flow half ``flows`` and its servers:
+    ``flows`` may be ``net``'s own, or gathered by a structure's ``bind``,
+    which keeps the loads.
+    """
+    service_rate = np.array([s.rate for s in net.servers], dtype=float)
     return _Numbers(
-        rate,
-        np.array([f.arrival.burst for f in net.flows], dtype=float),
+        flows.rate,
+        flows.burst,
         service_rate,
         np.array([s.latency for s in net.servers], dtype=float),
-        load,
-        ~(load < service_rate),
+        flows.load,
+        ~(flows.load < service_rate),
     )
+
+
+def _numbers(net: Network) -> _Numbers:
+    """The numbers of ``net``: its flow half, then its server half."""
+    return _server_numbers(net, _flow_numbers(net))
 
 
 def _require_local_stability(unstable: np.ndarray) -> None:

@@ -35,7 +35,8 @@ bracket iterate, or the exact test's solution), which changes how many
 steps a decision takes, never what it certifies.
 ``analyze`` takes its verdict from these decisions alone: the fixed-point
 test at ``1 - 1e-9``, and for a diverging recursion one more test at
-``1 + 1e-9`` that tells ``critical`` from ``unstable``.  The exact
+``1 + 1e-9``, started from the final vector of the first, that tells
+``critical`` from ``unstable``.  The exact
 spectral radius (``spectral_radius``, ``eigvals`` on the dense ``M``) is
 computed only when a report's ``rho`` is read, and cached.
 
@@ -70,7 +71,11 @@ and asked for its recursions.  Every ``analyze`` call prepares its
 structure anew, cheaply, and keeps nothing: only ``critical_utilization``
 holds a structure across calls, the one of ``family(U_MAX)``, bound at
 every bisection step whose ``family(U)`` has the same server count and
-flow paths, checked at every step.
+flow paths, checked at every step.  It holds the flow half of the numbers
+too (rates, bursts and loads, ``network._flow_numbers``), bound to the
+structure once and again only when the arrivals change, so a step reads
+its servers' numbers (``network._server_numbers``) and redoes the pass's
+levels, while the pass's rate-only grid stays laid out.
 """
 
 from __future__ import annotations
@@ -91,8 +96,8 @@ from .errors import (
     ValidationError,
 )
 from .network import (
-    Arc, Network, _Numbers, _check_arcs, _check_id, _hops, _is_id, _numbers, _paths,
-    _require_local_stability,
+    Arc, Network, _FlowNumbers, _Numbers, _check_arcs, _check_id, _flow_numbers, _hops, _is_id,
+    _numbers, _paths, _require_local_stability, _server_numbers,
 )
 from .tree_analysis import _RowLayout, _prepare_forest
 
@@ -233,7 +238,20 @@ class Target:
 
     @staticmethod
     def backlog(server: int, flows: Iterable[int]) -> "Target":
-        return Target("backlog", server=server, flows=frozenset(flows))
+        """
+        The backlog of ``flows`` at ``server``.  The flows are listed as
+        given and checked to be ids before they are frozen, as a set would
+        fold ``False`` into ``0``.
+
+        :raises UnsupportedTargetError: if ``flows`` is no iterable of ids
+        """
+        try:
+            listed = list(flows)
+        except TypeError:
+            listed = None
+        if listed is None or not all(map(_is_id, listed)):
+            raise UnsupportedTargetError("backlog flows must be flow ids, got %r" % (flows,))
+        return Target("backlog", server=server, flows=frozenset(listed))
 
     @staticmethod
     def delay(flow: int) -> "Target":
@@ -252,9 +270,13 @@ class StabilityReport:
     a fixed point exists, else ``critical`` when some recursion's spectral
     radius lies below ``1 + 1e-9`` (one more decision, as :func:`rho_below`
     makes it), else
-    ``unstable``.  ``rho``, the exact spectral radius (the smallest over
-    the recursions, ``inf`` on local instability), is computed on first
-    read and cached; it decides nothing.
+    ``unstable``.  Each of those decisions starts from the final vector of
+    the fixed-point test that ``analyze`` ran on its recursion at ``1 -
+    1e-9`` (``_starts``, one per recursion; all ones when absent), which
+    changes how many steps it takes, never its answer (see :func:`_decide`).
+    ``rho``, the exact spectral radius (the smallest over the recursions,
+    ``inf`` on local instability), is computed on first read and cached;
+    it decides nothing.
     """
 
     method: str
@@ -264,6 +286,7 @@ class StabilityReport:
     labels: Tuple = ()
     objective: Optional[ObjectiveForm] = None
     recursions: Tuple[LinearRecursion, ...] = field(default=(), compare=False, repr=False)
+    _starts: Tuple[Optional[np.ndarray], ...] = field(default=(), compare=False, repr=False)
 
     @cached_property
     def rho(self) -> float:
@@ -273,7 +296,8 @@ class StabilityReport:
     def verdict(self) -> str:
         if self.stable:
             return "stable"
-        if any(_decide(lr, 1.0 + STABILITY_EPS)[0] for lr in self.recursions):
+        starts = self._starts or (None,) * len(self.recursions)
+        if any(_decide(lr, 1.0 + STABILITY_EPS, x)[0] for lr, x in zip(self.recursions, starts)):
             return "critical"
         return "unstable"
 
@@ -414,14 +438,23 @@ def solve_recursion(lr: LinearRecursion) -> Optional[np.ndarray]:
     >>> solve_recursion(lr)
     array([2.])
     """
+    return _solve(lr)[0]
+
+
+def _solve(lr: LinearRecursion) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """
+    :func:`solve_recursion`'s fixed point, and the final vector of its
+    decision at ``1 - 1e-9`` (see :func:`_decide`; ``None`` when ``L = 0``).
+    """
     if lr.size == 0:
-        return np.zeros(0)
-    if not _decide(lr, 1.0 - STABILITY_EPS)[0]:
-        return None
+        return np.zeros(0), None
+    below, x = _decide(lr, 1.0 - STABILITY_EPS)
+    if not below:
+        return None, x
     solution = lr.shifted_solve(1.0, lr.N)
     if solution.min() < -1e-9 * max(1.0, float(np.abs(solution).max())):
         raise ValidationError("fixed point came out negative; ill-conditioned system")
-    return np.maximum(solution, 0.0)
+    return np.maximum(solution, 0.0), x
 
 
 def _check_target(num_servers: int, paths: Sequence[Sequence[int]], target: Target) -> None:
@@ -451,6 +484,21 @@ def _check_target(num_servers: int, paths: Sequence[Sequence[int]], target: Targ
         raise UnsupportedTargetError("unknown target kind %r" % target.kind)
 
 
+def _pairs(row_group: np.ndarray, item_group: np.ndarray, groups: int):
+    """
+    Every pair of a row and an item of the row's group, of ``groups``
+    groups, as the arrays ``(row, item)``: row by row, and within a row
+    the items in order.
+    """
+    by_group = np.argsort(item_group, kind="stable")
+    count = np.bincount(item_group, minlength=groups)
+    size = count[row_group]  # each row's pairs
+    row = np.repeat(np.arange(len(row_group)), size)
+    # a row's k-th pair takes its group's k-th item: by_group from the group's first
+    skip = np.repeat(np.cumsum(count)[row_group] - np.cumsum(size), size)
+    return row, by_group[np.arange(len(row)) + skip]
+
+
 class _SdLayout:
     """
     The rate-free half of :func:`build_sd` on one network's flow paths,
@@ -461,7 +509,8 @@ class _SdLayout:
     The labels and the objective read the same hop arrays: the variables
     are the hops past each flow's first, ``(flow, pos)`` in flow order.
     The capacitance solve's position-major order of the variables is laid
-    out on its first use (:attr:`by_position`).
+    out on its first use (:attr:`by_position`), and so are the entries of
+    the dense ``M`` (:attr:`entries`).
     """
 
     def __init__(self, net: Network):
@@ -486,13 +535,7 @@ class _SdLayout:
         # feeding hop when it is a variable (a first hop is not: weighed 0 then)
         self.var_server, self.own_var, self.own_later = server[pos >= 1], var[feed], pos[feed] >= 1
         # pairs (row, peer), peer running over the flows starting at the row's server
-        by_server = np.argsort(server[first], kind="stable")
-        count = np.bincount(server[first], minlength=self.num_servers)
-        start = np.cumsum(count) - count  # each server's first flow in by_server
-        size = count[j]
-        block = np.cumsum(size) - size  # each row's first pair
-        row = np.repeat(np.arange(len(feed)), size)
-        peer = by_server[np.arange(len(row)) - np.repeat(block - start[j], size)]
+        row, peer = _pairs(j, server[first], self.num_servers)
         own = first[peer] == feed[row]
         # every own term ahead of all others (a row has at most one), the others
         # still in row order and in flow order within it
@@ -524,8 +567,17 @@ class _SdLayout:
         cell = (self.var_server[order, None] * width + np.arange(width)).ravel()
         return order, steps, cell
 
-    def bind(self, num: _Numbers) -> _Numbers:
-        """The numbers the pass reads: the network's own."""
+    @cached_property
+    def entries(self):
+        """
+        The entries of ``M`` that hold a row's gain, laid out on their first
+        use (:meth:`_SdFactors.matrix`): ``(row, column)``, each row paired
+        with every variable at its server.
+        """
+        return _pairs(self.row_server, self.var_server, self.num_servers)
+
+    def bind(self, num):
+        """The numbers, or their flow half, that the recursion reads: the network's own."""
         return num
 
     def recursions(self, num: _Numbers):
@@ -640,14 +692,14 @@ class _SdFactors:
 
     def matrix(self) -> np.ndarray:
         """
-        The dense ``M`` from the factors: each row its gain at every variable
-        of its server, then exactly ``1`` at its own feeding hop if a variable.
+        The dense ``M`` from the factors, each entry written once into
+        zeros: each row its gain at every variable of its server, then
+        exactly ``1`` at its own feeding hop if a variable.
         """
         lay = self.layout
-        at = np.zeros((lay.num_servers, len(lay.labels)))  # the variables at each server
-        at[lay.var_server, np.arange(len(lay.labels))] = 1.0
-        M = at[lay.row_server]
-        M *= self.gain[:, None]
+        row, column = lay.entries
+        M = np.zeros((len(lay.labels), len(lay.labels)))
+        M[row, column] = self.gain[row]
         M[np.flatnonzero(lay.own_later), lay.own_var[lay.own_later]] = 1.0
         return M
 
@@ -729,13 +781,14 @@ class _Decomposition:
         segment = dict(zip(split.flow[at].tolist(), split.segment[at].tolist()))
         return target.server, np.array([segment[i] for i in sorted(target.flows)]), None
 
-    def bind(self, num: _Numbers) -> _Numbers:
+    def bind(self, num):
         """
-        A network's numbers gathered over the split flows: a segment has its
-        origin's rate, and a first segment its origin's burst; a
-        continuation's burst is 0, the recursions' unknown.  The server
-        loads and classes stay the network's: the split flows cross the
-        same servers with the same rates, added in the same order.
+        A network's numbers, or their flow half, gathered over the split
+        flows: a segment has its origin's rate, and a first segment its
+        origin's burst; a continuation's burst is 0, the recursions'
+        unknown.  The server loads and classes stay the network's: the
+        split flows cross the same servers with the same rates, added in the
+        same order.
         """
         origin, known = self.split.origin, self.split.number == 0
         return replace(num, rate=num.rate[origin], burst=np.where(known, num.burst[origin], 0.0))
@@ -969,7 +1022,7 @@ def analyze(
         return StabilityReport(
             method, False, None, UNBOUNDED if target is not None else None
         )
-    fixed_points = [solve_recursion(lr) for lr in recursions]
+    fixed_points, starts = zip(*[_solve(lr) for lr in recursions])
     fixed = next((fp for fp in fixed_points if fp is not None), None)
     bound = objective = None
     if target is not None:
@@ -980,7 +1033,7 @@ def analyze(
             bound, objective = _bound_at(obj, fixed), obj
     return StabilityReport(
         method, fixed is not None, fixed, bound, recursions[0].labels, objective,
-        tuple(recursions),
+        tuple(recursions), starts,
     )
 
 
@@ -1013,20 +1066,24 @@ def _prepare(net: Network, method: str, removed=None, target: Optional[Target] =
     return _Decomposition(split, groupings, target)
 
 
-def _method_recursions(net: Network, method: str, removed=None, structure=None, target=None):
+def _method_recursions(net: Network, method: str, removed=None, structure=None, target=None,
+                       flows: Optional[_FlowNumbers] = None):
     """
     ``(structure, numbers, recursions, weights)``: the structure of the
     method's recursions, ``net``'s numbers bound to it, the recursions and
     the weights of ``target``'s row when the structure laid one out
     (``None`` otherwise).  ``structure`` is one prepared from ``net``'s
     flow paths when the caller holds one; otherwise it is prepared here,
-    for ``target``, after the local stability check.
+    for ``target``, after the local stability check.  ``flows``, given
+    only with ``structure``, is ``net``'s flow half already bound to it,
+    so that only the servers' numbers are read from ``net``.
     """
-    numbers = _numbers(net)
+    numbers = _numbers(net) if flows is None else _server_numbers(net, flows)
     _require_local_stability(numbers.unstable)
     if structure is None:
         structure = _prepare(net, method, removed, target)
-    numbers = structure.bind(numbers)
+    if flows is None:
+        numbers = structure.bind(numbers)
     return (structure, numbers, *structure.recursions(numbers))
 
 
@@ -1035,16 +1092,19 @@ def is_stable(net: Network, method: str, removed=None) -> bool:
     return _stable(net, _method(method), removed)
 
 
-def _stable(net: Network, method: str, removed=None, structure=None, starts=None) -> bool:
+def _stable(net: Network, method: str, removed=None, structure=None, starts=None,
+            flows=None) -> bool:
     """
     The verdict of :func:`is_stable`: stable when some recursion of the
     method decides below ``1 - 1e-9`` (``2s`` stops at its first stable
-    one).  ``starts``, when given, holds one start vector per recursion
-    (``None``: all ones); each decision starts its bracket from its
-    recursion's vector and writes back its final one (see :func:`_decide`).
+    one).  ``structure`` and ``flows`` are as :func:`_method_recursions`
+    takes them.  ``starts``, when given, holds one start vector per
+    recursion (``None``: all ones); each decision starts its bracket from
+    its recursion's vector and writes back its final one (see
+    :func:`_decide`).
     """
     try:
-        _, _, recursions, _ = _method_recursions(net, method, removed, structure)
+        _, _, recursions, _ = _method_recursions(net, method, removed, structure, flows=flows)
     except LocallyUnstableError:
         return False
     starts = [None] * len(recursions) if starts is None else starts
@@ -1073,6 +1133,16 @@ def critical_utilization(family: Callable[[float], Network], method: str) -> flo
     with the held structure's server count and flow paths, and prepares a
     new structure when it has not.
 
+    Beside the structure the bisection holds the flow half of the numbers
+    (rates, bursts and server loads, :func:`~netcalc.network._flow_numbers`)
+    bound to it, so a step reads only its servers' numbers, and the
+    coefficient pass keeps its rate-only grid from step to step
+    (:meth:`~netcalc.tree_analysis._RowLayout.run`).  The flow half is
+    bound again at every step whose arrivals' rates and bursts differ from
+    the held ones (equal numbers give equal arrays, up to the sign of a
+    zero, which no decision reads), and whenever a new structure is
+    prepared.
+
     The decisions are warm-started.  Next to the structure the bisection
     holds one positive vector per recursion of the method; each decision
     starts its Collatz-Wielandt bracket from it and leaves its final
@@ -1086,16 +1156,20 @@ def critical_utilization(family: Callable[[float], Network], method: str) -> flo
     prepared.
     """
     method = _method(method)
-    held = starts = None
+    held = starts = flows = arrivals = None
 
     def stable(u: float) -> bool:
-        nonlocal held, starts
+        nonlocal held, starts, flows, arrivals
         net = family(u)
         if not isinstance(net, Network):
             raise ValidationError("family(%r) returned %s, not a Network" % (u, type(net).__name__))
         if held is None or (held.num_servers, held.paths) != (net.num_servers, _paths(net)):
             held, starts = _prepare(net, method), [None, None]  # at most two recursions (2s)
-        return _stable(net, method, structure=held, starts=starts)
+            arrivals = None
+        now = [(f.arrival.rate, f.arrival.burst) for f in net.flows]
+        if now != arrivals:
+            flows, arrivals = held.bind(_flow_numbers(net)), now
+        return _stable(net, method, structure=held, starts=starts, flows=flows)
 
     if stable(U_MAX):
         return U_MAX

@@ -90,9 +90,13 @@ def uni_ring(n: int, utilization: float, heterogeneous: bool = False) -> Network
     n = _size(n, "n")
     if n < 2:
         raise ValidationError("a ring needs at least two servers")
-    cycle = list(range(n))
-    paths = [_loop(i, n, cycle) for i in range(n)]
-    rates = [2 * n * DEFAULT_RATE] * (n - 2) + [n * DEFAULT_RATE] * 2 if heterogeneous else None
+    # slices of a tuple are tuples of their own length: see _loop
+    twice = tuple(range(n)) * 2
+    paths = [twice[i : i + n] for i in range(n)]
+    if heterogeneous:
+        rates = [2 * n * DEFAULT_RATE] * (n - 2) + [n * DEFAULT_RATE] * 2
+    else:
+        rates = [n * DEFAULT_RATE] * n
     return _uniform_network(n, paths, utilization, rates)
 
 
@@ -108,13 +112,13 @@ def bi_ring(n: int, utilization: float) -> Network:
     n = _size(n, "n")
     if n < 2:
         raise ValidationError("a ring needs at least two servers")
-    forward = list(range(n))
-    backward = list(reversed(range(n)))
-    paths = [_loop(i, n, forward) for i in range(n)]
-    paths.append(tuple(backward))
-    for i in range(1, n):
-        paths.append(_loop(i, n, backward))
-    return _uniform_network(n, paths, utilization)
+    forward = tuple(range(n)) * 2
+    backward = forward[::-1]  # server n - 1 at positions 0 and n
+    paths = [forward[i : i + n] for i in range(n)]
+    # the loop from server i starts at position n - 1 - i; the one from n - 1
+    # comes twice, first and last, and the one from server 0 not at all
+    paths += [backward[:n]] + [backward[n - 1 - i : 2 * n - 1 - i] for i in range(1, n)]
+    return _uniform_network(n, paths, utilization, [2 * n * DEFAULT_RATE] * n)
 
 
 def three_ring(utilization: float, ring_size: int = 10, short_len: int = 5) -> Network:

@@ -194,6 +194,7 @@ class _RowLayout:
         self.k = k
         self.last = k * P + np.arange(P)  # each pair's cell toward the root
         self.shape = (R, F, n)
+        self._grid = (None,)  # see run
 
     def toward_root(self, xi: np.ndarray) -> np.ndarray:
         """Each server's coefficient toward each row's root in the grid ``xi``, 0 outside."""
@@ -222,15 +223,25 @@ class _RowLayout:
         left fold, where a sum along a contiguous axis would add pairwise);
         the padding adds exact zeros.
 
+        The part of the grid that reads only the flow rates (each pair's
+        interest rate, the cross rates and their running sums along
+        positions) is kept for the rate array of the last run, recognised
+        by identity, so a caller that runs the layout again with the same,
+        unaltered array (a ``critical_utilization`` bisection) lays it out
+        once.
+
         :raises LocallyUnstableError: naming the network id of a server,
             nearest to its root, whose cross traffic alone fills it
         """
         P, W = self.size, self.width
         R, F, n = self.shape
-        r_star = np.bincount(self.own_pair, num.rate[self.own_flow], P)
-        cross = np.bincount(self.cross_cell, num.rate[self.cross_flow], W * P).reshape(W, P)
+        if num.rate is not self._grid[0]:
+            r_star = np.bincount(self.own_pair, num.rate[self.own_flow], P)
+            cross = np.bincount(self.cross_cell, num.rate[self.cross_flow], W * P).reshape(W, P)
+            self._grid = num.rate, r_star, cross, np.add.accumulate(cross, axis=0)
+        _, r_star, cross, crossed = self._grid
         # den[p, q]: rate margin of q's server left by cross traffic ending up to position p
-        den = num.service_rate[self.server] - np.add.accumulate(cross, axis=0)
+        den = num.service_rate[self.server] - crossed
         stuck = den.ravel()[self.last] <= 0
         if stuck.any():  # cross traffic alone fills the server
             raise LocallyUnstableError(

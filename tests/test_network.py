@@ -1,4 +1,6 @@
 import re
+from collections import Counter
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -18,7 +20,10 @@ from netcalc import (
 )
 from netcalc.network import _numbers, local_stability, renumber
 from netcalc.curves import aggregate, classify_server
-from netcalc.topologies import bi_ring, three_ring, two_server_sink_tree, toy, uni_ring
+from netcalc.topologies import (
+    DEFAULT_BURST, DEFAULT_LATENCY, DEFAULT_RATE, bi_ring, three_ring, two_server_sink_tree, toy,
+    uni_ring,
+)
 
 from conftest import load_by_path, random_tandem, random_tree, random_uni_ring
 
@@ -76,6 +81,35 @@ def test_generators_take_numpy_integer_sizes_as_ints():
     net = three_ring(0.5, ring_size=np.int64(4), short_len=np.int64(2))
     assert net == three_ring(0.5, ring_size=4, short_len=2)
     assert {type(j) for f in net.flows for j in f.path} == {int}
+
+
+def _rotation(cycle, start):
+    # the loop around cycle from start: the rotation the rings were first built from
+    pos = cycle.index(start)
+    return tuple(cycle[pos:] + cycle[:pos])
+
+
+def test_ring_generators_keep_their_paths_and_rates():
+    # the paths as rotations of each cycle, bi_ring's counter-clockwise loop
+    # from server n - 1 given twice (ROADMAP item 3a), and the rates from a
+    # count of the flows crossing each server
+    for n in range(2, 33):
+        forward, backward = list(range(n)), list(range(n))[::-1]
+        uni = [_rotation(forward, i) for i in range(n)]
+        bi = uni + [tuple(backward)] + [_rotation(backward, i) for i in range(1, n)]
+        crossing = [DEFAULT_RATE * max(Counter(chain(*paths))[j], 1) for paths in (uni, bi)
+                    for j in range(n)]
+        two_rates = [2 * n * DEFAULT_RATE] * (n - 2) + [n * DEFAULT_RATE] * 2
+        for u in (0.05, 0.3, 1.0):
+            for net, paths, rates in ((uni_ring(n, u), uni, crossing[:n]),
+                                      (uni_ring(n, u, heterogeneous=True), uni, two_rates),
+                                      (bi_ring(n, u), bi, crossing[n:])):
+                assert [f.path for f in net.flows] == paths
+                assert all(type(f.path) is tuple for f in net.flows)
+                assert [s.rate for s in net.servers] == [r / u for r in rates]
+                assert net == Network(
+                    [RateLatency(r / u, DEFAULT_LATENCY) for r in rates],
+                    [Flow(TokenBucket(DEFAULT_BURST, DEFAULT_RATE), p) for p in paths])
 
 
 def test_induced_graph_toy():

@@ -12,8 +12,9 @@ from conftest import load_by_path
 #: Sections that take about two seconds in all: every tree entry point, td,
 #: ag and 2s recursions and objectives on the pool's fixtures, sd on a ring,
 #: sd on the sweep's ``bi_ring(12)`` (``L = 264``, solved through the
-#: capacitance matrix), the bisections, the generators (``uni_ring`` for its
-#: two-rate heterogeneous ring, whose servers share one curve per rate), the
+#: capacitance matrix), the bisections (sd's too, on its held flow numbers),
+#: the generators (``uni_ring`` for its two-rate heterogeneous ring, whose
+#: servers share one curve per rate, ``bi_ring`` for its paths), the
 #: oracle, the fluid step loop under service orders and the refusals.  None
 #: is one of the sections whose bits follow the number of BLAS threads (the
 #: sweep's td and 2s sections).
@@ -28,12 +29,14 @@ SAMPLE = (
     "net bi_ring td is_stable",
     "net halved-ring td analyze",
     "net uni_ring td analyze",
+    "critical uni_ring sd u_star",
     "critical uni_ring td u_star",
     "critical three_ring ag u_star",
     "family bi_ring sd build_sd",
     "sweep - ag analyze",
     "sweep - sd analyze",
     "generated uni_ring - network",
+    "generated bi_ring - network",
     "generated three_ring - network",
     "ids two_server_sink_tree - compute_xi",
     "oracle oracle - bruteforce_backlog,worst_case_periods",

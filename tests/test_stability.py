@@ -60,6 +60,7 @@ from netcalc.stability import (
     CRITICAL_TOL,
     LU_S,
     METHODS,
+    STABILITY_EPS,
     U_MAX,
     U_MIN,
     _budget,
@@ -514,6 +515,62 @@ def test_analyze_never_builds_a_large_sd_matrix(net):
     (lr,) = report.recursions
     assert report.verdict == "stable" and report.bound.is_finite
     assert "M" not in vars(lr)
+
+
+def _cold_verdict(report) -> str:
+    """``report.verdict`` as decided from the all-ones vector."""
+    if report.stable:
+        return "stable"
+    if any(_decide(lr, 1.0 + STABILITY_EPS)[0] for lr in report.recursions):
+        return "critical"
+    return "unstable"
+
+
+def test_warm_verdicts_equal_cold_ones(benchmark_pool):
+    # the verdict starts from the vector of the fixed-point test: on every
+    # sweep cell and every pool network under every method, it is the
+    # verdict started from ones
+    workloads = load_by_path("perfbench_workloads", "perfbench", "workloads.py")
+    workloads.load_netcalc()
+    cells = [(bi_ring(12, u), Target.backlog(11, [0])) for u in workloads.sweep_utilizations(False)]
+    cells += [(net, None) for net in benchmark_pool]
+    diverging = 0
+    for net, target in cells:
+        for method in METHODS:
+            report = analyze(net, method, target)
+            assert report.verdict == _cold_verdict(report)
+            diverging += not report.stable and bool(report.recursions)
+    assert diverging >= 900  # 968 at writing
+
+
+def test_warm_verdict_takes_fewer_steps(monkeypatch):
+    # the sweep's unstable sd cell at U = 0.2: the verdict's decision at
+    # 1 + 1e-9 starts where the fixed-point test at 1 - 1e-9 ended
+    steps, exact = Counter(), Counter()
+    original_brackets = netcalc.stability._brackets
+    original_solve = netcalc.stability.LinearRecursion.shifted_solve
+
+    def brackets(lr, x):
+        for bracket in original_brackets(lr, x):
+            steps["warm" if x is not None else "cold"] += 1
+            yield bracket
+
+    def shifted_solve(self, theta, rhs):
+        exact[theta] += 1
+        return original_solve(self, theta, rhs)
+
+    monkeypatch.setattr(netcalc.stability, "_brackets", brackets)
+    monkeypatch.setattr(netcalc.stability.LinearRecursion, "shifted_solve", shifted_solve)
+    report = analyze(bi_ring(12, 0.2), "sd", Target.backlog(11, [0]))
+    (lr,) = report.recursions
+    assert not report.stable and report._starts[0] is not None
+    steps.clear(), exact.clear()
+    assert report.verdict == "unstable"
+    warm, warm_exact = steps["warm"], exact[1.0 + STABILITY_EPS]
+    steps.clear(), exact.clear()
+    assert not _decide(lr, 1.0 + STABILITY_EPS)[0]  # as the verdict decided before
+    assert warm + warm_exact < steps["cold"] + exact[1.0 + STABILITY_EPS]
+    assert warm < steps["cold"]
 
 
 def test_rho_below_decides_periodic_cycles_without_eigvals(monkeypatch):
@@ -1288,7 +1345,8 @@ _NOT_INT_TARGETS = [
     (Target.backlog(True, [0]), "server True", METHODS),
     (Target.backlog(9.0, [0]), "server 9.0", METHODS),
     (Target.delay(0.0), "flow 0.0", ("td", "ag", "2s")),  # sd refuses any delay
-    (Target.backlog(9, [True]), "flow True", METHODS),
+    # Target.backlog refuses it, so the target is built directly
+    (Target("backlog", server=9, flows=frozenset({True})), "flow True", METHODS),
 ]
 
 
@@ -1428,6 +1486,10 @@ _MODEL_TAKERS = {
                          "matrix entries must be numbers"),
     "rho_below threshold": (lambda v: rho_below(np.eye(2) / 2, v), None, ValidationError,
                             "threshold must be a real number, got None"),
+    "Target.backlog flows": (lambda v: Target.backlog(3, v), None, UnsupportedTargetError,
+                             "backlog flows must be flow ids, got None"),
+    "Target.backlog flow": (lambda v: Target.backlog(3, [0, v]), False, UnsupportedTargetError,
+                            "backlog flows must be flow ids, got [0, False]"),
 }
 
 

@@ -1,7 +1,8 @@
 """
 The rate-free structure that ``critical_utilization`` prepares once and
-binds to every ``family(U)`` of its bisection, and the start vectors its
-decisions hand on from step to step; and two rules on the package's own
+binds to every ``family(U)`` of its bisection, the flow numbers it binds
+once per family's arrivals, the pass's rate grid it lays out once, and the
+start vectors its decisions hand on from step to step; and two rules on the package's own
 source: it adds floats with ``left_sum``, never the builtin ``sum``, and
 its root exports no helper that only its modules keep.
 """
@@ -18,9 +19,11 @@ import pytest
 
 import netcalc
 import netcalc.stability
-from netcalc import Flow, Network, critical_utilization
+from netcalc import Flow, Network, TokenBucket, critical_utilization
 from netcalc.errors import LocallyUnstableError
-from netcalc.stability import _method_recursions, _prepare, is_stable
+from netcalc.network import _flow_numbers
+from netcalc.stability import Target, _method_recursions, _prepare, is_stable
+from netcalc.tree_analysis import _RowLayout
 from netcalc.topologies import bi_ring, three_ring, uni_ring
 
 import sd_reference
@@ -38,9 +41,9 @@ CRITICAL_CASES = [((kind, n), m) for kind, n, m in WORKLOADS.critical_cases(Fals
 _family = WORKLOADS._family
 
 
-def _recursions(net, method, structure=None):
+def _recursions(net, method, structure=None, flows=None):
     try:
-        return _method_recursions(net, method, structure=structure)[2]
+        return _method_recursions(net, method, structure=structure, flows=flows)[2]
     except LocallyUnstableError:
         return None
 
@@ -48,9 +51,11 @@ def _recursions(net, method, structure=None):
 @pytest.mark.parametrize("family, method", CRITICAL_CASES,
                          ids=["%s(%d)/%s" % (kind, n, m) for (kind, n), m in CRITICAL_CASES])
 def test_structure_from_u_max_rebinds_bit_for_bit(family, method):
-    # at every U the bisection visits, the structure prepared from
-    # family(u_max) and bound to family(U) gives the recursions of a
-    # structure prepared from family(U) itself
+    # at every U the bisection visits, in its order, the structure prepared
+    # from family(u_max) and bound to family(U), by a bind of its own or
+    # through the flow half bound once from family(u_max) (its coefficient
+    # pass keeping its rate-only grid from step to step), gives the
+    # recursions of a structure prepared from family(U) itself
     fam = _family(*family)
     visited = []
 
@@ -60,21 +65,23 @@ def test_structure_from_u_max_rebinds_bit_for_bit(family, method):
 
     critical_utilization(recording, method)
     held = _prepare(fam(1.0), method)
+    flows = held.bind(_flow_numbers(fam(1.0)))
     bound = 0
     for u in visited:
         net = fam(u)
-        fresh, reused = _recursions(net, method), _recursions(net, method, held)
-        assert (fresh is None) == (reused is None)
-        if fresh is None:
-            continue
-        bound += 1
-        for a, b in zip(fresh, reused, strict=True):
-            assert a.labels == b.labels
-            assert np.array_equal(a.M, b.M) and np.array_equal(a.N, b.N)
-        if method == "sd":
-            expected = sd_reference.build_sd(net)
-            assert np.array_equal(reused[0].M, expected.M)
-            assert np.array_equal(reused[0].N, expected.N)
+        fresh = _recursions(net, method)
+        for reused in (_recursions(net, method, held), _recursions(net, method, held, flows)):
+            assert (fresh is None) == (reused is None)
+            if fresh is None:
+                continue
+            for a, b in zip(fresh, reused, strict=True):
+                assert a.labels == b.labels
+                assert np.array_equal(a.M, b.M) and np.array_equal(a.N, b.N)
+            if method == "sd":
+                expected = sd_reference.build_sd(net)
+                assert np.array_equal(reused[0].M, expected.M)
+                assert np.array_equal(reused[0].N, expected.N)
+        bound += fresh is not None
     assert bound >= 10
 
 
@@ -234,6 +241,87 @@ def test_fixed_structure_is_prepared_once(monkeypatch, method):
     counts = _count_prepare(monkeypatch)
     critical_utilization(lambda u: bi_ring(6, u), method)
     assert counts["prepare"] == 1
+
+
+def _count_flow_halves(monkeypatch):
+    # every flow half computed, by the bisection or by a network's numbers,
+    # and every rate-only grid the coefficient pass lays out
+    counts = Counter()
+    original_flows, original_run = netcalc.network._flow_numbers, _RowLayout.run
+
+    def flow_numbers(net):
+        counts["flows"] += 1
+        return original_flows(net)
+
+    def run(self, num):
+        before = self._grid
+        result = original_run(self, num)
+        counts["grid"] += self._grid is not before
+        counts["pass"] += 1
+        return result
+
+    monkeypatch.setattr(netcalc.network, "_flow_numbers", flow_numbers)
+    monkeypatch.setattr(netcalc.stability, "_flow_numbers", flow_numbers)
+    monkeypatch.setattr(_RowLayout, "run", run)
+    return counts
+
+
+@pytest.mark.parametrize("method", ["sd", "td"])
+@pytest.mark.parametrize("family", [("bi_ring", 6), ("uni_ring", 12)],
+                         ids=["bi_ring(6)", "uni_ring(12)"])
+def test_bisection_binds_the_flows_and_lays_out_the_rate_grid_once(monkeypatch, family, method):
+    counts = _count_flow_halves(monkeypatch)
+    fam = _family(*family)
+    u_star = critical_utilization(fam, method)
+    assert counts["flows"] == 1
+    if method == "td":
+        assert counts["grid"] == 1 and counts["pass"] >= 10
+    else:  # sd runs no pass
+        assert counts["pass"] == 0
+    counts.clear()
+    assert u_star == _reference_bisection(fam, method)
+    # fresh structures: the numbers at every step, a grid at every pass
+    assert counts["flows"] >= 10 and counts["grid"] == counts["pass"]
+
+
+def test_analyze_lays_out_the_rate_grid_once_per_structure(monkeypatch):
+    # a fresh structure pays its grid as before: analyze's pass, then the
+    # objective's own one-row pass
+    counts = _count_flow_halves(monkeypatch)
+    net = bi_ring(6, 0.2)
+    netcalc.analyze(net, "td", Target.backlog(5, [0]))
+    assert counts["grid"] == counts["pass"] == 1
+    netcalc.stability.objective_for(net, Target.backlog(5, [0]), "td")
+    assert counts["grid"] == counts["pass"] == 2
+
+
+def _with_arrival(net, arrival):
+    return Network(net.servers, tuple(Flow(arrival, f.path) for f in net.flows))
+
+
+@pytest.mark.parametrize("method", ["sd", "td"])
+@pytest.mark.parametrize("arrival", [
+    lambda u: TokenBucket(1.0, 1.0 if u < 0.5 else 0.9),
+    lambda u: TokenBucket(1.0 if u < 0.3 else 4.0, 1.0),
+    lambda u: TokenBucket(1.0, 1.0 - 0.2 * u),
+], ids=["rate_step", "burst_step", "rate_scaled"])
+def test_changing_arrivals_are_bound_again(monkeypatch, arrival, method):
+    # family is arbitrary code: the held flow half follows its arrivals,
+    # bound again exactly at the steps whose arrivals differ from the last
+    def family(u):
+        return _with_arrival(uni_ring(6, u), arrival(u))
+
+    expected = _reference_bisection(family, method)
+    counts = _count_flow_halves(monkeypatch)
+    seen = []
+
+    def recording(u):
+        seen.append(arrival(u))
+        return family(u)
+
+    assert critical_utilization(recording, method) == expected
+    changes = sum(a != b for a, b in zip(seen, seen[1:]))
+    assert counts["flows"] == 1 + changes and changes >= 1
 
 
 def test_src_calls_no_builtin_sum():
