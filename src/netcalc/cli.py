@@ -28,7 +28,7 @@ from .curves import busy_period_bound, aggregate
 from .errors import NetcalcError
 from .fluid import check_arrival_curves, check_strict_service, random_scenario, simulate_fluid
 from .network import Network
-from .stability import METHODS, Target, _method, analyze, critical_utilization
+from .stability import METHODS, Target, _Held, _analyze, _method, analyze, critical_utilization
 from .topologies import bi_ring, three_ring, toy, two_server_sink_tree, uni_ring
 
 EXIT_VALIDATION = 2
@@ -158,13 +158,16 @@ def cmd_sweep(args) -> int:
     family = _family(args)
     columns = ["U"] + [METHOD_COLUMNS[m] for m in methods]
     rows: List[List[Optional[float]]] = []
+    held = {}  # one structure per method and target, bound to every row's network
     u = args.u_min
     while u <= args.u_max + 1e-12:
         net = family(u)
         target = _parse_target(args, net)
         row: List[Optional[float]] = [u]
         for m in methods:
-            report = analyze(net, m, target=target)
+            if (m, target) not in held:
+                held[m, target] = _Held(m, target)
+            report = _analyze(net, m, target, None, *held[m, target].fit(net))
             row.append(report.bound.value if report.bound is not None else None)
         rows.append(row)
         u += args.step

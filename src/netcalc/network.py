@@ -232,7 +232,7 @@ class _Numbers:
 
 
 def _paths(net: Network) -> Tuple[Tuple[int, ...], ...]:
-    return tuple([f.path for f in net.flows])  # a list, as in topologies._loop
+    return tuple([f.path for f in net.flows])  # a list, as in topologies._rotations
 
 
 def _hops(paths: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:

@@ -68,13 +68,14 @@ The recursions come from one path (``_method_recursions``): local
 stability is read off the mask, the structure is prepared (``_prepare``,
 with the target for ``analyze``) unless the caller holds one, bound once,
 and asked for its recursions.  Every ``analyze`` call prepares its
-structure anew, cheaply, and keeps nothing: only ``critical_utilization``
-holds a structure across calls, the one of ``family(U_MAX)``, bound at
-every bisection step whose ``family(U)`` has the same server count and
-flow paths, checked at every step.  It holds the flow half of the numbers
-too (rates, bursts and loads, ``network._flow_numbers``), bound to the
-structure once and again only when the arrivals change, so a step reads
-its servers' numbers (``network._server_numbers``) and redoes the pass's
+structure anew, cheaply, and keeps nothing.  A family analysis holds one
+(:class:`_Held`): ``critical_utilization`` over its bisection, and
+``netcalc sweep`` per method over its grid (``_analyze`` on the held
+structure).  The structure is bound at every ``family(U)`` with the same
+server count and flow paths, checked at every one, with the flow half of
+the numbers (rates, bursts and loads, ``network._flow_numbers``) bound to
+it once and again only when the arrivals change.  So each ``family(U)``
+costs its servers' numbers (``network._server_numbers``) and the pass's
 levels, while the pass's rate-only grid stays laid out.
 """
 
@@ -1014,10 +1015,20 @@ def analyze(
     diagnostic computed on first read.  Local instability short-circuits
     to an unstable report with ``rho = inf``, whatever ``removed``.
     """
-    method = _method(method)
+    return _analyze(net, _method(method), target, removed)
+
+
+def _analyze(net: Network, method: str, target: Optional[Target] = None, removed=None,
+             structure=None, flows: Optional[_FlowNumbers] = None) -> StabilityReport:
+    """
+    :func:`analyze`'s report for a checked ``method``.  ``structure`` and
+    ``flows`` are as :func:`_method_recursions` takes them: ``netcalc
+    sweep`` passes the structure it holds for the method and target
+    (:class:`_Held`), which makes the report equal to a fresh one.
+    """
     try:
         structure, numbers, recursions, weights = _method_recursions(
-            net, method, removed, None, target)
+            net, method, removed, structure, target, flows)
     except LocallyUnstableError:
         return StabilityReport(
             method, False, None, UNBOUNDED if target is not None else None
@@ -1115,6 +1126,45 @@ def _stable(net: Network, method: str, removed=None, structure=None, starts=None
     return False
 
 
+class _Held:
+    """
+    One method's rate-free structure held across the networks of a family,
+    ``critical_utilization``'s bisection or ``netcalc sweep``'s grid,
+    prepared for ``target`` (``None``: for no target).  ``family`` is
+    arbitrary code, so :meth:`fit` checks every network: a network with
+    another server count or other flow paths gets a structure of its own,
+    prepared from it.  Unlike ``analyze``, it prepares before the local
+    stability check, so a target the network cannot have raises even where
+    ``analyze`` would report local instability.
+
+    Beside the structure it holds the flow half of the numbers (rates,
+    bursts and server loads, ``network._flow_numbers``) bound to it, bound
+    again whenever the arrivals' rates and bursts differ from the held ones
+    (equal numbers give equal arrays, up to the sign of a zero, which no
+    decision reads) and whenever a new structure is prepared; and one start
+    vector per recursion of the method (:attr:`starts`, all ``None`` on a
+    new structure) for decisions that hand theirs on (:func:`_stable`).
+    The holding lives with the holder: no state outlives the loop that
+    made it.
+    """
+
+    def __init__(self, method: str, target: Optional[Target] = None):
+        self.method, self.target = method, target
+        self.structure = self.flows = self.arrivals = None
+        self.starts = [None, None]  # at most two recursions (2s)
+
+    def fit(self, net: Network):
+        """``(structure, flows)`` for ``net``, prepared or bound again only as the class says."""
+        held = self.structure
+        if held is None or (held.num_servers, held.paths) != (net.num_servers, _paths(net)):
+            self.structure = _prepare(net, self.method, target=self.target)
+            self.starts, self.arrivals = [None, None], None
+        now = [(f.arrival.rate, f.arrival.burst) for f in net.flows]
+        if now != self.arrivals:
+            self.flows, self.arrivals = self.structure.bind(_flow_numbers(net)), now
+        return self.structure, self.flows
+
+
 def critical_utilization(family: Callable[[float], Network], method: str) -> float:
     """
     Largest utilization at which ``family(U)`` stays stable for ``method``,
@@ -1125,23 +1175,33 @@ def critical_utilization(family: Callable[[float], Network], method: str) -> flo
     already unstable at ``U_MIN`` (``1e-3``).  The bracket stops at width
     ``CRITICAL_TOL`` (``1e-4``).
 
+    The points are visited in this order.  ``U_MAX`` first: it is the
+    one-step exit for a family stable on the whole range, and cheap on the
+    rings, which are locally unstable at ``U = 1``.  Then the midpoints of
+    ``[U_MIN, U_MAX]``, 14 of them.  ``U_MIN`` is tested last, and only when
+    every midpoint was unstable, so that the bracket's low end is still
+    ``U_MIN``: the search returns ``0.0`` if ``family(U_MIN)`` is unstable,
+    else the midpoint of the final bracket.  For a monotone family this is
+    the answer of testing ``U_MIN`` second, and when ``U*`` is interior
+    (stable at ``U_MIN``, as every family of the benchmark and of the
+    acceptance tests is) one family call and one decision fewer: 15 in all.
+    A family unstable at ``U_MIN`` pays the whole search, 14 steps more
+    than testing ``U_MIN`` second would.
+
     The rate-free structure of the recursions (the sd pair layout, or the
     decomposition with its forest, column layouts and row layout) is prepared
     from ``family(U_MAX)`` and bound to every ``family(U)`` the bisection
     visits.  ``family`` is arbitrary code, so each step first checks that
     ``family(U)`` is a :class:`Network`, else raising :class:`ValidationError`,
     with the held structure's server count and flow paths, and prepares a
-    new structure when it has not.
+    new structure when it has not (:class:`_Held`).
 
     Beside the structure the bisection holds the flow half of the numbers
-    (rates, bursts and server loads, :func:`~netcalc.network._flow_numbers`)
     bound to it, so a step reads only its servers' numbers, and the
     coefficient pass keeps its rate-only grid from step to step
     (:meth:`~netcalc.tree_analysis._RowLayout.run`).  The flow half is
-    bound again at every step whose arrivals' rates and bursts differ from
-    the held ones (equal numbers give equal arrays, up to the sign of a
-    zero, which no decision reads), and whenever a new structure is
-    prepared.
+    bound again at every step whose arrivals differ from the held ones,
+    and whenever a new structure is prepared.
 
     The decisions are warm-started.  Next to the structure the bisection
     holds one positive vector per recursion of the method; each decision
@@ -1156,25 +1216,17 @@ def critical_utilization(family: Callable[[float], Network], method: str) -> flo
     prepared.
     """
     method = _method(method)
-    held = starts = flows = arrivals = None
+    held = _Held(method)
 
     def stable(u: float) -> bool:
-        nonlocal held, starts, flows, arrivals
         net = family(u)
         if not isinstance(net, Network):
             raise ValidationError("family(%r) returned %s, not a Network" % (u, type(net).__name__))
-        if held is None or (held.num_servers, held.paths) != (net.num_servers, _paths(net)):
-            held, starts = _prepare(net, method), [None, None]  # at most two recursions (2s)
-            arrivals = None
-        now = [(f.arrival.rate, f.arrival.burst) for f in net.flows]
-        if now != arrivals:
-            flows, arrivals = held.bind(_flow_numbers(net)), now
-        return _stable(net, method, structure=held, starts=starts, flows=flows)
+        structure, flows = held.fit(net)
+        return _stable(net, method, structure=structure, starts=held.starts, flows=flows)
 
     if stable(U_MAX):
         return U_MAX
-    if not stable(U_MIN):
-        return 0.0
     lo, hi = U_MIN, U_MAX
     while hi - lo > CRITICAL_TOL:
         mid = 0.5 * (lo + hi)
@@ -1182,4 +1234,6 @@ def critical_utilization(family: Callable[[float], Network], method: str) -> flo
             lo = mid
         else:
             hi = mid
+    if lo == U_MIN and not stable(U_MIN):
+        return 0.0
     return 0.5 * (lo + hi)

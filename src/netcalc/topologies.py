@@ -64,14 +64,14 @@ def _size(value, name: str) -> int:
     return int(value)
 
 
-def _loop(start: int, length: int, cycle: Sequence[int]) -> Tuple[int, ...]:
-    pos = cycle.index(start)
-    turns = -(-length // len(cycle))  # as many turns of the rotated cycle as cover length
-    # tuple() of a list takes the tuple from the free list of its length; of a
-    # generator, it resizes a length-10 one, which is then freed to the list of
-    # its own length and never taken back: a bisection's family(U) networks
-    # would pile up there until the next full garbage collection
-    return tuple(((cycle[pos:] + cycle[:pos]) * turns)[:length])
+def _rotations(cycle: Tuple[int, ...], length: int) -> List[Tuple[int, ...]]:
+    """The paths of ``length`` hops along ``cycle``, one from each of its servers in order."""
+    # slices of a tuple are tuples of their own length; tuple() of a generator
+    # resizes a length-10 one, which is then freed to the list of its own length
+    # and never taken back: a bisection's family(U) networks would pile up there
+    # until the next full garbage collection
+    twice = cycle * 2
+    return [twice[i : i + length] for i in range(len(cycle))]
 
 
 def uni_ring(n: int, utilization: float, heterogeneous: bool = False) -> Network:
@@ -90,9 +90,7 @@ def uni_ring(n: int, utilization: float, heterogeneous: bool = False) -> Network
     n = _size(n, "n")
     if n < 2:
         raise ValidationError("a ring needs at least two servers")
-    # slices of a tuple are tuples of their own length: see _loop
-    twice = tuple(range(n)) * 2
-    paths = [twice[i : i + n] for i in range(n)]
+    paths = _rotations(tuple(range(n)), n)
     if heterogeneous:
         rates = [2 * n * DEFAULT_RATE] * (n - 2) + [n * DEFAULT_RATE] * 2
     else:
@@ -112,9 +110,8 @@ def bi_ring(n: int, utilization: float) -> Network:
     n = _size(n, "n")
     if n < 2:
         raise ValidationError("a ring needs at least two servers")
-    forward = tuple(range(n)) * 2
-    backward = forward[::-1]  # server n - 1 at positions 0 and n
-    paths = [forward[i : i + n] for i in range(n)]
+    paths = _rotations(tuple(range(n)), n)
+    backward = tuple(range(n))[::-1] * 2  # server n - 1 at positions 0 and n
     # the loop from server i starts at position n - 1 - i; the one from n - 1
     # comes twice, first and last, and the one from server 0 not at all
     paths += [backward[:n]] + [backward[n - 1 - i : 2 * n - 1 - i] for i in range(1, n)]
@@ -137,14 +134,16 @@ def three_ring(utilization: float, ring_size: int = 10, short_len: int = 5) -> N
         raise ValidationError("ring_size must be at least 3")
     if not (1 <= short_len <= s):
         raise ValidationError("short_len must be in [1, ring_size]")
-    ring0 = list(range(0, s))
-    ring1 = [s - 1] + list(range(s, 2 * s - 1))
-    ring2 = [2 * s - 2] + list(range(2 * s - 1, 3 * s - 3)) + [0]
-    paths: List[Tuple[int, ...]] = []
-    for cycle, length in ((ring0, s), (ring1, s), (ring2, short_len)):
-        for start in cycle:
-            paths.append(_loop(start, length, cycle))
-    return _uniform_network(3 * s - 3, paths, utilization)
+    ring0 = tuple(range(0, s))
+    ring1 = (s - 1,) + tuple(range(s, 2 * s - 1))
+    ring2 = (2 * s - 2,) + tuple(range(2 * s - 1, 3 * s - 3)) + (0,)
+    paths = _rotations(ring0, s) + _rotations(ring1, s) + _rotations(ring2, short_len)
+    # s flows cross each server of rings 0 and 1, short_len each of ring 2; the
+    # border servers add the counts of their two rings
+    crossing = [s] * (2 * s - 1) + [short_len] * (s - 2)
+    crossing[s - 1] = 2 * s
+    crossing[0] = crossing[2 * s - 2] = s + short_len
+    return _uniform_network(3 * s - 3, paths, utilization, [DEFAULT_RATE * k for k in crossing])
 
 
 def toy(utilization: float = 0.5) -> Network:

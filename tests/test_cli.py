@@ -266,7 +266,7 @@ def test_sweep_rejects_bad_step_before_any_analysis(monkeypatch, capsys, step):
     def no_analysis(*args, **kwargs):
         raise AssertionError("sweep analyzed a row before checking --step")
 
-    monkeypatch.setattr("netcalc.cli.analyze", no_analysis)
+    monkeypatch.setattr("netcalc.cli._analyze", no_analysis)
     assert main(["sweep", "--kind", "uni_ring", "--n", "4", "--step", step]) == 2
     assert "step" in capsys.readouterr().err
 
@@ -277,7 +277,7 @@ def test_sweep_rejects_step_without_end_before_any_analysis(monkeypatch, capsys,
     def no_analysis(*args, **kwargs):
         raise AssertionError("sweep analyzed a row before checking --step")
 
-    monkeypatch.setattr("netcalc.cli.analyze", no_analysis)
+    monkeypatch.setattr("netcalc.cli._analyze", no_analysis)
     assert main(["sweep", "--kind", "uni_ring", "--n", "4", "--step", step]) == 2
     err = capsys.readouterr().err
     assert "step" in err and reason in err
@@ -291,7 +291,7 @@ def test_sweep_rejects_bad_methods_and_range_before_any_analysis(monkeypatch, ca
     def no_analysis(*args, **kwargs):
         raise AssertionError("sweep analyzed a row before checking its options")
 
-    monkeypatch.setattr("netcalc.cli.analyze", no_analysis)
+    monkeypatch.setattr("netcalc.cli._analyze", no_analysis)
     assert main(["sweep", "--kind", "uni_ring", "--n", "4"] + options) == 2
     assert capsys.readouterr().err == "error: %s\n" % message
 

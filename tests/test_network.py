@@ -112,6 +112,27 @@ def test_ring_generators_keep_their_paths_and_rates():
                     [Flow(TokenBucket(DEFAULT_BURST, DEFAULT_RATE), p) for p in paths])
 
 
+def _three_ring_reference(utilization, s, short_len):
+    # the construction three_ring replaced: each path rotated out of its
+    # ring's list, and the rates from a count over every hop
+    rings = ([*range(s)], [s - 1, *range(s, 2 * s - 1)], [2 * s - 2, *range(2 * s - 1, 3 * s - 3), 0])
+    paths = [_rotation(ring, start)[:length]
+             for ring, length in zip(rings, (s, s, short_len)) for start in ring]
+    crossing = Counter(chain(*paths))
+    rates = [DEFAULT_RATE * max(crossing[j], 1) for j in range(3 * s - 3)]
+    return Network([RateLatency(r / utilization, DEFAULT_LATENCY) for r in rates],
+                   [Flow(TokenBucket(DEFAULT_BURST, DEFAULT_RATE), p) for p in paths])
+
+
+def test_three_ring_keeps_its_paths_and_rates():
+    for s in range(3, 13):
+        for short_len in range(1, s + 1):
+            for u in (0.05, 0.3, 1.0):
+                net = three_ring(u, ring_size=s, short_len=short_len)
+                assert net == _three_ring_reference(u, s, short_len)
+                assert all(type(f.path) is tuple for f in net.flows)
+
+
 def test_induced_graph_toy():
     # consecutive pairs of the four fixture paths, deduplicated
     arcs = induced_graph(toy())

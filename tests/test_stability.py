@@ -1041,7 +1041,7 @@ def test_critical_utilization_refuses_a_family_that_returns_no_network(method):
         critical_utilization(lambda u: 5, method)
     # every step checks its network, not only the first one
     with pytest.raises(ValidationError,
-                       match=r"^family\(0\.001\) returned NoneType, not a Network$"):
+                       match=r"^family\(0\.5005\) returned NoneType, not a Network$"):
         critical_utilization(lambda u: uni_ring(4, u) if u == 1.0 else None, method)
 
 

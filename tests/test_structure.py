@@ -1,15 +1,18 @@
 """
 The rate-free structure that ``critical_utilization`` prepares once and
 binds to every ``family(U)`` of its bisection, the flow numbers it binds
-once per family's arrivals, the pass's rate grid it lays out once, and the
-start vectors its decisions hand on from step to step; and two rules on the package's own
-source: it adds floats with ``left_sum``, never the builtin ``sum``, and
-its root exports no helper that only its modules keep.
+once per family's arrivals, the pass's rate grid it lays out once, the
+start vectors its decisions hand on from step to step, and the order in
+which it visits the points; the structure ``netcalc sweep`` holds per
+method across its grid; and two rules on the package's own source: it adds
+floats with ``left_sum``, never the builtin ``sum``, and its root exports
+no helper that only its modules keep.
 """
 
 import ast
 import glob
 import importlib
+import io
 import json
 import os
 from collections import Counter
@@ -18,11 +21,15 @@ import numpy as np
 import pytest
 
 import netcalc
+import netcalc.cli
 import netcalc.stability
-from netcalc import Flow, Network, TokenBucket, critical_utilization
+from netcalc import Flow, Network, TokenBucket, analyze, critical_utilization
 from netcalc.errors import LocallyUnstableError
+from netcalc.fileio import write_sweep_csv
 from netcalc.network import _flow_numbers
-from netcalc.stability import Target, _method_recursions, _prepare, is_stable
+from netcalc.stability import (
+    U_MAX, U_MIN, Target, _Held, _analyze, _method_recursions, _prepare, is_stable,
+)
 from netcalc.tree_analysis import _RowLayout
 from netcalc.topologies import bi_ring, three_ring, uni_ring
 
@@ -85,11 +92,13 @@ def test_structure_from_u_max_rebinds_bit_for_bit(family, method):
     assert bound >= 10
 
 
-def _reference_bisection(family, method, tol=1e-4, u_min=1e-3, u_max=1.0):
-    # the bisection over fresh is_stable calls that critical_utilization replaced
+def _reference_bisection(family, method, tol=1e-4, u_min=1e-3, u_max=1.0, low_end_last=False):
+    # the bisection over fresh is_stable calls that critical_utilization
+    # replaced, testing u_min second; or, with low_end_last, in
+    # critical_utilization's order, testing u_min only if no midpoint was stable
     if is_stable(family(u_max), method):
         return u_max
-    if not is_stable(family(u_min), method):
+    if not low_end_last and not is_stable(family(u_min), method):
         return 0.0
     lo, hi = u_min, u_max
     while hi - lo > tol:
@@ -100,6 +109,8 @@ def _reference_bisection(family, method, tol=1e-4, u_min=1e-3, u_max=1.0):
             lo = mid
         else:
             hi = mid
+    if low_end_last and lo == u_min and not is_stable(family(u_min), method):
+        return 0.0
     return 0.5 * (lo + hi)
 
 
@@ -151,13 +162,66 @@ def test_bisection_decisions_start_from_the_previous_vector(monkeypatch):
     u_star = critical_utilization(fam, "sd")
     warm = list(decisions)
     decisions.clear()
-    assert _reference_bisection(fam, "sd") == u_star
+    assert _reference_bisection(fam, "sd", low_end_last=True) == u_star
     cold = list(decisions)
     assert len(warm) == len(cold) >= 10
     assert _is_ones(warm[0][0])
     assert all(now[0] is before[1] for before, now in zip(warm, warm[1:]))
     assert all(start is None for start, _, _ in cold)
     assert sum(steps for _, _, steps in warm) < sum(steps for _, _, steps in cold)
+
+
+def _critical_reference():
+    with open(os.path.join(REFERENCE, "critical.json"), encoding="utf-8") as stream:
+        return json.load(stream)
+
+
+@pytest.mark.parametrize("family, method", CRITICAL_CASES,
+                         ids=["%s(%d)/%s" % (kind, n, m) for (kind, n), m in CRITICAL_CASES])
+def test_critical_utilization_matches_the_benchmark_reference(family, method):
+    # every U* of the benchmark's families, whatever order the points are visited in
+    u_star = critical_utilization(_family(*family), method)
+    assert repr(u_star) == repr(_critical_reference()["%s(%d)/%s" % (*family, method)])
+
+
+def _recording(family):
+    visited = []
+
+    def recording(u):
+        visited.append(u)
+        return family(u)
+
+    return recording, visited
+
+
+@pytest.mark.parametrize("method", ["sd", "td", "ag", "2s"])
+def test_an_interior_threshold_never_visits_u_min(method):
+    # U_MAX, then the 14 midpoints of [U_MIN, U_MAX]: the verdict at U_MIN
+    # is implied by the stable midpoint below U*
+    family, visited = _recording(lambda u: uni_ring(4, u))
+    u_star = critical_utilization(family, method)
+    assert 0.0 < u_star < U_MAX
+    assert visited[0] == U_MAX and U_MIN not in visited
+    assert len(visited) == 15
+
+
+@pytest.mark.parametrize("method", ["sd", "td"])
+def test_a_family_unstable_everywhere_visits_u_min_last(method):
+    family, visited = _recording(lambda u: uni_ring(4, 1.0))  # locally unstable at every U
+    assert critical_utilization(family, method) == 0.0
+    assert visited[0] == U_MAX and visited[-1] == U_MIN
+    assert len(visited) == 16 and visited.count(U_MIN) == 1
+
+
+@pytest.mark.parametrize("method", ["sd", "td"])
+def test_a_threshold_in_the_last_cell_above_u_min_is_found(method):
+    # stable only below the lowest midpoint (U_MIN + 0.999 / 2**14): every
+    # midpoint is unstable, so U_MIN is tested last, and found stable
+    step = lambda u: uni_ring(4, 0.1 if u < 1.03e-3 else 1.0)
+    family, visited = _recording(step)
+    u_star = critical_utilization(family, method)
+    assert visited[-1] == U_MIN and min(visited[:-1]) > 1.03e-3
+    assert u_star == _reference_bisection(step, method) == 0.5 * (U_MIN + min(visited[:-1]))
 
 
 @pytest.mark.parametrize("family", [("uni_ring", 12), ("three_ring", 10)],
@@ -181,8 +245,7 @@ def test_bisection_decides_without_building_the_sd_matrix(monkeypatch, family):
     monkeypatch.setattr(netcalc.stability._SdFactors, "matrix", matrix)
     monkeypatch.setattr(netcalc.stability.LinearRecursion, "shifted_solve", shifted_solve)
     u_star = critical_utilization(_family(*family), "sd")
-    with open(os.path.join(REFERENCE, "critical.json"), encoding="utf-8") as stream:
-        assert repr(u_star) == repr(json.load(stream)["%s(%d)/sd" % family])
+    assert repr(u_star) == repr(_critical_reference()["%s(%d)/sd" % family])
     assert counts["matrix"] == 0 and counts["exact"] > 0
 
 
@@ -203,24 +266,32 @@ def _count_prepare(monkeypatch):
     return counts
 
 
+def _flow_paths(u):
+    # the same flow count, every path reversed from u = 0.7 on
+    return uni_ring(6, u) if u < 0.7 else _reversed(uni_ring(6, u))
+
+
 @pytest.mark.parametrize("method", ["sd", "td"])
-@pytest.mark.parametrize("family", [
-    lambda u: uni_ring(4 if u < 0.5 else 5, u),
-    lambda u: uni_ring(6, u) if u < 0.7 else _reversed(uni_ring(6, u)),
+@pytest.mark.parametrize("family, change", [
+    (lambda u: uni_ring(4 if u < 0.6 else 5, u), 0.6),
+    (_flow_paths, 0.7),
 ], ids=["flow_count", "flow_paths"])
-def test_changing_structure_is_prepared_again(monkeypatch, family, method):
+def test_changing_structure_is_prepared_again(monkeypatch, family, change, method):
     # family is arbitrary code: a structure that no longer fits is replaced
     expected = _reference_bisection(family, method)
     counts = _count_prepare(monkeypatch)
     decisions = _record_decisions(monkeypatch)
     prepare = netcalc.stability._prepare
+    recording, visited = _recording(family)
 
     def marked(*args, **kwargs):
         decisions.append(None)
         return prepare(*args, **kwargs)
 
     monkeypatch.setattr(netcalc.stability, "_prepare", marked)
-    assert critical_utilization(family, method) == expected
+    assert critical_utilization(recording, method) == expected
+    # the search meets the structure on both sides of its change
+    assert min(visited) < change <= max(visited)
     assert counts["prepare"] >= 2
     # the start vectors go with the structure: the first decision on a new
     # one starts from ones, every later one from the previous vector
@@ -300,12 +371,12 @@ def _with_arrival(net, arrival):
 
 
 @pytest.mark.parametrize("method", ["sd", "td"])
-@pytest.mark.parametrize("arrival", [
-    lambda u: TokenBucket(1.0, 1.0 if u < 0.5 else 0.9),
-    lambda u: TokenBucket(1.0 if u < 0.3 else 4.0, 1.0),
-    lambda u: TokenBucket(1.0, 1.0 - 0.2 * u),
+@pytest.mark.parametrize("arrival, change", [
+    (lambda u: TokenBucket(1.0, 1.0 if u < 0.6 else 0.9), 0.6),
+    (lambda u: TokenBucket(1.0 if u < 0.6 else 4.0, 1.0), 0.6),
+    (lambda u: TokenBucket(1.0, 1.0 - 0.2 * u), None),
 ], ids=["rate_step", "burst_step", "rate_scaled"])
-def test_changing_arrivals_are_bound_again(monkeypatch, arrival, method):
+def test_changing_arrivals_are_bound_again(monkeypatch, arrival, change, method):
     # family is arbitrary code: the held flow half follows its arrivals,
     # bound again exactly at the steps whose arrivals differ from the last
     def family(u):
@@ -313,15 +384,91 @@ def test_changing_arrivals_are_bound_again(monkeypatch, arrival, method):
 
     expected = _reference_bisection(family, method)
     counts = _count_flow_halves(monkeypatch)
-    seen = []
+    seen, visited = [], []
 
     def recording(u):
         seen.append(arrival(u))
+        visited.append(u)
         return family(u)
 
     assert critical_utilization(recording, method) == expected
+    if change is not None:  # the search meets the arrivals on both sides of their step
+        assert min(visited) < change <= max(visited)
     changes = sum(a != b for a, b in zip(seen, seen[1:]))
     assert counts["flows"] == 1 + changes and changes >= 1
+
+
+#: The sweep's default grid, accumulated as ``netcalc sweep`` does.
+SWEEP_GRID = WORKLOADS.sweep_utilizations(False)
+METHODS = ("sd", "td", "ag", "2s")
+
+
+def _sweep(capsys, kind, n, options=()):
+    argv = ["sweep", "--kind", kind, "--n", str(n), "--methods", ",".join(METHODS), *options]
+    assert netcalc.cli.main(argv) == 0
+    return capsys.readouterr().out
+
+
+def _per_cell_sweep(family, target):
+    # the sweep's table from a fresh analyze at every cell
+    rows = []
+    for u in SWEEP_GRID:
+        reports = [analyze(family(u), m, target) for m in METHODS]
+        rows.append([u] + [None if r.bound is None else r.bound.value for r in reports])
+    out = io.StringIO()
+    write_sweep_csv(out, ["U"] + [netcalc.cli.METHOD_COLUMNS[m] for m in METHODS], rows)
+    return out.getvalue()
+
+
+SWEEP_CASES = [
+    ("bi_ring", 12, (), Target.backlog(11, [0])),
+    ("uni_ring", 10, (), Target.backlog(9, [0])),
+    ("three_ring", 10, ("--server", "1"), Target.backlog(0, [0])),  # flow 1 misses the last server
+]
+
+
+@pytest.mark.parametrize("kind, n, options, target", SWEEP_CASES,
+                         ids=["%s(%d)" % (kind, n) for kind, n, _, _ in SWEEP_CASES])
+def test_held_sweep_equals_a_fresh_analysis_per_cell(monkeypatch, capsys, kind, n, options, target):
+    counts = _count_prepare(monkeypatch)
+    table = _sweep(capsys, kind, n, options)
+    assert counts["prepare"] == len(METHODS)  # one structure per method
+    assert table == _per_cell_sweep(_family(kind, n), target)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_held_structure_reports_equal_fresh_ones(method):
+    # each report the sweep reads, bound for bound and fixed point for fixed point
+    target = Target.backlog(11, [0])
+    held = _Held(method, target)
+    for u in SWEEP_GRID:
+        net = bi_ring(12, u)
+        fresh, reused = analyze(net, method, target), _analyze(net, method, target, None,
+                                                               *held.fit(net))
+        assert repr(fresh.bound) == repr(reused.bound) and fresh.stable == reused.stable
+        assert fresh.labels == reused.labels and fresh.verdict == reused.verdict
+        if fresh.fixed_point is not None:
+            assert np.array_equal(fresh.fixed_point, reused.fixed_point)
+
+
+def test_held_sweep_prepares_again_when_the_paths_change(monkeypatch, capsys):
+    monkeypatch.setitem(netcalc.cli.KINDS, "uni_ring", lambda args, u: _flow_paths(u))
+    counts = _count_prepare(monkeypatch)
+    table = _sweep(capsys, "uni_ring", 6)
+    assert counts["prepare"] == 2 * len(METHODS)  # the grid crosses the change once
+    assert table == _per_cell_sweep(_flow_paths, Target.backlog(5, [0]))
+
+
+def test_held_sweep_binds_the_flows_again_when_the_arrivals_change(monkeypatch, capsys):
+    def family(u):
+        return _with_arrival(uni_ring(6, u), TokenBucket(1.0 if u < 0.5 else 2.0,
+                                                         1.0 if u < 0.5 else 0.9))
+
+    monkeypatch.setitem(netcalc.cli.KINDS, "uni_ring", lambda args, u: family(u))
+    counts = _count_flow_halves(monkeypatch)
+    table = _sweep(capsys, "uni_ring", 6)
+    assert counts["flows"] == 2 * len(METHODS)  # bound first, then once at the change
+    assert table == _per_cell_sweep(family, Target.backlog(5, [0]))
 
 
 def test_src_calls_no_builtin_sum():
