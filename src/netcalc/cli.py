@@ -79,9 +79,26 @@ def _flow_ids(text: str, net: Network) -> List[int]:
 
 
 def _parse_target(args, net: Network) -> Target:
+    """
+    The delay of ``--flow``, else the backlog of ``--flows`` (flow 1 by
+    default) at ``--server``, by default the highest-numbered server that
+    every one of those flows crosses (the last server when none is).
+
+    :raises NetcalcError: naming, 1-indexed, the smallest flow that misses
+        the server
+    """
     if args.flow is not None:
         return Target.delay(_index("flow", args.flow, net.num_flows))
-    return Target.backlog(_server(args, net), _flow_ids(args.flows or "1", net))
+    flows = _flow_ids(args.flows or "1", net)
+    if args.server is None:
+        crossed = set.intersection(*(set(net.flows[i].path) for i in flows)) if flows else ()
+        server = max(crossed, default=net.num_servers - 1)
+    else:
+        server = _server(args, net)
+    missing = [i for i in flows if server not in net.flows[i].path]
+    if missing:
+        raise NetcalcError("flow %d does not cross server %d" % (min(missing) + 1, server + 1))
+    return Target.backlog(server, flows)
 
 
 def cmd_generate(args) -> int:
@@ -216,7 +233,8 @@ def _add_topology_options(parser: argparse.ArgumentParser) -> None:
 
 def _add_target_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--server", type=int, default=None,
-                        help="backlog target server (1-indexed, default: last)")
+                        help="backlog target server (1-indexed, default: the last one "
+                             "every target flow crosses)")
     parser.add_argument("--flows", type=str, default=None,
                         help="backlog target flow ids, comma separated (default: 1)")
     parser.add_argument("--flow", type=int, default=None,

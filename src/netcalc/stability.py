@@ -40,6 +40,13 @@ test at ``1 - 1e-9``, and for a diverging recursion one more test at
 spectral radius (``spectral_radius``, ``eigvals`` on the dense ``M``) is
 computed only when a report's ``rho`` is read, and cached.
 
+A recursion's ``N`` takes one of two forms: an array, checked when the
+recursion is built, or the builder's recipe for it, built and checked on
+the first read of ``lr.N``.  The builders pass recipes.  Every decision
+reads ``M`` alone, so only a fixed point's solve builds ``N``: no
+``critical_utilization`` step, no report's ``verdict`` or ``rho`` and no
+diverging ``analyze`` does.
+
 Three constructions of ``(M, N)`` are provided: per-server decomposition
 (``sd``), tree decomposition (``td``) and grouping of the flows crossing
 each removed arc (``ag``), plus the two-stage combination (``2s``).
@@ -58,8 +65,9 @@ reads no network, only numbers: a network's ``_Numbers``
 not-strictly-stable mask, the one place they are computed).
 Both structures answer ``bind(numbers)``, which gathers the numbers over
 what the structure reads; ``recursions(numbers)``, which returns the
-recursions (``sd``'s with ``M`` in factors) and the target row's weights
-from one coefficient pass (none for ``sd``, which runs no pass); and
+recursions (``sd``'s with ``M`` in factors, every ``N`` as a recipe) and
+the target row's weights from one coefficient pass (none for ``sd``, which
+runs no pass); and
 ``objective(numbers, target, weights)``, which writes the target as a
 linear form over the first recursion's variables from those weights, or
 from a one-row pass of its own when it has none.
@@ -76,14 +84,15 @@ server count and flow paths, checked at every one, with the flow half of
 the numbers (rates, bursts and loads, ``network._flow_numbers``) bound to
 it once and again only when the arrivals change.  So each ``family(U)``
 costs its servers' numbers (``network._server_numbers``) and the pass's
-levels, while the pass's rate-only grid stays laid out.
+levels' array steps, while the pass's rate-only grid and level plan stay
+laid out.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import islice
 from typing import Callable, FrozenSet, Iterable, Optional, Sequence, Tuple
 
@@ -140,6 +149,24 @@ CAPACITANCE_S = (30.8e-6, 3.8e-6, 9.1e-9)
 U_MIN, U_MAX, CRITICAL_TOL = 1e-3, 1.0, 1e-4
 
 
+def _check_entries(size: int, *arrays) -> None:
+    """
+    Refuse a recursion of ``size`` variables unless each of its ``(array,
+    shape)`` pairs has its shape, then unless every entry of every array is
+    finite, then unless every one is nonnegative.
+    """
+    for a, shape in arrays:
+        if a.shape != shape:
+            raise ValidationError("inconsistent recursion dimensions")
+    if size:
+        # NaN propagates through min and max, so the extremes decide both
+        extremes = [v for a, _ in arrays for v in (a.min(), a.max())]
+        if not all(math.isfinite(v) for v in extremes):
+            raise ValidationError("recursion entries must be finite")
+        if min(extremes) < 0:
+            raise ValidationError("recursion entries must be nonnegative")
+
+
 class LinearRecursion:
     """
     The componentwise recursion ``b <= M b + N`` over labelled variables,
@@ -163,16 +190,25 @@ class LinearRecursion:
     Reading :attr:`M` builds the dense matrix from the factors once and
     keeps it beside them, so no step, budget, route or certificate
     depends on whether ``M`` was read.
+
+    ``N`` is given as an array, checked at construction with ``M``, or as
+    its builder's recipe, a callable of no arguments that returns it: the
+    recursion checks ``M`` at construction and calls the recipe on the
+    first read of :attr:`N`, which checks the result with the same messages
+    and keeps it.  The builders (:meth:`_SdLayout.recursions`,
+    :meth:`_Decomposition.recursions`) pass recipes, because no decision
+    reads ``N``: a ``critical_utilization`` step, a report's ``verdict``
+    and ``rho`` and a diverging ``analyze`` never build it; a fixed point's
+    solve does.
     """
 
     def __init__(self, labels: Tuple, M, N):
-        self.labels, self._M, self.N = labels, M, N
+        self.labels, self._M, self._N = labels, M, N
         self.__post_init__()
 
     def __post_init__(self):
-        """Check the shapes and that the entries are finite and nonnegative; price the solves."""
+        """Check ``M``, and ``N`` when given as an array; price the solves."""
         self.size = L = len(self.labels)
-        self.N = n = np.asarray(self.N, dtype=float)
         lu = LU_S[0] + LU_S[1] * L**3
         if isinstance(self._M, _SdFactors):
             m, shape = self._M.gain, (L,)  # the entries of M are 0, 1 and the gains
@@ -186,15 +222,20 @@ class LinearRecursion:
             self._M = self.M = m = np.asarray(self._M, dtype=float)
             shape, self.step_cost = (L, L), STEP_S + DENSE_ENTRY_S * L * L
             self._by_capacitance, self.exact_cost = False, lu
-        if m.shape != shape or n.shape != (L,):
-            raise ValidationError("inconsistent recursion dimensions")
-        if L:
-            # NaN propagates through min and max, so the extremes decide both
-            extremes = (m.min(), m.max(), n.min(), n.max())
-            if not all(math.isfinite(v) for v in extremes):
-                raise ValidationError("recursion entries must be finite")
-            if min(extremes) < 0:
-                raise ValidationError("recursion entries must be nonnegative")
+        if callable(self._N):  # a recipe: its N is checked when read
+            _check_entries(L, (m, shape))
+        else:
+            self._N = np.asarray(self._N, dtype=float)
+            _check_entries(L, (m, shape), (self._N, (L,)))
+
+    @property
+    def N(self) -> np.ndarray:
+        """``N``: given at construction, or built by the recipe and checked on first read."""
+        if callable(self._N):
+            n = np.asarray(self._N(), dtype=float)
+            _check_entries(self.size, (n, (self.size,)))
+            self._N = n  # the recipe and its references go
+        return self._N
 
     @cached_property
     def M(self) -> np.ndarray:
@@ -586,23 +627,31 @@ class _SdLayout:
         The per-server recursion from the layout and a network's numbers,
         as a one-element list, and no target weights.
         ``M`` is kept in factors, the gains (:class:`_SdFactors`), and
-        built only when read.  ``N`` is one ordered left fold per row over
-        its terms: the row's own first-hop burst, then ``gain * b`` of every
-        other first hop at the server in flow order, then
-        ``gain * R_j * T_j``.
+        built only when read; so is ``N`` (:meth:`constants`).
 
         The numbers must be locally stable, as :func:`_method_recursions`
         checks before every bind: ``load_j < R_j`` keeps every margin
         ``R_j - (load_j - r_i)`` positive in floats too, since
         ``fl(load_j - r_i) <= load_j``, so no row needs a margin check.
         """
-        rate, R, T = num.rate, num.service_rate, num.latency
+        rate, R = num.rate, num.service_rate
         i, j = self.row_flow, self.row_server
         gain = rate[i] / (R[j] - (num.load[j] - rate[i]))
+        return [LinearRecursion(self.labels, _SdFactors(self, gain),
+                                partial(self.constants, num, gain))], None
+
+    def constants(self, num: _Numbers, gain: np.ndarray) -> np.ndarray:
+        """
+        ``N`` from a network's numbers and the rows' gains: one ordered left
+        fold per row over its terms, the row's own first-hop burst, then
+        ``gain * b`` of every other first hop at the server in flow order,
+        then ``gain * R_j * T_j``.
+        """
+        j = self.row_server
         # bincount adds its weights in input order, so each row's terms in layout order
         weights = np.where(self.term_own, 1.0, gain[self.term_row]) * num.burst[self.term_flow]
-        N = np.bincount(self.term_row, weights, len(self.labels)) + gain * R[j] * T[j]
-        return [LinearRecursion(self.labels, _SdFactors(self, gain), N)], None
+        return (np.bincount(self.term_row, weights, len(self.labels))
+                + gain * num.service_rate[j] * num.latency[j])
 
     def objective(self, num: _Numbers, target: Target, weights=None) -> ObjectiveForm:
         """A backlog at one server over the hops entering it, from the bound numbers."""
@@ -807,8 +856,9 @@ class _Decomposition:
         start = 0
         for cols in self.layouts:
             end = start + len(cols)
-            M, N = cols.assemble(phi[start:end], rho[start:end], num)
-            recursions.append(LinearRecursion(cols.labels, M, N.copy()))  # N alone, not its table
+            burst, latency = phi[start:end], rho[start:end]
+            recursions.append(LinearRecursion(cols.labels, cols.matrix(burst),
+                                              partial(cols.constants, burst, latency, num)))
             start = end
         if self.target is None:
             return recursions, None
@@ -837,7 +887,8 @@ class _Decomposition:
             weights = phi, rho, rows.toward_root(xi)
         phi, rho, xi_root = weights
         extra = 0.0 if target.kind == "backlog" else (xi_root[0, entry] - 1.0) * burst
-        coeffs, constant = self.layouts[0].assemble(phi, rho, num)
+        cols = self.layouts[0]
+        coeffs, constant = cols.matrix(phi), cols.constants(phi, rho, num)
         return ObjectiveForm(coeffs[0] * scale, float((constant[0] + extra) * scale))
 
 
@@ -850,7 +901,8 @@ class _Columns:
     (row ``r`` at :attr:`roots` ``[r]``, its segments the
     :attr:`member_segment` entries whose :attr:`member_row` is ``r``).  A
     grouped arc is a removed induced arc, so some segment feeds its row.
-    :meth:`assemble` turns backlog linear forms into rows over the columns.
+    :meth:`matrix` and :meth:`constants` turn backlog linear forms into rows
+    over the columns.
     """
 
     def __init__(self, split: _Split, grouped: Iterable[Arc]):
@@ -881,14 +933,12 @@ class _Columns:
     def __len__(self):
         return len(self.labels)
 
-    def assemble(self, phi: np.ndarray, rho: np.ndarray, numbers: _Numbers):
+    def matrix(self, phi: np.ndarray) -> np.ndarray:
         """
-        Rows ``(coefficients, constants)`` from burst weights ``phi`` over
-        split flows and latency weights ``rho`` over servers, one row per
-        backlog form: continuations of ungrouped arcs keep their own weight,
-        each grouped arc takes the largest weight among its continuations,
-        and the constant adds the known bursts in flow order, then the
-        latency terms in server order.
+        The coefficient rows from burst weights ``phi`` over split flows, one
+        row per backlog form: continuations of ungrouped arcs keep their own
+        weight, each grouped arc takes the largest weight among its
+        continuations.
         """
         coeffs = np.zeros((len(phi), len(self)))
         coeffs[:, : len(self.singles)] = phi[:, self.single_src]
@@ -896,10 +946,19 @@ class _Columns:
             coeffs[:, len(self.singles) :] = np.maximum.reduceat(
                 phi[:, self.arc_src], self.arc_starts, axis=1
             )
+        return coeffs
+
+    def constants(self, phi: np.ndarray, rho: np.ndarray, numbers: _Numbers) -> np.ndarray:
+        """
+        The constant of each backlog form, from ``phi`` and latency weights
+        ``rho`` over servers: the known bursts in flow order, then the
+        latency terms in server order, added left to right (the last column
+        of their running sums, copied so that their table can go).
+        """
         terms = np.concatenate(
             (phi[:, self.known] * numbers.burst[self.known], rho * numbers.latency), axis=1
         )
-        return coeffs, np.cumsum(terms, axis=1)[:, -1]
+        return np.cumsum(terms, axis=1)[:, -1].copy()
 
 
 def build_td(net: Network, removed) -> LinearRecursion:

@@ -40,6 +40,12 @@ A forest of flow paths is checked and prepared once from its hop arrays
 sink, the upstream mask and the crossings at each server in flow order).
 Rows are laid out on it without rates (:class:`_RowLayout`, in the
 network's own ids) and run with any ``_Numbers`` of :mod:`netcalc.network`.
+A layout keeps what its runs share: on its first run it lays out a plan of
+its levels, buffers it owns and each level's views into them, and it keeps
+the rate-only part of the grid for the rate array of its last run, so a
+layout run again (a ``critical_utilization`` bisection) pays only each
+level's array steps.  Those buffers make a layout single-threaded: two
+threads must not run one layout at once.
 :class:`UpstreamView` binds one server of a forest, the root of its view,
 to those numbers.  The public :func:`upstream_view`, :func:`compute_xi`
 and :func:`tree_backlog` accept any network: preparing the forest of its
@@ -194,7 +200,7 @@ class _RowLayout:
         self.k = k
         self.last = k * P + np.arange(P)  # each pair's cell toward the root
         self.shape = (R, F, n)
-        self._grid = (None,)  # see run
+        self._grid, self._plan = (None,), None  # see run
 
     def toward_root(self, xi: np.ndarray) -> np.ndarray:
         """Each server's coefficient toward each row's root in the grid ``xi``, 0 outside."""
@@ -210,7 +216,8 @@ class _RowLayout:
         weights ``(rows, flows)`` and latency weights ``(rows, servers)``
         over the forest's ids (0 outside each row's view) and the pairs'
         coefficient grid, as the ``(pairs, width)`` view (the transpose) of
-        the position-major ``(width, pairs)`` array the pass fills.
+        the position-major ``(width, pairs)`` array the pass fills.  All
+        three are fresh arrays: no later run overwrites them.
 
         Each distance to the root takes one array step for all its pairs,
         from the roots outward: candidates for every split position, then
@@ -223,61 +230,95 @@ class _RowLayout:
         left fold, where a sum along a contiguous axis would add pairwise);
         the padding adds exact zeros.
 
-        The part of the grid that reads only the flow rates (each pair's
-        interest rate, the cross rates and their running sums along
-        positions) is kept for the rate array of the last run, recognised
-        by identity, so a caller that runs the layout again with the same,
+        The first run lays out a plan of the levels and keeps it
+        (:meth:`_lay_out_plan`): buffers the layout owns and, per level, the views
+        into them that its steps read and write.  The part of the grid that
+        reads only the flow rates (each pair's interest rate, the cross rates
+        and their running sums along positions, and each level's views of
+        them) is kept for the rate array of the last run, recognised by
+        identity, so a caller that runs the layout again with the same,
         unaltered array (a ``critical_utilization`` bisection) lays it out
-        once.
+        once.  A run then costs each level's array steps alone.  The kept
+        buffers make a layout single-threaded: two threads must not run one
+        layout at once.
 
         :raises LocallyUnstableError: naming the network id of a server,
             nearest to its root, whose cross traffic alone fills it
         """
         P, W = self.size, self.width
         R, F, n = self.shape
+        if self._plan is None:
+            self._plan = self._lay_out_plan()
+        xi, den, work, levels = self._plan
         if num.rate is not self._grid[0]:
             r_star = np.bincount(self.own_pair, num.rate[self.own_flow], P)
             cross = np.bincount(self.cross_cell, num.rate[self.cross_flow], W * P).reshape(W, P)
-            self._grid = num.rate, r_star, cross, np.add.accumulate(cross, axis=0)
-        _, r_star, cross, crossed = self._grid
+            rates = [(cross[1 : k + 1, s:e], r_star[s:e]) for k, s, e, _ in self.levels]
+            self._grid = num.rate, r_star, cross, np.add.accumulate(cross, axis=0), rates
+        _, r_star, cross, crossed, rates = self._grid
         # den[p, q]: rate margin of q's server left by cross traffic ending up to position p
-        den = num.service_rate[self.server] - crossed
+        np.subtract(num.service_rate[self.server], crossed, out=den)
         stuck = den.ravel()[self.last] <= 0
         if stuck.any():  # cross traffic alone fills the server
             raise LocallyUnstableError(
                 "server %d cannot drain its local traffic" % self.server[stuck.argmax()]
             )
-        xi = np.zeros((W, P))
-        xi[0, :R] = r_star[:R] / den[0, :R]  # the roots, one per row, come first
-        # the level at k fills rows 0..k of two buffers, as wide as the widest level:
-        # ``work`` with the successor-weighted cross rates at positions 1..k (its row k
-        # still zero), added from the far end into the tail beyond each position, then
-        # turned into the candidates; ``above`` with where the successor's coefficient
-        # exceeds the candidate (its row 0 never)
-        work = np.zeros((W, max((e - s for _, s, e, _ in self.levels), default=0)))
-        above = np.zeros(work.shape, dtype=bool)
-        positions, columns = np.arange(W)[:, None], np.arange(work.shape[1])
-        for k, s, e, succ in self.levels:
-            after = xi[:k, succ]  # the successors' coefficients, positions 1..k
-            m = e - s
-            cand = work[: k + 1, :m]
-            np.multiply(after, cross[1 : k + 1, s:e], out=cand[:k])
-            np.add.accumulate(cand[::-1], axis=0, out=cand[::-1])
-            cand += r_star[s:e]
-            cand /= den[: k + 1, s:e]
+        np.divide(r_star[:R], den[0, :R], out=xi[0, :R])  # the roots, one per row, come first
+        work.fill(0.0)  # a level reads its row k as zero; the levels before it write below k
+        for (k, succ, after, cand, head, tail, back, margin, above, first, cells, moved, positions,
+             columns), (crossing, rate) in zip(levels, rates):
+            if succ is not None:  # gathered: the successors' coefficients, positions 1..k
+                after = after[:, succ]
+            np.multiply(after, crossing, out=head)
+            np.add.accumulate(back, axis=0, out=back)
+            np.add(cand, rate, out=cand)
+            np.divide(cand, margin, out=cand)
             # the split is the largest position whose successor coefficient
             # does not exceed its candidate (position 0 always qualifies)
-            np.greater(after, cand[1:], out=above[1 : k + 1, :m])
-            split = k - above[k::-1, :m].argmin(axis=0)  # the first such from the far end
-            cells = xi[: k + 1, s:e]
-            cells[1:] = after
-            np.copyto(cells, cand[split, columns[:m]], where=positions[: k + 1] <= split)
+            np.greater(after, tail, out=above)
+            split = k - first.argmin(axis=0)  # the first such from the far end
+            np.copyto(moved, after)
+            np.copyto(cells, cand[split, columns], where=positions <= split)
         rho = np.zeros(R * n)
         rho[self.pair_at] = r_star + np.add.reduce(xi * cross, axis=0)
         phi = np.zeros(R * F)
         phi[self.entry_at] = xi.ravel()[self.entry_cell]
         phi[self.own_at] = 1.0
-        return phi.reshape(R, F), rho.reshape(R, n), xi.T
+        return phi.reshape(R, F), rho.reshape(R, n), xi.copy().T
+
+    def _lay_out_plan(self):
+        """
+        The pass's plan ``(xi, den, work, levels)``: buffers the layout keeps
+        and its levels' views into them, one tuple per level of
+        :attr:`levels`.  ``xi`` is the grid: the pass writes each pair's rows
+        up to its distance ``k`` and never the rows beyond, which stay zero.
+        ``den`` holds the rate margins.  Two buffers as wide as the widest
+        level hold a level's rows ``0..k``: ``work`` the successor-weighted
+        cross rates at positions ``1..k`` (its row ``k`` still zero), added
+        from the far end into the tail beyond each position, then turned
+        into the candidates; ``above`` where the successor's coefficient
+        exceeds the candidate (its row 0 never).  A level's successors are a
+        view of ``xi`` when sliced, else ``xi``'s rows ``0..k-1`` with the
+        index array to gather.
+        """
+        P, W = self.size, self.width
+        xi, den = np.zeros((W, P)), np.empty((W, P))
+        widest = max((e - s for _, s, e, _ in self.levels), default=0)
+        work = np.zeros((W, widest))
+        above = np.zeros(work.shape, dtype=bool)
+        positions, columns = np.arange(W)[:, None], np.arange(widest)
+        levels = []
+        for k, s, e, succ in self.levels:
+            m = e - s
+            cand, cells = work[: k + 1, :m], xi[: k + 1, s:e]
+            gathered = not isinstance(succ, slice)
+            levels.append((
+                k, succ if gathered else None, xi[:k] if gathered else xi[:k, succ],
+                cand, cand[:k], cand[1:], cand[::-1], den[: k + 1, s:e],
+                above[1 : k + 1, :m], above[k::-1, :m], cells, cells[1:],
+                positions[: k + 1], columns[:m],
+            ))
+        return xi, den, work, levels
 
 
 def _tree_forest(paths: Sequence[Sequence[int]], n: int) -> "_Forest":

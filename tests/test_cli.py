@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from netcalc import Target, analyze, critical_utilization
-from netcalc.cli import main
+from netcalc.cli import KINDS, main
 from netcalc.fileio import (
     format_value,
     load_network,
@@ -191,6 +191,33 @@ def test_critical_and_sweep_on_the_fixed_kinds(capsys, kind, family):
         target = Target.backlog(net.num_servers - 1, [0])  # the default: flow 1 at the last server
         fresh = [analyze(net, m, target=target).bound.value for m in methods]
         assert [float(cell) for cell in cells] == pytest.approx(fresh, rel=1e-8)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_sweep_runs_with_the_default_target_on_every_kind(capsys, kind):
+    # the default server is the highest-numbered one flow 1 crosses: the last
+    # server on every kind but three_ring, whose flow 1 runs on ring 0
+    methods = ("sd", "td", "ag", "2s")
+    assert main(["sweep", "--kind", kind, "--n", "4", "--short-len", "2", "--methods",
+                 ",".join(methods), "--u-min", "0.1", "--u-max", "0.3", "--step", "0.1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "U,SD,TD,AG,TWO_STAGE" and len(lines) == 4
+    if kind != "three_ring":
+        return
+    for line in lines[1:]:
+        u, *cells = line.split(",")
+        net = three_ring(float(u), ring_size=4, short_len=2)
+        target = Target.backlog(4 - 1, [0])  # the last server of ring 0
+        fresh = [analyze(net, m, target=target).bound.value for m in methods]
+        assert [float(cell) for cell in cells] == pytest.approx(fresh, rel=1e-8)
+
+
+def test_analyze_names_a_flow_that_misses_the_server_one_indexed(tmp_path, capsys):
+    path = str(tmp_path / "rings.json")
+    save_network(three_ring(0.3, ring_size=4, short_len=2), path)  # flow 5 runs on ring 1
+    assert main(["analyze", "--network", path, "--method", "td",
+                 "--server", "2", "--flows", "5"]) == 2
+    assert capsys.readouterr().err == "error: flow 5 does not cross server 2\n"
 
 
 def test_analyze_ag_text_names_the_arcs(tmp_path, capsys):

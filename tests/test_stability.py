@@ -774,6 +774,34 @@ def test_linear_recursion_finite_check_spans_both_arrays():
     assert LinearRecursion((), np.zeros((0, 0)), np.zeros(0)).size == 0
 
 
+@pytest.mark.parametrize("N, message", [
+    ([1.0, math.nan], "finite"),
+    ([math.inf, -1.0], "finite"),
+    ([1.0, -1.0], "nonnegative"),
+    ([1.0, 1.0, 1.0], "inconsistent recursion dimensions"),
+])
+def test_linear_recursion_checks_a_recipe_n_when_read(N, message):
+    # a builder's recipe runs on the first read of N, which refuses what a
+    # given N is refused for at construction; no decision reads N
+    calls = []
+    lr = LinearRecursion(("a", "b"), np.full((2, 2), 0.1), lambda: calls.append(1) or np.array(N))
+    assert rho_below(lr, 1.0) and not calls
+    for _ in range(2):  # a refused N is not kept
+        with pytest.raises(ValidationError, match=message):
+            lr.N
+    assert len(calls) == 2
+
+
+def test_linear_recursion_builds_a_recipe_n_once():
+    calls = []
+    lr = LinearRecursion(("a",), np.array([[0.5]]), lambda: calls.append(1) or np.array([1.0]))
+    assert solve_recursion(lr).tolist() == [2.0] and lr.N.tolist() == [1.0]
+    assert len(calls) == 1
+    with pytest.raises(ValidationError, match="nonnegative"):  # M is checked at construction
+        LinearRecursion(("a",), np.array([[-0.5]]), lambda: calls.append(1) or np.array([1.0]))
+    assert len(calls) == 1
+
+
 def test_solve_recursion_monotone_iteration(rng):
     for _ in range(20):
         L = int(rng.integers(1, 7))

@@ -1,12 +1,12 @@
 """
 The rate-free structure that ``critical_utilization`` prepares once and
 binds to every ``family(U)`` of its bisection, the flow numbers it binds
-once per family's arrivals, the pass's rate grid it lays out once, the
-start vectors its decisions hand on from step to step, and the order in
-which it visits the points; the structure ``netcalc sweep`` holds per
-method across its grid; and two rules on the package's own source: it adds
-floats with ``left_sum``, never the builtin ``sum``, and its root exports
-no helper that only its modules keep.
+once per family's arrivals, the pass's rate grid and level plan it lays out
+once, the start vectors its decisions hand on from step to step, the order
+in which it visits the points, and the ``N`` its steps never build; the
+structure ``netcalc sweep`` holds per method across its grid; and two rules
+on the package's own source: it adds floats with ``left_sum``, never the
+builtin ``sum``, and its root exports no helper that only its modules keep.
 """
 
 import ast
@@ -16,6 +16,7 @@ import io
 import json
 import os
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,9 +27,9 @@ import netcalc.stability
 from netcalc import Flow, Network, TokenBucket, analyze, critical_utilization
 from netcalc.errors import LocallyUnstableError
 from netcalc.fileio import write_sweep_csv
-from netcalc.network import _flow_numbers
+from netcalc.network import _flow_numbers, _numbers
 from netcalc.stability import (
-    U_MAX, U_MIN, Target, _Held, _analyze, _method_recursions, _prepare, is_stable,
+    U_MAX, U_MIN, Target, _Held, _SdLayout, _analyze, _method_recursions, _prepare, is_stable,
 )
 from netcalc.tree_analysis import _RowLayout
 from netcalc.topologies import bi_ring, three_ring, uni_ring
@@ -469,6 +470,113 @@ def test_held_sweep_binds_the_flows_again_when_the_arrivals_change(monkeypatch, 
     table = _sweep(capsys, "uni_ring", 6)
     assert counts["flows"] == 2 * len(METHODS)  # bound first, then once at the change
     assert table == _per_cell_sweep(family, Target.backlog(5, [0]))
+
+
+#: Row layouts a held structure runs again and again.
+PLAN_CASES = [
+    (uni_ring(12, 0.3), "td", None),
+    (bi_ring(6, 0.2), "2s", Target.backlog(5, [0])),
+    (three_ring(0.3, 6, 3), "ag", None),
+]
+
+
+@pytest.mark.parametrize("net, method, target", PLAN_CASES,
+                         ids=["uni_ring(12)/td", "bi_ring(6)/2s+target", "three_ring(6)/ag"])
+def test_a_kept_plan_runs_equal_fresh_layouts(net, method, target):
+    # one layout run with the rate arrays a, b, a, then with an array equal
+    # to a but a new object (its rate grid laid out again): every run equals
+    # a fresh layout's, and the arrays each run returned stay as they were
+    structure = _prepare(net, method, target=target)
+    held, a = structure.rows, structure.bind(_numbers(net))
+    b = replace(a, rate=a.rate * 0.75, service_rate=a.service_rate * 1.25)
+    returned = []
+    for num in (a, b, a, replace(a, rate=a.rate.copy())):
+        got = held.run(num)
+        assert held._grid[0] is num.rate
+        fresh = _prepare(net, method, target=target).rows.run(num)
+        assert all(np.array_equal(x, y) for x, y in zip(got, fresh))
+        for earlier, kept in returned:
+            assert all(np.array_equal(x, y) for x, y in zip(earlier, kept))
+        returned.append((got, [x.copy() for x in got]))
+
+
+def _eager_constants(structure, num):
+    # N as the builders made it before it was built on read: sd's ordered
+    # bincount, and each column layout's constants from the pass's weights
+    if isinstance(structure, _SdLayout):
+        rate, R, T = num.rate, num.service_rate, num.latency
+        i, j = structure.row_flow, structure.row_server
+        gain = rate[i] / (R[j] - (num.load[j] - rate[i]))
+        weights = (np.where(structure.term_own, 1.0, gain[structure.term_row])
+                   * num.burst[structure.term_flow])
+        N = np.bincount(structure.term_row, weights, len(structure.labels))
+        return [N + gain * R[j] * T[j]]
+    phi, rho, _ = structure.rows.run(num)
+    constants, start = [], 0
+    for cols in structure.layouts:
+        end = start + len(cols)
+        terms = np.concatenate((phi[start:end, cols.known] * num.burst[cols.known],
+                                rho[start:end] * num.latency), axis=1)
+        constants.append(np.cumsum(terms, axis=1)[:, -1])
+        start = end
+    return constants
+
+
+def test_n_built_on_read_equals_the_eager_one():
+    # every fifth network of the analyze_many pool and the 76 sweep cells
+    nets = list(WORKLOADS.pool_networks().values())[::5] + [bi_ring(12, u) for u in SWEEP_GRID]
+    checked = 0
+    for net in nets:
+        for method in METHODS:
+            try:
+                structure, numbers, recursions, _ = _method_recursions(net, method)
+            except LocallyUnstableError:
+                continue
+            for lr, eager in zip(recursions, _eager_constants(structure, numbers), strict=True):
+                assert np.array_equal(lr.N, eager)
+                checked += 1
+    assert checked > 1000
+
+
+def _count_recipes(monkeypatch):
+    # every N the builders' recipes build
+    counts = Counter()
+    for owner in (netcalc.stability._SdLayout, netcalc.stability._Columns):
+        def counted(self, *args, original=owner.constants):
+            counts["N"] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(owner, "constants", counted)
+    return counts
+
+
+@pytest.mark.parametrize("method", ["sd", "td"])
+def test_a_bisection_builds_no_n(monkeypatch, method):
+    counts = _count_recipes(monkeypatch)
+    u_star = critical_utilization(lambda u: uni_ring(10, u), method)
+    assert repr(u_star) == repr(_critical_reference()["uni_ring(10)/%s" % method])
+    assert counts["N"] == 0
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_analyze_builds_n_only_for_a_fixed_point(monkeypatch, method):
+    counts = _count_recipes(monkeypatch)
+    stable = analyze(uni_ring(6, 0.1), method)  # every recursion of every method converges
+    assert stable.stable and counts["N"] == len(stable.recursions)
+    for lr in stable.recursions:
+        lr.N
+    assert counts["N"] == len(stable.recursions)  # each recipe once
+    counts.clear()
+    diverging = analyze(bi_ring(6, 0.5), method)  # every recursion diverges
+    assert diverging.verdict == "unstable" and diverging.rho > 1
+    assert counts["N"] == 0
+
+
+def test_a_two_stage_analysis_builds_the_converging_n_alone(monkeypatch):
+    counts = _count_recipes(monkeypatch)
+    report = analyze(bi_ring(6, 0.3), "2s")  # the tree recursion converges, the arc one diverges
+    assert report.stable and len(report.recursions) == 2
+    assert counts["N"] == 1
 
 
 def test_src_calls_no_builtin_sum():

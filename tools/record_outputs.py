@@ -704,7 +704,7 @@ def build() -> list:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # a numpy before 1.26, or a build that names no BLAS
         blas = {"name": "unknown", "version": "-"}
-    settings = ["%s=%s" % (var, os.environ.get(var, "unset"))
+    settings = ["%s=%s" % (var, os.environ.get(var) or "unset")  # OpenBLAS reads empty as unset
                 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")]
     return ["# numpy %s" % np.__version__,
             "# blas %s %s: %s" % (blas["name"], blas["version"],
