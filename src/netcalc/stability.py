@@ -17,17 +17,13 @@ steps of a Collatz-Wielandt bracket, each one product ``lr @ x``, then
 one exact M-matrix test: ``(theta I - M) x = 1`` solved once
 (``lr.shifted_solve``, the solve of the fixed point too), with a positive
 ``x`` and a positive residual ``theta x - M x`` as the certificate.
-The solve takes one of two routes, chosen by price when the recursion is
-built (``lr.exact_cost``): an LU of the dense ``M``, built first when
-``M`` is in factors, or, for ``sd``'s factors, the Woodbury identity
-through an ``n x n`` capacitance matrix (``_SdFactors.solve``, ``n`` the
-server count), which never builds ``M``.  The route only supplies ``x``;
-the certificate is the same on both.  The bracket runs the steps that
-cost what the exact test does (``_budget``), each step priced by the
-recursion (``lr.step_cost``): ``O(L^2)`` on a dense ``M``, ``O(L)`` on
-factors.  The bracket may
-start from any positive vector: ``min(M x / x) <= rho(M) <= max(M x /
-x)`` for every nonnegative ``M`` and positive ``x``.  A decision started
+The solve has one route per form of ``M``: an LU of a dense ``M``, and
+for ``sd``'s factors the Woodbury identity through an ``n x n``
+capacitance matrix (``_SdFactors.solve``, ``n`` the server count), which
+never builds ``M``.  The bracket runs at most the steps ``_budget`` sets
+from sizes alone.  It may start from any positive vector: ``min(M x / x)
+<= rho(M) <= max(M x / x)`` for every nonnegative ``M`` and positive
+``x``.  A decision started
 from the all-ones vector is cold; the decisions of a
 ``critical_utilization`` bisection are warm, each started from the final
 vector of the previous step's decision on the same recursion (its last
@@ -36,9 +32,10 @@ steps a decision takes, never what it certifies.
 ``analyze`` takes its verdict from these decisions alone: the fixed-point
 test at ``1 - 1e-9``, and for a diverging recursion one more test at
 ``1 + 1e-9``, started from the final vector of the first, that tells
-``critical`` from ``unstable``.  The exact
-spectral radius (``spectral_radius``, ``eigvals`` on the dense ``M``) is
-computed only when a report's ``rho`` is read, and cached.
+``critical`` from ``unstable``.  The spectral radius itself
+(``spectral_radius``) is Noda's inverse iteration on the same product and
+solve, so it never builds a factored ``M`` either; a report computes it
+only when its ``rho`` is read, and caches it.
 
 A recursion's ``N`` takes one of two forms: an array, checked when the
 recursion is built, or the builder's recipe for it, built and checked on
@@ -93,7 +90,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
-from itertools import islice
+from itertools import islice, zip_longest
 from typing import Callable, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -119,30 +116,6 @@ STABILITY_EPS = 1e-9
 
 #: Diagonal shift of the power iteration, which keeps its iterate positive.
 POWER_SHIFT = 1e-6
-
-#: The cost model of :func:`_budget` in seconds, fitted to ``timeit`` (best of
-#: 7) on ring sd recursions of ``L <= 264``, 2-core Intel Xeon, one BLAS
-#: thread; they hold only up to that size.  A step
-#: (:attr:`LinearRecursion.step_cost`): its fixed numpy calls (7.0 µs at
-#: ``L = 6``) plus its product by every stored entry of a dense ``M`` (17.1 µs
-#: at 264) or variable of factors (10.8 µs at 264).
-STEP_S, DENSE_ENTRY_S, FACTORED_VAR_S = 7e-6, 0.15e-9, 10e-9
-#: The exact test on a dense ``M``, ``(call, per L³)``: an LU of ``⅔ L³``
-#: flops and a certificate (19 µs at ``L = 12``, 1.02 ms at 264).
-LU_S = (20e-6, 60e-12)
-#: The exact test on factors (:class:`_SdFactors`) takes the cheaper of two
-#: routes.  The dense one builds ``M`` first, per entry (81 µs at ``L =
-#: 264``, 1.08 ms at 870), then pays :data:`LU_S`.  The capacitance one
-#: (:meth:`_SdFactors.solve`) costs ``(call, per position, per entry of its
-#: L x (n + 1) table)`` plus :data:`LU_S`'s price of an ``n x n`` LU, as
-#: ``analyze`` meets it, on a layout not yet laid out position-major: 42 µs
-#: at ``uni_ring(4)`` (``L = 12``), 106 µs at ``bi_ring(12)`` (264), 356 µs
-#: at ``uni_ring(30)`` (870).  Fitted as above (best of 40 to 160 runs,
-#: alternating with the dense route) on ring sd recursions of ``6 <= L <=
-#: 3540``; the model's crossover lies near ``L = 60-90``, the measured one
-#: near ``L = 56``.
-BUILD_ENTRY_S = 1.3e-9
-CAPACITANCE_S = (30.8e-6, 3.8e-6, 9.1e-9)
 
 #: The utilization range :func:`critical_utilization` searches, and the
 #: bracket width at which its bisection stops.
@@ -180,16 +153,13 @@ class LinearRecursion:
     (:attr:`size`), or for the per-server recursion its factors
     (:class:`_SdFactors`); only the recursion knows which, and it keeps
     the form it was built with for its whole life.  ``lr @ x`` is the
-    product ``M x``, the step of every decision: ``O(L)`` on factors, and
-    :attr:`step_cost` its price in seconds.  :meth:`shifted_solve`, the
-    exact test's solve, is priced too (:attr:`exact_cost`): an LU on a
-    dense ``M``; on factors the cheaper of building ``M`` for that LU and
-    the capacitance solve (:meth:`_SdFactors.solve`), which is ``O(L n)``
-    with ``n`` the server count and wins from some tens of variables on.
-    Both prices and the route follow from the form and the size alone.
-    Reading :attr:`M` builds the dense matrix from the factors once and
-    keeps it beside them, so no step, budget, route or certificate
-    depends on whether ``M`` was read.
+    product ``M x``, the step of every decision: ``O(L)`` on factors.
+    :meth:`shifted_solve`, the solve of the exact test, of the fixed point
+    and of the spectral radius, takes one route per form: an LU on a dense
+    ``M``, the capacitance solve (:meth:`_SdFactors.solve`, ``O(L n)`` with
+    ``n`` the server count) on factors.  Reading :attr:`M` builds the dense
+    matrix from the factors once and keeps it beside them, so no step,
+    route or certificate depends on whether ``M`` was read.
 
     ``N`` is given as an array, checked at construction with ``M``, or as
     its builder's recipe, a callable of no arguments that returns it: the
@@ -207,21 +177,13 @@ class LinearRecursion:
         self.__post_init__()
 
     def __post_init__(self):
-        """Check ``M``, and ``N`` when given as an array; price the solves."""
+        """Check ``M``, and ``N`` when given as an array."""
         self.size = L = len(self.labels)
-        lu = LU_S[0] + LU_S[1] * L**3
         if isinstance(self._M, _SdFactors):
             m, shape = self._M.gain, (L,)  # the entries of M are 0, 1 and the gains
-            self.step_cost = STEP_S + FACTORED_VAR_S * L
-            lay, dense = self._M.layout, lu + BUILD_ENTRY_S * L * L
-            capacitance = (CAPACITANCE_S[0] + CAPACITANCE_S[1] * lay.depth
-                           + CAPACITANCE_S[2] * L * (lay.num_servers + 1)
-                           + LU_S[1] * lay.num_servers**3)
-            self._by_capacitance, self.exact_cost = capacitance < dense, min(capacitance, dense)
         else:
             self._M = self.M = m = np.asarray(self._M, dtype=float)
-            shape, self.step_cost = (L, L), STEP_S + DENSE_ENTRY_S * L * L
-            self._by_capacitance, self.exact_cost = False, lu
+            shape = (L, L)
         if callable(self._N):  # a recipe: its N is checked when read
             _check_entries(L, (m, shape))
         else:
@@ -247,16 +209,15 @@ class LinearRecursion:
 
     def shifted_solve(self, theta: float, rhs: np.ndarray) -> np.ndarray:
         """
-        ``(theta I - M)^-1 rhs`` by the route the recursion was priced for:
-        through the capacitance matrix when it is cheaper and ``theta > 0``,
-        else by one LU, on a negated copy of ``M`` with ``theta`` added to
-        its diagonal.
+        ``(theta I - M)^-1 rhs``: through the capacitance matrix on factors,
+        where ``theta`` must be positive, else by one LU, on a negated copy of
+        ``M`` with ``theta`` added to its diagonal.
 
         :raises numpy.linalg.LinAlgError: if ``theta I - M`` is singular
         """
-        if self._by_capacitance and theta > 0:
+        if isinstance(self._M, _SdFactors):
             return self._M.solve(theta, rhs)
-        A = np.negative(self.M)
+        A = np.negative(self._M)
         A.flat[:: A.shape[0] + 1] += theta
         return np.linalg.solve(A, rhs)
 
@@ -316,9 +277,10 @@ class StabilityReport:
     the fixed-point test that ``analyze`` ran on its recursion at ``1 -
     1e-9`` (``_starts``, one per recursion; all ones when absent), which
     changes how many steps it takes, never its answer (see :func:`_decide`).
-    ``rho``, the exact spectral radius (the smallest over the recursions,
-    ``inf`` on local instability), is computed on first read and cached;
-    it decides nothing.
+    ``rho``, the spectral radius (the smallest over the recursions, ``inf``
+    on local instability), is computed on first read, by
+    :func:`spectral_radius`'s iteration started from the same vectors, and
+    cached; it decides nothing.
     """
 
     method: str
@@ -332,14 +294,15 @@ class StabilityReport:
 
     @cached_property
     def rho(self) -> float:
-        return min((spectral_radius(lr) for lr in self.recursions), default=math.inf)
+        return min((_noda(lr, x) for lr, x in zip_longest(self.recursions, self._starts)),
+                   default=math.inf)
 
     @cached_property
     def verdict(self) -> str:
         if self.stable:
             return "stable"
-        starts = self._starts or (None,) * len(self.recursions)
-        if any(_decide(lr, 1.0 + STABILITY_EPS, x)[0] for lr, x in zip(self.recursions, starts)):
+        pairs = zip_longest(self.recursions, self._starts)
+        if any(_decide(lr, 1.0 + STABILITY_EPS, x)[0] for lr, x in pairs):
             return "critical"
         return "unstable"
 
@@ -368,26 +331,62 @@ def _checked(M) -> LinearRecursion:
 def spectral_radius(M) -> float:
     """
     Spectral radius of a nonnegative matrix, or of a
-    :class:`LinearRecursion`'s ``M``: the largest eigenvalue modulus by
-    the exact eigenvalue routine on the dense ``M``.  Only a report's
-    ``rho`` reads it, and it decides nothing: a decision is
-    :func:`rho_below`'s.
+    :class:`LinearRecursion`'s ``M``, by Noda's inverse iteration on the
+    recursion's own product and shifted solve, which never builds a
+    factored ``M`` (Noda, *Numer. Math.* 17, 1971; Elsner, *Linear Algebra
+    Appl.* 15, 1976).  It is 0 when ``M^k 1`` reaches zero (``M``
+    nilpotent).  Otherwise each step reads the Collatz-Wielandt bracket
+    ``[min(M x / x), max(M x / x)]`` at the positive ``x`` into ``[lo,
+    hi]``, the intersection of all it read, then solves ``(theta I - M) y =
+    x`` at ``theta = hi``, or at the midpoint after a step that did not
+    halve ``[lo, hi]``, as on a reducible ``M``, which can hold ``lo`` down.
+    A positive ``y`` has ``M y < theta y`` and is the next ``x``, scaled to
+    a largest entry of 1; no positive solution makes ``theta`` the new
+    ``lo``.  The answer is ``hi`` once ``hi - lo <= 1e-13 hi``, or after 50
+    steps.  Only a report's ``rho`` reads it, and it decides nothing: a
+    decision is :func:`rho_below`'s.
 
     >>> round(spectral_radius(np.array([[0.0, 0.5], [0.5, 0.0]])), 12)
     0.5
     """
-    lr = _checked(M)
-    if lr.size == 0:
+    return _noda(_checked(M))
+
+
+def _noda(lr: LinearRecursion, x: Optional[np.ndarray] = None) -> float:
+    """:func:`spectral_radius` of ``lr``, started from the positive ``x`` (``None``: all ones)."""
+    z = np.ones(lr.size)
+    while 0 < np.count_nonzero(y := lr @ z) < np.count_nonzero(z):  # the supports of M^k 1 shrink
+        z = y / y.max()
+    if not y.any():  # M^k 1 = 0: M is nilpotent
         return 0.0
-    return float(max(abs(np.linalg.eigvals(lr.M))))
+    x = np.ones(lr.size) if x is None else x
+    lo, hi = 0.0, math.inf
+    for _ in range(50):
+        ratios = (lr @ x) / x
+        width, lo, hi = hi - lo, max(lo, float(ratios.min())), min(hi, float(ratios.max()))
+        if hi - lo <= 1e-13 * hi:
+            break
+        theta = hi if hi - lo <= width / 2 else 0.5 * (lo + hi)
+        try:
+            y = lr.shifted_solve(theta, x)
+        except np.linalg.LinAlgError:  # singular: theta is an eigenvalue, so at most rho
+            y = -x
+        if (theta < hi and not y.min() > 0) or not 0 < y.max() < math.inf:
+            lo = theta  # rho >= theta, or theta = hi is rho to rounding
+        else:
+            x = np.maximum(y / y.max(), 1e-250)
+    return hi
 
 
 def _budget(lr: LinearRecursion) -> int:
     """
-    The bracket steps on ``lr``, at least one, that cost what the exact
-    test after them does, both priced by the recursion.
+    The bracket steps on ``lr`` before its exact test, from sizes alone:
+    ``max(2, n)`` on factors (``n`` servers), whose capacitance solve is
+    ``O(L n)`` against an ``O(L)`` step, and ``max(2, int(0.4 L))`` on a
+    dense ``M``, whose LU is ``2/3 L^3`` flops against a step's ``2 L^2``.
     """
-    return max(1, int(lr.exact_cost / lr.step_cost))
+    factored = isinstance(lr._M, _SdFactors)
+    return max(2, lr._M.layout.num_servers if factored else int(0.4 * lr.size))
 
 
 def _brackets(lr: LinearRecursion, x: Optional[np.ndarray]):
@@ -400,8 +399,8 @@ def _brackets(lr: LinearRecursion, x: Optional[np.ndarray]):
     x = np.ones(lr.size) if x is None else x
     while True:
         y = lr @ x + POWER_SHIFT * x
-        ratios = y / x
-        yield float(ratios.min()) - POWER_SHIFT, float(ratios.max()) - POWER_SHIFT, x
+        ratios = y / x  # rho >= 0 bounds lo: a threshold <= 0 is settled at the first step
+        yield max(0.0, float(ratios.min()) - POWER_SHIFT), float(ratios.max()) - POWER_SHIFT, x
         x = np.maximum(y / y.max(), 1e-250)  # floor out underflow to keep x > 0
 
 
@@ -410,9 +409,8 @@ def rho_below(M, threshold: float) -> bool:
     Decide ``spectral_radius(M) < threshold``, for a nonnegative matrix or
     a :class:`LinearRecursion`.  The Collatz-Wielandt bracket usually
     separates from the threshold long before it closes, so it runs first,
-    from the all-ones vector, for at most the steps that cost what the
-    exact test does (:func:`_budget`).  If it is still undecided, one
-    exact M-matrix test settles it:
+    from the all-ones vector, for at most :func:`_budget`'s steps.  If it
+    is still undecided, one exact M-matrix test settles it:
     ``rho(M) < threshold`` exactly when ``threshold I - M`` is a
     nonsingular M-matrix, i.e. when ``(threshold I - M) x = 1`` has a
     positive solution.  The answer is yes only if the solved ``x`` is
@@ -420,8 +418,8 @@ def rho_below(M, threshold: float) -> bool:
     is positive too: ``x`` is then a certificate ``M x < threshold x``.
 
     A step is one product ``M x`` and the exact test one shifted solve,
-    both the recursion's (:class:`LinearRecursion`); a decision the
-    bracket cannot settle costs about two exact tests.
+    both the recursion's (:class:`LinearRecursion`).  A threshold of at
+    most 0 is settled by the first step, whose lower end is at least 0.
 
     :raises ValidationError: if ``M`` is not square, finite and
         nonnegative, as :func:`spectral_radius` requires, or if
@@ -1070,7 +1068,7 @@ def analyze(
     do), so one test decides ``stable``, the fixed point and whether the
     bound is finite; reading ``verdict`` tells a diverging analysis
     ``critical`` from ``unstable`` by one more test at ``1 + 1e-9``.
-    ``rho``, the exact spectral radius (the smaller one for ``2s``), is a
+    ``rho``, the spectral radius (the smaller one for ``2s``), is a
     diagnostic computed on first read.  Local instability short-circuits
     to an unstable report with ``rho = inf``, whatever ``removed``.
     """

@@ -241,6 +241,25 @@ def test_analyze_json_output(tmp_path, capsys):
     assert doc["bound"] == pytest.approx(19 / 6, abs=1e-9)
 
 
+@pytest.mark.parametrize("method", ["sd", "td", "ag", "2s"])
+def test_analyze_json_reads_rho_without_eigvals(tmp_path, capsys, monkeypatch, method):
+    # rho comes from the recursions' own product and solve, never from eigvals
+    net = bi_ring(6, 0.15)
+    recursions = analyze(net, method).recursions
+    expected = min(float(max(abs(np.linalg.eigvals(lr.M)))) for lr in recursions)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvals called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    path = str(tmp_path / "ring.json")
+    save_network(net, path)
+    code = main(["analyze", "--network", path, "--method", method, "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == (0 if doc["stable"] else 3)
+    assert doc["rho"] == pytest.approx(expected, rel=1e-12)
+
+
 def test_analyze_unstable_exit_code(tmp_path, capsys):
     path = str(tmp_path / "hot.json")
     save_network(uni_ring(4, 0.9), path)
