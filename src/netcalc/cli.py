@@ -175,16 +175,14 @@ def cmd_sweep(args) -> int:
     family = _family(args)
     columns = ["U"] + [METHOD_COLUMNS[m] for m in methods]
     rows: List[List[Optional[float]]] = []
-    held = {}  # one structure per method and target, bound to every row's network
+    held = {}  # one holder per method and target, fitted to every row's network
     u = args.u_min
     while u <= args.u_max + 1e-12:
         net = family(u)
         target = _parse_target(args, net)
         row: List[Optional[float]] = [u]
         for m in methods:
-            if (m, target) not in held:
-                held[m, target] = _Held(m, target)
-            report = _analyze(net, m, target, None, *held[m, target].fit(net))
+            report = _analyze(net, m, target, None, held.setdefault((m, target), _Held(m, target)))
             row.append(report.bound.value if report.bound is not None else None)
         rows.append(row)
         u += args.step

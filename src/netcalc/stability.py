@@ -23,16 +23,21 @@ capacitance matrix (``_SdFactors.solve``, ``n`` the server count), which
 never builds ``M``.  The bracket runs at most the steps ``_budget`` sets
 from sizes alone.  It may start from any positive vector: ``min(M x / x)
 <= rho(M) <= max(M x / x)`` for every nonnegative ``M`` and positive
-``x``.  A decision started
-from the all-ones vector is cold; the decisions of a
-``critical_utilization`` bisection are warm, each started from the final
-vector of the previous step's decision on the same recursion (its last
-bracket iterate, or the exact test's solution), which changes how many
-steps a decision takes, never what it certifies.
-``analyze`` takes its verdict from these decisions alone: the fixed-point
-test at ``1 - 1e-9``, and for a diverging recursion one more test at
-``1 + 1e-9``, started from the final vector of the first, that tells
-``critical`` from ``unstable``.  The spectral radius itself
+``x``.  A decision takes one form, the record ``_Decision(below, start,
+route, steps)``: its answer, the vector to start the next decision on
+the recursion from (its last bracket iterate, or the exact test's
+solution), the route that decided (``"bracket"``, ``"exact"``,
+``"singular"``, or ``"empty"`` when ``L = 0``) and the bracket steps it
+ran.  A decision started from the all-ones vector is cold; the decisions
+of a ``critical_utilization`` bisection are warm, each started from the
+``start`` of the previous step's decision on the same recursion, which
+changes how many steps a decision takes, never what it certifies.
+``analyze`` decides each recursion once, at ``1 - 1e-9``, solves its
+fixed point only from a "below" record, and keeps the records in its
+report.  Its verdict comes from these decisions alone: the fixed-point
+test, and for a diverging recursion one more test at ``1 + 1e-9``,
+started from the first one's ``start``, that tells ``critical`` from
+``unstable``.  The spectral radius itself
 (``spectral_radius``) is Noda's inverse iteration on the same product and
 solve, so it never builds a factored ``M`` either; a report computes it
 only when its ``rho`` is read, and caches it.
@@ -75,8 +80,9 @@ with the target for ``analyze``) unless the caller holds one, bound once,
 and asked for its recursions.  Every ``analyze`` call prepares its
 structure anew, cheaply, and keeps nothing.  A family analysis holds one
 (:class:`_Held`): ``critical_utilization`` over its bisection, and
-``netcalc sweep`` per method over its grid (``_analyze`` on the held
-structure).  The structure is bound at every ``family(U)`` with the same
+``netcalc sweep`` per method over its grid; it passes the holder whole
+(``_stable``, ``_analyze``), and ``_method_recursions`` fits it to each
+network.  The structure is bound at every ``family(U)`` with the same
 server count and flow paths, checked at every one, with the flow half of
 the numbers (rates, bursts and loads, ``network._flow_numbers``) bound to
 it once and again only when the arrivals change.  So each ``family(U)``
@@ -91,7 +97,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from itertools import islice, zip_longest
-from typing import Callable, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import Callable, FrozenSet, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -103,7 +109,7 @@ from .errors import (
     ValidationError,
 )
 from .network import (
-    Arc, Network, _FlowNumbers, _Numbers, _check_arcs, _check_id, _flow_numbers, _hops, _is_id,
+    Arc, Network, _Numbers, _check_arcs, _check_id, _flow_numbers, _hops, _is_id,
     _numbers, _paths, _require_local_stability, _server_numbers,
 )
 from .tree_analysis import _RowLayout, _prepare_forest
@@ -272,15 +278,15 @@ class StabilityReport:
     ``verdict`` comes from the stability decisions alone: ``stable`` when
     a fixed point exists, else ``critical`` when some recursion's spectral
     radius lies below ``1 + 1e-9`` (one more decision, as :func:`rho_below`
-    makes it), else
-    ``unstable``.  Each of those decisions starts from the final vector of
-    the fixed-point test that ``analyze`` ran on its recursion at ``1 -
-    1e-9`` (``_starts``, one per recursion; all ones when absent), which
-    changes how many steps it takes, never its answer (see :func:`_decide`).
-    ``rho``, the spectral radius (the smallest over the recursions, ``inf``
-    on local instability), is computed on first read, by
-    :func:`spectral_radius`'s iteration started from the same vectors, and
-    cached; it decides nothing.
+    makes it), else ``unstable``.  The report keeps the fixed-point test
+    that ``analyze`` ran on each recursion at ``1 - 1e-9`` (``_decisions``,
+    one :class:`_Decision` per recursion), and the verdict's decision on a
+    recursion starts from its test's ``start`` (all ones when the report
+    was built without tests), which changes how many steps it takes, never
+    its answer (see :func:`_decide`).  ``rho``, the spectral radius (the
+    smallest over the recursions, ``inf`` on local instability), is
+    computed on first read, by :func:`spectral_radius`'s iteration started
+    from the same vectors, and cached; it decides nothing.
     """
 
     method: str
@@ -290,21 +296,22 @@ class StabilityReport:
     labels: Tuple = ()
     objective: Optional[ObjectiveForm] = None
     recursions: Tuple[LinearRecursion, ...] = field(default=(), compare=False, repr=False)
-    _starts: Tuple[Optional[np.ndarray], ...] = field(default=(), compare=False, repr=False)
+    _decisions: Tuple[_Decision, ...] = field(default=(), compare=False, repr=False)
+
+    def _started(self):
+        """Each recursion with its fixed-point test's ``start`` (``None`` without one)."""
+        return zip_longest(self.recursions, [d.start for d in self._decisions])
 
     @cached_property
     def rho(self) -> float:
-        return min((_noda(lr, x) for lr, x in zip_longest(self.recursions, self._starts)),
-                   default=math.inf)
+        return min((_noda(lr, x) for lr, x in self._started()), default=math.inf)
 
     @cached_property
     def verdict(self) -> str:
         if self.stable:
             return "stable"
-        pairs = zip_longest(self.recursions, self._starts)
-        if any(_decide(lr, 1.0 + STABILITY_EPS, x)[0] for lr, x in pairs):
-            return "critical"
-        return "unstable"
+        below = any(_decide(lr, 1.0 + STABILITY_EPS, x).below for lr, x in self._started())
+        return "critical" if below else "unstable"
 
 
 def _checked(M) -> LinearRecursion:
@@ -427,22 +434,41 @@ def rho_below(M, threshold: float) -> bool:
     """
     if not _is_real(threshold):
         raise ValidationError("threshold must be a real number, got %r" % (threshold,))
-    return _decide(M, threshold)[0]
+    return _decide(M, threshold).below
 
 
-def _decide(
-    M, threshold: float, start: Optional[np.ndarray] = None
-) -> Tuple[bool, Optional[np.ndarray]]:
+class _Decision(NamedTuple):
+    """
+    One decision of :func:`_decide`: whether ``rho(M)`` lies below the
+    threshold (:attr:`below`), the vector to start the next decision on a
+    similar matrix from (:attr:`start`), the route that decided it
+    (:attr:`route`) and the bracket steps it ran (:attr:`steps`).
+    """
+
+    below: bool
+    start: Optional[np.ndarray]
+    route: str
+    steps: int
+
+
+def _decide(M, threshold: float, start: Optional[np.ndarray] = None) -> _Decision:
     """
     :func:`rho_below`'s decision on a matrix or a recursion ``M`` (see
     :func:`_checked`), with its bracket started from the positive vector
-    ``start`` (``None``: all ones), and the vector to start the next
-    decision on a similar matrix from.  That is the exact test's solution
-    when the test ran and the solution has one sign, scaled to a largest
-    entry of 1: near ``threshold = rho`` the Perron vector dominates
-    ``(threshold I - M)^-1 1``, with the sign of ``threshold - rho``.
-    Otherwise it is the last bracket iterate.  Both are floored at
-    ``1e-250``.
+    ``start`` (``None``: all ones), as a :class:`_Decision`, the one form a
+    decision takes.  Its ``route`` is ``"bracket"`` when a bracket step
+    separated from ``threshold``, ``"exact"`` when the exact test decided,
+    ``"singular"`` when ``threshold I - M`` was singular (not below), and
+    ``"empty"`` when ``L = 0`` (below exactly when ``threshold > 0``); its
+    ``steps`` count the bracket steps it ran, all of :func:`_budget`'s
+    before an exact test.
+
+    Its ``start`` is the exact test's solution when the test ran and the
+    solution has one sign, scaled to a largest entry of 1: near
+    ``threshold = rho`` the Perron vector dominates ``(threshold I - M)^-1
+    1``, with the sign of ``threshold - rho``.  Otherwise it is the last
+    bracket iterate (the given ``start`` when none ran).  Both are floored
+    at ``1e-250``.
 
     Any positive start is sound: ``min(M x / x) <= rho(M) <= max(M x / x)``
     holds for every nonnegative ``M`` and every ``x > 0``, so the start
@@ -450,22 +476,20 @@ def _decide(
     """
     lr = _checked(M)
     if lr.size == 0:
-        return threshold > 0, start
-    x = start
-    for lo, hi, x in islice(_brackets(lr, start), _budget(lr)):
-        if lo >= threshold:
-            return False, x
-        if hi < threshold:
-            return True, x
+        return _Decision(threshold > 0, start, "empty", 0)
+    x, steps = start, 0
+    for steps, (lo, hi, x) in enumerate(islice(_brackets(lr, start), _budget(lr)), 1):
+        if lo >= threshold or hi < threshold:
+            return _Decision(bool(lo < threshold), x, "bracket", steps)
     try:
         y = lr.shifted_solve(threshold, np.ones(lr.size))
     except np.linalg.LinAlgError:  # singular: threshold is an eigenvalue
-        return False, x
+        return _Decision(False, x, "singular", steps)
     positive = y.min() > 0
     scale = y.max() if positive else y.min() if y.max() < 0 else math.nan
     if math.isfinite(scale):
         x = np.maximum(y / scale, 1e-250)
-    return bool(positive and (threshold * y - lr @ y).min() > 0), x
+    return _Decision(bool(positive and (threshold * y - lr @ y).min() > 0), x, "exact", steps)
 
 
 def solve_recursion(lr: LinearRecursion) -> Optional[np.ndarray]:
@@ -478,23 +502,23 @@ def solve_recursion(lr: LinearRecursion) -> Optional[np.ndarray]:
     >>> solve_recursion(lr)
     array([2.])
     """
-    return _solve(lr)[0]
+    return _solve(lr, _decide(lr, 1.0 - STABILITY_EPS))
 
 
-def _solve(lr: LinearRecursion) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+def _solve(lr: LinearRecursion, decision: _Decision) -> Optional[np.ndarray]:
     """
-    :func:`solve_recursion`'s fixed point, and the final vector of its
-    decision at ``1 - 1e-9`` (see :func:`_decide`; ``None`` when ``L = 0``).
+    :func:`solve_recursion`'s fixed point from ``lr``'s decision at ``1 -
+    1e-9`` (see :func:`_decide`): solved only from a "below" decision,
+    ``None`` otherwise, so a caller that keeps the decision decides once.
     """
+    if not decision.below:
+        return None
     if lr.size == 0:
-        return np.zeros(0), None
-    below, x = _decide(lr, 1.0 - STABILITY_EPS)
-    if not below:
-        return None, x
+        return np.zeros(0)
     solution = lr.shifted_solve(1.0, lr.N)
     if solution.min() < -1e-9 * max(1.0, float(np.abs(solution).max())):
         raise ValidationError("fixed point came out negative; ill-conditioned system")
-    return np.maximum(solution, 0.0), x
+    return np.maximum(solution, 0.0)
 
 
 def _check_target(num_servers: int, paths: Sequence[Sequence[int]], target: Target) -> None:
@@ -985,9 +1009,10 @@ def build_grouped(net: Network, removed, grouped_arcs) -> LinearRecursion:
     arc-grouping recursion with all of them.  Local stability is checked
     first, as by :func:`build_td` and :func:`build_ag`.
     """
-    _require_local_stability(_numbers(net).unstable)
+    numbers = _numbers(net)
+    _require_local_stability(numbers.unstable)
     dec = _Decomposition(_Split(net, removed), [grouped_arcs])
-    return _method_recursions(net, "td", structure=dec)[2][0]
+    return dec.recursions(dec.bind(numbers))[0][0]
 
 
 def objective_for(net: Network, target: Target, method: str, removed=None) -> ObjectiveForm:
@@ -1076,21 +1101,23 @@ def analyze(
 
 
 def _analyze(net: Network, method: str, target: Optional[Target] = None, removed=None,
-             structure=None, flows: Optional[_FlowNumbers] = None) -> StabilityReport:
+             held: Optional[_Held] = None) -> StabilityReport:
     """
-    :func:`analyze`'s report for a checked ``method``.  ``structure`` and
-    ``flows`` are as :func:`_method_recursions` takes them: ``netcalc
-    sweep`` passes the structure it holds for the method and target
-    (:class:`_Held`), which makes the report equal to a fresh one.
+    :func:`analyze`'s report for a checked ``method``, which decides each
+    recursion once, at ``1 - 1e-9``, and solves from that decision.
+    ``held`` is as :func:`_method_recursions` takes it: ``netcalc sweep``
+    passes the holder it keeps for the method and target, which makes the
+    report equal to a fresh one.
     """
     try:
         structure, numbers, recursions, weights = _method_recursions(
-            net, method, removed, structure, target, flows)
+            net, method, removed, target, held)
     except LocallyUnstableError:
         return StabilityReport(
             method, False, None, UNBOUNDED if target is not None else None
         )
-    fixed_points, starts = zip(*[_solve(lr) for lr in recursions])
+    decisions = tuple([_decide(lr, 1.0 - STABILITY_EPS) for lr in recursions])
+    fixed_points = [_solve(lr, d) for lr, d in zip(recursions, decisions)]
     fixed = next((fp for fp in fixed_points if fp is not None), None)
     bound = objective = None
     if target is not None:
@@ -1101,7 +1128,7 @@ def _analyze(net: Network, method: str, target: Optional[Target] = None, removed
             bound, objective = _bound_at(obj, fixed), obj
     return StabilityReport(
         method, fixed is not None, fixed, bound, recursions[0].labels, objective,
-        tuple(recursions), starts,
+        tuple(recursions), decisions,
     )
 
 
@@ -1134,24 +1161,28 @@ def _prepare(net: Network, method: str, removed=None, target: Optional[Target] =
     return _Decomposition(split, groupings, target)
 
 
-def _method_recursions(net: Network, method: str, removed=None, structure=None, target=None,
-                       flows: Optional[_FlowNumbers] = None):
+def _method_recursions(net: Network, method: str, removed=None, target=None,
+                       held: Optional[_Held] = None):
     """
     ``(structure, numbers, recursions, weights)``: the structure of the
     method's recursions, ``net``'s numbers bound to it, the recursions and
     the weights of ``target``'s row when the structure laid one out
-    (``None`` otherwise).  ``structure`` is one prepared from ``net``'s
-    flow paths when the caller holds one; otherwise it is prepared here,
-    for ``target``, after the local stability check.  ``flows``, given
-    only with ``structure``, is ``net``'s flow half already bound to it,
-    so that only the servers' numbers are read from ``net``.
+    (``None`` otherwise).  Without ``held`` the structure is prepared here,
+    for ``target`` and ``removed``, after the local stability check.  A
+    family analysis passes the :class:`_Held` it keeps for the method
+    instead, and ``held.fit(net)`` gives the structure and ``net``'s
+    numbers bound to it, the flow half bound once, so that only the
+    servers' numbers are read from ``net``; ``removed`` and ``target`` are
+    then the holder's.
     """
-    numbers = _numbers(net) if flows is None else _server_numbers(net, flows)
-    _require_local_stability(numbers.unstable)
-    if structure is None:
+    if held is None:
+        numbers = _numbers(net)
+        _require_local_stability(numbers.unstable)
         structure = _prepare(net, method, removed, target)
-    if flows is None:
         numbers = structure.bind(numbers)
+    else:
+        structure, numbers = held.fit(net)
+        _require_local_stability(numbers.unstable)
     return (structure, numbers, *structure.recursions(numbers))
 
 
@@ -1160,24 +1191,22 @@ def is_stable(net: Network, method: str, removed=None) -> bool:
     return _stable(net, _method(method), removed)
 
 
-def _stable(net: Network, method: str, removed=None, structure=None, starts=None,
-            flows=None) -> bool:
+def _stable(net: Network, method: str, removed=None, held: Optional[_Held] = None) -> bool:
     """
     The verdict of :func:`is_stable`: stable when some recursion of the
     method decides below ``1 - 1e-9`` (``2s`` stops at its first stable
-    one).  ``structure`` and ``flows`` are as :func:`_method_recursions`
-    takes them.  ``starts``, when given, holds one start vector per
-    recursion (``None``: all ones); each decision starts its bracket from
-    its recursion's vector and writes back its final one (see
-    :func:`_decide`).
+    one).  ``held`` is as :func:`_method_recursions` takes it.  Without it
+    each decision starts from all ones; with it each starts from the
+    holder's vector for its recursion (:attr:`_Held.starts`) and leaves
+    its decision's ``start`` there (see :func:`_decide`).
     """
     try:
-        _, _, recursions, _ = _method_recursions(net, method, removed, structure, flows=flows)
+        recursions = _method_recursions(net, method, removed, None, held)[2]
     except LocallyUnstableError:
         return False
-    starts = [None] * len(recursions) if starts is None else starts
+    starts = [None, None] if held is None else held.starts  # at most two recursions (2s)
     for r, lr in enumerate(recursions):
-        below, starts[r] = _decide(lr, 1.0 - STABILITY_EPS, starts[r])
+        below, starts[r] = _decide(lr, 1.0 - STABILITY_EPS, starts[r])[:2]
         if below:
             return True
     return False
@@ -1199,19 +1228,24 @@ class _Held:
     again whenever the arrivals' rates and bursts differ from the held ones
     (equal numbers give equal arrays, up to the sign of a zero, which no
     decision reads) and whenever a new structure is prepared; and one start
-    vector per recursion of the method (:attr:`starts`, all ``None`` on a
-    new structure) for decisions that hand theirs on (:func:`_stable`).
-    The holding lives with the holder: no state outlives the loop that
-    made it.
+    vector per recursion of the method (:attr:`starts`, set to all ``None``
+    whenever :meth:`fit` prepares) for decisions that hand theirs on
+    (:func:`_stable`).  A family analysis passes the holder whole to
+    :func:`_stable` or :func:`_analyze`, and :func:`_method_recursions`
+    calls its :meth:`fit`.  The holding lives with the holder: no state
+    outlives the loop that made it.
     """
 
     def __init__(self, method: str, target: Optional[Target] = None):
         self.method, self.target = method, target
         self.structure = self.flows = self.arrivals = None
-        self.starts = [None, None]  # at most two recursions (2s)
 
     def fit(self, net: Network):
-        """``(structure, flows)`` for ``net``, prepared or bound again only as the class says."""
+        """
+        ``(structure, numbers)`` for ``net``: the structure, prepared again
+        only as the class says, and ``net``'s numbers bound to it, of which
+        only the servers' half is read anew unless the arrivals changed.
+        """
         held = self.structure
         if held is None or (held.num_servers, held.paths) != (net.num_servers, _paths(net)):
             self.structure = _prepare(net, self.method, target=self.target)
@@ -1219,7 +1253,7 @@ class _Held:
         now = [(f.arrival.rate, f.arrival.burst) for f in net.flows]
         if now != self.arrivals:
             self.flows, self.arrivals = self.structure.bind(_flow_numbers(net)), now
-        return self.structure, self.flows
+        return self.structure, _server_numbers(net, self.flows)
 
 
 def critical_utilization(family: Callable[[float], Network], method: str) -> float:
@@ -1260,11 +1294,15 @@ def critical_utilization(family: Callable[[float], Network], method: str) -> flo
     bound again at every step whose arrivals differ from the held ones,
     and whenever a new structure is prepared.
 
+    Each step passes the holder whole to :func:`_stable`, which fits it to
+    ``family(U)`` and reads all of this from it.
+
     The decisions are warm-started.  Next to the structure the bisection
     holds one positive vector per recursion of the method; each decision
-    starts its Collatz-Wielandt bracket from it and leaves its final
-    vector there (the last bracket iterate, or the exact test's one-signed
-    solution, which near ``rho = 1`` is close to the Perron vector).  The
+    starts its Collatz-Wielandt bracket from it and leaves its record's
+    ``start`` there (the last bracket iterate, or the exact test's
+    one-signed solution, which near ``rho = 1`` is close to the Perron
+    vector; see :func:`_decide`).  The
     ``M`` of two steps differ only through rescaled service rates, so the
     previous step's vector is a far better start than the all-ones one.
     ``min(M x / x) <= rho(M) <= max(M x / x)`` holds for every positive
@@ -1279,8 +1317,7 @@ def critical_utilization(family: Callable[[float], Network], method: str) -> flo
         net = family(u)
         if not isinstance(net, Network):
             raise ValidationError("family(%r) returned %s, not a Network" % (u, type(net).__name__))
-        structure, flows = held.fit(net)
-        return _stable(net, method, structure=structure, starts=held.starts, flows=flows)
+        return _stable(net, method, held=held)
 
     if stable(U_MAX):
         return U_MAX

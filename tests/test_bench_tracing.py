@@ -55,37 +55,20 @@ def _sd_ops():
 
 
 def test_a_traced_op_takes_its_untraced_route(monkeypatch):
-    # each decision as [bracket steps, whether the exact test ran]
+    # each decision as (route, bracket steps, answer), read off its record
     decisions = []
-    current = []
-    decide, brackets = netcalc.stability._decide, netcalc.stability._brackets
-    shifted_solve = netcalc.stability.LinearRecursion.shifted_solve
+    decide = netcalc.stability._decide
 
-    def counted_decide(*args):
-        decisions.append([0, False])
-        current.append(decisions[-1])
-        try:
-            return decide(*args)
-        finally:
-            current.pop()
+    def recorded_decide(*args):
+        decision = decide(*args)
+        decisions.append((decision.route, decision.steps, decision.below))
+        return decision
 
-    def counted_brackets(*args):
-        for bracket in brackets(*args):
-            current[-1][0] += 1
-            yield bracket
-
-    def counted_solve(self, *args):
-        if current:  # the exact test, not a fixed-point solve
-            current[-1][1] = True
-        return shifted_solve(self, *args)
-
-    monkeypatch.setattr(netcalc.stability, "_decide", counted_decide)
-    monkeypatch.setattr(netcalc.stability, "_brackets", counted_brackets)
-    monkeypatch.setattr(netcalc.stability.LinearRecursion, "shifted_solve", counted_solve)
+    monkeypatch.setattr(netcalc.stability, "_decide", recorded_decide)
     tracer = load_by_path("perfbench_tracing", "perfbench", "tracing.py").Tracer()
     for name, op in _sd_ops():
         decisions.clear()
-        plain, plain_route = op(), [list(d) for d in decisions]
+        plain, plain_route = op(), list(decisions)
         decisions.clear()
         tracer.install()
         try:

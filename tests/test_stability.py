@@ -467,10 +467,10 @@ def test_every_below_answer_carries_an_exact_certificate(rng, monkeypatch, exact
     below = 0
     for M in _decision_inputs(rng):
         for theta in (1 - 1e-9, 1.0, 1 + 1e-9):
-            answer, x = _decide(M, theta)
-            if answer:
+            decision = _decide(M, theta)
+            if decision.below:
                 below += 1
-                assert _certifies_below(M, x, theta)
+                assert _certifies_below(M, decision.start, theta)
     assert below > 0
 
 
@@ -497,7 +497,7 @@ def _routes_agree(lr: LinearRecursion, solve: bool = True) -> bool:
     cap, dense = LinearRecursion(lr.labels, lr._M, lr.N), LinearRecursion(lr.labels, lr.M, lr.N)
     with mock.patch.object(netcalc.stability, "_brackets", _no_brackets):
         for theta in (1 - 1e-9, 1.0, 1 + 1e-9, 0.5, 2.0):
-            assert _decide(cap, theta)[0] == _decide(dense, theta)[0], theta
+            assert _decide(cap, theta).below == _decide(dense, theta).below, theta
         if not solve:
             return False
         fast, slow = solve_recursion(cap), solve_recursion(dense)
@@ -572,7 +572,7 @@ def _cold_verdict(report) -> str:
     """``report.verdict`` as decided from the all-ones vector."""
     if report.stable:
         return "stable"
-    if any(_decide(lr, 1.0 + STABILITY_EPS)[0] for lr in report.recursions):
+    if any(_decide(lr, 1.0 + STABILITY_EPS).below for lr in report.recursions):
         return "critical"
     return "unstable"
 
@@ -596,32 +596,75 @@ def test_warm_verdicts_equal_cold_ones(benchmark_pool):
 
 def test_warm_verdict_takes_fewer_steps(monkeypatch):
     # the sweep's unstable sd cell at U = 0.2: the verdict's decision at
-    # 1 + 1e-9 starts where the fixed-point test at 1 - 1e-9 ended
-    steps, exact = Counter(), Counter()
-    original_brackets = netcalc.stability._brackets
-    original_solve = netcalc.stability.LinearRecursion.shifted_solve
+    # 1 + 1e-9 starts where the fixed-point test at 1 - 1e-9 ended, which
+    # ran all 12 of its bracket steps
+    decisions = []
+    original_decide = netcalc.stability._decide
 
-    def brackets(lr, x):
-        for bracket in original_brackets(lr, x):
-            steps["warm" if x is not None else "cold"] += 1
-            yield bracket
+    def decide(M, threshold, start=None):
+        decisions.append((threshold, start, original_decide(M, threshold, start)))
+        return decisions[-1][2]
 
-    def shifted_solve(self, theta, rhs):
-        exact[theta] += 1
-        return original_solve(self, theta, rhs)
-
-    monkeypatch.setattr(netcalc.stability, "_brackets", brackets)
-    monkeypatch.setattr(netcalc.stability.LinearRecursion, "shifted_solve", shifted_solve)
+    monkeypatch.setattr(netcalc.stability, "_decide", decide)
     report = analyze(bi_ring(12, 0.2), "sd", Target.backlog(11, [0]))
     (lr,) = report.recursions
-    assert not report.stable and report._starts[0] is not None
-    steps.clear(), exact.clear()
+    (test,) = report._decisions
+    assert not report.stable and test.start is not None
+    assert (test.route, test.steps, test.below) == ("bracket", 12, False) and _budget(lr) == 12
+    decisions.clear()
     assert report.verdict == "unstable"
-    warm, warm_exact = steps["warm"], exact[1.0 + STABILITY_EPS]
-    steps.clear(), exact.clear()
-    assert not _decide(lr, 1.0 + STABILITY_EPS)[0]  # as the verdict decided before
-    assert warm + warm_exact < steps["cold"] + exact[1.0 + STABILITY_EPS]
-    assert warm < steps["cold"]
+    ((threshold, start, warm),) = decisions
+    assert threshold == 1.0 + STABILITY_EPS and start is test.start
+    cold = original_decide(lr, 1.0 + STABILITY_EPS)
+    assert not cold.below  # as the verdict decided before
+    exact = lambda d: d.route in ("exact", "singular")  # the exact test ran
+    assert warm.steps + exact(warm) < cold.steps + exact(cold)
+    assert warm.steps < cold.steps
+    assert (warm.route, warm.steps, cold.route, cold.steps) == ("bracket", 1, "bracket", 12)
+
+
+def test_every_decision_keeps_the_invariants_of_its_route(benchmark_pool):
+    # on every sweep cell and every fifth pool network under every method, a
+    # decision at 1 - 1e-9, 1 and 1 + 1e-9 ran the bracket steps its route
+    # says, and the test a report keeps is the one at 1 - 1e-9
+    workloads = load_by_path("perfbench_workloads", "perfbench", "workloads.py")
+    workloads.load_netcalc()
+    cells = [(bi_ring(12, u), Target.backlog(11, [0])) for u in workloads.sweep_utilizations(False)]
+    cells += [(net, None) for net in benchmark_pool[::5]]
+    routes = Counter()
+    for net, target in cells:
+        for method in METHODS:
+            report = analyze(net, method, target)
+            assert len(report._decisions) == len(report.recursions)
+            for lr, kept in zip(report.recursions, report._decisions):
+                for threshold in (1 - STABILITY_EPS, 1.0, 1 + STABILITY_EPS):
+                    decision = _decide(lr, threshold)
+                    routes[decision.route] += 1
+                    assert (decision.route == "empty") == (lr.size == 0)
+                    if decision.route == "bracket":
+                        assert 1 <= decision.steps <= _budget(lr)
+                    elif decision.route in ("exact", "singular"):
+                        assert decision.steps == _budget(lr)
+                    else:
+                        assert decision.route == "empty" and decision.steps == 0
+                    assert decision.below == rho_below(lr, threshold)
+                    if threshold == 1 - STABILITY_EPS:
+                        assert (kept.route, kept.steps, kept.below) == (
+                            decision.route, decision.steps, decision.below)
+    assert routes["bracket"] and routes["exact"], routes
+
+
+def test_the_singular_and_empty_routes_decide_without_a_step(monkeypatch):
+    # threshold 1 is an eigenvalue of the 2-cycle, so I - M is singular;
+    # an empty recursion is below every positive threshold
+    monkeypatch.setattr(netcalc.stability, "_brackets", _no_brackets)
+    decision = _decide(np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0)
+    assert (decision.route, decision.steps, decision.below) == ("singular", 0, False)
+    empty = LinearRecursion((), np.zeros((0, 0)), np.zeros(0))
+    for threshold, below in [(1.0, True), (0.0, False)]:
+        decision = _decide(empty, threshold)
+        assert (decision.route, decision.steps, decision.below) == ("empty", 0, below)
+    assert np.array_equal(solve_recursion(empty), np.zeros(0))
 
 
 def test_rho_below_decides_periodic_cycles_without_eigvals(monkeypatch):
@@ -676,7 +719,8 @@ def test_warm_started_decision_matches_cold_decision(inputs):
     M, start, distance = inputs
     rho = float(max(abs(np.linalg.eigvals(M))))
     theta = rho * (1.0 + distance)
-    below, vector = _decide(M, theta, start.copy())
+    decision = _decide(M, theta, start.copy())
+    below, vector = decision.below, decision.start
     assert vector.shape == start.shape and vector.min() > 0 and vector.max() <= 1
     if abs(rho - theta) > 1e-9 * max(1.0, rho):
         assert below == rho_below(M, theta) == (rho < theta)
@@ -693,7 +737,8 @@ def test_exact_test_hands_on_the_perron_vector(distance):
     perron = np.abs(vectors[:, np.argmax(values.real)].real)
     perron /= perron.max()
     start = np.random.default_rng(4).uniform(0.1, 1.0, 12)
-    below, vector = _decide(M, rho * (1 + distance), start)
+    decision = _decide(M, rho * (1 + distance), start)
+    below, vector = decision.below, decision.start
     assert below == (distance > 0)
     assert vector.max() == 1.0
     assert np.allclose(vector, perron, rtol=1e-4, atol=0)

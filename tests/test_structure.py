@@ -27,7 +27,7 @@ import netcalc.stability
 from netcalc import Flow, Network, TokenBucket, analyze, critical_utilization
 from netcalc.errors import LocallyUnstableError
 from netcalc.fileio import write_sweep_csv
-from netcalc.network import _flow_numbers, _numbers
+from netcalc.network import _numbers
 from netcalc.stability import (
     U_MAX, U_MIN, Target, _Held, _SdLayout, _analyze, _method_recursions, _prepare, is_stable,
 )
@@ -49,9 +49,9 @@ CRITICAL_CASES = [((kind, n), m) for kind, n, m in WORKLOADS.critical_cases(Fals
 _family = WORKLOADS._family
 
 
-def _recursions(net, method, structure=None, flows=None):
+def _recursions(net, method, held=None):
     try:
-        return _method_recursions(net, method, structure=structure, flows=flows)[2]
+        return _method_recursions(net, method, held=held)[2]
     except LocallyUnstableError:
         return None
 
@@ -59,11 +59,11 @@ def _recursions(net, method, structure=None, flows=None):
 @pytest.mark.parametrize("family, method", CRITICAL_CASES,
                          ids=["%s(%d)/%s" % (kind, n, m) for (kind, n), m in CRITICAL_CASES])
 def test_structure_from_u_max_rebinds_bit_for_bit(family, method):
-    # at every U the bisection visits, in its order, the structure prepared
-    # from family(u_max) and bound to family(U), by a bind of its own or
-    # through the flow half bound once from family(u_max) (its coefficient
-    # pass keeping its rate-only grid from step to step), gives the
-    # recursions of a structure prepared from family(U) itself
+    # at every U the bisection visits, in its order, the structure a holder
+    # prepared from family(u_max), with its flow half bound again to
+    # family(U) or bound once from family(u_max) (its coefficient pass
+    # keeping its rate-only grid from step to step), gives the recursions of
+    # a structure prepared from family(U) itself
     fam = _family(*family)
     visited = []
 
@@ -72,13 +72,15 @@ def test_structure_from_u_max_rebinds_bit_for_bit(family, method):
         return fam(u)
 
     critical_utilization(recording, method)
-    held = _prepare(fam(1.0), method)
-    flows = held.bind(_flow_numbers(fam(1.0)))
+    held, rebound = _Held(method), _Held(method)
+    held.fit(fam(1.0)), rebound.fit(fam(1.0))
+    structures = held.structure, rebound.structure
     bound = 0
     for u in visited:
         net = fam(u)
         fresh = _recursions(net, method)
-        for reused in (_recursions(net, method, held), _recursions(net, method, held, flows)):
+        rebound.arrivals = None  # so that its fit binds fam(u)'s flow half
+        for reused in (_recursions(net, method, rebound), _recursions(net, method, held)):
             assert (fresh is None) == (reused is None)
             if fresh is None:
                 continue
@@ -90,6 +92,7 @@ def test_structure_from_u_max_rebinds_bit_for_bit(family, method):
                 assert np.array_equal(reused[0].M, expected.M)
                 assert np.array_equal(reused[0].N, expected.N)
         bound += fresh is not None
+    assert (held.structure, rebound.structure) == structures  # never prepared again
     assert bound >= 10
 
 
@@ -135,20 +138,13 @@ def test_warm_started_bisection_equals_cold_bisection(family, method):
 def _record_decisions(monkeypatch):
     # every decision as [start, vector handed on, bracket steps]
     decisions = []
-    original_decide, original_brackets = netcalc.stability._decide, netcalc.stability._brackets
-
-    def brackets(*args, **kwargs):
-        for bracket in original_brackets(*args, **kwargs):
-            decisions[-1][2] += 1
-            yield bracket
+    original_decide = netcalc.stability._decide
 
     def decide(M, threshold, start=None):
-        record = [start, None, 0]
-        decisions.append(record)
-        below, record[1] = original_decide(M, threshold, start)
-        return below, record[1]
+        decision = original_decide(M, threshold, start)
+        decisions.append([start, decision.start, decision.steps])
+        return decision
 
-    monkeypatch.setattr(netcalc.stability, "_brackets", brackets)
     monkeypatch.setattr(netcalc.stability, "_decide", decide)
     return decisions
 
@@ -444,8 +440,7 @@ def test_held_structure_reports_equal_fresh_ones(method):
     held = _Held(method, target)
     for u in SWEEP_GRID:
         net = bi_ring(12, u)
-        fresh, reused = analyze(net, method, target), _analyze(net, method, target, None,
-                                                               *held.fit(net))
+        fresh, reused = analyze(net, method, target), _analyze(net, method, target, None, held)
         assert repr(fresh.bound) == repr(reused.bound) and fresh.stable == reused.stable
         assert fresh.labels == reused.labels and fresh.verdict == reused.verdict
         if fresh.fixed_point is not None:

@@ -5,7 +5,9 @@ Prints, for each field whose numbers moved, the largest relative gap
 between them (floats are recorded by ``repr``, bare or inside a string
 such as a ``Bound``), then every field that changed otherwise (an array
 digest, a verdict, a label, an error), each with the count of records it
-changed in.  A field is a path of keys, list positions written ``[]``::
+changed in.  A field is a path of keys, list positions written ``[]``.
+Records past the end of the shorter file are counted as left over in the
+longer one::
 
     python tools/compare_outputs.py before.jsonl after.jsonl
 """
@@ -15,6 +17,7 @@ import math
 import re
 import sys
 from collections import Counter
+from itertools import zip_longest
 
 #: A number standing alone in a recorded string (not inside a digest).
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*(?:e[-+]?\d+)?|inf|nan)(?![\w.])")
@@ -42,8 +45,13 @@ def gap(old: str, new: str):
 
 def main(before: str, after: str) -> int:
     gaps, moved, changed, records = {}, Counter(), Counter(), 0
+    extra, longer = 0, None  # the records past the shorter file's end, and the file holding them
     with open(before, encoding="utf-8") as old_file, open(after, encoding="utf-8") as new_file:
-        for old_line, new_line in zip(old_file, new_file):
+        for old_line, new_line in zip_longest(old_file, new_file):
+            if old_line is None or new_line is None:
+                extra += 1
+                longer = before if new_line is None else after
+                continue
             records += 1
             old, new = leaves(json.loads(old_line)), leaves(json.loads(new_line))
             moved_here, changed_here = set(), set()
@@ -57,8 +65,7 @@ def main(before: str, after: str) -> int:
                     moved_here.add(field)
             moved.update(moved_here)
             changed.update(changed_here)
-        extra = sum(1 for _ in old_file) + sum(1 for _ in new_file)
-    print("%d records compared, %d left over in one file" % (records, extra))
+    print("%d records compared, %d left over%s" % (records, extra, " in " + longer if extra else ""))
     for field in sorted(gaps):
         print("moved    %-40s largest relative gap %.2e in %d records" % (field, gaps[field], moved[field]))
     for field in sorted(changed):
