@@ -182,7 +182,9 @@ def cmd_sweep(args) -> int:
         target = _parse_target(args, net)
         row: List[Optional[float]] = [u]
         for m in methods:
-            report = _analyze(net, m, target, None, held.setdefault((m, target), _Held(m, target)))
+            if (m, target) not in held:
+                held[m, target] = _Held(m, target)
+            report = _analyze(net, held[m, target])
             row.append(report.bound.value if report.bound is not None else None)
         rows.append(row)
         u += args.step

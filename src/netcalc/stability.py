@@ -74,15 +74,19 @@ runs no pass); and
 linear form over the first recursion's variables from those weights, or
 from a one-row pass of its own when it has none.
 
-The recursions come from one path (``_method_recursions``): local
-stability is read off the mask, the structure is prepared (``_prepare``,
-with the target for ``analyze``) unless the caller holds one, bound once,
-and asked for its recursions.  Every ``analyze`` call prepares its
-structure anew, cheaply, and keeps nothing.  A family analysis holds one
-(:class:`_Held`): ``critical_utilization`` over its bisection, and
-``netcalc sweep`` per method over its grid; it passes the holder whole
-(``_stable``, ``_analyze``), and ``_method_recursions`` fits it to each
-network.  The structure is bound at every ``family(U)`` with the same
+The recursions come from one path (``_method_recursions``): a holder
+(:class:`_Held`) of the method, the target and the removed arcs is fitted
+to the network, which prepares its structure (``_prepare``) when it holds
+none that fits and binds the network's numbers to it; local stability is
+read off the mask, and the structure is asked for its recursions.  Every
+analysis reports local instability before a bad removal or target: when
+preparing fails on a locally unstable network, the fit raises
+:class:`LocallyUnstableError` instead.  ``analyze``, ``is_stable`` and
+the builders fit a fresh holder, so each call prepares its structure
+anew, cheaply, and keeps nothing.  A family analysis keeps its holder:
+``critical_utilization`` over its bisection, and ``netcalc sweep`` per
+method over its grid; it passes the holder whole (``_stable``,
+``_analyze``).  The structure is bound at every ``family(U)`` with the same
 server count and flow paths, checked at every one, with the flow half of
 the numbers (rates, bursts and loads, ``network._flow_numbers``) bound to
 it once and again only when the arrivals change.  So each ``family(U)``
@@ -105,6 +109,7 @@ from .curves import Bound, UNBOUNDED, _is_real, left_sum
 from .decomposition import _Split
 from .errors import (
     LocallyUnstableError,
+    NetcalcError,
     UnsupportedTargetError,
     ValidationError,
 )
@@ -799,7 +804,7 @@ def build_sd(net: Network) -> LinearRecursion:
 
     :raises LocallyUnstableError: if some server is not strictly stable
     """
-    return _method_recursions(net, "sd")[2][0]
+    return _method_recursions(net, _Held("sd"))[2][0]
 
 
 class _Decomposition:
@@ -989,7 +994,7 @@ def build_td(net: Network, removed) -> LinearRecursion:
     worst-case backlog of its parent segment at the removed arc's tail,
     expressed as a linear form over all segment bursts.
     """
-    return _method_recursions(net, "td", removed)[2][0]
+    return _method_recursions(net, _Held("td", removed=removed))[2][0]
 
 
 def build_ag(net: Network, removed) -> LinearRecursion:
@@ -998,7 +1003,7 @@ def build_ag(net: Network, removed) -> LinearRecursion:
     backlog of all the segments feeding it; the coefficient toward another
     arc is the largest burst weight among that arc's continuations.
     """
-    return _method_recursions(net, "ag", removed)[2][0]
+    return _method_recursions(net, _Held("ag", removed=removed))[2][0]
 
 
 def build_grouped(net: Network, removed, grouped_arcs) -> LinearRecursion:
@@ -1007,9 +1012,11 @@ def build_grouped(net: Network, removed, grouped_arcs) -> LinearRecursion:
     aggregated unknown each, all other continuations stay individual.
     Specializes to the tree recursion with no grouped arcs and to the
     arc-grouping recursion with all of them.  Local stability is checked
-    first, as by :func:`build_td` and :func:`build_ag`.
+    first, as by :func:`build_td` and :func:`build_ag`.  It prepares its
+    own decomposition, for ``grouped_arcs``, not through a :class:`_Held`,
+    whose structures have only the methods' groupings.
     """
-    numbers = _numbers(net)
+    numbers = _numbers(_require_network(net))
     _require_local_stability(numbers.unstable)
     dec = _Decomposition(_Split(net, removed), [grouped_arcs])
     return dec.recursions(dec.bind(numbers))[0][0]
@@ -1019,9 +1026,12 @@ def objective_for(net: Network, target: Target, method: str, removed=None) -> Ob
     """
     The requested performance expressed as ``Q . b + C`` over the variables
     of the given method's recursion.  It makes no whole-network check, so
-    it raises ``ValidationError`` on a bad ``removed`` on any network.
+    it raises ``ValidationError`` on a bad ``removed`` on any network.  It
+    prepares its structure itself: a :class:`_Held` would report local
+    instability first.
     """
-    structure = _prepare(net, _method(method), removed)
+    method = _method(method)
+    structure = _prepare(_require_network(net), method, removed)
     return structure.objective(structure.bind(_numbers(net)), target)
 
 
@@ -1097,21 +1107,20 @@ def analyze(
     diagnostic computed on first read.  Local instability short-circuits
     to an unstable report with ``rho = inf``, whatever ``removed``.
     """
-    return _analyze(net, _method(method), target, removed)
+    return _analyze(net, _Held(_method(method), target, removed))
 
 
-def _analyze(net: Network, method: str, target: Optional[Target] = None, removed=None,
-             held: Optional[_Held] = None) -> StabilityReport:
+def _analyze(net: Network, held: _Held) -> StabilityReport:
     """
-    :func:`analyze`'s report for a checked ``method``, which decides each
-    recursion once, at ``1 - 1e-9``, and solves from that decision.
-    ``held`` is as :func:`_method_recursions` takes it: ``netcalc sweep``
-    passes the holder it keeps for the method and target, which makes the
-    report equal to a fresh one.
+    :func:`analyze`'s report for the holder's method, target and removed
+    arcs, which decides each recursion once, at ``1 - 1e-9``, and solves
+    from that decision.  :func:`analyze` passes a fresh holder; ``netcalc
+    sweep`` passes the one it keeps for the method and target, which makes
+    the report equal to a fresh one.
     """
+    method, target = held.method, held.target
     try:
-        structure, numbers, recursions, weights = _method_recursions(
-            net, method, removed, target, held)
+        structure, numbers, recursions, weights = _method_recursions(net, held)
     except LocallyUnstableError:
         return StabilityReport(
             method, False, None, UNBOUNDED if target is not None else None
@@ -1130,6 +1139,13 @@ def _analyze(net: Network, method: str, target: Optional[Target] = None, removed
         method, fixed is not None, fixed, bound, recursions[0].labels, objective,
         tuple(recursions), decisions,
     )
+
+
+def _require_network(net) -> Network:
+    """``net``, or :class:`ValidationError` naming its type when it is no :class:`Network`."""
+    if not isinstance(net, Network):
+        raise ValidationError("network must be a Network, got %s" % type(net).__name__)
+    return net
 
 
 def _method(name: str) -> str:
@@ -1161,52 +1177,44 @@ def _prepare(net: Network, method: str, removed=None, target: Optional[Target] =
     return _Decomposition(split, groupings, target)
 
 
-def _method_recursions(net: Network, method: str, removed=None, target=None,
-                       held: Optional[_Held] = None):
+def _method_recursions(net: Network, held: _Held):
     """
-    ``(structure, numbers, recursions, weights)``: the structure of the
-    method's recursions, ``net``'s numbers bound to it, the recursions and
-    the weights of ``target``'s row when the structure laid one out
-    (``None`` otherwise).  Without ``held`` the structure is prepared here,
-    for ``target`` and ``removed``, after the local stability check.  A
-    family analysis passes the :class:`_Held` it keeps for the method
-    instead, and ``held.fit(net)`` gives the structure and ``net``'s
-    numbers bound to it, the flow half bound once, so that only the
-    servers' numbers are read from ``net``; ``removed`` and ``target`` are
-    then the holder's.
+    ``(structure, numbers, recursions, weights)`` of the holder's method
+    on ``net``: the structure ``held.fit(net)`` gives, ``net``'s numbers
+    bound to it, the recursions and the weights of the holder's target's
+    row when the structure laid one out (``None`` otherwise).  The fit
+    reads only the servers' half of the numbers from ``net`` while the
+    held structure and arrivals fit it; local stability is then read off
+    the numbers' mask.
+
+    :raises LocallyUnstableError: if some server is not strictly stable,
+        before any error of a bad removal or target
     """
-    if held is None:
-        numbers = _numbers(net)
-        _require_local_stability(numbers.unstable)
-        structure = _prepare(net, method, removed, target)
-        numbers = structure.bind(numbers)
-    else:
-        structure, numbers = held.fit(net)
-        _require_local_stability(numbers.unstable)
+    structure, numbers = held.fit(net)
+    _require_local_stability(numbers.unstable)
     return (structure, numbers, *structure.recursions(numbers))
 
 
 def is_stable(net: Network, method: str, removed=None) -> bool:
     """Stability verdict of one method: ``False`` on local instability, whatever ``removed``."""
-    return _stable(net, _method(method), removed)
+    return _stable(net, _Held(_method(method), removed=removed))
 
 
-def _stable(net: Network, method: str, removed=None, held: Optional[_Held] = None) -> bool:
+def _stable(net: Network, held: _Held) -> bool:
     """
-    The verdict of :func:`is_stable`: stable when some recursion of the
-    method decides below ``1 - 1e-9`` (``2s`` stops at its first stable
-    one).  ``held`` is as :func:`_method_recursions` takes it.  Without it
-    each decision starts from all ones; with it each starts from the
-    holder's vector for its recursion (:attr:`_Held.starts`) and leaves
-    its decision's ``start`` there (see :func:`_decide`).
+    The verdict of :func:`is_stable` for the holder's method and removed
+    arcs: stable when some recursion of the method decides below ``1 -
+    1e-9`` (``2s`` stops at its first stable one).  Each decision starts
+    from the holder's vector for its recursion (:attr:`_Held.starts`, all
+    ones in a fresh holder, as :func:`is_stable` passes it) and leaves its
+    decision's ``start`` there (see :func:`_decide`).
     """
     try:
-        recursions = _method_recursions(net, method, removed, None, held)[2]
+        recursions = _method_recursions(net, held)[2]
     except LocallyUnstableError:
         return False
-    starts = [None, None] if held is None else held.starts  # at most two recursions (2s)
     for r, lr in enumerate(recursions):
-        below, starts[r] = _decide(lr, 1.0 - STABILITY_EPS, starts[r])[:2]
+        below, held.starts[r] = _decide(lr, 1.0 - STABILITY_EPS, held.starts[r])[:2]
         if below:
             return True
     return False
@@ -1214,14 +1222,18 @@ def _stable(net: Network, method: str, removed=None, held: Optional[_Held] = Non
 
 class _Held:
     """
-    One method's rate-free structure held across the networks of a family,
-    ``critical_utilization``'s bisection or ``netcalc sweep``'s grid,
-    prepared for ``target`` (``None``: for no target).  ``family`` is
+    One method's rate-free structure, the one route from a network to its
+    recursions: prepared for ``target`` (``None``: for no target) and the
+    arcs ``removed`` (``None``: :func:`removal_tree`'s), and held across
+    the networks of a family, ``critical_utilization``'s bisection or
+    ``netcalc sweep``'s grid; a one-network call (:func:`analyze`,
+    :func:`is_stable`, the builders) fits a fresh one.  ``family`` is
     arbitrary code, so :meth:`fit` checks every network: a network with
     another server count or other flow paths gets a structure of its own,
-    prepared from it.  Unlike ``analyze``, it prepares before the local
-    stability check, so a target the network cannot have raises even where
-    ``analyze`` would report local instability.
+    prepared from it.  When preparing raises on a network that is not
+    locally stable, :meth:`fit` raises :class:`LocallyUnstableError`
+    instead, so every analysis reports local instability before a bad
+    removal or target.
 
     Beside the structure it holds the flow half of the numbers (rates,
     bursts and server loads, ``network._flow_numbers``) bound to it, bound
@@ -1236,8 +1248,8 @@ class _Held:
     outlives the loop that made it.
     """
 
-    def __init__(self, method: str, target: Optional[Target] = None):
-        self.method, self.target = method, target
+    def __init__(self, method: str, target: Optional[Target] = None, removed=None):
+        self.method, self.target, self.removed = method, target, removed
         self.structure = self.flows = self.arrivals = None
 
     def fit(self, net: Network):
@@ -1245,10 +1257,19 @@ class _Held:
         ``(structure, numbers)`` for ``net``: the structure, prepared again
         only as the class says, and ``net``'s numbers bound to it, of which
         only the servers' half is read anew unless the arrivals changed.
+
+        :raises ValidationError: if ``net`` is no :class:`Network`
+        :raises LocallyUnstableError: if preparing raises and some server
+            of ``net`` is not strictly stable
         """
-        held = self.structure
-        if held is None or (held.num_servers, held.paths) != (net.num_servers, _paths(net)):
-            self.structure = _prepare(net, self.method, target=self.target)
+        kept = self.structure
+        if kept is None or (kept.num_servers, kept.paths) != (net.num_servers, _paths(net)):
+            _require_network(net)
+            try:
+                self.structure = _prepare(net, self.method, self.removed, self.target)
+            except NetcalcError:
+                _require_local_stability(_numbers(net).unstable)
+                raise
             self.starts, self.arrivals = [None, None], None
         now = [(f.arrival.rate, f.arrival.burst) for f in net.flows]
         if now != self.arrivals:
@@ -1317,7 +1338,7 @@ def critical_utilization(family: Callable[[float], Network], method: str) -> flo
         net = family(u)
         if not isinstance(net, Network):
             raise ValidationError("family(%r) returned %s, not a Network" % (u, type(net).__name__))
-        return _stable(net, method, held=held)
+        return _stable(net, held)
 
     if stable(U_MAX):
         return U_MAX

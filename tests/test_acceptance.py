@@ -34,7 +34,7 @@ from netcalc import (
     worst_case_scenario,
 )
 from netcalc.decomposition import decompose, group_by_arc, removal_tree
-from netcalc.stability import _method_recursions, is_stable
+from netcalc.stability import _Held, _method_recursions, is_stable
 from netcalc.topologies import bi_ring, two_server_sink_tree, three_ring, toy, uni_ring
 
 from conftest import random_tandem, random_tree, random_uni_ring
@@ -263,7 +263,7 @@ def test_criterion_9_dominance():
     while sampled < 20:
         net = instance()
         removed = removal_tree(net)
-        dec, numbers, (lr_td, lr_ag), _ = _method_recursions(net, "2s", removed)
+        dec, numbers, (lr_td, lr_ag), _ = _method_recursions(net, _Held("2s", removed=removed))
         b_star, big_b = solve_recursion(lr_td), solve_recursion(lr_ag)
         if b_star is None or big_b is None or lr_td.size == 0:
             continue

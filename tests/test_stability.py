@@ -61,11 +61,14 @@ from netcalc.stability import (
     STABILITY_EPS,
     U_MAX,
     U_MIN,
+    _Held,
     _SdFactors,
+    _analyze,
     _budget,
     _decide,
     _method_recursions,
     _prepare,
+    _stable,
     _two_stage,
     build_ag,
     build_grouped,
@@ -986,6 +989,26 @@ def test_local_instability_means_every_method_unstable():
             objective_for(net, Target.backlog(4, [0]), method, removed={(9, 8)})
 
 
+def test_a_held_analysis_ranks_local_instability_first_as_analyze_does():
+    # one rule for every analysis: a network that is not locally stable is
+    # reported so before a target or a removal it cannot have is looked at,
+    # whether the holder is fresh or kept
+    net, delay = uni_ring(4, 1.0), Target.delay(1)
+    held, fresh = _analyze(net, _Held("td", delay)), analyze(net, "td", delay)
+    assert not held.stable and held.verdict == fresh.verdict == "unstable"
+    assert repr(held.bound) == repr(fresh.bound) == repr(UNBOUNDED)
+    assert not _stable(net, _Held("td", removed={(9, 8)}))
+    # on a locally stable network the same calls raise what the target and
+    # the removal are
+    net = uni_ring(4, 0.5)
+    with pytest.raises(UnsupportedTargetError):
+        _analyze(net, _Held("td", delay))
+    with pytest.raises(UnsupportedTargetError):
+        analyze(net, "td", delay)
+    with pytest.raises(ValidationError, match=re.escape("[(9, 8)]")):
+        _stable(net, _Held("td", removed={(9, 8)}))
+
+
 def _check_report_consistency(net, method):
     """One analysis agrees with itself and with the standalone entry points."""
     target = Target.backlog(net.flows[0].path[-1], [0])
@@ -1003,7 +1026,7 @@ def _check_report_consistency(net, method):
     if method == "2s":
         # the two-stage bound over td and ag fixed points built apart from analyze
         assert report.objective is None
-        dec, numbers, recursions, _ = _method_recursions(net, "2s", removed)
+        dec, numbers, recursions, _ = _method_recursions(net, _Held("2s", removed=removed))
         b_star, big_b = (solve_recursion(lr) for lr in recursions)
         obj = dec.objective(numbers, target)
         assert report.bound == _two_stage(dec, obj, b_star, big_b)
@@ -1253,7 +1276,7 @@ def test_two_stage_greedy_dominates_random_feasible(rng):
     while checked < 8:
         net = random_cyclic_instance(rng)
         removed = removal_tree(net)
-        dec, numbers, (lr_td, lr_ag), _ = _method_recursions(net, "2s", removed)
+        dec, numbers, (lr_td, lr_ag), _ = _method_recursions(net, _Held("2s", removed=removed))
         b_star = solve_recursion(lr_td)
         big_b = solve_recursion(lr_ag)
         if b_star is None or big_b is None or lr_td.size == 0:
@@ -1617,6 +1640,22 @@ _MODEL_TAKERS = {
                              "backlog flows must be flow ids, got None"),
     "Target.backlog flow": (lambda v: Target.backlog(3, [0, v]), False, UnsupportedTargetError,
                             "backlog flows must be flow ids, got [0, False]"),
+    **{"analyze network " + m: (lambda v, m=m: analyze(v, m), "x", ValidationError,
+                                "network must be a Network, got str") for m in METHODS},
+    **{"is_stable network " + m: (lambda v, m=m: is_stable(v, m), None, ValidationError,
+                                  "network must be a Network, got NoneType") for m in METHODS},
+    **{"objective_for network " + m: (
+        lambda v, m=m: objective_for(v, Target.backlog(0, [0]), m), 5, ValidationError,
+        "network must be a Network, got int") for m in METHODS},
+    "two_stage_bound network": (lambda v: two_stage_bound(v, None, Target.backlog(0, [0])), [],
+                                ValidationError, "network must be a Network, got list"),
+    "build_sd network": (build_sd, {"a": 1}, ValidationError, "network must be a Network, got dict"),
+    "build_td network": (lambda v: build_td(v, None), (), ValidationError,
+                         "network must be a Network, got tuple"),
+    "build_ag network": (lambda v: build_ag(v, None), 1.5, ValidationError,
+                         "network must be a Network, got float"),
+    "build_grouped network": (lambda v: build_grouped(v, None, ()), "x", ValidationError,
+                              "network must be a Network, got str"),
 }
 
 
@@ -1836,7 +1875,7 @@ def test_exact_decisions_and_fixed_points_on_the_benchmark_pool(benchmark_pool):
     for net in benchmark_pool[::13]:
         for method in METHODS:
             try:
-                recursions = _method_recursions(net, method)[2]
+                recursions = _method_recursions(net, _Held(method))[2]
             except LocallyUnstableError:
                 continue
             for lr in recursions:

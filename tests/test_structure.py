@@ -51,7 +51,7 @@ _family = WORKLOADS._family
 
 def _recursions(net, method, held=None):
     try:
-        return _method_recursions(net, method, held=held)[2]
+        return _method_recursions(net, held or _Held(method))[2]
     except LocallyUnstableError:
         return None
 
@@ -440,7 +440,7 @@ def test_held_structure_reports_equal_fresh_ones(method):
     held = _Held(method, target)
     for u in SWEEP_GRID:
         net = bi_ring(12, u)
-        fresh, reused = analyze(net, method, target), _analyze(net, method, target, None, held)
+        fresh, reused = analyze(net, method, target), _analyze(net, held)
         assert repr(fresh.bound) == repr(reused.bound) and fresh.stable == reused.stable
         assert fresh.labels == reused.labels and fresh.verdict == reused.verdict
         if fresh.fixed_point is not None:
@@ -524,7 +524,7 @@ def test_n_built_on_read_equals_the_eager_one():
     for net in nets:
         for method in METHODS:
             try:
-                structure, numbers, recursions, _ = _method_recursions(net, method)
+                structure, numbers, recursions, _ = _method_recursions(net, _Held(method))
             except LocallyUnstableError:
                 continue
             for lr, eager in zip(recursions, _eager_constants(structure, numbers), strict=True):

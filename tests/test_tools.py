@@ -4,6 +4,7 @@ every size claim is read from, and the report of two record files.
 """
 
 import json
+import math
 
 from conftest import load_by_path
 
@@ -71,3 +72,16 @@ def test_left_over_records_are_counted_in_the_longer_file(tmp_path, capsys):
     for before, after, longer in ((five, five[:3], 0), (five[:3], five, 1)):
         lines, paths = _compare(tmp_path, capsys, before, after)
         assert lines == ["3 records compared, 2 left over in %s" % paths[longer]]
+
+
+def test_a_number_that_became_infinite_or_nan_has_an_infinite_gap():
+    assert COMPARE.gap("Bound(2.0)", "Bound(inf)") == math.inf
+    assert COMPARE.gap("1.5", "nan") == math.inf
+    assert COMPARE.gap("-inf", "inf") == math.inf
+    assert COMPARE.gap("Bound(inf)", "Bound(inf)") == COMPARE.gap("nan", "nan") == 0.0
+
+
+def test_a_bound_that_became_unbounded_is_reported_moved(tmp_path, capsys):
+    unbounded = [dict(RECORDS[0], bound="Bound(inf)"), RECORDS[1]]
+    lines, _ = _compare(tmp_path, capsys, RECORDS, unbounded)
+    assert lines[1:] == ["moved    %-40s largest relative gap inf in 1 records" % "bound"]

@@ -35,11 +35,16 @@ def leaves(value, path=""):
 
 
 def gap(old: str, new: str):
-    """The largest relative gap between the numbers of two leaves, ``None`` if they differ otherwise."""
+    """
+    The largest relative gap between the numbers of two leaves, ``None`` if
+    they differ otherwise.  A number that became or stopped being infinite
+    or NaN has an infinite gap.
+    """
     if NUMBER.sub("#", old) != NUMBER.sub("#", new):
         return None
     pairs = [(float(a), float(b)) for a, b in zip(NUMBER.findall(old), NUMBER.findall(new))]
-    return max((abs(a - b) / max(abs(a), abs(b)) for a, b in pairs
+    return max((abs(a - b) / max(abs(a), abs(b)) if math.isfinite(a) and math.isfinite(b)
+                else math.inf for a, b in pairs
                 if a != b and not (math.isnan(a) and math.isnan(b))), default=0.0)
 
 
